@@ -11,7 +11,9 @@ cannot change the result, only the wall time.
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots,
   "sweep"  per-sweep ascent and gain margins, freeze equalities, per-cycle
-           convergence certificates,
+           convergence certificates; the objective behind the margins comes
+           from a per-row cache of term conjugates, so each sweep evaluates
+           conjugates only for the rows it writes, not all r,
   "full"   additionally a sequential replay of each sweep with per-subproblem
            gain checks.
 """
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schedule as sched
-from .state import DualState, dual_objective_z, fenchel_residual
+from .state import (DualState, dual_objective_from, dual_objective_z,
+                    fenchel_residual)
 from .terms import DimensionMismatch
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
@@ -215,11 +218,16 @@ def _block_rows(spec, z, j0, prox0, all0, params):
 
 
 class _CSweep:
-    """Compiled sweep: 0-based index arrays plus the 1-based originals."""
+    """Compiled sweep: 0-based index arrays plus the 1-based originals.
 
-    __slots__ = ("outer0", "outer1", "blocks", "block_js")
+    term_rows are the 0-based term rows (< r) the sweep writes, the only
+    cached conjugates it can change.
+    """
+
+    __slots__ = ("outer0", "outer1", "blocks", "block_js", "term_rows")
 
     def __init__(self, sweep, r):
+        self.term_rows = tuple(sorted(i - 1 for i in sweep.touched if i <= r))
         self.outer1 = tuple(sorted(sweep.outer))
         self.outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
         self.blocks = []
@@ -253,6 +261,12 @@ def _execute_sweep(spec, z, cs, params, executor):
         for i0, vec in rows.items():
             z_new[i0] = vec
     return z_new, exact
+
+
+def _refresh_conjugates(spec, z, conj, rows):
+    """Re-evaluate the cached conjugates of the given term rows in place."""
+    for i0 in rows:
+        conj[i0] = spec.terms[i0].conjugate(z[i0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,26 +326,30 @@ def run_sweep(spec, state, sweep, params=None):
 # ---------------------------------------------------------------------------
 
 def _assert_freeze(c_analysis, snaps, n):
-    """Bitwise freeze equalities implied by the touch pattern."""
-    w_bar = len(snaps) - 1
+    """Bitwise freeze equalities implied by the touch pattern.
+
+    moved[w, row] says whether the row changed bitwise from snaps[w - 1] to
+    snaps[w].  A row equals its value at sweep p in every later snapshot
+    exactly when it never moves after p, and the first sweep that moves it
+    is the first that differs from sweep p.
+    """
+    moved = np.zeros((len(snaps), snaps[0].shape[0]), dtype=bool)
+    for w in range(1, len(snaps)):
+        if snaps[w] is not snaps[w - 1]:
+            moved[w] = (snaps[w] != snaps[w - 1]).any(axis=1)
     for i1, p in c_analysis.p.items():
-        row = i1 - 1
-        ref = snaps[p][row]
-        for w in range(p + 1, w_bar + 1):
-            if not np.array_equal(snaps[w][row], ref):
-                raise EngineInvariantError(
-                    f"cycle {n}: z_{i1} moved after its last touch"
-                    f" (sweep {p} vs {w})")
+        after = moved[p + 1:, i1 - 1]
+        if after.any():
+            raise EngineInvariantError(
+                f"cycle {n}: z_{i1} moved after its last touch"
+                f" (sweep {p} vs {p + 1 + int(after.argmax())})")
     for i1, q in c_analysis.q.items():
         p = c_analysis.p[i1]
         for i2 in c_analysis.block_members[i1]:
-            row = i2 - 1
-            ref = snaps[q][row]
-            for w in range(q + 1, p):
-                if not np.array_equal(snaps[w][row], ref):
-                    raise EngineInvariantError(
-                        f"cycle {n}: block member z_{i2} moved inside the"
-                        f" protected window ({q}..{p - 1})")
+            if moved[q + 1:p, i2 - 1].any():
+                raise EngineInvariantError(
+                    f"cycle {n}: block member z_{i2} moved inside the"
+                    f" protected window ({q}..{p - 1})")
 
 
 def certificate_points(spec, snaps, c_analysis):
@@ -368,10 +386,13 @@ def certificate_points(spec, snaps, c_analysis):
     return out
 
 
-def _replay_check(spec, z_prev, z_par, cs, params, n, w):
-    """check_level=full: sequential re-execution with per-subproblem margins."""
+def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev):
+    """check_level=full: sequential re-execution with per-subproblem margins.
+
+    conj holds the term conjugates at z_prev and F_prev the objective there;
+    conj is updated in place as the replay writes rows.
+    """
     z_seq = z_prev.copy()
-    F_prev = dual_objective_z(spec, z_seq)
     steps = [("block", b) for b in cs.blocks]
     if cs.outer0.size:
         steps.append(("outer", None))
@@ -389,7 +410,9 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w):
             for i0, vec in rows.items():
                 z_seq[i0] = vec
             margin = 0.5 * float(np.linalg.norm(z_seq.sum(axis=0) - v_old)) ** 2
-        F_new = dual_objective_z(spec, z_seq)
+        _refresh_conjugates(spec, z_seq, conj,
+                            [i0 for i0 in rows if i0 < spec.r])
+        F_new = dual_objective_from(spec, z_seq, conj)
         if exact and F_new < F_prev + margin - SWEEP_GAIN_TOL:
             raise EngineInvariantError(
                 f"cycle {n} sweep {w}: a {kind} subproblem gained less than"
@@ -447,7 +470,12 @@ def run(spec, plan, params=None, z_init=None):
 
     check = params.check_level
     sweep_checks = check in ("sweep", "full")
-    F_state = dual_objective_z(spec, z)
+    if sweep_checks:
+        # per-row conjugate cache: a sweep re-evaluates only the rows it wrote
+        conj = [t.conjugate(z[i0]) for i0, t in enumerate(spec.terms)]
+        F_state = dual_objective_from(spec, z, conj)
+    else:
+        F_state = dual_objective_z(spec, z)
     F_initial = F_state
 
     cycle_rows = []
@@ -494,7 +522,10 @@ def run(spec, plan, params=None, z_init=None):
                 cycle_approx = cycle_approx or not exact
 
                 if sweep_checks:
-                    F_new = dual_objective_z(spec, z)
+                    replay = check == "full" and exact
+                    conj_prev = conj.copy() if replay else None
+                    _refresh_conjugates(spec, z, conj, cs.term_rows)
+                    F_new = dual_objective_from(spec, z, conj)
                     if exact:
                         if F_new < F_state - ASCENT_TOL:
                             raise EngineInvariantError(
@@ -513,8 +544,9 @@ def run(spec, plan, params=None, z_init=None):
                                     raise EngineInvariantError(
                                         f"cycle {n} sweep {w}: stationarity"
                                         f" residual {resid:.3e} at index {i1}")
-                    if check == "full" and exact:
-                        _replay_check(spec, z_prev, z, cs, params, n, w)
+                    if replay:
+                        _replay_check(spec, z_prev, z, cs, params, n, w,
+                                      conj_prev, F_state)
                     F_state = F_new
                     snaps.append(z)
 

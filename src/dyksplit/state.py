@@ -117,11 +117,16 @@ def _conjugate_at(spec, z_row, i0):
     return spec.conjugate_quad(z_row)
 
 
-def dual_objective_z(spec, z):
-    """Dual objective on a raw (r+m, d) array; -inf outside the domain."""
+def dual_objective_from(spec, z, conjugates):
+    """Dual objective on z given its r term conjugates h_i*(z_i), in order.
+
+    conjugates is consumed lazily and the result is -inf at the first +inf,
+    so later entries are never evaluated.  Every dual value, full or from the
+    engine's per-row cache, goes through this one formula, which keeps them
+    bitwise equal.
+    """
     total = 0.0
-    for i0 in range(spec.r):
-        c = spec.terms[i0].conjugate(z[i0])
+    for c in conjugates:
         if c == _INF:
             return -_INF
         total += c
@@ -132,6 +137,12 @@ def dual_objective_z(spec, z):
     diff = spec.x0 - v
     total += 0.5 * float(diff @ diff) - 0.5 * spec._x0_sq
     return -total
+
+
+def dual_objective_z(spec, z):
+    """Dual objective on a raw (r+m, d) array; -inf outside the domain."""
+    return dual_objective_from(
+        spec, z, (t.conjugate(z[i0]) for i0, t in enumerate(spec.terms)))
 
 
 def dual_objective(spec, state):

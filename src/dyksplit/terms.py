@@ -10,7 +10,7 @@ sweep engine relies on for its exact solve tiers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 # Membership slack for indicator evaluation, Euclidean distance to the set.
 FEAS_TOL = 1e-9
@@ -139,8 +139,10 @@ class L2Ball:
 class AffineSubspace:
     """{x : A x = c} with A full row rank (k x d, k <= d).
 
-    The Gram matrix A A^T is Cholesky-factored once so repeated projections
-    and support evaluations cost O(k d + k^2).
+    A^T = Q R is QR-factored once.  The orthonormal basis Q of range(A^T) and
+    t = R^{-T} c turn projections and support evaluations into O(k d)
+    products without forming A A^T, whose condition number is the square of
+    A's.
     """
 
     def __init__(self, matrix, rhs):
@@ -155,21 +157,22 @@ class AffineSubspace:
         self.matrix = A
         self.rhs = c
         self.dim = A.shape[1]
-        self._chol = cho_factor(A @ A.T)
+        self._q, r = np.linalg.qr(A.T)
+        # the set is {x : Q^T x = t}
+        self._t = solve_triangular(r, c, trans="T")
 
     def project(self, u):
         u = _vec(u, self.dim, "u")
-        y = cho_solve(self._chol, self.matrix @ u - self.rhs)
-        return u - self.matrix.T @ y
+        return u - self._q @ (self._q.T @ u - self._t)
 
     def support(self, z):
-        # dom sigma = range(A^T); value <y, rhs> for z = A^T y
+        # dom sigma = range(A^T) = range(Q); value <s, t> for z = Q s
         z = _vec(z, self.dim, "z")
-        y = cho_solve(self._chol, self.matrix @ z)
-        resid = float(np.linalg.norm(z - self.matrix.T @ y))
+        s = self._q.T @ z
+        resid = float(np.linalg.norm(z - self._q @ s))
         if resid > DOM_TOL * max(1.0, float(np.linalg.norm(z))):
             return _INF
-        return float(y @ self.rhs)
+        return float(s @ self._t)
 
 
 # ---------------------------------------------------------------------------

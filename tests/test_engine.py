@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
+from dyksplit import fixtures
+from dyksplit.engine import EngineInvariantError, _assert_freeze
 
-from .support import (irrational_angle_spec, run_until, two_halfspace_spec,
-                      unit, valid_deferred_plan)
+from .support import (invalid_deferred_plan, irrational_angle_spec, run_until,
+                      two_halfspace_spec, unit, valid_deferred_plan)
 
 HS = lambda a, b: dk.Indicator(dk.Halfspace(a, b))
 
@@ -308,6 +310,116 @@ def test_run_per_sweep_margin_from_trace():
         f_prev = row.F
 
 
+def _reference_objectives(spec, plan, n_cycles, z_init=None):
+    """Per-sweep and per-cycle F from public run_sweep plus dual_objective."""
+    z = np.zeros((spec.n_duals, spec.d)) if z_init is None else z_init.copy()
+    st = dk.DualState(z)
+    per_sweep, per_cycle = [], []
+    for n in range(1, n_cycles + 1):
+        for sweep in plan.cycle(n):
+            dk.run_sweep(spec, st, sweep)
+            per_sweep.append(dk.dual_objective(spec, st))
+        per_cycle.append(per_sweep[-1])
+    return per_sweep, per_cycle
+
+
+def _outside_ray_start(spec):
+    # term 3's halfspace conjugate is +inf off the ray through a_3
+    z = np.zeros((spec.n_duals, spec.d))
+    z[2] = -spec.terms[2].set.a
+    return z
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "deferred", "outside_domain"])
+def test_run_cached_objective_is_bitwise_reference(case):
+    # the engine's per-row conjugate cache must reproduce the full dual
+    # objective exactly, sweep by sweep and cycle by cycle
+    z_init = None
+    check_level = "sweep"
+    if case == "classic":
+        spec = fixtures.random_halfspaces(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_mixed(6, 4, 3, m=3)
+        plan = dk.product_space_schedule(4)
+    elif case == "mixed_block":
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    elif case == "deferred":
+        spec = fixtures.random_halfspaces(8, 2, 3, m=2)
+        plan = dk.rewrite_deferred(invalid_deferred_plan(), 2, 2)
+        assert plan.lead_in
+        check_level = "full"
+    else:
+        spec = fixtures.random_halfspaces(9, 5, 3)
+        plan = dk.classic_dykstra_schedule(5)
+        z_init = _outside_ray_start(spec)
+    n_cycles = 12
+    res = dk.run(spec, plan,
+                 dk.SolveParams(max_iterations=n_cycles, per_sweep_trace=True,
+                                check_level=check_level),
+                 z_init=z_init)
+    per_sweep, per_cycle = _reference_objectives(spec, plan, n_cycles, z_init)
+    assert [row.F for row in res.sweep_rows] == per_sweep
+    assert res.F_per_cycle.tolist() == per_cycle
+    if case == "outside_domain":
+        # -inf until sweep 3 writes the offending row, finite from then on
+        assert res.F_initial == -np.inf
+        assert per_sweep[:2] == [-np.inf, -np.inf]
+        assert np.isfinite(per_sweep[2:]).all()
+
+
+def _freeze_fixture(plan, spec):
+    """One real cycle's snapshots and analysis, from public run_sweep."""
+    analysis = dk.validate(plan, spec.r, spec.m)
+    st = dk.DualState.zeros(spec)
+    snaps = [st.z.copy()]
+    for sweep in plan.cycle(1):
+        dk.run_sweep(spec, st, sweep)
+        snaps.append(st.z.copy())
+    return analysis.for_cycle(plan, 1), snaps
+
+
+def test_freeze_check_rejects_move_after_last_touch():
+    spec = fixtures.random_halfspaces(2, 4, 3)
+    c_analysis, snaps = _freeze_fixture(dk.classic_dykstra_schedule(4), spec)
+    _assert_freeze(c_analysis, snaps, 1)
+    # z_1 is last touched at sweep 1; drift it from sweep 3 on
+    bad = [s.copy() for s in snaps]
+    for s in bad[3:]:
+        s[0, 1] = np.nextafter(s[0, 1], np.inf)
+    with pytest.raises(EngineInvariantError,
+                       match=r"^cycle 1: z_1 moved after its last touch"
+                             r" \(sweep 1 vs 3\)$"):
+        _assert_freeze(c_analysis, bad, 1)
+    # a move that a later snapshot undoes is reported at the sweep it happened
+    bad = [s.copy() for s in snaps]
+    bad[2][0, 0] += 1.0
+    with pytest.raises(EngineInvariantError,
+                       match=r"z_1 moved after its last touch \(sweep 1 vs 2\)"):
+        _assert_freeze(c_analysis, bad, 1)
+
+
+def test_freeze_check_rejects_move_inside_protected_window():
+    # index 3 is solved outer at sweep 1 and governs the block {1, 3} at
+    # sweep 3, so both block rows are frozen during sweep 2
+    spec = fixtures.random_halfspaces(3, 2, 3, m=1)
+    plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={3}),
+                                 dk.SweepPlan(outer={2}),
+                                 dk.SweepPlan(inner={3: {1, 3}})))
+    c_analysis, snaps = _freeze_fixture(plan, spec)
+    assert c_analysis.q == {1: 1, 3: 1} and c_analysis.p[1] == 3
+    _assert_freeze(c_analysis, snaps, 1)
+    for row in (0, 2):
+        bad = [s.copy() for s in snaps]
+        bad[2][row, 2] += 1.0
+        with pytest.raises(EngineInvariantError,
+                           match=rf"^cycle 1: block member z_{row + 1} moved"
+                                 r" inside the protected window \(1\.\.2\)$"):
+            _assert_freeze(c_analysis, bad, 1)
+
+
 def test_run_monotone_objective_and_growth():
     spec = irrational_angle_spec()
     res = dk.run(spec, dk.classic_dykstra_schedule(3),
@@ -327,7 +439,6 @@ def test_run_stop_reasons():
 
 
 def test_run_rejects_invalid_schedule():
-    from .support import invalid_deferred_plan
     rng = np.random.default_rng(1)
     spec = dk.ProblemSpec([1.0, 0.5], [HS(unit(rng, 2), 0.2),
                                        HS(unit(rng, 2), 0.3)], m=2)
