@@ -78,10 +78,16 @@ def _write_trace(path, fmt, rows, meta):
             fh.write("\n")
 
 
+def _note_workers(args):
+    if args.workers is not None:
+        print("note: --workers is deprecated and ignored; sweeps run serially",
+              file=sys.stderr)
+
+
 def cmd_solve(args):
+    _note_workers(args)
     cfg = _load_config(args.config)
-    built = cfg_mod.build(cfg, seed_override=args.seed,
-                          workers_override=args.workers)
+    built = cfg_mod.build(cfg, seed_override=args.seed)
     if built.mode == "product-reference":
         raise cfg_mod.ConfigError(
             "product-reference is a compare-only mode; use 'compare'")
@@ -151,25 +157,8 @@ def cmd_validate(args):
 
 
 def _spec_signature(spec):
-    sig = [spec.d, spec.r, tuple(spec.x0.tolist())]
-    for t in spec.terms:
-        fields = [type(t).__name__]
-        if hasattr(t, "set"):
-            s = t.set
-            fields.append(type(s).__name__)
-            for name in ("a", "b", "lo", "hi", "center", "radius", "matrix", "rhs"):
-                if hasattr(s, name):
-                    val = getattr(s, name)
-                    fields.append(np.asarray(val).tolist()
-                                  if hasattr(val, "tolist") else val)
-        else:
-            for name in ("weight", "center"):
-                if hasattr(t, name):
-                    val = getattr(t, name)
-                    fields.append(np.asarray(val).tolist()
-                                  if hasattr(val, "tolist") else val)
-        sig.append(tuple(str(f) for f in fields))
-    return tuple(str(s) for s in sig)
+    return (spec.d, spec.r, spec.x0.tolist(),
+            [cfg_mod.term_to_dict(t) for t in spec.terms])
 
 
 def _run_side(built, n_cycles):
@@ -189,12 +178,11 @@ def _run_side(built, n_cycles):
 
 
 def cmd_compare(args):
+    _note_workers(args)
     built_a = cfg_mod.build(_load_config(args.config_a),
-                            seed_override=args.seed,
-                            workers_override=args.workers)
+                            seed_override=args.seed)
     built_b = cfg_mod.build(_load_config(args.config_b),
-                            seed_override=args.seed,
-                            workers_override=args.workers)
+                            seed_override=args.seed)
     if _spec_signature(built_a.spec) != _spec_signature(built_b.spec):
         raise cfg_mod.ConfigError("the two configs describe different problems")
 
@@ -265,7 +253,7 @@ def main(argv=None):
                          help="rewrite (B)-violating blocks into deferred"
                               " sweeps instead of refusing")
     p_solve.add_argument("--workers", type=int, default=None,
-                         help="override solve.workers")
+                         help="deprecated and ignored")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="override the fixture generator seed")
     p_solve.set_defaults(func=cmd_solve)
@@ -284,7 +272,8 @@ def main(argv=None):
     p_cmp.add_argument("--cycles", type=int, default=50)
     p_cmp.add_argument("--report", action="store_true",
                        help="print the per-cycle table and exit 0")
-    p_cmp.add_argument("--workers", type=int, default=None)
+    p_cmp.add_argument("--workers", type=int, default=None,
+                       help="deprecated and ignored")
     p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -8,7 +8,7 @@ valid config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -34,6 +34,25 @@ def _only_keys(d, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
 
 
+def _section(cls, d, where):
+    """Parse the JSON object d into the dataclass cls.
+
+    The keys are cls's fields; a field whose default factory is itself a
+    dataclass is a subsection and is parsed the same way.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object,"
+                          f" not {type(d).__name__}")
+    fs = {f.name: f for f in fields(cls)}
+    _only_keys(d, fs, where)
+    kwargs = {}
+    for k, v in d.items():
+        sub = fs[k].default_factory
+        kwargs[k] = (_section(sub, v, k if where == "config" else f"{where}.{k}")
+                     if is_dataclass(sub) else v)
+    return cls(**kwargs)
+
+
 @dataclass
 class ProblemConfig:
     dim: int | None = None
@@ -41,44 +60,17 @@ class ProblemConfig:
     terms: list | None = None
     generator: dict | None = None
 
-    @classmethod
-    def from_dict(cls, d):
-        _only_keys(d, ("dim", "x0", "terms", "generator"), "problem")
-        return cls(dim=d.get("dim"), x0=d.get("x0"),
-                   terms=d.get("terms"), generator=d.get("generator"))
-
-    def to_dict(self):
-        return {"dim": self.dim, "x0": self.x0,
-                "terms": self.terms, "generator": self.generator}
-
 
 @dataclass
 class ScheduleConfig:
     mode: str = "classic"
     cycles: dict | None = None
 
-    @classmethod
-    def from_dict(cls, d):
-        _only_keys(d, ("mode", "cycles"), "splitting.schedule")
-        return cls(mode=d.get("mode", "classic"), cycles=d.get("cycles"))
-
-    def to_dict(self):
-        return {"mode": self.mode, "cycles": self.cycles}
-
 
 @dataclass
 class SplittingConfig:
     m: int | None = None
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-
-    @classmethod
-    def from_dict(cls, d):
-        _only_keys(d, ("m", "schedule"), "splitting")
-        return cls(m=d.get("m"),
-                   schedule=ScheduleConfig.from_dict(d.get("schedule", {})))
-
-    def to_dict(self):
-        return {"m": self.m, "schedule": self.schedule.to_dict()}
 
 
 @dataclass
@@ -87,28 +79,9 @@ class SolveConfig:
     stop_gap: float | None = None
     nested_bcm_sweeps: int = 64
     nested_tol: float = 1e-12
-    workers: int = 1
+    workers: int = 1          # deprecated and ignored, see SolveParams
     check_level: str = "sweep"
     z_init: object = "zeros"
-
-    @classmethod
-    def from_dict(cls, d):
-        _only_keys(d, ("max_iterations", "stop_gap", "nested_bcm_sweeps",
-                       "nested_tol", "workers", "check_level", "z_init"),
-                   "solve")
-        out = cls()
-        for k, v in d.items():
-            setattr(out, k, v)
-        return out
-
-    def to_dict(self):
-        return {"max_iterations": self.max_iterations,
-                "stop_gap": self.stop_gap,
-                "nested_bcm_sweeps": self.nested_bcm_sweeps,
-                "nested_tol": self.nested_tol,
-                "workers": self.workers,
-                "check_level": self.check_level,
-                "z_init": self.z_init}
 
 
 @dataclass
@@ -117,19 +90,10 @@ class OutputConfig:
     format: str = "csv"
     per_sweep: bool = False
 
-    @classmethod
-    def from_dict(cls, d):
-        _only_keys(d, ("trace_path", "format", "per_sweep"), "output")
-        out = cls(trace_path=d.get("trace_path"),
-                  format=d.get("format", "csv"),
-                  per_sweep=bool(d.get("per_sweep", False)))
-        if out.format not in FORMATS:
+    def __post_init__(self):
+        if self.format not in FORMATS:
             raise ConfigError(f"output.format must be one of {FORMATS}")
-        return out
-
-    def to_dict(self):
-        return {"trace_path": self.trace_path, "format": self.format,
-                "per_sweep": self.per_sweep}
+        self.per_sweep = bool(self.per_sweep)
 
 
 @dataclass
@@ -141,31 +105,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
-        _only_keys(d, ("problem", "splitting", "solve", "output"), "config")
-        return cls(problem=ProblemConfig.from_dict(d.get("problem", {})),
-                   splitting=SplittingConfig.from_dict(d.get("splitting", {})),
-                   solve=SolveConfig.from_dict(d.get("solve", {})),
-                   output=OutputConfig.from_dict(d.get("output", {})))
+        return _section(cls, d, "config")
 
     def to_dict(self):
-        return {"problem": self.problem.to_dict(),
-                "splitting": self.splitting.to_dict(),
-                "solve": self.solve.to_dict(),
-                "output": self.output.to_dict()}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # building runtime objects
 # ---------------------------------------------------------------------------
 
+# kind -> (class, keys); each key is both a constructor argument and an
+# attribute of the class
 _TERM_KEYS = {
-    "halfspace": ("a", "b"),
-    "hyperplane": ("a", "b"),
-    "box": ("lo", "hi"),
-    "l2ball": ("center", "radius"),
-    "affine": ("matrix", "rhs"),
-    "l1": ("weight",),
-    "quadratic": ("center", "weight"),
+    "halfspace": (Halfspace, ("a", "b")),
+    "hyperplane": (Hyperplane, ("a", "b")),
+    "box": (Box, ("lo", "hi")),
+    "l2ball": (L2Ball, ("center", "radius")),
+    "affine": (AffineSubspace, ("matrix", "rhs")),
+    "l1": (L1Norm, ("weight",)),
+    "quadratic": (Quadratic, ("center", "weight")),
 }
 
 
@@ -176,26 +135,33 @@ def term_from_dict(d, dim):
     if kind not in _TERM_KEYS:
         raise ConfigError(f"unknown term kind {kind!r},"
                           f" expected one of {sorted(_TERM_KEYS)}")
-    _only_keys(d, ("kind",) + _TERM_KEYS[kind], f"term {kind}")
-    missing = [k for k in _TERM_KEYS[kind] if k not in d]
+    cls, keys = _TERM_KEYS[kind]
+    _only_keys(d, ("kind",) + keys, f"term {kind}")
+    missing = [k for k in keys if k not in d]
     if missing:
         raise ConfigError(f"term {kind} missing keys {missing}")
+    args = [d[k] for k in keys]
     try:
-        if kind == "halfspace":
-            return Indicator(Halfspace(d["a"], d["b"]))
-        if kind == "hyperplane":
-            return Indicator(Hyperplane(d["a"], d["b"]))
-        if kind == "box":
-            return Indicator(Box(d["lo"], d["hi"]))
-        if kind == "l2ball":
-            return Indicator(L2Ball(d["center"], d["radius"]))
-        if kind == "affine":
-            return Indicator(AffineSubspace(d["matrix"], d["rhs"]))
-        if kind == "l1":
-            return L1Norm(dim, d["weight"])
-        return Quadratic(d["center"], d["weight"])
+        if cls is L1Norm:
+            return L1Norm(dim, *args)
+        if cls is Quadratic:
+            return Quadratic(*args)
+        return Indicator(cls(*args))
     except ValueError as exc:
         raise ConfigError(f"bad {kind} term: {exc}") from exc
+
+
+def term_to_dict(term):
+    """Config form of a term; term_from_dict inverts it."""
+    obj = term.set if isinstance(term, Indicator) else term
+    for kind, (cls, keys) in _TERM_KEYS.items():
+        if type(obj) is cls:
+            out = {"kind": kind}
+            for k in keys:
+                val = getattr(obj, k)
+                out[k] = val.tolist() if isinstance(val, np.ndarray) else val
+            return out
+    raise ConfigError(f"{type(obj).__name__} has no config form")
 
 
 def sweep_from_dict(d):
@@ -265,7 +231,7 @@ def _resolve_terms(pc, m, seed_override):
         raise ConfigError(str(exc)) from exc
 
 
-def build(cfg, seed_override=None, workers_override=None):
+def build(cfg, seed_override=None):
     """Turn a RunConfig into spec, plan, and engine params."""
     mode = cfg.splitting.schedule.mode
     if mode not in MODES:
@@ -319,8 +285,7 @@ def build(cfg, seed_override=None, workers_override=None):
             stop_gap=None if sc.stop_gap is None else float(sc.stop_gap),
             nested_bcm_sweeps=int(sc.nested_bcm_sweeps),
             nested_tol=float(sc.nested_tol),
-            workers=int(workers_override if workers_override is not None
-                        else sc.workers),
+            workers=int(sc.workers),
             check_level=sc.check_level,
             per_sweep_trace=cfg.output.per_sweep)
     except ValueError as exc:
@@ -334,6 +299,8 @@ def build(cfg, seed_override=None, workers_override=None):
             raise ConfigError(
                 f"z_init has shape {z_init.shape},"
                 f" expected {(spec.n_duals, spec.d)}")
+        if not np.isfinite(z_init).all():
+            raise ConfigError("z_init must be finite")
 
     return Built(spec=spec, plan=plan, params=params, mode=mode,
                  output=cfg.output, z_init=z_init)

@@ -4,9 +4,10 @@ Each sweep jointly minimizes the dual objective over its outer index set
 (complement frozen) and, independently, over each inner block (block sum
 frozen).  Outer solves are routed through exact closed-form tiers whenever
 the set contains at most one proximable index; anything richer falls back to
-a nested coordinate loop and is flagged approximate.  All updates in a sweep
-read the same snapshot of the duals and write disjoint rows, so thread counts
-cannot change the result, only the wall time.
+a nested coordinate loop and is flagged approximate.  All subproblems of a
+sweep read the same snapshot of the duals and write disjoint rows, so they
+are independent; they run one after another, and their order cannot change
+the result.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots,
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class SolveParams:
     stop_gap: float | None = None
     nested_bcm_sweeps: int = 64
     nested_tol: float = 1e-12
-    workers: int = 1
+    workers: int = 1          # deprecated and ignored: sweeps run serially
     check_level: str = "sweep"
     allow_invalid_schedule: bool = False
     per_sweep_trace: bool = False
@@ -70,14 +70,17 @@ class SolveParams:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.stop_gap is not None and self.stop_gap < 0.0:
+        if self.stop_gap is not None and not self.stop_gap >= 0.0:
             raise ValueError("stop_gap must be nonnegative when set")
         if self.nested_bcm_sweeps < 1:
             raise ValueError("nested_bcm_sweeps must be at least 1")
-        if self.nested_tol <= 0.0:
+        if not self.nested_tol > 0.0:
             raise ValueError("nested_tol must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > 1:
+            warnings.warn("workers is deprecated and ignored; sweeps run"
+                          " serially", DeprecationWarning, stacklevel=3)
         if self.check_level not in ("off", "sweep", "full"):
             raise ValueError("check_level must be off, sweep, or full")
 
@@ -130,12 +133,11 @@ class RunResult:
 def _outer_rows(spec, z, outer0, params):
     """Joint dual minimizer over outer0 (0-based) against the frozen rest.
 
-    Returns ({row: vector}, exact).  Tiers: empty set, single prox index,
-    any all-quadratic set, one prox index plus quadratics (all exact), and
-    a nested cyclic pass for two or more prox indices (approximate).
+    Returns ({row: vector}, exact).  Tiers: single prox index, any
+    all-quadratic set, one prox index plus quadratics (all exact), and a
+    nested cyclic pass for two or more prox indices (approximate).  outer0
+    is nonempty; an empty outer set compiles to no step.
     """
-    if outer0.size == 0:
-        return {}, True
     r = spec.r
     total = z.sum(axis=0)
     prox0 = outer0[outer0 < r]
@@ -218,49 +220,66 @@ def _block_rows(spec, z, j0, prox0, all0, params):
 
 
 class _CSweep:
-    """Compiled sweep: 0-based index arrays plus the 1-based originals.
+    """Compiled sweep: its subproblem steps plus the 1-based originals.
 
+    steps hold the inner blocks in key order and then the outer set, as
+    ("block", (j0, prox0, all0)) or ("outer", outer0) with 0-based rows.
     term_rows are the 0-based term rows (< r) the sweep writes, the only
     cached conjugates it can change.
     """
 
-    __slots__ = ("outer0", "outer1", "blocks", "block_js", "term_rows")
+    __slots__ = ("steps", "outer1", "block_js", "term_rows")
 
     def __init__(self, sweep, r):
         self.term_rows = tuple(sorted(i - 1 for i in sweep.touched if i <= r))
         self.outer1 = tuple(sorted(sweep.outer))
-        self.outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
-        self.blocks = []
-        self.block_js = []
-        for j in sorted(sweep.inner):
+        self.block_js = tuple(sorted(sweep.inner))
+        self.steps = []
+        for j in self.block_js:
             members = sweep.inner[j]
             prox0 = np.array(sorted(i - 1 for i in members if i != j), dtype=np.intp)
             all0 = np.array(sorted(i - 1 for i in members), dtype=np.intp)
-            self.blocks.append((j - 1, prox0, all0))
-            self.block_js.append(j)
+            self.steps.append(("block", (j - 1, prox0, all0)))
+        if self.outer1:
+            outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
+            self.steps.append(("outer", outer0))
 
 
-def _execute_sweep(spec, z, cs, params, executor):
-    """Run one sweep against the snapshot z; returns (z_new, exact)."""
-    tasks = []
-    if cs.outer0.size:
-        tasks.append(lambda: _outer_rows(spec, z, cs.outer0, params))
-    for j0, prox0, all0 in cs.blocks:
-        tasks.append(lambda j0=j0, p0=prox0, a0=all0:
-                     _block_rows(spec, z, j0, p0, a0, params))
-    if not tasks:
+def _solve_step(spec, z, step, params):
+    """Solve one compiled subproblem against z; returns ({row: vector}, exact)."""
+    kind, arg = step
+    if kind == "outer":
+        return _outer_rows(spec, z, arg, params)
+    return _block_rows(spec, z, *arg, params)
+
+
+def _write_rows(z, rows):
+    for i0, vec in rows.items():
+        z[i0] = vec
+
+
+def _execute_sweep(spec, z, cs, params):
+    """Run one sweep against the snapshot z; returns (z_new, exact).
+
+    Every step reads z itself, never the rows an earlier step wrote.
+    """
+    if not cs.steps:
         return z, True
-    if executor is not None and len(tasks) > 1:
-        results = [f.result() for f in [executor.submit(t) for t in tasks]]
-    else:
-        results = [t() for t in tasks]
     z_new = z.copy()
     exact = True
-    for rows, ok in results:
+    for step in cs.steps:
+        rows, ok = _solve_step(spec, z, step, params)
         exact = exact and ok
-        for i0, vec in rows.items():
-            z_new[i0] = vec
+        _write_rows(z_new, rows)
     return z_new, exact
+
+
+def _movement(z_new, z_old, cs):
+    """How far a sweep moved the dual sum and each block's governing row."""
+    v_diff = float(np.linalg.norm(z_new.sum(axis=0) - z_old.sum(axis=0)))
+    inner_diffs = {j: float(np.linalg.norm(z_new[j - 1] - z_old[j - 1]))
+                   for j in cs.block_js}
+    return v_diff, inner_diffs
 
 
 def _refresh_conjugates(spec, z, conj, rows):
@@ -279,31 +298,28 @@ def _check_indices(spec, indices):
             raise IndexError(f"dual index {i} out of range 1..{spec.n_duals}")
 
 
+def _solve_in_place(spec, z, sweep, params):
+    """Run a sweep of at most one subproblem directly on z; returns exact."""
+    exact = True
+    for step in _CSweep(sweep, spec.r).steps:
+        rows, exact = _solve_step(spec, z, step, params)
+        _write_rows(z, rows)
+    return exact
+
+
 def solve_outer(spec, state, S, params=None):
     """Exactly-or-approximately minimize over the 1-based index set S in place."""
-    params = params or SolveParams()
     S = sorted(set(int(i) for i in S))
     _check_indices(spec, S)
-    outer0 = np.array([i - 1 for i in S], dtype=np.intp)
-    rows, exact = _outer_rows(spec, state.z, outer0, params)
-    for i0, vec in rows.items():
-        state.z[i0] = vec
-    return exact
+    return _solve_in_place(spec, state.z, sched.SweepPlan(outer=S),
+                           params or SolveParams())
 
 
 def solve_inner_block(spec, state, j, members, params=None):
     """Minimize over block members with the block sum frozen, in place."""
-    params = params or SolveParams()
-    members = frozenset(int(i) for i in members)
-    j = int(j)
-    sweep = sched.SweepPlan(inner={j: members})
+    sweep = sched.SweepPlan(inner={int(j): frozenset(int(i) for i in members)})
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc block")
-    prox0 = np.array(sorted(i - 1 for i in members if i != j), dtype=np.intp)
-    all0 = np.array(sorted(i - 1 for i in members), dtype=np.intp)
-    rows, exact = _block_rows(spec, state.z, j - 1, prox0, all0, params)
-    for i0, vec in rows.items():
-        state.z[i0] = vec
-    return exact
+    return _solve_in_place(spec, state.z, sweep, params or SolveParams())
 
 
 def run_sweep(spec, state, sweep, params=None):
@@ -311,11 +327,8 @@ def run_sweep(spec, state, sweep, params=None):
     params = params or SolveParams()
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
     cs = _CSweep(sweep, spec.r)
-    v_old = state.z.sum(axis=0)
-    z_new, exact = _execute_sweep(spec, state.z, cs, params, None)
-    v_diff = float(np.linalg.norm(z_new.sum(axis=0) - v_old))
-    inner_diffs = {j: float(np.linalg.norm(z_new[j - 1] - state.z[j - 1]))
-                   for j in cs.block_js}
+    z_new, exact = _execute_sweep(spec, state.z, cs, params)
+    v_diff, inner_diffs = _movement(z_new, state.z, cs)
     state.z = z_new
     state.w += 1
     return {"v_diff": v_diff, "inner_diffs": inner_diffs, "exact": exact}
@@ -393,23 +406,15 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev):
     conj is updated in place as the replay writes rows.
     """
     z_seq = z_prev.copy()
-    steps = [("block", b) for b in cs.blocks]
-    if cs.outer0.size:
-        steps.append(("outer", None))
-    for kind, blk in steps:
-        if kind == "block":
-            j0, prox0, all0 = blk
-            old_j = z_seq[j0].copy()
-            rows, exact = _block_rows(spec, z_seq, j0, prox0, all0, params)
-            for i0, vec in rows.items():
-                z_seq[i0] = vec
-            margin = 0.5 * float(np.linalg.norm(z_seq[j0] - old_j)) ** 2
-        else:
-            v_old = z_seq.sum(axis=0)
-            rows, exact = _outer_rows(spec, z_seq, cs.outer0, params)
-            for i0, vec in rows.items():
-                z_seq[i0] = vec
-            margin = 0.5 * float(np.linalg.norm(z_seq.sum(axis=0) - v_old)) ** 2
+    for step in cs.steps:
+        kind, arg = step
+        # the margin is the move of a block's governing row, or of the dual
+        # sum for the outer set
+        old = z_seq[arg[0]].copy() if kind == "block" else z_seq.sum(axis=0)
+        rows, exact = _solve_step(spec, z_seq, step, params)
+        _write_rows(z_seq, rows)
+        new = z_seq[arg[0]] if kind == "block" else z_seq.sum(axis=0)
+        margin = 0.5 * float(np.linalg.norm(new - old)) ** 2
         _refresh_conjugates(spec, z_seq, conj,
                             [i0 for i0 in rows if i0 < spec.r])
         F_new = dual_objective_from(spec, z_seq, conj)
@@ -487,130 +492,120 @@ def run(spec, plan, params=None, z_init=None):
     stop_reason = "max_iterations"
     cycles_run = 0
 
-    executor = (ThreadPoolExecutor(max_workers=params.workers)
-                if params.workers > 1 else None)
-    try:
-        for n in range(1, params.max_iterations + 1):
-            sweeps = (compiled_lead[n - 1] if n <= len(compiled_lead)
-                      else compiled_pattern)
-            c_analysis = analysis.for_cycle(plan, n)
-            snaps = [z] if sweep_checks else None
-            gamma_acc = 0.0
-            sq_acc = 0.0
-            v_acc = 0.0
-            cycle_approx = False
+    for n in range(1, params.max_iterations + 1):
+        sweeps = (compiled_lead[n - 1] if n <= len(compiled_lead)
+                  else compiled_pattern)
+        c_analysis = analysis.for_cycle(plan, n)
+        snaps = [z] if sweep_checks else None
+        gamma_acc = 0.0
+        sq_acc = 0.0
+        v_acc = 0.0
+        cycle_approx = False
 
-            for w, cs in enumerate(sweeps, start=1):
-                z_prev = z
-                z, exact = _execute_sweep(spec, z_prev, cs, params, executor)
-                if z is not z_prev and not np.isfinite(z).all():
-                    cycle_rows.append(TraceRow(
-                        n=n, w=w, F=float("nan"), v_diff=float("nan"),
-                        inner_diffs={}, gamma_n=None, growth_monitor=None,
-                        cert_max_residual=None, approx=not exact))
-                    raise NonFiniteStateError(
-                        f"non-finite duals after cycle {n} sweep {w}")
-                v_diff = float(np.linalg.norm(
-                    z.sum(axis=0) - z_prev.sum(axis=0)))
-                inner_diffs = {
-                    j: float(np.linalg.norm(z[j - 1] - z_prev[j - 1]))
-                    for j in cs.block_js}
-                inner_sq = sum(d * d for d in inner_diffs.values())
-                gamma_acc += v_diff + sum(inner_diffs.values())
-                sq_acc += v_diff * v_diff + inner_sq
-                v_acc += v_diff
-                cycle_approx = cycle_approx or not exact
+        for w, cs in enumerate(sweeps, start=1):
+            z_prev = z
+            z, exact = _execute_sweep(spec, z_prev, cs, params)
+            if z is not z_prev and not np.isfinite(z).all():
+                cycle_rows.append(TraceRow(
+                    n=n, w=w, F=float("nan"), v_diff=float("nan"),
+                    inner_diffs={}, gamma_n=None, growth_monitor=None,
+                    cert_max_residual=None, approx=not exact))
+                raise NonFiniteStateError(
+                    f"non-finite duals after cycle {n} sweep {w}")
+            v_diff, inner_diffs = _movement(z, z_prev, cs)
+            inner_sq = sum(d * d for d in inner_diffs.values())
+            gamma_acc += v_diff + sum(inner_diffs.values())
+            sq_acc += v_diff * v_diff + inner_sq
+            v_acc += v_diff
+            cycle_approx = cycle_approx or not exact
 
-                if sweep_checks:
-                    replay = check == "full" and exact
-                    conj_prev = conj.copy() if replay else None
-                    _refresh_conjugates(spec, z, conj, cs.term_rows)
-                    F_new = dual_objective_from(spec, z, conj)
-                    if exact:
-                        if F_new < F_state - ASCENT_TOL:
-                            raise EngineInvariantError(
-                                f"cycle {n} sweep {w}: dual objective"
-                                f" decreased by {F_state - F_new:.3e}")
-                        margin = 0.5 * v_diff * v_diff + 0.5 * inner_sq
-                        if F_new < F_state + margin - SWEEP_GAIN_TOL:
-                            raise EngineInvariantError(
-                                f"cycle {n} sweep {w}: ascent fell short of"
-                                f" the quadratic margin")
-                        if cs.outer1:
-                            x_now = spec.x0 - z.sum(axis=0)
-                            for i1 in cs.outer1:
-                                resid = fenchel_residual(spec, z, i1, x_now)
-                                if resid > CLAIM_TOL:
-                                    raise EngineInvariantError(
-                                        f"cycle {n} sweep {w}: stationarity"
-                                        f" residual {resid:.3e} at index {i1}")
-                    if replay:
-                        _replay_check(spec, z_prev, z, cs, params, n, w,
-                                      conj_prev, F_state)
-                    F_state = F_new
-                    snaps.append(z)
+            if sweep_checks:
+                replay = check == "full" and exact
+                conj_prev = conj.copy() if replay else None
+                _refresh_conjugates(spec, z, conj, cs.term_rows)
+                F_new = dual_objective_from(spec, z, conj)
+                if exact:
+                    if F_new < F_state - ASCENT_TOL:
+                        raise EngineInvariantError(
+                            f"cycle {n} sweep {w}: dual objective"
+                            f" decreased by {F_state - F_new:.3e}")
+                    margin = 0.5 * v_diff * v_diff + 0.5 * inner_sq
+                    if F_new < F_state + margin - SWEEP_GAIN_TOL:
+                        raise EngineInvariantError(
+                            f"cycle {n} sweep {w}: ascent fell short of"
+                            f" the quadratic margin")
+                    if cs.outer1:
+                        x_now = spec.x0 - z.sum(axis=0)
+                        for i1 in cs.outer1:
+                            resid = fenchel_residual(spec, z, i1, x_now)
+                            if resid > CLAIM_TOL:
+                                raise EngineInvariantError(
+                                    f"cycle {n} sweep {w}: stationarity"
+                                    f" residual {resid:.3e} at index {i1}")
+                if replay:
+                    _replay_check(spec, z_prev, z, cs, params, n, w,
+                                  conj_prev, F_state)
+                F_state = F_new
+                snaps.append(z)
 
-                if sweep_rows is not None:
-                    last = w == len(sweeps)
-                    sweep_rows.append(TraceRow(
-                        n=n, w=w, F=F_state if sweep_checks else None,
-                        v_diff=v_diff, inner_diffs=inner_diffs,
-                        gamma_n=gamma_acc if last else None,
-                        growth_monitor=None, cert_max_residual=None,
-                        approx=not exact))
+            if sweep_rows is not None:
+                last = w == len(sweeps)
+                sweep_rows.append(TraceRow(
+                    n=n, w=w, F=F_state if sweep_checks else None,
+                    v_diff=v_diff, inner_diffs=inner_diffs,
+                    gamma_n=gamma_acc if last else None,
+                    growth_monitor=None, cert_max_residual=None,
+                    approx=not exact))
 
-            if not sweep_checks:
-                F_state = dual_objective_z(spec, z)
-            F_cycle = F_state
-            if not any_approx and not cycle_approx and F_list:
-                if F_cycle < F_list[-1] - ASCENT_TOL:
-                    raise EngineInvariantError(
-                        f"cycle {n}: end-of-cycle objective decreased")
-            any_approx = any_approx or cycle_approx
-            growth = float(np.linalg.norm(z)) / math.sqrt(n)
+        if not sweep_checks:
+            F_state = dual_objective_z(spec, z)
+        F_cycle = F_state
+        if not any_approx and not cycle_approx and F_list:
+            if F_cycle < F_list[-1] - ASCENT_TOL:
+                raise EngineInvariantError(
+                    f"cycle {n}: end-of-cycle objective decreased")
+        any_approx = any_approx or cycle_approx
+        growth = float(np.linalg.norm(z)) / math.sqrt(n)
 
-            cert_max = None
-            if sweep_checks and valid:
-                _assert_freeze(c_analysis, snaps, n)
-                certificates = certificate_points(spec, snaps, c_analysis)
-                cert_max = max(c.residual for c in certificates)
-                if not cycle_approx:
-                    for c in certificates:
-                        if c.residual > gamma_acc + CERT_SLACK:
-                            raise EngineInvariantError(
-                                f"cycle {n}: certificate for index {c.index}"
-                                f" is {c.residual:.3e} from the iterate,"
-                                f" beyond gamma {gamma_acc:.3e}")
-                        if c.fenchel > CLAIM_TOL:
-                            raise EngineInvariantError(
-                                f"cycle {n}: certificate for index {c.index}"
-                                f" has Fenchel residual {c.fenchel:.3e}")
+        cert_max = None
+        if sweep_checks and valid:
+            _assert_freeze(c_analysis, snaps, n)
+            certificates = certificate_points(spec, snaps, c_analysis)
+            cert_max = max(c.residual for c in certificates)
+            if not cycle_approx:
+                for c in certificates:
+                    if c.residual > gamma_acc + CERT_SLACK:
+                        raise EngineInvariantError(
+                            f"cycle {n}: certificate for index {c.index}"
+                            f" is {c.residual:.3e} from the iterate,"
+                            f" beyond gamma {gamma_acc:.3e}")
+                    if c.fenchel > CLAIM_TOL:
+                        raise EngineInvariantError(
+                            f"cycle {n}: certificate for index {c.index}"
+                            f" has Fenchel residual {c.fenchel:.3e}")
 
-            gamma_list.append(gamma_acc)
-            growth_list.append(growth)
-            F_list.append(F_cycle)
-            sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
-            cycle_rows.append(TraceRow(
-                n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
-                gamma_n=gamma_acc, growth_monitor=growth,
-                cert_max_residual=cert_max, approx=cycle_approx))
-            cycle_start_duals.append(z.copy())
-            if sweep_rows is not None and sweep_rows:
-                tail = sweep_rows[-1]
-                tail.growth_monitor = growth
-                tail.cert_max_residual = cert_max
-            cycles_run = n
+        gamma_list.append(gamma_acc)
+        growth_list.append(growth)
+        F_list.append(F_cycle)
+        sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
+        cycle_rows.append(TraceRow(
+            n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
+            gamma_n=gamma_acc, growth_monitor=growth,
+            cert_max_residual=cert_max, approx=cycle_approx))
+        cycle_start_duals.append(z.copy())
+        if sweep_rows is not None and sweep_rows:
+            tail = sweep_rows[-1]
+            tail.growth_monitor = growth
+            tail.cert_max_residual = cert_max
+        cycles_run = n
 
-            if params.stop_gap is not None:
-                x_hat = spec.x0 - z.sum(axis=0)
-                primal = spec.primal_value(x_hat)
-                if (np.isfinite(primal) and np.isfinite(F_cycle)
-                        and primal - F_cycle <= params.stop_gap):
-                    stop_reason = "gap"
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if params.stop_gap is not None:
+            x_hat = spec.x0 - z.sum(axis=0)
+            primal = spec.primal_value(x_hat)
+            if (np.isfinite(primal) and np.isfinite(F_cycle)
+                    and primal - F_cycle <= params.stop_gap):
+                stop_reason = "gap"
+                break
 
     state = DualState(z, n=cycles_run, w=len(plan.cycle(cycles_run)))
     return RunResult(

@@ -9,6 +9,7 @@ written for that equal-weight splitting; m = 0 recovers the plain problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class ProblemSpec:
         self.m = m
         self.r = len(self.terms)
         self._x0_sq = float(self.x0 @ self.x0)
+        if not math.isfinite(self._x0_sq):   # NaN, inf or overflow in x0
+            raise ValueError("x0 must be finite")
 
     @property
     def lam(self):

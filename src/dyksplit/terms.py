@@ -9,6 +9,8 @@ sweep engine relies on for its exact solve tiers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -22,6 +24,17 @@ _INF = float("inf")
 
 class DimensionMismatch(ValueError):
     """Input vector does not match the term's ambient dimension."""
+
+
+def _finite(name, *values):
+    """Reject NaN or infinity in the given floats and arrays.
+
+    An array is tested through one dot product, its sum of squares, which is
+    finite exactly when every entry is and the sum does not overflow.
+    """
+    for v in values:
+        if not math.isfinite(v if isinstance(v, float) else np.vdot(v, v)):
+            raise ValueError(f"{name} data must be finite")
 
 
 def _vec(x, d, name="x"):
@@ -41,10 +54,12 @@ class Halfspace:
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float).ravel()
         self.dim = self.a.size
-        nrm2 = float(self.a @ self.a)
+        self.b = float(b)
+        nrm2 = float(self.a @ self.a)   # finite exactly when a is, see _finite
+        if not (math.isfinite(nrm2) and math.isfinite(self.b)):
+            raise ValueError("halfspace data must be finite")
         if nrm2 == 0.0:
             raise ValueError("halfspace normal must be nonzero")
-        self.b = float(b)
         self._nrm2 = nrm2
 
     def project(self, u):
@@ -70,10 +85,12 @@ class Hyperplane:
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float).ravel()
         self.dim = self.a.size
-        nrm2 = float(self.a @ self.a)
+        self.b = float(b)
+        nrm2 = float(self.a @ self.a)   # finite exactly when a is, see _finite
+        if not (math.isfinite(nrm2) and math.isfinite(self.b)):
+            raise ValueError("hyperplane data must be finite")
         if nrm2 == 0.0:
             raise ValueError("hyperplane normal must be nonzero")
-        self.b = float(b)
         self._nrm2 = nrm2
 
     def project(self, u):
@@ -119,6 +136,7 @@ class L2Ball:
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float).ravel()
         self.radius = float(radius)
+        _finite("ball", self.center, self.radius)
         if self.radius < 0.0:
             raise ValueError("ball radius must be nonnegative")
         self.dim = self.center.size
@@ -152,6 +170,7 @@ class AffineSubspace:
         c = np.asarray(rhs, dtype=float).ravel()
         if c.size != A.shape[0]:
             raise DimensionMismatch("affine rhs length does not match row count")
+        _finite("affine", A, c)
         if np.linalg.matrix_rank(A, tol=1e-10) < A.shape[0]:
             raise ValueError("affine constraint matrix is row rank deficient")
         self.matrix = A
@@ -207,6 +226,7 @@ class L1Norm:
     def __init__(self, dim, weight=1.0):
         self.dim = int(dim)
         self.weight = float(weight)
+        _finite("l1", self.weight)
         if self.weight <= 0.0:
             raise ValueError("l1 weight must be positive")
 
@@ -234,6 +254,7 @@ class Quadratic:
     def __init__(self, center, weight=1.0):
         self.center = np.asarray(center, dtype=float).ravel()
         self.weight = float(weight)
+        _finite("quadratic", self.center, self.weight)
         if self.weight <= 0.0:
             raise ValueError("quadratic weight must be positive")
         self.dim = self.center.size

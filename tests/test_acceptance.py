@@ -262,20 +262,24 @@ def test_summability_and_growth():
 
 
 # ---------------------------------------------------------------------------
-# 8. determinism across worker counts
+# 8. determinism: worker counts and the snapshot semantics of a sweep
 # ---------------------------------------------------------------------------
 
-@criterion(8, "worker counts 1, 2, and 8 leave every trace byte identical")
+@criterion(8, "worker counts 1, 2, and 8 (deprecated, ignored) leave every"
+              " trace byte identical")
 def test_worker_determinism(tmp_path):
     spec = irrational_angle_spec(m=2)
     plan = dk.product_space_schedule(3)
     texts = []
     results = []
     for w in (1, 2, 8):
-        res = dk.run(spec, plan,
-                     dk.SolveParams(max_iterations=40, workers=w,
-                                    per_sweep_trace=True,
-                                    check_level="sweep"))
+        params = dict(max_iterations=40, workers=w, per_sweep_trace=True,
+                      check_level="sweep")
+        if w == 1:
+            res = dk.run(spec, plan, dk.SolveParams(**params))
+        else:
+            with pytest.warns(DeprecationWarning, match="workers"):
+                res = dk.run(spec, plan, dk.SolveParams(**params))
         path = tmp_path / f"trace_{w}.csv"
         _write_trace(str(path), "csv", res.sweep_rows, {})
         texts.append(path.read_bytes())
@@ -286,6 +290,48 @@ def test_worker_determinism(tmp_path):
         assert np.array_equal(base.gamma, other.gamma)
         assert np.array_equal(base.F_per_cycle, other.F_per_cycle)
     assert texts[0] == texts[1] == texts[2]
+
+
+def _sweep_by_parts(spec, z, sweep):
+    """A sweep as separate public solves, each on its own copy of z.
+
+    The rows each solve writes are merged in reverse order, so nothing but
+    the snapshot semantics can make this agree with run_sweep.
+    """
+    parts = []
+    if sweep.outer:
+        parts.append((sweep.outer,
+                      lambda st: dk.solve_outer(spec, st, sweep.outer)))
+    for j, members in sorted(sweep.inner.items()):
+        parts.append((members, lambda st, j=j, members=members:
+                      dk.solve_inner_block(spec, st, j, members)))
+    merged = z.copy()
+    for rows, solve in reversed(parts):
+        st = dk.DualState(z.copy())
+        solve(st)
+        rows0 = sorted(i - 1 for i in rows)
+        merged[rows0] = st.z[rows0]
+    return merged
+
+
+@criterion(8, "a sweep equals its subproblems solved separately on one"
+              " snapshot and merged in any order, bitwise")
+def test_sweep_equals_subproblems_on_one_snapshot():
+    # product sweep 2 runs an outer solve and r-1 blocks in one sweep.  The
+    # blocks keep their sums only up to rounding, so at r = 10 a solve that
+    # read rows an earlier step wrote would differ in the last bits.
+    cases = [(fixtures.random_mixed(2, 10, 5, m=9),
+              dk.product_space_schedule(10)),
+             (fixtures.random_mixed(11, 4, 3, m=1),
+              fixtures.mixed_block_schedule(4))]
+    for spec, plan in cases:
+        st = dk.DualState.zeros(spec)
+        for cycle in range(3):
+            for w, sweep in enumerate(plan.pattern, start=1):
+                expected = _sweep_by_parts(spec, st.z, sweep)
+                dk.run_sweep(spec, st, sweep)
+                assert np.array_equal(st.z, expected), (cycle, w)
+        assert np.any(st.z != 0.0)
 
 
 # ---------------------------------------------------------------------------

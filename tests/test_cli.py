@@ -1,13 +1,16 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 import dyksplit as dk
 from dyksplit.cli import TRACE_COLUMNS, main
-from dyksplit.config import RunConfig
+from dyksplit.config import RunConfig, term_from_dict, term_to_dict
+
+from .support import TERM_KINDS, sample_term
 
 ANGLES = [0.0, 100.0, 215.0]
 
@@ -58,6 +61,38 @@ def test_solve_cap_exit_two(tmp_path, capsys):
 def test_solve_bad_config_exit_one(tmp_path, capsys):
     path = _dump(tmp_path, "run.json", {"problem": _corner_problem(),
                                         "solver": {}})
+    assert main(["solve", path]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"problem": None},
+    {"solve": 5},
+    {"problem": _corner_problem(), "splitting": {"schedule": None}},
+    [_corner_problem()],
+], ids=["problem-null", "solve-number", "schedule-null", "config-list"])
+def test_solve_non_object_section_exit_one(tmp_path, capsys, cfg):
+    path = _dump(tmp_path, "run.json", cfg)
+    assert main(["solve", path]) == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("problem,solve", [
+    ({"x0": [1.0, 1.0], "terms": [{"kind": "halfspace", "a": [1.0, 0.0],
+                                   "b": _INF}]}, {}),
+    ({"x0": [1.0, 1.0], "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
+                                   "radius": _NAN}]}, {}),
+    ({"x0": [_NAN, 1.0], "terms": _corner_problem()["terms"]}, {}),
+    (_corner_problem(), {"stop_gap": _NAN}),
+    (_corner_problem(), {"nested_tol": _NAN}),
+    (_corner_problem(), {"z_init": [[_NAN, 0.0], [0.0, 0.0]]}),
+], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
+        "nested-tol-nan", "z-init-nan"])
+def test_solve_non_finite_config_exit_one(tmp_path, capsys, problem, solve):
+    path = _dump(tmp_path, "run.json", {"problem": problem, "solve": solve})
     assert main(["solve", path]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -157,9 +192,10 @@ def test_solve_trace_identical_across_workers(tmp_path, capsys):
                "output": {"trace_path": str(trace)}}
         path = _dump(tmp_path, f"run_{w}.json", cfg)
         assert main(["solve", path, "--workers", str(w)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("--workers is deprecated and ignored") == 1
         texts.append(trace.read_text())
     assert texts[0] == texts[1] == texts[2]
-    capsys.readouterr()
 
 
 def test_oracle_feasible(tmp_path, capsys):
@@ -212,6 +248,17 @@ def test_config_round_trip():
         "solve": {"stop_gap": 1e-9, "workers": 4, "z_init": "zeros"},
         "output": {"format": "json", "per_sweep": True}})
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_term_dict_round_trip(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    d = 4
+    t = sample_term(kind, rng, d)
+    once = term_to_dict(t)
+    assert once["kind"] == kind
+    assert term_to_dict(term_from_dict(once, d)) == once
+    assert json.loads(json.dumps(once)) == once
 
 
 def test_json_trace_contains_inner_diffs(tmp_path):

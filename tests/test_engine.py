@@ -1,5 +1,7 @@
 """Subproblem solves, full runs, checks, and the product-space reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,16 @@ def test_inner_block_desk():
     assert np.allclose(st.z, [[1.4, 0.0], [-1.0, 0.0]], atol=1e-15)
 
 
+def test_inner_block_empty_members_is_noop():
+    # an empty block is dropped like in any SweepPlan; it must not zero the
+    # governing row
+    spec = dk.ProblemSpec([1.0, 0.0], [HS([1.0, 0.0], 0.0)], m=1)
+    st = dk.DualState(np.array([[0.5, 0.1], [0.4, 0.2]]))
+    before = st.z.copy()
+    assert dk.solve_inner_block(spec, st, 2, []) is True
+    assert np.array_equal(st.z, before)
+
+
 def test_inner_block_preserves_block_sum():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -180,6 +192,18 @@ def test_inner_block_two_prox_matches_projection_oracle():
         w_star = dk.qp_project(inst)
         assert w_star is not None
         assert np.linalg.norm(st.z[2] + spec.x0 - w_star) <= 1e-7
+
+
+def test_single_step_ops_keep_their_error_types():
+    spec = two_halfspace_spec(m=1)
+    st = dk.DualState.zeros(spec)
+    for S in ([0], [4], [1, 4]):
+        with pytest.raises(IndexError):
+            dk.solve_outer(spec, st, S)
+    for j, members in ((1, [1, 2]), (3, [1]), (3, [3, 4]), (3, [1, 2])):
+        with pytest.raises(dk.ScheduleStructureError):
+            dk.solve_inner_block(spec, st, j, members)
+    assert np.array_equal(st.z, np.zeros((3, 2)))
 
 
 def test_run_sweep_diagnostics():
@@ -284,10 +308,13 @@ def test_run_certificates_hold():
 def test_run_workers_bitwise_identical():
     spec = irrational_angle_spec(m=2)
     plan = dk.product_space_schedule(3)
-    runs = [dk.run(spec, plan,
-                   dk.SolveParams(max_iterations=25, workers=w,
-                                  check_level="sweep"))
-            for w in (1, 2, 8)]
+    runs = [dk.run(spec, plan, dk.SolveParams(max_iterations=25,
+                                              check_level="sweep"))]
+    for w in (2, 8):
+        with pytest.warns(DeprecationWarning, match="workers"):
+            params = dk.SolveParams(max_iterations=25, workers=w,
+                                    check_level="sweep")
+        runs.append(dk.run(spec, plan, params))
     base = runs[0]
     for other in runs[1:]:
         assert np.array_equal(base.state.z, other.state.z)
@@ -467,6 +494,21 @@ def test_solve_params_validation():
         dk.SolveParams(workers=0)
     with pytest.raises(ValueError):
         dk.SolveParams(check_level="everything")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("stop_gap", float("nan")), ("stop_gap", -1.0),
+    ("nested_tol", float("nan")), ("nested_tol", 0.0)])
+def test_solve_params_reject_bad_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        dk.SolveParams(**{field: value})
+
+
+def test_workers_one_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dk.SolveParams(workers=1)
+        dk.SolveParams()
 
 
 # ---------------------------------------------------------------------------

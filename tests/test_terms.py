@@ -101,6 +101,35 @@ def test_construction_errors():
         dk.L1Norm(2).prox([1.0, 2.0], t=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dk.Halfspace([NAN, 1.0], 0.0),
+    lambda: dk.Halfspace([1.0, 0.0], INF),
+    lambda: dk.Hyperplane([1.0, INF], 0.0),
+    lambda: dk.Hyperplane([1.0, 0.0], NAN),
+    lambda: dk.L2Ball([0.0, 0.0], NAN),
+    lambda: dk.L2Ball([NAN, 0.0], 1.0),
+    lambda: dk.L2Ball([0.0, 0.0], INF),
+    lambda: dk.AffineSubspace([[1.0, NAN]], [0.0]),
+    lambda: dk.AffineSubspace([[1.0, 0.0]], [INF]),
+    lambda: dk.L1Norm(2, weight=NAN),
+    lambda: dk.L1Norm(2, weight=INF),
+    lambda: dk.Quadratic([NAN, 0.0]),
+    lambda: dk.Quadratic([0.0, 0.0], weight=NAN),
+    lambda: dk.ProblemSpec([NAN, 1.0], [dk.L1Norm(2)]),
+    lambda: dk.ProblemSpec([INF, 1.0], [dk.L1Norm(2)]),
+], ids=["halfspace-a", "halfspace-b", "hyperplane-a", "hyperplane-b",
+        "ball-radius", "ball-center", "ball-radius-inf",
+        "affine-matrix", "affine-rhs", "l1-weight", "l1-weight-inf",
+        "quadratic-center", "quadratic-weight", "spec-x0-nan",
+        "spec-x0-inf"])
+def test_non_finite_input_rejected_at_construction(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # property suite, seeded loops over every kind
 # ---------------------------------------------------------------------------
