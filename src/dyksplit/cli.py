@@ -78,16 +78,26 @@ def _write_trace(path, fmt, rows, meta):
             fh.write("\n")
 
 
-def _note_workers(args):
+def _note_workers(args, *built):
+    """One note per run when --workers or a config's solve.workers > 1 is set.
+
+    SolveParams' DeprecationWarning for the config key is raised inside the
+    library, where Python's default filters hide it.
+    """
     if args.workers is not None:
-        print("note: --workers is deprecated and ignored; sweeps run serially",
-              file=sys.stderr)
+        name = "--workers"
+    elif any(b.params.workers > 1 for b in built):
+        name = "solve.workers"
+    else:
+        return
+    print(f"note: {name} is deprecated and ignored; sweeps run serially",
+          file=sys.stderr)
 
 
 def cmd_solve(args):
-    _note_workers(args)
     cfg = _load_config(args.config)
     built = cfg_mod.build(cfg, seed_override=args.seed)
+    _note_workers(args, built)
     if built.mode == "product-reference":
         raise cfg_mod.ConfigError(
             "product-reference is a compare-only mode; use 'compare'")
@@ -178,11 +188,11 @@ def _run_side(built, n_cycles):
 
 
 def cmd_compare(args):
-    _note_workers(args)
     built_a = cfg_mod.build(_load_config(args.config_a),
                             seed_override=args.seed)
     built_b = cfg_mod.build(_load_config(args.config_b),
                             seed_override=args.seed)
+    _note_workers(args, built_a, built_b)
     if _spec_signature(built_a.spec) != _spec_signature(built_b.spec):
         raise cfg_mod.ConfigError("the two configs describe different problems")
 

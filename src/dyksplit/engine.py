@@ -9,12 +9,20 @@ sweep read the same snapshot of the duals and write disjoint rows, so they
 are independent; they run one after another, and their order cannot change
 the result.
 
+The blocks with a single term member are where a sweep is parallel: they are
+grouped by term kind and each group is solved in one vectorized call of a
+term stack (terms.stack_terms), the product-space schedule's r-1 blocks
+included.  The dual objective reads its conjugates through the same stacks.
+A stack's row results do not depend on the other rows, so a block solved on
+its own (solve_inner_block) gives the same bits as inside its sweep.
+
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots,
   "sweep"  per-sweep ascent and gain margins, freeze equalities, per-cycle
            convergence certificates; the objective behind the margins comes
            from a per-row cache of term conjugates, so each sweep evaluates
-           conjugates only for the rows it writes, not all r,
+           conjugates only for the rows it writes, not all r, and the
+           stationarity and certificate residuals read the cache too,
   "full"   additionally a sequential replay of each sweep with per-subproblem
            gain checks.
 """
@@ -30,7 +38,7 @@ import numpy as np
 from . import schedule as sched
 from .state import (DualState, dual_objective_from, dual_objective_z,
                     fenchel_residual)
-from .terms import DimensionMismatch
+from .terms import DimensionMismatch, stack_terms, stacked_conjugates
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -127,16 +135,19 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# subproblem solves (snapshot in, replacement rows out)
+# subproblem solves (snapshot in, replacement rows written to out)
 # ---------------------------------------------------------------------------
+#
+# Each solve reads everything it needs from z before it writes out, so out
+# may be z itself when the sweep has one subproblem.
 
-def _outer_rows(spec, z, outer0, params):
+def _outer_rows(spec, z, outer0, params, out):
     """Joint dual minimizer over outer0 (0-based) against the frozen rest.
 
-    Returns ({row: vector}, exact).  Tiers: single prox index, any
-    all-quadratic set, one prox index plus quadratics (all exact), and a
+    Writes rows outer0 of out and returns exact.  Tiers: single prox index,
+    any all-quadratic set, one prox index plus quadratics (all exact), and a
     nested cyclic pass for two or more prox indices (approximate).  outer0
-    is nonempty; an empty outer set compiles to no step.
+    is nonempty and sorted; an empty outer set compiles to no step.
     """
     r = spec.r
     total = z.sum(axis=0)
@@ -146,13 +157,14 @@ def _outer_rows(spec, z, outer0, params):
     if prox0.size == 1 and quad0.size == 0:
         i = int(prox0[0])
         u = spec.x0 - (total - z[i])
-        return {i: u - spec.terms[i].prox(u, 1.0)}, True
+        out[i] = u - spec.terms[i].prox(u, 1.0)
+        return True
 
     if prox0.size == 0:
         k = quad0.size
         c = total - z[quad0].sum(axis=0)
-        zeta = -c / (k + 1.0)
-        return {int(j): zeta for j in quad0}, True
+        out[quad0] = -c / (k + 1.0)
+        return True
 
     if prox0.size == 1:
         i = int(prox0[0])
@@ -163,17 +175,15 @@ def _outer_rows(spec, z, outer0, params):
         u_bar = tau * spec.x0 - c
         x_hat = spec.terms[i].prox(u_bar / tau, 1.0 / tau)
         z_i = u_bar - tau * x_hat
-        zeta = -(z_i + c) / tau
-        rows = {i: z_i}
-        rows.update({int(j): zeta for j in quad0})
-        return rows, True
+        out[quad0] = -(z_i + c) / tau
+        out[i] = z_i
+        return True
 
     # two or more prox indices: nested cyclic coordinate minimization
     work = z.copy()
-    idx = [int(i) for i in outer0]
     for _ in range(params.nested_bcm_sweeps):
         delta = 0.0
-        for i in idx:
+        for i in outer0.tolist():
             rest = work.sum(axis=0) - work[i]
             if i < r:
                 u = spec.x0 - rest
@@ -184,25 +194,19 @@ def _outer_rows(spec, z, outer0, params):
             work[i] = new
         if delta < params.nested_tol:
             break
-    return {i: work[i].copy() for i in idx}, False
+    out[outer0] = work[outer0]
+    return False
 
 
-def _block_rows(spec, z, j0, prox0, all0, params):
-    """Inner-block minimizer with the block sum held fixed.
+def _block_rows(spec, z, j0, prox0, all0, params, out):
+    """Inner-block minimizer for two or more term members, block sum fixed.
 
-    j0 is the governing quadratic row, prox0 the term rows, all0 both
-    (all 0-based, sorted).  The governing row is always computed as the
-    residual of the frozen sum.  Exact for a single term member.
+    j0 is the governing quadratic row, prox0 the term rows, all0 both (all
+    0-based, sorted).  A cyclic pass on the reduced problem, with the
+    governing copy eliminated as the block sum minus the member sum; writes
+    rows all0 of out and returns False (approximate).
     """
     bsum = z[all0].sum(axis=0)
-    if prox0.size == 1:
-        i = int(prox0[0])
-        u = bsum + spec.x0
-        z_i = u - spec.terms[i].prox(u, 1.0)
-        return {i: z_i, j0: bsum - z_i}, True
-
-    # several term members: cyclic pass on the reduced problem, with the
-    # governing copy eliminated as bsum minus the member sum
     work = {int(i): z[i].copy() for i in prox0}
     for _ in range(params.nested_bcm_sweeps):
         delta = 0.0
@@ -214,48 +218,76 @@ def _block_rows(spec, z, j0, prox0, all0, params):
             work[i] = new
         if delta < params.nested_tol:
             break
-    rows = dict(work)
-    rows[j0] = bsum - sum(work.values())
-    return rows, False
+    for i, vec in work.items():
+        out[i] = vec
+    out[j0] = bsum - sum(work.values())
+    return False
+
+
+def _stacked_blocks(spec, z, stack, I, J, out):
+    """Blocks {I[k], J[k]} with one term member each, in one stacked call.
+
+    Exact: the term row takes the dual prox at its block sum plus x0 and the
+    governing row J[k] the rest of the frozen sum.
+    """
+    bsum = z[I] + z[J]
+    z_i = stack.moreau(bsum + spec.x0)
+    out[I] = z_i
+    out[J] = bsum - z_i
+    return True
 
 
 class _CSweep:
     """Compiled sweep: its subproblem steps plus the 1-based originals.
 
-    steps hold the inner blocks in key order and then the outer set, as
-    ("block", (j0, prox0, all0)) or ("outer", outer0) with 0-based rows.
-    term_rows are the 0-based term rows (< r) the sweep writes, the only
-    cached conjugates it can change.
+    steps are (kind, arg, conj_groups) with 0-based rows, in this order:
+      ("blocks", (stack, I, J))        the blocks with one term member, one
+                                       step per term kind (terms.stack_terms);
+      ("block", (j0, prox0, all0))     each block with several term members;
+      ("outer", outer0)                the outer set.
+    A step's conj_groups are the stacks of the term rows it writes; the
+    sweep's conj_groups join them, the only cached conjugates it can change.
+    gov0 are the governing rows of the blocks in block_js order.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "term_rows")
+    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups")
 
-    def __init__(self, sweep, r):
-        self.term_rows = tuple(sorted(i - 1 for i in sweep.touched if i <= r))
+    def __init__(self, sweep, spec):
+        terms = spec.terms
         self.outer1 = tuple(sorted(sweep.outer))
         self.block_js = tuple(sorted(sweep.inner))
-        self.steps = []
+        self.gov0 = np.array([j - 1 for j in self.block_js], dtype=np.intp)
+        single = {}   # term row -> governing row, for one-member blocks
+        nested = []
         for j in self.block_js:
-            members = sweep.inner[j]
-            prox0 = np.array(sorted(i - 1 for i in members if i != j), dtype=np.intp)
-            all0 = np.array(sorted(i - 1 for i in members), dtype=np.intp)
-            self.steps.append(("block", (j - 1, prox0, all0)))
+            prox0 = sorted(i - 1 for i in sweep.inner[j] if i != j)
+            if len(prox0) == 1:
+                single[prox0[0]] = j - 1
+                continue
+            prox0 = np.array(prox0, dtype=np.intp)
+            all0 = np.array(sorted(i - 1 for i in sweep.inner[j]), dtype=np.intp)
+            nested.append(("block", (j - 1, prox0, all0),
+                           stack_terms(terms, prox0)))
+        self.steps = []
+        for I, stack in stack_terms(terms, list(single)):
+            J = np.array([single[i] for i in I.tolist()], dtype=np.intp)
+            self.steps.append(("blocks", (stack, I, J), [(I, stack)]))
+        self.steps.extend(nested)
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
-            self.steps.append(("outer", outer0))
+            self.steps.append(("outer", outer0,
+                               stack_terms(terms, outer0[outer0 < spec.r])))
+        self.conj_groups = [g for step in self.steps for g in step[2]]
 
 
-def _solve_step(spec, z, step, params):
-    """Solve one compiled subproblem against z; returns ({row: vector}, exact)."""
-    kind, arg = step
-    if kind == "outer":
-        return _outer_rows(spec, z, arg, params)
-    return _block_rows(spec, z, *arg, params)
-
-
-def _write_rows(z, rows):
-    for i0, vec in rows.items():
-        z[i0] = vec
+def _solve_step(spec, z, step, params, out):
+    """Solve one compiled subproblem against z into out; returns exact."""
+    kind, arg, _ = step
+    if kind == "blocks":
+        return _stacked_blocks(spec, z, *arg, out)
+    if kind == "block":
+        return _block_rows(spec, z, *arg, params, out)
+    return _outer_rows(spec, z, arg, params, out)
 
 
 def _execute_sweep(spec, z, cs, params):
@@ -268,24 +300,18 @@ def _execute_sweep(spec, z, cs, params):
     z_new = z.copy()
     exact = True
     for step in cs.steps:
-        rows, ok = _solve_step(spec, z, step, params)
-        exact = exact and ok
-        _write_rows(z_new, rows)
+        exact = _solve_step(spec, z, step, params, z_new) and exact
     return z_new, exact
 
 
 def _movement(z_new, z_old, cs):
     """How far a sweep moved the dual sum and each block's governing row."""
     v_diff = float(np.linalg.norm(z_new.sum(axis=0) - z_old.sum(axis=0)))
-    inner_diffs = {j: float(np.linalg.norm(z_new[j - 1] - z_old[j - 1]))
-                   for j in cs.block_js}
-    return v_diff, inner_diffs
-
-
-def _refresh_conjugates(spec, z, conj, rows):
-    """Re-evaluate the cached conjugates of the given term rows in place."""
-    for i0 in rows:
-        conj[i0] = spec.terms[i0].conjugate(z[i0])
+    if not cs.block_js:
+        return v_diff, {}
+    diff = z_new[cs.gov0] - z_old[cs.gov0]
+    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return v_diff, dict(zip(cs.block_js, norms.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +327,8 @@ def _check_indices(spec, indices):
 def _solve_in_place(spec, z, sweep, params):
     """Run a sweep of at most one subproblem directly on z; returns exact."""
     exact = True
-    for step in _CSweep(sweep, spec.r).steps:
-        rows, exact = _solve_step(spec, z, step, params)
-        _write_rows(z, rows)
+    for step in _CSweep(sweep, spec).steps:
+        exact = _solve_step(spec, z, step, params, z)
     return exact
 
 
@@ -326,7 +351,7 @@ def run_sweep(spec, state, sweep, params=None):
     """Execute one SweepPlan in place; returns movement diagnostics."""
     params = params or SolveParams()
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
-    cs = _CSweep(sweep, spec.r)
+    cs = _CSweep(sweep, spec)
     z_new, exact = _execute_sweep(spec, state.z, cs, params)
     v_diff, inner_diffs = _movement(z_new, state.z, cs)
     state.z = z_new
@@ -365,7 +390,7 @@ def _assert_freeze(c_analysis, snaps, n):
                     f" protected window ({q}..{p - 1})")
 
 
-def certificate_points(spec, snaps, c_analysis):
+def certificate_points(spec, snaps, c_analysis, conjugates=None):
     """Per-index primal certificates from one cycle's sweep snapshots.
 
     snaps[w] must be the duals after sweep w (snaps[0] the cycle start) and
@@ -373,6 +398,8 @@ def certificate_points(spec, snaps, c_analysis):
     an outer solve at sweep p the point is x0 - v at that sweep; for a term
     index last touched inside a block the frozen-window mixed sum is used;
     for the governing quadratic index it is x0 + z_j at sweep p.
+    conjugates, when given, are the r term conjugates at snaps[-1] and are
+    read by the Fenchel residuals instead of being evaluated again.
     """
     z_final = snaps[-1]
     x_final = spec.x0 - z_final.sum(axis=0)
@@ -395,34 +422,59 @@ def certificate_points(spec, snaps, c_analysis):
             index=i1,
             point=x_i,
             residual=float(np.linalg.norm(x_i - x_final)),
-            fenchel=fenchel_residual(spec, z_final, i1, x_i)))
+            fenchel=fenchel_residual(spec, z_final, i1, x_i, conjugates)))
     return out
 
 
-def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev):
+def _subproblems(kind, arg):
+    """Each subproblem of a step as (rows, margin row).
+
+    The margin row is a block's governing row, or None for the outer set,
+    whose margin is the move of the dual sum.
+    """
+    if kind == "blocks":
+        _, I, J = arg
+        return [(np.array([i, j]), j) for i, j in zip(I.tolist(), J.tolist())]
+    if kind == "block":
+        return [(arg[2], arg[0])]
+    return [(arg, None)]
+
+
+def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
+                  conj_par):
     """check_level=full: sequential re-execution with per-subproblem margins.
 
-    conj holds the term conjugates at z_prev and F_prev the objective there;
-    conj is updated in place as the replay writes rows.
+    conj holds the term conjugates at z_prev, conj_par those at z_par and
+    F_prev the objective at z_prev; conj is updated in place as the replay
+    writes rows.  A grouped step is solved in one call and then applied one
+    block at a time, so every block is still checked against its own margin.
+    The first step reads z_prev exactly as the snapshot execution did, so
+    its rows are those of z_par and their conjugates are taken from
+    conj_par; later steps read earlier steps' rows and are evaluated anew.
     """
     z_seq = z_prev.copy()
-    for step in cs.steps:
-        kind, arg = step
-        # the margin is the move of a block's governing row, or of the dual
-        # sum for the outer set
-        old = z_seq[arg[0]].copy() if kind == "block" else z_seq.sum(axis=0)
-        rows, exact = _solve_step(spec, z_seq, step, params)
-        _write_rows(z_seq, rows)
-        new = z_seq[arg[0]] if kind == "block" else z_seq.sum(axis=0)
-        margin = 0.5 * float(np.linalg.norm(new - old)) ** 2
-        _refresh_conjugates(spec, z_seq, conj,
-                            [i0 for i0 in rows if i0 < spec.r])
-        F_new = dual_objective_from(spec, z_seq, conj)
-        if exact and F_new < F_prev + margin - SWEEP_GAIN_TOL:
-            raise EngineInvariantError(
-                f"cycle {n} sweep {w}: a {kind} subproblem gained less than"
-                f" its quadratic margin")
-        F_prev = F_new
+    conj_step = conj_par
+    for k, step in enumerate(cs.steps):
+        kind, arg, conj_groups = step
+        z_step = z_seq.copy()
+        exact = _solve_step(spec, z_seq, step, params, z_step)
+        if k:
+            conj_step = stacked_conjugates(conj_groups, z_step,
+                                           np.empty(spec.r))
+        label = "outer" if kind == "outer" else "block"
+        for rows, gov in _subproblems(kind, arg):
+            old = z_seq.sum(axis=0) if gov is None else z_seq[gov].copy()
+            z_seq[rows] = z_step[rows]
+            new = z_seq.sum(axis=0) if gov is None else z_seq[gov]
+            margin = 0.5 * float(np.linalg.norm(new - old)) ** 2
+            term_rows = rows[rows < spec.r]
+            conj[term_rows] = conj_step[term_rows]
+            F_new = dual_objective_from(spec, z_seq, conj)
+            if exact and F_new < F_prev + margin - SWEEP_GAIN_TOL:
+                raise EngineInvariantError(
+                    f"cycle {n} sweep {w}: a {label} subproblem gained less"
+                    f" than its quadratic margin")
+            F_prev = F_new
     scale = max(1.0, float(np.abs(z_par).max()))
     if float(np.abs(z_seq - z_par).max()) > 1e-9 * scale:
         raise EngineInvariantError(
@@ -470,17 +522,18 @@ def run(spec, plan, params=None, z_init=None):
         if not np.isfinite(z).all():
             raise ValueError("z_init must be finite")
 
-    compiled_pattern = [_CSweep(sw, spec.r) for sw in plan.pattern]
-    compiled_lead = [[_CSweep(sw, spec.r) for sw in c] for c in plan.lead_in]
+    compiled_pattern = [_CSweep(sw, spec) for sw in plan.pattern]
+    compiled_lead = [[_CSweep(sw, spec) for sw in c] for c in plan.lead_in]
+    all_terms = stack_terms(spec.terms, range(spec.r))
 
     check = params.check_level
     sweep_checks = check in ("sweep", "full")
     if sweep_checks:
         # per-row conjugate cache: a sweep re-evaluates only the rows it wrote
-        conj = [t.conjugate(z[i0]) for i0, t in enumerate(spec.terms)]
+        conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj)
     else:
-        F_state = dual_objective_z(spec, z)
+        F_state = dual_objective_z(spec, z, all_terms)
     F_initial = F_state
 
     cycle_rows = []
@@ -522,7 +575,7 @@ def run(spec, plan, params=None, z_init=None):
             if sweep_checks:
                 replay = check == "full" and exact
                 conj_prev = conj.copy() if replay else None
-                _refresh_conjugates(spec, z, conj, cs.term_rows)
+                stacked_conjugates(cs.conj_groups, z, conj)
                 F_new = dual_objective_from(spec, z, conj)
                 if exact:
                     if F_new < F_state - ASCENT_TOL:
@@ -537,14 +590,15 @@ def run(spec, plan, params=None, z_init=None):
                     if cs.outer1:
                         x_now = spec.x0 - z.sum(axis=0)
                         for i1 in cs.outer1:
-                            resid = fenchel_residual(spec, z, i1, x_now)
+                            resid = fenchel_residual(spec, z, i1, x_now,
+                                                     conj)
                             if resid > CLAIM_TOL:
                                 raise EngineInvariantError(
                                     f"cycle {n} sweep {w}: stationarity"
                                     f" residual {resid:.3e} at index {i1}")
                 if replay:
                     _replay_check(spec, z_prev, z, cs, params, n, w,
-                                  conj_prev, F_state)
+                                  conj_prev, F_state, conj)
                 F_state = F_new
                 snaps.append(z)
 
@@ -558,7 +612,7 @@ def run(spec, plan, params=None, z_init=None):
                     approx=not exact))
 
         if not sweep_checks:
-            F_state = dual_objective_z(spec, z)
+            F_state = dual_objective_z(spec, z, all_terms)
         F_cycle = F_state
         if not any_approx and not cycle_approx and F_list:
             if F_cycle < F_list[-1] - ASCENT_TOL:
@@ -570,7 +624,7 @@ def run(spec, plan, params=None, z_init=None):
         cert_max = None
         if sweep_checks and valid:
             _assert_freeze(c_analysis, snaps, n)
-            certificates = certificate_points(spec, snaps, c_analysis)
+            certificates = certificate_points(spec, snaps, c_analysis, conj)
             cert_max = max(c.residual for c in certificates)
             if not cycle_approx:
                 for c in certificates:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import DimensionMismatch
+from .terms import DimensionMismatch, stack_terms, stacked_conjugates
 
 _INF = float("inf")
 
@@ -123,16 +123,15 @@ def _conjugate_at(spec, z_row, i0):
 def dual_objective_from(spec, z, conjugates):
     """Dual objective on z given its r term conjugates h_i*(z_i), in order.
 
-    conjugates is consumed lazily and the result is -inf at the first +inf,
-    so later entries are never evaluated.  Every dual value, full or from the
-    engine's per-row cache, goes through this one formula, which keeps them
+    conjugates is an array of all r values, evaluated up front and summed in
+    row order; the result is -inf when any of them is +inf.  Every dual
+    value, full or from the engine's per-row cache, goes through this one
+    formula with conjugates from the same stacked oracles, which keeps them
     bitwise equal.
     """
-    total = 0.0
-    for c in conjugates:
-        if c == _INF:
-            return -_INF
-        total += c
+    total = sum(conjugates.tolist(), 0.0)
+    if total == _INF:
+        return -_INF
     if spec.m:
         shifted = z[spec.r:] + spec.x0
         total += 0.5 * float(np.sum(shifted * shifted)) - spec.m * 0.5 * spec._x0_sq
@@ -142,10 +141,16 @@ def dual_objective_from(spec, z, conjugates):
     return -total
 
 
-def dual_objective_z(spec, z):
-    """Dual objective on a raw (r+m, d) array; -inf outside the domain."""
+def dual_objective_z(spec, z, groups=None):
+    """Dual objective on a raw (r+m, d) array; -inf outside the domain.
+
+    groups are the term stacks of all r rows (terms.stack_terms); they are
+    built here when omitted.
+    """
+    if groups is None:
+        groups = stack_terms(spec.terms, range(spec.r))
     return dual_objective_from(
-        spec, z, (t.conjugate(z[i0]) for i0, t in enumerate(spec.terms)))
+        spec, z, stacked_conjugates(groups, z, np.empty(spec.r)))
 
 
 def dual_objective(spec, state):
@@ -190,11 +195,13 @@ def gap_report(spec, state, x):
     return GapReport(dual_value=dual, primal_value=primal, gap_lower_bound=bound)
 
 
-def fenchel_residual(spec, state, i, x):
+def fenchel_residual(spec, state, i, x, conjugates=None):
     """Nonnegative Fenchel-Young residual h_i(x) + h_i*(z_i) - <x, z_i>.
 
     i follows the 1-based dual indexing used by schedules: 1..r are the terms,
     r+1..r+m the quadratic copies.  Returns +inf when either value is.
+    conjugates, when given, holds the r term conjugates at z (the engine's
+    per-row cache) and is read instead of evaluating h_i*(z_i) again.
     """
     z = state.z if isinstance(state, DualState) else np.asarray(state, dtype=float)
     if not 1 <= i <= spec.n_duals:
@@ -205,7 +212,10 @@ def fenchel_residual(spec, state, i, x):
         hval = spec.terms[i0].value(x)
     else:
         hval = spec.quad_value(x)
-    cval = _conjugate_at(spec, z[i0], i0)
+    if conjugates is not None and i0 < spec.r:
+        cval = float(conjugates[i0])
+    else:
+        cval = _conjugate_at(spec, z[i0], i0)
     if hval == _INF or cval == _INF:
         return _INF
     return max(hval + cval - float(x @ z[i0]), 0.0)

@@ -5,6 +5,10 @@ hyperplane, box, Euclidean ball, affine subspace) and two smooth-or-simple
 regularizers (weighted l1 norm, quadratic distance).  Every term is proper,
 closed and convex with a single-valued prox in closed form, which is what the
 sweep engine relies on for its exact solve tiers.
+
+Stacks evaluate the dual prox and the conjugate of many terms of one kind in
+one vectorized call; the engine groups a sweep's single-term blocks and the
+dual objective's conjugates into them.
 """
 
 from __future__ import annotations
@@ -280,3 +284,122 @@ def moreau_dual(term, u):
     """Prox of the conjugate at u via the Moreau identity, u - prox(term, u, 1)."""
     u = np.asarray(u, dtype=float)
     return u - term.prox(u, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked oracles: k terms of one kind, one row each
+# ---------------------------------------------------------------------------
+#
+# moreau(U) is U - prox(U) and support(Z) the conjugates h_i*(z_i), both row
+# by row over a (k, d) array.  A row's result depends only on that row, never
+# on the stack's height or the row order (row-wise einsum has this property;
+# a matrix-vector product does not), so a sweep's grouped block step, a
+# single-block solve and every conjugate evaluation agree bitwise.
+
+def _rowdot(X, Y):
+    return np.einsum("ij,ij->i", X, Y)
+
+
+class HalfspaceStack:
+    """Indicators of {x : <a_i, x> <= b_i} for the rows a_i of A."""
+
+    __slots__ = ("A", "b", "_nrm2")
+
+    def __init__(self, A, b):
+        self.A = np.asarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self._nrm2 = _rowdot(self.A, self.A)
+
+    @classmethod
+    def of(cls, terms):
+        return cls([t.set.a for t in terms], [t.set.b for t in terms])
+
+    def moreau(self, U):
+        # U - P(U) is the positive part of the scaled excess along a_i
+        excess = (_rowdot(self.A, U) - self.b) / self._nrm2
+        return np.maximum(excess, 0.0)[:, None] * self.A
+
+    def support(self, Z):
+        # dom sigma = nonnegative ray through a_i, tested as in Halfspace
+        s = _rowdot(self.A, Z) / self._nrm2
+        R = Z - s[:, None] * self.A
+        tol = DOM_TOL * np.maximum(1.0, np.sqrt(_rowdot(Z, Z)))
+        out = self.b * s
+        out[(np.sqrt(_rowdot(R, R)) > tol) | (s < -DOM_TOL)] = _INF
+        return out
+
+
+class BallStack:
+    """Indicators of {x : ||x - c_i|| <= radius_i} for the rows c_i of C."""
+
+    __slots__ = ("C", "radius")
+
+    def __init__(self, C, radius):
+        self.C = np.asarray(C, dtype=float)
+        self.radius = np.asarray(radius, dtype=float)
+
+    @classmethod
+    def of(cls, terms):
+        return cls([t.set.center for t in terms], [t.set.radius for t in terms])
+
+    def moreau(self, U):
+        # U - P(U) = (1 - radius / ||U - C||) (U - C) outside the ball, else 0
+        D = U - self.C
+        nrm = np.sqrt(_rowdot(D, D))
+        outside = nrm > self.radius
+        scale = np.divide(nrm - self.radius, nrm, out=np.zeros_like(nrm),
+                          where=outside)
+        return scale[:, None] * D
+
+    def support(self, Z):
+        return _rowdot(Z, self.C) + self.radius * np.sqrt(_rowdot(Z, Z))
+
+
+class TermStack:
+    """Any terms, through each row's own prox and conjugate."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+
+    @classmethod
+    def of(cls, terms):
+        return cls(terms)
+
+    def moreau(self, U):
+        return np.array([moreau_dual(t, u) for t, u in zip(self.terms, U)])
+
+    def support(self, Z):
+        return np.array([t.conjugate(z) for t, z in zip(self.terms, Z)],
+                        dtype=float)
+
+
+_SET_STACKS = {Halfspace: HalfspaceStack, L2Ball: BallStack}
+
+
+def _stack_kind(term):
+    if type(term) is Indicator:
+        return _SET_STACKS.get(type(term.set), TermStack)
+    return TermStack
+
+
+def stack_terms(terms, rows):
+    """The terms at the given rows, grouped into one stack per kind.
+
+    Returns [(rows, stack), ...], each rows an index array in the order
+    given; halfspace and ball indicators get closed-form stacks and every
+    other term goes into one TermStack.
+    """
+    groups = {}
+    for i in rows:
+        groups.setdefault(_stack_kind(terms[i]), []).append(int(i))
+    return [(np.array(idx, dtype=np.intp), kind.of([terms[i] for i in idx]))
+            for kind, idx in groups.items()]
+
+
+def stacked_conjugates(groups, z, out):
+    """out[rows] = h_i*(z_i) for every (rows, stack) group; returns out."""
+    for rows, stack in groups:
+        out[rows] = stack.support(z[rows])
+    return out

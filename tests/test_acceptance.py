@@ -334,6 +334,23 @@ def test_sweep_equals_subproblems_on_one_snapshot():
         assert np.any(st.z != 0.0)
 
 
+@criterion(8, "a product sweep's 19 halfspace blocks, solved as one stacked"
+              " call, equal the blocks solved one at a time, bitwise")
+def test_stacked_blocks_equal_subproblems_on_one_snapshot():
+    # r = 20, d = 10 is the product-lean benchmark shape; every block of
+    # sweep 2 has one halfspace member, so run_sweep solves them in one
+    # HalfspaceStack call while solve_inner_block runs a stack of one row
+    spec = fixtures.random_halfspaces(4, 20, 10, m=19)
+    plan = dk.product_space_schedule(20)
+    st = dk.DualState.zeros(spec)
+    for cycle in range(3):
+        for w, sweep in enumerate(plan.pattern, start=1):
+            expected = _sweep_by_parts(spec, st.z, sweep)
+            dk.run_sweep(spec, st, sweep)
+            assert np.array_equal(st.z, expected), (cycle, w)
+    assert np.any(st.z[:19] != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # 9. prox/conjugate property suite
 # ---------------------------------------------------------------------------

@@ -198,6 +198,28 @@ def test_solve_trace_identical_across_workers(tmp_path, capsys):
     assert texts[0] == texts[1] == texts[2]
 
 
+@pytest.mark.parametrize("flag", [[], ["--workers", "2"]])
+def test_config_workers_prints_one_note(tmp_path, capsys, flag):
+    # the config key's DeprecationWarning comes from inside the library and
+    # is hidden by Python's default filters, so the CLI says it itself
+    cfg = {"problem": _vertex_problem(),
+           "splitting": {"schedule": {"mode": "product"}},
+           "solve": {"max_iterations": 5, "workers": 4}}
+    path = _dump(tmp_path, "run.json", cfg)
+    with pytest.warns(DeprecationWarning, match="workers"):
+        assert main(["solve", path, *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.count("deprecated and ignored; sweeps run serially") == 1
+    with pytest.warns(DeprecationWarning, match="workers"):
+        assert main(["compare", path, path, "--cycles", "3", *flag]) == 0
+    err = capsys.readouterr().err
+    assert err.count("deprecated and ignored; sweeps run serially") == 1
+    cfg["solve"]["workers"] = 1
+    path = _dump(tmp_path, "one.json", cfg)
+    assert main(["solve", path]) == 2
+    assert "deprecated" not in capsys.readouterr().err
+
+
 def test_oracle_feasible(tmp_path, capsys):
     path = _dump(tmp_path, "run.json", {"problem": _corner_problem()})
     assert main(["oracle", path]) == 0

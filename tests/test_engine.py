@@ -8,6 +8,7 @@ import pytest
 import dyksplit as dk
 from dyksplit import fixtures
 from dyksplit.engine import EngineInvariantError, _assert_freeze
+from dyksplit.terms import stack_terms, stacked_conjugates
 
 from .support import (invalid_deferred_plan, irrational_angle_spec, run_until,
                       two_halfspace_spec, unit, valid_deferred_plan)
@@ -397,6 +398,21 @@ def test_run_cached_objective_is_bitwise_reference(case):
         assert np.isfinite(per_sweep[2:]).all()
 
 
+@pytest.mark.parametrize("spec", [fixtures.random_halfspaces(5, 20, 10, m=19),
+                                  fixtures.random_mixed(6, 6, 4, m=5)],
+                         ids=["halfspaces", "mixed"])
+def test_product_run_same_bits_with_and_without_sweep_checks(spec):
+    # "off" takes F from dual_objective_z at cycle ends and "sweep" from the
+    # per-row conjugate cache; both read the same stacked conjugates
+    plan = dk.product_space_schedule(spec.r)
+    off, checked = (dk.run(spec, plan, dk.SolveParams(max_iterations=30,
+                                                      check_level=level))
+                    for level in ("off", "sweep"))
+    assert np.array_equal(off.state.z, checked.state.z)
+    assert np.array_equal(off.F_per_cycle, checked.F_per_cycle)
+    assert np.isfinite(off.F_per_cycle).all()
+
+
 def _freeze_fixture(plan, spec):
     """One real cycle's snapshots and analysis, from public run_sweep."""
     analysis = dk.validate(plan, spec.r, spec.m)
@@ -445,6 +461,23 @@ def test_freeze_check_rejects_move_inside_protected_window():
                            match=rf"^cycle 1: block member z_{row + 1} moved"
                                  r" inside the protected window \(1\.\.2\)$"):
             _assert_freeze(c_analysis, bad, 1)
+
+
+def test_certificates_from_cached_conjugates_match_fresh_ones():
+    # the engine passes its per-row conjugate cache; the public call
+    # without it evaluates every h_i*(z_i) itself
+    spec = fixtures.random_mixed(7, 4, 3, m=1)
+    plan = fixtures.mixed_block_schedule(4)
+    c_analysis, snaps = _freeze_fixture(plan, spec)
+    groups = stack_terms(spec.terms, range(spec.r))
+    conj = stacked_conjugates(groups, snaps[-1], np.empty(spec.r))
+    fresh = dk.certificate_points(spec, snaps, c_analysis)
+    cached = dk.certificate_points(spec, snaps, c_analysis, conj)
+    assert [c.index for c in cached] == [c.index for c in fresh]
+    for a, b in zip(fresh, cached):
+        assert np.array_equal(a.point, b.point) and a.residual == b.residual
+        assert abs(a.fenchel - b.fenchel) <= 1e-12
+    assert max(c.fenchel for c in fresh) < 1e-8
 
 
 def test_run_monotone_objective_and_growth():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit.terms import moreau_dual
+from dyksplit.terms import (BallStack, HalfspaceStack, TermStack, moreau_dual,
+                           stack_terms, stacked_conjugates)
 
 from .support import TERM_KINDS, sample_term
 
@@ -203,3 +204,88 @@ def test_indicator_eval_matches_projection_distance(kind):
         dist = float(np.linalg.norm(u - p))
         expected = 0.0 if dist <= 1e-9 else INF
         assert term.value(u) == expected
+
+
+# ---------------------------------------------------------------------------
+# stacked oracles
+# ---------------------------------------------------------------------------
+
+STACK_DIMS = (1, 2, 3, 5, 8, 10, 17)
+STACK_HEIGHT = 12
+
+
+def _stack_inputs(kind, d):
+    """Terms of one kind and dimension, points U, and duals Z whose rows
+    alternate between the conjugate's domain and random vectors (+inf rows
+    for halfspaces, which are finite only on a ray)."""
+    rng = np.random.default_rng(zlib.crc32(f"{kind}-{d}".encode()))
+    terms = [sample_term(kind, rng, d) for _ in range(STACK_HEIGHT)]
+    U = rng.standard_normal((STACK_HEIGHT, d)) * rng.uniform(0.5, 3.0)
+    Z = np.array([moreau_dual(t, u) for t, u in zip(terms, U)])
+    Z[1::2] = rng.standard_normal((STACK_HEIGHT // 2, d))
+    return rng, terms, U, Z
+
+
+def _one_stack(terms):
+    [(rows, stack)] = stack_terms(terms, range(len(terms)))
+    assert rows.tolist() == list(range(len(terms)))
+    return stack
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_stack_rows_independent_of_height_and_order(kind):
+    for d in STACK_DIMS:
+        if kind == "affine" and d < 2:
+            continue
+        rng, terms, U, Z = _stack_inputs(kind, d)
+        full = _one_stack(terms)
+        M, S = full.moreau(U), full.support(Z)
+        if kind == "halfspace":
+            assert np.isinf(S).any() and np.isfinite(S).any()
+        perm = rng.permutation(STACK_HEIGHT)
+        shuffled = _one_stack([terms[i] for i in perm])
+        assert np.array_equal(shuffled.moreau(U[perm]), M[perm])
+        assert np.array_equal(shuffled.support(Z[perm]), S[perm])
+        for k in range(1, STACK_HEIGHT):
+            part = _one_stack(terms[:k])
+            assert np.array_equal(part.moreau(U[:k]), M[:k])
+            assert np.array_equal(part.support(Z[:k]), S[:k])
+        for i in range(STACK_HEIGHT):
+            single = _one_stack([terms[i]])
+            assert np.array_equal(single.moreau(U[i:i + 1]), M[i:i + 1])
+            assert np.array_equal(single.support(Z[i:i + 1]), S[i:i + 1])
+
+
+@pytest.mark.parametrize("kind,stack_type", [("halfspace", HalfspaceStack),
+                                             ("l2ball", BallStack)])
+def test_stack_matches_scalar_oracles(kind, stack_type):
+    for d in STACK_DIMS:
+        _, terms, U, Z = _stack_inputs(kind, d)
+        stack = _one_stack(terms)
+        assert type(stack) is stack_type
+        for t, u, z, m, s in zip(terms, U, Z, stack.moreau(U),
+                                 stack.support(Z)):
+            assert np.abs(m - moreau_dual(t, u)).max() <= MOREAU_TOL * max(
+                1.0, float(np.abs(u).max()))
+            c = t.conjugate(z)
+            if c == INF:
+                assert s == INF
+            else:
+                assert abs(s - c) <= MOREAU_TOL * max(1.0, abs(c))
+
+
+def test_stack_terms_groups_by_kind():
+    rng = np.random.default_rng(3)
+    kinds = ["l1", "halfspace", "l2ball", "box", "halfspace", "l2ball"]
+    terms = [sample_term(k, rng, 4) for k in kinds]
+    groups = stack_terms(terms, [5, 4, 3, 2, 1, 0])
+    assert [(type(s).__name__, rows.tolist()) for rows, s in groups] == [
+        ("BallStack", [5, 2]), ("HalfspaceStack", [4, 1]),
+        ("TermStack", [3, 0])]
+    Z = np.array([moreau_dual(t, u)
+                  for t, u in zip(terms, rng.standard_normal((6, 4)))])
+    got = stacked_conjugates(groups, Z, np.full(6, np.nan))
+    want = np.array([t.conjugate(z) for t, z in zip(terms, Z)])
+    assert np.abs(got - want).max() <= MOREAU_TOL
+    # the generic stack calls each term's own oracle
+    assert np.array_equal(got[[3, 0]], want[[3, 0]])
