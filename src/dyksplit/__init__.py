@@ -21,8 +21,8 @@ from .schedule import (CyclePlan, ScheduleAnalysis, ScheduleStructureError,
                        classic_dykstra_schedule, product_space_schedule,
                        rewrite_deferred, validate)
 from .state import (DualState, GapReport, ProblemSpec, WeakDualityError,
-                    direct_d1_d2_minimizer, dual_objective, fenchel_residual,
-                    gap_report, primal_estimate)
+                    dual_objective, fenchel_residual, gap_report,
+                    primal_estimate)
 from .terms import (AffineSubspace, Box, DimensionMismatch, Halfspace,
                     Hyperplane, Indicator, L1Norm, L2Ball, Quadratic,
                     moreau_dual)
@@ -38,8 +38,8 @@ __all__ = [
     "ScheduleGrowthWarning", "ScheduleStructureError", "SolveParams",
     "SweepPlan", "TraceRow", "UnresolvableDeferralError", "Violation",
     "WeakDualityError", "certificate_points", "classic_dykstra_schedule",
-    "direct_d1_d2_minimizer", "dual_objective", "fenchel_residual",
-    "gap_report", "moreau_dual", "primal_estimate", "product_space_reference",
+    "dual_objective", "fenchel_residual", "gap_report", "moreau_dual",
+    "primal_estimate", "product_space_reference",
     "product_space_schedule", "qp_project", "reference_solve",
     "rewrite_deferred", "run", "run_sweep", "solve_inner_block", "solve_outer",
     "validate",

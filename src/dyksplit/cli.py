@@ -188,6 +188,8 @@ def _run_side(built, n_cycles):
 
 
 def cmd_compare(args):
+    if args.cycles < 1:
+        raise cfg_mod.ConfigError("--cycles must be at least 1")
     built_a = cfg_mod.build(_load_config(args.config_a),
                             seed_override=args.seed)
     built_b = cfg_mod.build(_load_config(args.config_b),

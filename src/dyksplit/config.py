@@ -147,7 +147,7 @@ def term_from_dict(d, dim):
         if cls is Quadratic:
             return Quadratic(*args)
         return Indicator(cls(*args))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} term: {exc}") from exc
 
 
@@ -173,11 +173,6 @@ def sweep_from_dict(d):
                      inner=inner)
 
 
-def sweep_to_dict(sweep):
-    return {"outer": sorted(sweep.outer),
-            "blocks": {str(j): sorted(b) for j, b in sorted(sweep.inner.items())}}
-
-
 def plan_from_cycles(cycles):
     _only_keys(cycles, ("pattern", "lead_in"), "schedule.cycles")
     if not cycles.get("pattern"):
@@ -186,11 +181,6 @@ def plan_from_cycles(cycles):
     lead = tuple(tuple(sweep_from_dict(s) for s in c)
                  for c in cycles.get("lead_in") or ())
     return CyclePlan(pattern=pattern, lead_in=lead)
-
-
-def plan_to_cycles(plan):
-    return {"pattern": [sweep_to_dict(s) for s in plan.pattern],
-            "lead_in": [[sweep_to_dict(s) for s in c] for c in plan.lead_in]}
 
 
 @dataclass
@@ -213,11 +203,8 @@ def _resolve_terms(pc, m, seed_override):
             if k not in g:
                 raise ConfigError(f"problem.generator missing {k!r}")
         seed = seed_override if seed_override is not None else g.get("seed", 0)
-        try:
-            return fixtures.generate(g["kind"], int(g["r"]), int(g["dim"]),
-                                     seed, m=m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return fixtures.generate(g["kind"], int(g["r"]), int(g["dim"]),
+                                 seed, m=m)
     if pc.x0 is None or pc.terms is None:
         raise ConfigError("problem needs x0 and terms (or a generator)")
     x0 = np.asarray(pc.x0, dtype=float).ravel()
@@ -225,14 +212,24 @@ def _resolve_terms(pc, m, seed_override):
     if x0.size != dim:
         raise ConfigError(f"x0 has length {x0.size}, dim says {dim}")
     terms = [term_from_dict(t, dim) for t in pc.terms]
-    try:
-        return ProblemSpec(x0, terms, m=m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ProblemSpec(x0, terms, m=m)
 
 
 def build(cfg, seed_override=None):
-    """Turn a RunConfig into spec, plan, and engine params."""
+    """Turn a RunConfig into spec, plan, and engine params.
+
+    A value of the wrong type or out of range anywhere in the config raises
+    ConfigError, whichever constructor or conversion rejects it.
+    """
+    try:
+        return _build(cfg, seed_override)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build(cfg, seed_override):
     mode = cfg.splitting.schedule.mode
     if mode not in MODES:
         raise ConfigError(f"schedule.mode must be one of {MODES}")
@@ -279,17 +276,14 @@ def build(cfg, seed_override=None):
         plan = None
 
     sc = cfg.solve
-    try:
-        params = SolveParams(
-            max_iterations=int(sc.max_iterations),
-            stop_gap=None if sc.stop_gap is None else float(sc.stop_gap),
-            nested_bcm_sweeps=int(sc.nested_bcm_sweeps),
-            nested_tol=float(sc.nested_tol),
-            workers=int(sc.workers),
-            check_level=sc.check_level,
-            per_sweep_trace=cfg.output.per_sweep)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = SolveParams(
+        max_iterations=int(sc.max_iterations),
+        stop_gap=None if sc.stop_gap is None else float(sc.stop_gap),
+        nested_bcm_sweeps=int(sc.nested_bcm_sweeps),
+        nested_tol=float(sc.nested_tol),
+        workers=int(sc.workers),
+        check_level=sc.check_level,
+        per_sweep_trace=cfg.output.per_sweep)
 
     if sc.z_init == "zeros" or sc.z_init is None:
         z_init = None

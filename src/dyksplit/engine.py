@@ -2,12 +2,13 @@
 
 Each sweep jointly minimizes the dual objective over its outer index set
 (complement frozen) and, independently, over each inner block (block sum
-frozen).  Outer solves are routed through exact closed-form tiers whenever
-the set contains at most one proximable index; anything richer falls back to
-a nested coordinate loop and is flagged approximate.  All subproblems of a
-sweep read the same snapshot of the duals and write disjoint rows, so they
-are independent; they run one after another, and their order cannot change
-the result.
+frozen).  Each subproblem's solve tier is fixed once, when its sweep is
+compiled: an outer set with at most one proximable index has an exact closed
+form; an outer set with two or more, and a block with two or more term
+members, run the one nested coordinate loop (_nested_rows) and are flagged
+approximate.  All subproblems of a sweep read the same snapshot of the duals
+and write disjoint rows, so they are independent; they run one after
+another, and their order cannot change the result.
 
 The blocks with a single term member are where a sweep is parallel: they are
 grouped by term kind and each group is solved in one vectorized call of a
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -135,101 +137,49 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# subproblem solves (snapshot in, replacement rows written to out)
+# subproblem solvers (snapshot in, replacement rows written to out)
 # ---------------------------------------------------------------------------
 #
-# Each solve reads everything it needs from z before it writes out, so out
-# may be z itself when the sweep has one subproblem.
+# Every solver has the signature (spec, z, arg, params, out) -> exact, where
+# arg is what _CSweep fixed for it at compile time.  Each reads everything it
+# needs from z before it writes out, so out may be z itself when the sweep
+# has one subproblem.
 
-def _outer_rows(spec, z, outer0, params, out):
-    """Joint dual minimizer over outer0 (0-based) against the frozen rest.
-
-    Writes rows outer0 of out and returns exact.  Tiers: single prox index,
-    any all-quadratic set, one prox index plus quadratics (all exact), and a
-    nested cyclic pass for two or more prox indices (approximate).  outer0
-    is nonempty and sorted; an empty outer set compiles to no step.
-    """
-    r = spec.r
-    total = z.sum(axis=0)
-    prox0 = outer0[outer0 < r]
-    quad0 = outer0[outer0 >= r]
-
-    if prox0.size == 1 and quad0.size == 0:
-        i = int(prox0[0])
-        u = spec.x0 - (total - z[i])
-        out[i] = u - spec.terms[i].prox(u, 1.0)
-        return True
-
-    if prox0.size == 0:
-        k = quad0.size
-        c = total - z[quad0].sum(axis=0)
-        out[quad0] = -c / (k + 1.0)
-        return True
-
-    if prox0.size == 1:
-        i = int(prox0[0])
-        k = quad0.size
-        c = total - z[outer0].sum(axis=0)
-        tau = k + 1.0
-        # eliminate the copies: z_i minimizes h_i*(.) + ||. - u_bar||^2/(2 tau)
-        u_bar = tau * spec.x0 - c
-        x_hat = spec.terms[i].prox(u_bar / tau, 1.0 / tau)
-        z_i = u_bar - tau * x_hat
-        out[quad0] = -(z_i + c) / tau
-        out[i] = z_i
-        return True
-
-    # two or more prox indices: nested cyclic coordinate minimization
-    work = z.copy()
-    for _ in range(params.nested_bcm_sweeps):
-        delta = 0.0
-        for i in outer0.tolist():
-            rest = work.sum(axis=0) - work[i]
-            if i < r:
-                u = spec.x0 - rest
-                new = u - spec.terms[i].prox(u, 1.0)
-            else:
-                new = -0.5 * rest
-            delta = max(delta, float(np.abs(new - work[i]).max()))
-            work[i] = new
-        if delta < params.nested_tol:
-            break
-    out[outer0] = work[outer0]
-    return False
+def _prox_row(spec, z, i, params, out):
+    """Outer set {i} with one term row: its dual prox against the rest."""
+    u = spec.x0 - (z.sum(axis=0) - z[i])
+    out[i] = u - spec.terms[i].prox(u, 1.0)
+    return True
 
 
-def _block_rows(spec, z, j0, prox0, all0, params, out):
-    """Inner-block minimizer for two or more term members, block sum fixed.
-
-    j0 is the governing quadratic row, prox0 the term rows, all0 both (all
-    0-based, sorted).  A cyclic pass on the reduced problem, with the
-    governing copy eliminated as the block sum minus the member sum; writes
-    rows all0 of out and returns False (approximate).
-    """
-    bsum = z[all0].sum(axis=0)
-    work = {int(i): z[i].copy() for i in prox0}
-    for _ in range(params.nested_bcm_sweeps):
-        delta = 0.0
-        for i in work:
-            rest = sum(work[k] for k in work if k != i)
-            u = bsum - rest + spec.x0
-            new = u - spec.terms[i].prox(u, 1.0)
-            delta = max(delta, float(np.abs(new - work[i]).max()))
-            work[i] = new
-        if delta < params.nested_tol:
-            break
-    for i, vec in work.items():
-        out[i] = vec
-    out[j0] = bsum - sum(work.values())
-    return False
+def _quad_rows(spec, z, quad0, params, out):
+    """Outer set of quadratic-copy rows only: all share -rest / (k + 1)."""
+    c = z.sum(axis=0) - z[quad0].sum(axis=0)
+    out[quad0] = -c / (quad0.size + 1.0)
+    return True
 
 
-def _stacked_blocks(spec, z, stack, I, J, out):
+def _prox_quad_rows(spec, z, outer0, params, out):
+    """Outer set of one term row outer0[0] plus the quadratic rows after it."""
+    i, quad0 = int(outer0[0]), outer0[1:]
+    c = z.sum(axis=0) - z[outer0].sum(axis=0)
+    tau = quad0.size + 1.0
+    # eliminate the copies: z_i minimizes h_i*(.) + ||. - u_bar||^2/(2 tau)
+    u_bar = tau * spec.x0 - c
+    x_hat = spec.terms[i].prox(u_bar / tau, 1.0 / tau)
+    z_i = u_bar - tau * x_hat
+    out[quad0] = -(z_i + c) / tau
+    out[i] = z_i
+    return True
+
+
+def _stacked_blocks(spec, z, arg, params, out):
     """Blocks {I[k], J[k]} with one term member each, in one stacked call.
 
     Exact: the term row takes the dual prox at its block sum plus x0 and the
     governing row J[k] the rest of the frozen sum.
     """
+    stack, I, J = arg
     bsum = z[I] + z[J]
     z_i = stack.moreau(bsum + spec.x0)
     out[I] = z_i
@@ -237,17 +187,68 @@ def _stacked_blocks(spec, z, stack, I, J, out):
     return True
 
 
+def _nested_rows(spec, z, arg, params, out):
+    """Cyclic coordinate minimization over rows (0-based, sorted); approximate.
+
+    Each row takes its dual prox (a quadratic row: -rest / 2) at x0 minus
+    rest, where rest is a frozen offset plus the loop's other rows.  With
+    j0 None, rows are an outer set and the offset is the frozen rows' sum.
+    Otherwise rows are the term members of the block governed by j0: the
+    offset is minus the block sum, and j0 gets the block sum minus the
+    members.  Stops after params.nested_bcm_sweeps passes or once a pass
+    moves no entry by params.nested_tol.
+    """
+    rows, j0 = arg
+    work = z[rows]
+    if j0 is None:
+        offset = z.sum(axis=0) - work.sum(axis=0)
+    else:
+        bsum = work.sum(axis=0) + z[j0]
+        offset = -bsum
+    for _ in range(params.nested_bcm_sweeps):
+        delta = 0.0
+        for k, i in enumerate(rows.tolist()):
+            rest = offset + (work.sum(axis=0) - work[k])
+            if i < spec.r:
+                u = spec.x0 - rest
+                new = u - spec.terms[i].prox(u, 1.0)
+            else:
+                new = -0.5 * rest
+            delta = max(delta, float(np.abs(new - work[k]).max()))
+            work[k] = new
+        if delta < params.nested_tol:
+            break
+    out[rows] = work
+    if j0 is not None:
+        out[j0] = bsum - work.sum(axis=0)
+    return False
+
+
+class _Step(NamedTuple):
+    """One compiled subproblem group: solve(spec, z, arg, params, out).
+
+    subs are its subproblems as (rows, margin row): the margin row is a
+    block's governing row, or None for the outer set, whose margin is the
+    move of the dual sum.  conj_groups are the stacks of the term rows it
+    writes.
+    """
+    solve: Callable
+    arg: object
+    subs: list
+    conj_groups: list
+
+
 class _CSweep:
     """Compiled sweep: its subproblem steps plus the 1-based originals.
 
-    steps are (kind, arg, conj_groups) with 0-based rows, in this order:
-      ("blocks", (stack, I, J))        the blocks with one term member, one
-                                       step per term kind (terms.stack_terms);
-      ("block", (j0, prox0, all0))     each block with several term members;
-      ("outer", outer0)                the outer set.
-    A step's conj_groups are the stacks of the term rows it writes; the
-    sweep's conj_groups join them, the only cached conjugates it can change.
-    gov0 are the governing rows of the blocks in block_js order.
+    steps (_Step, 0-based rows) run in this order: the blocks with one term
+    member, one _stacked_blocks step per term kind (terms.stack_terms); each
+    block with several term members (_nested_rows); the outer set.  The
+    outer set's tier is exact for one term row (_prox_row), only quadratic
+    rows (_quad_rows) or one term row plus quadratic rows (_prox_quad_rows),
+    and _nested_rows for two or more term rows.  The sweep's conj_groups
+    join the steps', the only cached conjugates it can change.  gov0 are the
+    governing rows of the blocks in block_js order.
     """
 
     __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups")
@@ -266,28 +267,30 @@ class _CSweep:
                 continue
             prox0 = np.array(prox0, dtype=np.intp)
             all0 = np.array(sorted(i - 1 for i in sweep.inner[j]), dtype=np.intp)
-            nested.append(("block", (j - 1, prox0, all0),
-                           stack_terms(terms, prox0)))
+            nested.append(_Step(_nested_rows, (prox0, j - 1), [(all0, j - 1)],
+                                stack_terms(terms, prox0)))
         self.steps = []
         for I, stack in stack_terms(terms, list(single)):
             J = np.array([single[i] for i in I.tolist()], dtype=np.intp)
-            self.steps.append(("blocks", (stack, I, J), [(I, stack)]))
+            subs = [(np.array([i, j]), j)
+                    for i, j in zip(I.tolist(), J.tolist())]
+            self.steps.append(_Step(_stacked_blocks, (stack, I, J), subs,
+                                    [(I, stack)]))
         self.steps.extend(nested)
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
-            self.steps.append(("outer", outer0,
-                               stack_terms(terms, outer0[outer0 < spec.r])))
-        self.conj_groups = [g for step in self.steps for g in step[2]]
-
-
-def _solve_step(spec, z, step, params, out):
-    """Solve one compiled subproblem against z into out; returns exact."""
-    kind, arg, _ = step
-    if kind == "blocks":
-        return _stacked_blocks(spec, z, *arg, out)
-    if kind == "block":
-        return _block_rows(spec, z, *arg, params, out)
-    return _outer_rows(spec, z, arg, params, out)
+            prox0 = outer0[outer0 < spec.r]
+            if prox0.size >= 2:
+                solve, arg = _nested_rows, (outer0, None)
+            elif prox0.size == 0:
+                solve, arg = _quad_rows, outer0
+            elif outer0.size == 1:
+                solve, arg = _prox_row, int(prox0[0])
+            else:
+                solve, arg = _prox_quad_rows, outer0
+            self.steps.append(_Step(solve, arg, [(outer0, None)],
+                                    stack_terms(terms, prox0)))
+        self.conj_groups = [g for step in self.steps for g in step.conj_groups]
 
 
 def _execute_sweep(spec, z, cs, params):
@@ -300,7 +303,7 @@ def _execute_sweep(spec, z, cs, params):
     z_new = z.copy()
     exact = True
     for step in cs.steps:
-        exact = _solve_step(spec, z, step, params, z_new) and exact
+        exact = step.solve(spec, z, step.arg, params, z_new) and exact
     return z_new, exact
 
 
@@ -328,7 +331,7 @@ def _solve_in_place(spec, z, sweep, params):
     """Run a sweep of at most one subproblem directly on z; returns exact."""
     exact = True
     for step in _CSweep(sweep, spec).steps:
-        exact = _solve_step(spec, z, step, params, z)
+        exact = step.solve(spec, z, step.arg, params, z)
     return exact
 
 
@@ -426,20 +429,6 @@ def certificate_points(spec, snaps, c_analysis, conjugates=None):
     return out
 
 
-def _subproblems(kind, arg):
-    """Each subproblem of a step as (rows, margin row).
-
-    The margin row is a block's governing row, or None for the outer set,
-    whose margin is the move of the dual sum.
-    """
-    if kind == "blocks":
-        _, I, J = arg
-        return [(np.array([i, j]), j) for i, j in zip(I.tolist(), J.tolist())]
-    if kind == "block":
-        return [(arg[2], arg[0])]
-    return [(arg, None)]
-
-
 def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
                   conj_par):
     """check_level=full: sequential re-execution with per-subproblem margins.
@@ -455,14 +444,12 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
     z_seq = z_prev.copy()
     conj_step = conj_par
     for k, step in enumerate(cs.steps):
-        kind, arg, conj_groups = step
         z_step = z_seq.copy()
-        exact = _solve_step(spec, z_seq, step, params, z_step)
+        exact = step.solve(spec, z_seq, step.arg, params, z_step)
         if k:
-            conj_step = stacked_conjugates(conj_groups, z_step,
+            conj_step = stacked_conjugates(step.conj_groups, z_step,
                                            np.empty(spec.r))
-        label = "outer" if kind == "outer" else "block"
-        for rows, gov in _subproblems(kind, arg):
+        for rows, gov in step.subs:
             old = z_seq.sum(axis=0) if gov is None else z_seq[gov].copy()
             z_seq[rows] = z_step[rows]
             new = z_seq.sum(axis=0) if gov is None else z_seq[gov]
@@ -471,6 +458,7 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
             conj[term_rows] = conj_step[term_rows]
             F_new = dual_objective_from(spec, z_seq, conj)
             if exact and F_new < F_prev + margin - SWEEP_GAIN_TOL:
+                label = "outer" if gov is None else "block"
                 raise EngineInvariantError(
                     f"cycle {n} sweep {w}: a {label} subproblem gained less"
                     f" than its quadratic margin")

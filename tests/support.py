@@ -78,6 +78,23 @@ def dual_objective_scaled_route(spec, z):
     return -total
 
 
+def direct_d1_d2_minimizer(spec, zbar_sum):
+    """Exact joint minimizer over the m quadratic-copy duals, rows j=1..m.
+
+    With the r term duals held fixed at total zbar_sum, every copy's optimal
+    dual equals -zbar_sum/(m+1); returned as an (m, d) array.  The engine's
+    all-quadratic tier computes the same rows; this is its reference.
+    """
+    zbar_sum = np.asarray(zbar_sum, dtype=float).ravel()
+    if zbar_sum.size != spec.d:
+        raise dk.DimensionMismatch(
+            f"zbar_sum has length {zbar_sum.size}, expected {spec.d}")
+    if spec.m == 0:
+        return np.zeros((0, spec.d))
+    row = -zbar_sum / (spec.m + 1)
+    return np.tile(row, (spec.m, 1))
+
+
 # ---------------------------------------------------------------------------
 # worked schedule fixtures (hand-checked touch patterns)
 # ---------------------------------------------------------------------------

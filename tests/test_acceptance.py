@@ -16,9 +16,10 @@ from dyksplit import fixtures
 from dyksplit.cli import _write_trace
 from dyksplit.terms import moreau_dual
 
-from .support import (SET_KINDS, TERM_KINDS, invalid_deferred_plan,
-                      irrational_angle_spec, run_until, sample_term,
-                      two_halfspace_spec, unit, valid_deferred_plan)
+from .support import (SET_KINDS, TERM_KINDS, direct_d1_d2_minimizer,
+                      invalid_deferred_plan, irrational_angle_spec, run_until,
+                      sample_term, two_halfspace_spec, unit,
+                      valid_deferred_plan)
 
 
 def criterion(num, text):
@@ -216,7 +217,7 @@ def test_copy_elimination_identity():
         def gstar(y):
             return float(y @ x0) + float(y @ y) / (2.0 * (m + 1))
 
-        rows = dk.direct_d1_d2_minimizer(spec, zbar)
+        rows = direct_d1_d2_minimizer(spec, zbar)
         assert rows.shape == (m, d)
         assert np.allclose(rows, -np.tile(zbar, (m, 1)) * lam, atol=1e-12)
         obj = lam * gstar(-(zbar + rows.sum(axis=0)) / lam)

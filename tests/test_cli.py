@@ -80,19 +80,39 @@ def test_solve_non_object_section_exit_one(tmp_path, capsys, cfg):
 _NAN, _INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("problem,solve", [
-    ({"x0": [1.0, 1.0], "terms": [{"kind": "halfspace", "a": [1.0, 0.0],
-                                   "b": _INF}]}, {}),
-    ({"x0": [1.0, 1.0], "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
-                                   "radius": _NAN}]}, {}),
-    ({"x0": [_NAN, 1.0], "terms": _corner_problem()["terms"]}, {}),
-    (_corner_problem(), {"stop_gap": _NAN}),
-    (_corner_problem(), {"nested_tol": _NAN}),
-    (_corner_problem(), {"z_init": [[_NAN, 0.0], [0.0, 0.0]]}),
+def _custom(m, pattern):
+    return {"m": m, "schedule": {"mode": "custom",
+                                 "cycles": {"pattern": pattern}}}
+
+
+# non-finite values, then values of the wrong type; every one is reported as
+# a config error, not a traceback
+@pytest.mark.parametrize("cfg", [
+    {"problem": {"x0": [1.0, 1.0],
+                 "terms": [{"kind": "halfspace", "a": [1.0, 0.0], "b": _INF}]}},
+    {"problem": {"x0": [1.0, 1.0],
+                 "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
+                            "radius": _NAN}]}},
+    {"problem": {"x0": [_NAN, 1.0], "terms": _corner_problem()["terms"]}},
+    {"problem": _corner_problem(), "solve": {"stop_gap": _NAN}},
+    {"problem": _corner_problem(), "solve": {"nested_tol": _NAN}},
+    {"problem": _corner_problem(),
+     "solve": {"z_init": [[_NAN, 0.0], [0.0, 0.0]]}},
+    {"problem": _corner_problem(), "solve": {"max_iterations": None}},
+    {"problem": _corner_problem(), "solve": {"nested_tol": [1]}},
+    {"problem": _corner_problem(), "solve": {"stop_gap": {}}},
+    {"problem": {"x0": [1.0, 1.0],
+                 "terms": [{"kind": "halfspace", "a": [1.0, 0.0], "b": None}]}},
+    {"problem": {"x0": "abc", "terms": _corner_problem()["terms"]}},
+    {"problem": {"x0": [1.0, 1.0], "terms": [5]}},
+    {"problem": _corner_problem(), "splitting": _custom("x", [{"outer": [1]}])},
+    {"problem": _corner_problem(), "splitting": _custom(0, [{"outer": ["a"]}])},
 ], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
-        "nested-tol-nan", "z-init-nan"])
-def test_solve_non_finite_config_exit_one(tmp_path, capsys, problem, solve):
-    path = _dump(tmp_path, "run.json", {"problem": problem, "solve": solve})
+        "nested-tol-nan", "z-init-nan", "max-iterations-null",
+        "nested-tol-list", "stop-gap-object", "halfspace-b-null", "x0-string",
+        "term-number", "m-string", "sweep-index-string"])
+def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg):
+    path = _dump(tmp_path, "run.json", cfg)
     assert main(["solve", path]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -180,6 +200,13 @@ def test_compare_rejects_mismatched_problems(tmp_path, capsys):
     pb = _dump(tmp_path, "b.json", b)
     assert main(["compare", pa, pb]) == 1
     assert "different problems" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cycles", ["0", "-3"])
+def test_compare_rejects_cycles_below_one(tmp_path, capsys, cycles):
+    path = _dump(tmp_path, "a.json", {"problem": _corner_problem()})
+    assert main(["compare", path, path, "--cycles", cycles]) == 1
+    assert "error: --cycles must be at least 1" in capsys.readouterr().err
 
 
 def test_solve_trace_identical_across_workers(tmp_path, capsys):

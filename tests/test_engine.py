@@ -116,6 +116,32 @@ def test_outer_two_prox_matches_projection_oracle():
         assert _stationarity(spec, st.z, [1, 2]) <= 1e-6
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_outer_two_prox_plus_quads_matches_projection_oracle(m):
+    # with every copy in the set, the copies average the frozen row away:
+    # x0 - v is the projection of x0 - z3 / (m + 1) onto both halfspaces
+    rng = np.random.default_rng(10 + m)
+    params = dk.SolveParams(nested_bcm_sweeps=20000, nested_tol=1e-15)
+    for _ in range(10):
+        d = int(rng.integers(2, 4))
+        a1, a2 = unit(rng, d), unit(rng, d)
+        b1, b2 = (float(rng.uniform(0.1, 0.6)) for _ in range(2))
+        terms = [HS(a1, b1), HS(a2, b2), HS(unit(rng, d), 1.0)]
+        spec = dk.ProblemSpec(rng.standard_normal(d), terms, m=m)
+        st = dk.DualState.zeros(spec)
+        z3 = float(rng.uniform(0.0, 0.3)) * terms[2].set.a  # on the ray
+        st.z[2] = z3
+        S = [1, 2] + list(range(4, 4 + m))
+        assert dk.solve_outer(spec, st, S, params) is False
+        assert np.array_equal(st.z[2], z3)
+        inst = dk.PolyhedralInstance(
+            [dk.LinearConstraint(a1, b1, "le"),
+             dk.LinearConstraint(a2, b2, "le")], spec.x0 - z3 / (m + 1))
+        x_star = dk.qp_project(inst)
+        assert x_star is not None
+        assert np.linalg.norm(spec.x0 - st.v - x_star) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # inner blocks
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 import dyksplit as dk
 from dyksplit.state import dual_objective_z
 
-from .support import (dual_objective_scaled_route, sample_term,
-                      two_halfspace_spec, unit)
+from .support import (direct_d1_d2_minimizer, dual_objective_scaled_route,
+                      sample_term, two_halfspace_spec, unit)
 
 INF = float("inf")
 
@@ -124,14 +124,14 @@ def test_fenchel_residual_nonnegative_random():
 def test_direct_minimizer_desk():
     hs = dk.Indicator(dk.Halfspace([1.0, 0.0], 0.0))
     spec3 = dk.ProblemSpec([0.0, 0.0], [hs], m=3)
-    out = dk.direct_d1_d2_minimizer(spec3, [4.0, 0.0])
+    out = direct_d1_d2_minimizer(spec3, [4.0, 0.0])
     assert out.shape == (3, 2)
     assert np.allclose(out, [[-1.0, 0.0]] * 3, atol=1e-14)
     spec1 = dk.ProblemSpec([0.0, 0.0], [hs], m=1)
-    assert np.allclose(dk.direct_d1_d2_minimizer(spec1, [2.0, -2.0]),
+    assert np.allclose(direct_d1_d2_minimizer(spec1, [2.0, -2.0]),
                        [[-1.0, 1.0]], atol=1e-14)
     spec0 = dk.ProblemSpec([0.0, 0.0], [hs], m=0)
-    assert dk.direct_d1_d2_minimizer(spec0, [1.0, 1.0]).shape == (0, 2)
+    assert direct_d1_d2_minimizer(spec0, [1.0, 1.0]).shape == (0, 2)
 
 
 def test_direct_minimizer_matches_kron_system():
@@ -147,7 +147,7 @@ def test_direct_minimizer_matches_kron_system():
         zbar = rng.standard_normal(d)
         H = np.eye(m * d) + np.kron(np.ones((m, m)), np.eye(d))
         y = np.linalg.solve(H, -np.tile(zbar, m))
-        out = dk.direct_d1_d2_minimizer(spec, zbar)
+        out = direct_d1_d2_minimizer(spec, zbar)
         assert np.allclose(out.reshape(-1), y, atol=1e-10)
 
 
