@@ -28,6 +28,35 @@ MODES = ("classic", "product", "custom", "product-reference")
 FORMATS = ("csv", "json")
 
 
+def _integer(value, where):
+    """value as an int; a bool, a string or a fractional number is an error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, not {value!r}")
+
+
+def _number(value, where):
+    """value as a float; a bool or a string is an error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:   # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a number, not {value!r}")
+
+
+def _numbers(value, where):
+    """Check that value is a number or a nested list of numbers."""
+    if isinstance(value, list):
+        for v in value:
+            _numbers(v, where)
+    else:
+        _number(value, where)
+    return value
+
+
 def _only_keys(d, allowed, where):
     extra = set(d) - set(allowed)
     if extra:
@@ -93,7 +122,12 @@ class OutputConfig:
     def __post_init__(self):
         if self.format not in FORMATS:
             raise ConfigError(f"output.format must be one of {FORMATS}")
-        self.per_sweep = bool(self.per_sweep)
+        if not isinstance(self.per_sweep, bool):
+            raise ConfigError(f"output.per_sweep must be true or false,"
+                              f" not {self.per_sweep!r}")
+        if not isinstance(self.trace_path, (str, type(None))):
+            raise ConfigError(f"output.trace_path must be a string,"
+                              f" not {self.trace_path!r}")
 
 
 @dataclass
@@ -128,9 +162,14 @@ _TERM_KEYS = {
 }
 
 
-def term_from_dict(d, dim):
+def term_from_dict(d, dim, position=None):
+    """The term of a config's term object; position (1-based) names it."""
+    where = "term" if position is None else f"term {position}"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object,"
+                          f" not {type(d).__name__}")
     if "kind" not in d:
-        raise ConfigError("term without a kind")
+        raise ConfigError(f"{where} has no kind")
     kind = d["kind"]
     if kind not in _TERM_KEYS:
         raise ConfigError(f"unknown term kind {kind!r},"
@@ -140,7 +179,7 @@ def term_from_dict(d, dim):
     missing = [k for k in keys if k not in d]
     if missing:
         raise ConfigError(f"term {kind} missing keys {missing}")
-    args = [d[k] for k in keys]
+    args = [_numbers(d[k], f"bad {kind} term: {k}") for k in keys]
     try:
         if cls is L1Norm:
             return L1Norm(dim, *args)
@@ -168,9 +207,12 @@ def sweep_from_dict(d):
     _only_keys(d, ("outer", "blocks"), "sweep")
     inner = {}
     for j, members in (d.get("blocks") or {}).items():
-        inner[int(j)] = frozenset(int(i) for i in members)
-    return SweepPlan(outer=frozenset(int(i) for i in d.get("outer") or ()),
-                     inner=inner)
+        # JSON object keys are strings
+        inner[int(j)] = frozenset(_integer(i, "sweep index") for i in members)
+    return SweepPlan(
+        outer=frozenset(_integer(i, "sweep index")
+                        for i in d.get("outer") or ()),
+        inner=inner)
 
 
 def plan_from_cycles(cycles):
@@ -202,16 +244,23 @@ def _resolve_terms(pc, m, seed_override):
         for k in ("kind", "r", "dim"):
             if k not in g:
                 raise ConfigError(f"problem.generator missing {k!r}")
-        seed = seed_override if seed_override is not None else g.get("seed", 0)
-        return fixtures.generate(g["kind"], int(g["r"]), int(g["dim"]),
+        seed = (seed_override if seed_override is not None
+                else _integer(g.get("seed", 0), "problem.generator.seed"))
+        return fixtures.generate(g["kind"],
+                                 _integer(g["r"], "problem.generator.r"),
+                                 _integer(g["dim"], "problem.generator.dim"),
                                  seed, m=m)
     if pc.x0 is None or pc.terms is None:
         raise ConfigError("problem needs x0 and terms (or a generator)")
-    x0 = np.asarray(pc.x0, dtype=float).ravel()
-    dim = pc.dim if pc.dim is not None else x0.size
+    x0 = np.asarray(_numbers(pc.x0, "problem.x0"), dtype=float).ravel()
+    dim = x0.size if pc.dim is None else _integer(pc.dim, "problem.dim")
     if x0.size != dim:
         raise ConfigError(f"x0 has length {x0.size}, dim says {dim}")
-    terms = [term_from_dict(t, dim) for t in pc.terms]
+    if not isinstance(pc.terms, list):
+        raise ConfigError(f"problem.terms must be a list,"
+                          f" not {type(pc.terms).__name__}")
+    terms = [term_from_dict(t, dim, k)
+             for k, t in enumerate(pc.terms, start=1)]
     return ProblemSpec(x0, terms, m=m)
 
 
@@ -219,7 +268,9 @@ def build(cfg, seed_override=None):
     """Turn a RunConfig into spec, plan, and engine params.
 
     A value of the wrong type or out of range anywhere in the config raises
-    ConfigError, whichever constructor or conversion rejects it.
+    ConfigError, whichever constructor or conversion rejects it.  Numbers
+    are taken as given, never coerced: a bool or a string is not a number,
+    and a count must be integral.
     """
     try:
         return _build(cfg, seed_override)
@@ -236,6 +287,8 @@ def _build(cfg, seed_override):
 
     # the mode pins m before the spec is built
     m_cfg = cfg.splitting.m
+    if m_cfg is not None:
+        m_cfg = _integer(m_cfg, "splitting.m")
     if mode == "classic":
         if m_cfg not in (None, 0):
             raise ConfigError("classic mode requires m = 0")
@@ -243,7 +296,7 @@ def _build(cfg, seed_override):
     elif mode in ("product", "product-reference"):
         m_probe = None   # needs r first
     else:
-        m_probe = int(m_cfg or 0)
+        m_probe = m_cfg or 0
 
     if m_probe is None:
         # build once with m = 0 to learn r, then rebuild lifted
@@ -277,18 +330,20 @@ def _build(cfg, seed_override):
 
     sc = cfg.solve
     params = SolveParams(
-        max_iterations=int(sc.max_iterations),
-        stop_gap=None if sc.stop_gap is None else float(sc.stop_gap),
-        nested_bcm_sweeps=int(sc.nested_bcm_sweeps),
-        nested_tol=float(sc.nested_tol),
-        workers=int(sc.workers),
+        max_iterations=_integer(sc.max_iterations, "solve.max_iterations"),
+        stop_gap=(None if sc.stop_gap is None
+                  else _number(sc.stop_gap, "solve.stop_gap")),
+        nested_bcm_sweeps=_integer(sc.nested_bcm_sweeps,
+                                   "solve.nested_bcm_sweeps"),
+        nested_tol=_number(sc.nested_tol, "solve.nested_tol"),
+        workers=_integer(sc.workers, "solve.workers"),
         check_level=sc.check_level,
         per_sweep_trace=cfg.output.per_sweep)
 
     if sc.z_init == "zeros" or sc.z_init is None:
         z_init = None
     else:
-        z_init = np.asarray(sc.z_init, dtype=float)
+        z_init = np.asarray(_numbers(sc.z_init, "solve.z_init"), dtype=float)
         if z_init.shape != (spec.n_duals, spec.d):
             raise ConfigError(
                 f"z_init has shape {z_init.shape},"

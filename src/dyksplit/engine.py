@@ -19,13 +19,17 @@ its own (solve_inner_block) gives the same bits as inside its sweep.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots,
-  "sweep"  per-sweep ascent and gain margins, freeze equalities, per-cycle
-           convergence certificates; the objective behind the margins comes
-           from a per-row cache of term conjugates, so each sweep evaluates
-           conjugates only for the rows it writes, not all r, and the
-           stationarity and certificate residuals read the cache too,
+  "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
+           sets, freeze equalities, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each sweep with per-subproblem
            gain checks.
+With checks on, the sweep loop only solves and writes the duals after each
+sweep into a snapshot buffer; when the cycle ends, one pass compiled per
+cycle pattern (_CCheck) evaluates every check of the cycle from the buffer
+in a few vectorized calls.  Conjugates are evaluated only for the rows each
+sweep writes, the per-sweep objective is bitwise equal to dual_objective on
+each snapshot, and a failure raises the same error for the same sweep as a
+check made sweep by sweep would, the sweeps before a non-finite one first.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .state import (DualState, dual_objective_from, dual_objective_z,
-                    fenchel_residual)
+from .state import DualState, dual_objective_from, dual_objective_z
+# kept as an engine name for perfbench/tracer.py, which wraps it here; the
+# cycle-end check pass evaluates the same residuals row-wise (_fenchel)
+from .state import fenchel_residual  # noqa: F401
 from .terms import DimensionMismatch, stack_terms, stacked_conjugates
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
@@ -248,10 +254,11 @@ class _CSweep:
     rows (_quad_rows) or one term row plus quadratic rows (_prox_quad_rows),
     and _nested_rows for two or more term rows.  The sweep's conj_groups
     join the steps', the only cached conjugates it can change.  gov0 are the
-    governing rows of the blocks in block_js order.
+    governing rows of the blocks in block_js order, and exact says that no
+    step runs _nested_rows.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups")
+    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups", "exact")
 
     def __init__(self, sweep, spec):
         terms = spec.terms
@@ -291,25 +298,39 @@ class _CSweep:
             self.steps.append(_Step(solve, arg, [(outer0, None)],
                                     stack_terms(terms, prox0)))
         self.conj_groups = [g for step in self.steps for g in step.conj_groups]
+        self.exact = all(step.solve is not _nested_rows for step in self.steps)
 
 
-def _execute_sweep(spec, z, cs, params):
+def _execute_sweep(spec, z, cs, params, out=None):
     """Run one sweep against the snapshot z; returns (z_new, exact).
 
-    Every step reads z itself, never the rows an earlier step wrote.
+    Every step reads z itself, never the rows an earlier step wrote.  z_new
+    is a copy of z with the sweep's rows replaced, written into out when
+    given (a snapshot buffer row) and else a new array, or z itself for an
+    empty sweep.
     """
-    if not cs.steps:
-        return z, True
-    z_new = z.copy()
+    if out is None:
+        if not cs.steps:
+            return z, True
+        out = z.copy()
+    else:
+        out[...] = z
     exact = True
     for step in cs.steps:
-        exact = step.solve(spec, z, step.arg, params, z_new) and exact
-    return z_new, exact
+        exact = step.solve(spec, z, step.arg, params, out) and exact
+    return out, exact
 
 
-def _movement(z_new, z_old, cs):
-    """How far a sweep moved the dual sum and each block's governing row."""
-    v_diff = float(np.linalg.norm(z_new.sum(axis=0) - z_old.sum(axis=0)))
+def _movement(z_new, z_old, cs, v_new=None, v_old=None):
+    """How far a sweep moved the dual sum and each block's governing row.
+
+    v_new and v_old, when given, are the row sums of z_new and z_old.
+    """
+    if v_new is None:
+        v_new = z_new.sum(axis=0)
+    if v_old is None:
+        v_old = z_old.sum(axis=0)
+    v_diff = float(np.linalg.norm(v_new - v_old))
     if not cs.block_js:
         return v_diff, {}
     diff = z_new[cs.gov0] - z_old[cs.gov0]
@@ -365,68 +386,384 @@ def run_sweep(spec, state, sweep, params=None):
 # ---------------------------------------------------------------------------
 # per-cycle checks
 # ---------------------------------------------------------------------------
+#
+# With checks on, the sweep loop only solves: it writes the cycle start and
+# the duals after each sweep w into row w of a snapshot buffer S.  When the
+# cycle ends, _CCheck evaluates every check of the cycle from S in a few
+# vectorized calls and raises the first failure in the order the checks
+# come sweep by sweep.  Each sum is taken in the order of the scalar formula
+# it stands for, so every per-sweep objective is bitwise equal to
+# dual_objective_from on its snapshot.
 
-def _assert_freeze(c_analysis, snaps, n):
+def _dots(X, Y):
+    """Row-wise <x_k, y_k>, each bitwise equal to the 1-d product x_k @ y_k.
+
+    A stacked (1, d) @ (d, 1) matmul takes the same dot product as @ on two
+    vectors; the row-wise einsum of the term stacks sums in another order.
+    """
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _quad_parts(spec, X, Z):
+    """Rows of spec.quad_value at X and of spec.conjugate_quad at Z."""
+    D = X - spec.x0
+    E = Z + spec.x0
+    return 0.5 * _dots(D, D), 0.5 * _dots(E, E) - 0.5 * spec._x0_sq
+
+
+def _fenchel(H, C, X, Z):
+    """Rows of fenchel_residual from h_i(x), h_i*(z) and the points.
+
+    h and h* are never -inf, so an infinite one gives +inf, as there.
+    """
+    return np.maximum(H + C - _dots(X, Z), 0.0)
+
+
+def _objectives(spec, S, V, total):
+    """dual_objective_from on every snapshot S[w], w >= 1.
+
+    V holds the row sums of S and total[w - 1] the sum(conjugates, 0.0) of
+    S[w]; an infinite one gives -inf.
+    """
+    if spec.m:
+        Q = S[1:, spec.r:] + spec.x0
+        total = total + (0.5 * (Q * Q).reshape(len(Q), -1).sum(axis=1)
+                         - spec.m * 0.5 * spec._x0_sq)
+    D = spec.x0 - V[1:]
+    return -(total + (0.5 * _dots(D, D) - 0.5 * spec._x0_sq))
+
+
+def _pair_stacks(terms, rows, shared):
+    """stack_terms over a list of term rows that may repeat.
+
+    Returns [(positions in rows, stack), ...].  shared maps a tuple of term
+    rows to their stack: a group of the same rows reuses it, and a new one
+    is added.
+    """
+    out = []
+    for pos, stack in stack_terms([terms[i] for i in rows], range(len(rows))):
+        key = tuple(rows[k] for k in pos.tolist())
+        out.append((pos, shared.setdefault(key, stack)))
+    return out
+
+
+def _freeze_masks(c_analysis, W, n):
+    """What sweeps 1..W of a cycle must leave unchanged, as masks.
+
+    Returns (after, pairs, cols, window).  after[w - 1, i] holds when sweep
+    w comes after row i's last touch.  pairs are the (member i2, q, p) of
+    every block member whose block has a protected window, in the order of
+    the touch maps; cols are their rows and window[k, w - 1] holds when
+    sweep w lies inside the window q+1..p-1 of pair k.
+    """
+    after = np.zeros((W, n), dtype=bool)
+    for i1, p in c_analysis.p.items():
+        after[p:, i1 - 1] = True
+    pairs = [(i2, q, c_analysis.p[i1]) for i1, q in c_analysis.q.items()
+             for i2 in c_analysis.block_members[i1]]
+    window = np.zeros((len(pairs), W), dtype=bool)
+    for k, (_, q, p) in enumerate(pairs):
+        window[k, q:p - 1] = True
+    cols = np.array([i2 - 1 for i2, _, _ in pairs], dtype=np.intp)
+    return after, pairs, cols, window
+
+
+def _assert_freeze(c_analysis, snaps, n, masks=None):
     """Bitwise freeze equalities implied by the touch pattern.
 
-    moved[w, row] says whether the row changed bitwise from snaps[w - 1] to
-    snaps[w].  A row equals its value at sweep p in every later snapshot
-    exactly when it never moves after p, and the first sweep that moves it
-    is the first that differs from sweep p.
+    snaps holds one cycle's snapshots 0..W, as a list or one array, and
+    masks are their _freeze_masks.  moved[w - 1, row] says whether the row
+    changed bitwise from snaps[w - 1] to snaps[w].  A row equals its value
+    at sweep p in every later snapshot exactly when it never moves after p,
+    and the first sweep that moves it is the first that differs from sweep
+    p.
     """
-    moved = np.zeros((len(snaps), snaps[0].shape[0]), dtype=bool)
-    for w in range(1, len(snaps)):
-        if snaps[w] is not snaps[w - 1]:
-            moved[w] = (snaps[w] != snaps[w - 1]).any(axis=1)
-    for i1, p in c_analysis.p.items():
-        after = moved[p + 1:, i1 - 1]
-        if after.any():
-            raise EngineInvariantError(
-                f"cycle {n}: z_{i1} moved after its last touch"
-                f" (sweep {p} vs {p + 1 + int(after.argmax())})")
-    for i1, q in c_analysis.q.items():
-        p = c_analysis.p[i1]
-        for i2 in c_analysis.block_members[i1]:
-            if moved[q + 1:p, i2 - 1].any():
+    S = np.asarray(snaps)
+    W = len(S) - 1
+    moved = np.empty((W, S.shape[1]), dtype=bool)
+    for k in range(0, W, 8):   # 8 sweeps at a time bound the temporary
+        e = min(k + 8, W)
+        moved[k:e] = (S[k + 1:e + 1] != S[k:e]).any(axis=2)
+    after, pairs, cols, window = (masks or
+                                  _freeze_masks(c_analysis, W, S.shape[1]))
+    bad = moved & after
+    if bad.any():
+        for i1, p in c_analysis.p.items():
+            col = bad[:, i1 - 1]
+            if col.any():
                 raise EngineInvariantError(
-                    f"cycle {n}: block member z_{i2} moved inside the"
-                    f" protected window ({q}..{p - 1})")
+                    f"cycle {n}: z_{i1} moved after its last touch"
+                    f" (sweep {p} vs {1 + int(col.argmax())})")
+    if pairs:
+        hit = (window & moved[:, cols].T).any(axis=1)
+        if hit.any():
+            i2, q, p = pairs[int(hit.argmax())]
+            raise EngineInvariantError(
+                f"cycle {n}: block member z_{i2} moved inside the"
+                f" protected window ({q}..{p - 1})")
+
+
+def _cert_layout(c_analysis, r):
+    """Where each index's certificate point is read from, as index arrays.
+
+    Returns ((rows, p), (rows, p), [(rows, p, q, parts), ...]): the indices
+    last touched by an outer solve, the quadratic indices last touched in a
+    block, and the term indices last touched in a block, these grouped by
+    their number of term members (parts, 0-based and sorted).
+    """
+    outer, quad, blocks = [], [], {}
+    for i1 in sorted(c_analysis.p):
+        i0, p = i1 - 1, c_analysis.p[i1]
+        j1 = c_analysis.via_block.get(i1)
+        if j1 is None:
+            outer.append((i0, p))
+        elif i1 > r:
+            quad.append((i0, p))
+        else:
+            parts = sorted(i2 - 1 for i2 in c_analysis.block_members[i1]
+                           if i2 != j1)
+            blocks.setdefault(len(parts), []).append(
+                (i0, p, c_analysis.q[i1], parts))
+
+    def columns(pairs):
+        a = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+        return a[:, 0], a[:, 1]
+
+    return columns(outer), columns(quad), [
+        (np.array([b[0] for b in group], dtype=np.intp),
+         np.array([b[1] for b in group], dtype=np.intp),
+         np.array([b[2] for b in group], dtype=np.intp),
+         np.array([b[3] for b in group], dtype=np.intp))
+        for group in blocks.values()]
+
+
+def _certificates(spec, S, V, layout, groups, conjugates):
+    """Certificate points, their distances to the iterate, Fenchel residuals.
+
+    S holds one cycle's snapshots 0..W, V their row sums and conjugates the
+    r term conjugates at S[-1]; groups are the stacks of all r terms.  For
+    an index last touched by an outer solve at sweep p the point is x0 - v
+    at that sweep; for a term index last touched inside a block the
+    frozen-window mixed sum is used; for the governing quadratic index it is
+    x0 + z_j at sweep p.
+    """
+    (o_rows, o_p), (q_rows, q_p), blocks = layout
+    x0 = spec.x0
+    X = np.empty(S.shape[1:])
+    points = V[o_p]
+    np.subtract(x0, points, out=points)
+    X[o_rows] = points
+    X[q_rows] = x0 + S[q_p, q_rows]
+    for rows, p, q, parts in blocks:
+        part_p = S[p[:, None], parts].sum(axis=1)
+        part_q = S[q[:, None], parts].sum(axis=1)
+        X[rows] = x0 - part_p - (V[q] - part_q)
+    D = X - (x0 - V[-1])
+    res = np.sqrt(_dots(D, D))
+    del points, D   # before the term values add their own temporaries
+    Z = S[-1]
+    r = spec.r
+    H = np.empty(len(X))
+    C = np.empty(len(X))
+    for rows, stack in groups:
+        H[rows] = stack.value(X[:r] if rows.size == r else X[rows])
+    C[:r] = conjugates
+    H[r:], C[r:] = _quad_parts(spec, X[r:], Z[r:])
+    return X, res, _fenchel(H, C, X, Z)
+
+
+def _certificate_list(X, residuals, fenchels):
+    return [Certificate(index=i + 1, point=x, residual=res, fenchel=fen)
+            for i, (x, res, fen) in enumerate(
+                zip(X, residuals.tolist(), fenchels.tolist()))]
 
 
 def certificate_points(spec, snaps, c_analysis, conjugates=None):
     """Per-index primal certificates from one cycle's sweep snapshots.
 
-    snaps[w] must be the duals after sweep w (snaps[0] the cycle start) and
-    the analysis must be valid for this cycle.  For an index last touched by
-    an outer solve at sweep p the point is x0 - v at that sweep; for a term
-    index last touched inside a block the frozen-window mixed sum is used;
-    for the governing quadratic index it is x0 + z_j at sweep p.
-    conjugates, when given, are the r term conjugates at snaps[-1] and are
-    read by the Fenchel residuals instead of being evaluated again.
+    snaps[w] must be the duals after sweep w (snaps[0] the cycle start), as
+    a list or one array, and the analysis must be valid for this cycle.
+    conjugates, when given, are the r term conjugates at snaps[-1]; they
+    are evaluated through the term stacks otherwise.  The engine computes
+    its certificates through the same arrays.
     """
-    z_final = snaps[-1]
-    x_final = spec.x0 - z_final.sum(axis=0)
-    out = []
-    for i1 in range(1, spec.n_duals + 1):
-        p = c_analysis.p[i1]
-        if i1 not in c_analysis.via_block:
-            x_i = spec.x0 - snaps[p].sum(axis=0)
-        elif i1 > spec.r:
-            x_i = spec.x0 + snaps[p][i1 - 1]
-        else:
-            q = c_analysis.q[i1]
-            members = c_analysis.block_members[i1]
-            j1 = c_analysis.via_block[i1]
-            part_rows = sorted(i2 - 1 for i2 in members if i2 != j1)
-            part_p = snaps[p][part_rows].sum(axis=0)
-            part_q = snaps[q][part_rows].sum(axis=0)
-            x_i = spec.x0 - part_p - (snaps[q].sum(axis=0) - part_q)
-        out.append(Certificate(
-            index=i1,
-            point=x_i,
-            residual=float(np.linalg.norm(x_i - x_final)),
-            fenchel=fenchel_residual(spec, z_final, i1, x_i, conjugates)))
-    return out
+    S = np.asarray(snaps, dtype=float)
+    groups = stack_terms(spec.terms, range(spec.r))
+    if conjugates is None:
+        conjugates = stacked_conjugates(groups, S[-1], np.empty(spec.r))
+    return _certificate_list(*_certificates(
+        spec, S, S.sum(axis=1), _cert_layout(c_analysis, spec.r), groups,
+        conjugates))
+
+
+class _CCheck:
+    """The checks of one cycle's sweep list, compiled once like _CSweep.
+
+    sweep_pass evaluates the per-sweep checks (ascent, margin, stationarity
+    of exact outer sets, and the replay at check_level="full") and
+    cycle_pass the freeze equalities and certificates, both from the
+    cycle's snapshot buffer.  Compiled here:
+      conj    one (sweeps, rows, positions, stack) gather per term kind over
+              the (sweep, term row) pairs that the sweeps write, in sweep
+              order; positions index the array of their new conjugates
+      layers  (mask, positions) per k for the rows' k-th writes in the
+              cycle: mask[w - 1, i] holds from the sweep of row i's k-th
+              write on, and positions[i] is that write's pair
+      stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
+              index order, with stacks for their term rows
+      masks, layout   freeze masks and certificate layout (valid plans only)
+    """
+
+    def __init__(self, sweeps, spec, c_analysis, valid, shared):
+        r = spec.r
+        self.sweeps = sweeps
+        self.exact = np.array([cs.exact for cs in sweeps], dtype=bool)
+        pw, pi, sw, si = [], [], [], []
+        for w, cs in enumerate(sweeps, start=1):
+            for rows, _ in cs.conj_groups:
+                pw += [w] * rows.size
+                pi += rows.tolist()
+            if cs.exact:
+                sw += [w] * len(cs.outer1)
+                si += [i1 - 1 for i1 in cs.outer1]
+        self.n_pairs = len(pi)
+        pw_a, pi_a = np.array(pw, dtype=np.intp), np.array(pi, dtype=np.intp)
+        self.conj = [(pw_a[pos], pi_a[pos], pos, stack)
+                     for pos, stack in _pair_stacks(spec.terms, pi, shared)]
+        self.layers = []
+        writes = [0] * r
+        for k, (w, i) in enumerate(zip(pw, pi)):
+            if writes[i] == len(self.layers):
+                self.layers.append((np.zeros((len(sweeps), r), dtype=bool),
+                                    np.zeros(r, dtype=np.intp)))
+            mask, pos = self.layers[writes[i]]
+            mask[w - 1:, i] = True
+            pos[i] = k
+            writes[i] += 1
+        pair = {wi: k for k, wi in enumerate(zip(pw, pi))}
+
+        self.stat_w = np.array(sw, dtype=np.intp)
+        self.stat_i = np.array(si, dtype=np.intp)
+        terms = np.flatnonzero(self.stat_i < r)
+        self.stat_quads = np.flatnonzero(self.stat_i >= r)
+        # an exact outer set writes its term rows: their pairs hold h*
+        self.stat_terms = (terms, np.array(
+            [pair[w, i] for w, i in zip(self.stat_w[terms].tolist(),
+                                        self.stat_i[terms].tolist())],
+            dtype=np.intp))
+        self.stat_groups = [
+            (terms[pos], stack) for pos, stack in _pair_stacks(
+                spec.terms, self.stat_i[terms].tolist(), shared)]
+
+        self.c_analysis = c_analysis
+        if valid:
+            self.masks = _freeze_masks(c_analysis, len(sweeps), spec.n_duals)
+            self.layout = _cert_layout(c_analysis, r)
+
+    def _stationarity(self, spec, S, V, new):
+        """fenchel_residual of every stat pair at its sweep's x0 - v."""
+        X = V[self.stat_w]
+        np.subtract(spec.x0, X, out=X)
+        H = np.empty(len(X))
+        Cv = np.empty(len(X))
+        for pos, stack in self.stat_groups:
+            # a group of every pair holds them in order: no gather needed
+            H[pos] = stack.value(X if pos.size == len(X) else X[pos])
+        pos, at = self.stat_terms
+        Cv[pos] = new[at]
+        Z = S[self.stat_w, self.stat_i]
+        q = self.stat_quads
+        H[q], Cv[q] = _quad_parts(spec, X[q], Z[q])
+        return _fenchel(H, Cv, X, Z)
+
+    def sweep_pass(self, spec, S, V, conj0, F0, margins, n, params,
+                   upto=None):
+        """Per-sweep checks of sweeps 1..upto (default all) of the cycle in S.
+
+        V holds the row sums of S, conj0 and F0 are the conjugates and
+        objective at S[0], margins the sweeps' squared-movement margins.
+        Returns (F, conj): the objective after each sweep and the
+        conjugates at S[W].
+        """
+        W = len(self.sweeps)
+        r = spec.r
+        S = S[:W + 1]
+        V = V[:W + 1]
+        new = np.empty(self.n_pairs)
+        for w, i, pos, stack in self.conj:
+            new[pos] = stack.support(S[w, i])
+        resid = (self._stationarity(spec, S, V, new) if self.stat_w.size
+                 else np.empty(0))
+        # row w - 1 of C: a leading 0.0 and the conjugates after sweep w
+        C = np.empty((W, r + 1))
+        C[:, 0] = 0.0
+        C[:, 1:] = conj0
+        for mask, pos in self.layers:
+            np.copyto(C[:, 1:], new[pos], where=mask)
+        conj = C[-1, 1:].copy()
+        full = params.check_level == "full"
+        if full:   # the replay reads C
+            total = np.cumsum(C, axis=1)[:, -1]
+        else:      # the running sums overwrite C, which is then let go
+            total = np.cumsum(C, axis=1, out=C)[:, -1].copy()
+            C = None
+        F = _objectives(spec, S, V, total)
+        F_prev = np.concatenate(([F0], F[:-1]))
+        decreased = self.exact & (F < F_prev - ASCENT_TOL)
+        short = self.exact & (F < F_prev + margins - SWEEP_GAIN_TOL)
+        stat_bad = resid > CLAIM_TOL
+        bad = decreased | short
+        bad[self.stat_w[stat_bad] - 1] = True
+        last = W if upto is None else upto
+        first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
+        if full:
+            for w in range(1, first):
+                cs = self.sweeps[w - 1]
+                if cs.exact and cs.steps:
+                    conj_prev = (conj0 if w == 1 else C[w - 2, 1:]).copy()
+                    _replay_check(spec, S[w - 1], S[w], cs, params, n, w,
+                                  conj_prev, float(F_prev[w - 1]),
+                                  C[w - 1, 1:])
+        if first <= last:
+            k = first - 1
+            if decreased[k]:
+                raise EngineInvariantError(
+                    f"cycle {n} sweep {first}: dual objective"
+                    f" decreased by {F_prev[k] - F[k]:.3e}")
+            if short[k]:
+                raise EngineInvariantError(
+                    f"cycle {n} sweep {first}: ascent fell short of"
+                    f" the quadratic margin")
+            j = int(np.flatnonzero(stat_bad & (self.stat_w == first))[0])
+            raise EngineInvariantError(
+                f"cycle {n} sweep {first}: stationarity"
+                f" residual {resid[j]:.3e} at index {self.stat_i[j] + 1}")
+        return F, conj
+
+    def cycle_pass(self, spec, S, V, conj, groups, gamma, approx, n):
+        """Freeze equalities and certificates; for valid plans only.
+
+        The certificate bounds are asserted unless the cycle is approximate.
+        Returns the certificate points, distances and Fenchel residuals.
+        """
+        W = len(self.sweeps)
+        S = S[:W + 1]
+        V = V[:W + 1]
+        _assert_freeze(self.c_analysis, S, n, self.masks)
+        X, res, fen = _certificates(spec, S, V, self.layout, groups, conj)
+        if not approx:
+            bad = (res > gamma + CERT_SLACK) | (fen > CLAIM_TOL)
+            if bad.any():
+                i = int(bad.argmax())
+                if res[i] > gamma + CERT_SLACK:
+                    raise EngineInvariantError(
+                        f"cycle {n}: certificate for index {i + 1}"
+                        f" is {res[i]:.3e} from the iterate,"
+                        f" beyond gamma {gamma:.3e}")
+                raise EngineInvariantError(
+                    f"cycle {n}: certificate for index {i + 1}"
+                    f" has Fenchel residual {fen[i]:.3e}")
+        return X, res, fen
 
 
 def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
@@ -474,6 +811,20 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
 # cycle loop
 # ---------------------------------------------------------------------------
 
+def _primal_value(spec, groups, x):
+    """spec.primal_value(x) through the term stacks of all r rows.
+
+    The term values are summed in term order, and +inf when one is.
+    """
+    vals = np.empty(spec.r)
+    for rows, stack in groups:
+        vals[rows] = stack.value(x)
+    total = sum(vals.tolist(), 0.0)
+    if total == _INF:
+        return _INF
+    return total + (spec.m + 1) * spec.quad_value(x)
+
+
 def run(spec, plan, params=None, z_init=None):
     """Run the cycle plan until the gap rule or the iteration cap fires.
 
@@ -510,14 +861,23 @@ def run(spec, plan, params=None, z_init=None):
         if not np.isfinite(z).all():
             raise ValueError("z_init must be finite")
 
-    compiled_pattern = [_CSweep(sw, spec) for sw in plan.pattern]
-    compiled_lead = [[_CSweep(sw, spec) for sw in c] for c in plan.lead_in]
+    # analysis.cycles lists the pattern first, then the lead-in cycles
+    compiled = [[_CSweep(sw, spec) for sw in c]
+                for c in (plan.pattern,) + plan.lead_in]
     all_terms = stack_terms(spec.terms, range(spec.r))
 
-    check = params.check_level
-    sweep_checks = check in ("sweep", "full")
+    sweep_checks = params.check_level in ("sweep", "full")
+    buf = None
     if sweep_checks:
-        # per-row conjugate cache: a sweep re-evaluates only the rows it wrote
+        shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
+        checks = [_CCheck(c, spec, ca, valid, shared)
+                  for c, ca in zip(compiled, analysis.cycles)]
+        # snapshot buffer: row 0 the cycle start, row w the duals after
+        # sweep w; vbuf holds their row sums, taken once for each snapshot
+        buf = np.empty((max(map(len, compiled)) + 1, spec.n_duals, spec.d))
+        vbuf = np.empty(buf.shape[::2])
+        v = z.sum(axis=0)
+        # per-row conjugate cache, carried from one cycle's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj)
     else:
@@ -528,16 +888,20 @@ def run(spec, plan, params=None, z_init=None):
     sweep_rows = [] if params.per_sweep_trace else None
     gamma_list, growth_list, F_list, sq_list = [], [], [], []
     cycle_start_duals = [z.copy()]
-    certificates = None
+    cert_arrays = None
     any_approx = False
     stop_reason = "max_iterations"
     cycles_run = 0
 
     for n in range(1, params.max_iterations + 1):
-        sweeps = (compiled_lead[n - 1] if n <= len(compiled_lead)
-                  else compiled_pattern)
-        c_analysis = analysis.for_cycle(plan, n)
-        snaps = [z] if sweep_checks else None
+        k = n if n <= len(plan.lead_in) else 0
+        sweeps = compiled[k]
+        if sweep_checks:
+            chk = checks[k]
+            margins = np.empty(len(sweeps))
+            buf[0] = z
+            z = buf[0]
+            vbuf[0] = v
         gamma_acc = 0.0
         sq_acc = 0.0
         v_acc = 0.0
@@ -545,61 +909,52 @@ def run(spec, plan, params=None, z_init=None):
 
         for w, cs in enumerate(sweeps, start=1):
             z_prev = z
-            z, exact = _execute_sweep(spec, z_prev, cs, params)
+            z, exact = _execute_sweep(spec, z_prev, cs, params,
+                                      None if buf is None else buf[w])
             if z is not z_prev and not np.isfinite(z).all():
+                if sweep_checks:
+                    # the sweeps before this one are checked first
+                    buf[w:len(sweeps) + 1] = z_prev
+                    vbuf[w:len(sweeps) + 1] = vbuf[w - 1]
+                    chk.sweep_pass(spec, buf, vbuf, conj, F_state, margins,
+                                   n, params, upto=w - 1)
                 cycle_rows.append(TraceRow(
                     n=n, w=w, F=float("nan"), v_diff=float("nan"),
                     inner_diffs={}, gamma_n=None, growth_monitor=None,
                     cert_max_residual=None, approx=not exact))
                 raise NonFiniteStateError(
                     f"non-finite duals after cycle {n} sweep {w}")
-            v_diff, inner_diffs = _movement(z, z_prev, cs)
+            if sweep_checks:
+                v_diff, inner_diffs = _movement(
+                    z, z_prev, cs, z.sum(axis=0, out=vbuf[w]), vbuf[w - 1])
+            else:
+                v_diff, inner_diffs = _movement(z, z_prev, cs)
             inner_sq = sum(d * d for d in inner_diffs.values())
             gamma_acc += v_diff + sum(inner_diffs.values())
             sq_acc += v_diff * v_diff + inner_sq
             v_acc += v_diff
             cycle_approx = cycle_approx or not exact
-
             if sweep_checks:
-                replay = check == "full" and exact
-                conj_prev = conj.copy() if replay else None
-                stacked_conjugates(cs.conj_groups, z, conj)
-                F_new = dual_objective_from(spec, z, conj)
-                if exact:
-                    if F_new < F_state - ASCENT_TOL:
-                        raise EngineInvariantError(
-                            f"cycle {n} sweep {w}: dual objective"
-                            f" decreased by {F_state - F_new:.3e}")
-                    margin = 0.5 * v_diff * v_diff + 0.5 * inner_sq
-                    if F_new < F_state + margin - SWEEP_GAIN_TOL:
-                        raise EngineInvariantError(
-                            f"cycle {n} sweep {w}: ascent fell short of"
-                            f" the quadratic margin")
-                    if cs.outer1:
-                        x_now = spec.x0 - z.sum(axis=0)
-                        for i1 in cs.outer1:
-                            resid = fenchel_residual(spec, z, i1, x_now,
-                                                     conj)
-                            if resid > CLAIM_TOL:
-                                raise EngineInvariantError(
-                                    f"cycle {n} sweep {w}: stationarity"
-                                    f" residual {resid:.3e} at index {i1}")
-                if replay:
-                    _replay_check(spec, z_prev, z, cs, params, n, w,
-                                  conj_prev, F_state, conj)
-                F_state = F_new
-                snaps.append(z)
+                margins[w - 1] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
 
             if sweep_rows is not None:
                 last = w == len(sweeps)
                 sweep_rows.append(TraceRow(
-                    n=n, w=w, F=F_state if sweep_checks else None,
-                    v_diff=v_diff, inner_diffs=inner_diffs,
+                    n=n, w=w, F=None, v_diff=v_diff, inner_diffs=inner_diffs,
                     gamma_n=gamma_acc if last else None,
                     growth_monitor=None, cert_max_residual=None,
                     approx=not exact))
 
-        if not sweep_checks:
+        if sweep_checks:
+            v = vbuf[len(sweeps)]
+            F_sweeps, conj = chk.sweep_pass(spec, buf, vbuf, conj, F_state,
+                                            margins, n, params)
+            F_sweeps = F_sweeps.tolist()
+            F_state = F_sweeps[-1]
+            if sweep_rows is not None:
+                for row, F in zip(sweep_rows[-len(sweeps):], F_sweeps):
+                    row.F = F
+        else:
             F_state = dual_objective_z(spec, z, all_terms)
         F_cycle = F_state
         if not any_approx and not cycle_approx and F_list:
@@ -611,20 +966,9 @@ def run(spec, plan, params=None, z_init=None):
 
         cert_max = None
         if sweep_checks and valid:
-            _assert_freeze(c_analysis, snaps, n)
-            certificates = certificate_points(spec, snaps, c_analysis, conj)
-            cert_max = max(c.residual for c in certificates)
-            if not cycle_approx:
-                for c in certificates:
-                    if c.residual > gamma_acc + CERT_SLACK:
-                        raise EngineInvariantError(
-                            f"cycle {n}: certificate for index {c.index}"
-                            f" is {c.residual:.3e} from the iterate,"
-                            f" beyond gamma {gamma_acc:.3e}")
-                    if c.fenchel > CLAIM_TOL:
-                        raise EngineInvariantError(
-                            f"cycle {n}: certificate for index {c.index}"
-                            f" has Fenchel residual {c.fenchel:.3e}")
+            cert_arrays = chk.cycle_pass(spec, buf, vbuf, conj, all_terms,
+                                         gamma_acc, cycle_approx, n)
+            cert_max = float(cert_arrays[1].max())
 
         gamma_list.append(gamma_acc)
         growth_list.append(growth)
@@ -643,12 +987,14 @@ def run(spec, plan, params=None, z_init=None):
 
         if params.stop_gap is not None:
             x_hat = spec.x0 - z.sum(axis=0)
-            primal = spec.primal_value(x_hat)
+            primal = _primal_value(spec, all_terms, x_hat)
             if (np.isfinite(primal) and np.isfinite(F_cycle)
                     and primal - F_cycle <= params.stop_gap):
                 stop_reason = "gap"
                 break
 
+    if buf is not None:
+        z = z.copy()   # the last snapshot, out of the buffer
     state = DualState(z, n=cycles_run, w=len(plan.cycle(cycles_run)))
     return RunResult(
         state=state,
@@ -664,7 +1010,8 @@ def run(spec, plan, params=None, z_init=None):
         F_per_cycle=np.array(F_list),
         sq_diff_cumsum=np.array(sq_list),
         cycle_start_duals=cycle_start_duals,
-        certificates=certificates,
+        certificates=(None if cert_arrays is None
+                      else _certificate_list(*cert_arrays)),
         any_approx=any_approx,
         analysis=analysis)
 

@@ -114,20 +114,15 @@ def primal_estimate(spec, state):
     return spec.x0 - state.z.sum(axis=0)
 
 
-def _conjugate_at(spec, z_row, i0):
-    if i0 < spec.r:
-        return spec.terms[i0].conjugate(z_row)
-    return spec.conjugate_quad(z_row)
-
-
 def dual_objective_from(spec, z, conjugates):
     """Dual objective on z given its r term conjugates h_i*(z_i), in order.
 
     conjugates is an array of all r values, evaluated up front and summed in
     row order; the result is -inf when any of them is +inf.  Every dual
-    value, full or from the engine's per-row cache, goes through this one
-    formula with conjugates from the same stacked oracles, which keeps them
-    bitwise equal.
+    value goes through this one formula with conjugates from the same
+    stacked oracles, which keeps them bitwise equal; the engine's cycle-end
+    check pass evaluates it for all sweeps at once in the same order
+    (engine._objectives).
     """
     total = sum(conjugates.tolist(), 0.0)
     if total == _INF:
@@ -195,13 +190,11 @@ def gap_report(spec, state, x):
     return GapReport(dual_value=dual, primal_value=primal, gap_lower_bound=bound)
 
 
-def fenchel_residual(spec, state, i, x, conjugates=None):
+def fenchel_residual(spec, state, i, x):
     """Nonnegative Fenchel-Young residual h_i(x) + h_i*(z_i) - <x, z_i>.
 
     i follows the 1-based dual indexing used by schedules: 1..r are the terms,
     r+1..r+m the quadratic copies.  Returns +inf when either value is.
-    conjugates, when given, holds the r term conjugates at z (the engine's
-    per-row cache) and is read instead of evaluating h_i*(z_i) again.
     """
     z = state.z if isinstance(state, DualState) else np.asarray(state, dtype=float)
     if not 1 <= i <= spec.n_duals:
@@ -210,12 +203,10 @@ def fenchel_residual(spec, state, i, x, conjugates=None):
     i0 = i - 1
     if i0 < spec.r:
         hval = spec.terms[i0].value(x)
+        cval = spec.terms[i0].conjugate(z[i0])
     else:
         hval = spec.quad_value(x)
-    if conjugates is not None and i0 < spec.r:
-        cval = float(conjugates[i0])
-    else:
-        cval = _conjugate_at(spec, z[i0], i0)
+        cval = spec.conjugate_quad(z[i0])
     if hval == _INF or cval == _INF:
         return _INF
     return max(hval + cval - float(x @ z[i0]), 0.0)

@@ -290,11 +290,17 @@ def moreau_dual(term, u):
 # stacked oracles: k terms of one kind, one row each
 # ---------------------------------------------------------------------------
 #
-# moreau(U) is U - prox(U) and support(Z) the conjugates h_i*(z_i), both row
-# by row over a (k, d) array.  A row's result depends only on that row, never
+# moreau(U) is U - prox(U) and support(Z) the conjugates h_i*(z_i), row by
+# row over a (k, d) array.  A row's result depends only on that row, never
 # on the stack's height or the row order (row-wise einsum has this property;
 # a matrix-vector product does not), so a sweep's grouped block step, a
 # single-block solve and every conjugate evaluation agree bitwise.
+#
+# value(X) gives the values h_i(x_i) at the rows of X, or h_i(x) at every
+# row for one point x of shape (d,).  An indicator's value is 0 within
+# FEAS_TOL of its set and +inf beyond, as in Indicator.value; the distance
+# comes from the closed form, so it can differ from the projection-based one
+# in the last bits.
 
 def _rowdot(X, Y):
     return np.einsum("ij,ij->i", X, Y)
@@ -303,12 +309,14 @@ def _rowdot(X, Y):
 class HalfspaceStack:
     """Indicators of {x : <a_i, x> <= b_i} for the rows a_i of A."""
 
-    __slots__ = ("A", "b", "_nrm2")
+    __slots__ = ("A", "b", "_nrm2", "_slack")
 
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self._nrm2 = _rowdot(self.A, self.A)
+        # <a_i, x> - b_i <= _slack_i: within FEAS_TOL of the halfspace
+        self._slack = FEAS_TOL * np.sqrt(self._nrm2)
 
     @classmethod
     def of(cls, terms):
@@ -327,6 +335,10 @@ class HalfspaceStack:
         out = self.b * s
         out[(np.sqrt(_rowdot(R, R)) > tol) | (s < -DOM_TOL)] = _INF
         return out
+
+    def value(self, X):
+        AX = self.A @ X if X.ndim == 1 else _rowdot(self.A, X)
+        return np.where(AX - self.b <= self._slack, 0.0, _INF)
 
 
 class BallStack:
@@ -354,6 +366,11 @@ class BallStack:
     def support(self, Z):
         return _rowdot(Z, self.C) + self.radius * np.sqrt(_rowdot(Z, Z))
 
+    def value(self, X):
+        D = X - self.C
+        return np.where(np.sqrt(_rowdot(D, D)) <= self.radius + FEAS_TOL,
+                        0.0, _INF)
+
 
 class TermStack:
     """Any terms, through each row's own prox and conjugate."""
@@ -372,6 +389,12 @@ class TermStack:
 
     def support(self, Z):
         return np.array([t.conjugate(z) for t, z in zip(self.terms, Z)],
+                        dtype=float)
+
+    def value(self, X):
+        if X.ndim == 1:
+            return np.array([t.value(X) for t in self.terms], dtype=float)
+        return np.array([t.value(x) for t, x in zip(self.terms, X)],
                         dtype=float)
 
 

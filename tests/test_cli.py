@@ -8,7 +8,8 @@ import pytest
 
 import dyksplit as dk
 from dyksplit.cli import TRACE_COLUMNS, main
-from dyksplit.config import RunConfig, term_from_dict, term_to_dict
+from dyksplit.config import (ConfigError, RunConfig, build, term_from_dict,
+                             term_to_dict)
 
 from .support import TERM_KINDS, sample_term
 
@@ -86,35 +87,80 @@ def _custom(m, pattern):
 
 
 # non-finite values, then values of the wrong type; every one is reported as
-# a config error, not a traceback
-@pytest.mark.parametrize("cfg", [
-    {"problem": {"x0": [1.0, 1.0],
-                 "terms": [{"kind": "halfspace", "a": [1.0, 0.0], "b": _INF}]}},
-    {"problem": {"x0": [1.0, 1.0],
-                 "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
-                            "radius": _NAN}]}},
-    {"problem": {"x0": [_NAN, 1.0], "terms": _corner_problem()["terms"]}},
-    {"problem": _corner_problem(), "solve": {"stop_gap": _NAN}},
-    {"problem": _corner_problem(), "solve": {"nested_tol": _NAN}},
-    {"problem": _corner_problem(),
-     "solve": {"z_init": [[_NAN, 0.0], [0.0, 0.0]]}},
-    {"problem": _corner_problem(), "solve": {"max_iterations": None}},
-    {"problem": _corner_problem(), "solve": {"nested_tol": [1]}},
-    {"problem": _corner_problem(), "solve": {"stop_gap": {}}},
-    {"problem": {"x0": [1.0, 1.0],
-                 "terms": [{"kind": "halfspace", "a": [1.0, 0.0], "b": None}]}},
-    {"problem": {"x0": "abc", "terms": _corner_problem()["terms"]}},
-    {"problem": {"x0": [1.0, 1.0], "terms": [5]}},
-    {"problem": _corner_problem(), "splitting": _custom("x", [{"outer": [1]}])},
-    {"problem": _corner_problem(), "splitting": _custom(0, [{"outer": ["a"]}])},
+# a config error, not a traceback, and some with a message of their own
+@pytest.mark.parametrize("cfg,match", [
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "halfspace", "a": [1.0, 0.0],
+                             "b": _INF}]}}, None),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
+                             "radius": _NAN}]}}, None),
+    ({"problem": {"x0": [_NAN, 1.0], "terms": _corner_problem()["terms"]}},
+     None),
+    ({"problem": _corner_problem(), "solve": {"stop_gap": _NAN}}, None),
+    ({"problem": _corner_problem(), "solve": {"nested_tol": _NAN}}, None),
+    ({"problem": _corner_problem(),
+      "solve": {"z_init": [[_NAN, 0.0], [0.0, 0.0]]}}, None),
+    ({"problem": _corner_problem(), "solve": {"max_iterations": None}}, None),
+    ({"problem": _corner_problem(), "solve": {"nested_tol": [1]}}, None),
+    ({"problem": _corner_problem(), "solve": {"stop_gap": {}}}, None),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "halfspace", "a": [1.0, 0.0],
+                             "b": None}]}}, None),
+    ({"problem": {"x0": "abc", "terms": _corner_problem()["terms"]}}, None),
+    ({"problem": {"x0": [1.0, 1.0], "terms": [5]}},
+     "term 1 must be a JSON object, not int"),
+    ({"problem": _corner_problem(),
+      "splitting": _custom("x", [{"outer": [1]}])}, None),
+    ({"problem": _corner_problem(),
+      "splitting": _custom(0, [{"outer": ["a"]}])}, None),
+    ({"problem": _corner_problem(), "solve": {"max_iterations": 2.7}},
+     "solve.max_iterations must be an integer, not 2.7"),
+    ({"problem": _corner_problem(), "output": {"per_sweep": "false"}},
+     "output.per_sweep must be true or false, not 'false'"),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "halfspace", "a": [1.0, 0.0],
+                             "b": True}]}},
+     "bad halfspace term: b must be a number, not True"),
+    ({"problem": _corner_problem(), "solve": {"stop_gap": True}},
+     "solve.stop_gap must be a number, not True"),
+    ({"problem": _corner_problem(), "solve": {"nested_tol": "1e-12"}},
+     "solve.nested_tol must be a number, not '1e-12'"),
+    ({"problem": _corner_problem(), "solve": {"workers": 1.5}},
+     "solve.workers must be an integer, not 1.5"),
+    ({"problem": _corner_problem(), "solve": {"nested_bcm_sweeps": False}},
+     "solve.nested_bcm_sweeps must be an integer, not False"),
+    ({"problem": _corner_problem(), "splitting": {"m": 0.5}},
+     "splitting.m must be an integer, not 0.5"),
+    ({"problem": _corner_problem(), "output": {"per_sweep": 1}},
+     "output.per_sweep must be true or false, not 1"),
 ], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
         "nested-tol-nan", "z-init-nan", "max-iterations-null",
         "nested-tol-list", "stop-gap-object", "halfspace-b-null", "x0-string",
-        "term-number", "m-string", "sweep-index-string"])
-def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg):
+        "term-number", "m-string", "sweep-index-string",
+        "max-iterations-fraction", "per-sweep-string", "halfspace-b-bool",
+        "stop-gap-bool", "nested-tol-string", "workers-fraction",
+        "nested-bcm-sweeps-bool", "m-fraction", "per-sweep-number"])
+def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg, match):
     path = _dump(tmp_path, "run.json", cfg)
     assert main(["solve", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if match is not None:
+        assert f"error: {match}\n" in err
+
+
+@pytest.mark.parametrize("value,ok", [
+    (3, True), (3.0, True), (2.7, False), (True, False), ("3", False),
+    (float("inf"), False)])
+def test_config_integers_are_strict(value, ok):
+    cfg = RunConfig.from_dict({"problem": _corner_problem(),
+                               "solve": {"max_iterations": value}})
+    if ok:
+        assert build(cfg).params.max_iterations == 3
+    else:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build(cfg)
 
 
 def test_validate_classic_ok(tmp_path, capsys):

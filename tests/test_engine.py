@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit import fixtures
-from dyksplit.engine import EngineInvariantError, _assert_freeze
+from dyksplit import engine, fixtures
+from dyksplit.engine import (EngineInvariantError, NonFiniteStateError,
+                             _assert_freeze)
 from dyksplit.terms import stack_terms, stacked_conjugates
 
-from .support import (invalid_deferred_plan, irrational_angle_spec, run_until,
-                      two_halfspace_spec, unit, valid_deferred_plan)
+from .support import (TERM_KINDS, invalid_deferred_plan, irrational_angle_spec,
+                      run_until, sample_term, two_halfspace_spec, unit,
+                      valid_deferred_plan)
 
 HS = lambda a, b: dk.Indicator(dk.Halfspace(a, b))
 
@@ -506,6 +508,300 @@ def test_certificates_from_cached_conjugates_match_fresh_ones():
     assert max(c.fenchel for c in fresh) < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# fault injection: every check raises its own message at its own sweep
+# ---------------------------------------------------------------------------
+#
+# Each fault is a pure function of a solver's input, so a replay at
+# check_level="full" sees the same fault as the sweep it replays.  The
+# messages are those of the sweep-by-sweep checks, which the cycle-end check
+# pass must reproduce, first failure first.
+
+def _after_prox_row(monkeypatch, *faults):
+    """Apply each fault(spec, z, i, out) after every _prox_row solve."""
+    orig = engine._prox_row
+
+    def solver(spec, z, i, params, out):
+        exact = orig(spec, z, i, params, out)
+        for fault in faults:
+            fault(spec, z, i, out)
+        return exact
+
+    monkeypatch.setattr(engine, "_prox_row", solver)
+
+
+def _step(row, t, always=False):
+    """Scale row's move by t, unless always only once it has moved before."""
+    def fault(spec, z, i, out):
+        if i == row and (always or z[i].any()):
+            out[i] = z[i] + t * (out[i] - z[i])
+    return fault
+
+
+def _nudge(at_row, row):
+    """Move row by one ulp whenever at_row is solved."""
+    def fault(spec, z, i, out):
+        if i == at_row:
+            out[row] = np.nextafter(z[row], np.inf)
+    return fault
+
+
+def _non_finite(row, value=np.nan):
+    """Write value into row's first entry and minus value into z_1's.
+
+    An infinite value then makes the first column of the dual sum inf - inf.
+    """
+    def fault(spec, z, i, out):
+        if i == row and z[i].any():
+            out[i, 0] = value
+            out[0, 0] = -value
+    return fault
+
+
+def _shrink_on_repeat(row):
+    """Shorten row's move the second time the same input is solved.
+
+    The snapshot execution sees an input first and its replay second, so
+    only the replay's row differs.
+    """
+    seen = set()
+
+    def fault(spec, z, i, out):
+        key = (i, z.tobytes())
+        if i == row and key in seen:
+            out[i] *= 1.0 - 1e-6
+        seen.add(key)
+    return fault
+
+
+def _leak_sum(spec, z, i, out):
+    """The last term's outer solve reads the copies, which a block moves."""
+    if i == spec.r - 1:
+        out[i] = out[i] + 1e-3 * z[spec.r:].sum(axis=0)
+
+
+def _classic_faults(monkeypatch, *faults):
+    _after_prox_row(monkeypatch, *faults)
+    return fixtures.random_halfspaces(1, 6, 4), dk.classic_dykstra_schedule(6)
+
+
+_STAT_1 = "cycle 2 sweep 1: stationarity residual inf at index 1"
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("t,message", [
+    (0.5, _STAT_1),
+    (1.5, "cycle 2 sweep 1: ascent fell short of the quadratic margin"),
+    (-0.5, "cycle 2 sweep 1: dual objective decreased by 6.084e-02"),
+], ids=["half-step", "overshoot", "backwards"])
+def test_fault_in_outer_step_is_reported_at_its_sweep(monkeypatch, level,
+                                                      t, message):
+    spec, plan = _classic_faults(monkeypatch, _step(0, t))
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=6,
+                                          check_level=level))
+
+
+def test_fault_off_checks_only_the_cycle_end(monkeypatch):
+    spec, plan = _classic_faults(monkeypatch, _step(0, -0.5))
+    with pytest.raises(EngineInvariantError,
+                       match="^cycle 2: end-of-cycle objective decreased$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=6,
+                                          check_level="off"))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("at_row", [1, 2, 5])
+def test_fault_moving_frozen_rows_fails_freeze(monkeypatch, level, at_row):
+    # z_1 is last touched at sweep 1; the sweep that solves at_row moves it,
+    # from the first sweep after its last touch to the last of the cycle
+    spec, plan = _classic_faults(monkeypatch, _nudge(at_row, 0))
+    with pytest.raises(EngineInvariantError,
+                       match=r"^cycle 1: z_1 moved after its last touch"
+                             rf" \(sweep 1 vs {at_row + 1}\)$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                          check_level=level))
+    # the protected window: block member z_1 moves at sweep 2, before the
+    # block {1, 3} runs at sweep 3
+    monkeypatch.undo()
+    _after_prox_row(monkeypatch, _nudge(1, 0))
+    spec = fixtures.random_halfspaces(3, 2, 3, m=1)
+    plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={3}),
+                                 dk.SweepPlan(outer={2}),
+                                 dk.SweepPlan(inner={3: {1, 3}})))
+    with pytest.raises(EngineInvariantError,
+                       match=r"^cycle 1: block member z_1 moved inside the"
+                             r" protected window \(1\.\.2\)$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                          check_level=level))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_fault_certificate_distance(monkeypatch, level):
+    # movements reported at a tenth shrink gamma below the true distances
+    orig = engine._movement
+
+    def short(*args):
+        v, inner = orig(*args)
+        return 0.1 * v, {j: 0.1 * d for j, d in inner.items()}
+
+    monkeypatch.setattr(engine, "_movement", short)
+    spec = fixtures.random_halfspaces(1, 6, 4)
+    with pytest.raises(EngineInvariantError,
+                       match=r"^cycle 1: certificate for index 1 is"
+                             r" 3\.870e-01 from the iterate, beyond gamma"
+                             r" 1\.386e-01$"):
+        dk.run(spec, dk.classic_dykstra_schedule(6),
+               dk.SolveParams(max_iterations=3, check_level=level))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_fault_certificate_fenchel(monkeypatch, level):
+    # a half-step block solve is never checked for stationarity per sweep;
+    # its term's certificate point misses the set
+    orig = engine._stacked_blocks
+
+    def half(spec, z, arg, params, out):
+        exact = orig(spec, z, arg, params, out)
+        _, I, J = arg
+        bsum = z[I] + z[J]
+        out[I] = z[I] + 0.5 * (out[I] - z[I])
+        out[J] = bsum - out[I]
+        return exact
+
+    monkeypatch.setattr(engine, "_stacked_blocks", half)
+    spec = fixtures.random_halfspaces(4, 4, 3, m=1)
+    with pytest.raises(EngineInvariantError,
+                       match="^cycle 1: certificate for index 1 has Fenchel"
+                             " residual inf$"):
+        dk.run(spec, fixtures.mixed_block_schedule(4),
+               dk.SolveParams(max_iterations=3, check_level=level))
+
+
+@pytest.mark.parametrize("level,message", [
+    ("sweep", "cycle 2 sweep 2: dual objective decreased by inf"),
+    ("full", "cycle 1 sweep 2: a outer subproblem gained less than its"
+             " quadratic margin"),
+])
+def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
+    _after_prox_row(monkeypatch, _leak_sum)
+    spec = fixtures.random_halfspaces(1, 4, 3, m=3)
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, dk.product_space_schedule(4),
+               dk.SolveParams(max_iterations=4, check_level=level))
+
+
+@pytest.mark.parametrize("faults,message", [
+    ((0, 4), "cycle 1 sweep 1: sequential replay disagrees with the snapshot"
+             " execution"),
+    ((4, 0), "cycle 1 sweep 1: stationarity residual inf at index 1"),
+], ids=["replay-first", "stationarity-first"])
+def test_fault_first_failing_sweep_wins(monkeypatch, faults, message):
+    # one row's replay disagrees, the other's stationarity fails; whichever
+    # sweep comes first in the cycle is reported
+    replay_row, stat_row = faults
+    spec, plan = _classic_faults(monkeypatch, _shrink_on_repeat(replay_row),
+                                 _step(stat_row, 0.5, always=True))
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=4,
+                                          check_level="full"))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
+                                                           level):
+    spec, plan = _classic_faults(monkeypatch, _step(0, 0.5),
+                                 _non_finite(4))
+    with pytest.raises(EngineInvariantError, match=f"^{_STAT_1}$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=4,
+                                          check_level=level))
+    # nothing is evaluated on the non-finite duals: no RuntimeWarning
+    for value in (np.nan, np.inf):
+        monkeypatch.undo()
+        spec, plan = _classic_faults(monkeypatch, _non_finite(4, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteStateError,
+                               match="^non-finite duals after cycle 2"
+                                     " sweep 5$"):
+                dk.run(spec, plan, dk.SolveParams(max_iterations=4,
+                                                  check_level=level))
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
+def test_public_checks_match_the_engine(case):
+    # certificate_points and the list form of _assert_freeze take the same
+    # snapshots that the engine's cycle-end pass reads from its buffer
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_mixed(6, 4, 3, m=3)
+        plan = dk.product_space_schedule(4)
+    else:
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    res = dk.run(spec, plan, dk.SolveParams(max_iterations=1))
+    c_analysis, snaps = _freeze_fixture(plan, spec)
+    _assert_freeze(c_analysis, snaps, 1)
+    public = dk.certificate_points(spec, snaps, c_analysis)
+    assert [c.index for c in public] == [c.index for c in res.certificates]
+    for a, b in zip(public, res.certificates):
+        assert np.array_equal(a.point, b.point)
+        assert abs(a.residual - b.residual) <= 1e-15
+        assert abs(a.fenchel - b.fenchel) <= 1e-15
+
+
+def _certificate_point(spec, snaps, c_analysis, i1):
+    """Index i1's certificate point, one snapshot sum at a time."""
+    p = c_analysis.p[i1]
+    if i1 not in c_analysis.via_block:
+        return spec.x0 - snaps[p].sum(axis=0)
+    if i1 > spec.r:
+        return spec.x0 + snaps[p][i1 - 1]
+    q = c_analysis.q[i1]
+    j1 = c_analysis.via_block[i1]
+    part = sorted(i2 - 1 for i2 in c_analysis.block_members[i1] if i2 != j1)
+    return (spec.x0 - snaps[p][part].sum(axis=0)
+            - (snaps[q].sum(axis=0) - snaps[q][part].sum(axis=0)))
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "part_moves_at_q", "deferred"])
+def test_certificate_points_follow_the_formula(case):
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_mixed(6, 4, 3, m=3)
+        plan = dk.product_space_schedule(4)
+    elif case == "mixed_block":
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    elif case == "part_moves_at_q":
+        # term 1 is solved with its copy 3 at sweep 1, the matched outer
+        # solve q of its block at sweep 3
+        spec = fixtures.random_halfspaces(3, 2, 3, m=1)
+        plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={1, 3}),
+                                     dk.SweepPlan(outer={2}),
+                                     dk.SweepPlan(inner={3: {1, 3}})))
+    else:
+        spec = fixtures.random_halfspaces(8, 2, 3, m=2)
+        plan = dk.rewrite_deferred(invalid_deferred_plan(), 2, 2)
+    res = dk.run(spec, plan, dk.SolveParams(max_iterations=1,
+                                            check_level="full"))
+    c_analysis, snaps = _freeze_fixture(plan, spec)
+    x_final = spec.x0 - snaps[-1].sum(axis=0)
+    assert [c.index for c in res.certificates] == list(
+        range(1, spec.n_duals + 1))
+    for c in res.certificates:
+        x = _certificate_point(spec, snaps, c_analysis, c.index)
+        assert np.array_equal(c.point, x)
+        assert c.residual == float(np.linalg.norm(x - x_final))
+        fen = dk.fenchel_residual(spec, snaps[-1], c.index, x)
+        assert c.fenchel == fen or abs(c.fenchel - fen) <= 1e-12
+
+
 def test_run_monotone_objective_and_growth():
     spec = irrational_angle_spec()
     res = dk.run(spec, dk.classic_dykstra_schedule(3),
@@ -522,6 +818,26 @@ def test_run_stop_reasons():
     res = dk.run(spec, dk.classic_dykstra_schedule(2),
                  dk.SolveParams(max_iterations=3))
     assert res.stop_reason == "max_iterations" and res.cycles_run == 3
+
+
+def test_stop_rule_primal_value_matches_the_scalar_reference():
+    # the gap rule sums the term values through the stacks; every term kind
+    # and points on, inside and outside the sets give the same value
+    rng = np.random.default_rng(21)
+    for kind in TERM_KINDS:
+        terms = [sample_term(k, rng, 3)
+                 for k in (kind, "l1", kind, "quadratic", kind)]
+        # the two copies of the set are one, so its points satisfy both
+        terms[2] = terms[4] = terms[0]
+        spec = dk.ProblemSpec(rng.standard_normal(3), terms, m=2)
+        groups = stack_terms(spec.terms, range(spec.r))
+        points = [rng.standard_normal(3) * 3.0 for _ in range(10)]
+        points += [terms[0].prox(x, 1.0) for x in points]
+        values = [spec.primal_value(x) for x in points]
+        assert np.isinf(values).any() or kind in ("l1", "quadratic")
+        assert np.isfinite(values).any()
+        for x, value in zip(points, values):
+            assert engine._primal_value(spec, groups, x) == value
 
 
 def test_run_rejects_invalid_schedule():

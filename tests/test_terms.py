@@ -226,6 +226,22 @@ def _stack_inputs(kind, d):
     return rng, terms, U, Z
 
 
+def _value_points(terms, U):
+    """Points at and around each term's set: u itself, its projection, and
+    the projection moved out along u - P(u) by half of FEAS_TOL and by
+    twice it."""
+    X = U.copy()
+    for k, (t, u) in enumerate(zip(terms, U)):
+        p = t.prox(u, 1.0)
+        out = u - p
+        nrm = float(np.linalg.norm(out))
+        if k % 4 == 1 or nrm == 0.0:
+            X[k] = p
+        elif k % 4 > 1:
+            X[k] = p + (0.5 if k % 4 == 2 else 2.0) * 1e-9 * out / nrm
+    return X
+
+
 def _one_stack(terms):
     [(rows, stack)] = stack_terms(terms, range(len(terms)))
     assert rows.tolist() == list(range(len(terms)))
@@ -239,21 +255,25 @@ def test_stack_rows_independent_of_height_and_order(kind):
             continue
         rng, terms, U, Z = _stack_inputs(kind, d)
         full = _one_stack(terms)
-        M, S = full.moreau(U), full.support(Z)
+        X = _value_points(terms, U)
+        M, S, H = full.moreau(U), full.support(Z), full.value(X)
         if kind == "halfspace":
             assert np.isinf(S).any() and np.isfinite(S).any()
         perm = rng.permutation(STACK_HEIGHT)
         shuffled = _one_stack([terms[i] for i in perm])
         assert np.array_equal(shuffled.moreau(U[perm]), M[perm])
         assert np.array_equal(shuffled.support(Z[perm]), S[perm])
+        assert np.array_equal(shuffled.value(X[perm]), H[perm])
         for k in range(1, STACK_HEIGHT):
             part = _one_stack(terms[:k])
             assert np.array_equal(part.moreau(U[:k]), M[:k])
             assert np.array_equal(part.support(Z[:k]), S[:k])
+            assert np.array_equal(part.value(X[:k]), H[:k])
         for i in range(STACK_HEIGHT):
             single = _one_stack([terms[i]])
             assert np.array_equal(single.moreau(U[i:i + 1]), M[i:i + 1])
             assert np.array_equal(single.support(Z[i:i + 1]), S[i:i + 1])
+            assert np.array_equal(single.value(X[i:i + 1]), H[i:i + 1])
 
 
 @pytest.mark.parametrize("kind,stack_type", [("halfspace", HalfspaceStack),
@@ -272,6 +292,11 @@ def test_stack_matches_scalar_oracles(kind, stack_type):
                 assert s == INF
             else:
                 assert abs(s - c) <= MOREAU_TOL * max(1.0, abs(c))
+        # h_i(x_i) is 0 or +inf, with the same decision as the scalar term
+        X = _value_points(terms, U)
+        H = stack.value(X)
+        assert H.tolist() == [t.value(x) for t, x in zip(terms, X)]
+        assert 0.0 in H and INF in H
 
 
 def test_stack_terms_groups_by_kind():
