@@ -46,7 +46,7 @@ from .state import DualState, dual_objective_from, dual_objective_z
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import DimensionMismatch, stack_terms, stacked_conjugates
+from .terms import DimensionMismatch, _dots, stack_terms, stacked_conjugates
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -394,15 +394,6 @@ def run_sweep(spec, state, sweep, params=None):
 # come sweep by sweep.  Each sum is taken in the order of the scalar formula
 # it stands for, so every per-sweep objective is bitwise equal to
 # dual_objective_from on its snapshot.
-
-def _dots(X, Y):
-    """Row-wise <x_k, y_k>, each bitwise equal to the 1-d product x_k @ y_k.
-
-    A stacked (1, d) @ (d, 1) matmul takes the same dot product as @ on two
-    vectors; the row-wise einsum of the term stacks sums in another order.
-    """
-    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
-
 
 def _quad_parts(spec, X, Z):
     """Rows of spec.quad_value at X and of spec.conjugate_quad at Z."""
@@ -811,18 +802,24 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
 # cycle loop
 # ---------------------------------------------------------------------------
 
-def _primal_value(spec, groups, x):
-    """spec.primal_value(x) through the term stacks of all r rows.
+def _primal_value(spec, groups, x, hint=0):
+    """(spec.primal_value(x), hint) through the term stacks of all r rows.
 
-    The term values are summed in term order, and +inf when one is.
+    The term values are summed in term order, and +inf when one is.  Term
+    `hint` is tried alone first: when its value is +inf, so is the sum, and
+    no stack is evaluated.  The hint returned is the first term at +inf, for
+    the next call, whose point is usually outside the same set.
     """
+    if spec.terms[hint].value(x) == _INF:
+        return _INF, hint
     vals = np.empty(spec.r)
     for rows, stack in groups:
         vals[rows] = stack.value(x)
-    total = sum(vals.tolist(), 0.0)
+    vals = vals.tolist()
+    total = sum(vals, 0.0)
     if total == _INF:
-        return _INF
-    return total + (spec.m + 1) * spec.quad_value(x)
+        return _INF, vals.index(_INF) if _INF in vals else hint
+    return total + (spec.m + 1) * spec.quad_value(x), hint
 
 
 def run(spec, plan, params=None, z_init=None):
@@ -892,6 +889,7 @@ def run(spec, plan, params=None, z_init=None):
     any_approx = False
     stop_reason = "max_iterations"
     cycles_run = 0
+    hint = 0   # the term the gap rule tries first
 
     for n in range(1, params.max_iterations + 1):
         k = n if n <= len(plan.lead_in) else 0
@@ -987,7 +985,7 @@ def run(spec, plan, params=None, z_init=None):
 
         if params.stop_gap is not None:
             x_hat = spec.x0 - z.sum(axis=0)
-            primal = _primal_value(spec, all_terms, x_hat)
+            primal, hint = _primal_value(spec, all_terms, x_hat, hint)
             if (np.isfinite(primal) and np.isfinite(F_cycle)
                     and primal - F_cycle <= params.stop_gap):
                 stop_reason = "gap"

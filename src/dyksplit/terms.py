@@ -298,25 +298,39 @@ def moreau_dual(term, u):
 #
 # value(X) gives the values h_i(x_i) at the rows of X, or h_i(x) at every
 # row for one point x of shape (d,).  An indicator's value is 0 within
-# FEAS_TOL of its set and +inf beyond, as in Indicator.value; the distance
-# comes from the closed form, so it can differ from the projection-based one
-# in the last bits.
+# FEAS_TOL of its set and +inf beyond.  The stacks take Indicator.value's
+# steps row by row, the projection and then the norm of x - P(x), with every
+# dot product through _dots, so each decision is bitwise the scalar one.
 
 def _rowdot(X, Y):
     return np.einsum("ij,ij->i", X, Y)
 
 
+def _dots(X, Y):
+    """Row-wise <x_k, y_k>, each bitwise equal to the 1-d product x_k @ y_k.
+
+    A stacked (1, d) @ (d, 1) matmul takes the same dot product as @ on two
+    vectors; the row-wise einsum above sums in another order.  Y may be one
+    vector of shape (d,), taken against every row of X.
+    """
+    return np.matmul(X[:, None, :], Y[..., None])[:, 0, 0]
+
+
+def _indicator_value(D):
+    """0 where the row of D (x - P(x)) has norm within FEAS_TOL, else +inf."""
+    return np.where(np.sqrt(_dots(D, D)) <= FEAS_TOL, 0.0, _INF)
+
+
 class HalfspaceStack:
     """Indicators of {x : <a_i, x> <= b_i} for the rows a_i of A."""
 
-    __slots__ = ("A", "b", "_nrm2", "_slack")
+    __slots__ = ("A", "b", "_nrm2", "_nrm2_dot")
 
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self._nrm2 = _rowdot(self.A, self.A)
-        # <a_i, x> - b_i <= _slack_i: within FEAS_TOL of the halfspace
-        self._slack = FEAS_TOL * np.sqrt(self._nrm2)
+        self._nrm2_dot = _dots(self.A, self.A)   # Halfspace._nrm2, bitwise
 
     @classmethod
     def of(cls, terms):
@@ -337,8 +351,13 @@ class HalfspaceStack:
         return out
 
     def value(self, X):
-        AX = self.A @ X if X.ndim == 1 else _rowdot(self.A, X)
-        return np.where(AX - self.b <= self._slack, 0.0, _INF)
+        # Halfspace.project: no move when the scaled excess is <= 0 (a NaN
+        # excess stays NaN, and so does the distance)
+        excess = _dots(self.A, X)
+        excess -= self.b
+        excess /= self._nrm2_dot
+        np.maximum(excess, 0.0, out=excess)
+        return _indicator_value(X - (X - excess[:, None] * self.A))
 
 
 class BallStack:
@@ -367,9 +386,15 @@ class BallStack:
         return _rowdot(Z, self.C) + self.radius * np.sqrt(_rowdot(Z, Z))
 
     def value(self, X):
+        # L2Ball.project: no move when ||x - c_i|| <= radius_i
         D = X - self.C
-        return np.where(np.sqrt(_rowdot(D, D)) <= self.radius + FEAS_TOL,
-                        0.0, _INF)
+        nrm = np.sqrt(_dots(D, D))
+        outside = ~(nrm <= self.radius)
+        scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm),
+                          where=outside)
+        R = X - (self.C + scale[:, None] * D)
+        R[~outside] = 0.0
+        return _indicator_value(R)
 
 
 class TermStack:

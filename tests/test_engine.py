@@ -9,7 +9,7 @@ import dyksplit as dk
 from dyksplit import engine, fixtures
 from dyksplit.engine import (EngineInvariantError, NonFiniteStateError,
                              _assert_freeze)
-from dyksplit.terms import stack_terms, stacked_conjugates
+from dyksplit.terms import FEAS_TOL, stack_terms, stacked_conjugates
 
 from .support import (TERM_KINDS, invalid_deferred_plan, irrational_angle_spec,
                       run_until, sample_term, two_halfspace_spec, unit,
@@ -822,7 +822,8 @@ def test_run_stop_reasons():
 
 def test_stop_rule_primal_value_matches_the_scalar_reference():
     # the gap rule sums the term values through the stacks; every term kind
-    # and points on, inside and outside the sets give the same value
+    # and points on, inside and outside the sets, and at distance FEAS_TOL
+    # up to rounding, give the same value
     rng = np.random.default_rng(21)
     for kind in TERM_KINDS:
         terms = [sample_term(k, rng, 3)
@@ -833,11 +834,23 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
         groups = stack_terms(spec.terms, range(spec.r))
         points = [rng.standard_normal(3) * 3.0 for _ in range(10)]
         points += [terms[0].prox(x, 1.0) for x in points]
+        for x in rng.standard_normal((10, 3)) * 30.0:
+            p = terms[0].prox(x, 1.0)
+            out = (x - p) / max(float(np.linalg.norm(x - p)), 1e-300)
+            points += [p + FEAS_TOL * (1.0 + s) * out
+                       for s in rng.uniform(-4e-6, 4e-6, 16)]
         values = [spec.primal_value(x) for x in points]
         assert np.isinf(values).any() or kind in ("l1", "quadratic")
         assert np.isfinite(values).any()
         for x, value in zip(points, values):
-            assert engine._primal_value(spec, groups, x) == value
+            for hint in range(spec.r):
+                got, first = engine._primal_value(spec, groups, x, hint)
+                assert got == value
+                # the next call's hint is a term at +inf, when there is one
+                if got == np.inf:
+                    assert spec.terms[first].value(x) == np.inf
+                else:
+                    assert first == hint
 
 
 def test_run_rejects_invalid_schedule():

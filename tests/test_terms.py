@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit.terms import (BallStack, HalfspaceStack, TermStack, moreau_dual,
-                           stack_terms, stacked_conjugates)
+from dyksplit.terms import (FEAS_TOL, BallStack, HalfspaceStack, TermStack,
+                           moreau_dual, stack_terms, stacked_conjugates)
 
 from .support import TERM_KINDS, sample_term
 
@@ -242,6 +242,22 @@ def _value_points(terms, U):
     return X
 
 
+def _boundary_points(terms, U, rng):
+    """Points at distance FEAS_TOL from each term's set, up to a relative
+    offset of a few 1e-6: about where rounding decides the scalar test."""
+    X, owner = [], []
+    for i, (t, u) in enumerate(zip(terms, U)):
+        p = t.prox(u, 1.0)
+        out = u - p
+        nrm = float(np.linalg.norm(out))
+        if nrm == 0.0:
+            continue
+        for s in rng.uniform(-4e-6, 4e-6, 16):
+            X.append(p + FEAS_TOL * (1.0 + s) * (out / nrm))
+            owner.append(i)
+    return np.array(X), np.array(owner)
+
+
 def _one_stack(terms):
     [(rows, stack)] = stack_terms(terms, range(len(terms)))
     assert rows.tolist() == list(range(len(terms)))
@@ -279,8 +295,9 @@ def test_stack_rows_independent_of_height_and_order(kind):
 @pytest.mark.parametrize("kind,stack_type", [("halfspace", HalfspaceStack),
                                              ("l2ball", BallStack)])
 def test_stack_matches_scalar_oracles(kind, stack_type):
+    both = set()
     for d in STACK_DIMS:
-        _, terms, U, Z = _stack_inputs(kind, d)
+        rng, terms, U, Z = _stack_inputs(kind, d)
         stack = _one_stack(terms)
         assert type(stack) is stack_type
         for t, u, z, m, s in zip(terms, U, Z, stack.moreau(U),
@@ -297,6 +314,22 @@ def test_stack_matches_scalar_oracles(kind, stack_type):
         H = stack.value(X)
         assert H.tolist() == [t.value(x) for t, x in zip(terms, X)]
         assert 0.0 in H and INF in H
+        # at distance FEAS_TOL rounding decides: the same decision, at the
+        # rows and at one point for every row
+        U = U + U * (rng.uniform(size=U.shape) < 0.5) * 40.0
+        X, owner = _boundary_points(terms, U, rng)
+        if len(X):
+            want = [terms[i].value(x) for i, x in zip(owner, X)]
+            assert _one_stack([terms[i] for i in owner]).value(
+                X).tolist() == want
+            both.update(want)
+        for x in X:
+            assert stack.value(x).tolist() == [t.value(x) for t in terms]
+        # a NaN distance is +inf, as in the scalar test
+        with np.errstate(invalid="ignore"):
+            for x in (np.full(d, np.nan), np.full(d, INF)):
+                assert stack.value(x).tolist() == [t.value(x) for t in terms]
+    assert both == {0.0, INF}
 
 
 def test_stack_terms_groups_by_kind():

@@ -87,9 +87,6 @@ def main(argv=None):
                    help="directory holding the dyksplit package")
     p.add_argument("--sizes", nargs="+", type=parse_size, default=SIZES,
                    metavar="RxD", help="grid sizes (default: 10x8 50x20 200x50)")
-    p.add_argument("--schedules", nargs="+", choices=SCHEDULES,
-                   default=SCHEDULES)
-    p.add_argument("--levels", nargs="+", choices=LEVELS, default=LEVELS)
     p.add_argument("--cycles", type=int, default=20)
     p.add_argument("--runs", type=int, default=7,
                    help="timed runs per point, after one warm-up run")
@@ -102,9 +99,9 @@ def main(argv=None):
 
     points = []
     print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} {'us/sweep':>10s}")
-    for schedule in args.schedules:
+    for schedule in SCHEDULES:
         for r, d in args.sizes:
-            for level in args.levels:
+            for level in LEVELS:
                 us, sweeps = time_point(dk, schedule, r, d, level,
                                         args.cycles, args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
