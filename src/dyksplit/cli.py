@@ -67,15 +67,22 @@ def _write_trace(path, fmt, rows, meta):
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
-        payload = {"meta": meta, "rows": [{
-            "n": row.n, "w": row.w, "F": row.F, "v_diff": row.v_diff,
-            "inner_diffs": {str(j): v for j, v in row.inner_diffs.items()},
-            "gamma_n": row.gamma_n, "growth_monitor": row.growth_monitor,
-            "cert_max_residual": row.cert_max_residual,
-            "approx_flag": row.approx} for row in rows]}
+        # one json.dumps per row runs the C encoder, which an indent turns
+        # off, and writes the rows as they are encoded, one per line
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{{"meta": {json.dumps(meta)}, "rows": [')
+            sep = "\n"
+            for row in rows:
+                fh.write(sep + json.dumps({
+                    "n": row.n, "w": row.w, "F": row.F, "v_diff": row.v_diff,
+                    "inner_diffs": {str(j): v
+                                    for j, v in row.inner_diffs.items()},
+                    "gamma_n": row.gamma_n,
+                    "growth_monitor": row.growth_monitor,
+                    "cert_max_residual": row.cert_max_residual,
+                    "approx_flag": row.approx}))
+                sep = ",\n"
+            fh.write("\n]}\n")
 
 
 def _note_workers(args, *built):
@@ -182,7 +189,8 @@ def _run_side(built, n_cycles):
     params = built.params
     params.max_iterations = n_cycles
     params.stop_gap = None
-    result = engine.run(built.spec, built.plan, params, z_init=built.z_init)
+    result = engine.run(built.spec, built.plan, params, z_init=built.z_init,
+                        keep_cycle_starts=True)
     prox = [z[:built.spec.r].copy() for z in result.cycle_start_duals]
     return prox, result.x
 

@@ -136,7 +136,7 @@ class RunResult:
     growth: np.ndarray
     F_per_cycle: np.ndarray
     sq_diff_cumsum: np.ndarray
-    cycle_start_duals: list
+    cycle_start_duals: list | None   # run(..., keep_cycle_starts=True) only
     certificates: list | None
     any_approx: bool
     analysis: sched.ScheduleAnalysis
@@ -146,29 +146,30 @@ class RunResult:
 # subproblem solvers (snapshot in, replacement rows written to out)
 # ---------------------------------------------------------------------------
 #
-# Every solver has the signature (spec, z, arg, params, out) -> exact, where
-# arg is what _CSweep fixed for it at compile time.  Each reads everything it
-# needs from z before it writes out, so out may be z itself when the sweep
-# has one subproblem.
+# Every solver has the signature (spec, z, v, arg, params, out) -> exact,
+# where v is z.sum(axis=0), taken once per snapshot by the caller, and arg is
+# what _CSweep fixed for it at compile time.  Each reads everything it needs
+# from z before it writes out, so out may be z itself when the sweep has one
+# subproblem.
 
-def _prox_row(spec, z, i, params, out):
+def _prox_row(spec, z, v, i, params, out):
     """Outer set {i} with one term row: its dual prox against the rest."""
-    u = spec.x0 - (z.sum(axis=0) - z[i])
+    u = spec.x0 - (v - z[i])
     out[i] = u - spec.terms[i].prox(u, 1.0)
     return True
 
 
-def _quad_rows(spec, z, quad0, params, out):
+def _quad_rows(spec, z, v, quad0, params, out):
     """Outer set of quadratic-copy rows only: all share -rest / (k + 1)."""
-    c = z.sum(axis=0) - z[quad0].sum(axis=0)
+    c = v - z[quad0].sum(axis=0)
     out[quad0] = -c / (quad0.size + 1.0)
     return True
 
 
-def _prox_quad_rows(spec, z, outer0, params, out):
+def _prox_quad_rows(spec, z, v, outer0, params, out):
     """Outer set of one term row outer0[0] plus the quadratic rows after it."""
     i, quad0 = int(outer0[0]), outer0[1:]
-    c = z.sum(axis=0) - z[outer0].sum(axis=0)
+    c = v - z[outer0].sum(axis=0)
     tau = quad0.size + 1.0
     # eliminate the copies: z_i minimizes h_i*(.) + ||. - u_bar||^2/(2 tau)
     u_bar = tau * spec.x0 - c
@@ -179,7 +180,7 @@ def _prox_quad_rows(spec, z, outer0, params, out):
     return True
 
 
-def _stacked_blocks(spec, z, arg, params, out):
+def _stacked_blocks(spec, z, v, arg, params, out):
     """Blocks {I[k], J[k]} with one term member each, in one stacked call.
 
     Exact: the term row takes the dual prox at its block sum plus x0 and the
@@ -193,7 +194,7 @@ def _stacked_blocks(spec, z, arg, params, out):
     return True
 
 
-def _nested_rows(spec, z, arg, params, out):
+def _nested_rows(spec, z, v, arg, params, out):
     """Cyclic coordinate minimization over rows (0-based, sorted); approximate.
 
     Each row takes its dual prox (a quadratic row: -rest / 2) at x0 minus
@@ -207,7 +208,7 @@ def _nested_rows(spec, z, arg, params, out):
     rows, j0 = arg
     work = z[rows]
     if j0 is None:
-        offset = z.sum(axis=0) - work.sum(axis=0)
+        offset = v - work.sum(axis=0)
     else:
         bsum = work.sum(axis=0) + z[j0]
         offset = -bsum
@@ -231,7 +232,7 @@ def _nested_rows(spec, z, arg, params, out):
 
 
 class _Step(NamedTuple):
-    """One compiled subproblem group: solve(spec, z, arg, params, out).
+    """One compiled subproblem group: solve(spec, z, v, arg, params, out).
 
     subs are its subproblems as (rows, margin row): the margin row is a
     block's governing row, or None for the outer set, whose margin is the
@@ -255,10 +256,12 @@ class _CSweep:
     and _nested_rows for two or more term rows.  The sweep's conj_groups
     join the steps', the only cached conjugates it can change.  gov0 are the
     governing rows of the blocks in block_js order, and exact says that no
-    step runs _nested_rows.
+    step runs _nested_rows.  written are the rows the sweep writes, a slice
+    when they are contiguous.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups", "exact")
+    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups", "exact",
+                 "written")
 
     def __init__(self, sweep, spec):
         terms = spec.terms
@@ -299,43 +302,40 @@ class _CSweep:
                                     stack_terms(terms, prox0)))
         self.conj_groups = [g for step in self.steps for g in step.conj_groups]
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
+        rows = sorted({i for step in self.steps for sub, _ in step.subs
+                       for i in sub.tolist()})
+        if rows and rows[-1] - rows[0] + 1 == len(rows):
+            self.written = slice(rows[0], rows[-1] + 1)
+        else:
+            self.written = np.array(rows, dtype=np.intp)
 
 
-def _execute_sweep(spec, z, cs, params, out=None):
-    """Run one sweep against the snapshot z; returns (z_new, exact).
+def _execute_sweep(spec, z, v, cs, params, out):
+    """Run one sweep against the snapshot z, whose row sum is v; returns exact.
 
-    Every step reads z itself, never the rows an earlier step wrote.  z_new
-    is a copy of z with the sweep's rows replaced, written into out when
-    given (a snapshot buffer row) and else a new array, or z itself for an
-    empty sweep.
+    out, another array of z's shape, receives a copy of z with the sweep's
+    rows replaced.  Every step reads z itself, never the rows an earlier
+    step wrote.
     """
-    if out is None:
-        if not cs.steps:
-            return z, True
-        out = z.copy()
-    else:
-        out[...] = z
+    out[...] = z
     exact = True
     for step in cs.steps:
-        exact = step.solve(spec, z, step.arg, params, out) and exact
-    return out, exact
+        exact = step.solve(spec, z, v, step.arg, params, out) and exact
+    return exact
 
 
-def _movement(z_new, z_old, cs, v_new=None, v_old=None):
+def _movement(z_new, z_old, cs, v_new, v_old):
     """How far a sweep moved the dual sum and each block's governing row.
 
-    v_new and v_old, when given, are the row sums of z_new and z_old.
+    v_new and v_old are the row sums of z_new and z_old.  Returns v_diff and
+    the governing rows' moves as a list in cs.block_js order.
     """
-    if v_new is None:
-        v_new = z_new.sum(axis=0)
-    if v_old is None:
-        v_old = z_old.sum(axis=0)
-    v_diff = float(np.linalg.norm(v_new - v_old))
+    dv = v_new - v_old
+    v_diff = math.sqrt(dv.dot(dv))   # np.linalg.norm's formula and bits
     if not cs.block_js:
-        return v_diff, {}
+        return v_diff, []
     diff = z_new[cs.gov0] - z_old[cs.gov0]
-    norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return v_diff, dict(zip(cs.block_js, norms.tolist()))
+    return v_diff, np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def _solve_in_place(spec, z, sweep, params):
     """Run a sweep of at most one subproblem directly on z; returns exact."""
     exact = True
     for step in _CSweep(sweep, spec).steps:
-        exact = step.solve(spec, z, step.arg, params, z)
+        exact = step.solve(spec, z, z.sum(axis=0), step.arg, params, z)
     return exact
 
 
@@ -376,11 +376,14 @@ def run_sweep(spec, state, sweep, params=None):
     params = params or SolveParams()
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
     cs = _CSweep(sweep, spec)
-    z_new, exact = _execute_sweep(spec, state.z, cs, params)
-    v_diff, inner_diffs = _movement(z_new, state.z, cs)
+    v_old = state.z.sum(axis=0)
+    z_new = np.empty_like(state.z)
+    exact = _execute_sweep(spec, state.z, v_old, cs, params, z_new)
+    v_diff, norms = _movement(z_new, state.z, cs, z_new.sum(axis=0), v_old)
     state.z = z_new
     state.w += 1
-    return {"v_diff": v_diff, "inner_diffs": inner_diffs, "exact": exact}
+    return {"v_diff": v_diff, "inner_diffs": dict(zip(cs.block_js, norms)),
+            "exact": exact}
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +776,8 @@ def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
     conj_step = conj_par
     for k, step in enumerate(cs.steps):
         z_step = z_seq.copy()
-        exact = step.solve(spec, z_seq, step.arg, params, z_step)
+        exact = step.solve(spec, z_seq, z_seq.sum(axis=0), step.arg, params,
+                           z_step)
         if k:
             conj_step = stacked_conjugates(step.conj_groups, z_step,
                                            np.empty(spec.r))
@@ -822,7 +826,7 @@ def _primal_value(spec, groups, x, hint=0):
     return total + (spec.m + 1) * spec.quad_value(x), hint
 
 
-def run(spec, plan, params=None, z_init=None):
+def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     """Run the cycle plan until the gap rule or the iteration cap fires.
 
     Parameters
@@ -835,6 +839,10 @@ def run(spec, plan, params=None, z_init=None):
     z_init : array (r+m, d), optional
         Starting duals, zeros when omitted.  Passing the final duals of a
         previous run continues it (per-cycle bookkeeping restarts).
+    keep_cycle_starts : bool
+        Keep a copy of z at every cycle start and at the end in
+        RunResult.cycle_start_duals, which is None otherwise; memory then
+        grows with the cycle count.
     """
     params = params or SolveParams()
     analysis = sched.validate(plan, spec.r, spec.m)
@@ -851,7 +859,7 @@ def run(spec, plan, params=None, z_init=None):
     if z_init is None:
         z = np.zeros((spec.n_duals, spec.d))
     else:
-        z = np.array(z_init, dtype=float)
+        z = np.asarray(z_init, dtype=float)   # copied into buf below
         if z.shape != (spec.n_duals, spec.d):
             raise DimensionMismatch(
                 f"z_init has shape {z.shape}, expected {(spec.n_duals, spec.d)}")
@@ -863,28 +871,33 @@ def run(spec, plan, params=None, z_init=None):
                 for c in (plan.pattern,) + plan.lead_in]
     all_terms = stack_terms(spec.terms, range(spec.r))
 
+    # z and its row sum v live in preallocated buffers, v taken once for
+    # each snapshot.  With checks on, buf is the snapshot buffer: row 0 the
+    # cycle start, row w the duals after sweep w.  With checks off, the
+    # sweeps alternate between two rows.
     sweep_checks = params.check_level in ("sweep", "full")
-    buf = None
+    n_slots = max(map(len, compiled)) + 1 if sweep_checks else 2
+    buf = np.empty((n_slots, spec.n_duals, spec.d))
+    vbuf = np.empty((n_slots, spec.d))
+    buf[0] = z
+    z = buf[0]
+    v = z.sum(axis=0, out=vbuf[0])
+    slot = 0
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
         checks = [_CCheck(c, spec, ca, valid, shared)
                   for c, ca in zip(compiled, analysis.cycles)]
-        # snapshot buffer: row 0 the cycle start, row w the duals after
-        # sweep w; vbuf holds their row sums, taken once for each snapshot
-        buf = np.empty((max(map(len, compiled)) + 1, spec.n_duals, spec.d))
-        vbuf = np.empty(buf.shape[::2])
-        v = z.sum(axis=0)
         # per-row conjugate cache, carried from one cycle's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
-        F_state = dual_objective_from(spec, z, conj)
+        F_state = dual_objective_from(spec, z, conj, v)
     else:
-        F_state = dual_objective_z(spec, z, all_terms)
+        F_state = dual_objective_z(spec, z, all_terms, v)
     F_initial = F_state
 
     cycle_rows = []
     sweep_rows = [] if params.per_sweep_trace else None
     gamma_list, growth_list, F_list, sq_list = [], [], [], []
-    cycle_start_duals = [z.copy()]
+    cycle_start_duals = [z.copy()] if keep_cycle_starts else None
     cert_arrays = None
     any_approx = False
     stop_reason = "max_iterations"
@@ -898,22 +911,24 @@ def run(spec, plan, params=None, z_init=None):
             chk = checks[k]
             margins = np.empty(len(sweeps))
             buf[0] = z
-            z = buf[0]
             vbuf[0] = v
+            z, v = buf[0], vbuf[0]
         gamma_acc = 0.0
         sq_acc = 0.0
         v_acc = 0.0
         cycle_approx = False
 
         for w, cs in enumerate(sweeps, start=1):
-            z_prev = z
-            z, exact = _execute_sweep(spec, z_prev, cs, params,
-                                      None if buf is None else buf[w])
-            if z is not z_prev and not np.isfinite(z).all():
+            z_prev, v_prev = z, v
+            slot = w if sweep_checks else 1 - slot
+            z = buf[slot]
+            exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
+            # the rows the sweep did not write were scanned when written
+            if not np.isfinite(z[cs.written]).all():
                 if sweep_checks:
                     # the sweeps before this one are checked first
                     buf[w:len(sweeps) + 1] = z_prev
-                    vbuf[w:len(sweeps) + 1] = vbuf[w - 1]
+                    vbuf[w:len(sweeps) + 1] = v_prev
                     chk.sweep_pass(spec, buf, vbuf, conj, F_state, margins,
                                    n, params, upto=w - 1)
                 cycle_rows.append(TraceRow(
@@ -922,13 +937,10 @@ def run(spec, plan, params=None, z_init=None):
                     cert_max_residual=None, approx=not exact))
                 raise NonFiniteStateError(
                     f"non-finite duals after cycle {n} sweep {w}")
-            if sweep_checks:
-                v_diff, inner_diffs = _movement(
-                    z, z_prev, cs, z.sum(axis=0, out=vbuf[w]), vbuf[w - 1])
-            else:
-                v_diff, inner_diffs = _movement(z, z_prev, cs)
-            inner_sq = sum(d * d for d in inner_diffs.values())
-            gamma_acc += v_diff + sum(inner_diffs.values())
+            v = z.sum(axis=0, out=vbuf[slot])
+            v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
+            inner_sq = sum(d * d for d in inner)
+            gamma_acc += v_diff + sum(inner)
             sq_acc += v_diff * v_diff + inner_sq
             v_acc += v_diff
             cycle_approx = cycle_approx or not exact
@@ -938,13 +950,13 @@ def run(spec, plan, params=None, z_init=None):
             if sweep_rows is not None:
                 last = w == len(sweeps)
                 sweep_rows.append(TraceRow(
-                    n=n, w=w, F=None, v_diff=v_diff, inner_diffs=inner_diffs,
+                    n=n, w=w, F=None, v_diff=v_diff,
+                    inner_diffs=dict(zip(cs.block_js, inner)),
                     gamma_n=gamma_acc if last else None,
                     growth_monitor=None, cert_max_residual=None,
                     approx=not exact))
 
         if sweep_checks:
-            v = vbuf[len(sweeps)]
             F_sweeps, conj = chk.sweep_pass(spec, buf, vbuf, conj, F_state,
                                             margins, n, params)
             F_sweeps = F_sweeps.tolist()
@@ -953,7 +965,7 @@ def run(spec, plan, params=None, z_init=None):
                 for row, F in zip(sweep_rows[-len(sweeps):], F_sweeps):
                     row.F = F
         else:
-            F_state = dual_objective_z(spec, z, all_terms)
+            F_state = dual_objective_z(spec, z, all_terms, v)
         F_cycle = F_state
         if not any_approx and not cycle_approx and F_list:
             if F_cycle < F_list[-1] - ASCENT_TOL:
@@ -976,7 +988,8 @@ def run(spec, plan, params=None, z_init=None):
             n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
             gamma_n=gamma_acc, growth_monitor=growth,
             cert_max_residual=cert_max, approx=cycle_approx))
-        cycle_start_duals.append(z.copy())
+        if keep_cycle_starts:
+            cycle_start_duals.append(z.copy())
         if sweep_rows is not None and sweep_rows:
             tail = sweep_rows[-1]
             tail.growth_monitor = growth
@@ -984,19 +997,16 @@ def run(spec, plan, params=None, z_init=None):
         cycles_run = n
 
         if params.stop_gap is not None:
-            x_hat = spec.x0 - z.sum(axis=0)
-            primal, hint = _primal_value(spec, all_terms, x_hat, hint)
+            primal, hint = _primal_value(spec, all_terms, spec.x0 - v, hint)
             if (np.isfinite(primal) and np.isfinite(F_cycle)
                     and primal - F_cycle <= params.stop_gap):
                 stop_reason = "gap"
                 break
 
-    if buf is not None:
-        z = z.copy()   # the last snapshot, out of the buffer
-    state = DualState(z, n=cycles_run, w=len(plan.cycle(cycles_run)))
+    state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     return RunResult(
         state=state,
-        x=spec.x0 - z.sum(axis=0),
+        x=spec.x0 - v,
         F=F_list[-1],
         F_initial=F_initial,
         stop_reason=stop_reason,

@@ -114,7 +114,7 @@ def primal_estimate(spec, state):
     return spec.x0 - state.z.sum(axis=0)
 
 
-def dual_objective_from(spec, z, conjugates):
+def dual_objective_from(spec, z, conjugates, v=None):
     """Dual objective on z given its r term conjugates h_i*(z_i), in order.
 
     conjugates is an array of all r values, evaluated up front and summed in
@@ -122,7 +122,7 @@ def dual_objective_from(spec, z, conjugates):
     value goes through this one formula with conjugates from the same
     stacked oracles, which keeps them bitwise equal; the engine's cycle-end
     check pass evaluates it for all sweeps at once in the same order
-    (engine._objectives).
+    (engine._objectives).  v, when given, is z.sum(axis=0).
     """
     total = sum(conjugates.tolist(), 0.0)
     if total == _INF:
@@ -130,22 +130,23 @@ def dual_objective_from(spec, z, conjugates):
     if spec.m:
         shifted = z[spec.r:] + spec.x0
         total += 0.5 * float(np.sum(shifted * shifted)) - spec.m * 0.5 * spec._x0_sq
-    v = z.sum(axis=0)
+    if v is None:
+        v = z.sum(axis=0)
     diff = spec.x0 - v
     total += 0.5 * float(diff @ diff) - 0.5 * spec._x0_sq
     return -total
 
 
-def dual_objective_z(spec, z, groups=None):
+def dual_objective_z(spec, z, groups=None, v=None):
     """Dual objective on a raw (r+m, d) array; -inf outside the domain.
 
     groups are the term stacks of all r rows (terms.stack_terms); they are
-    built here when omitted.
+    built here when omitted.  v, when given, is z.sum(axis=0).
     """
     if groups is None:
         groups = stack_terms(spec.terms, range(spec.r))
     return dual_objective_from(
-        spec, z, stacked_conjugates(groups, z, np.empty(spec.r)))
+        spec, z, stacked_conjugates(groups, z, np.empty(spec.r)), v)
 
 
 def dual_objective(spec, state):

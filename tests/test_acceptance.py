@@ -61,7 +61,8 @@ def test_product_space_equivalence():
         spec = fixtures.random_mixed(200 + k, r, d, m=r - 1)
         hist = dk.product_space_reference(spec, n_cycles=50)
         res = dk.run(spec, dk.product_space_schedule(r),
-                     dk.SolveParams(max_iterations=50, check_level="sweep"))
+                     dk.SolveParams(max_iterations=50, check_level="sweep"),
+                     keep_cycle_starts=True)
         for ref, mine in zip(hist, res.cycle_start_duals):
             diff = mine[:r] - ref
             worst = max(worst, float(np.sqrt((diff * diff).sum(axis=1)).max()))

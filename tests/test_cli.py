@@ -372,3 +372,11 @@ def test_json_trace_contains_inner_diffs(tmp_path):
     rows = payload["rows"]
     assert any(row["inner_diffs"] for row in rows)
     assert all(row["approx_flag"] is False for row in rows)
+    # the meta line, then one row object per line, keys in column order
+    assert list(payload) == ["meta", "rows"]
+    assert list(rows[0]) == ["n", "w", "F", "v_diff", "inner_diffs", "gamma_n",
+                             "growth_monitor", "cert_max_residual",
+                             "approx_flag"]
+    lines = trace.read_text().splitlines()
+    assert len(lines) == len(rows) + 2
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == rows

@@ -1,5 +1,6 @@
 """Subproblem solves, full runs, checks, and the product-space reference."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -312,7 +313,8 @@ def test_run_product_sweep_one_averages_prox_rows():
     spec = irrational_angle_spec(m=2)
     plan = dk.product_space_schedule(3)
     res = dk.run(spec, plan, dk.SolveParams(max_iterations=6,
-                                            check_level="sweep"))
+                                            check_level="sweep"),
+                 keep_cycle_starts=True)
     for z_start in res.cycle_start_duals[1:]:
         # reconstruct sweep 1 from the cycle-start snapshot
         st = dk.DualState(z_start.copy())
@@ -426,19 +428,95 @@ def test_run_cached_objective_is_bitwise_reference(case):
         assert np.isfinite(per_sweep[2:]).all()
 
 
+def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
+    # "off" alternates two z buffers and takes F from dual_objective_z at
+    # cycle ends, "sweep" and "full" write a snapshot buffer and take F from
+    # the per-row conjugate cache; all take each dual sum once per snapshot
+    off, sweep, full = (dk.run(spec, plan,
+                               dk.SolveParams(max_iterations=n_cycles,
+                                              check_level=level))
+                        for level in ("off", "sweep", "full"))
+    for checked in (sweep, full):
+        assert np.array_equal(off.state.z, checked.state.z)
+        assert np.array_equal(off.F_per_cycle, checked.F_per_cycle)
+        assert np.array_equal(off.gamma, checked.gamma)
+        assert np.array_equal(off.sq_diff_cumsum, checked.sq_diff_cumsum)
+    assert np.isfinite(off.F_per_cycle).all()
+
+
 @pytest.mark.parametrize("spec", [fixtures.random_halfspaces(5, 20, 10, m=19),
                                   fixtures.random_mixed(6, 6, 4, m=5)],
                          ids=["halfspaces", "mixed"])
 def test_product_run_same_bits_with_and_without_sweep_checks(spec):
-    # "off" takes F from dual_objective_z at cycle ends and "sweep" from the
-    # per-row conjugate cache; both read the same stacked conjugates
-    plan = dk.product_space_schedule(spec.r)
-    off, checked = (dk.run(spec, plan, dk.SolveParams(max_iterations=30,
-                                                      check_level=level))
-                    for level in ("off", "sweep"))
-    assert np.array_equal(off.state.z, checked.state.z)
-    assert np.array_equal(off.F_per_cycle, checked.F_per_cycle)
-    assert np.isfinite(off.F_per_cycle).all()
+    _assert_same_bits_at_every_check_level(
+        spec, dk.product_space_schedule(spec.r))
+
+
+def _custom_nested_plan():
+    """A pattern with both nested fallbacks, deferred: r = 8, m = 2."""
+    S = dk.SweepPlan
+    plan = dk.CyclePlan(pattern=(
+        S(outer={9}), S(inner={9: {1, 2, 9}}), S(outer={3, 4}),
+        S(outer={10}), S(outer={5}), S(outer={6}, inner={10: {5, 10}}),
+        S(outer={7}), S(outer={8})))
+    return dk.rewrite_deferred(plan, 8, 2)
+
+
+@pytest.mark.parametrize("case", ["classic", "mixed_block", "custom_nested"])
+def test_run_same_bits_at_every_check_level(case):
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "mixed_block":
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    else:
+        spec = fixtures.random_mixed(8, 8, 6, m=2)
+        plan = _custom_nested_plan()
+        assert plan.lead_in
+    _assert_same_bits_at_every_check_level(spec, plan)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_the_cycle_count():
+    # with checks off a run keeps two z buffers; per cycle it adds only its
+    # trace rows, far below the full copy of z that it once kept per cycle
+    spec = fixtures.random_halfspaces(3, 50, 20, m=49)
+    plan = dk.product_space_schedule(50)
+    n = 20
+    z_bytes = spec.n_duals * spec.d * np.dtype(float).itemsize
+
+    def solve(n_cycles):
+        return lambda: dk.run(spec, plan, dk.SolveParams(
+            max_iterations=n_cycles, check_level="off"))
+
+    solve(2)()   # compiles and caches outside the measurement
+    growth = (_peak_bytes(solve(4 * n)) - _peak_bytes(solve(n))) / (3 * n)
+    assert growth < z_bytes / 4
+
+
+def test_run_keeps_cycle_starts_only_on_request():
+    spec = fixtures.random_halfspaces(3, 50, 20, m=49)
+    plan = dk.product_space_schedule(50)
+    n = 4
+    params = dk.SolveParams(max_iterations=n, check_level="off")
+    assert dk.run(spec, plan, params).cycle_start_duals is None
+    starts = dk.run(spec, plan, params, keep_cycle_starts=True
+                    ).cycle_start_duals
+    assert len(starts) == n + 1
+    assert not starts[0].any()
+    for k in range(1, n + 1):
+        ends = dk.run(spec, plan, dk.SolveParams(max_iterations=k,
+                                                 check_level="off"))
+        assert np.array_equal(starts[k], ends.state.z)
 
 
 def _freeze_fixture(plan, spec):
@@ -521,8 +599,8 @@ def _after_prox_row(monkeypatch, *faults):
     """Apply each fault(spec, z, i, out) after every _prox_row solve."""
     orig = engine._prox_row
 
-    def solver(spec, z, i, params, out):
-        exact = orig(spec, z, i, params, out)
+    def solver(spec, z, v, i, params, out):
+        exact = orig(spec, z, v, i, params, out)
         for fault in faults:
             fault(spec, z, i, out)
         return exact
@@ -586,6 +664,7 @@ def _classic_faults(monkeypatch, *faults):
 
 
 _STAT_1 = "cycle 2 sweep 1: stationarity residual inf at index 1"
+_NON_FINITE = "non-finite duals after cycle 2 sweep 5"
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
@@ -643,7 +722,7 @@ def test_fault_certificate_distance(monkeypatch, level):
 
     def short(*args):
         v, inner = orig(*args)
-        return 0.1 * v, {j: 0.1 * d for j, d in inner.items()}
+        return 0.1 * v, [0.1 * d for d in inner]
 
     monkeypatch.setattr(engine, "_movement", short)
     spec = fixtures.random_halfspaces(1, 6, 4)
@@ -661,8 +740,8 @@ def test_fault_certificate_fenchel(monkeypatch, level):
     # its term's certificate point misses the set
     orig = engine._stacked_blocks
 
-    def half(spec, z, arg, params, out):
-        exact = orig(spec, z, arg, params, out)
+    def half(spec, z, v, arg, params, out):
+        exact = orig(spec, z, v, arg, params, out)
         _, I, J = arg
         bsum = z[I] + z[J]
         out[I] = z[I] + 0.5 * (out[I] - z[I])
@@ -707,14 +786,16 @@ def test_fault_first_failing_sweep_wins(monkeypatch, faults, message):
                                           check_level="full"))
 
 
-@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
 def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
                                                            level):
-    spec, plan = _classic_faults(monkeypatch, _step(0, 0.5),
-                                 _non_finite(4))
-    with pytest.raises(EngineInvariantError, match=f"^{_STAT_1}$"):
+    spec, plan = _classic_faults(monkeypatch, _step(0, 0.5), _non_finite(4))
+    # "off" has no stationarity check: the non-finite sweep fails first
+    message = (_NON_FINITE if level == "off" else _STAT_1)
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
         dk.run(spec, plan, dk.SolveParams(max_iterations=4,
                                           check_level=level))
+    # the written rows are scanned before any dual sum reads them, and
     # nothing is evaluated on the non-finite duals: no RuntimeWarning
     for value in (np.nan, np.inf):
         monkeypatch.undo()
@@ -722,8 +803,7 @@ def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteStateError,
-                               match="^non-finite duals after cycle 2"
-                                     " sweep 5$"):
+                               match=f"^{_NON_FINITE}$"):
                 dk.run(spec, plan, dk.SolveParams(max_iterations=4,
                                                   check_level=level))
 
@@ -913,7 +993,8 @@ def test_engine_matches_product_space_reference():
         spec = dk.ProblemSpec(rng.standard_normal(d) * 1.5, terms, m=r - 1)
         hist = dk.product_space_reference(spec, n_cycles=30)
         res = dk.run(spec, dk.product_space_schedule(r),
-                     dk.SolveParams(max_iterations=30, check_level="full"))
+                     dk.SolveParams(max_iterations=30, check_level="full"),
+                     keep_cycle_starts=True)
         assert len(res.cycle_start_duals) == 31 and len(hist) == 31
         for mine, ref in zip(res.cycle_start_duals, hist):
             assert np.allclose(mine[:r], ref, atol=1e-9)
