@@ -57,6 +57,22 @@ def _numbers(value, where):
     return value
 
 
+def _object(d, where):
+    """d, which must be a JSON object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object,"
+                          f" not {type(d).__name__}")
+    return d
+
+
+def _list(value, where):
+    """value, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list,"
+                          f" not {type(value).__name__}")
+    return value
+
+
 def _only_keys(d, allowed, where):
     extra = set(d) - set(allowed)
     if extra:
@@ -69,11 +85,8 @@ def _section(cls, d, where):
     The keys are cls's fields; a field whose default factory is itself a
     dataclass is a subsection and is parsed the same way.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object,"
-                          f" not {type(d).__name__}")
     fs = {f.name: f for f in fields(cls)}
-    _only_keys(d, fs, where)
+    _only_keys(_object(d, where), fs, where)
     kwargs = {}
     for k, v in d.items():
         sub = fs[k].default_factory
@@ -165,10 +178,7 @@ _TERM_KEYS = {
 def term_from_dict(d, dim, position=None):
     """The term of a config's term object; position (1-based) names it."""
     where = "term" if position is None else f"term {position}"
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object,"
-                          f" not {type(d).__name__}")
-    if "kind" not in d:
+    if "kind" not in _object(d, where):
         raise ConfigError(f"{where} has no kind")
     kind = d["kind"]
     if kind not in _TERM_KEYS:
@@ -203,26 +213,35 @@ def term_to_dict(term):
     raise ConfigError(f"{type(obj).__name__} has no config form")
 
 
-def sweep_from_dict(d):
-    _only_keys(d, ("outer", "blocks"), "sweep")
+def sweep_from_dict(d, where):
+    """The SweepPlan of a config's sweep object; where names it."""
+    _only_keys(_object(d, where), ("outer", "blocks"), where)
     inner = {}
-    for j, members in (d.get("blocks") or {}).items():
+    for j, members in _object(d.get("blocks") or {},
+                              f"{where} blocks").items():
         # JSON object keys are strings
-        inner[int(j)] = frozenset(_integer(i, "sweep index") for i in members)
+        inner[int(j)] = frozenset(_integer(i, "sweep index") for i in
+                                  _list(members, f"{where} block {j}"))
     return SweepPlan(
         outer=frozenset(_integer(i, "sweep index")
-                        for i in d.get("outer") or ()),
+                        for i in _list(d.get("outer") or [], f"{where} outer")),
         inner=inner)
 
 
+def _sweeps(sweeps, where):
+    return tuple(sweep_from_dict(s, f"{where} sweep {k}")
+                 for k, s in enumerate(_list(sweeps, where), start=1))
+
+
 def plan_from_cycles(cycles):
-    _only_keys(cycles, ("pattern", "lead_in"), "schedule.cycles")
+    _only_keys(_object(cycles, "schedule.cycles"), ("pattern", "lead_in"),
+               "schedule.cycles")
     if not cycles.get("pattern"):
         raise ConfigError("custom schedule needs a nonempty pattern")
-    pattern = tuple(sweep_from_dict(s) for s in cycles["pattern"])
-    lead = tuple(tuple(sweep_from_dict(s) for s in c)
-                 for c in cycles.get("lead_in") or ())
-    return CyclePlan(pattern=pattern, lead_in=lead)
+    lead = _list(cycles.get("lead_in") or [], "lead_in")
+    return CyclePlan(pattern=_sweeps(cycles["pattern"], "pattern"),
+                     lead_in=tuple(_sweeps(c, f"lead_in cycle {k}")
+                                   for k, c in enumerate(lead, start=1)))
 
 
 @dataclass

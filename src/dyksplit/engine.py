@@ -14,8 +14,8 @@ The blocks with a single term member are where a sweep is parallel: they are
 grouped by term kind and each group is solved in one vectorized call of a
 term stack (terms.stack_terms), the product-space schedule's r-1 blocks
 included.  The dual objective reads its conjugates through the same stacks.
-A stack's row results do not depend on the other rows, so a block solved on
-its own (solve_inner_block) gives the same bits as inside its sweep.
+A stack's rows are bitwise the scalar oracles', so a block solved on its
+own (solve_inner_block) gives the same bits as inside its sweep.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots,
@@ -335,7 +335,7 @@ def _movement(z_new, z_old, cs, v_new, v_old):
     if not cs.block_js:
         return v_diff, []
     diff = z_new[cs.gov0] - z_old[cs.gov0]
-    return v_diff, np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
+    return v_diff, np.sqrt(_dots(diff, diff)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -572,22 +572,18 @@ def _certificate_list(X, residuals, fenchels):
                 zip(X, residuals.tolist(), fenchels.tolist()))]
 
 
-def certificate_points(spec, snaps, c_analysis, conjugates=None):
+def certificate_points(spec, snaps, c_analysis):
     """Per-index primal certificates from one cycle's sweep snapshots.
 
     snaps[w] must be the duals after sweep w (snaps[0] the cycle start), as
     a list or one array, and the analysis must be valid for this cycle.
-    conjugates, when given, are the r term conjugates at snaps[-1]; they
-    are evaluated through the term stacks otherwise.  The engine computes
-    its certificates through the same arrays.
+    The engine computes its certificates through the same arrays.
     """
     S = np.asarray(snaps, dtype=float)
     groups = stack_terms(spec.terms, range(spec.r))
-    if conjugates is None:
-        conjugates = stacked_conjugates(groups, S[-1], np.empty(spec.r))
     return _certificate_list(*_certificates(
         spec, S, S.sum(axis=1), _cert_layout(c_analysis, spec.r), groups,
-        conjugates))
+        stacked_conjugates(groups, S[-1], np.empty(spec.r))))
 
 
 class _CCheck:

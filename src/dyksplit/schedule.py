@@ -79,9 +79,6 @@ class SweepPlan:
             out |= members
         return out
 
-    def is_empty(self):
-        return not self.outer and not self.inner
-
 
 @dataclass(frozen=True, eq=True)
 class CyclePlan:

@@ -52,19 +52,32 @@ def _vec(x, d, name="x"):
 # projectable sets
 # ---------------------------------------------------------------------------
 
-class Halfspace:
-    """{x : <a, x> <= b} with a nonzero."""
+class _LinearSet:
+    """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero."""
 
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float).ravel()
         self.dim = self.a.size
         self.b = float(b)
         nrm2 = float(self.a @ self.a)   # finite exactly when a is, see _finite
+        name = type(self).__name__.lower()
         if not (math.isfinite(nrm2) and math.isfinite(self.b)):
-            raise ValueError("halfspace data must be finite")
+            raise ValueError(f"{name} data must be finite")
         if nrm2 == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+            raise ValueError(f"{name} normal must be nonzero")
         self._nrm2 = nrm2
+
+    def _line(self, z):
+        """(s, off): z's coordinate s along a, and whether z is off the line
+        through a, the domain of the support function up to its sign."""
+        z = _vec(z, self.dim, "z")
+        s = float(self.a @ z) / self._nrm2
+        resid = float(np.linalg.norm(z - s * self.a))
+        return s, resid > DOM_TOL * max(1.0, float(np.linalg.norm(z)))
+
+
+class Halfspace(_LinearSet):
+    """{x : <a, x> <= b} with a nonzero."""
 
     def project(self, u):
         u = _vec(u, self.dim, "u")
@@ -75,27 +88,12 @@ class Halfspace:
 
     def support(self, z):
         # dom sigma = nonnegative ray through a
-        z = _vec(z, self.dim, "z")
-        s = float(self.a @ z) / self._nrm2
-        resid = float(np.linalg.norm(z - s * self.a))
-        if resid > DOM_TOL * max(1.0, float(np.linalg.norm(z))) or s < -DOM_TOL:
-            return _INF
-        return self.b * s
+        s, off = self._line(z)
+        return _INF if off or s < -DOM_TOL else self.b * s
 
 
-class Hyperplane:
+class Hyperplane(_LinearSet):
     """{x : <a, x> = b} with a nonzero."""
-
-    def __init__(self, a, b):
-        self.a = np.asarray(a, dtype=float).ravel()
-        self.dim = self.a.size
-        self.b = float(b)
-        nrm2 = float(self.a @ self.a)   # finite exactly when a is, see _finite
-        if not (math.isfinite(nrm2) and math.isfinite(self.b)):
-            raise ValueError("hyperplane data must be finite")
-        if nrm2 == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        self._nrm2 = nrm2
 
     def project(self, u):
         u = _vec(u, self.dim, "u")
@@ -103,12 +101,8 @@ class Hyperplane:
 
     def support(self, z):
         # dom sigma = the line through a, any sign
-        z = _vec(z, self.dim, "z")
-        s = float(self.a @ z) / self._nrm2
-        resid = float(np.linalg.norm(z - s * self.a))
-        if resid > DOM_TOL * max(1.0, float(np.linalg.norm(z))):
-            return _INF
-        return self.b * s
+        s, off = self._line(z)
+        return _INF if off else self.b * s
 
 
 class Box:
@@ -290,28 +284,20 @@ def moreau_dual(term, u):
 # stacked oracles: k terms of one kind, one row each
 # ---------------------------------------------------------------------------
 #
-# moreau(U) is U - prox(U) and support(Z) the conjugates h_i*(z_i), row by
-# row over a (k, d) array.  A row's result depends only on that row, never
-# on the stack's height or the row order (row-wise einsum has this property;
-# a matrix-vector product does not), so a sweep's grouped block step, a
-# single-block solve and every conjugate evaluation agree bitwise.
-#
-# value(X) gives the values h_i(x_i) at the rows of X, or h_i(x) at every
-# row for one point x of shape (d,).  An indicator's value is 0 within
-# FEAS_TOL of its set and +inf beyond.  The stacks take Indicator.value's
-# steps row by row, the projection and then the norm of x - P(x), with every
-# dot product through _dots, so each decision is bitwise the scalar one.
-
-def _rowdot(X, Y):
-    return np.einsum("ij,ij->i", X, Y)
-
+# moreau(U) gives U - prox(U), support(Z) the conjugates h_i*(z_i) and
+# value(X) the values h_i(x_i), row by row over a (k, d) array; value also
+# takes one point x of shape (d,) and gives h_i(x) at every row.  The
+# closed-form stacks take the scalar oracles' steps row by row, with every
+# dot product through _dots, and derive moreau and value from project as
+# moreau_dual and Indicator.value do, so each row is bitwise the scalar
+# oracle's and never depends on the stack's height or row order.
 
 def _dots(X, Y):
     """Row-wise <x_k, y_k>, each bitwise equal to the 1-d product x_k @ y_k.
 
     A stacked (1, d) @ (d, 1) matmul takes the same dot product as @ on two
-    vectors; the row-wise einsum above sums in another order.  Y may be one
-    vector of shape (d,), taken against every row of X.
+    vectors, whose summation order other row-wise reductions do not keep.
+    Y may be one vector of shape (d,), taken against every row of X.
     """
     return np.matmul(X[:, None, :], Y[..., None])[:, 0, 0]
 
@@ -321,46 +307,49 @@ def _indicator_value(D):
     return np.where(np.sqrt(_dots(D, D)) <= FEAS_TOL, 0.0, _INF)
 
 
-class HalfspaceStack:
+class _SetStack:
+    """Indicators of k sets of one kind; subclasses give project and support."""
+
+    __slots__ = ()
+
+    def moreau(self, U):
+        return U - self.project(U)
+
+    def value(self, X):
+        return _indicator_value(X - self.project(X))
+
+
+class HalfspaceStack(_SetStack):
     """Indicators of {x : <a_i, x> <= b_i} for the rows a_i of A."""
 
-    __slots__ = ("A", "b", "_nrm2", "_nrm2_dot")
+    __slots__ = ("A", "b", "_nrm2")
 
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self._nrm2 = _rowdot(self.A, self.A)
-        self._nrm2_dot = _dots(self.A, self.A)   # Halfspace._nrm2, bitwise
+        self._nrm2 = _dots(self.A, self.A)
 
     @classmethod
     def of(cls, terms):
         return cls([t.set.a for t in terms], [t.set.b for t in terms])
 
-    def moreau(self, U):
-        # U - P(U) is the positive part of the scaled excess along a_i
-        excess = (_rowdot(self.A, U) - self.b) / self._nrm2
-        return np.maximum(excess, 0.0)[:, None] * self.A
+    def project(self, U):
+        # Halfspace.project: no move where the scaled excess is <= 0
+        excess = (_dots(self.A, U) - self.b) / self._nrm2
+        return np.where((excess <= 0.0)[:, None], U,
+                        U - excess[:, None] * self.A)
 
     def support(self, Z):
-        # dom sigma = nonnegative ray through a_i, tested as in Halfspace
-        s = _rowdot(self.A, Z) / self._nrm2
+        # Halfspace.support: dom sigma = nonnegative ray through a_i
+        s = _dots(self.A, Z) / self._nrm2
         R = Z - s[:, None] * self.A
-        tol = DOM_TOL * np.maximum(1.0, np.sqrt(_rowdot(Z, Z)))
+        tol = DOM_TOL * np.maximum(1.0, np.sqrt(_dots(Z, Z)))
         out = self.b * s
-        out[(np.sqrt(_rowdot(R, R)) > tol) | (s < -DOM_TOL)] = _INF
+        out[(np.sqrt(_dots(R, R)) > tol) | (s < -DOM_TOL)] = _INF
         return out
 
-    def value(self, X):
-        # Halfspace.project: no move when the scaled excess is <= 0 (a NaN
-        # excess stays NaN, and so does the distance)
-        excess = _dots(self.A, X)
-        excess -= self.b
-        excess /= self._nrm2_dot
-        np.maximum(excess, 0.0, out=excess)
-        return _indicator_value(X - (X - excess[:, None] * self.A))
 
-
-class BallStack:
+class BallStack(_SetStack):
     """Indicators of {x : ||x - c_i|| <= radius_i} for the rows c_i of C."""
 
     __slots__ = ("C", "radius")
@@ -373,32 +362,21 @@ class BallStack:
     def of(cls, terms):
         return cls([t.set.center for t in terms], [t.set.radius for t in terms])
 
-    def moreau(self, U):
-        # U - P(U) = (1 - radius / ||U - C||) (U - C) outside the ball, else 0
+    def project(self, U):
+        # L2Ball.project: no move where ||u - c_i|| <= radius_i
         D = U - self.C
-        nrm = np.sqrt(_rowdot(D, D))
-        outside = nrm > self.radius
-        scale = np.divide(nrm - self.radius, nrm, out=np.zeros_like(nrm),
-                          where=outside)
-        return scale[:, None] * D
+        nrm = np.sqrt(_dots(D, D))
+        inside = nrm <= self.radius
+        scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm),
+                          where=~inside)
+        return np.where(inside[:, None], U, self.C + scale[:, None] * D)
 
     def support(self, Z):
-        return _rowdot(Z, self.C) + self.radius * np.sqrt(_rowdot(Z, Z))
-
-    def value(self, X):
-        # L2Ball.project: no move when ||x - c_i|| <= radius_i
-        D = X - self.C
-        nrm = np.sqrt(_dots(D, D))
-        outside = ~(nrm <= self.radius)
-        scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm),
-                          where=outside)
-        R = X - (self.C + scale[:, None] * D)
-        R[~outside] = 0.0
-        return _indicator_value(R)
+        return _dots(Z, self.C) + self.radius * np.sqrt(_dots(Z, Z))
 
 
 class TermStack:
-    """Any terms, through each row's own prox and conjugate."""
+    """Any terms, through each row's own prox, conjugate and value."""
 
     __slots__ = ("terms",)
 
@@ -417,8 +395,7 @@ class TermStack:
                         dtype=float)
 
     def value(self, X):
-        if X.ndim == 1:
-            return np.array([t.value(X) for t in self.terms], dtype=float)
+        X = np.broadcast_to(X, (len(self.terms), X.shape[-1]))
         return np.array([t.value(x) for t, x in zip(self.terms, X)],
                         dtype=float)
 

@@ -134,13 +134,22 @@ def _custom(m, pattern):
      "splitting.m must be an integer, not 0.5"),
     ({"problem": _corner_problem(), "output": {"per_sweep": 1}},
      "output.per_sweep must be true or false, not 1"),
+    ({"problem": _corner_problem(),
+      "splitting": {"m": 0, "schedule": {"mode": "custom", "cycles": []}}},
+     "schedule.cycles must be a JSON object, not list"),
+    ({"problem": _corner_problem(), "splitting": _custom(0, [["outer"]])},
+     "pattern sweep 1 must be a JSON object, not list"),
+    ({"problem": _corner_problem(),
+      "splitting": _custom(1, [{"outer": [1, 2]}, {"blocks": [1, 2]}])},
+     "pattern sweep 2 blocks must be a JSON object, not list"),
 ], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
         "nested-tol-nan", "z-init-nan", "max-iterations-null",
         "nested-tol-list", "stop-gap-object", "halfspace-b-null", "x0-string",
         "term-number", "m-string", "sweep-index-string",
         "max-iterations-fraction", "per-sweep-string", "halfspace-b-bool",
         "stop-gap-bool", "nested-tol-string", "workers-fraction",
-        "nested-bcm-sweeps-bool", "m-fraction", "per-sweep-number"])
+        "nested-bcm-sweeps-bool", "m-fraction", "per-sweep-number",
+        "cycles-list", "sweep-list", "blocks-list"])
 def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg, match):
     path = _dump(tmp_path, "run.json", cfg)
     assert main(["solve", path]) == 1

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit.terms import (FEAS_TOL, BallStack, HalfspaceStack, TermStack,
-                           moreau_dual, stack_terms, stacked_conjugates)
+from dyksplit.terms import (DOM_TOL, FEAS_TOL, BallStack, HalfspaceStack,
+                           TermStack, moreau_dual, stack_terms,
+                           stacked_conjugates)
 
 from .support import TERM_KINDS, sample_term
 
@@ -292,44 +293,75 @@ def test_stack_rows_independent_of_height_and_order(kind):
             assert np.array_equal(single.value(X[i:i + 1]), H[i:i + 1])
 
 
+def _dual_boundary_points(terms, rng):
+    """Duals about where rounding decides a halfspace's support domain test:
+    off the ray through a by DOM_TOL times their norm, and on the line just
+    before the ray's start, both up to a relative offset of a few 1e-6."""
+    X, owner = [], []
+    for i, t in enumerate(terms):
+        a = t.set.a
+        if a.size > 1:
+            e = rng.standard_normal(a.size)
+            e -= (e @ a) / (a @ a) * a
+            z = rng.uniform(0.5, 3.0) * a
+            tol = DOM_TOL * max(1.0, float(np.linalg.norm(z)))
+            X += [z + tol * (1.0 + s) * e / np.linalg.norm(e)
+                  for s in rng.uniform(-4e-6, 4e-6, 8)]
+        X += [-DOM_TOL * (1.0 + s) * a for s in rng.uniform(-4e-6, 4e-6, 8)]
+        owner += [i] * (len(X) - len(owner))
+    return np.array(X), np.array(owner)
+
+
+def _assert_scalar_rows(terms, X):
+    """moreau, support and value of the stack of terms at the rows of X are
+    those of moreau_dual, conjugate and value, row by row."""
+    stack = _one_stack(terms)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = stack.moreau(X), stack.support(X), stack.value(X)
+        want = (np.array([moreau_dual(t, x) for t, x in zip(terms, X)]),
+                np.array([t.conjugate(x) for t, x in zip(terms, X)]),
+                np.array([t.value(x) for t, x in zip(terms, X)]))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    return want
+
+
 @pytest.mark.parametrize("kind,stack_type", [("halfspace", HalfspaceStack),
                                              ("l2ball", BallStack)])
 def test_stack_matches_scalar_oracles(kind, stack_type):
-    both = set()
+    values, supports = set(), set()
     for d in STACK_DIMS:
         rng, terms, U, Z = _stack_inputs(kind, d)
-        stack = _one_stack(terms)
-        assert type(stack) is stack_type
-        for t, u, z, m, s in zip(terms, U, Z, stack.moreau(U),
-                                 stack.support(Z)):
-            assert np.abs(m - moreau_dual(t, u)).max() <= MOREAU_TOL * max(
-                1.0, float(np.abs(u).max()))
-            c = t.conjugate(z)
-            if c == INF:
-                assert s == INF
-            else:
-                assert abs(s - c) <= MOREAU_TOL * max(1.0, abs(c))
-        # h_i(x_i) is 0 or +inf, with the same decision as the scalar term
-        X = _value_points(terms, U)
-        H = stack.value(X)
-        assert H.tolist() == [t.value(x) for t, x in zip(terms, X)]
+        assert type(_one_stack(terms)) is stack_type
+        # h_i(x) is 0 or +inf, with the same decision as the scalar term
+        _assert_scalar_rows(terms, U)
+        _assert_scalar_rows(terms, Z)
+        H = _assert_scalar_rows(terms, _value_points(terms, U))[2]
         assert 0.0 in H and INF in H
-        # at distance FEAS_TOL rounding decides: the same decision, at the
-        # rows and at one point for every row
+        # at distance FEAS_TOL from a set and at the edge of a support
+        # function's domain rounding decides: the same decision
         U = U + U * (rng.uniform(size=U.shape) < 0.5) * 40.0
         X, owner = _boundary_points(terms, U, rng)
         if len(X):
-            want = [terms[i].value(x) for i, x in zip(owner, X)]
-            assert _one_stack([terms[i] for i in owner]).value(
-                X).tolist() == want
-            both.update(want)
-        for x in X:
-            assert stack.value(x).tolist() == [t.value(x) for t in terms]
-        # a NaN distance is +inf, as in the scalar test
+            values.update(_assert_scalar_rows(
+                [terms[i] for i in owner], X)[2].tolist())
+        if kind == "halfspace":
+            Xd, owner_d = _dual_boundary_points(terms, rng)
+            supports.update(np.isinf(_assert_scalar_rows(
+                [terms[i] for i in owner_d], Xd)[1]).tolist())
+        # a NaN or infinite point gives NaN or +inf, as in the scalar oracle
+        bad = U.copy()
+        bad[0::3, 0] = np.nan
+        bad[1::3] = INF
+        bad[2::3, -1] = -INF
+        _assert_scalar_rows(terms, bad)
+        # one point x for every row
         with np.errstate(invalid="ignore"):
-            for x in (np.full(d, np.nan), np.full(d, INF)):
-                assert stack.value(x).tolist() == [t.value(x) for t in terms]
-    assert both == {0.0, INF}
+            for x in [*X, *bad]:
+                assert (_one_stack(terms).value(x).tolist()
+                        == [t.value(x) for t in terms])
+    assert values == {0.0, INF}
+    assert kind != "halfspace" or supports == {False, True}
 
 
 def test_stack_terms_groups_by_kind():
@@ -343,7 +375,4 @@ def test_stack_terms_groups_by_kind():
     Z = np.array([moreau_dual(t, u)
                   for t, u in zip(terms, rng.standard_normal((6, 4)))])
     got = stacked_conjugates(groups, Z, np.full(6, np.nan))
-    want = np.array([t.conjugate(z) for t, z in zip(terms, Z)])
-    assert np.abs(got - want).max() <= MOREAU_TOL
-    # the generic stack calls each term's own oracle
-    assert np.array_equal(got[[3, 0]], want[[3, 0]])
+    assert np.array_equal(got, [t.conjugate(z) for t, z in zip(terms, Z)])

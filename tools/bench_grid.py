@@ -3,18 +3,21 @@
 Run from the root of a checkout:
 
     python3 tools/bench_grid.py --out grid.json
+    python3 tools/bench_grid.py --src ../parent/src --src src   # two trees
     python3 tools/bench_grid.py --sizes 10x8 --runs 1 --cycles 2   # smoke run
 
 Each grid point runs engine.run on fixtures.random_halfspaces(1, r, d) (the
 product schedule with m = r - 1) for a fixed number of cycles, with no stop
 rule, once as a warm-up and then --runs times.  It reports the best timed
 run in microseconds per sweep.  The grid is {classic, product} x --sizes x
-{off, sweep, full}.  The package is imported from --src, by default the src/
-directory of this checkout, so one script can time two trees.  BLAS and
+{off, sweep, full}.  The package is imported from each --src, by default the
+src/ directory of this checkout.  Given two trees, each grid point times
+them in turn, one run of each at a time, and flips which goes first from
+run to run, so that a drift in machine speed reaches both alike.  BLAS and
 OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
-The last line of standard output is the JSON result; --out also writes it
-to a file.
+The last line of standard output is the JSON result, with one time per tree
+in each point's us_per_sweep; --out also writes it to a file.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -48,43 +52,55 @@ def parse_size(text):
         raise argparse.ArgumentTypeError(f"size {text!r} is not RxD") from None
 
 
-def import_package(src):
-    sys.path.insert(0, str(src))
-    import dyksplit
-    import dyksplit.fixtures  # noqa: F401  (dk.fixtures below)
-    if Path(dyksplit.__file__).resolve().parent.parent != Path(src).resolve():
-        raise SystemExit(f"imported dyksplit from {dyksplit.__file__},"
-                         f" not from {src}")
-    return dyksplit
+def import_package(src, name):
+    """The dyksplit package in the directory src, as the module name."""
+    init = Path(src).resolve() / "dyksplit" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no dyksplit package in {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    dk = importlib.util.module_from_spec(spec)
+    sys.modules[name] = dk
+    spec.loader.exec_module(dk)
+    importlib.import_module(f"{name}.fixtures")   # dk.fixtures below
+    return dk
 
 
-def time_point(dk, schedule, r, d, level, cycles, runs):
-    """Best of runs timed solves, in microseconds per sweep."""
-    if schedule == "classic":
-        spec = dk.fixtures.random_halfspaces(1, r, d)
-        plan = dk.classic_dykstra_schedule(r)
-    else:
-        spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
-        plan = dk.product_space_schedule(r)
-    params = dk.SolveParams(max_iterations=cycles, check_level=level)
+def time_point(packages, schedule, r, d, level, cycles, runs):
+    """Best of runs timed solves per package, in microseconds per sweep."""
+    solves = []
+    for dk in packages:
+        if schedule == "classic":
+            spec = dk.fixtures.random_halfspaces(1, r, d)
+            plan = dk.classic_dykstra_schedule(r)
+        else:
+            spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
+            plan = dk.product_space_schedule(r)
+        params = dk.SolveParams(max_iterations=cycles, check_level=level)
+        solves.append((dk, spec, plan, params))
     sweeps = cycles * len(plan.pattern)
-    best = float("inf")
+    best = [float("inf")] * len(packages)
     with warnings.catch_warnings():
         # the product schedule's growth monitor is advisory; expected here
-        warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
+        for dk in packages:
+            warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
         for k in range(runs + 1):
-            t0 = perf_counter()
-            dk.run(spec, plan, params)
-            elapsed = perf_counter() - t0
-            if k:   # run 0 is the warm-up
-                best = min(best, elapsed)
-    return 1e6 * best / sweeps, sweeps
+            order = range(len(solves))
+            for t in (order if k % 2 else reversed(order)):
+                dk, spec, plan, params = solves[t]
+                t0 = perf_counter()
+                dk.run(spec, plan, params)
+                elapsed = perf_counter() - t0
+                if k:   # run 0 is the warm-up
+                    best[t] = min(best[t], elapsed)
+    return [1e6 * b / sweeps for b in best], sweeps
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--src", default=str(ROOT / "src"),
-                   help="directory holding the dyksplit package")
+    p.add_argument("--src", action="append",
+                   help="directory holding the dyksplit package, once per tree"
+                        " to time (default: src/ here)")
     p.add_argument("--sizes", nargs="+", type=parse_size, default=SIZES,
                    metavar="RxD", help="grid sizes (default: 10x8 50x20 200x50)")
     p.add_argument("--cycles", type=int, default=20)
@@ -94,24 +110,28 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.cycles < 1 or args.runs < 1:
         p.error("--cycles and --runs must be at least 1")
-    dk = import_package(args.src)
+    srcs = args.src or [str(ROOT / "src")]
+    packages = [import_package(src, f"dyksplit_{k}")
+                for k, src in enumerate(srcs)]
     import numpy
 
     points = []
-    print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} {'us/sweep':>10s}")
+    print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} "
+          + " ".join(f"{'us/sweep':>10s}" for _ in srcs))
     for schedule in SCHEDULES:
         for r, d in args.sizes:
             for level in LEVELS:
-                us, sweeps = time_point(dk, schedule, r, d, level,
+                us, sweeps = time_point(packages, schedule, r, d, level,
                                         args.cycles, args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
                                "check_level": level, "us_per_sweep": us,
                                "sweeps": sweeps})
-                print(f"{schedule:8s} {r:4d} {d:4d} {level:6s} {us:10.1f}",
-                      flush=True)
+                print(f"{schedule:8s} {r:4d} {d:4d} {level:6s} "
+                      + " ".join(f"{u:10.1f}" for u in us), flush=True)
     result = {
         "env": {"python": platform.python_version(),
-                "numpy": numpy.__version__, "src": str(Path(args.src).resolve()),
+                "numpy": numpy.__version__,
+                "src": [str(Path(src).resolve()) for src in srcs],
                 "machine": platform.machine()},
         "cycles": args.cycles, "runs": args.runs, "points": points}
     if args.out:
