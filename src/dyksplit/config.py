@@ -219,7 +219,10 @@ def sweep_from_dict(d, where):
     inner = {}
     for j, members in _object(d.get("blocks") or {},
                               f"{where} blocks").items():
-        # JSON object keys are strings
+        # JSON object keys are strings; int() would also take "1_0" or " 1"
+        if not (str(j).isascii() and str(j).isdigit()):
+            raise ConfigError(f"{where} block key {j!r} is not a decimal"
+                              f" index")
         inner[int(j)] = frozenset(_integer(i, "sweep index") for i in
                                   _list(members, f"{where} block {j}"))
     return SweepPlan(

@@ -302,12 +302,16 @@ class _CSweep:
                                     stack_terms(terms, prox0)))
         self.conj_groups = [g for step in self.steps for g in step.conj_groups]
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
-        rows = sorted({i for step in self.steps for sub, _ in step.subs
-                       for i in sub.tolist()})
-        if rows and rows[-1] - rows[0] + 1 == len(rows):
-            self.written = slice(rows[0], rows[-1] + 1)
-        else:
-            self.written = np.array(rows, dtype=np.intp)
+        self.written = _rows_index(sorted(
+            {i for step in self.steps for sub, _ in step.subs
+             for i in sub.tolist()}))
+
+
+def _rows_index(rows):
+    """A sorted list of 0-based rows as an index, a slice when contiguous."""
+    if rows and rows[-1] - rows[0] + 1 == len(rows):
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows, dtype=np.intp)
 
 
 def _execute_sweep(spec, z, v, cs, params, out):
@@ -602,9 +606,14 @@ class _CCheck:
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
       masks, layout   freeze masks and certificate layout (valid plans only)
+      replays  with scratch, per exact sweep w its steps, each with its
+               subproblems as (rows, a slice when contiguous; margin row;
+               term rows)
+    scratch are the replay's two z buffers at check_level="full", shared
+    by the checks of all cycle patterns, and None otherwise.
     """
 
-    def __init__(self, sweeps, spec, c_analysis, valid, shared):
+    def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
         r = spec.r
         self.sweeps = sweeps
         self.exact = np.array([cs.exact for cs in sweeps], dtype=bool)
@@ -644,6 +653,12 @@ class _CCheck:
         self.stat_groups = [
             (terms[pos], stack) for pos, stack in _pair_stacks(
                 spec.terms, self.stat_i[terms].tolist(), shared)]
+
+        self.scratch = scratch
+        self.replays = {} if scratch is None else {
+            w: [(step, [(_rows_index(rows.tolist()), gov, rows[rows < r])
+                        for rows, gov in step.subs]) for step in cs.steps]
+            for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
 
         self.c_analysis = c_analysis
         if valid:
@@ -707,13 +722,12 @@ class _CCheck:
         last = W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
         if full:
-            for w in range(1, first):
-                cs = self.sweeps[w - 1]
-                if cs.exact and cs.steps:
-                    conj_prev = (conj0 if w == 1 else C[w - 2, 1:]).copy()
-                    _replay_check(spec, S[w - 1], S[w], cs, params, n, w,
-                                  conj_prev, float(F_prev[w - 1]),
-                                  C[w - 1, 1:])
+            FS = [F0] + F.tolist()   # the objective at each S[w]
+            for w in self.replays:
+                if w >= first:
+                    break
+                self._replay(spec, S, V, FS, C,
+                             conj0 if w == 1 else C[w - 2, 1:], w, params, n)
         if first <= last:
             k = first - 1
             if decreased[k]:
@@ -729,6 +743,68 @@ class _CCheck:
                 f"cycle {n} sweep {first}: stationarity"
                 f" residual {resid[j]:.3e} at index {self.stat_i[j] + 1}")
         return F, conj
+
+    def _replay(self, spec, S, V, FS, C, conj_prev, w, params, n):
+        """check_level=full: sweep w re-solved one subproblem at a time.
+
+        Each step solves from the state its earlier steps left, starting at
+        a copy of S[w - 1], and its subproblems are then applied one at a
+        time, each checked against its own margin; the state must end
+        within 1e-9 of S[w].  FS[w] is the pass's objective at S[w], C
+        holds its conjugates after each sweep and conj_prev those at
+        S[w - 1].  Each state is summed once.  The first step reads V[w - 1]
+        and takes its rows' conjugates from C, since it solves from S[w - 1]
+        as the sweep did.  When the last state is bitwise S[w], it takes
+        V[w] and FS[w], which are bitwise its sum and dual_objective_from on
+        it, and it agrees with S[w] exactly.
+        """
+        steps = self.replays[w]
+        z_seq, z_step = self.scratch
+        z_seq[...] = S[w - 1]
+        v = V[w - 1]
+        F_before = FS[w - 1]
+        conj = None   # the conjugates at z_seq, copied at the first write
+        conj_step = C[w - 1, 1:]
+        final = steps[-1][1][-1]
+        snapshot = False
+        for k, (step, subs) in enumerate(steps):
+            # a step writes only its own rows of z_step: nothing else is read
+            step.solve(spec, z_seq, v, step.arg, params, z_step)
+            if k:
+                conj_step = stacked_conjugates(step.conj_groups, z_step,
+                                               np.empty(spec.r))
+            for sub in subs:
+                rows, gov, term_rows = sub
+                if gov is not None:
+                    dv = z_step[gov] - z_seq[gov]
+                z_seq[rows] = z_step[rows]
+                # bitwise, so that the pass's values are this state's
+                snapshot = sub is final and z_seq.tobytes() == S[w].tobytes()
+                if snapshot:
+                    v_new, F_new = V[w], FS[w]
+                else:
+                    v_new = z_seq.sum(axis=0)
+                    if conj is None:
+                        conj = conj_prev.copy()
+                    conj[term_rows] = conj_step[term_rows]
+                    F_new = dual_objective_from(spec, z_seq, conj, v_new)
+                if gov is None:
+                    dv = v_new - v
+                margin = 0.5 * math.sqrt(dv.dot(dv)) ** 2
+                if F_new < F_before + margin - SWEEP_GAIN_TOL:
+                    label = "outer" if gov is None else "block"
+                    raise EngineInvariantError(
+                        f"cycle {n} sweep {w}: a {label} subproblem gained"
+                        f" less than its quadratic margin")
+                F_before, v = F_new, v_new
+        if snapshot:
+            return
+        z_par = S[w]
+        scale = max(1.0, float(np.abs(z_par).max()))
+        if float(np.abs(z_seq - z_par).max()) > 1e-9 * scale:
+            raise EngineInvariantError(
+                f"cycle {n} sweep {w}: sequential replay disagrees with the"
+                f" snapshot execution")
 
     def cycle_pass(self, spec, S, V, conj, groups, gamma, approx, n):
         """Freeze equalities and certificates; for valid plans only.
@@ -754,48 +830,6 @@ class _CCheck:
                     f"cycle {n}: certificate for index {i + 1}"
                     f" has Fenchel residual {fen[i]:.3e}")
         return X, res, fen
-
-
-def _replay_check(spec, z_prev, z_par, cs, params, n, w, conj, F_prev,
-                  conj_par):
-    """check_level=full: sequential re-execution with per-subproblem margins.
-
-    conj holds the term conjugates at z_prev, conj_par those at z_par and
-    F_prev the objective at z_prev; conj is updated in place as the replay
-    writes rows.  A grouped step is solved in one call and then applied one
-    block at a time, so every block is still checked against its own margin.
-    The first step reads z_prev exactly as the snapshot execution did, so
-    its rows are those of z_par and their conjugates are taken from
-    conj_par; later steps read earlier steps' rows and are evaluated anew.
-    """
-    z_seq = z_prev.copy()
-    conj_step = conj_par
-    for k, step in enumerate(cs.steps):
-        z_step = z_seq.copy()
-        exact = step.solve(spec, z_seq, z_seq.sum(axis=0), step.arg, params,
-                           z_step)
-        if k:
-            conj_step = stacked_conjugates(step.conj_groups, z_step,
-                                           np.empty(spec.r))
-        for rows, gov in step.subs:
-            old = z_seq.sum(axis=0) if gov is None else z_seq[gov].copy()
-            z_seq[rows] = z_step[rows]
-            new = z_seq.sum(axis=0) if gov is None else z_seq[gov]
-            margin = 0.5 * float(np.linalg.norm(new - old)) ** 2
-            term_rows = rows[rows < spec.r]
-            conj[term_rows] = conj_step[term_rows]
-            F_new = dual_objective_from(spec, z_seq, conj)
-            if exact and F_new < F_prev + margin - SWEEP_GAIN_TOL:
-                label = "outer" if gov is None else "block"
-                raise EngineInvariantError(
-                    f"cycle {n} sweep {w}: a {label} subproblem gained less"
-                    f" than its quadratic margin")
-            F_prev = F_new
-    scale = max(1.0, float(np.abs(z_par).max()))
-    if float(np.abs(z_seq - z_par).max()) > 1e-9 * scale:
-        raise EngineInvariantError(
-            f"cycle {n} sweep {w}: sequential replay disagrees with the"
-            f" snapshot execution")
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +915,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     slot = 0
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
-        checks = [_CCheck(c, spec, ca, valid, shared)
+        scratch = ((np.empty_like(z), np.empty_like(z))
+                   if params.check_level == "full" else None)
+        checks = [_CCheck(c, spec, ca, valid, shared, scratch)
                   for c, ca in zip(compiled, analysis.cycles)]
         # per-row conjugate cache, carried from one cycle's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))

@@ -142,6 +142,13 @@ def _custom(m, pattern):
     ({"problem": _corner_problem(),
       "splitting": _custom(1, [{"outer": [1, 2]}, {"blocks": [1, 2]}])},
      "pattern sweep 2 blocks must be a JSON object, not list"),
+    ({"problem": _corner_problem(),
+      "splitting": _custom(1, [{"outer": [3]}, {"blocks": {"x": [1]}}])},
+     "pattern sweep 2 block key 'x' is not a decimal index"),
+    # int() reads "1_0" as 10
+    ({"problem": _corner_problem(),
+      "splitting": _custom(1, [{"outer": [3]}, {"blocks": {"1_0": [1]}}])},
+     "pattern sweep 2 block key '1_0' is not a decimal index"),
 ], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
         "nested-tol-nan", "z-init-nan", "max-iterations-null",
         "nested-tol-list", "stop-gap-object", "halfspace-b-null", "x0-string",
@@ -149,7 +156,8 @@ def _custom(m, pattern):
         "max-iterations-fraction", "per-sweep-string", "halfspace-b-bool",
         "stop-gap-bool", "nested-tol-string", "workers-fraction",
         "nested-bcm-sweeps-bool", "m-fraction", "per-sweep-number",
-        "cycles-list", "sweep-list", "blocks-list"])
+        "cycles-list", "sweep-list", "blocks-list", "block-key-letter",
+        "block-key-underscore"])
 def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg, match):
     path = _dump(tmp_path, "run.json", cfg)
     assert main(["solve", path]) == 1

@@ -453,7 +453,8 @@ def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
     # the per-row conjugate cache; all take each dual sum once per snapshot
     off, sweep, full = (dk.run(spec, plan,
                                dk.SolveParams(max_iterations=n_cycles,
-                                              check_level=level))
+                                              check_level=level,
+                                              per_sweep_trace=True))
                         for level in ("off", "sweep", "full"))
     for checked in (sweep, full):
         assert np.array_equal(off.state.z, checked.state.z)
@@ -461,6 +462,15 @@ def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
         assert np.array_equal(off.gamma, checked.gamma)
         assert np.array_equal(off.sq_diff_cumsum, checked.sq_diff_cumsum)
     assert np.isfinite(off.F_per_cycle).all()
+    # the replay records nothing: "full" has the trace rows, per-sweep F
+    # included, and the certificates of "sweep"
+    assert full.sweep_rows == sweep.sweep_rows
+    assert full.cycle_rows == sweep.cycle_rows
+    assert (full.certificates is None) == (sweep.certificates is None)
+    for a, b in zip(full.certificates or (), sweep.certificates or ()):
+        assert a.index == b.index
+        assert np.array_equal(a.point, b.point)
+        assert (a.residual, a.fenchel) == (b.residual, b.fenchel)
 
 
 @pytest.mark.parametrize("spec", [fixtures.random_halfspaces(5, 20, 10, m=19),
@@ -494,6 +504,63 @@ def test_run_same_bits_at_every_check_level(case):
         plan = _custom_nested_plan()
         assert plan.lead_in
     _assert_same_bits_at_every_check_level(spec, plan)
+
+
+def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
+    """dual_objective_from calls of each replayed sweep of a full run.
+
+    Returns [(w, calls), ...] in replay order.
+    """
+    calls = []
+    objective, replay = engine.dual_objective_from, engine._CCheck._replay
+
+    def counted(*args, **kwargs):
+        calls[-1][1] += 1
+        return objective(*args, **kwargs)
+
+    def replay_counted(self, spec, S, V, FS, C, conj_prev, w, *rest):
+        calls.append([w, 0])
+        return replay(self, spec, S, V, FS, C, conj_prev, w, *rest)
+
+    calls.append([0, 0])   # the objective at the start of the run
+    monkeypatch.setattr(engine, "dual_objective_from", counted)
+    monkeypatch.setattr(engine._CCheck, "_replay", replay_counted)
+    dk.run(spec, plan, dk.SolveParams(max_iterations=n_cycles,
+                                      check_level="full"))
+    assert calls[0] == [0, 1]
+    return [tuple(c) for c in calls[1:]]
+
+
+@pytest.mark.parametrize("case", ["classic", "custom_nested"])
+def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
+                                                            case):
+    # every replayed sweep has one subproblem: its replayed state is bitwise
+    # the snapshot and takes the pass's objective
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+        replayed = {1, 2, 3, 4, 5, 6}
+    else:
+        spec = fixtures.random_mixed(8, 8, 6, m=2)
+        plan = _custom_nested_plan()
+        # the nested sweeps 3 and 4 are approximate and not replayed
+        replayed = {1, 2, 5, 6, 7, 8, 9}
+    calls = _replay_objective_calls(monkeypatch, spec, plan)
+    assert {w for w, _ in calls} == replayed
+    assert all(n == 0 for _, n in calls)
+
+
+def test_replay_of_a_product_sweep_evaluates_every_block(monkeypatch):
+    # sweep 2 replays r - 1 blocks one at a time; their states are not
+    # snapshots.  The outer set after them reads the moved blocks, so its
+    # state is evaluated too unless it is bitwise the snapshot
+    r = 5
+    spec = fixtures.random_mixed(6, r, 3, m=r - 1)
+    calls = _replay_objective_calls(monkeypatch, spec,
+                                    dk.product_space_schedule(r))
+    assert [w for w, _ in calls] == [1, 2] * 20
+    assert all(n == 0 for w, n in calls if w == 1)
+    assert all(n in (r - 1, r) for w, n in calls if w == 2)
 
 
 def _peak_bytes(fn):

@@ -7,14 +7,15 @@ Run from the root of a checkout:
     python3 tools/bench_grid.py --sizes 10x8 --runs 1 --cycles 2   # smoke run
 
 Each grid point runs engine.run on fixtures.random_halfspaces(1, r, d) (the
-product schedule with m = r - 1) for a fixed number of cycles, with no stop
-rule, once as a warm-up and then --runs times.  It reports the best timed
-run in microseconds per sweep.  The grid is {classic, product} x --sizes x
-{off, sweep, full}.  The package is imported from each --src, by default the
-src/ directory of this checkout.  Given two trees, each grid point times
-them in turn, one run of each at a time, and flips which goes first from
-run to run, so that a drift in machine speed reaches both alike.  BLAS and
-OpenMP pools are pinned to one thread, as in perfbench/run.py.
+product schedule with m = r - 1, the mixed-block schedule
+fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
+no stop rule, once as a warm-up and then --runs times.  It reports the best
+timed run in microseconds per sweep.  The grid is {classic, product, mixed}
+x --sizes x {off, sweep, full}.  The package is imported from each --src,
+by default the src/ directory of this checkout.  Given two trees, each grid
+point times them in turn, one run of each at a time, and flips which goes
+first from run to run, so that a drift in machine speed reaches both alike.
+BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one time per tree
 in each point's us_per_sweep; --out also writes it to a file.
@@ -39,7 +40,7 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEDULES = ("classic", "product")
+SCHEDULES = ("classic", "product", "mixed")
 LEVELS = ("off", "sweep", "full")
 SIZES = ((10, 8), (50, 20), (200, 50))
 
@@ -73,9 +74,12 @@ def time_point(packages, schedule, r, d, level, cycles, runs):
         if schedule == "classic":
             spec = dk.fixtures.random_halfspaces(1, r, d)
             plan = dk.classic_dykstra_schedule(r)
-        else:
+        elif schedule == "product":
             spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
             plan = dk.product_space_schedule(r)
+        else:
+            spec = dk.fixtures.random_halfspaces(1, r, d, m=1)
+            plan = dk.fixtures.mixed_block_schedule(r)
         params = dk.SolveParams(max_iterations=cycles, check_level=level)
         solves.append((dk, spec, plan, params))
     sweeps = cycles * len(plan.pattern)
