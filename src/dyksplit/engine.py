@@ -46,7 +46,8 @@ from .state import DualState, dual_objective_from, dual_objective_z
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import DimensionMismatch, _dots, stack_terms, stacked_conjugates
+from .terms import (DimensionMismatch, _dots, _norm, all_finite, stack_terms,
+                    stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -148,9 +149,9 @@ class RunResult:
 #
 # Every solver has the signature (spec, z, v, arg, params, out) -> exact,
 # where v is z.sum(axis=0), taken once per snapshot by the caller, and arg is
-# what _CSweep fixed for it at compile time.  Each reads everything it needs
-# from z before it writes out, so out may be z itself when the sweep has one
-# subproblem.
+# what _CSweep fixed for it at compile time, its row sets compiled by
+# _rows_index.  Each reads everything it needs from z before it writes out,
+# so out may be z itself when the sweep has one subproblem.
 
 def _prox_row(spec, z, v, i, params, out):
     """Outer set {i} with one term row: its dual prox against the rest."""
@@ -159,23 +160,27 @@ def _prox_row(spec, z, v, i, params, out):
     return True
 
 
-def _quad_rows(spec, z, v, quad0, params, out):
-    """Outer set of quadratic-copy rows only: all share -rest / (k + 1)."""
-    c = v - z[quad0].sum(axis=0)
-    out[quad0] = -c / (quad0.size + 1.0)
+def _quad_rows(spec, z, v, rows, params, out):
+    """Outer set of k quadratic-copy rows only: all share -rest / (k + 1)."""
+    quads = z[rows]
+    c = v - quads.sum(axis=0)
+    out[rows] = -c / (len(quads) + 1.0)
     return True
 
 
-def _prox_quad_rows(spec, z, v, outer0, params, out):
-    """Outer set of one term row outer0[0] plus the quadratic rows after it."""
-    i, quad0 = int(outer0[0]), outer0[1:]
-    c = v - z[outer0].sum(axis=0)
-    tau = quad0.size + 1.0
+def _prox_quad_rows(spec, z, v, arg, params, out):
+    """Outer set of one term row i plus the k quadratic rows quads after it.
+
+    arg is (i, outer, quads, tau): outer are all k + 1 rows and tau is
+    k + 1.0.
+    """
+    i, outer, quads, tau = arg
+    c = v - z[outer].sum(axis=0)
     # eliminate the copies: z_i minimizes h_i*(.) + ||. - u_bar||^2/(2 tau)
     u_bar = tau * spec.x0 - c
     x_hat = spec.terms[i].prox(u_bar / tau, 1.0 / tau)
     z_i = u_bar - tau * x_hat
-    out[quad0] = -(z_i + c) / tau
+    out[quads] = -(z_i + c) / tau
     out[i] = z_i
     return True
 
@@ -196,6 +201,9 @@ def _stacked_blocks(spec, z, v, arg, params, out):
 
 def _nested_rows(spec, z, v, arg, params, out):
     """Cyclic coordinate minimization over rows (0-based, sorted); approximate.
+
+    rows is an index array, never a slice: the loop works on the copy z[rows]
+    and must not write into the snapshot z.
 
     Each row takes its dual prox (a quadratic row: -rest / 2) at x0 minus
     rest, where rest is a frozen offset plus the loop's other rows.  With
@@ -256,8 +264,10 @@ class _CSweep:
     and _nested_rows for two or more term rows.  The sweep's conj_groups
     join the steps', the only cached conjugates it can change.  gov0 are the
     governing rows of the blocks in block_js order, and exact says that no
-    step runs _nested_rows.  written are the rows the sweep writes, a slice
-    when they are contiguous.
+    step runs _nested_rows.  written are the rows the sweep writes.  gov0,
+    written and the row sets of every solver but _nested_rows go through
+    _rows_index, so a contiguous run of rows is read as a view; subs and
+    conj_groups stay index arrays for _CCheck.
     """
 
     __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups", "exact",
@@ -267,7 +277,7 @@ class _CSweep:
         terms = spec.terms
         self.outer1 = tuple(sorted(sweep.outer))
         self.block_js = tuple(sorted(sweep.inner))
-        self.gov0 = np.array([j - 1 for j in self.block_js], dtype=np.intp)
+        self.gov0 = _rows_index([j - 1 for j in self.block_js])
         single = {}   # term row -> governing row, for one-member blocks
         nested = []
         for j in self.block_js:
@@ -281,11 +291,12 @@ class _CSweep:
                                 stack_terms(terms, prox0)))
         self.steps = []
         for I, stack in stack_terms(terms, list(single)):
-            J = np.array([single[i] for i in I.tolist()], dtype=np.intp)
-            subs = [(np.array([i, j]), j)
-                    for i, j in zip(I.tolist(), J.tolist())]
-            self.steps.append(_Step(_stacked_blocks, (stack, I, J), subs,
-                                    [(I, stack)]))
+            I0 = I.tolist()
+            J0 = [single[i] for i in I0]
+            subs = [(np.array([i, j]), j) for i, j in zip(I0, J0)]
+            self.steps.append(_Step(
+                _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0)),
+                subs, [(I, stack)]))
         self.steps.extend(nested)
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
@@ -293,11 +304,13 @@ class _CSweep:
             if prox0.size >= 2:
                 solve, arg = _nested_rows, (outer0, None)
             elif prox0.size == 0:
-                solve, arg = _quad_rows, outer0
+                solve, arg = _quad_rows, _rows_index(outer0.tolist())
             elif outer0.size == 1:
                 solve, arg = _prox_row, int(prox0[0])
             else:
-                solve, arg = _prox_quad_rows, outer0
+                solve, arg = _prox_quad_rows, (
+                    int(outer0[0]), _rows_index(outer0.tolist()),
+                    _rows_index(outer0[1:].tolist()), float(outer0.size))
             self.steps.append(_Step(solve, arg, [(outer0, None)],
                                     stack_terms(terms, prox0)))
         self.conj_groups = [g for step in self.steps for g in step.conj_groups]
@@ -308,9 +321,12 @@ class _CSweep:
 
 
 def _rows_index(rows):
-    """A sorted list of 0-based rows as an index, a slice when contiguous."""
-    if rows and rows[-1] - rows[0] + 1 == len(rows):
-        return slice(rows[0], rows[-1] + 1)
+    """A list of 0-based rows as an index: a basic slice, read as a view,
+    when the rows are an exact ascending contiguous run (an empty list
+    included), else an array."""
+    start = rows[0] if rows else 0
+    if rows == list(range(start, start + len(rows))):
+        return slice(start, start + len(rows))
     return np.array(rows, dtype=np.intp)
 
 
@@ -923,6 +939,10 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj, v)
     else:
+        # only the objective and the stop rule read the groups: a contiguous
+        # one is read as a view
+        all_terms = [(_rows_index(rows.tolist()), stack)
+                     for rows, stack in all_terms]
         F_state = dual_objective_z(spec, z, all_terms, v)
     F_initial = F_state
 
@@ -956,7 +976,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             z = buf[slot]
             exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
             # the rows the sweep did not write were scanned when written
-            if not np.isfinite(z[cs.written]).all():
+            if not all_finite(z[cs.written]):
                 if sweep_checks:
                     # the sweeps before this one are checked first
                     buf[w:len(sweeps) + 1] = z_prev
@@ -1004,7 +1024,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 raise EngineInvariantError(
                     f"cycle {n}: end-of-cycle objective decreased")
         any_approx = any_approx or cycle_approx
-        growth = float(np.linalg.norm(z)) / math.sqrt(n)
+        growth = _norm(z) / math.sqrt(n)
 
         cert_max = None
         if sweep_checks and valid:

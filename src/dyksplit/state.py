@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import DimensionMismatch, stack_terms, stacked_conjugates
+from .terms import (DimensionMismatch, all_finite, stack_terms,
+                    stacked_conjugates)
 
 _INF = float("inf")
 
@@ -50,9 +51,12 @@ class ProblemSpec:
             raise ValueError("m must be nonnegative")
         self.m = m
         self.r = len(self.terms)
-        self._x0_sq = float(self.x0 @ self.x0)
-        if not math.isfinite(self._x0_sq):   # NaN, inf or overflow in x0
-            raise ValueError("x0 must be finite")
+        # x0 @ x0, which warns on overflow
+        self._x0_sq = float(np.vdot(self.x0, self.x0))
+        if not math.isfinite(self._x0_sq):
+            if not all_finite(self.x0):
+                raise ValueError("x0 must be finite")
+            raise ValueError("x0 is too large: its squared norm overflows")
 
     @property
     def lam(self):
@@ -129,7 +133,8 @@ def dual_objective_from(spec, z, conjugates, v=None):
         return -_INF
     if spec.m:
         shifted = z[spec.r:] + spec.x0
-        total += 0.5 * float(np.sum(shifted * shifted)) - spec.m * 0.5 * spec._x0_sq
+        total += (0.5 * float((shifted * shifted).sum())
+                  - spec.m * 0.5 * spec._x0_sq)
     if v is None:
         v = z.sum(axis=0)
     diff = spec.x0 - v

@@ -30,15 +30,31 @@ class DimensionMismatch(ValueError):
     """Input vector does not match the term's ambient dimension."""
 
 
-def _finite(name, *values):
-    """Reject NaN or infinity in the given floats and arrays.
+def all_finite(a):
+    """Whether every entry of the float array a is finite.
 
-    An array is tested through one dot product, its sum of squares, which is
-    finite exactly when every entry is and the sum does not overflow.
+    One dot product, a's sum of squares, is finite exactly when every entry
+    is and the sum does not overflow; only when it is not are the entries
+    tested one by one, so finite data too large to square still passes.
+    Neither step warns.
     """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def _finite(name, *values):
+    """Reject NaN or infinity in the given floats and arrays."""
     for v in values:
-        if not math.isfinite(v if isinstance(v, float) else np.vdot(v, v)):
+        if not (math.isfinite(v) if isinstance(v, float) else all_finite(v)):
             raise ValueError(f"{name} data must be finite")
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a float array without its wrapper: numpy's own
+    formula, the root of the raveled array's dot product with itself, and
+    so its bits.  The ravel copies a strided vector, whose dot product would
+    take another summation order."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _vec(x, d, name="x"):
@@ -59,10 +75,12 @@ class _LinearSet:
         self.a = np.asarray(a, dtype=float).ravel()
         self.dim = self.a.size
         self.b = float(b)
-        nrm2 = float(self.a @ self.a)   # finite exactly when a is, see _finite
+        nrm2 = float(np.vdot(self.a, self.a))   # a @ a, which warns on overflow
         name = type(self).__name__.lower()
         if not (math.isfinite(nrm2) and math.isfinite(self.b)):
-            raise ValueError(f"{name} data must be finite")
+            _finite(name, self.a, self.b)
+            raise ValueError(f"{name} data is too large: the squared norm of"
+                             f" its normal overflows")
         if nrm2 == 0.0:
             raise ValueError(f"{name} normal must be nonzero")
         self._nrm2 = nrm2
@@ -72,8 +90,8 @@ class _LinearSet:
         through a, the domain of the support function up to its sign."""
         z = _vec(z, self.dim, "z")
         s = float(self.a @ z) / self._nrm2
-        resid = float(np.linalg.norm(z - s * self.a))
-        return s, resid > DOM_TOL * max(1.0, float(np.linalg.norm(z)))
+        resid = _norm(z - s * self.a)
+        return s, resid > DOM_TOL * max(1.0, _norm(z))
 
 
 class Halfspace(_LinearSet):
@@ -142,14 +160,14 @@ class L2Ball:
     def project(self, u):
         u = _vec(u, self.dim, "u")
         diff = u - self.center
-        nrm = float(np.linalg.norm(diff))
+        nrm = _norm(diff)
         if nrm <= self.radius:
             return u.copy()
         return self.center + (self.radius / nrm) * diff
 
     def support(self, z):
         z = _vec(z, self.dim, "z")
-        return float(z @ self.center) + self.radius * float(np.linalg.norm(z))
+        return float(z @ self.center) + self.radius * _norm(z)
 
 
 class AffineSubspace:
@@ -186,8 +204,8 @@ class AffineSubspace:
         # dom sigma = range(A^T) = range(Q); value <s, t> for z = Q s
         z = _vec(z, self.dim, "z")
         s = self._q.T @ z
-        resid = float(np.linalg.norm(z - self._q @ s))
-        if resid > DOM_TOL * max(1.0, float(np.linalg.norm(z))):
+        resid = _norm(z - self._q @ s)
+        if resid > DOM_TOL * max(1.0, _norm(z)):
             return _INF
         return float(s @ self._t)
 
@@ -205,7 +223,7 @@ class Indicator:
 
     def value(self, x):
         x = _vec(x, self.dim)
-        if float(np.linalg.norm(x - self.set.project(x))) <= FEAS_TOL:
+        if _norm(x - self.set.project(x)) <= FEAS_TOL:
             return 0.0
         return _INF
 

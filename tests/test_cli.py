@@ -149,6 +149,14 @@ def _custom(m, pattern):
     ({"problem": _corner_problem(),
       "splitting": _custom(1, [{"outer": [3]}, {"blocks": {"1_0": [1]}}])},
      "pattern sweep 2 block key '1_0' is not a decimal index"),
+    # finite, but the squared norm overflows
+    ({"problem": {"x0": [1e160, 0.0], "terms": _corner_problem()["terms"]}},
+     "x0 is too large: its squared norm overflows"),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "halfspace", "a": [1e160, 0.0],
+                             "b": 0.0}]}},
+     "bad halfspace term: halfspace data is too large: the squared norm of"
+     " its normal overflows"),
 ], ids=["halfspace-b-inf", "ball-radius-nan", "x0-nan", "stop-gap-nan",
         "nested-tol-nan", "z-init-nan", "max-iterations-null",
         "nested-tol-list", "stop-gap-object", "halfspace-b-null", "x0-string",
@@ -157,7 +165,7 @@ def _custom(m, pattern):
         "stop-gap-bool", "nested-tol-string", "workers-fraction",
         "nested-bcm-sweeps-bool", "m-fraction", "per-sweep-number",
         "cycles-list", "sweep-list", "blocks-list", "block-key-letter",
-        "block-key-underscore"])
+        "block-key-underscore", "x0-too-large", "halfspace-a-too-large"])
 def test_solve_non_finite_config_exit_one(tmp_path, capsys, cfg, match):
     path = _dump(tmp_path, "run.json", cfg)
     assert main(["solve", path]) == 1

@@ -506,6 +506,77 @@ def test_run_same_bits_at_every_check_level(case):
     _assert_same_bits_at_every_check_level(spec, plan)
 
 
+def test_rows_index_is_a_slice_only_for_an_ascending_run():
+    assert engine._rows_index([3, 4, 5]) == slice(3, 6)
+    assert engine._rows_index([7]) == slice(7, 8)
+    assert engine._rows_index([]) == slice(0, 0)
+    for rows in ([0, 2, 1, 3], [1, 0], [2, 2], [0, 2]):
+        idx = engine._rows_index(rows)
+        assert isinstance(idx, np.ndarray) and idx.dtype == np.intp
+        assert idx.tolist() == rows
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested"])
+def test_slices_and_index_arrays_give_the_same_bits(monkeypatch, case,
+                                                    level):
+    # the compiled row sets are read as views where they are contiguous;
+    # as index arrays they are gathered, and every result must be the same
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_halfspaces(5, 8, 5, m=7)
+        plan = dk.product_space_schedule(8)
+    elif case == "mixed_block":
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    else:
+        spec = fixtures.random_mixed(8, 8, 6, m=2)
+        plan = _custom_nested_plan()
+    params = dk.SolveParams(max_iterations=20, check_level=level,
+                            per_sweep_trace=True)
+    rows_index, kinds = engine._rows_index, []
+
+    def recorded(rows):
+        kinds.append(type(rows_index(rows)))
+        return rows_index(rows)
+
+    monkeypatch.setattr(engine, "_rows_index", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
+        views = dk.run(spec, plan, params)
+        assert slice in kinds
+        monkeypatch.setattr(engine, "_rows_index",
+                            lambda rows: np.array(rows, dtype=np.intp))
+        arrays = dk.run(spec, plan, params)
+    for name in ("F_per_cycle", "gamma", "growth"):
+        assert getattr(views, name).tobytes() == getattr(arrays, name).tobytes()
+    assert views.state.z.tobytes() == arrays.state.z.tobytes()
+    assert views.sweep_rows == arrays.sweep_rows
+    assert (views.certificates is None) == (level == "off")
+    for a, b in zip(views.certificates or (), arrays.certificates or ()):
+        assert a.index == b.index
+        assert a.point.tobytes() == b.point.tobytes()
+        assert (a.residual, a.fenchel) == (b.residual, b.fenchel)
+
+
+def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
+    # the nested loop works on a copy of its rows: a view would write into
+    # the snapshot that every subproblem of the sweep reads
+    spec = fixtures.random_mixed(8, 8, 6, m=2)
+    sweep = dk.SweepPlan(outer={3, 4})
+    assert not engine._CSweep(sweep, spec).exact
+    z = dk.run(spec, _custom_nested_plan(),
+               dk.SolveParams(max_iterations=3)).state.z
+    snapshot = z.copy()
+    st = dk.DualState(z)
+    dk.run_sweep(spec, st, sweep)
+    assert z.tobytes() == snapshot.tobytes()
+    assert st.z is not z and not np.array_equal(st.z[2:4], snapshot[2:4])
+
+
 def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
     """dual_objective_from calls of each replayed sweep of a full run.
 

@@ -1,5 +1,6 @@
 """Term oracles: desk values, conjugate domains, and the prox property suite."""
 
+import warnings
 import zlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import dyksplit as dk
 from dyksplit.terms import (DOM_TOL, FEAS_TOL, BallStack, HalfspaceStack,
-                           TermStack, moreau_dual, stack_terms,
+                           TermStack, all_finite, moreau_dual, stack_terms,
                            stacked_conjugates)
 
 from .support import TERM_KINDS, sample_term
@@ -130,6 +131,55 @@ NAN = float("nan")
 def test_non_finite_input_rejected_at_construction(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("make,u,expected", [
+    (lambda: dk.L2Ball([1e160, 0.0], 1.0).project, [1e160, 1.0],
+     [1e160, 1.0]),
+    (lambda: dk.Quadratic([1e160, 0.0]).prox, [1e160, 1.0], [1e160, 0.5]),
+    (lambda: dk.AffineSubspace([[1.0, 0.0]], [1e160]).project, [0.0, 1.0],
+     [1e160, 1.0]),
+], ids=["ball-center", "quadratic-center", "affine-rhs"])
+def test_finite_data_too_large_to_square_is_accepted(make, u, expected):
+    # the sum of squares of the data overflows, but every entry is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert make()(u).tolist() == expected
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: dk.ProblemSpec([1e160, 0.0], [dk.L1Norm(2)]),
+     "^x0 is too large: its squared norm overflows$"),
+    (lambda: dk.Halfspace([1e160, 0.0], 0.0),
+     "^halfspace data is too large: the squared norm of its normal"
+     " overflows$"),
+    (lambda: dk.Hyperplane([0.0, -1e160], 0.0),
+     "^hyperplane data is too large: the squared norm of its normal"
+     " overflows$"),
+], ids=["spec-x0", "halfspace-a", "hyperplane-a"])
+def test_data_whose_squared_norm_must_be_finite_is_too_large(make, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+def test_all_finite_is_the_exact_scan():
+    # rows of +-1e200 overflow the one sum of squares: the exact scan decides
+    big = np.full((19, 10), 1e200)
+    big[::2] *= -1.0
+    cases = [(big, True), (big[3:9], True), (big[:, 0], True),
+             (np.zeros((3, 4)), True), (np.zeros((0, 4)), True)]
+    for base in (np.zeros((3, 4)), big):
+        for value in (NAN, INF, -INF):
+            a = base.copy()
+            a[1, 2] = value
+            cases.append((a, False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, finite in cases:
+            assert all_finite(a) is finite
+            assert finite == np.isfinite(a).all()
 
 
 # ---------------------------------------------------------------------------
