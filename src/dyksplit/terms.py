@@ -75,7 +75,8 @@ class _LinearSet:
         self.a = np.asarray(a, dtype=float).ravel()
         self.dim = self.a.size
         self.b = float(b)
-        nrm2 = float(np.vdot(self.a, self.a))   # a @ a, which warns on overflow
+        # a @ a, which warns on overflow
+        nrm2 = float(np.vdot(self.a, self.a))
         name = type(self).__name__.lower()
         if not (math.isfinite(nrm2) and math.isfinite(self.b)):
             _finite(name, self.a, self.b)

@@ -552,7 +552,8 @@ def test_slices_and_index_arrays_give_the_same_bits(monkeypatch, case,
                             lambda rows: np.array(rows, dtype=np.intp))
         arrays = dk.run(spec, plan, params)
     for name in ("F_per_cycle", "gamma", "growth"):
-        assert getattr(views, name).tobytes() == getattr(arrays, name).tobytes()
+        assert (getattr(views, name).tobytes()
+                == getattr(arrays, name).tobytes())
     assert views.state.z.tobytes() == arrays.state.z.tobytes()
     assert views.sweep_rows == arrays.sweep_rows
     assert (views.certificates is None) == (level == "off")
