@@ -18,7 +18,8 @@ A stack's rows are bitwise the scalar oracles', so a block solved on its
 own (solve_inner_block) gives the same bits as inside its sweep.
 
 check_level:
-  "off"    objective at cycle ends only, no per-sweep snapshots,
+  "off"    objective at cycle ends only, no per-sweep snapshots; the cycle
+           ends are evaluated in batches of _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
            sets, freeze equalities, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each sweep with per-subproblem
@@ -55,6 +56,8 @@ CLAIM_TOL = 1e-8          # stationarity residual after exact solves
 CERT_SLACK = 1e-9         # slack on the certificate distance bound
 
 _INF = float("inf")
+# with checks off, how many cycle ends are priced together (run)
+_OBJ_BATCH = 8
 
 
 class EngineInvariantError(RuntimeError):
@@ -102,7 +105,7 @@ class SolveParams:
             raise ValueError("check_level must be off, sweep, or full")
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     n: int
     w: int
@@ -433,18 +436,61 @@ def _fenchel(H, C, X, Z):
     return np.maximum(H + C - _dots(X, Z), 0.0)
 
 
-def _objectives(spec, S, V, total):
-    """dual_objective_from on every snapshot S[w], w >= 1.
+def _objectives(spec, Z, V, total):
+    """dual_objective_from on every state Z[k].
 
-    V holds the row sums of S and total[w - 1] the sum(conjugates, 0.0) of
-    S[w]; an infinite one gives -inf.
+    V holds the row sums of Z and total[k] the sum(conjugates, 0.0) of Z[k];
+    an infinite one gives -inf.
     """
     if spec.m:
-        Q = S[1:, spec.r:] + spec.x0
+        Q = Z[:, spec.r:] + spec.x0
         total = total + (0.5 * (Q * Q).reshape(len(Q), -1).sum(axis=1)
                          - spec.m * 0.5 * spec._x0_sq)
-    D = spec.x0 - V[1:]
+    D = spec.x0 - V
     return -(total + (0.5 * _dots(D, D) - 0.5 * spec._x0_sq))
+
+
+def _state_objectives(spec, groups, Z, V):
+    """dual_objective_z on every state Z[k], whose row sum is V[k].
+
+    groups are the term stacks of all r rows; each prices its rows of every
+    state in one support call, and each state's conjugates are summed in row
+    order, as in the check pass.
+    """
+    C = np.empty((len(Z), spec.r + 1))
+    C[:, 0] = 0.0
+    conj = C[:, 1:]
+    for rows, stack in groups:
+        conj[:, rows] = stack.support(Z[:, rows])
+    return _objectives(spec, Z, V, np.cumsum(C, axis=1, out=C)[:, -1])
+
+
+def _flush_cycle_ends(spec, groups, Z, V, pending, F_list):
+    """Evaluate the pending checks-off cycle ends in cycle order.
+
+    pending lists (n, row, ascent) for the states Z[k] with row sums V[k].
+    Each objective goes into F_list and the cycle's trace row, and a cycle
+    whose ascent flag is set must not fall below the cycle before it, as in
+    a cycle-by-cycle check.  pending is emptied first, so that nothing is
+    evaluated twice after an error.  When the batched call raises, the
+    states are priced one at a time, so that the first cycle's error comes
+    first.
+    """
+    batch = pending[:]
+    pending.clear()
+    k = len(batch)
+    try:
+        F = _state_objectives(spec, groups, Z[:k], V[:k]).tolist()
+    except Exception:   # an oracle's, or a warning raised as an error
+        F = None
+    for j, (n, row, ascent) in enumerate(batch):
+        F_n = (F[j] if F is not None else _state_objectives(
+            spec, groups, Z[j:j + 1], V[j:j + 1]).tolist()[0])
+        if ascent and F_list and F_n < F_list[-1] - ASCENT_TOL:
+            raise EngineInvariantError(
+                f"cycle {n}: end-of-cycle objective decreased")
+        F_list.append(F_n)
+        row.F = F_n
 
 
 def _pair_stacks(terms, rows, shared):
@@ -728,7 +774,7 @@ class _CCheck:
         else:      # the running sums overwrite C, which is then let go
             total = np.cumsum(C, axis=1, out=C)[:, -1].copy()
             C = None
-        F = _objectives(spec, S, V, total)
+        F = _objectives(spec, S[1:], V[1:], total)
         F_prev = np.concatenate(([F0], F[:-1]))
         decreased = self.exact & (F < F_prev - ASCENT_TOL)
         short = self.exact & (F < F_prev + margins - SWEEP_GAIN_TOL)
@@ -944,11 +990,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
         F_state = dual_objective_z(spec, z, all_terms, v)
+        # each cycle end is copied into a batch of states, which is priced
+        # in one pass when it is full, when the gap rule needs an objective,
+        # before an exception leaves the loop, and at the end of the run
+        n_batch = min(_OBJ_BATCH, params.max_iterations)
+        zb = np.empty((n_batch, spec.n_duals, spec.d))
+        vb = np.empty((n_batch, spec.d))
     F_initial = F_state
 
     cycle_rows = []
     sweep_rows = [] if params.per_sweep_trace else None
     gamma_list, growth_list, F_list, sq_list = [], [], [], []
+    pending = []   # the batched cycle ends as (n, trace row, ascent)
     cycle_start_duals = [z.copy()] if keep_cycle_starts else None
     cert_arrays = None
     any_approx = False
@@ -956,104 +1009,127 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     cycles_run = 0
     hint = 0   # the term the gap rule tries first
 
-    for n in range(1, params.max_iterations + 1):
-        k = n if n <= len(plan.lead_in) else 0
-        sweeps = compiled[k]
-        if sweep_checks:
-            chk = checks[k]
-            margins = np.empty(len(sweeps))
-            buf[0] = z
-            vbuf[0] = v
-            z, v = buf[0], vbuf[0]
-        gamma_acc = 0.0
-        sq_acc = 0.0
-        v_acc = 0.0
-        cycle_approx = False
-
-        for w, cs in enumerate(sweeps, start=1):
-            z_prev, v_prev = z, v
-            slot = w if sweep_checks else 1 - slot
-            z = buf[slot]
-            exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
-            # the rows the sweep did not write were scanned when written
-            if not all_finite(z[cs.written]):
-                if sweep_checks:
-                    # the sweeps before this one are checked first
-                    buf[w:len(sweeps) + 1] = z_prev
-                    vbuf[w:len(sweeps) + 1] = v_prev
-                    chk.sweep_pass(spec, buf, vbuf, conj, F_state, margins,
-                                   n, params, upto=w - 1)
-                cycle_rows.append(TraceRow(
-                    n=n, w=w, F=float("nan"), v_diff=float("nan"),
-                    inner_diffs={}, gamma_n=None, growth_monitor=None,
-                    cert_max_residual=None, approx=not exact))
-                raise NonFiniteStateError(
-                    f"non-finite duals after cycle {n} sweep {w}")
-            v = z.sum(axis=0, out=vbuf[slot])
-            v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
-            inner_sq = sum(d * d for d in inner)
-            gamma_acc += v_diff + sum(inner)
-            sq_acc += v_diff * v_diff + inner_sq
-            v_acc += v_diff
-            cycle_approx = cycle_approx or not exact
+    try:
+        for n in range(1, params.max_iterations + 1):
+            k = n if n <= len(plan.lead_in) else 0
+            sweeps = compiled[k]
             if sweep_checks:
-                margins[w - 1] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
+                chk = checks[k]
+                margins = np.empty(len(sweeps))
+                buf[0] = z
+                vbuf[0] = v
+                z, v = buf[0], vbuf[0]
+            gamma_acc = 0.0
+            sq_acc = 0.0
+            v_acc = 0.0
+            cycle_approx = False
 
-            if sweep_rows is not None:
-                last = w == len(sweeps)
-                sweep_rows.append(TraceRow(
-                    n=n, w=w, F=None, v_diff=v_diff,
-                    inner_diffs=dict(zip(cs.block_js, inner)),
-                    gamma_n=gamma_acc if last else None,
-                    growth_monitor=None, cert_max_residual=None,
-                    approx=not exact))
+            for w, cs in enumerate(sweeps, start=1):
+                z_prev, v_prev = z, v
+                slot = w if sweep_checks else 1 - slot
+                z = buf[slot]
+                exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
+                # the rows the sweep did not write were scanned when written
+                if not all_finite(z[cs.written]):
+                    if sweep_checks:
+                        # the sweeps before this one are checked first
+                        buf[w:len(sweeps) + 1] = z_prev
+                        vbuf[w:len(sweeps) + 1] = v_prev
+                        chk.sweep_pass(spec, buf, vbuf, conj, F_state,
+                                       margins, n, params, upto=w - 1)
+                    cycle_rows.append(TraceRow(
+                        n=n, w=w, F=float("nan"), v_diff=float("nan"),
+                        inner_diffs={}, gamma_n=None, growth_monitor=None,
+                        cert_max_residual=None, approx=not exact))
+                    raise NonFiniteStateError(
+                        f"non-finite duals after cycle {n} sweep {w}")
+                v = z.sum(axis=0, out=vbuf[slot])
+                v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
+                inner_sq = sum(d * d for d in inner)
+                gamma_acc += v_diff + sum(inner)
+                sq_acc += v_diff * v_diff + inner_sq
+                v_acc += v_diff
+                cycle_approx = cycle_approx or not exact
+                if sweep_checks:
+                    margins[w - 1] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
 
-        if sweep_checks:
-            F_sweeps, conj = chk.sweep_pass(spec, buf, vbuf, conj, F_state,
-                                            margins, n, params)
-            F_sweeps = F_sweeps.tolist()
-            F_state = F_sweeps[-1]
-            if sweep_rows is not None:
-                for row, F in zip(sweep_rows[-len(sweeps):], F_sweeps):
-                    row.F = F
-        else:
-            F_state = dual_objective_z(spec, z, all_terms, v)
-        F_cycle = F_state
-        if not any_approx and not cycle_approx and F_list:
-            if F_cycle < F_list[-1] - ASCENT_TOL:
-                raise EngineInvariantError(
-                    f"cycle {n}: end-of-cycle objective decreased")
-        any_approx = any_approx or cycle_approx
-        growth = _norm(z) / math.sqrt(n)
+                if sweep_rows is not None:
+                    last = w == len(sweeps)
+                    sweep_rows.append(TraceRow(
+                        n=n, w=w, F=None, v_diff=v_diff,
+                        inner_diffs=dict(zip(cs.block_js, inner)),
+                        gamma_n=gamma_acc if last else None,
+                        growth_monitor=None, cert_max_residual=None,
+                        approx=not exact))
 
-        cert_max = None
-        if sweep_checks and valid:
-            cert_arrays = chk.cycle_pass(spec, buf, vbuf, conj, all_terms,
-                                         gamma_acc, cycle_approx, n)
-            cert_max = float(cert_arrays[1].max())
+            ascent = not any_approx and not cycle_approx
+            F_cycle = None   # with checks off, set when its batch is priced
+            if sweep_checks:
+                F_sweeps, conj = chk.sweep_pass(spec, buf, vbuf, conj,
+                                                F_state, margins, n, params)
+                F_sweeps = F_sweeps.tolist()
+                F_state = F_cycle = F_sweeps[-1]
+                if sweep_rows is not None:
+                    for row, F in zip(sweep_rows[-len(sweeps):], F_sweeps):
+                        row.F = F
+                if ascent and F_list and F_cycle < F_list[-1] - ASCENT_TOL:
+                    raise EngineInvariantError(
+                        f"cycle {n}: end-of-cycle objective decreased")
+            else:
+                zb[len(pending)] = z
+                vb[len(pending)] = v
+            any_approx = any_approx or cycle_approx
+            growth = _norm(z) / math.sqrt(n)
 
-        gamma_list.append(gamma_acc)
-        growth_list.append(growth)
-        F_list.append(F_cycle)
-        sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
-        cycle_rows.append(TraceRow(
-            n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
-            gamma_n=gamma_acc, growth_monitor=growth,
-            cert_max_residual=cert_max, approx=cycle_approx))
-        if keep_cycle_starts:
-            cycle_start_duals.append(z.copy())
-        if sweep_rows is not None and sweep_rows:
-            tail = sweep_rows[-1]
-            tail.growth_monitor = growth
-            tail.cert_max_residual = cert_max
-        cycles_run = n
+            cert_max = None
+            if sweep_checks and valid:
+                cert_arrays = chk.cycle_pass(spec, buf, vbuf, conj, all_terms,
+                                             gamma_acc, cycle_approx, n)
+                cert_max = float(cert_arrays[1].max())
 
-        if params.stop_gap is not None:
-            primal, hint = _primal_value(spec, all_terms, spec.x0 - v, hint)
-            if (np.isfinite(primal) and np.isfinite(F_cycle)
-                    and primal - F_cycle <= params.stop_gap):
-                stop_reason = "gap"
-                break
+            gamma_list.append(gamma_acc)
+            growth_list.append(growth)
+            sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
+            row = TraceRow(
+                n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
+                gamma_n=gamma_acc, growth_monitor=growth,
+                cert_max_residual=cert_max, approx=cycle_approx)
+            cycle_rows.append(row)
+            if sweep_checks:
+                F_list.append(F_cycle)
+            else:
+                pending.append((n, row, ascent))
+                if len(pending) == n_batch:
+                    _flush_cycle_ends(spec, all_terms, zb, vb, pending,
+                                      F_list)
+            if keep_cycle_starts:
+                cycle_start_duals.append(z.copy())
+            if sweep_rows is not None and sweep_rows:
+                tail = sweep_rows[-1]
+                tail.growth_monitor = growth
+                tail.cert_max_residual = cert_max
+            cycles_run = n
+
+            if params.stop_gap is not None:
+                primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
+                                             hint)
+                if np.isfinite(primal):
+                    if pending:
+                        _flush_cycle_ends(spec, all_terms, zb, vb, pending,
+                                          F_list)
+                    F_cycle = F_list[-1]
+                    if (np.isfinite(F_cycle)
+                            and primal - F_cycle <= params.stop_gap):
+                        stop_reason = "gap"
+                        break
+    except Exception:
+        # an earlier cycle's error comes first, as in a cycle-by-cycle check
+        if pending:
+            _flush_cycle_ends(spec, all_terms, zb, vb, pending, F_list)
+        raise
+    if pending:
+        _flush_cycle_ends(spec, all_terms, zb, vb, pending, F_list)
+    zb = vb = None   # the batch goes before the result is built
 
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     return RunResult(

@@ -124,9 +124,10 @@ def dual_objective_from(spec, z, conjugates, v=None):
     conjugates is an array of all r values, evaluated up front and summed in
     row order; the result is -inf when any of them is +inf.  Every dual
     value goes through this one formula with conjugates from the same
-    stacked oracles, which keeps them bitwise equal; the engine's cycle-end
-    check pass evaluates it for all sweeps at once in the same order
-    (engine._objectives).  v, when given, is z.sum(axis=0).
+    stacked oracles, which keeps them bitwise equal; the engine evaluates it
+    in the same order for all sweeps of a cycle at once in its check pass,
+    and for a batch of cycle ends with checks off (engine._objectives).  v,
+    when given, is z.sum(axis=0).
     """
     total = sum(conjugates.tolist(), 0.0)
     if total == _INF:

@@ -10,7 +10,7 @@ import dyksplit as dk
 from dyksplit import engine, fixtures
 from dyksplit.engine import (EngineInvariantError, NonFiniteStateError,
                              _assert_freeze)
-from dyksplit.terms import FEAS_TOL, moreau_dual, stack_terms
+from dyksplit.terms import FEAS_TOL, HalfspaceStack, moreau_dual, stack_terms
 
 from .support import (TERM_KINDS, invalid_deferred_plan, irrational_angle_spec,
                       run_until, sample_term, two_halfspace_spec, unit,
@@ -448,9 +448,9 @@ def test_run_cached_objective_is_bitwise_reference(case):
 
 
 def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
-    # "off" alternates two z buffers and takes F from dual_objective_z at
-    # cycle ends, "sweep" and "full" write a snapshot buffer and take F from
-    # the per-row conjugate cache; all take each dual sum once per snapshot
+    # "off" alternates two z buffers and prices its cycle ends in batches,
+    # "sweep" and "full" write a snapshot buffer and take F from the per-row
+    # conjugate cache; all take each dual sum once per snapshot
     off, sweep, full = (dk.run(spec, plan,
                                dk.SolveParams(max_iterations=n_cycles,
                                               check_level=level,
@@ -504,6 +504,54 @@ def test_run_same_bits_at_every_check_level(case):
         plan = _custom_nested_plan()
         assert plan.lead_in
     _assert_same_bits_at_every_check_level(spec, plan)
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
+def test_batched_cycle_ends_give_the_bits_of_one_at_a_time(monkeypatch,
+                                                          case):
+    # with checks off the cycle ends are priced in batches: caps on both
+    # sides of a full batch, gap stops inside one, and a zero gap that
+    # prices every cycle once x is feasible give the bits of batches of
+    # one, and those of "sweep"
+    if case == "classic":
+        spec = fixtures.random_mixed(5, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_halfspaces(1, 4, 3, m=3)
+        plan = dk.product_space_schedule(4)
+    else:
+        spec = fixtures.random_mixed(7, 4, 3, m=1)
+        plan = fixtures.mixed_block_schedule(4)
+    assert engine._OBJ_BATCH == 8
+    mid_batch = False
+    for cap, gap in [(1, None), (7, None), (8, None), (9, None), (26, None),
+                     (300, 1e-8), (26, 0.0)]:
+        def solve(level):
+            return dk.run(spec, plan, dk.SolveParams(
+                max_iterations=cap, stop_gap=gap, check_level=level))
+
+        batched = solve("off")
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_OBJ_BATCH", 1)
+            single = solve("off")
+        checked = solve("sweep")
+        mid_batch = mid_batch or (batched.stop_reason == "gap"
+                                  and batched.cycles_run % 8 != 0)
+        assert not hasattr(batched.cycle_rows[0], "__dict__")   # slotted
+        assert batched.cycle_rows == single.cycle_rows
+        assert ([row.F for row in batched.cycle_rows]
+                == [row.F for row in checked.cycle_rows])
+        for other in (single, checked):
+            assert (batched.stop_reason, batched.cycles_run) == (
+                other.stop_reason, other.cycles_run)
+            for name in ("F_per_cycle", "gamma", "growth", "sq_diff_cumsum",
+                         "x"):
+                assert (getattr(batched, name).tobytes()
+                        == getattr(other, name).tobytes())
+            assert batched.state.z.tobytes() == other.state.z.tobytes()
+            assert (batched.F, batched.F_initial) == (other.F,
+                                                      other.F_initial)
+    assert mid_batch
 
 
 def test_rows_index_is_a_slice_only_for_an_ascending_run():
@@ -925,6 +973,71 @@ def test_fault_first_failing_sweep_wins(monkeypatch, faults, message):
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):
         dk.run(spec, plan, dk.SolveParams(max_iterations=4,
                                           check_level="full"))
+
+
+_MARK = 1234.5
+
+
+def _on_solve(row, call, act):
+    """act(out) after the call-th solve of row only."""
+    calls = [0]
+
+    def fault(spec, z, i, out):
+        if i == row:
+            calls[0] += 1
+            if calls[0] == call:
+                act(out)
+    return fault
+
+
+def _write(value):
+    def act(out):
+        out[4, 0] = value
+    return act
+
+
+def _raise_in_prox(out):
+    raise ValueError("prox failed")
+
+
+def _raise_on_mark(monkeypatch):
+    """Halfspace conjugates fail on any state that holds _MARK."""
+    support = HalfspaceStack.support
+
+    def marked(self, Z):
+        if (Z == _MARK).any():
+            raise ValueError("conjugate failed")
+        return support(self, Z)
+
+    monkeypatch.setattr(HalfspaceStack, "support", marked)
+
+
+@pytest.mark.parametrize("batch", [8, 1])
+@pytest.mark.parametrize("later,error,message", [
+    (_write(np.nan), NonFiniteStateError,
+     "non-finite duals after cycle 4 sweep 5"),
+    (_raise_in_prox, ValueError, "prox failed"),
+    (_write(_MARK), ValueError, "conjugate failed"),
+], ids=["non-finite", "prox-raises", "conjugate-raises"])
+def test_fault_off_reports_the_first_cycle_end_of_its_batch(
+        monkeypatch, batch, later, error, message):
+    # cycle 2's objective falls, then cycle 4, in the same batch, fails:
+    # the cycle-end check of cycle 2 is still the first error
+    monkeypatch.setattr(engine, "_OBJ_BATCH", batch)
+    _raise_on_mark(monkeypatch)
+    params = dk.SolveParams(max_iterations=6, check_level="off")
+    # alone, the later fault is the error
+    spec, plan = _classic_faults(monkeypatch, _on_solve(4, 4, later))
+    with pytest.raises(error, match=f"^{message}$"):
+        dk.run(spec, plan, params)
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "_OBJ_BATCH", batch)
+    _raise_on_mark(monkeypatch)
+    spec, plan = _classic_faults(monkeypatch, _step(0, -0.5),
+                                 _on_solve(4, 4, later))
+    with pytest.raises(EngineInvariantError,
+                       match="^cycle 2: end-of-cycle objective decreased$"):
+        dk.run(spec, plan, params)
 
 
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])

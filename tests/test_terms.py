@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
+from dyksplit import terms as terms_module
 from dyksplit.terms import (DOM_TOL, FEAS_TOL, BallStack, HalfspaceStack,
                            TermStack, all_finite, moreau_dual, stack_terms,
                            stacked_conjugates)
@@ -265,6 +266,15 @@ STACK_DIMS = (1, 2, 3, 5, 8, 10, 17)
 STACK_HEIGHT = 12
 
 
+@pytest.fixture(params=["built", "matmul"])
+def dots(request, monkeypatch):
+    """A stack test runs with terms._dots as built (np.vecdot on numpy 2)
+    and with the matmul form that older numpy uses."""
+    if request.param == "matmul":
+        monkeypatch.setattr(terms_module, "_dots", terms_module._dots_matmul)
+    return request.param
+
+
 def _stack_inputs(kind, d):
     """Terms of one kind and dimension, points U, and duals Z whose rows
     alternate between the conjugate's domain and random vectors (+inf rows
@@ -426,3 +436,69 @@ def test_stack_terms_groups_by_kind():
                   for t, u in zip(terms, rng.standard_normal((6, 4)))])
     got = stacked_conjugates(groups, Z, np.full(6, np.nan))
     assert np.array_equal(got, [t.conjugate(z) for t, z in zip(terms, Z)])
+
+
+@pytest.mark.parametrize("check,args", [
+    *[(test_stack_rows_independent_of_height_and_order, (kind,))
+      for kind in TERM_KINDS],
+    (test_stack_matches_scalar_oracles, ("halfspace", HalfspaceStack)),
+    (test_stack_matches_scalar_oracles, ("l2ball", BallStack)),
+    (test_stack_terms_groups_by_kind, ()),
+], ids=[*(f"rows-{kind}" for kind in TERM_KINDS), "scalar-halfspace",
+        "scalar-l2ball", "groups"])
+def test_stack_checks_hold_with_the_matmul_kernel(monkeypatch, check, args):
+    # numpy 2 runs the checks above through np.vecdot; this repeats them
+    # through the matmul form that older numpy uses
+    monkeypatch.setattr(terms_module, "_dots", terms_module._dots_matmul)
+    check(*args)
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "l2ball", "l1", "quadratic",
+                                  "box"])
+def test_support_over_a_batch_of_states_is_per_state_calls(kind, dots):
+    # (k, rows, d) in, (k, rows) out: state j's row is the stack's support
+    # at state j alone, and the scalar conjugate, bit for bit
+    k = 5
+    for d in STACK_DIMS:
+        rng, terms, U, Z = _stack_inputs(kind, d)
+        stack = _one_stack(terms)
+        # state j scales the duals by a factor around 1: rows in and out of
+        # the conjugate's domain in every state
+        P = rng.standard_normal((k + 2, STACK_HEIGHT + 3, d))
+        P[:k, 1:STACK_HEIGHT + 1] = (
+            Z * rng.uniform(0.5, 1.5, size=(k, 1, 1)))
+        rows = np.arange(1, STACK_HEIGHT + 1)
+        for batch in (P[:k, 1:STACK_HEIGHT + 1],   # a strided view
+                      P[:k, rows]):                # a gathered copy
+            got = stack.support(batch)
+            assert got.shape == (k, STACK_HEIGHT)
+            assert np.array_equal(got, [stack.support(b) for b in batch])
+            assert np.array_equal(got, [[t.conjugate(z)
+                                         for t, z in zip(terms, b)]
+                                        for b in batch])
+        if kind == "halfspace":
+            assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "l2ball", "hyperplane"])
+def test_strided_input_gives_the_bits_of_contiguous_input(kind, dots):
+    # a strided vector is taken as its contiguous copy: BLAS's strided dot
+    # product would sum in another order
+    for d in STACK_DIMS + (33, 60):
+        rng, terms, U, Z = _stack_inputs(kind, d)
+        stack = _one_stack(terms)
+        for X in (U, Z, _value_points(terms, U)):
+            # column 2 i of W is row i of X, strided
+            W = np.zeros((d, 2 * STACK_HEIGHT))
+            W[:, ::2] = X.T
+            rows = zip(stack.moreau(X), stack.support(X), stack.value(X))
+            for i, (t, row) in enumerate(zip(terms, rows)):
+                x = W[:, 2 * i]
+                assert d == 1 or not x.flags.c_contiguous
+                got = moreau_dual(t, x), t.conjugate(x), t.value(x)
+                want = moreau_dual(t, X[i]), t.conjugate(X[i]), t.value(X[i])
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+                # the stacked row of the same point
+                assert np.array_equal(row[0], want[0])
+                assert (row[1], row[2]) == want[1:]
