@@ -19,31 +19,35 @@ own (solve_inner_block) gives the same bits as inside its sweep.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots; the cycle
-           ends are evaluated in batches of _OBJ_BATCH (run),
+           ends are evaluated in batches of up to _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
            sets, freeze equalities, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each sweep with per-subproblem
            gain checks.
 With checks on, the sweep loop only solves and writes the duals after each
-sweep into a snapshot buffer; when the cycle ends, one pass compiled per
-cycle pattern (_CCheck) evaluates every check of the cycle from the buffer
-in a few vectorized calls.  Conjugates are evaluated only for the rows each
-sweep writes, the per-sweep objective is bitwise equal to dual_objective on
-each snapshot, and a failure raises the same error for the same sweep as a
-check made sweep by sweep would, the sweeps before a non-finite one first.
+sweep into a snapshot buffer that holds a batch of up to _OBJ_BATCH
+consecutive cycles of one pattern; when the batch is checked, one pass
+compiled per cycle pattern (_CCheck) evaluates every check of its cycles
+from the buffer in a few vectorized calls.  Conjugates are evaluated only
+for the rows each sweep writes, the per-sweep objective is bitwise equal to
+dual_objective on each snapshot, and a failure raises the same error for
+the same cycle and sweep as a check made sweep by sweep would, the sweeps
+before a non-finite one first.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import schedule as sched
-from .state import DualState, dual_objective_from, dual_objective_z
+from .state import (DualState, _ordered_sum, dual_objective_from,
+                    dual_objective_z)
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
@@ -56,8 +60,12 @@ CLAIM_TOL = 1e-8          # stationarity residual after exact solves
 CERT_SLACK = 1e-9         # slack on the certificate distance bound
 
 _INF = float("inf")
-# with checks off, how many cycle ends are priced together (run)
+# how many cycles are checked together, or with checks off how many cycle
+# ends are priced together, at most (run)
 _OBJ_BATCH = 8
+# with checks on, the snapshot buffer of a batch of cycles holds at most this
+# many bytes of sweep states, unless one cycle alone needs more (run)
+_CHECK_BATCH_BYTES = 18432
 
 
 class EngineInvariantError(RuntimeError):
@@ -247,13 +255,13 @@ class _Step(NamedTuple):
 
     subs are its subproblems as (rows, margin row): the margin row is a
     block's governing row, or None for the outer set, whose margin is the
-    move of the dual sum.  conj_groups are the stacks of the term rows it
-    writes.
+    move of the dual sum.  conj_rows are the term rows it writes, an index
+    array.
     """
     solve: Callable
     arg: object
     subs: list
-    conj_groups: list
+    conj_rows: np.ndarray
 
 
 class _CSweep:
@@ -264,17 +272,16 @@ class _CSweep:
     block with several term members (_nested_rows); the outer set.  The
     outer set's tier is exact for one term row (_prox_row), only quadratic
     rows (_quad_rows) or one term row plus quadratic rows (_prox_quad_rows),
-    and _nested_rows for two or more term rows.  The sweep's conj_groups
-    join the steps', the only cached conjugates it can change.  gov0 are the
-    governing rows of the blocks in block_js order, and exact says that no
-    step runs _nested_rows.  written are the rows the sweep writes.  gov0,
-    written and the row sets of every solver but _nested_rows go through
-    _rows_index, so a contiguous run of rows is read as a view; subs and
-    conj_groups stay index arrays for _CCheck.
+    and _nested_rows for two or more term rows.  gov0 are the governing rows
+    of the blocks in block_js order, and exact says that no step runs
+    _nested_rows.  written are the rows the sweep writes.  gov0, written and
+    the row sets of every solver but _nested_rows go through _rows_index, so
+    a contiguous run of rows is read as a view; subs and conj_rows stay
+    index arrays for _CCheck.  Only a _stacked_blocks step holds a stack;
+    the replay at check_level="full" stacks the other steps' term rows.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "gov0", "conj_groups", "exact",
-                 "written")
+    __slots__ = ("steps", "outer1", "block_js", "gov0", "exact", "written")
 
     def __init__(self, sweep, spec):
         terms = spec.terms
@@ -291,7 +298,7 @@ class _CSweep:
             prox0 = np.array(prox0, dtype=np.intp)
             all0 = np.array(sorted(i - 1 for i in sweep.inner[j]), dtype=np.intp)
             nested.append(_Step(_nested_rows, (prox0, j - 1), [(all0, j - 1)],
-                                stack_terms(terms, prox0)))
+                                prox0))
         self.steps = []
         for I, stack in stack_terms(terms, list(single)):
             I0 = I.tolist()
@@ -299,7 +306,7 @@ class _CSweep:
             subs = [(np.array([i, j]), j) for i, j in zip(I0, J0)]
             self.steps.append(_Step(
                 _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0)),
-                subs, [(I, stack)]))
+                subs, I))
         self.steps.extend(nested)
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
@@ -314,9 +321,7 @@ class _CSweep:
                 solve, arg = _prox_quad_rows, (
                     int(outer0[0]), _rows_index(outer0.tolist()),
                     _rows_index(outer0[1:].tolist()), float(outer0.size))
-            self.steps.append(_Step(solve, arg, [(outer0, None)],
-                                    stack_terms(terms, prox0)))
-        self.conj_groups = [g for step in self.steps for g in step.conj_groups]
+            self.steps.append(_Step(solve, arg, [(outer0, None)], prox0))
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
         self.written = _rows_index(sorted(
             {i for step in self.steps for sub, _ in step.subs
@@ -413,12 +418,14 @@ def run_sweep(spec, state, sweep, params=None):
 # per-cycle checks
 # ---------------------------------------------------------------------------
 #
-# With checks on, the sweep loop only solves: it writes the cycle start and
-# the duals after each sweep w into row w of a snapshot buffer S.  When the
-# cycle ends, _CCheck evaluates every check of the cycle from S in a few
-# vectorized calls and raises the first failure in the order the checks
-# come sweep by sweep.  Each sum is taken in the order of the scalar formula
-# it stands for, so every per-sweep objective is bitwise equal to
+# With checks on, the sweep loop only solves: it writes a batch of k
+# consecutive cycles of one pattern, W sweeps each, into a snapshot buffer
+# S.  Cycle c starts at row c * W, where the cycle before it ends, and the
+# duals after its sweep w are row c * W + w.  When the batch is checked,
+# _CCheck evaluates every check of its cycles from S in a few vectorized
+# calls and raises the first failure in the order the checks come cycle by
+# cycle and sweep by sweep.  Each sum is taken in the order of the scalar
+# formula it stands for, so every per-sweep objective is bitwise equal to
 # dual_objective_from on its snapshot.
 
 def _quad_parts(spec, X, Z):
@@ -439,13 +446,15 @@ def _fenchel(H, C, X, Z):
 def _objectives(spec, Z, V, total):
     """dual_objective_from on every state Z[k].
 
-    V holds the row sums of Z and total[k] the sum(conjugates, 0.0) of Z[k];
-    an infinite one gives -inf.
+    V holds the row sums of Z and total[k] the _ordered_sum of the
+    conjugates of Z[k]; an infinite one gives -inf.
     """
     if spec.m:
         Q = Z[:, spec.r:] + spec.x0
-        total = total + (0.5 * (Q * Q).reshape(len(Q), -1).sum(axis=1)
+        Q *= Q
+        total = total + (0.5 * Q.reshape(len(Q), -1).sum(axis=1)
                          - spec.m * 0.5 * spec._x0_sq)
+        del Q
     D = spec.x0 - V
     return -(total + (0.5 * _dots(D, D) - 0.5 * spec._x0_sq))
 
@@ -462,35 +471,48 @@ def _state_objectives(spec, groups, Z, V):
     conj = C[:, 1:]
     for rows, stack in groups:
         conj[:, rows] = stack.support(Z[:, rows])
-    return _objectives(spec, Z, V, np.cumsum(C, axis=1, out=C)[:, -1])
+    return _objectives(spec, Z, V, C.cumsum(axis=1, out=C)[:, -1])
 
 
-def _flush_cycle_ends(spec, groups, Z, V, pending, F_list):
-    """Evaluate the pending checks-off cycle ends in cycle order.
+class _Pending(NamedTuple):
+    """A cycle whose checks or objective wait for its batch (run).
 
-    pending lists (n, row, ascent) for the states Z[k] with row sums V[k].
-    Each objective goes into F_list and the cycle's trace row, and a cycle
-    whose ascent flag is set must not fall below the cycle before it, as in
-    a cycle-by-cycle check.  pending is emptied first, so that nothing is
-    evaluated twice after an error.  When the batched call raises, the
-    states are priced one at a time, so that the first cycle's error comes
-    first.
+    row is its trace row and sweep_rows its per-sweep rows or None; ascent
+    says whether its end-of-cycle objective must not fall below the cycle
+    before it, gamma is its gamma_n and approx whether a sweep was
+    approximate.
     """
-    batch = pending[:]
-    pending.clear()
+    n: int
+    row: TraceRow
+    ascent: bool
+    gamma: float
+    approx: bool
+    sweep_rows: list | None
+
+
+def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
+    """Evaluate a batch of checks-off cycle ends in cycle order.
+
+    batch lists the _Pending cycles whose ends are the states Z[k], with row
+    sums V[k].  Each objective goes into F_list and the cycle's trace row,
+    and a cycle whose ascent flag is set must not fall below the cycle
+    before it, as in a cycle-by-cycle check.  When the batched call raises,
+    the states are priced one at a time, so that the first cycle's error
+    comes first.
+    """
     k = len(batch)
     try:
         F = _state_objectives(spec, groups, Z[:k], V[:k]).tolist()
     except Exception:   # an oracle's, or a warning raised as an error
         F = None
-    for j, (n, row, ascent) in enumerate(batch):
+    for j, cyc in enumerate(batch):
         F_n = (F[j] if F is not None else _state_objectives(
             spec, groups, Z[j:j + 1], V[j:j + 1]).tolist()[0])
-        if ascent and F_list and F_n < F_list[-1] - ASCENT_TOL:
+        if cyc.ascent and F_list and F_n < F_list[-1] - ASCENT_TOL:
             raise EngineInvariantError(
-                f"cycle {n}: end-of-cycle objective decreased")
+                f"cycle {cyc.n}: end-of-cycle objective decreased")
         F_list.append(F_n)
-        row.F = F_n
+        cyc.row.F = F_n
 
 
 def _pair_stacks(terms, rows, shared):
@@ -528,24 +550,28 @@ def _freeze_masks(c_analysis, W, n):
     return after, pairs, cols, window
 
 
-def _assert_freeze(c_analysis, snaps, n, masks=None):
-    """Bitwise freeze equalities implied by the touch pattern.
-
-    snaps holds one cycle's snapshots 0..W, as a list or one array, and
-    masks are their _freeze_masks.  moved[w - 1, row] says whether the row
-    changed bitwise from snaps[w - 1] to snaps[w].  A row equals its value
-    at sweep p in every later snapshot exactly when it never moves after p,
-    and the first sweep that moves it is the first that differs from sweep
-    p.
-    """
-    S = np.asarray(snaps)
+def _moved(S):
+    """moved[w - 1, row]: whether the row changed bitwise from S[w - 1] to
+    S[w], for every state w >= 1 of the snapshots S."""
     W = len(S) - 1
     moved = np.empty((W, S.shape[1]), dtype=bool)
-    for k in range(0, W, 8):   # 8 sweeps at a time bound the temporary
-        e = min(k + 8, W)
+    # sweeps at a time, to bound the temporary
+    step = max(8, 8192 // S[0].size)
+    for k in range(0, W, step):
+        e = min(k + step, W)
         moved[k:e] = (S[k + 1:e + 1] != S[k:e]).any(axis=2)
-    after, pairs, cols, window = (masks or
-                                  _freeze_masks(c_analysis, W, S.shape[1]))
+    return moved
+
+
+def _raise_freeze(c_analysis, moved, n, masks):
+    """Bitwise freeze equalities implied by the touch pattern.
+
+    moved is _moved of one cycle's snapshots 0..W and masks are their
+    _freeze_masks.  A row equals its value at sweep p in every later
+    snapshot exactly when it never moves after p, and the first sweep that
+    moves it is the first that differs from sweep p.
+    """
+    after, pairs, cols, window = masks
     bad = moved & after
     if bad.any():
         for i1, p in c_analysis.p.items():
@@ -561,6 +587,13 @@ def _assert_freeze(c_analysis, snaps, n, masks=None):
             raise EngineInvariantError(
                 f"cycle {n}: block member z_{i2} moved inside the"
                 f" protected window ({q}..{p - 1})")
+
+
+def _assert_freeze(c_analysis, snaps, n, masks=None):
+    """_raise_freeze on one cycle's snapshots 0..W, a list or one array."""
+    S = np.asarray(snaps)
+    _raise_freeze(c_analysis, _moved(S), n, masks or
+                  _freeze_masks(c_analysis, len(S) - 1, S.shape[1]))
 
 
 def _cert_layout(c_analysis, r):
@@ -597,39 +630,69 @@ def _cert_layout(c_analysis, r):
         for group in blocks.values()]
 
 
+def _cycles(A, k, W):
+    """A view of the states A[0 .. k * W], C-contiguous, as k cycles of W
+    sweeps: [c, w] is A[c * W + w], so that [c, W] and [c + 1, 0] are one
+    state.  Only read through it."""
+    return np.ndarray((k, W + 1) + A.shape[1:], A.dtype, A, 0,
+                      (W * A.strides[0],) + A.strides)
+
+
 def _certificates(spec, S, V, layout, groups, conjugates):
     """Certificate points, their distances to the iterate, Fenchel residuals.
 
-    S holds one cycle's snapshots 0..W, V their row sums and conjugates the
-    r term conjugates at S[-1]; groups are the stacks of all r terms.  For
-    an index last touched by an outer solve at sweep p the point is x0 - v
-    at that sweep; for a term index last touched inside a block the
-    frozen-window mixed sum is used; for the governing quadratic index it is
-    x0 + z_j at sweep p.
+    S[c] holds the snapshots 0..W of cycle c of k cycles (_cycles), V their
+    row sums, and conjugates[c] the r term conjugates at S[c, W]; groups are
+    the stacks of all r terms.  For an index last touched by an outer solve
+    at sweep p the point is x0 - v at that sweep; for a term index last
+    touched inside a block the frozen-window mixed sum is used; for the
+    governing quadratic index it is x0 + z_j at sweep p.  Each array has a
+    leading cycle axis.
     """
     (o_rows, o_p), (q_rows, q_p), blocks = layout
+    k, d = len(S), spec.d
     x0 = spec.x0
-    X = np.empty(S.shape[1:])
-    points = V[o_p]
+    X = np.empty((k,) + S.shape[2:])
+    points = V[:, o_p]
     np.subtract(x0, points, out=points)
-    X[o_rows] = points
-    X[q_rows] = x0 + S[q_p, q_rows]
+    X[:, o_rows] = points
+    X[:, q_rows] = x0 + S[:, q_p, q_rows]
     for rows, p, q, parts in blocks:
-        part_p = S[p[:, None], parts].sum(axis=1)
-        part_q = S[q[:, None], parts].sum(axis=1)
-        X[rows] = x0 - part_p - (V[q] - part_q)
-    D = X - (x0 - V[-1])
+        # summed over the parts of one block at a time, as for one cycle
+        part_p = S[:, p[:, None], parts].reshape(-1, parts.shape[1], d)
+        part_q = S[:, q[:, None], parts].reshape(-1, parts.shape[1], d)
+        X[:, rows] = (x0 - part_p.sum(axis=1)
+                      - (V[:, q].reshape(-1, d) - part_q.sum(axis=1))
+                      ).reshape(k, len(rows), d)
+    D = X - (x0 - V[:, -1])[:, None]
     res = np.sqrt(_dots(D, D))
     del points, D   # before the term values add their own temporaries
-    Z = S[-1]
+    Z = S[:, -1]
     r = spec.r
-    H = np.empty(len(X))
-    C = np.empty(len(X))
+    H = np.empty(res.shape)
+    C = np.empty(res.shape)
     for rows, stack in groups:
-        H[rows] = stack.value(X[:r] if rows.size == r else X[rows])
-    C[:r] = conjugates
-    H[r:], C[r:] = _quad_parts(spec, X[r:], Z[r:])
+        H[:, rows] = stack.value(X[:, :r] if rows.size == r else X[:, rows])
+    C[:, :r] = conjugates
+    if spec.m:
+        H[:, r:], C[:, r:] = _quad_parts(spec, X[:, r:], Z[:, r:])
     return X, res, _fenchel(H, C, X, Z)
+
+
+def _raise_certificates(res, fen, gamma, n):
+    """Cycle n's certificate bounds: every distance res within gamma, every
+    Fenchel residual fen within CLAIM_TOL."""
+    bad = (res > gamma + CERT_SLACK) | (fen > CLAIM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        if res[i] > gamma + CERT_SLACK:
+            raise EngineInvariantError(
+                f"cycle {n}: certificate for index {i + 1}"
+                f" is {res[i]:.3e} from the iterate,"
+                f" beyond gamma {gamma:.3e}")
+        raise EngineInvariantError(
+            f"cycle {n}: certificate for index {i + 1}"
+            f" has Fenchel residual {fen[i]:.3e}")
 
 
 def _certificate_list(X, residuals, fenchels):
@@ -647,43 +710,74 @@ def certificate_points(spec, snaps, c_analysis):
     """
     S = np.asarray(snaps, dtype=float)
     groups = stack_terms(spec.terms, range(spec.r))
-    return _certificate_list(*_certificates(
-        spec, S, S.sum(axis=1), _cert_layout(c_analysis, spec.r), groups,
-        stacked_conjugates(groups, S[-1], np.empty(spec.r))))
+    conj = stacked_conjugates(groups, S[-1], np.empty(spec.r))
+    X, res, fen = _certificates(
+        spec, S[None], S.sum(axis=1)[None], _cert_layout(c_analysis, spec.r),
+        groups, conj[None])
+    return _certificate_list(X[0], res[0], fen[0])
+
+
+class _Pass(NamedTuple):
+    """The per-sweep values of k cycles (_CCheck._sweep_pass).
+
+    F and F_prev (k, W) are the objectives after and before each sweep of
+    each cycle, bad (k, W) flags the sweeps that fail a check and decreased,
+    short (k, W) and stat_bad (k, pairs) which check; resid (k, pairs) are
+    the stationarity residuals.  new (k, pairs) are the conjugates of the rows
+    each sweep writes, and starts and ends (k, r) the conjugates at each
+    cycle's start and end.
+    """
+    F: np.ndarray
+    F_prev: np.ndarray
+    bad: np.ndarray
+    decreased: np.ndarray
+    short: np.ndarray
+    stat_bad: np.ndarray
+    resid: np.ndarray
+    new: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
 
 
 class _CCheck:
     """The checks of one cycle's sweep list, compiled once like _CSweep.
 
-    sweep_pass evaluates the per-sweep checks (ascent, margin, stationarity
-    of exact outer sets, and the replay at check_level="full") and
-    cycle_pass the freeze equalities and certificates, both from the
-    cycle's snapshot buffer.  Compiled here:
+    check evaluates them for a batch of k consecutive cycles of the pattern
+    in the snapshot buffer: one sweep pass over all k cycles for the
+    per-sweep checks (ascent, margin, stationarity of exact outer sets, and
+    the replay at check_level="full"), one cycle pass for the freeze
+    equalities and certificates.  Compiled here:
       conj    one (sweeps, rows, positions, stack) gather per term kind over
               the (sweep, term row) pairs that the sweeps write, in sweep
               order; positions index the array of their new conjugates
       layers  (mask, positions) per k for the rows' k-th writes in the
               cycle: mask[w - 1, i] holds from the sweep of row i's k-th
               write on, and positions[i] is that write's pair
+      last    the pair of each term row's last write, which holds its
+              conjugate at the cycle's end; None when the cycle leaves a
+              term row unwritten, and the cycles are then checked one at a
+              time, each starting from the conjugates the last one ended
+              with
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
       masks, layout   freeze masks and certificate layout (valid plans only)
-      replays  with scratch, per exact sweep w its steps, each with its
-               subproblems as (rows, a slice when contiguous; margin row;
-               term rows)
-    scratch are the replay's two z buffers at check_level="full", shared
-    by the checks of all cycle patterns, and None otherwise.
+      replays  with scratch, per exact sweep w its steps, each with the
+               stacks of its term rows (None for the first step, which
+               takes its conjugates from the pass) and its subproblems as
+               (rows, a slice when contiguous; margin row; term rows)
+    scratch are the replay's two z buffers at check_level="full", shared by
+    the checks of all cycle patterns, and None otherwise.
     """
 
     def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
         r = spec.r
-        self.sweeps = sweeps
+        self.W = len(sweeps)
         self.exact = np.array([cs.exact for cs in sweeps], dtype=bool)
         pw, pi, sw, si = [], [], [], []
         for w, cs in enumerate(sweeps, start=1):
-            for rows, _ in cs.conj_groups:
-                pw += [w] * rows.size
-                pi += rows.tolist()
+            for step in cs.steps:
+                pw += [w] * step.conj_rows.size
+                pi += step.conj_rows.tolist()
             if cs.exact:
                 sw += [w] * len(cs.outer1)
                 si += [i1 - 1 for i1 in cs.outer1]
@@ -693,14 +787,16 @@ class _CCheck:
                      for pos, stack in _pair_stacks(spec.terms, pi, shared)]
         self.layers = []
         writes = [0] * r
+        last = np.zeros(r, dtype=np.intp)
         for k, (w, i) in enumerate(zip(pw, pi)):
             if writes[i] == len(self.layers):
                 self.layers.append((np.zeros((len(sweeps), r), dtype=bool),
                                     np.zeros(r, dtype=np.intp)))
             mask, pos = self.layers[writes[i]]
             mask[w - 1:, i] = True
-            pos[i] = k
+            pos[i] = last[i] = k
             writes[i] += 1
+        self.last = last if all(writes) else None
         pair = {wi: k for k, wi in enumerate(zip(pw, pi))}
 
         self.stat_w = np.array(sw, dtype=np.intp)
@@ -718,93 +814,129 @@ class _CCheck:
 
         self.scratch = scratch
         self.replays = {} if scratch is None else {
-            w: [(step, [(_rows_index(rows.tolist()), gov, rows[rows < r])
-                        for rows, gov in step.subs]) for step in cs.steps]
+            w: [(step,
+                 None if not k else [(step.conj_rows, step.arg[0])]
+                 if step.solve is _stacked_blocks
+                 else stack_terms(spec.terms, step.conj_rows),
+                 [(_rows_index(rows.tolist()), gov, rows[rows < r])
+                  for rows, gov in step.subs])
+                for k, step in enumerate(cs.steps)]
             for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
 
         self.c_analysis = c_analysis
+        self.valid = valid
         if valid:
             self.masks = _freeze_masks(c_analysis, len(sweeps), spec.n_duals)
             self.layout = _cert_layout(c_analysis, r)
 
     def _stationarity(self, spec, S, V, new):
-        """fenchel_residual of every stat pair at its sweep's x0 - v."""
-        X = V[self.stat_w]
+        """fenchel_residual of every stat pair at its sweep's x0 - v, in
+        each cycle of S (_cycles), whose row sums are V."""
+        X = V[:, self.stat_w]
         np.subtract(spec.x0, X, out=X)
-        H = np.empty(len(X))
-        Cv = np.empty(len(X))
-        for pos, stack in self.stat_groups:
-            # a group of every pair holds them in order: no gather needed
-            H[pos] = stack.value(X if pos.size == len(X) else X[pos])
+        Z = S[:, self.stat_w, self.stat_i]
         pos, at = self.stat_terms
-        Cv[pos] = new[at]
-        Z = S[self.stat_w, self.stat_i]
-        q = self.stat_quads
-        H[q], Cv[q] = _quad_parts(spec, X[q], Z[q])
+        if len(self.stat_groups) == 1 and pos.size == X.shape[1]:
+            # one group of every pair holds them in order: nothing to place
+            H = self.stat_groups[0][1].value(X)
+            Cv = new[:, at]
+        else:
+            H = np.empty(X.shape[:2])
+            Cv = np.empty(X.shape[:2])
+            for rows, stack in self.stat_groups:
+                H[:, rows] = stack.value(X[:, rows])
+            Cv[:, pos] = new[:, at]
+            q = self.stat_quads
+            H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
         return _fenchel(H, Cv, X, Z)
 
-    def sweep_pass(self, spec, S, V, conj0, F0, margins, n, params,
-                   upto=None):
-        """Per-sweep checks of sweeps 1..upto (default all) of the cycle in S.
+    def _sweep_pass(self, spec, S, V, SC, VC, conj0, F0, margins, params):
+        """The per-sweep values of the k cycles from S[0] on, as a _Pass.
 
-        V holds the row sums of S, conj0 and F0 are the conjugates and
-        objective at S[0], margins the sweeps' squared-movement margins.
-        Returns (F, conj): the objective after each sweep and the
-        conjugates at S[W].
+        V holds the row sums of S, SC and VC are S and V as k cycles
+        (_cycles), conj0 and F0 the conjugates and objective at S[0], and
+        margins[c] the squared-movement margins of cycle c's sweeps.
         """
-        W = len(self.sweeps)
-        r = spec.r
-        S = S[:W + 1]
-        V = V[:W + 1]
-        new = np.empty(self.n_pairs)
-        for w, i, pos, stack in self.conj:
-            new[pos] = stack.support(S[w, i])
-        resid = (self._stationarity(spec, S, V, new) if self.stat_w.size
-                 else np.empty(0))
-        # row w - 1 of C: a leading 0.0 and the conjugates after sweep w
-        C = np.empty((W, r + 1))
-        C[:, 0] = 0.0
-        C[:, 1:] = conj0
-        for mask, pos in self.layers:
-            np.copyto(C[:, 1:], new[pos], where=mask)
-        conj = C[-1, 1:].copy()
-        full = params.check_level == "full"
-        if full:   # the replay reads C
-            total = np.cumsum(C, axis=1)[:, -1]
-        else:      # the running sums overwrite C, which is then let go
-            total = np.cumsum(C, axis=1, out=C)[:, -1].copy()
-            C = None
-        F = _objectives(spec, S[1:], V[1:], total)
-        F_prev = np.concatenate(([F0], F[:-1]))
+        W, r = self.W, spec.r
+        k = len(SC)
+        if len(self.conj) == 1:   # one group of every pair, in order
+            w, i, _, stack = self.conj[0]
+            new = stack.support(SC[:, w, i])
+        else:
+            new = np.empty((k, self.n_pairs))
+            for w, i, pos, stack in self.conj:
+                new[:, pos] = stack.support(SC[:, w, i])
+        resid = (self._stationarity(spec, SC, VC, new) if self.stat_w.size
+                 else np.empty((k, 0)))
+        starts = np.empty((k, r))
+        starts[0] = conj0
+        if k > 1:   # each cycle starts with the last writes of the one before
+            starts[1:] = new[:-1, self.last]
+        C = self._conjugates(starts, new)
+        ends = C[:, -1, 1:].copy()
+        # the running sums overwrite C, which is then let go
+        total = C.cumsum(axis=2, out=C)[..., -1].ravel()
+        del C
+        F = _objectives(spec, S[1:k * W + 1], V[1:k * W + 1], total)
+        F_prev = np.concatenate(([F0], F[:-1])).reshape(k, W)
+        F = F.reshape(k, W)
         decreased = self.exact & (F < F_prev - ASCENT_TOL)
         short = self.exact & (F < F_prev + margins - SWEEP_GAIN_TOL)
         stat_bad = resid > CLAIM_TOL
         bad = decreased | short
-        bad[self.stat_w[stat_bad] - 1] = True
-        last = W if upto is None else upto
+        c, j = np.nonzero(stat_bad)
+        bad[c, self.stat_w[j] - 1] = True
+        return _Pass(F, F_prev, bad, decreased, short, stat_bad, resid, new,
+                     starts, ends)
+
+    def _conjugates(self, starts, new):
+        """The conjugates after each sweep of k cycles, (k, W, r + 1).
+
+        Row (c, w - 1) holds a leading 0.0 and the r conjugates after sweep
+        w of cycle c, whose start has the conjugates starts[c] and whose
+        sweeps write the pairs' conjugates new[c].
+        """
+        C = np.empty((len(starts), self.W, starts.shape[1] + 1))
+        C[..., 0] = 0.0
+        C[..., 1:] = starts[:, None]
+        for mask, pos in self.layers:
+            np.copyto(C[..., 1:], new[:, pos][:, None], where=mask)
+        return C
+
+    def _raise_sweeps(self, spec, S, V, p, c, n, params, upto=None):
+        """Raise the first failing sweep of cycle c of the pass p, cycle n
+        of the run, among its sweeps 1..upto (default all).
+
+        S and V start at the cycle's start.  At check_level="full" the exact
+        sweeps before the failing one are replayed first.
+        """
+        bad = p.bad[c]
+        last = self.W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
-        if full:
-            FS = [F0] + F.tolist()   # the objective at each S[w]
+        if params.check_level == "full":
+            # the objective and the conjugates at each S[w]
+            FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
+            C = self._conjugates(p.starts[c:c + 1], p.new[c:c + 1])[0]
             for w in self.replays:
                 if w >= first:
                     break
                 self._replay(spec, S, V, FS, C,
-                             conj0 if w == 1 else C[w - 2, 1:], w, params, n)
+                             p.starts[c] if w == 1 else C[w - 2, 1:],
+                             w, params, n)
         if first <= last:
-            k = first - 1
-            if decreased[k]:
+            j = first - 1
+            if p.decreased[c, j]:
                 raise EngineInvariantError(
                     f"cycle {n} sweep {first}: dual objective"
-                    f" decreased by {F_prev[k] - F[k]:.3e}")
-            if short[k]:
+                    f" decreased by {p.F_prev[c, j] - p.F[c, j]:.3e}")
+            if p.short[c, j]:
                 raise EngineInvariantError(
                     f"cycle {n} sweep {first}: ascent fell short of"
                     f" the quadratic margin")
-            j = int(np.flatnonzero(stat_bad & (self.stat_w == first))[0])
+            i = int(np.flatnonzero(p.stat_bad[c] & (self.stat_w == first))[0])
             raise EngineInvariantError(
                 f"cycle {n} sweep {first}: stationarity"
-                f" residual {resid[j]:.3e} at index {self.stat_i[j] + 1}")
-        return F, conj
+                f" residual {p.resid[c, i]:.3e} at index {self.stat_i[i] + 1}")
 
     def _replay(self, spec, S, V, FS, C, conj_prev, w, params, n):
         """check_level=full: sweep w re-solved one subproblem at a time.
@@ -827,13 +959,13 @@ class _CCheck:
         F_before = FS[w - 1]
         conj = None   # the conjugates at z_seq, copied at the first write
         conj_step = C[w - 1, 1:]
-        final = steps[-1][1][-1]
+        final = steps[-1][2][-1]
         snapshot = False
-        for k, (step, subs) in enumerate(steps):
+        for k, (step, groups, subs) in enumerate(steps):
             # a step writes only its own rows of z_step: nothing else is read
             step.solve(spec, z_seq, v, step.arg, params, z_step)
             if k:
-                conj_step = stacked_conjugates(step.conj_groups, z_step,
+                conj_step = stacked_conjugates(groups, z_step,
                                                np.empty(spec.r))
             for sub in subs:
                 rows, gov, term_rows = sub
@@ -868,30 +1000,86 @@ class _CCheck:
                 f"cycle {n} sweep {w}: sequential replay disagrees with the"
                 f" snapshot execution")
 
-    def cycle_pass(self, spec, S, V, conj, groups, gamma, approx, n):
-        """Freeze equalities and certificates; for valid plans only.
+    def _freeze_pass(self, S, k):
+        """_moved of each of k cycles, (k, W, rows)."""
+        return _moved(S[:k * self.W + 1]).reshape(k, self.W, -1)
 
-        The certificate bounds are asserted unless the cycle is approximate.
-        Returns the certificate points, distances and Fenchel residuals.
+    def check(self, spec, S, V, conj, F, margins, batch, params, groups,
+              F_list):
+        """Check the batch's cycles in cycle order; returns (conj, F, certs).
+
+        batch lists the _Pending cycles held in S from S[0] on, whose row
+        sums are V; conj and F are the conjugates and objective at S[0],
+        margins[c] the squared-movement margins of cycle c's sweeps, and
+        groups the stacks of all r terms.  Each cycle fails as a check made
+        cycle by cycle would: its sweeps first (each replayed at
+        check_level="full"), then its end-of-cycle objective against
+        F_list[-1] when its ascent flag is set, and for valid plans its
+        freeze equalities and, unless it is approximate, its certificate
+        bounds.  When a pass over the whole batch raises, the cycles are
+        checked one at a time, so that the first cycle's error comes first.
+        Each cycle's objectives go into F_list and its trace rows.  Returns
+        the conjugates and objective at the last cycle's end and its
+        certificate arrays, or None for an invalid plan.
         """
-        W = len(self.sweeps)
-        S = S[:W + 1]
-        V = V[:W + 1]
-        _assert_freeze(self.c_analysis, S, n, self.masks)
-        X, res, fen = _certificates(spec, S, V, self.layout, groups, conj)
-        if not approx:
-            bad = (res > gamma + CERT_SLACK) | (fen > CLAIM_TOL)
-            if bad.any():
-                i = int(bad.argmax())
-                if res[i] > gamma + CERT_SLACK:
-                    raise EngineInvariantError(
-                        f"cycle {n}: certificate for index {i + 1}"
-                        f" is {res[i]:.3e} from the iterate,"
-                        f" beyond gamma {gamma:.3e}")
+        W = self.W
+        k = len(batch)
+        SC, VC = _cycles(S, k, W), _cycles(V, k, W)
+        moved = certs = None
+        try:
+            p = self._sweep_pass(spec, S, V, SC, VC, conj, F,
+                                 margins[:k, :W], params)
+            if self.valid and k > 1:
+                moved = self._freeze_pass(S, k)
+                certs = _certificates(spec, SC, VC, self.layout, groups,
+                                      p.ends)
+        except Exception:   # an oracle's, or a warning raised as an error
+            if k == 1:
+                raise
+            for c, cyc in enumerate(batch):
+                conj, F, certs = self.check(
+                    spec, S[c * W:], V[c * W:], conj, F, margins[c:], [cyc],
+                    params, groups, F_list)
+            return conj, F, certs
+        for c, cyc in enumerate(batch):
+            self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n, params)
+            F_sweeps = p.F[c].tolist()
+            F = F_sweeps[-1]
+            if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
                 raise EngineInvariantError(
-                    f"cycle {n}: certificate for index {i + 1}"
-                    f" has Fenchel residual {fen[i]:.3e}")
-        return X, res, fen
+                    f"cycle {cyc.n}: end-of-cycle objective decreased")
+            cert_max = None
+            if self.valid:
+                # one cycle alone: each pass runs after the checks before it
+                if moved is None:
+                    moved = self._freeze_pass(S, k)
+                _raise_freeze(self.c_analysis, moved[c], cyc.n, self.masks)
+                if certs is None:
+                    certs = _certificates(spec, SC, VC, self.layout, groups,
+                                          p.ends)
+                X, res, fen = certs
+                if not cyc.approx:
+                    _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
+                cert_max = float(res[c].max())
+            F_list.append(F)
+            cyc.row.F = F
+            cyc.row.cert_max_residual = cert_max
+            if cyc.sweep_rows:
+                for row, F_w in zip(cyc.sweep_rows, F_sweeps):
+                    row.F = F_w
+                cyc.sweep_rows[-1].cert_max_residual = cert_max
+        if certs is not None:   # the last cycle's
+            certs = X[-1], res[-1], fen[-1]
+        return p.ends[-1], F, certs
+
+    def check_sweeps(self, spec, S, V, conj, F, margins, n, params, upto):
+        """The per-sweep checks of sweeps 1..upto of cycle n, held in S from
+        S[0] on; its later states are copies of S[upto], and margins are
+        its sweeps' squared-movement margins."""
+        W = self.W
+        p = self._sweep_pass(spec, S, V, _cycles(S, 1, W), _cycles(V, 1, W),
+                             conj, F, margins[None, :W], params)
+        self._raise_sweeps(spec, S, V, p, 0, n, params, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +1099,9 @@ def _primal_value(spec, groups, x, hint=0):
     vals = np.empty(spec.r)
     for rows, stack in groups:
         vals[rows] = stack.value(x)
-    vals = vals.tolist()
-    total = sum(vals, 0.0)
+    total = _ordered_sum(vals)
     if total == _INF:
+        vals = vals.tolist()
         return _INF, vals.index(_INF) if _INF in vals else hint
     return total + (spec.m + 1) * spec.quad_value(x), hint
 
@@ -961,14 +1149,36 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # analysis.cycles lists the pattern first, then the lead-in cycles
     compiled = [[_CSweep(sw, spec) for sw in c]
                 for c in (plan.pattern,) + plan.lead_in]
+    n_lead = len(plan.lead_in)
     all_terms = stack_terms(spec.terms, range(spec.r))
 
     # z and its row sum v live in preallocated buffers, v taken once for
-    # each snapshot.  With checks on, buf is the snapshot buffer: row 0 the
-    # cycle start, row w the duals after sweep w.  With checks off, the
-    # sweeps alternate between two rows.
+    # each snapshot.  With checks on, buf is the snapshot buffer of a batch
+    # of up to n_batch cycles of one pattern, W sweeps each: row c * W the
+    # start of its cycle c, row c * W + w the duals after that cycle's sweep
+    # w.  With checks off, the sweeps alternate between two rows, and each
+    # cycle end is copied into a batch of n_batch states.  A batch is
+    # checked, or priced, in one pass when it is full, when the next cycle
+    # takes another pattern (checks on), when the gap rule needs its
+    # objective (checks off) or stops the run, before an exception leaves
+    # the loop, and at the end of the run.
     sweep_checks = params.check_level in ("sweep", "full")
-    n_slots = max(map(len, compiled)) + 1 if sweep_checks else 2
+    if sweep_checks:
+        shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
+        scratch = ((np.empty_like(z), np.empty_like(z))
+                   if params.check_level == "full" else None)
+        checks = [_CCheck(c, spec, ca, valid, shared, scratch)
+                  for c, ca in zip(compiled, analysis.cycles)]
+        del shared   # the checks hold their stacks
+        W0 = len(compiled[0])
+        n_batch = 1 if checks[0].last is None else min(
+            _OBJ_BATCH, params.max_iterations,
+            max(1, _CHECK_BATCH_BYTES // (W0 * spec.n_duals * spec.d * 8)))
+        n_slots = max(n_batch * W0, *map(len, compiled)) + 1
+        margins = np.zeros((n_batch, max(map(len, compiled))))
+    else:
+        n_batch = min(_OBJ_BATCH, params.max_iterations)
+        n_slots = 2
     buf = np.empty((n_slots, spec.n_duals, spec.d))
     vbuf = np.empty((n_slots, spec.d))
     buf[0] = z
@@ -976,12 +1186,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     v = z.sum(axis=0, out=vbuf[0])
     slot = 0
     if sweep_checks:
-        shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
-        scratch = ((np.empty_like(z), np.empty_like(z))
-                   if params.check_level == "full" else None)
-        checks = [_CCheck(c, spec, ca, valid, shared, scratch)
-                  for c, ca in zip(compiled, analysis.cycles)]
-        # per-row conjugate cache, carried from one cycle's end to the next
+        # per-row conjugate cache, carried from one batch's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj, v)
     else:
@@ -990,18 +1195,15 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
         F_state = dual_objective_z(spec, z, all_terms, v)
-        # each cycle end is copied into a batch of states, which is priced
-        # in one pass when it is full, when the gap rule needs an objective,
-        # before an exception leaves the loop, and at the end of the run
-        n_batch = min(_OBJ_BATCH, params.max_iterations)
         zb = np.empty((n_batch, spec.n_duals, spec.d))
         vb = np.empty((n_batch, spec.d))
     F_initial = F_state
 
     cycle_rows = []
     sweep_rows = [] if params.per_sweep_trace else None
-    gamma_list, growth_list, F_list, sq_list = [], [], [], []
-    pending = []   # the batched cycle ends as (n, trace row, ascent)
+    gamma_list, growth_list, F_list = [], [], []
+    sq_list = array("d")   # the running sums, held by nothing else
+    pending = []   # the cycles that wait for their batch, as _Pending
     cycle_start_duals = [z.copy()] if keep_cycle_starts else None
     cert_arrays = None
     any_approx = False
@@ -1009,16 +1211,33 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     cycles_run = 0
     hint = 0   # the term the gap rule tries first
 
+    def flush():
+        """Check the pending cycles, or with checks off price their ends."""
+        nonlocal conj, F_state, cert_arrays
+        batch = pending[:]
+        pending.clear()   # so that nothing is evaluated twice after an error
+        if not sweep_checks:
+            _flush_cycle_ends(spec, all_terms, zb, vb, batch, F_list)
+            return
+        cert_arrays = None   # the last batch's go before this one's come
+        conj, F_state, cert_arrays = chk.check(
+            spec, buf, vbuf, conj, F_state, margins, batch, params, all_terms,
+            F_list)
+
     try:
         for n in range(1, params.max_iterations + 1):
-            k = n if n <= len(plan.lead_in) else 0
+            k = n if n <= n_lead else 0
             sweeps = compiled[k]
+            W = len(sweeps)
             if sweep_checks:
                 chk = checks[k]
-                margins = np.empty(len(sweeps))
-                buf[0] = z
-                vbuf[0] = v
-                z, v = buf[0], vbuf[0]
+                c = len(pending)   # the cycle's place in its batch
+                if not c:
+                    buf[0] = z
+                    vbuf[0] = v
+                    z, v = buf[0], vbuf[0]
+                slot = c * W
+                cycle_margins = margins[c]
             gamma_acc = 0.0
             sq_acc = 0.0
             v_acc = 0.0
@@ -1026,17 +1245,22 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
 
             for w, cs in enumerate(sweeps, start=1):
                 z_prev, v_prev = z, v
-                slot = w if sweep_checks else 1 - slot
+                slot = slot + 1 if sweep_checks else 1 - slot
                 z = buf[slot]
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
                 # the rows the sweep did not write were scanned when written
                 if not all_finite(z[cs.written]):
                     if sweep_checks:
-                        # the sweeps before this one are checked first
-                        buf[w:len(sweeps) + 1] = z_prev
-                        vbuf[w:len(sweeps) + 1] = v_prev
-                        chk.sweep_pass(spec, buf, vbuf, conj, F_state,
-                                       margins, n, params, upto=w - 1)
+                        # the batch's cycles before this one are checked
+                        # first, then this one's sweeps before this one
+                        if pending:
+                            flush()
+                        end = (c + 1) * W + 1
+                        buf[slot:end] = z_prev
+                        vbuf[slot:end] = v_prev
+                        chk.check_sweeps(spec, buf[c * W:], vbuf[c * W:],
+                                         conj, F_state, cycle_margins, n,
+                                         params, upto=w - 1)
                     cycle_rows.append(TraceRow(
                         n=n, w=w, F=float("nan"), v_diff=float("nan"),
                         inner_diffs={}, gamma_n=None, growth_monitor=None,
@@ -1051,10 +1275,11 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 v_acc += v_diff
                 cycle_approx = cycle_approx or not exact
                 if sweep_checks:
-                    margins[w - 1] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
+                    cycle_margins[w - 1] = (0.5 * v_diff * v_diff
+                                            + 0.5 * inner_sq)
 
                 if sweep_rows is not None:
-                    last = w == len(sweeps)
+                    last = w == W
                     sweep_rows.append(TraceRow(
                         n=n, w=w, F=None, v_diff=v_diff,
                         inner_diffs=dict(zip(cs.block_js, inner)),
@@ -1063,61 +1288,49 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         approx=not exact))
 
             ascent = not any_approx and not cycle_approx
-            F_cycle = None   # with checks off, set when its batch is priced
-            if sweep_checks:
-                F_sweeps, conj = chk.sweep_pass(spec, buf, vbuf, conj,
-                                                F_state, margins, n, params)
-                F_sweeps = F_sweeps.tolist()
-                F_state = F_cycle = F_sweeps[-1]
-                if sweep_rows is not None:
-                    for row, F in zip(sweep_rows[-len(sweeps):], F_sweeps):
-                        row.F = F
-                if ascent and F_list and F_cycle < F_list[-1] - ASCENT_TOL:
-                    raise EngineInvariantError(
-                        f"cycle {n}: end-of-cycle objective decreased")
-            else:
+            if not sweep_checks:
                 zb[len(pending)] = z
                 vb[len(pending)] = v
             any_approx = any_approx or cycle_approx
             growth = _norm(z) / math.sqrt(n)
-
-            cert_max = None
-            if sweep_checks and valid:
-                cert_arrays = chk.cycle_pass(spec, buf, vbuf, conj, all_terms,
-                                             gamma_acc, cycle_approx, n)
-                cert_max = float(cert_arrays[1].max())
-
             gamma_list.append(gamma_acc)
             growth_list.append(growth)
             sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
+            # F, and cert_max_residual with checks on, are filled in when
+            # the cycle's batch is checked or priced
             row = TraceRow(
-                n=n, w=len(sweeps), F=F_cycle, v_diff=v_acc, inner_diffs={},
+                n=n, w=W, F=None, v_diff=v_acc, inner_diffs={},
                 gamma_n=gamma_acc, growth_monitor=growth,
-                cert_max_residual=cert_max, approx=cycle_approx)
+                cert_max_residual=None, approx=cycle_approx)
             cycle_rows.append(row)
-            if sweep_checks:
-                F_list.append(F_cycle)
-            else:
-                pending.append((n, row, ascent))
-                if len(pending) == n_batch:
-                    _flush_cycle_ends(spec, all_terms, zb, vb, pending,
-                                      F_list)
+            cycle_sweeps = None
+            if sweep_rows is not None:
+                cycle_sweeps = sweep_rows[-W:]
+                cycle_sweeps[-1].growth_monitor = growth
+            pending.append(_Pending(n, row, ascent, gamma_acc, cycle_approx,
+                                    cycle_sweeps))
+            if len(pending) == n_batch or (sweep_checks and n <= n_lead):
+                flush()
+            if n == n_lead:
+                # nothing reads the lead-in cycles' sweeps and checks again
+                del compiled[1:]
+                if sweep_checks:
+                    del checks[1:]
             if keep_cycle_starts:
                 cycle_start_duals.append(z.copy())
-            if sweep_rows is not None and sweep_rows:
-                tail = sweep_rows[-1]
-                tail.growth_monitor = growth
-                tail.cert_max_residual = cert_max
             cycles_run = n
 
             if params.stop_gap is not None:
                 primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
                                              hint)
                 if np.isfinite(primal):
-                    if pending:
-                        _flush_cycle_ends(spec, all_terms, zb, vb, pending,
-                                          F_list)
-                    F_cycle = F_list[-1]
+                    if pending and not sweep_checks:
+                        flush()
+                    # a checked cycle that waits for its batch is priced by
+                    # itself, with the bits its check will find
+                    F_cycle = (dual_objective_from(spec, z, stacked_conjugates(
+                        all_terms, z, np.empty(spec.r)), v)
+                        if pending else F_list[-1])
                     if (np.isfinite(F_cycle)
                             and primal - F_cycle <= params.stop_gap):
                         stop_reason = "gap"
@@ -1125,16 +1338,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     except Exception:
         # an earlier cycle's error comes first, as in a cycle-by-cycle check
         if pending:
-            _flush_cycle_ends(spec, all_terms, zb, vb, pending, F_list)
+            flush()
         raise
     if pending:
-        _flush_cycle_ends(spec, all_terms, zb, vb, pending, F_list)
-    zb = vb = None   # the batch goes before the result is built
+        flush()
 
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
+    x = spec.x0 - v
+    # the buffers go before the result is built
+    z = v = z_prev = v_prev = buf = vbuf = zb = vb = margins = None
     return RunResult(
         state=state,
-        x=spec.x0 - v,
+        x=x,
         F=F_list[-1],
         F_initial=F_initial,
         stop_reason=stop_reason,
@@ -1146,8 +1361,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         F_per_cycle=np.array(F_list),
         sq_diff_cumsum=np.array(sq_list),
         cycle_start_duals=cycle_start_duals,
-        certificates=(None if cert_arrays is None
-                      else _certificate_list(*cert_arrays)),
+        # a copy of the points, so that the batch's arrays are let go
+        certificates=(None if cert_arrays is None else _certificate_list(
+            cert_arrays[0].copy(), *cert_arrays[1:])),
         any_approx=any_approx,
         analysis=analysis)
 

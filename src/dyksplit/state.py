@@ -118,18 +118,31 @@ def primal_estimate(spec, state):
     return spec.x0 - state.z.sum(axis=0)
 
 
+def _ordered_sum(values):
+    """0.0 + values[0] + values[1] + ..., added left to right.
+
+    The running sum of np.cumsum, as the engine sums its batches of states.
+    Python's sum() gave the same bits up to 3.11; from 3.12 on it
+    compensates a float sum, and so rounds differently.
+    """
+    acc = np.empty(len(values) + 1)
+    acc[0] = 0.0
+    acc[1:] = values
+    return float(acc.cumsum(out=acc)[-1])
+
+
 def dual_objective_from(spec, z, conjugates, v=None):
     """Dual objective on z given its r term conjugates h_i*(z_i), in order.
 
     conjugates is an array of all r values, evaluated up front and summed in
-    row order; the result is -inf when any of them is +inf.  Every dual
-    value goes through this one formula with conjugates from the same
-    stacked oracles, which keeps them bitwise equal; the engine evaluates it
-    in the same order for all sweeps of a cycle at once in its check pass,
-    and for a batch of cycle ends with checks off (engine._objectives).  v,
-    when given, is z.sum(axis=0).
+    row order (_ordered_sum); the result is -inf when any of them is +inf.
+    Every dual value goes through this one formula with conjugates from the
+    same stacked oracles, which keeps them bitwise equal; the engine
+    evaluates it in the same order for all sweeps of a batch of cycles at
+    once in its check pass, and for a batch of cycle ends with checks off
+    (engine._objectives).  v, when given, is z.sum(axis=0).
     """
-    total = sum(conjugates.tolist(), 0.0)
+    total = _ordered_sum(conjugates)
     if total == _INF:
         return -_INF
     if spec.m:

@@ -307,13 +307,14 @@ def moreau_dual(term, u):
 #
 # moreau(U) gives U - prox(U), support(Z) the conjugates h_i*(z_i) and
 # value(X) the values h_i(x_i), row by row over a (k, d) array; value also
-# takes one point x of shape (d,) and gives h_i(x) at every row, and support
-# takes a leading batch axis, (b, k, d) to (b, k), so that one call prices
-# the same rows of b states.  The closed-form stacks take the scalar
-# oracles' steps row by row, with every dot product through _dots, and
-# derive moreau and value from project as moreau_dual and Indicator.value
-# do, so each row is bitwise the scalar oracle's and never depends on the
-# stack's height, its row order or the batch.
+# takes one point x of shape (d,) and gives h_i(x) at every row.  support,
+# value and the set stacks' project take a leading batch axis, (b, k, d) to
+# (b, k) or (b, k, d), so that one call evaluates the same rows of b
+# states.  The closed-form stacks take the scalar oracles' steps row by
+# row, with every dot product through _dots, and derive moreau and value
+# from project as moreau_dual and Indicator.value do, so each row is
+# bitwise the scalar oracle's and never depends on the stack's height, its
+# row order or the batch.
 
 def _dots_matmul(X, Y):
     """Row-wise <x_k, y_k> over the last axis, broadcast over the leading
@@ -365,13 +366,14 @@ class HalfspaceStack(_SetStack):
     def project(self, U):
         # Halfspace.project: no move where the scaled excess is <= 0
         excess = (_dots(self.A, U) - self.b) / self._nrm2
-        return np.where((excess <= 0.0)[:, None], U,
-                        U - excess[:, None] * self.A)
+        return np.where((excess <= 0.0)[..., None], U,
+                        U - excess[..., None] * self.A)
 
     def support(self, Z):
         # Halfspace.support: dom sigma = nonnegative ray through a_i
         s = _dots(self.A, Z) / self._nrm2
-        R = Z - s[..., None] * self.A
+        R = s[..., None] * self.A
+        np.subtract(Z, R, out=R)   # Z - s a_i, in the temporary's place
         tol = DOM_TOL * np.maximum(1.0, np.sqrt(_dots(Z, Z)))
         out = self.b * s
         out[(np.sqrt(_dots(R, R)) > tol) | (s < -DOM_TOL)] = _INF
@@ -398,7 +400,7 @@ class BallStack(_SetStack):
         inside = nrm <= self.radius
         scale = np.divide(self.radius, nrm, out=np.zeros_like(nrm),
                           where=~inside)
-        return np.where(inside[:, None], U, self.C + scale[:, None] * D)
+        return np.where(inside[..., None], U, self.C + scale[..., None] * D)
 
     def support(self, Z):
         return _dots(Z, self.C) + self.radius * np.sqrt(_dots(Z, Z))
@@ -426,6 +428,8 @@ class TermStack:
                         dtype=float)
 
     def value(self, X):
+        if X.ndim > 2:
+            return np.array([self.value(Xb) for Xb in X])
         X = np.broadcast_to(X, (len(self.terms), X.shape[-1]))
         return np.array([t.value(x) for t, x in zip(self.terms, X)],
                         dtype=float)

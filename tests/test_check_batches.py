@@ -1,0 +1,319 @@
+"""Checked cycles in batches: the bits, the flush points and the error order."""
+
+import builtins
+import math
+
+import numpy as np
+import pytest
+
+import dyksplit as dk
+from dyksplit import engine, fixtures
+from dyksplit.engine import EngineInvariantError, NonFiniteStateError
+from dyksplit.terms import HalfspaceStack
+
+from . import test_engine
+
+
+def _case(name):
+    if name == "classic":
+        return fixtures.random_mixed(5, 6, 4), dk.classic_dykstra_schedule(6)
+    if name == "product":
+        return (fixtures.random_halfspaces(1, 4, 3, m=3),
+                dk.product_space_schedule(4))
+    if name == "mixed_block":
+        return (fixtures.random_mixed(7, 4, 3, m=1),
+                fixtures.mixed_block_schedule(4))
+    # both nested fallbacks; the block {5, 10} is deferred to a lead-in
+    return fixtures.random_mixed(7, 8, 6, m=2), test_engine._custom_nested_plan()
+
+
+def _recording(sizes):
+    """_CCheck.check, appending the number of cycles of each batch to sizes."""
+    check = engine._CCheck.check
+
+    def recorded(self, spec, S, V, conj, F, margins, batch, *rest):
+        sizes.append(len(batch))
+        return check(self, spec, S, V, conj, F, margins, batch, *rest)
+
+    return recorded
+
+
+def _batch_sizes(monkeypatch):
+    """Record the number of cycles of every batch the checks take."""
+    sizes = []
+    monkeypatch.setattr(engine._CCheck, "check", _recording(sizes))
+    return sizes
+
+
+def _assert_same_result(a, b):
+    for name in ("F_per_cycle", "gamma", "growth", "sq_diff_cumsum", "x"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.state.z.tobytes() == b.state.z.tobytes()
+    assert (a.F, a.F_initial, a.stop_reason, a.cycles_run, a.any_approx) == (
+        b.F, b.F_initial, b.stop_reason, b.cycles_run, b.any_approx)
+    assert a.cycle_rows == b.cycle_rows
+    assert a.sweep_rows == b.sweep_rows
+    assert (a.certificates is None) == (b.certificates is None)
+    for p, q in zip(a.certificates or (), b.certificates or ()):
+        assert p.index == q.index
+        assert p.point.tobytes() == q.point.tobytes()
+        assert (p.residual, p.fenchel) == (q.residual, q.fenchel)
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested"])
+def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
+        monkeypatch, case, level):
+    # caps on both sides of a full batch, gap stops inside one, and a zero
+    # gap that prices every feasible pending cycle by itself: every field,
+    # trace row and certificate is that of batches of one, and "off" has
+    # the objectives of the checked run
+    spec, plan = _case(case)
+    sizes = _batch_sizes(monkeypatch)
+    per_cycle = len(plan.pattern) * spec.n_duals * spec.d * 8
+    mid_batch = False
+    for cap, gap in [(1, None), (3, None), (7, None), (8, None), (26, None),
+                     (400, 1e-8), (26, 0.0)]:
+        def solve(level):
+            return dk.run(spec, plan, dk.SolveParams(
+                max_iterations=cap, stop_gap=gap, check_level=level,
+                per_sweep_trace=True))
+
+        sizes.clear()
+        batched = solve(level)
+        batched_sizes = sizes[:]
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_CHECK_BATCH_BYTES", 0)
+            sizes.clear()
+            single = solve(level)
+            assert set(sizes) == {1}
+        _assert_same_result(batched, single)
+        off = solve("off")
+        assert off.F_per_cycle.tobytes() == batched.F_per_cycle.tobytes()
+        assert ([row.F for row in off.cycle_rows]
+                == [row.F for row in batched.cycle_rows])
+        assert (off.stop_reason, off.cycles_run) == (batched.stop_reason,
+                                                     batched.cycles_run)
+        n_batch = min(engine._OBJ_BATCH, cap,
+                      engine._CHECK_BATCH_BYTES // per_cycle)
+        assert max(batched_sizes) == min(
+            n_batch, max(1, batched.cycles_run - len(plan.lead_in)))
+        if batched.stop_reason == "gap":
+            mid_batch = mid_batch or batched_sizes[-1] < n_batch
+    assert mid_batch
+
+
+def test_a_pattern_that_leaves_a_term_row_unwritten_is_checked_cycle_by_cycle(
+        monkeypatch):
+    # its conjugates at a cycle's end depend on those at its start
+    spec = fixtures.random_halfspaces(3, 4, 3)
+    S = dk.SweepPlan
+    plan = dk.CyclePlan(pattern=(S(outer={1}), S(outer={2}), S(outer={4})))
+    sizes = _batch_sizes(monkeypatch)
+    for level in ("sweep", "full"):
+        res = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=20, check_level=level,
+            allow_invalid_schedule=True))
+        assert res.cycles_run == 20 and res.certificates is None
+    assert set(sizes) == {1}
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "custom_nested"])
+def test_the_gap_rule_prices_a_pending_cycle_with_the_bits_of_its_check(
+        monkeypatch, case, level):
+    # while a cycle waits for its batch, the gap rule prices its end by
+    # itself; that objective is the one the check pass finds for it.  x is
+    # feasible at most cycle ends of these runs, and the gap never closes
+    if case == "classic":
+        spec = fixtures.random_halfspaces(2, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    else:
+        spec = fixtures.random_mixed(3, 8, 6, m=2)
+        plan = test_engine._custom_nested_plan()
+    priced = []
+    objective = engine.dual_objective_from
+
+    def recorded(spec, z, conjugates, v=None):
+        F = objective(spec, z, conjugates, v)
+        priced.append((z.tobytes(), F))
+        return F
+
+    monkeypatch.setattr(engine, "dual_objective_from", recorded)
+    res = dk.run(spec, plan, dk.SolveParams(
+        max_iterations=100, stop_gap=0.0, check_level=level),
+        keep_cycle_starts=True)
+    assert res.stop_reason == "max_iterations"
+    F_at = {z.tobytes(): F for z, F in zip(res.cycle_start_duals[1:],
+                                           res.F_per_cycle.tolist())}
+    # after F_initial; the replay prices states that are not cycle ends
+    pending = [(z, F) for z, F in priced[1:] if z in F_at]
+    assert len(pending) > 50
+    for z, F in pending:
+        assert F == F_at[z]
+
+
+def _distinct_input(row, call, act):
+    """act(out) on the call-th distinct input state of row's solves.
+
+    A replay at check_level="full" re-solves an input it has seen, and gets
+    the same fault, whenever it runs.
+    """
+    seen = {}
+
+    def fault(spec, z, i, out):
+        if i == row:
+            key = z.tobytes()
+            if key not in seen:
+                seen[key] = len(seen) + 1
+            if seen[key] == call:
+                act(out)
+    return fault
+
+
+def _half_step(out):
+    out[0] *= 0.5
+
+
+def _write(value):
+    def act(out):
+        out[4, 0] = value
+    return act
+
+
+def _raise_in_prox(out):
+    raise ValueError("prox failed")
+
+
+_MARK = 1234.5
+
+
+def _raise_on_mark(monkeypatch):
+    support = HalfspaceStack.support
+
+    def marked(self, Z):
+        if (Z == _MARK).any():
+            raise ValueError("conjugate failed")
+        return support(self, Z)
+
+    monkeypatch.setattr(HalfspaceStack, "support", marked)
+
+
+def _gamma_zero_in_cycle(monkeypatch, n, sweeps):
+    """Report no movement in cycle n: its certificates fail."""
+    movement = engine._movement
+    calls = [0]
+
+    def short(*args):
+        calls[0] += 1
+        v, inner = movement(*args)
+        if (n - 1) * sweeps < calls[0] <= n * sweeps:
+            return 0.0 * v, [0.0 * d for d in inner]
+        return v, inner
+
+    monkeypatch.setattr(engine, "_movement", short)
+
+
+_CYCLE_2 = r"cycle 2 sweep 1: dual objective decreased by \d\.\d{3}e-\d\d"
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("later,error,message", [
+    ("non-finite", NonFiniteStateError,
+     "non-finite duals after cycle 4 sweep 5"),
+    ("prox-raises", ValueError, "prox failed"),
+    ("conjugate-raises", ValueError, "conjugate failed"),
+    ("certificate", EngineInvariantError,
+     "cycle 4: certificate for index 1 is .* beyond gamma 0.000e\\+00"),
+])
+def test_fault_in_a_batch_reports_its_first_failing_cycle(
+        monkeypatch, level, later, error, message):
+    # cycle 2's sweep 1 fails its check, then cycle 4 of the same batch
+    # fails: cycle 2's error comes first, as in a cycle-by-cycle check
+    sizes = []
+
+    def run_with(*faults):
+        _raise_on_mark(monkeypatch)
+        if later == "certificate":
+            _gamma_zero_in_cycle(monkeypatch, 4, 6)
+        else:
+            act = {"non-finite": _write(np.nan),
+                   "prox-raises": _raise_in_prox,
+                   "conjugate-raises": _write(_MARK)}[later]
+            faults += (_distinct_input(4, 4, act),)
+        spec, plan = test_engine._classic_faults(monkeypatch, *faults)
+        sizes[:] = []
+        monkeypatch.setattr(engine._CCheck, "check", _recording(sizes))
+        try:
+            dk.run(spec, plan, dk.SolveParams(max_iterations=6,
+                                              check_level=level))
+        finally:
+            monkeypatch.undo()
+
+    # alone, the later fault is the error
+    with pytest.raises(error, match=f"^{message}$"):
+        run_with()
+    with pytest.raises(EngineInvariantError, match=f"^{_CYCLE_2}$"):
+        run_with(_distinct_input(0, 2, _half_step))
+    # cycles 1 to 3 at least were checked as one batch
+    assert sizes[0] >= 3
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """sum() as Python 3.12 adds floats: with Neumaier's compensation."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+        else:
+            total = total + x
+    if type(total) is float and comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_neumaier_sum_rounds_as_python_3_12_does():
+    assert _neumaier_sum([0.1] * 10, 0.0) == 1.0
+    assert sum([0.1] * 10, 0.0) in (1.0, 0.9999999999999999)
+    assert _neumaier_sum([1, 2, 3]) == 6
+    assert _neumaier_sum([1e100, 1.0, -1e100], 0.0) == 1.0
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "deferred", "outside_domain"])
+def test_objectives_keep_their_bits_under_a_compensated_sum(monkeypatch,
+                                                           case):
+    # the dual objective sums its conjugates in the engine's order whatever
+    # sum() does, so the cached per-sweep objectives still equal it
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    test_engine.test_run_cached_objective_is_bitwise_reference(case)
+
+
+def test_only_the_full_replay_stacks_an_outer_set(monkeypatch):
+    # a sweep builds stacks for its one-member blocks only; the replay at
+    # check_level="full" stacks the term rows of a step after the first,
+    # here the outer set {r} of the product schedule's sweep 2, after its
+    # r - 1 blocks
+    spec, plan = _case("product")
+    stack_terms = engine.stack_terms
+    calls = {}
+    for level in ("sweep", "full"):
+        calls[level] = made = []
+
+        def counted(terms, rows):
+            rows = list(rows)
+            if terms is spec.terms and 0 < len(rows) < spec.r:
+                made.append(rows)
+            return stack_terms(terms, rows)
+
+        monkeypatch.setattr(engine, "stack_terms", counted)
+        dk.run(spec, plan, dk.SolveParams(max_iterations=2,
+                                          check_level=level))
+    assert calls["sweep"] == [list(range(spec.r - 1))]
+    assert calls["full"] == calls["sweep"] + [[spec.r - 1]]

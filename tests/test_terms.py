@@ -502,3 +502,32 @@ def test_strided_input_gives_the_bits_of_contiguous_input(kind, dots):
                 # the stacked row of the same point
                 assert np.array_equal(row[0], want[0])
                 assert (row[1], row[2]) == want[1:]
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_project_and_value_over_a_batch_of_states_are_per_state_calls(
+        kind, dots):
+    # (k, rows, d) in: state j's rows are the stack's project and value at
+    # state j alone, bit for bit, for strided views and gathered copies
+    k = 4
+    for d in STACK_DIMS:
+        if kind == "affine" and d < 2:
+            continue
+        rng, terms, U, Z = _stack_inputs(kind, d)
+        stack = _one_stack(terms)
+        P = rng.standard_normal((k + 1, STACK_HEIGHT + 2, d))
+        # every state holds points at, near and off each set
+        P[:k, 1:STACK_HEIGHT + 1] = [
+            _value_points(terms, U * s) for s in rng.uniform(0.5, 1.5, k)]
+        rows = np.arange(1, STACK_HEIGHT + 1)
+        for batch in (P[:k, 1:STACK_HEIGHT + 1], P[:k, rows]):
+            got = stack.value(batch)
+            assert got.shape == (k, STACK_HEIGHT)
+            assert np.array_equal(got, [stack.value(b) for b in batch])
+            if hasattr(stack, "project"):
+                moved = stack.project(batch)
+                assert moved.shape == batch.shape
+                assert np.array_equal(moved,
+                                      [stack.project(b) for b in batch])
+        if kind in ("halfspace", "l2ball"):
+            assert np.isinf(got).any() and (got == 0.0).any()
