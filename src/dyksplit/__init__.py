@@ -11,7 +11,7 @@ convergence certificates.
 
 from .engine import (Certificate, EngineInvariantError, InvalidScheduleError,
                      NonFiniteStateError, RunResult, ScheduleGrowthWarning,
-                     SolveParams, TraceRow, certificate_points,
+                     SolveParams, TraceRow, TraceRows, certificate_points,
                      product_space_reference, run, run_sweep, solve_inner_block,
                      solve_outer)
 from .oracle import (ConvergenceError, LinearConstraint, PolyhedralInstance,
@@ -36,8 +36,9 @@ __all__ = [
     "L2Ball", "LinearConstraint", "NonFiniteStateError", "PolyhedralInstance",
     "ProblemSpec", "Quadratic", "RunResult", "ScheduleAnalysis",
     "ScheduleGrowthWarning", "ScheduleStructureError", "SolveParams",
-    "SweepPlan", "TraceRow", "UnresolvableDeferralError", "Violation",
-    "WeakDualityError", "certificate_points", "classic_dykstra_schedule",
+    "SweepPlan", "TraceRow", "TraceRows", "UnresolvableDeferralError",
+    "Violation", "WeakDualityError", "certificate_points",
+    "classic_dykstra_schedule",
     "dual_objective", "fenchel_residual", "gap_report", "moreau_dual",
     "primal_estimate", "product_space_reference",
     "product_space_schedule", "qp_project", "reference_solve",

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -52,36 +54,69 @@ def _fmt(x):
     return "" if x is None else repr(float(x))
 
 
+# bound once: the JSON writer calls them for every float of every row
+_repr = float.__repr__
+_isfinite = math.isfinite
+
+
+def _json_float(x):
+    """A float or None as json.dumps writes it."""
+    if x is None:
+        return "null"
+    if _isfinite(x):
+        return _repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _row_fields(rows):
+    """Each row's fields in TraceRow order, inner_diffs as (j, movement)
+    pairs: a run's TraceRows are read from its columns, any other rows from
+    their TraceRow objects."""
+    if isinstance(rows, engine.TraceRows):
+        return rows._fields()
+    return ((row.n, row.w, row.F, row.v_diff, row.inner_diffs.items(),
+             row.gamma_n, row.growth_monitor, row.cert_max_residual,
+             row.approx) for row in rows)
+
+
+def _csv_lines(rows):
+    for n, w, F, v_diff, _, gamma, growth, cert, approx in _row_fields(rows):
+        yield (f"{n},{w},{_fmt(F)},{_fmt(v_diff)},{_fmt(gamma)},"
+               f"{_fmt(growth)},{_fmt(cert)},{1 if approx else 0}\n")
+
+
+def _json_lines(rows):
+    """The rows as json.dumps writes each, one per line after a separator."""
+    f = _json_float
+    sep = "\n"
+    for n, w, F, v_diff, inner, gamma, growth, cert, approx in (
+            _row_fields(rows)):
+        diffs = ", ".join([f'"{j}": {f(d)}' for j, d in inner])
+        yield (f'{sep}{{"n": {n}, "w": {w}, "F": {f(F)}, "v_diff":'
+               f' {f(v_diff)}, "inner_diffs": {{{diffs}}}, "gamma_n":'
+               f' {f(gamma)}, "growth_monitor": {f(growth)},'
+               f' "cert_max_residual": {f(cert)}, "approx_flag":'
+               f' {"true" if approx else "false"}}}')
+        sep = ",\n"
+
+
 def _write_trace(path, fmt, rows, meta):
-    if fmt == "csv":
-        lines = []
-        if meta.get("schedule_rewritten"):
-            lines.append("# schedule auto-deferred: (B)-violating blocks"
-                         " moved to cycle starts")
-        lines.append(",".join(TRACE_COLUMNS))
-        for row in rows:
-            lines.append(",".join([
-                str(row.n), str(row.w), _fmt(row.F), _fmt(row.v_diff),
-                _fmt(row.gamma_n), _fmt(row.growth_monitor),
-                _fmt(row.cert_max_residual), "1" if row.approx else "0"]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        # one json.dumps per row runs the C encoder, which an indent turns
-        # off, and writes the rows as they are encoded, one per line
-        with open(path, "w") as fh:
+    """Write the trace rows as they are formatted, 64 lines at a time; the
+    bytes are those of one json.dumps per row (JSON) or _fmt per field
+    (CSV)."""
+    with open(path, "w") as fh:
+        if fmt == "csv":
+            if meta.get("schedule_rewritten"):
+                fh.write("# schedule auto-deferred: (B)-violating blocks"
+                         " moved to cycle starts\n")
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            lines = _csv_lines(rows)
+        else:
             fh.write(f'{{"meta": {json.dumps(meta)}, "rows": [')
-            sep = "\n"
-            for row in rows:
-                fh.write(sep + json.dumps({
-                    "n": row.n, "w": row.w, "F": row.F, "v_diff": row.v_diff,
-                    "inner_diffs": {str(j): v
-                                    for j, v in row.inner_diffs.items()},
-                    "gamma_n": row.gamma_n,
-                    "growth_monitor": row.growth_monitor,
-                    "cert_max_residual": row.cert_max_residual,
-                    "approx_flag": row.approx}))
-                sep = ",\n"
+            lines = _json_lines(rows)
+        while chunk := "".join(islice(lines, 64)):
+            fh.write(chunk)
+        if fmt != "csv":
             fh.write("\n]}\n")
 
 

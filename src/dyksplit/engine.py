@@ -38,8 +38,10 @@ before a non-finite one first.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -126,6 +128,148 @@ class TraceRow:
     approx: bool
 
 
+class _Trace:
+    """A run's trace rows as typed columns, filled in by run (TraceRows).
+
+    Per cycle: F, v_diff, gamma, growth and approx, and cert, the largest
+    certificate distance, when every cycle has one (checks on and a valid
+    plan), else None.  Per sweep, with per-sweep rows: sweep_F (None with
+    checks off, where no sweep has an objective), sweep_v_diff,
+    sweep_approx, and moves, the block movements of every sweep in block_js
+    order; without them all four are None.  Rows are numbered by position:
+    keys lists, for each cycle the plan runs, the block_js of each of its
+    sweeps, the pattern's first and then those of the lead-in cycles, as
+    run compiles them.
+    """
+
+    __slots__ = ("keys", "F", "v_diff", "gamma", "growth", "approx", "cert",
+                 "sweep_F", "sweep_v_diff", "sweep_approx", "moves")
+
+    def __init__(self, keys, certs, sweeps, sweep_objectives):
+        self.keys = keys
+        self.F, self.v_diff, self.gamma, self.growth = (
+            array("d"), array("d"), array("d"), array("d"))
+        self.approx = array("b")
+        self.cert = array("d") if certs else None
+        self.sweep_F = array("d") if sweeps and sweep_objectives else None
+        self.sweep_v_diff, self.sweep_approx, self.moves = (
+            (array("d"), array("b"), array("d")) if sweeps
+            else (None, None, None))
+
+    def _cycle_keys(self, n):
+        return self.keys[n if n < len(self.keys) else 0]
+
+    def cycle_fields(self, k):
+        """The fields of the cycle rows from row k on (TraceRows._fields)."""
+        F, v_diff, gamma, growth, approx, cert = (
+            self.F, self.v_diff, self.gamma, self.growth, self.approx,
+            self.cert)
+        for i in range(k, len(gamma)):
+            yield (i + 1, len(self._cycle_keys(i + 1)), F[i], v_diff[i], (),
+                   gamma[i], growth[i], None if cert is None else cert[i],
+                   bool(approx[i]))
+
+    def _locate(self, k):
+        """Cycle n of sweep row k, the row's sweep w in the cycle and the
+        place in moves of its first block movement."""
+        n = 1
+        m = 0
+        for keys in self.keys[1:]:   # the lead-in cycles come first
+            if k < len(keys):
+                break
+            k -= len(keys)
+            m += sum(map(len, keys))
+            n += 1
+        else:
+            keys = self.keys[0]
+            q, k = divmod(k, len(keys))
+            n += q
+            m += q * sum(map(len, keys))
+        return n, k + 1, m + sum(map(len, keys[:k]))
+
+    def sweep_fields(self, k):
+        """The fields of the sweep rows from row k on (TraceRows._fields).
+
+        The last sweep of a cycle carries the cycle's gamma_n,
+        growth_monitor and cert_max_residual, the others None.
+        """
+        F, v_diff, approx, moves, cert = (
+            self.sweep_F, self.sweep_v_diff, self.sweep_approx, self.moves,
+            self.cert)
+        n, w, m = self._locate(k)
+        while k < len(v_diff):
+            keys = self._cycle_keys(n)
+            W = len(keys)
+            ends = None, None, None
+            for w in range(w, W + 1):
+                js = keys[w - 1]
+                e = m + len(js)
+                if w == W:
+                    ends = (self.gamma[n - 1], self.growth[n - 1],
+                            None if cert is None else cert[n - 1])
+                yield (n, w, None if F is None else F[k], v_diff[k],
+                       zip(js, moves[m:e]) if js else (), *ends,
+                       bool(approx[k]))
+                k += 1
+                m = e
+            n += 1
+            w = 1
+
+
+def _as_row(fields):
+    n, w, F, v_diff, inner, gamma, growth, cert, approx = fields
+    return TraceRow(n, w, F, v_diff, dict(inner), gamma, growth, cert, approx)
+
+
+class TraceRows(Sequence):
+    """A run's cycle rows or per-sweep rows, read-only.
+
+    run keeps its trace in typed columns; each TraceRow is built when it is
+    read, as a new object.  Supports len, int and slice indexing (a slice
+    is a list), iteration and == against any sequence of TraceRow.
+    """
+
+    __slots__ = ("_trace", "_sweeps")
+
+    def __init__(self, trace, sweeps):
+        self._trace = trace
+        self._sweeps = sweeps
+
+    def _fields(self, k=0):
+        """The fields of the rows from row k on, one tuple per row in
+        TraceRow order, with inner_diffs as (j, movement) pairs."""
+        if self._sweeps:
+            return self._trace.sweep_fields(k)
+        return self._trace.cycle_fields(k)
+
+    def __len__(self):
+        t = self._trace
+        return len(t.sweep_v_diff if self._sweeps else t.gamma)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("trace row index out of range")
+        return _as_row(next(self._fields(k)))
+
+    def __iter__(self):
+        return map(_as_row, self._fields())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TraceRows({list(self)!r})"
+
+
 @dataclass
 class Certificate:
     index: int
@@ -142,8 +286,8 @@ class RunResult:
     F_initial: float
     stop_reason: str
     cycles_run: int
-    cycle_rows: list
-    sweep_rows: list | None
+    cycle_rows: TraceRows
+    sweep_rows: TraceRows | None
     gamma: np.ndarray
     growth: np.ndarray
     F_per_cycle: np.ndarray
@@ -477,24 +621,21 @@ def _state_objectives(spec, groups, Z, V):
 class _Pending(NamedTuple):
     """A cycle whose checks or objective wait for its batch (run).
 
-    row is its trace row and sweep_rows its per-sweep rows or None; ascent
-    says whether its end-of-cycle objective must not fall below the cycle
-    before it, gamma is its gamma_n and approx whether a sweep was
-    approximate.
+    n is its number; ascent says whether its end-of-cycle objective must
+    not fall below the cycle before it, gamma is its gamma_n and approx
+    whether a sweep was approximate.
     """
     n: int
-    row: TraceRow
     ascent: bool
     gamma: float
     approx: bool
-    sweep_rows: list | None
 
 
 def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
     """Evaluate a batch of checks-off cycle ends in cycle order.
 
     batch lists the _Pending cycles whose ends are the states Z[k], with row
-    sums V[k].  Each objective goes into F_list and the cycle's trace row,
+    sums V[k].  Each objective is appended to F_list, the trace's F column,
     and a cycle whose ascent flag is set must not fall below the cycle
     before it, as in a cycle-by-cycle check.  When the batched call raises,
     the states are priced one at a time, so that the first cycle's error
@@ -512,7 +653,6 @@ def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
             raise EngineInvariantError(
                 f"cycle {cyc.n}: end-of-cycle objective decreased")
         F_list.append(F_n)
-        cyc.row.F = F_n
 
 
 def _pair_stacks(terms, rows, shared):
@@ -1005,21 +1145,22 @@ class _CCheck:
         return _moved(S[:k * self.W + 1]).reshape(k, self.W, -1)
 
     def check(self, spec, S, V, conj, F, margins, batch, params, groups,
-              F_list):
+              trace):
         """Check the batch's cycles in cycle order; returns (conj, F, certs).
 
         batch lists the _Pending cycles held in S from S[0] on, whose row
         sums are V; conj and F are the conjugates and objective at S[0],
-        margins[c] the squared-movement margins of cycle c's sweeps, and
-        groups the stacks of all r terms.  Each cycle fails as a check made
-        cycle by cycle would: its sweeps first (each replayed at
-        check_level="full"), then its end-of-cycle objective against
-        F_list[-1] when its ascent flag is set, and for valid plans its
-        freeze equalities and, unless it is approximate, its certificate
-        bounds.  When a pass over the whole batch raises, the cycles are
-        checked one at a time, so that the first cycle's error comes first.
-        Each cycle's objectives go into F_list and its trace rows.  Returns
-        the conjugates and objective at the last cycle's end and its
+        margins[c] the squared-movement margins of cycle c's sweeps, groups
+        the stacks of all r terms and trace the run's _Trace.  Each cycle
+        fails as a check made cycle by cycle would: its sweeps first (each
+        replayed at check_level="full"), then its end-of-cycle objective
+        against the last one in trace.F when its ascent flag is set, and for
+        valid plans its freeze equalities and, unless it is approximate, its
+        certificate bounds.  When a pass over the whole batch raises, the
+        cycles are checked one at a time, so that the first cycle's error
+        comes first.  Each cycle's objectives, and for a valid plan its
+        largest certificate distance, are appended to the trace's columns.
+        Returns the conjugates and objective at the last cycle's end and its
         certificate arrays, or None for an invalid plan.
         """
         W = self.W
@@ -1039,8 +1180,9 @@ class _CCheck:
             for c, cyc in enumerate(batch):
                 conj, F, certs = self.check(
                     spec, S[c * W:], V[c * W:], conj, F, margins[c:], [cyc],
-                    params, groups, F_list)
+                    params, groups, trace)
             return conj, F, certs
+        F_list = trace.F
         for c, cyc in enumerate(batch):
             self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n, params)
             F_sweeps = p.F[c].tolist()
@@ -1048,7 +1190,6 @@ class _CCheck:
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
                 raise EngineInvariantError(
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
-            cert_max = None
             if self.valid:
                 # one cycle alone: each pass runs after the checks before it
                 if moved is None:
@@ -1060,14 +1201,10 @@ class _CCheck:
                 X, res, fen = certs
                 if not cyc.approx:
                     _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
-                cert_max = float(res[c].max())
+                trace.cert.append(res[c].max())
             F_list.append(F)
-            cyc.row.F = F
-            cyc.row.cert_max_residual = cert_max
-            if cyc.sweep_rows:
-                for row, F_w in zip(cyc.sweep_rows, F_sweeps):
-                    row.F = F_w
-                cyc.sweep_rows[-1].cert_max_residual = cert_max
+            if trace.sweep_F is not None:
+                trace.sweep_F.extend(F_sweeps)
         if certs is not None:   # the last cycle's
             certs = X[-1], res[-1], fen[-1]
         return p.ends[-1], F, certs
@@ -1104,6 +1241,13 @@ def _primal_value(spec, groups, x, hint=0):
         vals = vals.tolist()
         return _INF, vals.index(_INF) if _INF in vals else hint
     return total + (spec.m + 1) * spec.quad_value(x), hint
+
+
+def _column(values):
+    """A read-only array over the doubles of values, not a copy."""
+    out = np.frombuffer(values)
+    out.flags.writeable = False
+    return out
 
 
 def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
@@ -1199,10 +1343,11 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         vb = np.empty((n_batch, spec.d))
     F_initial = F_state
 
-    cycle_rows = []
-    sweep_rows = [] if params.per_sweep_trace else None
-    gamma_list, growth_list, F_list = [], [], []
-    sq_list = array("d")   # the running sums, held by nothing else
+    per_sweep = params.per_sweep_trace
+    trace = _Trace([tuple(cs.block_js for cs in c) for c in compiled],
+                   sweep_checks and valid, per_sweep, sweep_checks)
+    F_list = trace.F
+    sq_list = array("d")   # the running sums of squared movements
     pending = []   # the cycles that wait for their batch, as _Pending
     cycle_start_duals = [z.copy()] if keep_cycle_starts else None
     cert_arrays = None
@@ -1222,7 +1367,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         cert_arrays = None   # the last batch's go before this one's come
         conj, F_state, cert_arrays = chk.check(
             spec, buf, vbuf, conj, F_state, margins, batch, params, all_terms,
-            F_list)
+            trace)
 
     try:
         for n in range(1, params.max_iterations + 1):
@@ -1261,16 +1406,17 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         chk.check_sweeps(spec, buf[c * W:], vbuf[c * W:],
                                          conj, F_state, cycle_margins, n,
                                          params, upto=w - 1)
-                    cycle_rows.append(TraceRow(
-                        n=n, w=w, F=float("nan"), v_diff=float("nan"),
-                        inner_diffs={}, gamma_n=None, growth_monitor=None,
-                        cert_max_residual=None, approx=not exact))
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
                 v = z.sum(axis=0, out=vbuf[slot])
                 v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
-                inner_sq = sum(d * d for d in inner)
-                gamma_acc += v_diff + sum(inner)
+                # left to right from 0.0, whatever sum() does (3.12
+                # compensates a float sum)
+                inner_sum = inner_sq = 0.0
+                for d in inner:
+                    inner_sum += d
+                    inner_sq += d * d
+                gamma_acc += v_diff + inner_sum
                 sq_acc += v_diff * v_diff + inner_sq
                 v_acc += v_diff
                 cycle_approx = cycle_approx or not exact
@@ -1278,37 +1424,25 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     cycle_margins[w - 1] = (0.5 * v_diff * v_diff
                                             + 0.5 * inner_sq)
 
-                if sweep_rows is not None:
-                    last = w == W
-                    sweep_rows.append(TraceRow(
-                        n=n, w=w, F=None, v_diff=v_diff,
-                        inner_diffs=dict(zip(cs.block_js, inner)),
-                        gamma_n=gamma_acc if last else None,
-                        growth_monitor=None, cert_max_residual=None,
-                        approx=not exact))
+                if per_sweep:
+                    trace.sweep_v_diff.append(v_diff)
+                    trace.sweep_approx.append(not exact)
+                    trace.moves.extend(inner)
 
             ascent = not any_approx and not cycle_approx
             if not sweep_checks:
                 zb[len(pending)] = z
                 vb[len(pending)] = v
             any_approx = any_approx or cycle_approx
-            growth = _norm(z) / math.sqrt(n)
-            gamma_list.append(gamma_acc)
-            growth_list.append(growth)
+            trace.v_diff.append(v_acc)
+            trace.gamma.append(gamma_acc)
+            trace.growth.append(_norm(z) / math.sqrt(n))
+            trace.approx.append(cycle_approx)
             sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
-            # F, and cert_max_residual with checks on, are filled in when
-            # the cycle's batch is checked or priced
-            row = TraceRow(
-                n=n, w=W, F=None, v_diff=v_acc, inner_diffs={},
-                gamma_n=gamma_acc, growth_monitor=growth,
-                cert_max_residual=None, approx=cycle_approx)
-            cycle_rows.append(row)
-            cycle_sweeps = None
-            if sweep_rows is not None:
-                cycle_sweeps = sweep_rows[-W:]
-                cycle_sweeps[-1].growth_monitor = growth
-            pending.append(_Pending(n, row, ascent, gamma_acc, cycle_approx,
-                                    cycle_sweeps))
+            # F, and with checks on the objectives of the sweeps and the
+            # certificate distance, are appended when the cycle's batch is
+            # checked or priced
+            pending.append(_Pending(n, ascent, gamma_acc, cycle_approx))
             if len(pending) == n_batch or (sweep_checks and n <= n_lead):
                 flush()
             if n == n_lead:
@@ -1354,12 +1488,12 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         F_initial=F_initial,
         stop_reason=stop_reason,
         cycles_run=cycles_run,
-        cycle_rows=cycle_rows,
-        sweep_rows=sweep_rows,
-        gamma=np.array(gamma_list),
-        growth=np.array(growth_list),
-        F_per_cycle=np.array(F_list),
-        sq_diff_cumsum=np.array(sq_list),
+        cycle_rows=TraceRows(trace, False),
+        sweep_rows=TraceRows(trace, True) if per_sweep else None,
+        gamma=_column(trace.gamma),
+        growth=_column(trace.growth),
+        F_per_cycle=_column(F_list),
+        sq_diff_cumsum=_column(sq_list),
         cycle_start_duals=cycle_start_duals,
         # a copy of the points, so that the batch's arrays are let go
         certificates=(None if cert_arrays is None else _certificate_list(

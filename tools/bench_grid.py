@@ -10,15 +10,16 @@ Each grid point runs engine.run on fixtures.random_halfspaces(1, r, d) (the
 product schedule with m = r - 1, the mixed-block schedule
 fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
-timed run in microseconds per sweep.  The grid is {classic, product, mixed}
+timed run in microseconds per sweep, and the tracemalloc peak of one more,
+untimed run in KiB.  The grid is {classic, product, mixed}
 x --sizes x {off, sweep, full}.  The package is imported from each --src,
 by default the src/ directory of this checkout.  Given two trees, each grid
 point times them in turn, one run of each at a time, and flips which goes
 first from run to run, so that a drift in machine speed reaches both alike.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
-The last line of standard output is the JSON result, with one time per tree
-in each point's us_per_sweep; --out also writes it to a file.
+The last line of standard output is the JSON result, with one value per tree
+in each point's us_per_sweep and peak_kib; --out also writes it to a file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
+import tracemalloc  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -67,8 +69,19 @@ def import_package(src, name):
     return dk
 
 
+def peak_kib(solve):
+    """The tracemalloc peak of one call of solve, in KiB."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def time_point(packages, schedule, r, d, level, cycles, runs):
-    """Best of runs timed solves per package, in microseconds per sweep."""
+    """Best of runs timed solves per package, in microseconds per sweep, the
+    tracemalloc peak of one untimed solve per package, and the sweeps."""
     solves = []
     for dk in packages:
         if schedule == "classic":
@@ -97,7 +110,9 @@ def time_point(packages, schedule, r, d, level, cycles, runs):
                 elapsed = perf_counter() - t0
                 if k:   # run 0 is the warm-up
                     best[t] = min(best[t], elapsed)
-    return [1e6 * b / sweeps for b in best], sweeps
+        peaks = [peak_kib(lambda: dk.run(spec, plan, params))
+                 for dk, spec, plan, params in solves]
+    return [1e6 * b / sweeps for b in best], peaks, sweeps
 
 
 def main(argv=None):
@@ -121,17 +136,19 @@ def main(argv=None):
 
     points = []
     print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} "
-          + " ".join(f"{'us/sweep':>10s}" for _ in srcs))
+          + " ".join(f"{'us/sweep':>10s}" for _ in srcs) + " "
+          + " ".join(f"{'peak KiB':>10s}" for _ in srcs))
     for schedule in SCHEDULES:
         for r, d in args.sizes:
             for level in LEVELS:
-                us, sweeps = time_point(packages, schedule, r, d, level,
-                                        args.cycles, args.runs)
+                us, peaks, sweeps = time_point(packages, schedule, r, d,
+                                               level, args.cycles, args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
                                "check_level": level, "us_per_sweep": us,
-                               "sweeps": sweeps})
+                               "peak_kib": peaks, "sweeps": sweeps})
                 print(f"{schedule:8s} {r:4d} {d:4d} {level:6s} "
-                      + " ".join(f"{u:10.1f}" for u in us), flush=True)
+                      + " ".join(f"{u:10.1f}" for u in us + peaks),
+                      flush=True)
     result = {
         "env": {"python": platform.python_version(),
                 "numpy": numpy.__version__,
