@@ -73,7 +73,7 @@ def _row_fields(rows):
     pairs: a run's TraceRows are read from its columns, any other rows from
     their TraceRow objects."""
     if isinstance(rows, engine.TraceRows):
-        return rows._fields()
+        return rows._fields(0)
     return ((row.n, row.w, row.F, row.v_diff, row.inner_diffs.items(),
              row.gamma_n, row.growth_monitor, row.cert_max_residual,
              row.approx) for row in rows)

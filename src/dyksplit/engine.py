@@ -160,7 +160,7 @@ class _Trace:
         return self.keys[n if n < len(self.keys) else 0]
 
     def cycle_fields(self, k):
-        """The fields of the cycle rows from row k on (TraceRows._fields)."""
+        """The fields of the cycle rows from row k on (TraceRows)."""
         F, v_diff, gamma, growth, approx, cert = (
             self.F, self.v_diff, self.gamma, self.growth, self.approx,
             self.cert)
@@ -188,7 +188,7 @@ class _Trace:
         return n, k + 1, m + sum(map(len, keys[:k]))
 
     def sweep_fields(self, k):
-        """The fields of the sweep rows from row k on (TraceRows._fields).
+        """The fields of the sweep rows from row k on (TraceRows).
 
         The last sweep of a cycle carries the cycle's gamma_n,
         growth_monitor and cert_max_residual, the others None.
@@ -200,16 +200,16 @@ class _Trace:
         while k < len(v_diff):
             keys = self._cycle_keys(n)
             W = len(keys)
-            ends = None, None, None
+            gamma = growth = cert_n = None
             for w in range(w, W + 1):
                 js = keys[w - 1]
                 e = m + len(js)
                 if w == W:
-                    ends = (self.gamma[n - 1], self.growth[n - 1],
-                            None if cert is None else cert[n - 1])
+                    gamma, growth = self.gamma[n - 1], self.growth[n - 1]
+                    cert_n = None if cert is None else cert[n - 1]
                 yield (n, w, None if F is None else F[k], v_diff[k],
-                       zip(js, moves[m:e]) if js else (), *ends,
-                       bool(approx[k]))
+                       zip(js, moves[m:e]) if js else (), gamma, growth,
+                       cert_n, approx[k] == 1)
                 k += 1
                 m = e
             n += 1
@@ -229,22 +229,17 @@ class TraceRows(Sequence):
     is a list), iteration and == against any sequence of TraceRow.
     """
 
-    __slots__ = ("_trace", "_sweeps")
+    __slots__ = ("_fields", "_column")
 
-    def __init__(self, trace, sweeps):
-        self._trace = trace
-        self._sweeps = sweeps
-
-    def _fields(self, k=0):
-        """The fields of the rows from row k on, one tuple per row in
-        TraceRow order, with inner_diffs as (j, movement) pairs."""
-        if self._sweeps:
-            return self._trace.sweep_fields(k)
-        return self._trace.cycle_fields(k)
+    def __init__(self, fields, column):
+        # fields(k) yields the fields of the rows from row k on, one tuple
+        # per row in TraceRow order, with inner_diffs as (j, movement)
+        # pairs; column holds one value per row
+        self._fields = fields
+        self._column = column
 
     def __len__(self):
-        t = self._trace
-        return len(t.sweep_v_diff if self._sweeps else t.gamma)
+        return len(self._column)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -257,7 +252,7 @@ class TraceRows(Sequence):
         return _as_row(next(self._fields(k)))
 
     def __iter__(self):
-        return map(_as_row, self._fields())
+        return map(_as_row, self._fields(0))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -1488,8 +1483,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         F_initial=F_initial,
         stop_reason=stop_reason,
         cycles_run=cycles_run,
-        cycle_rows=TraceRows(trace, False),
-        sweep_rows=TraceRows(trace, True) if per_sweep else None,
+        cycle_rows=TraceRows(trace.cycle_fields, trace.gamma),
+        sweep_rows=(TraceRows(trace.sweep_fields, trace.sweep_v_diff)
+                    if per_sweep else None),
         gamma=_column(trace.gamma),
         growth=_column(trace.growth),
         F_per_cycle=_column(F_list),

@@ -695,7 +695,8 @@ def _peak_bytes(fn):
 def test_run_memory_does_not_grow_with_the_cycle_count():
     # with checks off a run keeps two z buffers; per cycle it adds only its
     # trace columns, five doubles and a flag (41 B) plus the arrays' spare
-    # room, where one TraceRow with its dict and boxed floats took ~280 B
+    # room, well under the ~280 B of a TraceRow object with its dict and
+    # boxed floats
     spec = fixtures.random_halfspaces(3, 50, 20, m=49)
     plan = dk.product_space_schedule(50)
     n = 20

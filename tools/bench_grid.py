@@ -69,11 +69,11 @@ def import_package(src, name):
     return dk
 
 
-def peak_kib(solve):
-    """The tracemalloc peak of one call of solve, in KiB."""
+def peak_kib(fn, *args):
+    """The tracemalloc peak of one call fn(*args), in KiB."""
     tracemalloc.start()
     try:
-        solve()
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
@@ -110,7 +110,7 @@ def time_point(packages, schedule, r, d, level, cycles, runs):
                 elapsed = perf_counter() - t0
                 if k:   # run 0 is the warm-up
                     best[t] = min(best[t], elapsed)
-        peaks = [peak_kib(lambda: dk.run(spec, plan, params))
+        peaks = [peak_kib(dk.run, spec, plan, params)
                  for dk, spec, plan, params in solves]
     return [1e6 * b / sweeps for b in best], peaks, sweeps
 
