@@ -60,50 +60,40 @@ _isfinite = math.isfinite
 
 
 def _json_float(x):
-    """A float or None as json.dumps writes it."""
-    if x is None:
-        return "null"
-    if _isfinite(x):
-        return _repr(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _row_fields(rows):
-    """Each row's fields in TraceRow order, inner_diffs as (j, movement)
-    pairs: a run's TraceRows are read from its columns, any other rows from
-    their TraceRow objects."""
-    if isinstance(rows, engine.TraceRows):
-        return rows._fields(0)
-    return ((row.n, row.w, row.F, row.v_diff, row.inner_diffs.items(),
-             row.gamma_n, row.growth_monitor, row.cert_max_residual,
-             row.approx) for row in rows)
+    """A float field as json.dumps writes it; None and the values of rows
+    built by hand (ints, say) go through json.dumps itself."""
+    if type(x) is float:
+        if _isfinite(x):
+            return _repr(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return "null" if x is None else json.dumps(x)
 
 
 def _csv_lines(rows):
-    for n, w, F, v_diff, _, gamma, growth, cert, approx in _row_fields(rows):
-        yield (f"{n},{w},{_fmt(F)},{_fmt(v_diff)},{_fmt(gamma)},"
-               f"{_fmt(growth)},{_fmt(cert)},{1 if approx else 0}\n")
+    for r in rows:
+        yield (f"{r.n},{r.w},{_fmt(r.F)},{_fmt(r.v_diff)},{_fmt(r.gamma_n)},"
+               f"{_fmt(r.growth_monitor)},{_fmt(r.cert_max_residual)},"
+               f"{1 if r.approx else 0}\n")
 
 
 def _json_lines(rows):
     """The rows as json.dumps writes each, one per line after a separator."""
     f = _json_float
     sep = "\n"
-    for n, w, F, v_diff, inner, gamma, growth, cert, approx in (
-            _row_fields(rows)):
-        diffs = ", ".join([f'"{j}": {f(d)}' for j, d in inner])
-        yield (f'{sep}{{"n": {n}, "w": {w}, "F": {f(F)}, "v_diff":'
-               f' {f(v_diff)}, "inner_diffs": {{{diffs}}}, "gamma_n":'
-               f' {f(gamma)}, "growth_monitor": {f(growth)},'
-               f' "cert_max_residual": {f(cert)}, "approx_flag":'
-               f' {"true" if approx else "false"}}}')
+    for r in rows:
+        diffs = ", ".join([f'"{j}": {f(d)}' for j, d in r.inner_diffs.items()])
+        yield (f'{sep}{{"n": {r.n}, "w": {r.w}, "F": {f(r.F)}, "v_diff":'
+               f' {f(r.v_diff)}, "inner_diffs": {{{diffs}}}, "gamma_n":'
+               f' {f(r.gamma_n)}, "growth_monitor": {f(r.growth_monitor)},'
+               f' "cert_max_residual": {f(r.cert_max_residual)},'
+               f' "approx_flag": {"true" if r.approx else "false"}}}')
         sep = ",\n"
 
 
 def _write_trace(path, fmt, rows, meta):
-    """Write the trace rows as they are formatted, 64 lines at a time; the
-    bytes are those of one json.dumps per row (JSON) or _fmt per field
-    (CSV)."""
+    """Write the trace rows, any iterable of TraceRow, as they are
+    formatted, 64 lines at a time; the bytes are those of one json.dumps per
+    row (JSON) or _fmt per field (CSV)."""
     with open(path, "w") as fh:
         if fmt == "csv":
             if meta.get("schedule_rewritten"):

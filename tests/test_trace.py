@@ -168,6 +168,9 @@ _ODD_ROWS = [
     TraceRow(2, 3, _NAN, _INF, {7: _NAN, 8: -_INF, 9: _INF}, _INF, _NAN,
              -0.0, False),
     TraceRow(12, 1, -1.5e300, 1.0, {3: 2.0}, 1e16, 123456789.0, 1e-7, True),
+    # rows built by hand may hold ints and numpy floats
+    TraceRow(13, 2, 0, -3, {4: 0, 5: np.float64(0.1)}, 1, np.float64(_NAN),
+             np.float64(2.5), False),
 ]
 
 
