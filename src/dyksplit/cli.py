@@ -7,6 +7,7 @@ schedule error, 2 iteration cap reached, 3 oracle reports infeasible.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -129,6 +130,7 @@ def _note_workers(args, *built):
 def cmd_solve(args):
     cfg = _load_config(args.config)
     built = cfg_mod.build(cfg, seed_override=args.seed)
+    del cfg   # the parsed JSON, which nothing reads after build
     _note_workers(args, built)
     if built.mode == "product-reference":
         raise cfg_mod.ConfigError(
@@ -150,6 +152,7 @@ def cmd_solve(args):
                  " blocks to the next cycle start" if analysis.valid_A else
                  "schedule is invalid: some index is never touched")
             return 1
+    del analysis   # run validates the plan it is given itself
 
     result = engine.run(built.spec, plan, built.params, z_init=built.z_init)
     report = gap_report(built.spec, result.state, result.x)
@@ -283,7 +286,9 @@ def cmd_oracle(args):
     return 0
 
 
-def main(argv=None):
+def _parse_args(argv):
+    """The command line's arguments.  The parser is let go on return, so
+    that it is not kept alive while the command runs."""
     parser = argparse.ArgumentParser(
         prog="dyksplit",
         description="Dykstra-style splitting with flexible sweep schedules.")
@@ -329,8 +334,15 @@ def main(argv=None):
                        help="force the projection-loop reference solver")
     p_orc.add_argument("--seed", type=int, default=None)
     p_orc.set_defaults(func=cmd_oracle)
+    return parser.parse_args(argv)
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parse_args(argv)
+    # the parser is a reference cycle: collect the young generations, where
+    # it lives, so that it is freed before the command runs rather than
+    # whenever the collector next reaches it
+    gc.collect(1)
     try:
         return args.func(args)
     except (cfg_mod.ConfigError, schedule.ScheduleStructureError,

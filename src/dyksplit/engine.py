@@ -22,8 +22,16 @@ check_level:
            ends are evaluated in batches of up to _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
            sets, freeze equalities, per-cycle convergence certificates,
-  "full"   additionally a sequential replay of each sweep with per-subproblem
-           gain checks.
+  "full"   additionally a sequential replay of each exact sweep with
+           per-subproblem gain checks.  The sweeps of one step with one
+           subproblem whose solver has a stacked form are re-solved for a
+           whole batch in a few stacked calls (_CCheck._resolved); one whose
+           written rows are bitwise its snapshot's, with no other row moved,
+           is decided there by its margin test, on the bits the replay would
+           use.  Every other sweep, and every sweep of a batch whose
+           re-solve raises, is replayed by itself (_CCheck._replay).  A
+           solver that answers a repeated call differently is caught only
+           when its first answer differs from the stacked re-solve.
 With checks on, the sweep loop only solves and writes the duals after each
 sweep into a snapshot buffer that holds a batch of up to _OBJ_BATCH
 consecutive cycles of one pattern; when the batch is checked, one pass
@@ -53,8 +61,8 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (DimensionMismatch, _dots, _norm, all_finite, stack_terms,
-                    stacked_conjugates)
+from .terms import (DimensionMismatch, _dots, _norm, _stack_kind, all_finite,
+                    stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -874,6 +882,62 @@ class _Pass(NamedTuple):
     ends: np.ndarray
 
 
+class _Resolve(NamedTuple):
+    """The replayed sweeps that check re-solves for all cycles of a batch at
+    once, at check_level="full" (_CCheck._compile_resolve).
+
+    Each is one step with one subproblem.  The B sweeps come in this order:
+    n_prox outer sets of one term row (_prox_row), the outer sets that sum
+    their rows (_quad_rows, _prox_quad_rows), then n_block one-block sweeps
+    (_stacked_blocks); the first n_outer are outer sets.  at maps a sweep w
+    to its place and cols (B,) are the sweeps, 0-based.  Their written rows,
+    Q in all, come in this order: the prox rows, the blocks' term rows, the
+    blocks' governing rows, then each summed group's rows.  rows (Q,) are
+    their flat offsets w_prev * n + i in a cycle's states, w_prev the state
+    each sweep starts from, and vrows (n_outer,) the outer sets' w_prev.
+    moreau are the stacks of the prox and block term rows, as
+    (positions, stack); groups are (start row, sweeps, rows each, first
+    outer place, stacks or None) for the summed outer sets of one size, the
+    stacks given when the first row is a term row.  member[q, b] holds when
+    row q is sweep b's, and others[b, i] when sweep b does not write row i.
+    """
+    at: dict
+    cols: np.ndarray
+    n_prox: int
+    n_block: int
+    n_outer: int
+    rows: np.ndarray
+    vrows: np.ndarray
+    moreau: list
+    groups: list
+    member: np.ndarray
+    others: np.ndarray
+
+
+def _gather(A, at, k, K):
+    """A.take of the flat indices at, which hold the same rows of K cycles
+    in cycle-major order, for the first k cycles, as (k, rows, d)."""
+    P = len(at) // K
+    return A.take(at[:k * P], axis=0).reshape(k, P, A.shape[1])
+
+
+def _margins(dv):
+    """The squared-movement margins 0.5 * |dv|^2 of the rows of dv, in the
+    replay's scalar formula and bits: Python's float power calls the C
+    library's pow, whose square of a double is not always the correctly
+    rounded one that numpy's ** 2 gives (about one value in a thousand
+    with glibc)."""
+    return np.array([0.5 * s ** 2 for s in map(
+        math.sqrt, _dots(dv, dv).ravel().tolist())]).reshape(dv.shape[:-1])
+
+
+def _short_of_margin(n, w, label):
+    """The replay's error for an outer set or block that fell short."""
+    return EngineInvariantError(
+        f"cycle {n} sweep {w}: a {label} subproblem gained less than its"
+        f" quadratic margin")
+
+
 class _CCheck:
     """The checks of one cycle's sweep list, compiled once like _CSweep.
 
@@ -882,9 +946,10 @@ class _CCheck:
     per-sweep checks (ascent, margin, stationarity of exact outer sets, and
     the replay at check_level="full"), one cycle pass for the freeze
     equalities and certificates.  Compiled here:
-      conj    one (sweeps, rows, positions, stack) gather per term kind over
-              the (sweep, term row) pairs that the sweeps write, in sweep
-              order; positions index the array of their new conjugates
+      conj    one (positions, stack, offsets) gather per term kind over the
+              (sweep w, term row i) pairs that the sweeps write, in sweep
+              order; positions index the array of their new conjugates and
+              offsets are the pairs' w * n + i
       layers  (mask, positions) per k for the rows' k-th writes in the
               cycle: mask[w - 1, i] holds from the sweep of row i's k-th
               write on, and positions[i] is that write's pair
@@ -900,8 +965,16 @@ class _CCheck:
                stacks of its term rows (None for the first step, which
                takes its conjugates from the pass) and its subproblems as
                (rows, a slice when contiguous; margin row; term rows)
+      resolve  the replayed sweeps that the batch re-solves at once
+               (_Resolve), or None
     scratch are the replay's two z buffers at check_level="full", shared by
     the checks of all cycle patterns, and None otherwise.
+
+    The passes read the batch's states through flat indices: row i of state
+    w of cycle c is row (c * W + w) * n + i of the buffer taken as one
+    (rows, d) array, and its sum row c * W + w of the sums.  They are built
+    at the first check, for its k cycles, and again only when a later batch
+    is larger (_index); a smaller batch reads their first rows.
     """
 
     def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
@@ -917,8 +990,9 @@ class _CCheck:
                 sw += [w] * len(cs.outer1)
                 si += [i1 - 1 for i1 in cs.outer1]
         self.n_pairs = len(pi)
-        pw_a, pi_a = np.array(pw, dtype=np.intp), np.array(pi, dtype=np.intp)
-        self.conj = [(pw_a[pos], pi_a[pos], pos, stack)
+        self.n = n = spec.n_duals
+        offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
+        self.conj = [(pos, stack, offsets[pos])
                      for pos, stack in _pair_stacks(spec.terms, pi, shared)]
         self.layers = []
         writes = [0] * r
@@ -957,6 +1031,8 @@ class _CCheck:
                   for rows, gov in step.subs])
                 for k, step in enumerate(cs.steps)]
             for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
+        self.resolve = self._compile_resolve(spec, shared)
+        self.K = 0   # the batch size the flat indices are built for
 
         self.c_analysis = c_analysis
         self.valid = valid
@@ -964,12 +1040,91 @@ class _CCheck:
             self.masks = _freeze_masks(c_analysis, len(sweeps), spec.n_duals)
             self.layout = _cert_layout(c_analysis, r)
 
-    def _stationarity(self, spec, S, V, new):
+    def _compile_resolve(self, spec, shared):
+        """The replayed sweeps of one step with one subproblem whose solver
+        has a stacked form, as a _Resolve, or None when there are none.
+
+        _prox_quad_rows counts only when its term's stack projects (a
+        halfspace or ball indicator), whose prox is the projection for every
+        step.
+        """
+        prox, sums, blocks = [], {}, []
+        for w, steps in self.replays.items():
+            step = steps[0][0]
+            if len(steps) > 1 or len(step.subs) > 1:
+                continue
+            rows = step.subs[0][0].tolist()
+            if step.solve is _prox_row:
+                prox.append((w, rows))
+            elif step.solve is _stacked_blocks:
+                blocks.append((w, rows))   # the term row, then the governing
+            elif step.solve is _quad_rows or (
+                    step.solve is _prox_quad_rows
+                    and hasattr(_stack_kind(spec.terms[rows[0]]), "project")):
+                sums.setdefault((len(rows), step.solve is _prox_quad_rows),
+                                []).append((w, rows))
+        order = prox + [s for group in sums.values() for s in group] + blocks
+        if not order:
+            return None
+        n_prox, n_block = len(prox), len(blocks)
+        n_outer = len(order) - n_block
+        # (place, row) of each written row, in the layout of _Resolve
+        written = [(b, rows[0]) for b, (_, rows) in enumerate(prox)]
+        for k in (0, 1):   # the blocks' term rows, then governing rows
+            written += [(n_outer + b, rows[k])
+                        for b, (_, rows) in enumerate(blocks)]
+        written += [(n_prox + b, i) for b, (_, rows) in enumerate(
+            order[n_prox:n_outer]) for i in rows]
+        groups = []
+        start, place = n_prox + 2 * n_block, n_prox
+        for (size, projects), group in sums.items():
+            groups.append((start, len(group), size, place, _pair_stacks(
+                spec.terms, [rows[0] for _, rows in group], shared)
+                if projects else None))
+            start += len(group) * size
+            place += len(group)
+        cols = np.array([w - 1 for w, _ in order], dtype=np.intp)
+        member = np.zeros((len(written), len(order)), dtype=bool)
+        others = np.ones((len(order), spec.n_duals), dtype=bool)
+        for q, (b, i) in enumerate(written):
+            member[q, b] = True
+            others[b, i] = False
+        return _Resolve(
+            {w: b for b, (w, _) in enumerate(order)}, cols, n_prox, n_block,
+            n_outer,
+            np.array([cols[b] * spec.n_duals + i for b, i in written],
+                     dtype=np.intp),
+            cols[:n_outer].copy(),
+            _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
+                         shared),
+            groups, member, others)
+
+    def _index(self, k):
+        """Build the flat indices (class docstring) for batches of k cycles,
+        unless they are built for at least that many."""
+        if k <= self.K:
+            return
+        self.K = k
+        W, Wn = self.W, self.W * self.n
+        cycles = np.arange(k, dtype=np.intp)[:, None]
+
+        def flat(offsets, stride):
+            return (cycles * stride + offsets).ravel()
+
+        self.conj_at = [flat(offsets, Wn) for _, _, offsets in self.conj]
+        self.stat_at = (flat(self.stat_w, W),
+                        flat(self.stat_w * self.n + self.stat_i, Wn))
+        if self.resolve is not None:
+            self.resolve_at = (flat(self.resolve.rows, Wn),
+                               flat(self.resolve.vrows, W))
+
+    def _stationarity(self, spec, S, V, k, new):
         """fenchel_residual of every stat pair at its sweep's x0 - v, in
-        each cycle of S (_cycles), whose row sums are V."""
-        X = V[:, self.stat_w]
+        each of k cycles; S holds their states as flat rows (rows, d), and V
+        their row sums."""
+        X = _gather(V, self.stat_at[0], k, self.K)
         np.subtract(spec.x0, X, out=X)
-        Z = S[:, self.stat_w, self.stat_i]
+        Z = _gather(S, self.stat_at[1], k, self.K)
         pos, at = self.stat_terms
         if len(self.stat_groups) == 1 and pos.size == X.shape[1]:
             # one group of every pair holds them in order: nothing to place
@@ -985,24 +1140,24 @@ class _CCheck:
             H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
         return _fenchel(H, Cv, X, Z)
 
-    def _sweep_pass(self, spec, S, V, SC, VC, conj0, F0, margins, params):
+    def _sweep_pass(self, spec, S, V, k, conj0, F0, margins):
         """The per-sweep values of the k cycles from S[0] on, as a _Pass.
 
-        V holds the row sums of S, SC and VC are S and V as k cycles
-        (_cycles), conj0 and F0 the conjugates and objective at S[0], and
-        margins[c] the squared-movement margins of cycle c's sweeps.
+        V holds the row sums of S, conj0 and F0 the conjugates and objective
+        at S[0], and margins[c] the squared-movement margins of cycle c's
+        sweeps.
         """
         W, r = self.W, spec.r
-        k = len(SC)
+        flat = S.reshape(-1, spec.d)
         if len(self.conj) == 1:   # one group of every pair, in order
-            w, i, _, stack = self.conj[0]
-            new = stack.support(SC[:, w, i])
+            new = self.conj[0][1].support(
+                _gather(flat, self.conj_at[0], k, self.K))
         else:
             new = np.empty((k, self.n_pairs))
-            for w, i, pos, stack in self.conj:
-                new[:, pos] = stack.support(SC[:, w, i])
-        resid = (self._stationarity(spec, SC, VC, new) if self.stat_w.size
-                 else np.empty((k, 0)))
+            for (pos, stack, _), at in zip(self.conj, self.conj_at):
+                new[:, pos] = stack.support(_gather(flat, at, k, self.K))
+        resid = (self._stationarity(spec, flat, V, k, new)
+                 if self.stat_w.size else np.empty((k, 0)))
         starts = np.empty((k, r))
         starts[0] = conj0
         if k > 1:   # each cycle starts with the last writes of the one before
@@ -1038,23 +1193,105 @@ class _CCheck:
             np.copyto(C[..., 1:], new[:, pos][:, None], where=mask)
         return C
 
-    def _raise_sweeps(self, spec, S, V, p, c, n, params, upto=None):
+    def _resolved(self, spec, S, V, k, moved, p):
+        """check_level=full: the batch's re-solve of the sweeps in resolve,
+        for its k cycles at once; returns (matched, short), each (k, B).
+
+        Each sweep solves from the state before it, as the sweep did, with
+        one stacked call per term kind.  Sweep b of cycle c matched when
+        every row it writes is bitwise its snapshot's and no other row moved
+        (moved, _freeze_pass): the sequential replay of one subproblem would
+        then have found the snapshot and taken the pass's objective, so
+        short[c, b] is its margin test on the same bits.
+        """
+        rs = self.resolve
+        d, x0 = spec.d, spec.x0
+        n_prox, n_block, n_outer = rs.n_prox, rs.n_block, rs.n_outer
+        m = n_prox + n_block   # the rows that take a dual prox
+        gov = slice(m, m + n_block)
+        flat = S.reshape(-1, d)
+        rows_at, vrows_at = self.resolve_at
+        # the rows before each sweep, re-solved in place once read
+        X = _gather(flat, rows_at, k, self.K)
+        V0 = _gather(V, vrows_at, k, self.K)
+        # the moves that give the margins, an outer set's of the dual sum
+        # and a block's of its governing row: minus their starts here, their
+        # ends added below, which is the subtraction's bits
+        dv = np.empty((k, len(rs.cols), d))
+        np.negative(V0, out=dv[:, :n_outer])
+        np.negative(X[:, gov], out=dv[:, n_outer:])
+        if m:
+            U = np.empty((k, m, d))
+            u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
+            np.subtract(V0[:, :n_prox], X[:, :n_prox], out=u)
+            np.subtract(x0, u, out=u)
+            bsum = X[:, n_prox:m] + X[:, gov]   # _stacked_blocks'
+            np.add(bsum, x0, out=U[:, n_prox:])
+            if len(rs.moreau) == 1:   # one kind, in order
+                X[:, :m] = rs.moreau[0][1].moreau(U)
+            else:
+                for pos, stack in rs.moreau:
+                    X[:, pos] = stack.moreau(U[:, pos])
+            del U
+            np.subtract(bsum, X[:, n_prox:m], out=X[:, gov])
+        for start, count, size, place, stacks in rs.groups:
+            G = X[:, start:start + count * size].reshape(k, count, size, d)
+            c = V0[:, place:place + count] - G.sum(axis=2)
+            if stacks is None:   # _quad_rows
+                G[...] = (-c / (size + 1.0))[:, :, None]
+                continue
+            # _prox_quad_rows, whose term's prox is its projection
+            tau = float(size)
+            u_bar = tau * x0 - c
+            x_hat = np.empty_like(u_bar)
+            for pos, stack in stacks:
+                x_hat[:, pos] = stack.project(u_bar[:, pos] / tau)
+            z_i = u_bar - tau * x_hat
+            G[:, :, 0] = z_i
+            G[:, :, 1:] = (-(z_i + c) / tau)[:, :, None]
+        del V0
+        X1 = _gather(flat[self.n:], rows_at, k, self.K)   # the snapshots
+        differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
+        matched = ~((differs @ rs.member)
+                    | (moved[:, rs.cols] & rs.others).any(axis=2))
+        np.add(dv[:, n_outer:], X1[:, gov], out=dv[:, n_outer:])
+        del X, X1
+        np.add(dv[:, :n_outer], _gather(V[1:], vrows_at, k, self.K),
+               out=dv[:, :n_outer])
+        short = (p.F[:, rs.cols] < p.F_prev[:, rs.cols] + _margins(dv)
+                 - SWEEP_GAIN_TOL)
+        return matched, short
+
+    def _raise_sweeps(self, spec, S, V, p, c, n, params, upto=None,
+                      resolved=None):
         """Raise the first failing sweep of cycle c of the pass p, cycle n
         of the run, among its sweeps 1..upto (default all).
 
         S and V start at the cycle's start.  At check_level="full" the exact
-        sweeps before the failing one are replayed first.
+        sweeps before the failing one are replayed first: a sweep that
+        resolved, the batch's _resolved, found matched is decided by its
+        margin test there, and every other goes through _replay.
         """
         bad = p.bad[c]
         last = self.W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
         if params.check_level == "full":
-            # the objective and the conjugates at each S[w]
-            FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
-            C = self._conjugates(p.starts[c:c + 1], p.new[c:c + 1])[0]
+            FS = C = None
             for w in self.replays:
                 if w >= first:
                     break
+                b = None if resolved is None else self.resolve.at.get(w)
+                if b is not None and resolved[0][c, b]:
+                    if resolved[1][c, b]:
+                        raise _short_of_margin(
+                            n, w, "outer" if b < self.resolve.n_outer
+                            else "block")
+                    continue
+                if FS is None:
+                    # the objective and the conjugates at each S[w]
+                    FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
+                    C = self._conjugates(p.starts[c:c + 1],
+                                         p.new[c:c + 1])[0]
                 self._replay(spec, S, V, FS, C,
                              p.starts[c] if w == 1 else C[w - 2, 1:],
                              w, params, n)
@@ -1121,10 +1358,8 @@ class _CCheck:
                     dv = v_new - v
                 margin = 0.5 * math.sqrt(dv.dot(dv)) ** 2
                 if F_new < F_before + margin - SWEEP_GAIN_TOL:
-                    label = "outer" if gov is None else "block"
-                    raise EngineInvariantError(
-                        f"cycle {n} sweep {w}: a {label} subproblem gained"
-                        f" less than its quadratic margin")
+                    raise _short_of_margin(
+                        n, w, "outer" if gov is None else "block")
                 F_before, v = F_new, v_new
         if snapshot:
             return
@@ -1148,25 +1383,33 @@ class _CCheck:
         margins[c] the squared-movement margins of cycle c's sweeps, groups
         the stacks of all r terms and trace the run's _Trace.  Each cycle
         fails as a check made cycle by cycle would: its sweeps first (each
-        replayed at check_level="full"), then its end-of-cycle objective
+        replayed at check_level="full", in one re-solve of the batch where
+        _resolved can, else one at a time), then its end-of-cycle objective
         against the last one in trace.F when its ascent flag is set, and for
         valid plans its freeze equalities and, unless it is approximate, its
         certificate bounds.  When a pass over the whole batch raises, the
         cycles are checked one at a time, so that the first cycle's error
-        comes first.  Each cycle's objectives, and for a valid plan its
+        comes first; when the re-solve raises, every sweep is replayed one
+        at a time.  Each cycle's objectives, and for a valid plan its
         largest certificate distance, are appended to the trace's columns.
         Returns the conjugates and objective at the last cycle's end and its
         certificate arrays, or None for an invalid plan.
         """
         W = self.W
         k = len(batch)
+        self._index(k)
         SC, VC = _cycles(S, k, W), _cycles(V, k, W)
-        moved = certs = None
+        moved = certs = resolved = None
         try:
-            p = self._sweep_pass(spec, S, V, SC, VC, conj, F,
-                                 margins[:k, :W], params)
-            if self.valid and k > 1:
+            p = self._sweep_pass(spec, S, V, k, conj, F, margins[:k, :W])
+            if self.resolve is not None or self.valid and k > 1:
                 moved = self._freeze_pass(S, k)
+            if self.resolve is not None:
+                try:
+                    resolved = self._resolved(spec, S, V, k, moved, p)
+                except Exception:   # the per-sweep replay raises it in order
+                    pass
+            if self.valid and k > 1:
                 certs = _certificates(spec, SC, VC, self.layout, groups,
                                       p.ends)
         except Exception:   # an oracle's, or a warning raised as an error
@@ -1179,7 +1422,8 @@ class _CCheck:
             return conj, F, certs
         F_list = trace.F
         for c, cyc in enumerate(batch):
-            self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n, params)
+            self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n, params,
+                               resolved=resolved)
             F_sweeps = p.F[c].tolist()
             F = F_sweeps[-1]
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
@@ -1208,9 +1452,8 @@ class _CCheck:
         """The per-sweep checks of sweeps 1..upto of cycle n, held in S from
         S[0] on; its later states are copies of S[upto], and margins are
         its sweeps' squared-movement margins."""
-        W = self.W
-        p = self._sweep_pass(spec, S, V, _cycles(S, 1, W), _cycles(V, 1, W),
-                             conj, F, margins[None, :W], params)
+        self._index(1)
+        p = self._sweep_pass(spec, S, V, 1, conj, F, margins[None, :self.W])
         self._raise_sweeps(spec, S, V, p, 0, n, params, upto)
 
 

@@ -307,10 +307,10 @@ def moreau_dual(term, u):
 #
 # moreau(U) gives U - prox(U), support(Z) the conjugates h_i*(z_i) and
 # value(X) the values h_i(x_i), row by row over a (k, d) array; value also
-# takes one point x of shape (d,) and gives h_i(x) at every row.  support,
-# value and the set stacks' project take a leading batch axis, (b, k, d) to
-# (b, k) or (b, k, d), so that one call evaluates the same rows of b
-# states.  The closed-form stacks take the scalar oracles' steps row by
+# takes one point x of shape (d,) and gives h_i(x) at every row.  moreau,
+# support, value and the set stacks' project take a leading batch axis,
+# (b, k, d) to (b, k) or (b, k, d), so that one call evaluates the same rows
+# of b states.  The closed-form stacks take the scalar oracles' steps row by
 # row, with every dot product through _dots, and derive moreau and value
 # from project as moreau_dual and Indicator.value do, so each row is
 # bitwise the scalar oracle's and never depends on the stack's height, its
@@ -419,6 +419,8 @@ class TermStack:
         return cls(terms)
 
     def moreau(self, U):
+        if U.ndim > 2:
+            return np.array([self.moreau(Ub) for Ub in U])
         return np.array([moreau_dual(t, u) for t, u in zip(self.terms, U)])
 
     def support(self, Z):

@@ -8,6 +8,7 @@ import pytest
 
 import dyksplit as dk
 from dyksplit import engine, fixtures
+from dyksplit import terms as terms_module
 from dyksplit.engine import EngineInvariantError, NonFiniteStateError
 from dyksplit.terms import HalfspaceStack
 
@@ -23,6 +24,11 @@ def _case(name):
     if name == "mixed_block":
         return (fixtures.random_mixed(7, 4, 3, m=1),
                 fixtures.mixed_block_schedule(4))
+    if name == "prox_quad":
+        # sweep 1 is one term row and the copy after it (_prox_quad_rows)
+        S = dk.SweepPlan
+        return fixtures.random_mixed(3, 4, 3, m=1), dk.CyclePlan(pattern=(
+            S(outer={1, 5}), S(outer={2}), S(outer={3}), S(outer={4})))
     # both nested fallbacks; the block {5, 10} is deferred to a lead-in
     return fixtures.random_mixed(7, 8, 6, m=2), test_engine._custom_nested_plan()
 
@@ -317,3 +323,142 @@ def test_only_the_full_replay_stacks_an_outer_set(monkeypatch):
                                           check_level=level))
     assert calls["sweep"] == [list(range(spec.r - 1))]
     assert calls["full"] == calls["sweep"] + [[spec.r - 1]]
+
+
+# ---------------------------------------------------------------------------
+# the batched re-solve of check_level="full" against the per-sweep replay
+# ---------------------------------------------------------------------------
+
+def _batched_replay_off(m, how):
+    """Leave every replayed sweep to _replay: no re-solve is compiled, or
+    the re-solve raises and its batch falls back to _replay."""
+    if how == "not-compiled":
+        m.setattr(engine._CCheck, "_compile_resolve",
+                  lambda self, spec, shared: None)
+    else:
+        def raising(self, *args):
+            raise ValueError("re-solve failed")
+        m.setattr(engine._CCheck, "_resolved", raising)
+
+
+def _dots_kernel(m, kernel):
+    """terms._dots as built (np.vecdot on numpy 2) or its matmul form."""
+    if kernel == "matmul":
+        m.setattr(terms_module, "_dots", terms_module._dots_matmul)
+        m.setattr(engine, "_dots", terms_module._dots_matmul)
+
+
+def _replays(monkeypatch):
+    """Record (n, w) of every per-sweep replay."""
+    calls = []
+    replay = engine._CCheck._replay
+
+    def recorded(self, spec, S, V, FS, C, conj_prev, w, params, n):
+        calls.append((n, w))
+        return replay(self, spec, S, V, FS, C, conj_prev, w, params, n)
+
+    monkeypatch.setattr(engine._CCheck, "_replay", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
+@pytest.mark.parametrize("off", ["not-compiled", "raises"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested", "prox_quad"])
+def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
+        monkeypatch, case, off, kernel):
+    # caps on both sides of a full batch: every field, trace row and
+    # certificate is that of the per-sweep replay.  Only the product
+    # schedule's sweep 2, r - 1 blocks and an outer set, is replayed sweep
+    # by sweep with the batched re-solve on
+    spec, plan = _case(case)
+    _dots_kernel(monkeypatch, kernel)
+    calls = _replays(monkeypatch)
+    for cap in (1, 3, 7, 8, 26):
+        params = dk.SolveParams(max_iterations=cap, check_level="full",
+                                per_sweep_trace=True)
+        calls.clear()
+        batched = dk.run(spec, plan, params)
+        assert {w for _, w in calls} == ({2} if case == "product" else set())
+        n_batched = len(calls)
+        with monkeypatch.context() as m:
+            _batched_replay_off(m, off)
+            calls.clear()
+            replayed = dk.run(spec, plan, params)
+        _assert_same_result(batched, replayed)
+        assert len(calls) > n_batched
+
+
+def _faults_at_full(fn):
+    """Every parameter set of the fault test fn that runs at
+    check_level="full", as keyword arguments."""
+    sets = [{}]
+    for mark in getattr(fn, "pytestmark", ()):
+        if mark.name != "parametrize":
+            continue
+        names, values = mark.args
+        names = [n.strip() for n in names.split(",")]
+        sets = [{**kw, **dict(zip(names, v if len(names) > 1 else (v,)))}
+                for kw in sets for v in values]
+    return [kw for kw in sets if kw.get("level", "full") == "full"]
+
+
+_FAULT_TESTS = [
+    (fn, kw)
+    for fn in [getattr(test_engine, name) for name in dir(test_engine)
+               if name.startswith("test_fault_")
+               and not name.startswith("test_fault_off")]
+    + [test_fault_in_a_batch_reports_its_first_failing_cycle]
+    for kw in _faults_at_full(fn)]
+
+
+def _fault_id(fn, kwargs):
+    return "-".join([fn.__name__[len("test_fault_"):]] + [
+        str(v) for k, v in kwargs.items()
+        if k not in ("level", "error", "message")])
+
+
+@pytest.mark.parametrize("fault,kwargs", _FAULT_TESTS, ids=[
+    _fault_id(fn, kw) for fn, kw in _FAULT_TESTS])
+def test_fault_messages_do_not_depend_on_the_batched_replay(
+        monkeypatch, fault, kwargs):
+    # each fault test asserts its exception and message with the batched
+    # re-solve on; here it runs with every sweep replayed one at a time.
+    # The patch has its own MonkeyPatch: some tests undo theirs midway
+    with pytest.MonkeyPatch.context() as m:
+        _batched_replay_off(m, "not-compiled")
+        fault(monkeypatch, **kwargs)
+
+
+def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
+        monkeypatch):
+    # row 3's solve is one ulp off, every time.  The stacked re-solve of its
+    # sweep misses the snapshot, and _replay, which calls the same solver,
+    # decides it alone; the result is that of the per-sweep replay
+    def one_ulp_off(spec, z, i, out):
+        if i == 2:
+            out[2] = np.nextafter(out[2], np.inf)
+
+    calls = _replays(monkeypatch)
+    spec, plan = test_engine._classic_faults(monkeypatch, one_ulp_off)
+    params = dk.SolveParams(max_iterations=10, check_level="full")
+    batched = dk.run(spec, plan, params)
+    assert calls == [(n, 3) for n in range(1, 11)]
+    with monkeypatch.context() as m:
+        _batched_replay_off(m, "not-compiled")
+        replayed = dk.run(spec, plan, params)
+    _assert_same_result(batched, replayed)
+
+
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
+def test_margins_are_the_replays_scalar_formula(monkeypatch, kernel):
+    # 0.5 * sqrt(dv . dv) ** 2 of each row, bit for bit, with the 1-d dot
+    # product and Python's float power that the replay takes
+    _dots_kernel(monkeypatch, kernel)
+    rng = np.random.default_rng(14)
+    for d in (1, 2, 3, 5, 8, 20, 64, 257, 1000):
+        dv = rng.standard_normal((3, 50, d)) * 10.0 ** rng.integers(
+            -8, 9, size=(3, 50, 1))
+        assert engine._margins(dv).tolist() == [
+            [0.5 * math.sqrt(row.dot(row)) ** 2 for row in rows]
+            for rows in dv]

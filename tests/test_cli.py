@@ -1,5 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
+import argparse
+import gc
 import json
 import zlib
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
+from dyksplit import engine
 from dyksplit.cli import TRACE_COLUMNS, main
 from dyksplit.config import (ConfigError, RunConfig, build, term_from_dict,
                              term_to_dict)
@@ -49,6 +52,36 @@ def test_solve_gap_exit_zero(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert len(lines) == 2        # one cycle, one row
+
+
+def test_solve_lets_its_setup_objects_go_before_the_engine_runs(
+        tmp_path, capsys, monkeypatch):
+    # the argument parser, the parsed config and the CLI's own schedule
+    # analysis are unreachable while engine.run runs, which validates its
+    # plan itself
+    path = _dump(tmp_path, "run.json", {
+        "problem": _corner_problem(),
+        "solve": {"stop_gap": 1e-10, "max_iterations": 50}})
+    kinds = (argparse.ArgumentParser, RunConfig, dk.ScheduleAnalysis)
+
+    def reachable():
+        gc.collect()
+        return [sum(isinstance(o, kind) and getattr(o, "prog", "dyksplit")
+                    .startswith("dyksplit") for o in gc.get_objects())
+                for kind in kinds]
+
+    run = engine.run
+    during = []
+
+    def probed(*args, **kwargs):
+        during.append(reachable())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", probed)
+    before = reachable()
+    assert main(["solve", path]) == 0
+    assert during == [before]
+    assert before[0] == 0
 
 
 def test_solve_cap_exit_two(tmp_path, capsys):

@@ -629,10 +629,14 @@ def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
 def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
     """dual_objective_from calls of each replayed sweep of a full run.
 
-    Returns [(w, calls), ...] in replay order.
+    Returns ([(w, calls), ...] in replay order, {w: cycles}): the second
+    counts, for each sweep the batched re-solve decides (_resolved), the
+    cycles in which it matched its snapshot.
     """
     calls = []
+    matched = {}
     objective, replay = engine.dual_objective_from, engine._CCheck._replay
+    resolved = engine._CCheck._resolved
 
     def counted(*args, **kwargs):
         calls[-1][1] += 1
@@ -642,45 +646,54 @@ def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
         calls.append([w, 0])
         return replay(self, spec, S, V, FS, C, conj_prev, w, *rest)
 
+    def resolved_counted(self, *args):
+        out = resolved(self, *args)
+        for w, b in self.resolve.at.items():
+            matched[w] = matched.get(w, 0) + int(out[0][:, b].sum())
+        return out
+
     calls.append([0, 0])   # the objective at the start of the run
     monkeypatch.setattr(engine, "dual_objective_from", counted)
     monkeypatch.setattr(engine._CCheck, "_replay", replay_counted)
+    monkeypatch.setattr(engine._CCheck, "_resolved", resolved_counted)
     dk.run(spec, plan, dk.SolveParams(max_iterations=n_cycles,
                                       check_level="full"))
     assert calls[0] == [0, 1]
-    return [tuple(c) for c in calls[1:]]
+    return [tuple(c) for c in calls[1:]], matched
 
 
 @pytest.mark.parametrize("case", ["classic", "custom_nested"])
 def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
                                                             case):
-    # every replayed sweep has one subproblem: its replayed state is bitwise
-    # the snapshot and takes the pass's objective
+    # every replayed sweep has one subproblem: the batched re-solve finds
+    # it bitwise the snapshot in every cycle, and it takes the pass's
+    # objective, with no per-sweep replay and no objective evaluated
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
-        replayed = {1, 2, 3, 4, 5, 6}
+        matched = dict.fromkeys(range(1, 7), 20)
     else:
         spec = fixtures.random_mixed(8, 8, 6, m=2)
         plan = _custom_nested_plan()
-        # the nested sweeps 3 and 4 are approximate and not replayed
-        replayed = {1, 2, 5, 6, 7, 8, 9}
-    calls = _replay_objective_calls(monkeypatch, spec, plan)
-    assert {w for w, _ in calls} == replayed
-    assert all(n == 0 for _, n in calls)
+        # the nested sweeps 3 and 4 are approximate and not replayed, and
+        # the lead-in cycle's sweep 1 is empty
+        matched = dict.fromkeys([1, 2, 5, 6, 7, 8, 9], 20)
+        matched[1] = 19
+    assert _replay_objective_calls(monkeypatch, spec, plan) == ([], matched)
 
 
 def test_replay_of_a_product_sweep_evaluates_every_block(monkeypatch):
     # sweep 2 replays r - 1 blocks one at a time; their states are not
     # snapshots.  The outer set after them reads the moved blocks, so its
-    # state is evaluated too unless it is bitwise the snapshot
+    # state is evaluated too unless it is bitwise the snapshot.  Sweep 1,
+    # one outer set of the r - 1 copies, is decided by the batched re-solve
     r = 5
     spec = fixtures.random_mixed(6, r, 3, m=r - 1)
-    calls = _replay_objective_calls(monkeypatch, spec,
-                                    dk.product_space_schedule(r))
-    assert [w for w, _ in calls] == [1, 2] * 20
-    assert all(n == 0 for w, n in calls if w == 1)
-    assert all(n in (r - 1, r) for w, n in calls if w == 2)
+    calls, matched = _replay_objective_calls(monkeypatch, spec,
+                                             dk.product_space_schedule(r))
+    assert [w for w, _ in calls] == [2] * 20
+    assert all(n in (r - 1, r) for _, n in calls)
+    assert matched == {1: 20}
 
 
 def _peak_bytes(fn):
@@ -960,6 +973,20 @@ def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
                dk.SolveParams(max_iterations=4, check_level=level))
 
 
+def _stacked_prox_off_by_one_ulp(monkeypatch):
+    """The halfspace stacks' dual prox one ulp off.
+
+    On a classic plan only the batched re-solve of check_level="full" calls
+    it: every sweep it re-solves misses its snapshot and goes to _replay.
+    """
+    moreau = HalfspaceStack.moreau
+
+    def off(self, U):
+        return np.nextafter(moreau(self, U), np.inf)
+
+    monkeypatch.setattr(HalfspaceStack, "moreau", off)
+
+
 @pytest.mark.parametrize("faults,message", [
     ((0, 4), "cycle 1 sweep 1: sequential replay disagrees with the snapshot"
              " execution"),
@@ -967,8 +994,11 @@ def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
 ], ids=["replay-first", "stationarity-first"])
 def test_fault_first_failing_sweep_wins(monkeypatch, faults, message):
     # one row's replay disagrees, the other's stationarity fails; whichever
-    # sweep comes first in the cycle is reported
+    # sweep comes first in the cycle is reported.  The batched re-solve
+    # misses every snapshot, so each sweep before the failing one goes to
+    # _replay, whose repeated solve of the replay row disagrees
     replay_row, stat_row = faults
+    _stacked_prox_off_by_one_ulp(monkeypatch)
     spec, plan = _classic_faults(monkeypatch, _shrink_on_repeat(replay_row),
                                  _step(stat_row, 0.5, always=True))
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):

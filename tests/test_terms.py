@@ -531,3 +531,22 @@ def test_project_and_value_over_a_batch_of_states_are_per_state_calls(
                                       [stack.project(b) for b in batch])
         if kind in ("halfspace", "l2ball"):
             assert np.isinf(got).any() and (got == 0.0).any()
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_moreau_over_a_batch_of_states_is_per_state_calls(kind, dots):
+    # (k, rows, d) in and out: state j's rows are the stack's moreau at
+    # state j alone, and moreau_dual's, bit for bit
+    k = 3
+    for d in STACK_DIMS:
+        if kind == "affine" and d < 2:
+            continue
+        rng, terms, U, Z = _stack_inputs(kind, d)
+        stack = _one_stack(terms)
+        batch = U * rng.uniform(0.5, 1.5, size=(k, 1, 1))
+        got = stack.moreau(batch)
+        assert got.shape == batch.shape
+        assert np.array_equal(got, [stack.moreau(b) for b in batch])
+        assert np.array_equal(got, [[moreau_dual(t, u)
+                                     for t, u in zip(terms, b)]
+                                    for b in batch])
