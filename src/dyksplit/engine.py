@@ -1106,10 +1106,12 @@ class _CCheck:
             return
         self.K = k
         W, Wn = self.W, self.W * self.n
-        cycles = np.arange(k, dtype=np.intp)[:, None]
 
-        def flat(offsets, stride):
-            return (cycles * stride + offsets).ravel()
+        def flat(offsets, stride):   # one cycle's are the offsets
+            if k == 1:
+                return offsets
+            return (np.arange(k, dtype=np.intp)[:, None] * stride
+                    + offsets).ravel()
 
         self.conj_at = [flat(offsets, Wn) for _, _, offsets in self.conj]
         self.stat_at = (flat(self.stat_w, W),
