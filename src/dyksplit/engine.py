@@ -898,8 +898,7 @@ class _Resolve(NamedTuple):
     moreau are the stacks of the prox and block term rows, as
     (positions, stack); groups are (start row, sweeps, rows each, first
     outer place, stacks or None) for the summed outer sets of one size, the
-    stacks given when the first row is a term row.  member[q, b] holds when
-    row q is sweep b's, and others[b, i] when sweep b does not write row i.
+    stacks given when the first row is a term row.
     """
     at: dict
     cols: np.ndarray
@@ -910,8 +909,6 @@ class _Resolve(NamedTuple):
     vrows: np.ndarray
     moreau: list
     groups: list
-    member: np.ndarray
-    others: np.ndarray
 
 
 def _gather(A, at, k, K):
@@ -1084,11 +1081,6 @@ class _CCheck:
             start += len(group) * size
             place += len(group)
         cols = np.array([w - 1 for w, _ in order], dtype=np.intp)
-        member = np.zeros((len(written), len(order)), dtype=bool)
-        others = np.ones((len(order), spec.n_duals), dtype=bool)
-        for q, (b, i) in enumerate(written):
-            member[q, b] = True
-            others[b, i] = False
         return _Resolve(
             {w: b for b, (w, _) in enumerate(order)}, cols, n_prox, n_block,
             n_outer,
@@ -1097,7 +1089,22 @@ class _CCheck:
             cols[:n_outer].copy(),
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
-            groups, member, others)
+            groups)
+
+    def _per_sweep(self, A):
+        """How many of its written rows each resolve sweep has flagged in
+        A (k, Q), as (k, B)."""
+        rs = self.resolve
+        A = A.astype(np.intp)
+        m = rs.n_prox + rs.n_block
+        out = np.empty((len(A), len(rs.cols)), dtype=np.intp)
+        out[:, :rs.n_prox] = A[:, :rs.n_prox]
+        np.add(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
+               out=out[:, rs.n_outer:])
+        for start, count, size, place, _ in rs.groups:
+            out[:, place:place + count] = A[:, start:start + count * size
+                                            ].reshape(-1, count, size).sum(2)
+        return out
 
     def _index(self, k):
         """Build the flat indices (class docstring) for batches of k cycles,
@@ -1254,8 +1261,12 @@ class _CCheck:
         del V0
         X1 = _gather(flat[self.n:], rows_at, k, self.K)   # the snapshots
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        matched = ~((differs @ rs.member)
-                    | (moved[:, rs.cols] & rs.others).any(axis=2))
+        # the rows that moved in a sweep are all its own: moved has the
+        # layout of the states before the sweeps, which rows_at indexes
+        own = moved.reshape(-1).take(rows_at[:differs.size])
+        matched = ((self._per_sweep(differs) == 0)
+                   & (self._per_sweep(own.reshape(differs.shape))
+                      == moved.sum(axis=2)[:, rs.cols]))
         np.add(dv[:, n_outer:], X1[:, gov], out=dv[:, n_outer:])
         del X, X1
         np.add(dv[:, :n_outer], _gather(V[1:], vrows_at, k, self.K),

@@ -450,6 +450,22 @@ def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
     _assert_same_result(batched, replayed)
 
 
+def test_a_sweep_that_moves_another_row_goes_to_the_per_sweep_replay(
+        monkeypatch):
+    # solving row 3 also moves z_1 by one ulp.  The re-solve of sweep 3
+    # gives its own row's bits, but another row moved, so _replay decides
+    # the sweep; the freeze check then reports z_1
+    calls = _replays(monkeypatch)
+    spec, plan = test_engine._classic_faults(monkeypatch,
+                                             test_engine._nudge(2, 0))
+    with pytest.raises(EngineInvariantError,
+                       match=r"^cycle 1: z_1 moved after its last touch"
+                             r" \(sweep 1 vs 3\)$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                          check_level="full"))
+    assert calls == [(1, 3)]
+
+
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
 def test_margins_are_the_replays_scalar_formula(monkeypatch, kernel):
     # 0.5 * sqrt(dv . dv) ** 2 of each row, bit for bit, with the 1-d dot
