@@ -1223,12 +1223,13 @@ class _CCheck:
         # the rows before each sweep, re-solved in place once read
         X = _gather(flat, rows_at, k, self.K)
         V0 = _gather(V, vrows_at, k, self.K)
-        # the moves that give the margins, an outer set's of the dual sum
-        # and a block's of its governing row: minus their starts here, their
-        # ends added below, which is the subtraction's bits
-        dv = np.empty((k, len(rs.cols), d))
-        np.negative(V0, out=dv[:, :n_outer])
-        np.negative(X[:, gov], out=dv[:, n_outer:])
+        # the margins: an outer set's is the move of the dual sum, taken
+        # here, a block's that of its governing row, whose start is kept
+        margins = np.empty((k, len(rs.cols)))
+        dv = _gather(V[1:], vrows_at, k, self.K)
+        margins[:, :n_outer] = _margins(np.subtract(dv, V0, out=dv))
+        del dv
+        gov_start = X[:, gov].copy()
         if m:
             U = np.empty((k, m, d))
             u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
@@ -1267,11 +1268,9 @@ class _CCheck:
         matched = ((self._per_sweep(differs) == 0)
                    & (self._per_sweep(own.reshape(differs.shape))
                       == moved.sum(axis=2)[:, rs.cols]))
-        np.add(dv[:, n_outer:], X1[:, gov], out=dv[:, n_outer:])
-        del X, X1
-        np.add(dv[:, :n_outer], _gather(V[1:], vrows_at, k, self.K),
-               out=dv[:, :n_outer])
-        short = (p.F[:, rs.cols] < p.F_prev[:, rs.cols] + _margins(dv)
+        margins[:, n_outer:] = _margins(
+            np.subtract(X1[:, gov], gov_start, out=gov_start))
+        short = (p.F[:, rs.cols] < p.F_prev[:, rs.cols] + margins
                  - SWEEP_GAIN_TOL)
         return matched, short
 
