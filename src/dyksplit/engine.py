@@ -1092,10 +1092,9 @@ class _CCheck:
             groups)
 
     def _per_sweep(self, A):
-        """How many of its written rows each resolve sweep has flagged in
-        A (k, Q), as (k, B)."""
+        """The sums of A (k, Q), integers for the written rows, over the
+        rows of each resolve sweep, as (k, B)."""
         rs = self.resolve
-        A = A.astype(np.intp)
         m = rs.n_prox + rs.n_block
         out = np.empty((len(A), len(rs.cols)), dtype=np.intp)
         out[:, :rs.n_prox] = A[:, :rs.n_prox]
@@ -1261,13 +1260,16 @@ class _CCheck:
             G[:, :, 1:] = (-(z_i + c) / tau)[:, :, None]
         del V0
         X1 = _gather(flat[self.n:], rows_at, k, self.K)   # the snapshots
+        # a sweep matched when none of its rows differs from the snapshot's
+        # and the rows that moved in it are all its own: its differing rows
+        # minus its own moved rows, plus all its moved rows, are 0 exactly
+        # then.  moved has the layout of the states before the sweeps,
+        # which rows_at indexes
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        # the rows that moved in a sweep are all its own: moved has the
-        # layout of the states before the sweeps, which rows_at indexes
         own = moved.reshape(-1).take(rows_at[:differs.size])
-        matched = ((self._per_sweep(differs) == 0)
-                   & (self._per_sweep(own.reshape(differs.shape))
-                      == moved.sum(axis=2)[:, rs.cols]))
+        matched = (self._per_sweep(differs.astype(np.intp)
+                                   - own.reshape(differs.shape))
+                   + moved.sum(axis=2)[:, rs.cols]) == 0
         margins[:, n_outer:] = _margins(
             np.subtract(X1[:, gov], gov_start, out=gov_start))
         short = (p.F[:, rs.cols] < p.F_prev[:, rs.cols] + margins
@@ -1432,11 +1434,22 @@ class _CCheck:
                     spec, S[c * W:], V[c * W:], conj, F, margins[c:], [cyc],
                     params, groups, trace)
             return conj, F, certs
+        # the cycles that no sweep check or replay can fail, found for the
+        # whole batch; the others go through _raise_sweeps
+        quiet = ~p.bad.any(axis=1)
+        if self.replays:
+            if resolved is None or len(self.resolve.at) < len(self.replays):
+                quiet[:] = False
+            else:
+                quiet &= resolved[0].all(axis=1) & ~resolved[1].any(axis=1)
+        F_rows = p.F.tolist()
+        frozen = flagged = None
         F_list = trace.F
         for c, cyc in enumerate(batch):
-            self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n, params,
-                               resolved=resolved)
-            F_sweeps = p.F[c].tolist()
+            if not quiet[c]:
+                self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n,
+                                   params, resolved=resolved)
+            F_sweeps = F_rows[c]
             F = F_sweeps[-1]
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
                 raise EngineInvariantError(
@@ -1445,20 +1458,40 @@ class _CCheck:
                 # one cycle alone: each pass runs after the checks before it
                 if moved is None:
                     moved = self._freeze_pass(S, k)
-                _raise_freeze(self.c_analysis, moved[c], cyc.n, self.masks)
+                if frozen is None:
+                    frozen = self._frozen(moved)
+                if frozen[c]:
+                    _raise_freeze(self.c_analysis, moved[c], cyc.n,
+                                  self.masks)
                 if certs is None:
                     certs = _certificates(spec, SC, VC, self.layout, groups,
                                           p.ends)
-                X, res, fen = certs
-                if not cyc.approx:
+                if flagged is None:
+                    X, res, fen = certs
+                    # _raise_certificates' test, for every cycle at once
+                    gamma = np.array([cyc.gamma for cyc in batch])
+                    flagged = ((res > (gamma + CERT_SLACK)[:, None])
+                               | (fen > CLAIM_TOL)).any(axis=1)
+                    res_max = res.max(axis=1).tolist()
+                if flagged[c] and not cyc.approx:
                     _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
-                trace.cert.append(res[c].max())
+                trace.cert.append(res_max[c])
             F_list.append(F)
             if trace.sweep_F is not None:
                 trace.sweep_F.extend(F_sweeps)
         if certs is not None:   # the last cycle's
             certs = X[-1], res[-1], fen[-1]
         return p.ends[-1], F, certs
+
+    def _frozen(self, moved):
+        """Whether each cycle fails a freeze equality (_raise_freeze), from
+        the _moved of its sweeps, (k, W, rows); returns (k,)."""
+        after, pairs, cols, window = self.masks
+        bad = (moved & after).any(axis=(1, 2))
+        if pairs:
+            bad |= (window & moved[:, :, cols].transpose(0, 2, 1)).any(
+                axis=(1, 2))
+        return bad
 
     def check_sweeps(self, spec, S, V, conj, F, margins, n, params, upto):
         """The per-sweep checks of sweeps 1..upto of cycle n, held in S from
