@@ -25,7 +25,8 @@ check_level:
   "full"   additionally a sequential replay of each exact sweep with
            per-subproblem gain checks.  The sweeps of one step with one
            subproblem whose solver has a stacked form are re-solved for a
-           whole batch in a few stacked calls (_CCheck._resolved); one whose
+           whole batch in a few stacked calls (_CCheck._resolved), when it
+           holds at least _RESOLVE_MIN of them over its cycles; one whose
            written rows are bitwise its snapshot's, with no other row moved,
            is decided there by its margin test, on the bits the replay would
            use.  Every other sweep, and every sweep of a batch whose
@@ -76,6 +77,11 @@ _OBJ_BATCH = 8
 # with checks on, the snapshot buffer of a batch of cycles holds at most this
 # many bytes of sweep states, unless one cycle alone needs more (run)
 _CHECK_BATCH_BYTES = 18432
+# at check_level="full", a batch's one-subproblem sweeps are re-solved at
+# once only when it holds at least this many (cycle, sweep) pairs of them:
+# the re-solve's fixed cost is about that of four per-sweep replays
+# (_CCheck.check)
+_RESOLVE_MIN = 4
 
 
 class EngineInvariantError(RuntimeError):
@@ -1416,9 +1422,11 @@ class _CCheck:
         moved = certs = resolved = None
         try:
             p = self._sweep_pass(spec, S, V, k, conj, F, margins[:k, :W])
-            if self.resolve is not None or self.valid and k > 1:
+            resolve = (self.resolve is not None
+                       and k * len(self.resolve.cols) >= _RESOLVE_MIN)
+            if resolve or self.valid and k > 1:
                 moved = self._freeze_pass(S, k)
-            if self.resolve is not None:
+            if resolve:
                 try:
                     resolved = self._resolved(spec, S, V, k, moved, p)
                 except Exception:   # the per-sweep replay raises it in order

@@ -368,25 +368,36 @@ def _replays(monkeypatch):
 def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
         monkeypatch, case, off, kernel):
     # caps on both sides of a full batch: every field, trace row and
-    # certificate is that of the per-sweep replay.  Only the product
-    # schedule's sweep 2, r - 1 blocks and an outer set, is replayed sweep
-    # by sweep with the batched re-solve on
+    # certificate is that of the per-sweep replay.  With the batched
+    # re-solve on, only the product schedule replays sweep by sweep: its
+    # sweep 2, r - 1 blocks and an outer set, in every cycle, and its sweep
+    # 1, the one it re-solves, in batches of fewer than _RESOLVE_MIN cycles
     spec, plan = _case(case)
     _dots_kernel(monkeypatch, kernel)
     calls = _replays(monkeypatch)
+    sizes = _batch_sizes(monkeypatch)
     for cap in (1, 3, 7, 8, 26):
         params = dk.SolveParams(max_iterations=cap, check_level="full",
                                 per_sweep_trace=True)
         calls.clear()
+        sizes.clear()
         batched = dk.run(spec, plan, params)
-        assert {w for _, w in calls} == ({2} if case == "product" else set())
+        expected = set()
+        if case == "product":
+            first = 1
+            for size in sizes:
+                for n in range(first, first + size):
+                    expected |= ({(n, 1), (n, 2)}
+                                 if size < engine._RESOLVE_MIN else {(n, 2)})
+                first += size
+        assert set(calls) == expected
         n_batched = len(calls)
         with monkeypatch.context() as m:
             _batched_replay_off(m, off)
             calls.clear()
             replayed = dk.run(spec, plan, params)
         _assert_same_result(batched, replayed)
-        assert len(calls) > n_batched
+        assert len(calls) > n_batched or case == "product" and cap < 7
 
 
 def _faults_at_full(fn):
