@@ -28,10 +28,10 @@ check_level:
            whole batch in a few stacked calls (_CCheck._resolved), when it
            holds at least _RESOLVE_MIN of them over its cycles; one whose
            written rows are bitwise its snapshot's, with no other row moved,
-           is decided there by its margin test, on the bits the replay would
-           use.  Every other sweep, and every sweep of a batch whose
-           re-solve raises, is replayed by itself (_CCheck._replay).  A
-           solver that answers a repeated call differently is caught only
+           passes there, since its replay's margin test is implied by the
+           sweep pass's.  Every other sweep, and every sweep of a batch
+           whose re-solve raises, is replayed by itself (_CCheck._replay).
+           A solver that answers a repeated call differently is caught only
            when its first answer differs from the stacked re-solve.
 With checks on, the sweep loop only solves and writes the duals after each
 sweep into a snapshot buffer that holds a batch of up to _OBJ_BATCH
@@ -62,8 +62,8 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (DimensionMismatch, _dots, _norm, _stack_kind, all_finite,
-                    stack_terms, stacked_conjugates)
+from .terms import (DimensionMismatch, _dots, _norm, all_finite, stack_terms,
+                    stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -893,18 +893,17 @@ class _Resolve(NamedTuple):
     once, at check_level="full" (_CCheck._compile_resolve).
 
     Each is one step with one subproblem.  The B sweeps come in this order:
-    n_prox outer sets of one term row (_prox_row), the outer sets that sum
-    their rows (_quad_rows, _prox_quad_rows), then n_block one-block sweeps
+    n_prox outer sets of one term row (_prox_row), the outer sets of
+    quadratic rows only (_quad_rows), then n_block one-block sweeps
     (_stacked_blocks); the first n_outer are outer sets.  at maps a sweep w
     to its place and cols (B,) are the sweeps, 0-based.  Their written rows,
     Q in all, come in this order: the prox rows, the blocks' term rows, the
-    blocks' governing rows, then each summed group's rows.  rows (Q,) are
+    blocks' governing rows, then each quadratic group's rows.  rows (Q,) are
     their flat offsets w_prev * n + i in a cycle's states, w_prev the state
     each sweep starts from, and vrows (n_outer,) the outer sets' w_prev.
     moreau are the stacks of the prox and block term rows, as
     (positions, stack); groups are (start row, sweeps, rows each, first
-    outer place, stacks or None) for the summed outer sets of one size, the
-    stacks given when the first row is a term row.
+    outer place) for the _quad_rows outer sets of one size.
     """
     at: dict
     cols: np.ndarray
@@ -922,23 +921,6 @@ def _gather(A, at, k, K):
     in cycle-major order, for the first k cycles, as (k, rows, d)."""
     P = len(at) // K
     return A.take(at[:k * P], axis=0).reshape(k, P, A.shape[1])
-
-
-def _margins(dv):
-    """The squared-movement margins 0.5 * |dv|^2 of the rows of dv, in the
-    replay's scalar formula and bits: Python's float power calls the C
-    library's pow, whose square of a double is not always the correctly
-    rounded one that numpy's ** 2 gives (about one value in a thousand
-    with glibc)."""
-    return np.array([0.5 * s ** 2 for s in map(
-        math.sqrt, _dots(dv, dv).ravel().tolist())]).reshape(dv.shape[:-1])
-
-
-def _short_of_margin(n, w, label):
-    """The replay's error for an outer set or block that fell short."""
-    return EngineInvariantError(
-        f"cycle {n} sweep {w}: a {label} subproblem gained less than its"
-        f" quadratic margin")
 
 
 class _CCheck:
@@ -969,7 +951,8 @@ class _CCheck:
                takes its conjugates from the pass) and its subproblems as
                (rows, a slice when contiguous; margin row; term rows)
       resolve  the replayed sweeps that the batch re-solves at once
-               (_Resolve), or None
+               (_Resolve), or None; one whose re-solve matches its snapshot
+               is not replayed
     scratch are the replay's two z buffers at check_level="full", shared by
     the checks of all cycle patterns, and None otherwise.
 
@@ -1045,12 +1028,7 @@ class _CCheck:
 
     def _compile_resolve(self, spec, shared):
         """The replayed sweeps of one step with one subproblem whose solver
-        has a stacked form, as a _Resolve, or None when there are none.
-
-        _prox_quad_rows counts only when its term's stack projects (a
-        halfspace or ball indicator), whose prox is the projection for every
-        step.
-        """
+        has a stacked form, as a _Resolve, or None when there are none."""
         prox, sums, blocks = [], {}, []
         for w, steps in self.replays.items():
             step = steps[0][0]
@@ -1061,11 +1039,8 @@ class _CCheck:
                 prox.append((w, rows))
             elif step.solve is _stacked_blocks:
                 blocks.append((w, rows))   # the term row, then the governing
-            elif step.solve is _quad_rows or (
-                    step.solve is _prox_quad_rows
-                    and hasattr(_stack_kind(spec.terms[rows[0]]), "project")):
-                sums.setdefault((len(rows), step.solve is _prox_quad_rows),
-                                []).append((w, rows))
+            elif step.solve is _quad_rows:
+                sums.setdefault(len(rows), []).append((w, rows))
         order = prox + [s for group in sums.values() for s in group] + blocks
         if not order:
             return None
@@ -1080,10 +1055,8 @@ class _CCheck:
             order[n_prox:n_outer]) for i in rows]
         groups = []
         start, place = n_prox + 2 * n_block, n_prox
-        for (size, projects), group in sums.items():
-            groups.append((start, len(group), size, place, _pair_stacks(
-                spec.terms, [rows[0] for _, rows in group], shared)
-                if projects else None))
+        for size, group in sums.items():
+            groups.append((start, len(group), size, place))
             start += len(group) * size
             place += len(group)
         cols = np.array([w - 1 for w, _ in order], dtype=np.intp)
@@ -1106,7 +1079,7 @@ class _CCheck:
         out[:, :rs.n_prox] = A[:, :rs.n_prox]
         np.add(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
                out=out[:, rs.n_outer:])
-        for start, count, size, place, _ in rs.groups:
+        for start, count, size, place in rs.groups:
             out[:, place:place + count] = A[:, start:start + count * size
                                             ].reshape(-1, count, size).sum(2)
         return out
@@ -1207,20 +1180,22 @@ class _CCheck:
             np.copyto(C[..., 1:], new[:, pos][:, None], where=mask)
         return C
 
-    def _resolved(self, spec, S, V, k, moved, p):
+    def _resolved(self, spec, S, V, k, moved):
         """check_level=full: the batch's re-solve of the sweeps in resolve,
-        for its k cycles at once; returns (matched, short), each (k, B).
+        for its k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
         every row it writes is bitwise its snapshot's and no other row moved
-        (moved, _freeze_pass): the sequential replay of one subproblem would
-        then have found the snapshot and taken the pass's objective, so
-        short[c, b] is its margin test on the same bits.
+        (moved, _freeze_pass).  The sequential replay of its one subproblem
+        would then find the snapshot and test the pass's objectives against
+        a margin no larger than the pass's own (_replay), so it passes on
+        every sweep before the cycle's first failing one, the only sweeps
+        that are replayed.
         """
         rs = self.resolve
         d, x0 = spec.d, spec.x0
-        n_prox, n_block, n_outer = rs.n_prox, rs.n_block, rs.n_outer
+        n_prox, n_block = rs.n_prox, rs.n_block
         m = n_prox + n_block   # the rows that take a dual prox
         gov = slice(m, m + n_block)
         flat = S.reshape(-1, d)
@@ -1228,13 +1203,6 @@ class _CCheck:
         # the rows before each sweep, re-solved in place once read
         X = _gather(flat, rows_at, k, self.K)
         V0 = _gather(V, vrows_at, k, self.K)
-        # the margins: an outer set's is the move of the dual sum, taken
-        # here, a block's that of its governing row, whose start is kept
-        margins = np.empty((k, len(rs.cols)))
-        dv = _gather(V[1:], vrows_at, k, self.K)
-        margins[:, :n_outer] = _margins(np.subtract(dv, V0, out=dv))
-        del dv
-        gov_start = X[:, gov].copy()
         if m:
             U = np.empty((k, m, d))
             u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
@@ -1249,21 +1217,10 @@ class _CCheck:
                     X[:, pos] = stack.moreau(U[:, pos])
             del U
             np.subtract(bsum, X[:, n_prox:m], out=X[:, gov])
-        for start, count, size, place, stacks in rs.groups:
+        for start, count, size, place in rs.groups:   # _quad_rows
             G = X[:, start:start + count * size].reshape(k, count, size, d)
             c = V0[:, place:place + count] - G.sum(axis=2)
-            if stacks is None:   # _quad_rows
-                G[...] = (-c / (size + 1.0))[:, :, None]
-                continue
-            # _prox_quad_rows, whose term's prox is its projection
-            tau = float(size)
-            u_bar = tau * x0 - c
-            x_hat = np.empty_like(u_bar)
-            for pos, stack in stacks:
-                x_hat[:, pos] = stack.project(u_bar[:, pos] / tau)
-            z_i = u_bar - tau * x_hat
-            G[:, :, 0] = z_i
-            G[:, :, 1:] = (-(z_i + c) / tau)[:, :, None]
+            G[...] = (-c / (size + 1.0))[:, :, None]
         del V0
         X1 = _gather(flat[self.n:], rows_at, k, self.K)   # the snapshots
         # a sweep matched when none of its rows differs from the snapshot's
@@ -1273,24 +1230,19 @@ class _CCheck:
         # which rows_at indexes
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
         own = moved.reshape(-1).take(rows_at[:differs.size])
-        matched = (self._per_sweep(differs.astype(np.intp)
-                                   - own.reshape(differs.shape))
-                   + moved.sum(axis=2)[:, rs.cols]) == 0
-        margins[:, n_outer:] = _margins(
-            np.subtract(X1[:, gov], gov_start, out=gov_start))
-        short = (p.F[:, rs.cols] < p.F_prev[:, rs.cols] + margins
-                 - SWEEP_GAIN_TOL)
-        return matched, short
+        return (self._per_sweep(differs.astype(np.intp)
+                                - own.reshape(differs.shape))
+                + moved.sum(axis=2)[:, rs.cols]) == 0
 
     def _raise_sweeps(self, spec, S, V, p, c, n, params, upto=None,
-                      resolved=None):
+                      matched=None):
         """Raise the first failing sweep of cycle c of the pass p, cycle n
         of the run, among its sweeps 1..upto (default all).
 
         S and V start at the cycle's start.  At check_level="full" the exact
-        sweeps before the failing one are replayed first: a sweep that
-        resolved, the batch's _resolved, found matched is decided by its
-        margin test there, and every other goes through _replay.
+        sweeps before the failing one are replayed first through _replay,
+        but for those that matched, the batch's _resolved, finds bitwise
+        their snapshots in this cycle: their replay cannot fail.
         """
         bad = p.bad[c]
         last = self.W if upto is None else upto
@@ -1300,12 +1252,8 @@ class _CCheck:
             for w in self.replays:
                 if w >= first:
                     break
-                b = None if resolved is None else self.resolve.at.get(w)
-                if b is not None and resolved[0][c, b]:
-                    if resolved[1][c, b]:
-                        raise _short_of_margin(
-                            n, w, "outer" if b < self.resolve.n_outer
-                            else "block")
+                b = None if matched is None else self.resolve.at.get(w)
+                if b is not None and matched[c, b]:
                     continue
                 if FS is None:
                     # the objective and the conjugates at each S[w]
@@ -1376,10 +1324,15 @@ class _CCheck:
                     F_new = dual_objective_from(spec, z_seq, conj, v_new)
                 if gov is None:
                     dv = v_new - v
-                margin = 0.5 * math.sqrt(dv.dot(dv)) ** 2
-                if F_new < F_before + margin - SWEEP_GAIN_TOL:
-                    raise _short_of_margin(
-                        n, w, "outer" if gov is None else "block")
+                # run's formula for the pass's margins: a sweep of one
+                # subproblem that ends at the snapshot tests the pass's
+                # objectives against at most the pass's margin (_resolved)
+                s = math.sqrt(dv.dot(dv))
+                if F_new < F_before + 0.5 * s * s - SWEEP_GAIN_TOL:
+                    label = "outer" if gov is None else "block"
+                    raise EngineInvariantError(
+                        f"cycle {n} sweep {w}: a {label} subproblem gained"
+                        f" less than its quadratic margin")
                 F_before, v = F_new, v_new
         if snapshot:
             return
@@ -1419,7 +1372,7 @@ class _CCheck:
         k = len(batch)
         self._index(k)
         SC, VC = _cycles(S, k, W), _cycles(V, k, W)
-        moved = certs = resolved = None
+        moved = certs = matched = None
         try:
             p = self._sweep_pass(spec, S, V, k, conj, F, margins[:k, :W])
             resolve = (self.resolve is not None
@@ -1428,7 +1381,7 @@ class _CCheck:
                 moved = self._freeze_pass(S, k)
             if resolve:
                 try:
-                    resolved = self._resolved(spec, S, V, k, moved, p)
+                    matched = self._resolved(spec, S, V, k, moved)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
             if self.valid and k > 1:
@@ -1446,17 +1399,17 @@ class _CCheck:
         # whole batch; the others go through _raise_sweeps
         quiet = ~p.bad.any(axis=1)
         if self.replays:
-            if resolved is None or len(self.resolve.at) < len(self.replays):
+            if matched is None or len(self.resolve.at) < len(self.replays):
                 quiet[:] = False
             else:
-                quiet &= resolved[0].all(axis=1) & ~resolved[1].any(axis=1)
+                quiet &= matched.all(axis=1)
         F_rows = p.F.tolist()
         frozen = flagged = None
         F_list = trace.F
         for c, cyc in enumerate(batch):
             if not quiet[c]:
                 self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n,
-                                   params, resolved=resolved)
+                                   params, matched=matched)
             F_sweeps = F_rows[c]
             F = F_sweeps[-1]
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
@@ -1588,15 +1541,17 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     all_terms = stack_terms(spec.terms, range(spec.r))
 
     # z and its row sum v live in preallocated buffers, v taken once for
-    # each snapshot.  With checks on, buf is the snapshot buffer of a batch
-    # of up to n_batch cycles of one pattern, W sweeps each: row c * W the
-    # start of its cycle c, row c * W + w the duals after that cycle's sweep
-    # w.  With checks off, the sweeps alternate between two rows, and each
-    # cycle end is copied into a batch of n_batch states.  A batch is
-    # checked, or priced, in one pass when it is full, when the next cycle
-    # takes another pattern (checks on), when the gap rule needs its
-    # objective (checks off) or stops the run, before an exception leaves
-    # the loop, and at the end of the run.
+    # each snapshot.  Row 0 of buf is the start of a batch of up to n_batch
+    # cycles.  With checks on, buf is the batch's snapshot buffer, its
+    # cycles of one pattern, W sweeps each: row c * W the start of its cycle
+    # c, row c * W + w the duals after that cycle's sweep w.  With checks
+    # off, row c + 1 is the end of cycle c, which its last sweep writes, and
+    # the sweeps before it alternate between the row after the ends and row
+    # 0, whose batch start the batch's first sweep has read.
+    # A batch is checked, or priced, in one pass when it is full, when the
+    # next cycle takes another pattern (checks on), when the gap rule needs
+    # its objective (checks off) or stops the run, before an exception
+    # leaves the loop, and at the end of the run.
     sweep_checks = params.check_level in ("sweep", "full")
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
@@ -1613,13 +1568,12 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         margins = np.zeros((n_batch, max(map(len, compiled))))
     else:
         n_batch = min(_OBJ_BATCH, params.max_iterations)
-        n_slots = 2
+        n_slots = n_batch + min(2, max(map(len, compiled)))
     buf = np.empty((n_slots, spec.n_duals, spec.d))
     vbuf = np.empty((n_slots, spec.d))
     buf[0] = z
     z = buf[0]
     v = z.sum(axis=0, out=vbuf[0])
-    slot = 0
     if sweep_checks:
         # per-row conjugate cache, carried from one batch's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
@@ -1630,8 +1584,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
         F_state = dual_objective_z(spec, z, all_terms, v)
-        zb = np.empty((n_batch, spec.n_duals, spec.d))
-        vb = np.empty((n_batch, spec.d))
     F_initial = F_state
 
     per_sweep = params.per_sweep_trace
@@ -1653,7 +1605,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         batch = pending[:]
         pending.clear()   # so that nothing is evaluated twice after an error
         if not sweep_checks:
-            _flush_cycle_ends(spec, all_terms, zb, vb, batch, F_list)
+            _flush_cycle_ends(spec, all_terms, buf[1:], vbuf[1:], batch,
+                              F_list)
             return
         cert_arrays = None   # the last batch's go before this one's come
         conj, F_state, cert_arrays = chk.check(
@@ -1665,13 +1618,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             k = n if n <= n_lead else 0
             sweeps = compiled[k]
             W = len(sweeps)
+            c = len(pending)   # the cycle's place in its batch
+            if not c:
+                buf[0] = z
+                vbuf[0] = v
+                z, v = buf[0], vbuf[0]
             if sweep_checks:
                 chk = checks[k]
-                c = len(pending)   # the cycle's place in its batch
-                if not c:
-                    buf[0] = z
-                    vbuf[0] = v
-                    z, v = buf[0], vbuf[0]
                 slot = c * W
                 cycle_margins = margins[c]
             gamma_acc = 0.0
@@ -1681,7 +1634,12 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
 
             for w, cs in enumerate(sweeps, start=1):
                 z_prev, v_prev = z, v
-                slot = slot + 1 if sweep_checks else 1 - slot
+                if sweep_checks:
+                    slot += 1
+                elif w < W:
+                    slot = n_batch + 1 if w % 2 else 0
+                else:
+                    slot = c + 1
                 z = buf[slot]
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
                 # the rows the sweep did not write were scanned when written
@@ -1721,9 +1679,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     trace.moves.extend(inner)
 
             ascent = not any_approx and not cycle_approx
-            if not sweep_checks:
-                zb[len(pending)] = z
-                vb[len(pending)] = v
             any_approx = any_approx or cycle_approx
             trace.v_diff.append(v_acc)
             trace.gamma.append(gamma_acc)
@@ -1771,7 +1726,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = buf = vbuf = zb = vb = margins = None
+    z = v = z_prev = v_prev = buf = vbuf = margins = None
     return RunResult(
         state=state,
         x=x,

@@ -369,9 +369,11 @@ def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
         monkeypatch, case, off, kernel):
     # caps on both sides of a full batch: every field, trace row and
     # certificate is that of the per-sweep replay.  With the batched
-    # re-solve on, only the product schedule replays sweep by sweep: its
-    # sweep 2, r - 1 blocks and an outer set, in every cycle, and its sweep
-    # 1, the one it re-solves, in batches of fewer than _RESOLVE_MIN cycles
+    # re-solve on, the product schedule replays its sweep 2, r - 1 blocks
+    # and an outer set, in every cycle, and its sweep 1, the one it
+    # re-solves, in batches of fewer than _RESOLVE_MIN cycles.  The
+    # prox-quad plan replays its sweep 1, one term row with a copy, in every
+    # cycle, and its sweeps 2-4 in batches of one cycle
     spec, plan = _case(case)
     _dots_kernel(monkeypatch, kernel)
     calls = _replays(monkeypatch)
@@ -383,13 +385,17 @@ def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
         sizes.clear()
         batched = dk.run(spec, plan, params)
         expected = set()
-        if case == "product":
-            first = 1
-            for size in sizes:
-                for n in range(first, first + size):
+        first = 1
+        for size in sizes:
+            for n in range(first, first + size):
+                if case == "product":
                     expected |= ({(n, 1), (n, 2)}
                                  if size < engine._RESOLVE_MIN else {(n, 2)})
-                first += size
+                elif case == "prox_quad":   # sweeps 2-4 are re-solved
+                    expected |= ({(n, w) for w in range(1, 5)}
+                                 if 3 * size < engine._RESOLVE_MIN
+                                 else {(n, 1)})
+            first += size
         assert set(calls) == expected
         n_batched = len(calls)
         with monkeypatch.context() as m:
@@ -397,7 +403,8 @@ def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
             calls.clear()
             replayed = dk.run(spec, plan, params)
         _assert_same_result(batched, replayed)
-        assert len(calls) > n_batched or case == "product" and cap < 7
+        assert (len(calls) > n_batched or case == "product" and cap < 7
+                or case == "prox_quad" and cap == 1)
 
 
 def _faults_at_full(fn):
@@ -478,14 +485,26 @@ def test_a_sweep_that_moves_another_row_goes_to_the_per_sweep_replay(
 
 
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
-def test_margins_are_the_replays_scalar_formula(monkeypatch, kernel):
-    # 0.5 * sqrt(dv . dv) ** 2 of each row, bit for bit, with the 1-d dot
-    # product and Python's float power that the replay takes
+def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
+    # the replay of a sweep of one subproblem that matched its snapshot
+    # tests the pass's objectives against 0.5 * s * s of its move s.  The
+    # pass tested them against 0.5 * v * v + 0.5 * (0.0 + g * g) for a
+    # block, v the move of the dual sum and g = s the governing row's, and
+    # against 0.5 * v * v + 0.5 * 0.0 for an outer set, whose s is v.  The
+    # moves are taken from the same rows, with the same bits
     _dots_kernel(monkeypatch, kernel)
-    rng = np.random.default_rng(14)
+    rng = np.random.default_rng(15)
     for d in (1, 2, 3, 5, 8, 20, 64, 257, 1000):
-        dv = rng.standard_normal((3, 50, d)) * 10.0 ** rng.integers(
-            -8, 9, size=(3, 50, 1))
-        assert engine._margins(dv).tolist() == [
-            [0.5 * math.sqrt(row.dot(row)) ** 2 for row in rows]
-            for rows in dv]
+        D = rng.standard_normal((50, d)) * 10.0 ** rng.integers(
+            -8, 9, size=(50, 1))
+        # _movement's norms of the governing rows' moves, and the replay's
+        assert np.sqrt(engine._dots(D, D)).tolist() == [
+            math.sqrt(row.dot(row)) for row in D]
+    v, g = rng.standard_normal((2, 20000)) * 10.0 ** rng.uniform(
+        -150, 150, size=(2, 20000))
+    for v_diff, move in zip(v.tolist(), g.tolist()):
+        assert 0.5 * move * move <= (0.5 * v_diff * v_diff
+                                     + 0.5 * (0.0 + move * move))
+        assert 0.5 * move * move == 0.5 * move * move + 0.5 * 0.0
+    for move in g[:100].tolist():   # a block that left the dual sum alone
+        assert 0.5 * move * move == 0.5 * 0.0 * 0.0 + 0.5 * (0.0 + move * move)

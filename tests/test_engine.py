@@ -506,29 +506,41 @@ def test_run_same_bits_at_every_check_level(case):
     _assert_same_bits_at_every_check_level(spec, plan)
 
 
-@pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "one_row", "one_outer_set"])
 def test_batched_cycle_ends_give_the_bits_of_one_at_a_time(monkeypatch,
                                                           case):
     # with checks off the cycle ends are priced in batches: caps on both
     # sides of a full batch, gap stops inside one, and a zero gap that
     # prices every cycle once x is feasible give the bits of batches of
-    # one, and those of "sweep"
+    # one, and those of "sweep".  The last sweep of a cycle writes its end
+    # into the batch: a cycle of one sweep reads the end before it there
+    nested = {}
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
     elif case == "product":
         spec = fixtures.random_halfspaces(1, 4, 3, m=3)
         plan = dk.product_space_schedule(4)
-    else:
+    elif case == "mixed_block":
         spec = fixtures.random_mixed(7, 4, 3, m=1)
         plan = fixtures.mixed_block_schedule(4)
+    elif case == "one_row":
+        spec = fixtures.random_mixed(5, 1, 4)
+        plan = dk.classic_dykstra_schedule(1)
+    else:
+        # one pass of the nested loop per cycle, so that every cycle moves
+        spec = fixtures.random_mixed(4, 3, 4, m=2)
+        plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={1, 2, 3, 4, 5}),))
+        nested = {"nested_bcm_sweeps": 1}
     assert engine._OBJ_BATCH == 8
     mid_batch = False
-    for cap, gap in [(1, None), (7, None), (8, None), (9, None), (26, None),
-                     (300, 1e-8), (26, 0.0)]:
+    for cap, gap in [(1, None), (7, None), (8, None), (9, None), (17, None),
+                     (26, None), (300, 1e-8), (26, 0.0)]:
         def solve(level):
             return dk.run(spec, plan, dk.SolveParams(
-                max_iterations=cap, stop_gap=gap, check_level=level))
+                max_iterations=cap, stop_gap=gap, check_level=level,
+                **nested))
 
         batched = solve("off")
         with monkeypatch.context() as m:
@@ -649,7 +661,7 @@ def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
     def resolved_counted(self, *args):
         out = resolved(self, *args)
         for w, b in self.resolve.at.items():
-            matched[w] = matched.get(w, 0) + int(out[0][:, b].sum())
+            matched[w] = matched.get(w, 0) + int(out[:, b].sum())
         return out
 
     calls.append([0, 0])   # the objective at the start of the run
@@ -706,10 +718,10 @@ def _peak_bytes(fn):
 
 
 def test_run_memory_does_not_grow_with_the_cycle_count():
-    # with checks off a run keeps two z buffers; per cycle it adds only its
-    # trace columns, five doubles and a flag (41 B) plus the arrays' spare
-    # room, well under the ~280 B of a TraceRow object with its dict and
-    # boxed floats
+    # with checks off a run keeps a batch of z buffers; per cycle it adds
+    # only its trace columns, five doubles and a flag (41 B) plus the
+    # arrays' spare room, well under the ~280 B of a TraceRow object with
+    # its dict and boxed floats
     spec = fixtures.random_halfspaces(3, 50, 20, m=49)
     plan = dk.product_space_schedule(50)
     n = 20
