@@ -33,13 +33,17 @@ check_level:
            whose re-solve raises, is replayed by itself (_CCheck._replay).
            A solver that answers a repeated call differently is caught only
            when its first answer differs from the stacked re-solve.
-With checks on, the sweep loop only solves and writes the duals after each
-sweep into a snapshot buffer that holds a batch of up to _OBJ_BATCH
-consecutive cycles of one pattern; when the batch is checked, one pass
-compiled per cycle pattern (_CCheck) evaluates every check of its cycles
-from the buffer in a few vectorized calls.  Conjugates are evaluated only
-for the rows each sweep writes, the per-sweep objective is bitwise equal to
-dual_objective on each snapshot, and a failure raises the same error for
+With checks on, the sweep loop only solves and logs: a batch of up to
+_OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
+per sweep, the new values of the rows the sweep declares, its dual sum, and
+any row it changed outside them (a stray, which only a faulty solver
+writes).  A batch's log rows and sums and its check's conjugate table take
+at most _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
+pass compiled per cycle pattern (_CCheck) evaluates every check of its
+cycles from the log in a few vectorized calls, reading each row of a state
+where it was last written.  Conjugates are evaluated only for the rows each
+sweep writes, the per-sweep objective is bitwise equal to
+dual_objective_from on each state, and a failure raises the same error for
 the same cycle and sweep as a check made sweep by sweep would, the sweeps
 before a non-finite one first.
 """
@@ -74,9 +78,10 @@ _INF = float("inf")
 # how many cycles are checked together, or with checks off how many cycle
 # ends are priced together, at most (run)
 _OBJ_BATCH = 8
-# with checks on, the snapshot buffer of a batch of cycles holds at most this
-# many bytes of sweep states, unless one cycle alone needs more (run)
-_CHECK_BATCH_BYTES = 18432
+# with checks on, a batch of cycles holds at most this many bytes of log rows
+# and sums and of its sweep pass's conjugate table, unless one cycle alone
+# needs more (run)
+_CHECK_BATCH_BYTES = 8192
 # at check_level="full", a batch's one-subproblem sweeps are re-solved at
 # once only when it holds at least this many (cycle, sweep) pairs of them:
 # the re-solve's fixed cost is about that of four per-sweep replays
@@ -571,15 +576,17 @@ def run_sweep(spec, state, sweep, params=None):
 # per-cycle checks
 # ---------------------------------------------------------------------------
 #
-# With checks on, the sweep loop only solves: it writes a batch of k
-# consecutive cycles of one pattern, W sweeps each, into a snapshot buffer
-# S.  Cycle c starts at row c * W, where the cycle before it ends, and the
-# duals after its sweep w are row c * W + w.  When the batch is checked,
-# _CCheck evaluates every check of its cycles from S in a few vectorized
-# calls and raises the first failure in the order the checks come cycle by
-# cycle and sweep by sweep.  Each sum is taken in the order of the scalar
+# With checks on, the sweep loop only solves and logs: a batch of k
+# consecutive cycles of one pattern, W sweeps each, is kept as a _Log, its
+# start state and then per sweep the rows it declares and its dual sum.
+# The states are numbered through the batch: state c * W + w is the duals
+# after sweep w of cycle c, and state c * W starts cycle c.  When the batch
+# is checked, _CCheck evaluates every check of its cycles from the log in a
+# few vectorized calls, reading each row of a state where it was last
+# written, and raises the first failure in the order the checks come cycle
+# by cycle and sweep by sweep.  Each sum is taken in the order of the scalar
 # formula it stands for, so every per-sweep objective is bitwise equal to
-# dual_objective_from on its snapshot.
+# dual_objective_from on its state.
 
 def _quad_parts(spec, X, Z):
     """Rows of spec.quad_value at X and of spec.conjugate_quad at Z."""
@@ -596,18 +603,17 @@ def _fenchel(H, C, X, Z):
     return np.maximum(H + C - _dots(X, Z), 0.0)
 
 
-def _objectives(spec, Z, V, total):
-    """dual_objective_from on every state Z[k].
+def _objectives(spec, Q, V, total):
+    """dual_objective_from on every state k.
 
-    V holds the row sums of Z and total[k] the _ordered_sum of the
-    conjugates of Z[k]; an infinite one gives -inf.
+    V holds the row sums of the states, total[k] the _ordered_sum of the
+    conjugates of state k and, when m > 0, Q[k] its quadratic rows plus x0,
+    which are overwritten; an infinite conjugate gives -inf.
     """
     if spec.m:
-        Q = Z[:, spec.r:] + spec.x0
         Q *= Q
         total = total + (0.5 * Q.reshape(len(Q), -1).sum(axis=1)
                          - spec.m * 0.5 * spec._x0_sq)
-        del Q
     D = spec.x0 - V
     return -(total + (0.5 * _dots(D, D) - 0.5 * spec._x0_sq))
 
@@ -624,7 +630,8 @@ def _state_objectives(spec, groups, Z, V):
     conj = C[:, 1:]
     for rows, stack in groups:
         conj[:, rows] = stack.support(Z[:, rows])
-    return _objectives(spec, Z, V, C.cumsum(axis=1, out=C)[:, -1])
+    return _objectives(spec, Z[:, spec.r:] + spec.x0 if spec.m else None, V,
+                       C.cumsum(axis=1, out=C)[:, -1])
 
 
 class _Pending(NamedTuple):
@@ -700,16 +707,9 @@ def _freeze_masks(c_analysis, W, n):
 
 
 def _moved(S):
-    """moved[w - 1, row]: whether the row changed bitwise from S[w - 1] to
-    S[w], for every state w >= 1 of the snapshots S."""
-    W = len(S) - 1
-    moved = np.empty((W, S.shape[1]), dtype=bool)
-    # sweeps at a time, to bound the temporary
-    step = max(8, 8192 // S[0].size)
-    for k in range(0, W, step):
-        e = min(k + step, W)
-        moved[k:e] = (S[k + 1:e + 1] != S[k:e]).any(axis=2)
-    return moved
+    """moved[w - 1, row]: whether the row changed from S[w - 1] to S[w], for
+    every state w >= 1 of the full states S."""
+    return (S[1:] != S[:-1]).any(axis=2)
 
 
 def _raise_freeze(c_analysis, moved, n, masks):
@@ -779,44 +779,59 @@ def _cert_layout(c_analysis, r):
         for group in blocks.values()]
 
 
-def _cycles(A, k, W):
-    """A view of the states A[0 .. k * W], C-contiguous, as k cycles of W
-    sweeps: [c, w] is A[c * W + w], so that [c, W] and [c + 1, 0] are one
-    state.  Only read through it."""
-    return np.ndarray((k, W + 1) + A.shape[1:], A.dtype, A, 0,
-                      (W * A.strides[0],) + A.strides)
+def _cert_index(layout, n, W, K, rows, sums):
+    """The flat indices _certificates reads for K cycles of W sweeps.
+
+    rows maps offsets w * n + i of one cycle's states, row i of state w, to
+    flat row indices for each of the K cycles in turn, and sums maps state
+    numbers w to flat indices of their sums likewise.  Returns (K, outer,
+    quad, blocks, end sums, end rows): outer (rows, sums), quad (rows, row
+    indices) and each of blocks (rows, parts per row, at p, at q, sums at q)
+    for the groups of the layout (_cert_layout), and the sums and all rows
+    of each cycle's last state.
+    """
+    (o_rows, o_p), (q_rows, q_p), blocks = layout
+    return (K, (o_rows, sums(o_p)), (q_rows, rows(q_p * n + q_rows)),
+            [(i, parts.shape[1], rows(p[:, None] * n + parts),
+              rows(q[:, None] * n + parts), sums(q))
+             for i, p, q, parts in blocks],
+            sums(np.array([W])), rows(W * n + np.arange(n)))
 
 
-def _certificates(spec, S, V, layout, groups, conjugates):
+def _certificates(spec, R, V, at, k, groups, conjugates):
     """Certificate points, their distances to the iterate, Fenchel residuals.
 
-    S[c] holds the snapshots 0..W of cycle c of k cycles (_cycles), V their
-    row sums, and conjugates[c] the r term conjugates at S[c, W]; groups are
+    The states of k cycles are read through the indices at (_cert_index):
+    R holds their rows, V their row sums, each as one (rows, d) array, and
+    conjugates[c] are the r term conjugates at cycle c's end; groups are
     the stacks of all r terms.  For an index last touched by an outer solve
     at sweep p the point is x0 - v at that sweep; for a term index last
     touched inside a block the frozen-window mixed sum is used; for the
     governing quadratic index it is x0 + z_j at sweep p.  Each array has a
     leading cycle axis.
     """
-    (o_rows, o_p), (q_rows, q_p), blocks = layout
-    k, d = len(S), spec.d
-    x0 = spec.x0
-    X = np.empty((k,) + S.shape[2:])
-    points = V[:, o_p]
+    d, x0 = spec.d, spec.x0
+    K, (o_rows, o_sums), (q_rows, q_at), blocks, end_sums, end = at
+
+    def take(A, idx):
+        return _gather(A, idx, k, K)
+
+    X = np.empty((k, spec.n_duals, d))
+    points = take(V, o_sums)
     np.subtract(x0, points, out=points)
     X[:, o_rows] = points
-    X[:, q_rows] = x0 + S[:, q_p, q_rows]
-    for rows, p, q, parts in blocks:
+    X[:, q_rows] = x0 + take(R, q_at)
+    for rows, size, p_at, q_at, q_sums in blocks:
         # summed over the parts of one block at a time, as for one cycle
-        part_p = S[:, p[:, None], parts].reshape(-1, parts.shape[1], d)
-        part_q = S[:, q[:, None], parts].reshape(-1, parts.shape[1], d)
+        part_p = take(R, p_at).reshape(-1, size, d)
+        part_q = take(R, q_at).reshape(-1, size, d)
         X[:, rows] = (x0 - part_p.sum(axis=1)
-                      - (V[:, q].reshape(-1, d) - part_q.sum(axis=1))
+                      - (take(V, q_sums).reshape(-1, d) - part_q.sum(axis=1))
                       ).reshape(k, len(rows), d)
-    D = X - (x0 - V[:, -1])[:, None]
+    D = X - (x0 - take(V, end_sums))
     res = np.sqrt(_dots(D, D))
     del points, D   # before the term values add their own temporaries
-    Z = S[:, -1]
+    Z = take(R, end)
     r = spec.r
     H = np.empty(res.shape)
     C = np.empty(res.shape)
@@ -860,9 +875,10 @@ def certificate_points(spec, snaps, c_analysis):
     S = np.asarray(snaps, dtype=float)
     groups = stack_terms(spec.terms, range(spec.r))
     conj = stacked_conjugates(groups, S[-1], np.empty(spec.r))
-    X, res, fen = _certificates(
-        spec, S[None], S.sum(axis=1)[None], _cert_layout(c_analysis, spec.r),
-        groups, conj[None])
+    at = _cert_index(_cert_layout(c_analysis, spec.r), S.shape[1],
+                     len(S) - 1, 1, np.ravel, np.ravel)
+    X, res, fen = _certificates(spec, S.reshape(-1, spec.d), S.sum(axis=1),
+                                at, 1, groups, conj[None])
     return _certificate_list(X[0], res[0], fen[0])
 
 
@@ -923,14 +939,66 @@ def _gather(A, at, k, K):
     return A.take(at[:k * P], axis=0).reshape(k, P, A.shape[1])
 
 
+class _Log(NamedTuple):
+    """A checked batch of cycles of one pattern, as run writes it.
+
+    rows[:n] are the batch's start state; then cycle c's sweeps fill P rows
+    from n + c * P on, sweep w the new values of the rows it declares
+    (_CSweep.written) from offs[w - 1] on (_CCheck).  sums[s] is the row
+    sum of state s.  strays lists (s, rows, values) for the rows that the
+    sweep ending at state s changed outside its declared rows, each row
+    whose bytes changed, with its new value: only a faulty solver writes
+    any.
+    """
+    rows: np.ndarray
+    sums: np.ndarray
+    strays: list
+
+
+def _log_strays(z, z_prev, runs, s, strays):
+    """Append to strays the rows in which z, state s, differs bytewise from
+    z_prev, which holds the state before it with the rows the sweep
+    declares taken from z; runs are slices that cover all rows."""
+    for run in runs:
+        new, old = z[run], z_prev[run]
+        if new.tobytes() != old.tobytes():
+            rows = run.start + np.flatnonzero(
+                (new.view(np.int64) != old.view(np.int64)).any(axis=1))
+            strays.append((s, rows, z[rows]))
+
+
+class _Index(NamedTuple):
+    """The flat indices a check pass reads for K cycles (_CCheck._build).
+
+    Each is cycle-major, into the rows of the batch's log or of its full
+    states (full), or into its sums.  conj per conjugate group, stat the
+    sums and rows of the stat pairs, quad the quadratic rows of every state
+    after a sweep (None at m = 0), resolve the rows before and after each
+    resolve sweep, the sums before it and its place in moved, prev the value
+    before each declared row's write (log only), moved each declared row's
+    place in moved, and cert those of _cert_index (valid plans only).
+    """
+    K: int
+    full: bool
+    conj: list
+    stat: tuple
+    quad: np.ndarray
+    resolve: tuple
+    prev: np.ndarray
+    moved: np.ndarray
+    cert: tuple
+
+
 class _CCheck:
     """The checks of one cycle's sweep list, compiled once like _CSweep.
 
     check evaluates them for a batch of k consecutive cycles of the pattern
-    in the snapshot buffer: one sweep pass over all k cycles for the
-    per-sweep checks (ascent, margin, stationarity of exact outer sets, and
-    the replay at check_level="full"), one cycle pass for the freeze
-    equalities and certificates.  Compiled here:
+    from its _Log: one sweep pass over all k cycles for the per-sweep checks
+    (ascent, margin, stationarity of exact outer sets, and the replay at
+    check_level="full"), one cycle pass for the freeze equalities and
+    certificates.  Compiled here:
+      written, offs, P   per sweep the rows it declares and where they
+              start in a cycle's P log rows
       conj    one (positions, stack, offsets) gather per term kind over the
               (sweep w, term row i) pairs that the sweeps write, in sweep
               order; positions index the array of their new conjugates and
@@ -951,16 +1019,19 @@ class _CCheck:
                takes its conjugates from the pass) and its subproblems as
                (rows, a slice when contiguous; margin row; term rows)
       resolve  the replayed sweeps that the batch re-solves at once
-               (_Resolve), or None; one whose re-solve matches its snapshot
+               (_Resolve), or None; one whose re-solve matches its state
                is not replayed
     scratch are the replay's two z buffers at check_level="full", shared by
     the checks of all cycle patterns, and None otherwise.
 
-    The passes read the batch's states through flat indices: row i of state
-    w of cycle c is row (c * W + w) * n + i of the buffer taken as one
-    (rows, d) array, and its sum row c * W + w of the sums.  They are built
-    at the first check, for its k cycles, and again only when a later batch
-    is larger (_index); a smaller batch reads their first rows.
+    The passes read the batch's states through flat indices (_Index), each
+    row where it was last written: a row that no sweep of the cycle has
+    written yet is read where the cycle before wrote it last, or in the
+    batch's start state.  They are built at the first check, for its k
+    cycles, and again only when a later batch is larger (_index); a smaller
+    batch reads their first rows.  A batch whose log holds strays, or whose
+    start sum is not finite, is checked from its full states instead, read
+    through the same offsets (_source).
     """
 
     def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
@@ -977,6 +1048,18 @@ class _CCheck:
                 si += [i1 - 1 for i1 in cs.outer1]
         self.n_pairs = len(pi)
         self.n = n = spec.n_duals
+        self.r = r
+        self.written = [cs.written for cs in sweeps]
+        rows = [np.arange(n)[idx].tolist() for idx in self.written]
+        self.offs = np.cumsum([0] + [len(x) for x in rows]).tolist()
+        self.P = self.offs[-1]
+        # the declared (sweep, row) pairs in log order, and sorted by row
+        # and sweep as keys i * (W + 1) + w with their log places (_locate)
+        dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
+        di = np.array(sum(rows, []), dtype=np.intp)
+        self.declared = (dw - 1) * n + di
+        self.places = np.lexsort((dw, di))
+        self.keys = (di * (self.W + 1) + dw)[self.places]
         offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
         self.conj = [(pos, stack, offsets[pos])
                      for pos, stack in _pair_stacks(spec.terms, pi, shared)]
@@ -1018,7 +1101,7 @@ class _CCheck:
                 for k, step in enumerate(cs.steps)]
             for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
         self.resolve = self._compile_resolve(spec, shared)
-        self.K = 0   # the batch size the flat indices are built for
+        self.K = 0   # the batch size the log's indices are built for
 
         self.c_analysis = c_analysis
         self.valid = valid
@@ -1085,65 +1168,145 @@ class _CCheck:
         return out
 
     def _index(self, k):
-        """Build the flat indices (class docstring) for batches of k cycles,
-        unless they are built for at least that many."""
-        if k <= self.K:
-            return
-        self.K = k
-        W, Wn = self.W, self.W * self.n
+        """The log's flat indices for batches of k cycles, built unless they
+        are built for at least that many."""
+        if k > self.K:
+            self.K = k
+            self.at = self._build(k, False)
+        return self.at
 
-        def flat(offsets, stride):   # one cycle's are the offsets
-            if k == 1:
-                return offsets
-            return (np.arange(k, dtype=np.intp)[:, None] * stride
-                    + offsets).ravel()
+    def _build(self, k, full):
+        """The _Index of k cycles, into the log or into the full states.
 
-        self.conj_at = [flat(offsets, Wn) for _, _, offsets in self.conj]
-        self.stat_at = (flat(self.stat_w, W),
-                        flat(self.stat_w * self.n + self.stat_i, Wn))
-        if self.resolve is not None:
-            self.resolve_at = (flat(self.resolve.rows, Wn),
-                               flat(self.resolve.vrows, W))
+        Every index is first an offset w * n + i of one cycle's states, row
+        i of state w; state w of cycle c is state c * W + w of the batch.
+        """
+        W, n, P = self.W, self.n, self.P
+        c = np.arange(k, dtype=np.intp)[:, None]
 
-    def _stationarity(self, spec, S, V, k, new):
+        def sums(w):
+            return (c * W + w).ravel()
+
+        def states(o):
+            return (c * (W * n) + o.ravel()).ravel()
+
+        def rows(o):
+            return states(o) if full else self._locate(c, o.ravel()).ravel()
+
+        rs = self.resolve
+        quad = None
+        if self.r < n:
+            quad = rows(np.arange(1, W + 1)[:, None] * n
+                        + np.arange(self.r, n))
+        return _Index(
+            k, full, [rows(offsets) for _, _, offsets in self.conj],
+            (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
+            None if rs is None else (rows(rs.rows), rows(rs.rows + n),
+                                     sums(rs.vrows), states(rs.rows)),
+            None if full else rows(self.declared), states(self.declared),
+            _cert_index(self.layout, n, W, k, rows, sums) if self.valid
+            else None)
+
+    def _locate(self, c, o):
+        """The log rows of the offsets o, w * n + i for row i of state w of
+        a cycle, in the cycles c, an int or a column: where each row was
+        last written at or before state w, else last in the cycle before,
+        else in the batch's start state."""
+        n, W1 = self.n, self.W + 1
+        w, i = np.divmod(o, n)
+        if not self.P:
+            return np.broadcast_to(i, np.broadcast(c, i).shape)
+        keys = self.keys
+        t = np.searchsorted(keys, i * W1 + w, side="right") - 1
+        back = (t < 0) | (keys[t] // W1 != i)
+        t = np.where(back, np.searchsorted(keys, (i + 1) * W1) - 1, t)
+        written = (t >= 0) & (keys[t] // W1 == i)
+        cc = c - back
+        return np.where(written & (cc >= 0), n + cc * self.P + self.places[t],
+                        i)
+
+    def _apply(self, log, s, z):
+        """Sweep s of the batch in log: z, state s - 1, becomes state s."""
+        c, w = divmod(s - 1, self.W)
+        start = self.n + c * self.P
+        z[self.written[w]] = log.rows[start + self.offs[w]:
+                                      start + self.offs[w + 1]]
+        for t, rows, values in log.strays:
+            if t == s:
+                z[rows] = values
+
+    def _state(self, log, s, out):
+        """State s of the batch in log, rebuilt into out."""
+        if log.strays:   # each sweep's strays after its declared rows
+            out[...] = log.rows[:self.n]
+            for t in range(1, s + 1):
+                self._apply(log, t, out)
+        else:
+            c, w = divmod(s, self.W)
+            log.rows.take(self._locate(c, w * self.n + np.arange(self.n)),
+                          axis=0, out=out)
+        return out
+
+    def _source(self, log, k):
+        """The rows the passes read for the first k cycles of log, as one
+        (rows, d) array, and their _Index: the log's own, or with strays or
+        a start sum that is not finite, the batch's rebuilt full states."""
+        if not log.strays and np.isfinite(log.sums[0]).all():
+            return log.rows, self._index(k)
+        S = np.empty((k * self.W + 1, self.n, log.rows.shape[1]))
+        S[0] = log.rows[:self.n]
+        for s in range(1, len(S)):
+            S[s] = S[s - 1]
+            self._apply(log, s, S[s])
+        return S.reshape(-1, S.shape[2]), self._build(k, True)
+
+    def _cycle_log(self, log, c):
+        """Cycle c of the batch in log as a log of its own."""
+        s = c * self.W
+        rows = np.empty((self.n + self.P, log.rows.shape[1]))
+        self._state(log, s, rows[:self.n])
+        start = self.n + c * self.P
+        rows[self.n:] = log.rows[start:start + self.P]
+        return _Log(rows, log.sums[s:],
+                    [(t - s, i, z) for t, i, z in log.strays if t > s])
+
+    def _stationarity(self, spec, R, V, at, k, new):
         """fenchel_residual of every stat pair at its sweep's x0 - v, in
-        each of k cycles; S holds their states as flat rows (rows, d), and V
-        their row sums."""
-        X = _gather(V, self.stat_at[0], k, self.K)
+        each of k cycles; R holds their rows (_source), V their row sums."""
+        X = _gather(V, at.stat[0], k, at.K)
         np.subtract(spec.x0, X, out=X)
-        Z = _gather(S, self.stat_at[1], k, self.K)
-        pos, at = self.stat_terms
+        Z = _gather(R, at.stat[1], k, at.K)
+        pos, idx = self.stat_terms
         if len(self.stat_groups) == 1 and pos.size == X.shape[1]:
             # one group of every pair holds them in order: nothing to place
             H = self.stat_groups[0][1].value(X)
-            Cv = new[:, at]
+            Cv = new[:, idx]
         else:
             H = np.empty(X.shape[:2])
             Cv = np.empty(X.shape[:2])
             for rows, stack in self.stat_groups:
                 H[:, rows] = stack.value(X[:, rows])
-            Cv[:, pos] = new[:, at]
+            Cv[:, pos] = new[:, idx]
             q = self.stat_quads
             H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
         return _fenchel(H, Cv, X, Z)
 
-    def _sweep_pass(self, spec, S, V, k, conj0, F0, margins):
-        """The per-sweep values of the k cycles from S[0] on, as a _Pass.
+    def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins):
+        """The per-sweep values of the first k cycles, as a _Pass.
 
-        V holds the row sums of S, conj0 and F0 the conjugates and objective
-        at S[0], and margins[c] the squared-movement margins of cycle c's
+        R and at are the rows and indices of _source, V the row sums of the
+        states, conj0 and F0 the conjugates and objective at the batch's
+        start, and margins[c] the squared-movement margins of cycle c's
         sweeps.
         """
         W, r = self.W, spec.r
-        flat = S.reshape(-1, spec.d)
         if len(self.conj) == 1:   # one group of every pair, in order
-            new = self.conj[0][1].support(
-                _gather(flat, self.conj_at[0], k, self.K))
+            new = self.conj[0][1].support(_gather(R, at.conj[0], k, at.K))
         else:
             new = np.empty((k, self.n_pairs))
-            for (pos, stack, _), at in zip(self.conj, self.conj_at):
-                new[:, pos] = stack.support(_gather(flat, at, k, self.K))
-        resid = (self._stationarity(spec, flat, V, k, new)
+            for (pos, stack, _), idx in zip(self.conj, at.conj):
+                new[:, pos] = stack.support(_gather(R, idx, k, at.K))
+        resid = (self._stationarity(spec, R, V, at, k, new)
                  if self.stat_w.size else np.empty((k, 0)))
         starts = np.empty((k, r))
         starts[0] = conj0
@@ -1154,7 +1317,12 @@ class _CCheck:
         # the running sums overwrite C, which is then let go
         total = C.cumsum(axis=2, out=C)[..., -1].ravel()
         del C
-        F = _objectives(spec, S[1:k * W + 1], V[1:k * W + 1], total)
+        Q = None
+        if spec.m:
+            Q = _gather(R, at.quad, k, at.K).reshape(k * W, spec.m, spec.d)
+            np.add(Q, spec.x0, out=Q)
+        F = _objectives(spec, Q, V[1:k * W + 1], total)
+        del Q
         F_prev = np.concatenate(([F0], F[:-1])).reshape(k, W)
         F = F.reshape(k, W)
         decreased = self.exact & (F < F_prev - ASCENT_TOL)
@@ -1180,29 +1348,28 @@ class _CCheck:
             np.copyto(C[..., 1:], new[:, pos][:, None], where=mask)
         return C
 
-    def _resolved(self, spec, S, V, k, moved):
+    def _resolved(self, spec, R, V, at, k, moved):
         """check_level=full: the batch's re-solve of the sweeps in resolve,
-        for its k cycles at once; returns matched (k, B).
+        for its first k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
-        every row it writes is bitwise its snapshot's and no other row moved
+        every row it writes is bitwise its state's and no other row moved
         (moved, _freeze_pass).  The sequential replay of its one subproblem
-        would then find the snapshot and test the pass's objectives against
+        would then find the state and test the pass's objectives against
         a margin no larger than the pass's own (_replay), so it passes on
         every sweep before the cycle's first failing one, the only sweeps
-        that are replayed.
+        that are replayed.  R, V and at are those of _sweep_pass.
         """
         rs = self.resolve
         d, x0 = spec.d, spec.x0
         n_prox, n_block = rs.n_prox, rs.n_block
         m = n_prox + n_block   # the rows that take a dual prox
         gov = slice(m, m + n_block)
-        flat = S.reshape(-1, d)
-        rows_at, vrows_at = self.resolve_at
+        before, after, sums_before, places = at.resolve
         # the rows before each sweep, re-solved in place once read
-        X = _gather(flat, rows_at, k, self.K)
-        V0 = _gather(V, vrows_at, k, self.K)
+        X = _gather(R, before, k, at.K)
+        V0 = _gather(V, sums_before, k, at.K)
         if m:
             U = np.empty((k, m, d))
             u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
@@ -1222,27 +1389,27 @@ class _CCheck:
             c = V0[:, place:place + count] - G.sum(axis=2)
             G[...] = (-c / (size + 1.0))[:, :, None]
         del V0
-        X1 = _gather(flat[self.n:], rows_at, k, self.K)   # the snapshots
-        # a sweep matched when none of its rows differs from the snapshot's
+        X1 = _gather(R, after, k, at.K)   # the states after the sweeps
+        # a sweep matched when none of its rows differs from the state's
         # and the rows that moved in it are all its own: its differing rows
         # minus its own moved rows, plus all its moved rows, are 0 exactly
-        # then.  moved has the layout of the states before the sweeps,
-        # which rows_at indexes
+        # then.  places are its rows' places in moved
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        own = moved.reshape(-1).take(rows_at[:differs.size])
+        own = moved.reshape(-1).take(places[:differs.size])
         return (self._per_sweep(differs.astype(np.intp)
                                 - own.reshape(differs.shape))
                 + moved.sum(axis=2)[:, rs.cols]) == 0
 
-    def _raise_sweeps(self, spec, S, V, p, c, n, params, upto=None,
+    def _raise_sweeps(self, spec, log, p, c, n, params, upto=None,
                       matched=None):
-        """Raise the first failing sweep of cycle c of the pass p, cycle n
-        of the run, among its sweeps 1..upto (default all).
+        """Raise the first failing sweep of cycle c of the pass p and of the
+        batch in log, cycle n of the run, among its sweeps 1..upto (default
+        all).
 
-        S and V start at the cycle's start.  At check_level="full" the exact
-        sweeps before the failing one are replayed first through _replay,
-        but for those that matched, the batch's _resolved, finds bitwise
-        their snapshots in this cycle: their replay cannot fail.
+        At check_level="full" the exact sweeps before the failing one are
+        replayed first through _replay, but for those that matched, the
+        batch's _resolved, finds bitwise their states in this cycle: their
+        replay cannot fail.
         """
         bad = p.bad[c]
         last = self.W if upto is None else upto
@@ -1256,11 +1423,11 @@ class _CCheck:
                 if b is not None and matched[c, b]:
                     continue
                 if FS is None:
-                    # the objective and the conjugates at each S[w]
+                    # the objective and the conjugates at each state
                     FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
                     C = self._conjugates(p.starts[c:c + 1],
                                          p.new[c:c + 1])[0]
-                self._replay(spec, S, V, FS, C,
+                self._replay(spec, log, c, FS, C,
                              p.starts[c] if w == 1 else C[w - 2, 1:],
                              w, params, n)
         if first <= last:
@@ -1278,24 +1445,27 @@ class _CCheck:
                 f"cycle {n} sweep {first}: stationarity"
                 f" residual {p.resid[c, i]:.3e} at index {self.stat_i[i] + 1}")
 
-    def _replay(self, spec, S, V, FS, C, conj_prev, w, params, n):
-        """check_level=full: sweep w re-solved one subproblem at a time.
+    def _replay(self, spec, log, c, FS, C, conj_prev, w, params, n):
+        """check_level=full: sweep w of cycle c of the batch in log
+        re-solved one subproblem at a time.
 
         Each step solves from the state its earlier steps left, starting at
-        a copy of S[w - 1], and its subproblems are then applied one at a
-        time, each checked against its own margin; the state must end
-        within 1e-9 of S[w].  FS[w] is the pass's objective at S[w], C
-        holds its conjugates after each sweep and conj_prev those at
-        S[w - 1].  Each state is summed once.  The first step reads V[w - 1]
-        and takes its rows' conjugates from C, since it solves from S[w - 1]
-        as the sweep did.  When the last state is bitwise S[w], it takes
-        V[w] and FS[w], which are bitwise its sum and dual_objective_from on
-        it, and it agrees with S[w] exactly.
+        the state before the sweep, rebuilt from the log, and its
+        subproblems are then applied one at a time, each checked against
+        its own margin; the state must end within 1e-9 of the state after
+        the sweep, S.  FS[w] is the pass's objective at S, C holds its
+        conjugates after each sweep and conj_prev those before sweep w.
+        Each state is summed once.  The first step reads the logged sum
+        before the sweep and takes its rows' conjugates from C, since it
+        solves from the same state as the sweep did.  When the last state
+        is bitwise S, it takes S's logged sum and FS[w], which are bitwise
+        its sum and dual_objective_from on it, and it agrees with S exactly.
         """
         steps = self.replays[w]
         z_seq, z_step = self.scratch
-        z_seq[...] = S[w - 1]
-        v = V[w - 1]
+        s = c * self.W + w
+        self._state(log, s - 1, z_seq)
+        v = log.sums[s - 1]
         F_before = FS[w - 1]
         conj = None   # the conjugates at z_seq, copied at the first write
         conj_step = C[w - 1, 1:]
@@ -1312,10 +1482,15 @@ class _CCheck:
                 if gov is not None:
                     dv = z_step[gov] - z_seq[gov]
                 z_seq[rows] = z_step[rows]
-                # bitwise, so that the pass's values are this state's
-                snapshot = sub is final and z_seq.tobytes() == S[w].tobytes()
+                if sub is final:
+                    # z_step is read no more: it takes S, which is z_seq
+                    # with the sweep's logged rows and strays
+                    z_step[...] = z_seq
+                    self._apply(log, s, z_step)
+                    # bitwise, so that the pass's values are this state's
+                    snapshot = z_seq.tobytes() == z_step.tobytes()
                 if snapshot:
-                    v_new, F_new = V[w], FS[w]
+                    v_new, F_new = log.sums[s], FS[w]
                 else:
                     v_new = z_seq.sum(axis=0)
                     if conj is None:
@@ -1325,10 +1500,10 @@ class _CCheck:
                 if gov is None:
                     dv = v_new - v
                 # run's formula for the pass's margins: a sweep of one
-                # subproblem that ends at the snapshot tests the pass's
+                # subproblem that ends at its state tests the pass's
                 # objectives against at most the pass's margin (_resolved)
-                s = math.sqrt(dv.dot(dv))
-                if F_new < F_before + 0.5 * s * s - SWEEP_GAIN_TOL:
+                s_move = math.sqrt(dv.dot(dv))
+                if F_new < F_before + 0.5 * s_move * s_move - SWEEP_GAIN_TOL:
                     label = "outer" if gov is None else "block"
                     raise EngineInvariantError(
                         f"cycle {n} sweep {w}: a {label} subproblem gained"
@@ -1336,30 +1511,39 @@ class _CCheck:
                 F_before, v = F_new, v_new
         if snapshot:
             return
-        z_par = S[w]
-        scale = max(1.0, float(np.abs(z_par).max()))
-        if float(np.abs(z_seq - z_par).max()) > 1e-9 * scale:
+        scale = max(1.0, float(np.abs(z_step).max()))
+        if float(np.abs(z_seq - z_step).max()) > 1e-9 * scale:
             raise EngineInvariantError(
                 f"cycle {n} sweep {w}: sequential replay disagrees with the"
                 f" snapshot execution")
 
-    def _freeze_pass(self, S, k):
-        """_moved of each of k cycles, (k, W, rows)."""
-        return _moved(S[:k * self.W + 1]).reshape(k, self.W, -1)
+    def _freeze_pass(self, R, at, k):
+        """_moved of each of the first k cycles, (k, W, rows), from the rows
+        and indices of _source: in the log, a declared row moved when its
+        value differs from the one before its write, and no other moved."""
+        W, n = self.W, self.n
+        if at.full:
+            return _moved(R.reshape(-1, n, R.shape[1])[:k * W + 1]
+                          ).reshape(k, W, n)
+        moved = np.zeros((k, W, n), dtype=bool)
+        new = R[n:n + k * self.P]
+        old = _gather(R, at.prev, k, at.K).reshape(new.shape)
+        moved.reshape(-1)[at.moved[:len(new)]] = (new != old).any(axis=1)
+        return moved
 
-    def check(self, spec, S, V, conj, F, margins, batch, params, groups,
+    def check(self, spec, log, conj, F, margins, batch, params, groups,
               trace):
         """Check the batch's cycles in cycle order; returns (conj, F, certs).
 
-        batch lists the _Pending cycles held in S from S[0] on, whose row
-        sums are V; conj and F are the conjugates and objective at S[0],
-        margins[c] the squared-movement margins of cycle c's sweeps, groups
-        the stacks of all r terms and trace the run's _Trace.  Each cycle
-        fails as a check made cycle by cycle would: its sweeps first (each
-        replayed at check_level="full", in one re-solve of the batch where
-        _resolved can, else one at a time), then its end-of-cycle objective
-        against the last one in trace.F when its ascent flag is set, and for
-        valid plans its freeze equalities and, unless it is approximate, its
+        batch lists the _Pending cycles held in log; conj and F are the
+        conjugates and objective at its start, margins[c] the
+        squared-movement margins of cycle c's sweeps, groups the stacks of
+        all r terms and trace the run's _Trace.  Each cycle fails as a check
+        made cycle by cycle would: its sweeps first (each replayed at
+        check_level="full", in one re-solve of the batch where _resolved
+        can, else one at a time), then its end-of-cycle objective against
+        the last one in trace.F when its ascent flag is set, and for valid
+        plans its freeze equalities and, unless it is approximate, its
         certificate bounds.  When a pass over the whole batch raises, the
         cycles are checked one at a time, so that the first cycle's error
         comes first; when the re-solve raises, every sweep is replayed one
@@ -1368,32 +1552,31 @@ class _CCheck:
         Returns the conjugates and objective at the last cycle's end and its
         certificate arrays, or None for an invalid plan.
         """
-        W = self.W
         k = len(batch)
-        self._index(k)
-        SC, VC = _cycles(S, k, W), _cycles(V, k, W)
+        V = log.sums
         moved = certs = matched = None
         try:
-            p = self._sweep_pass(spec, S, V, k, conj, F, margins[:k, :W])
+            R, at = self._source(log, k)
+            p = self._sweep_pass(spec, R, V, at, k, conj, F,
+                                 margins[:k, :self.W])
             resolve = (self.resolve is not None
                        and k * len(self.resolve.cols) >= _RESOLVE_MIN)
             if resolve or self.valid and k > 1:
-                moved = self._freeze_pass(S, k)
+                moved = self._freeze_pass(R, at, k)
             if resolve:
                 try:
-                    matched = self._resolved(spec, S, V, k, moved)
+                    matched = self._resolved(spec, R, V, at, k, moved)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
             if self.valid and k > 1:
-                certs = _certificates(spec, SC, VC, self.layout, groups,
-                                      p.ends)
+                certs = _certificates(spec, R, V, at.cert, k, groups, p.ends)
         except Exception:   # an oracle's, or a warning raised as an error
             if k == 1:
                 raise
             for c, cyc in enumerate(batch):
                 conj, F, certs = self.check(
-                    spec, S[c * W:], V[c * W:], conj, F, margins[c:], [cyc],
-                    params, groups, trace)
+                    spec, self._cycle_log(log, c), conj, F, margins[c:],
+                    [cyc], params, groups, trace)
             return conj, F, certs
         # the cycles that no sweep check or replay can fail, found for the
         # whole batch; the others go through _raise_sweeps
@@ -1408,8 +1591,8 @@ class _CCheck:
         F_list = trace.F
         for c, cyc in enumerate(batch):
             if not quiet[c]:
-                self._raise_sweeps(spec, S[c * W:], V[c * W:], p, c, cyc.n,
-                                   params, matched=matched)
+                self._raise_sweeps(spec, log, p, c, cyc.n, params,
+                                   matched=matched)
             F_sweeps = F_rows[c]
             F = F_sweeps[-1]
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
@@ -1418,14 +1601,14 @@ class _CCheck:
             if self.valid:
                 # one cycle alone: each pass runs after the checks before it
                 if moved is None:
-                    moved = self._freeze_pass(S, k)
+                    moved = self._freeze_pass(R, at, k)
                 if frozen is None:
                     frozen = self._frozen(moved)
                 if frozen[c]:
                     _raise_freeze(self.c_analysis, moved[c], cyc.n,
                                   self.masks)
                 if certs is None:
-                    certs = _certificates(spec, SC, VC, self.layout, groups,
+                    certs = _certificates(spec, R, V, at.cert, k, groups,
                                           p.ends)
                 if flagged is None:
                     X, res, fen = certs
@@ -1454,13 +1637,22 @@ class _CCheck:
                 axis=(1, 2))
         return bad
 
-    def check_sweeps(self, spec, S, V, conj, F, margins, n, params, upto):
-        """The per-sweep checks of sweeps 1..upto of cycle n, held in S from
-        S[0] on; its later states are copies of S[upto], and margins are
-        its sweeps' squared-movement margins."""
-        self._index(1)
-        p = self._sweep_pass(spec, S, V, 1, conj, F, margins[None, :self.W])
-        self._raise_sweeps(spec, S, V, p, 0, n, params, upto)
+    def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
+                     upto):
+        """The per-sweep checks of sweeps 1..upto of cycle c of the batch in
+        log, cycle n of the run; z and v are the state after sweep upto and
+        its sum, which the cycle's later sweeps are taken to leave as they
+        are, and margins are its sweeps' squared-movement margins."""
+        one = self._cycle_log(log, c)
+        for w in range(upto + 1, self.W + 1):
+            one.rows[self.n + self.offs[w - 1]:self.n + self.offs[w]] = z[
+                self.written[w - 1]]
+        one.sums[upto + 1:self.W + 1] = v
+        one.strays[:] = [s for s in one.strays if s[0] <= upto]
+        R, at = self._source(one, 1)
+        p = self._sweep_pass(spec, R, one.sums, at, 1, conj, F,
+                             margins[None, :self.W])
+        self._raise_sweeps(spec, one, p, 0, n, params, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -1541,13 +1733,15 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     all_terms = stack_terms(spec.terms, range(spec.r))
 
     # z and its row sum v live in preallocated buffers, v taken once for
-    # each snapshot.  Row 0 of buf is the start of a batch of up to n_batch
-    # cycles.  With checks on, buf is the batch's snapshot buffer, its
-    # cycles of one pattern, W sweeps each: row c * W the start of its cycle
-    # c, row c * W + w the duals after that cycle's sweep w.  With checks
-    # off, row c + 1 is the end of cycle c, which its last sweep writes, and
-    # the sweeps before it alternate between the row after the ends and row
-    # 0, whose batch start the batch's first sweep has read.
+    # each snapshot.  With checks on, a batch of up to n_batch cycles of one
+    # pattern is logged (_Log): its start state, copied from z when it
+    # begins, then per sweep the rows it declares, its sum and its strays.
+    # z alternates between the two states, each sweep writing into the one
+    # its snapshot is not in.  With checks off, row 0 of buf is the start of
+    # a batch of up to n_batch cycles and row c + 1 the end of cycle c,
+    # which its last sweep writes; the sweeps before it alternate between
+    # the row after the ends and row 0, whose batch start the batch's first
+    # sweep has read.
     # A batch is checked, or priced, in one pass when it is full, when the
     # next cycle takes another pattern (checks on), when the gap rule needs
     # its objective (checks off) or stops the run, before an exception
@@ -1560,25 +1754,38 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         checks = [_CCheck(c, spec, ca, valid, shared, scratch)
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
-        W0 = len(compiled[0])
+        W0, P0 = checks[0].W, checks[0].P
+        # a cycle's log rows and sums, and its sweep pass's conjugate table
+        per_cycle = (P0 + W0) * spec.d * 8 + W0 * (spec.r + 1) * 8
         n_batch = 1 if checks[0].last is None else min(
             _OBJ_BATCH, params.max_iterations,
-            max(1, _CHECK_BATCH_BYTES // (W0 * spec.n_duals * spec.d * 8)))
-        n_slots = max(n_batch * W0, *map(len, compiled)) + 1
+            max(1, _CHECK_BATCH_BYTES // per_cycle))
+        log = _Log(
+            np.empty((spec.n_duals + max(n_batch * P0,
+                                         *(chk.P for chk in checks)),
+                      spec.d)),
+            np.empty((max(n_batch * W0, *map(len, compiled)) + 1, spec.d)),
+            [])
         margins = np.zeros((n_batch, max(map(len, compiled))))
-    else:
-        n_batch = min(_OBJ_BATCH, params.max_iterations)
-        n_slots = n_batch + min(2, max(map(len, compiled)))
-    buf = np.empty((n_slots, spec.n_duals, spec.d))
-    vbuf = np.empty((n_slots, spec.d))
-    buf[0] = z
-    z = buf[0]
-    v = z.sum(axis=0, out=vbuf[0])
-    if sweep_checks:
+        sums = log.sums
+        # the slices of rows _log_strays compares, a copy of at most 64 KiB
+        step = max(1, 8192 // spec.d)
+        runs = [slice(a, a + step) for a in range(0, spec.n_duals, step)]
+        states = (np.empty_like(z), np.empty_like(z))
+        states[0][...] = z
+        z = states[0]
+        v = z.sum(axis=0, out=sums[0])
         # per-row conjugate cache, carried from one batch's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj, v)
     else:
+        n_batch = min(_OBJ_BATCH, params.max_iterations)
+        buf = np.empty((n_batch + min(2, max(map(len, compiled))),
+                        spec.n_duals, spec.d))
+        sums = vbuf = np.empty((len(buf), spec.d))
+        buf[0] = z
+        z = buf[0]
+        v = z.sum(axis=0, out=sums[0])
         # only the objective and the stop rule read the groups: a contiguous
         # one is read as a view
         all_terms = [(_rows_index(rows.tolist()), stack)
@@ -1610,7 +1817,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             return
         cert_arrays = None   # the last batch's go before this one's come
         conj, F_state, cert_arrays = chk.check(
-            spec, buf, vbuf, conj, F_state, margins, batch, params, all_terms,
+            spec, log, conj, F_state, margins, batch, params, all_terms,
             trace)
 
     try:
@@ -1620,12 +1827,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             W = len(sweeps)
             c = len(pending)   # the cycle's place in its batch
             if not c:
-                buf[0] = z
-                vbuf[0] = v
-                z, v = buf[0], vbuf[0]
+                sums[0] = v
+                v = sums[0]
+                if sweep_checks:
+                    log.rows[:spec.n_duals] = z
+                    log.strays.clear()
+                else:
+                    buf[0] = z
+                    z = buf[0]
             if sweep_checks:
                 chk = checks[k]
                 slot = c * W
+                start = spec.n_duals + c * chk.P
                 cycle_margins = margins[c]
             gamma_acc = 0.0
             sq_acc = 0.0
@@ -1636,29 +1849,36 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 z_prev, v_prev = z, v
                 if sweep_checks:
                     slot += 1
-                elif w < W:
-                    slot = n_batch + 1 if w % 2 else 0
+                    z = states[1] if z_prev is states[0] else states[0]
                 else:
-                    slot = c + 1
-                z = buf[slot]
+                    if w < W:
+                        slot = n_batch + 1 if w % 2 else 0
+                    else:
+                        slot = c + 1
+                    z = buf[slot]
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
+                written = z[cs.written]
                 # the rows the sweep did not write were scanned when written
-                if not all_finite(z[cs.written]):
+                if not all_finite(written):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
                         # first, then this one's sweeps before this one
                         if pending:
                             flush()
-                        end = (c + 1) * W + 1
-                        buf[slot:end] = z_prev
-                        vbuf[slot:end] = v_prev
-                        chk.check_sweeps(spec, buf[c * W:], vbuf[c * W:],
-                                         conj, F_state, cycle_margins, n,
-                                         params, upto=w - 1)
+                        chk.check_sweeps(spec, log, c, z_prev, v_prev, conj,
+                                         F_state, cycle_margins, n, params,
+                                         upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
-                v = z.sum(axis=0, out=vbuf[slot])
+                v = z.sum(axis=0, out=sums[slot])
                 v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
+                if sweep_checks:
+                    log.rows[start + chk.offs[w - 1]:
+                             start + chk.offs[w]] = written
+                    # z_prev is read no more: given the declared rows, it
+                    # differs from z only in the rows a faulty solver moved
+                    z_prev[cs.written] = written
+                    _log_strays(z, z_prev, runs, slot, log.strays)
                 # left to right from 0.0, whatever sum() does (3.12
                 # compensates a float sum)
                 inner_sum = inner_sq = 0.0
@@ -1726,7 +1946,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = buf = vbuf = margins = None
+    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = None
     return RunResult(
         state=state,
         x=x,

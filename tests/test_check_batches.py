@@ -37,9 +37,9 @@ def _recording(sizes):
     """_CCheck.check, appending the number of cycles of each batch to sizes."""
     check = engine._CCheck.check
 
-    def recorded(self, spec, S, V, conj, F, margins, batch, *rest):
+    def recorded(self, spec, log, conj, F, margins, batch, *rest):
         sizes.append(len(batch))
-        return check(self, spec, S, V, conj, F, margins, batch, *rest)
+        return check(self, spec, log, conj, F, margins, batch, *rest)
 
     return recorded
 
@@ -77,7 +77,11 @@ def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
     # the objectives of the checked run
     spec, plan = _case(case)
     sizes = _batch_sizes(monkeypatch)
-    per_cycle = len(plan.pattern) * spec.n_duals * spec.d * 8
+    # a cycle's log rows and sums, and its sweep pass's conjugate table
+    W = len(plan.pattern)
+    P = sum(np.arange(spec.n_duals)[engine._CSweep(sweep, spec).written].size
+            for sweep in plan.pattern)
+    per_cycle = (P + W) * spec.d * 8 + W * (spec.r + 1) * 8
     mid_batch = False
     for cap, gap in [(1, None), (3, None), (7, None), (8, None), (26, None),
                      (400, 1e-8), (26, 0.0)]:
@@ -353,9 +357,9 @@ def _replays(monkeypatch):
     calls = []
     replay = engine._CCheck._replay
 
-    def recorded(self, spec, S, V, FS, C, conj_prev, w, params, n):
+    def recorded(self, spec, log, c, FS, C, conj_prev, w, params, n):
         calls.append((n, w))
-        return replay(self, spec, S, V, FS, C, conj_prev, w, params, n)
+        return replay(self, spec, log, c, FS, C, conj_prev, w, params, n)
 
     monkeypatch.setattr(engine._CCheck, "_replay", recorded)
     return calls
@@ -508,3 +512,144 @@ def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
         assert 0.5 * move * move == 0.5 * move * move + 0.5 * 0.0
     for move in g[:100].tolist():   # a block that left the dual sum alone
         assert 0.5 * move * move == 0.5 * 0.0 * 0.0 + 0.5 * (0.0 + move * move)
+
+
+# ---------------------------------------------------------------------------
+# the sweep log against the states it stands for
+# ---------------------------------------------------------------------------
+
+def _stray_zero(spec, z, i, out):
+    """Solving row 3 writes -0.0 over row 6 while it is all zero: its bytes
+    change and its value does not, so no check fails."""
+    if i == 2 and not z[5].any():
+        out[5] = -z[5]
+
+
+def _log_case(monkeypatch, name):
+    if name == "invalid":
+        S = dk.SweepPlan
+        return fixtures.random_halfspaces(3, 4, 3), dk.CyclePlan(pattern=(
+            S(outer={1}), S(outer={2}), S(outer={4})))
+    if name == "stray":
+        return test_engine._classic_faults(monkeypatch, _stray_zero)
+    return _case(name)
+
+
+def _logged_batches(monkeypatch):
+    """Record (check, a copy of the log, the cycle numbers) of every batch
+    the checks take."""
+    batches = []
+    check = engine._CCheck.check
+
+    def recorded(self, spec, log, conj, F, margins, batch, *rest):
+        copy = engine._Log(log.rows.copy(), log.sums.copy(), list(log.strays))
+        batches.append((self, copy, [cyc.n for cyc in batch]))
+        return check(self, spec, log, conj, F, margins, batch, *rest)
+
+    monkeypatch.setattr(engine._CCheck, "check", recorded)
+    return batches
+
+
+def _run_sweep_cycles(spec, plan, n_cycles):
+    """Each cycle's states 0..W from a public run_sweep loop."""
+    st = dk.DualState.zeros(spec)
+    cycles = []
+    for n in range(1, n_cycles + 1):
+        snaps = [st.z.copy()]
+        for sweep in plan.cycle(n):
+            dk.run_sweep(spec, st, sweep)
+            snaps.append(st.z.copy())
+        cycles.append(snaps)
+    return cycles
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested", "invalid", "stray"])
+def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
+                                                         level):
+    # every state rebuilt from a batch's log is bitwise the run_sweep
+    # loop's, its sums are theirs, and the log's moved rows and
+    # certificates are _moved and certificate_points on those states.  The
+    # stray case writes outside its rows in cycle 1, whose batch is read
+    # from its rebuilt full states
+    spec, plan = _log_case(monkeypatch, case)
+    groups = terms_module.stack_terms(spec.terms, range(spec.r))
+    batches = _logged_batches(monkeypatch)
+    strays = 0
+    for cap in (1, 3, 9, 26):
+        batches.clear()
+        res = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=cap, check_level=level,
+            allow_invalid_schedule=case == "invalid"))
+        cycles = _run_sweep_cycles(spec, plan, cap)
+        assert res.state.z.tobytes() == cycles[-1][-1].tobytes()
+        assert sum(len(ns) for _, _, ns in batches) == cap
+        for chk, log, ns in batches:
+            k, W = len(ns), chk.W
+            states = [cycles[ns[0] - 1][0]] + [
+                cycles[n - 1][w] for n in ns for w in range(1, W + 1)]
+            out = np.empty_like(states[0])
+            for s, state in enumerate(states):
+                assert chk._state(log, s, out).tobytes() == state.tobytes()
+                assert (log.sums[s].tobytes()
+                        == state.sum(axis=0).tobytes())
+            strays += len(log.strays)
+            R, at = chk._source(log, k)
+            assert at.full == bool(log.strays)
+            moved = chk._freeze_pass(R, at, k)
+            assert np.array_equal(moved, engine._moved(
+                np.array(states)).reshape(k, W, -1))
+            if not chk.valid:
+                assert res.certificates is None
+                continue
+            ends = np.array([terms_module.stacked_conjugates(
+                groups, cycles[n - 1][-1], np.empty(spec.r)) for n in ns])
+            X, res_c, fen = engine._certificates(spec, R, log.sums, at.cert,
+                                                 k, groups, ends)
+            for c, n in enumerate(ns):
+                public = dk.certificate_points(spec, cycles[n - 1],
+                                               chk.c_analysis)
+                assert X[c].tobytes() == np.array(
+                    [p.point for p in public]).tobytes()
+                assert res_c[c].tolist() == [p.residual for p in public]
+                assert fen[c].tolist() == [p.fenchel for p in public]
+    assert (strays > 0) == (case == "stray")
+
+
+@pytest.mark.parametrize("level,message", [
+    ("sweep", "cycle 1 sweep 5: ascent fell short of the quadratic margin"),
+    ("full", "cycle 1 sweep 3: sequential replay disagrees with the snapshot"
+             " execution"),
+])
+def test_a_stray_write_before_a_last_touch_keeps_its_verdict(monkeypatch,
+                                                             level, message):
+    # solving row 3 also moves z_5, before its last touch at sweep 5, so the
+    # freeze check does not flag it.  The pass prices z_5 with the
+    # conjugate of its last write, and at sweep 5 the margin fails; the
+    # replay of sweep 3 rebuilds its state with the stray row and finds it
+    # apart from its own
+    def stray(spec, z, i, out):
+        if i == 2:
+            out[4, 0] = z[4, 0] + 1e-6
+
+    spec, plan = test_engine._classic_faults(monkeypatch, stray)
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                          check_level=level))
+
+
+def test_checked_memory_stays_within_three_times_unchecked():
+    # a checked batch holds two states, its log and the pass's tables, not
+    # a state per sweep: classic (200, 20) over two cycles
+    spec = fixtures.random_halfspaces(1, 200, 20)
+    plan = dk.classic_dykstra_schedule(200)
+
+    def solve(level):
+        return lambda: dk.run(spec, plan, dk.SolveParams(
+            max_iterations=2, check_level=level))
+
+    solve("full")()   # compiles and caches outside the measurement
+    off = test_engine._peak_bytes(solve("off"))
+    for level in ("sweep", "full"):
+        assert test_engine._peak_bytes(solve(level)) <= 3 * off

@@ -449,7 +449,7 @@ def test_run_cached_objective_is_bitwise_reference(case):
 
 def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
     # "off" alternates two z buffers and prices its cycle ends in batches,
-    # "sweep" and "full" write a snapshot buffer and take F from the per-row
+    # "sweep" and "full" log each sweep's rows and take F from the per-row
     # conjugate cache; all take each dual sum once per snapshot
     off, sweep, full = (dk.run(spec, plan,
                                dk.SolveParams(max_iterations=n_cycles,
@@ -654,9 +654,9 @@ def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
         calls[-1][1] += 1
         return objective(*args, **kwargs)
 
-    def replay_counted(self, spec, S, V, FS, C, conj_prev, w, *rest):
+    def replay_counted(self, spec, log, c, FS, C, conj_prev, w, *rest):
         calls.append([w, 0])
-        return replay(self, spec, S, V, FS, C, conj_prev, w, *rest)
+        return replay(self, spec, log, c, FS, C, conj_prev, w, *rest)
 
     def resolved_counted(self, *args):
         out = resolved(self, *args)
@@ -1108,7 +1108,7 @@ def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
 def test_public_checks_match_the_engine(case):
     # certificate_points and the list form of _assert_freeze take the same
-    # snapshots that the engine's cycle-end pass reads from its buffer
+    # states that the engine's cycle-end pass reads from its sweep log
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
