@@ -3,13 +3,14 @@
 import argparse
 import gc
 import json
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit import engine
+from dyksplit import engine, fixtures
 from dyksplit.cli import TRACE_COLUMNS, main
 from dyksplit.config import (ConfigError, RunConfig, build, term_from_dict,
                              term_to_dict)
@@ -279,6 +280,39 @@ def test_solve_auto_defer_rewrites_and_converges(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("# schedule auto-deferred")
     assert lines[1] == ",".join(TRACE_COLUMNS)
+
+
+# the custom-cli pattern of the benchmark (r = 8, m = 2): sweep 2 is a
+# three-member block, beyond the growth condition's two
+_GROWTH_PATTERN = [
+    {"outer": [9]}, {"blocks": {"9": [1, 2, 9]}}, {"outer": [3, 4]},
+    {"outer": [10]}, {"outer": [5]}, {"outer": [6], "blocks": {"10": [5, 10]}},
+    {"outer": [7]}, {"outer": [8]},
+]
+
+
+def test_solve_prints_the_growth_advisory_once_per_solve(tmp_path, capsys):
+    # solve says what validate says, in one stderr line, on every solve of
+    # the process, and lets no ScheduleGrowthWarning through
+    spec = fixtures.random_mixed(3, 8, 6, m=2)
+    path = _dump(tmp_path, "run.json", {
+        "problem": {"x0": spec.x0.tolist(),
+                    "terms": [term_to_dict(t) for t in spec.terms]},
+        "splitting": _custom(2, _GROWTH_PATTERN),
+        "solve": {"stop_gap": 1e-8, "max_iterations": 30}})
+    assert main(["validate", path]) == 1
+    advisory = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("advisory:")]
+    assert len(advisory) == 1
+    outs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", dk.ScheduleGrowthWarning)
+        for _ in range(2):
+            assert main(["solve", path, "--auto-defer"]) == 2
+            cap = capsys.readouterr()
+            assert cap.err.splitlines() == advisory
+            outs.append(cap.out)
+    assert outs[0] == outs[1] and "advisory" not in outs[0]
 
 
 def test_compare_product_modes_equivalent(tmp_path, capsys):
