@@ -5,14 +5,15 @@ Run from the root of a checkout:
     python3 tools/bench_grid.py --out grid.json
     python3 tools/bench_grid.py --src ../parent/src --src src   # two trees
     python3 tools/bench_grid.py --sizes 10x8 --runs 1 --cycles 2   # smoke run
+    python3 tools/bench_grid.py --schedules classic --sizes 400x50   # one point
 
 Each grid point runs engine.run on fixtures.random_halfspaces(1, r, d) (the
 product schedule with m = r - 1, the mixed-block schedule
 fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
-untimed run in KiB.  The grid is {classic, product, mixed}
-x --sizes x {off, sweep, full}.  The package is imported from each --src,
+untimed run in KiB.  The grid is --schedules (default classic, product
+and mixed) x --sizes x {off, sweep, full}.  The package is imported from each --src,
 by default the src/ directory of this checkout.  Given two trees, each grid
 point times them in turn, one run of each at a time, and flips which goes
 first from run to run, so that a drift in machine speed reaches both alike.
@@ -122,6 +123,8 @@ def main(argv=None):
                         " to time (default: src/ here)")
     p.add_argument("--sizes", nargs="+", type=parse_size, default=SIZES,
                    metavar="RxD", help="grid sizes (default: 10x8 50x20 200x50)")
+    p.add_argument("--schedules", nargs="+", choices=SCHEDULES,
+                   default=SCHEDULES, help="grid schedules (default: all)")
     p.add_argument("--cycles", type=int, default=20)
     p.add_argument("--runs", type=int, default=7,
                    help="timed runs per point, after one warm-up run")
@@ -138,7 +141,7 @@ def main(argv=None):
     print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} "
           + " ".join(f"{'us/sweep':>10s}" for _ in srcs) + " "
           + " ".join(f"{'peak KiB':>10s}" for _ in srcs))
-    for schedule in SCHEDULES:
+    for schedule in args.schedules:
         for r, d in args.sizes:
             for level in LEVELS:
                 us, peaks, sweeps = time_point(packages, schedule, r, d,
