@@ -603,17 +603,21 @@ def _fenchel(H, C, X, Z):
     return np.maximum(H + C - _dots(X, Z), 0.0)
 
 
-def _objectives(spec, Q, V, total):
+def _quad_conjugates(spec, Q):
+    """The sum of the m quadratic conjugates of every state k, from Q[k],
+    its quadratic rows plus x0, which are overwritten."""
+    Q *= Q
+    return (0.5 * Q.reshape(len(Q), -1).sum(axis=1)
+            - spec.m * 0.5 * spec._x0_sq)
+
+
+def _objectives(spec, V, total):
     """dual_objective_from on every state k.
 
-    V holds the row sums of the states, total[k] the _ordered_sum of the
-    conjugates of state k and, when m > 0, Q[k] its quadratic rows plus x0,
-    which are overwritten; an infinite conjugate gives -inf.
+    V holds the row sums of the states and total[k] the _ordered_sum of
+    the term conjugates of state k plus its _quad_conjugates; an infinite
+    conjugate gives -inf.
     """
-    if spec.m:
-        Q *= Q
-        total = total + (0.5 * Q.reshape(len(Q), -1).sum(axis=1)
-                         - spec.m * 0.5 * spec._x0_sq)
     D = spec.x0 - V
     return -(total + (0.5 * _dots(D, D) - 0.5 * spec._x0_sq))
 
@@ -630,8 +634,10 @@ def _state_objectives(spec, groups, Z, V):
     conj = C[:, 1:]
     for rows, stack in groups:
         conj[:, rows] = stack.support(Z[:, rows])
-    return _objectives(spec, Z[:, spec.r:] + spec.x0 if spec.m else None, V,
-                       C.cumsum(axis=1, out=C)[:, -1])
+    total = C.cumsum(axis=1, out=C)[:, -1]
+    if spec.m:
+        total = total + _quad_conjugates(spec, Z[:, spec.r:] + spec.x0)
+    return _objectives(spec, V, total)
 
 
 class _Pending(NamedTuple):
@@ -1317,12 +1323,12 @@ class _CCheck:
         # the running sums overwrite C, which is then let go
         total = C.cumsum(axis=2, out=C)[..., -1].ravel()
         del C
-        Q = None
         if spec.m:
             Q = _gather(R, at.quad, k, at.K).reshape(k * W, spec.m, spec.d)
             np.add(Q, spec.x0, out=Q)
-        F = _objectives(spec, Q, V[1:k * W + 1], total)
-        del Q
+            total = total + _quad_conjugates(spec, Q)
+            del Q
+        F = _objectives(spec, V[1:k * W + 1], total)
         F_prev = np.concatenate(([F0], F[:-1])).reshape(k, W)
         F = F.reshape(k, W)
         decreased = self.exact & (F < F_prev - ASCENT_TOL)

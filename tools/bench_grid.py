@@ -13,10 +13,11 @@ fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
 untimed run in KiB.  The grid is --schedules (default classic, product
-and mixed) x --sizes x {off, sweep, full}.  The package is imported from each --src,
-by default the src/ directory of this checkout.  Given two trees, each grid
-point times them in turn, one run of each at a time, and flips which goes
-first from run to run, so that a drift in machine speed reaches both alike.
+and mixed) x --sizes x {off, sweep, full}.  The package is imported from
+each --src, by default the src/ directory of this checkout.  Given two
+trees, each grid point times them in turn, one run of each at a time, and
+flips which goes first from run to run, so that a drift in machine speed
+reaches both alike.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one value per tree
