@@ -1885,6 +1885,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     # differs from z only in the rows a faulty solver moved
                     z_prev[cs.written] = written
                     _log_strays(z, z_prev, runs, slot, log.strays)
+                del written   # a copy unless a slice: not kept to a flush
                 # left to right from 0.0, whatever sum() does (3.12
                 # compensates a float sum)
                 inner_sum = inner_sq = 0.0
