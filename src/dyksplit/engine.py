@@ -37,8 +37,9 @@ With checks on, the sweep loop only solves and logs: a batch of up to
 _OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
 per sweep, the new values of the rows the sweep declares, its dual sum, and
 any row it changed outside them (a stray, which only a faulty solver
-writes).  A batch's log rows and sums and its check's conjugate table take
-at most _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
+writes); a cycle's movements are taken at its end, from its logged sums.
+A batch's log rows and sums and its check's conjugate table take at most
+_CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
 cycles from the log in a few vectorized calls, reading each row of a state
 where it was last written.  Conjugates are evaluated only for the rows each
@@ -82,6 +83,9 @@ _OBJ_BATCH = 8
 # and sums and of its sweep pass's conjugate table, unless one cycle alone
 # needs more (run)
 _CHECK_BATCH_BYTES = 8192
+# the sweep pass builds its conjugate table in chunks of sweeps of at most
+# this many bytes, or one sweep's (_CCheck._sweep_pass)
+_TABLE_CHUNK_BYTES = 65536
 # at check_level="full", a batch's one-subproblem sweeps are re-solved at
 # once only when it holds at least this many (cycle, sweep) pairs of them:
 # the re-solve's fixed cost is about that of four per-sweep replays
@@ -499,11 +503,10 @@ def _rows_index(rows):
 def _execute_sweep(spec, z, v, cs, params, out):
     """Run one sweep against the snapshot z, whose row sum is v; returns exact.
 
-    out, another array of z's shape, receives a copy of z with the sweep's
-    rows replaced.  Every step reads z itself, never the rows an earlier
-    step wrote.
+    out, another array of z's shape that holds z's values, receives the
+    sweep's rows; a correct solver writes no other row.  Every step reads z
+    itself, never the rows an earlier step wrote.
     """
-    out[...] = z
     exact = True
     for step in cs.steps:
         exact = step.solve(spec, z, v, step.arg, params, out) and exact
@@ -522,6 +525,18 @@ def _movement(z_new, z_old, cs, v_new, v_old):
         return v_diff, []
     diff = z_new[cs.gov0] - z_old[cs.gov0]
     return v_diff, np.sqrt(_dots(diff, diff)).tolist()
+
+
+def _movements(V, G):
+    """_movement of a run of sweeps at once, as two arrays.
+
+    V holds the row sums of the states before and after each sweep, (u + 1,
+    d), and G the differences the sweeps made to their governing rows, sweep
+    by sweep in block_js order.  Each row's dot product has the bits of the
+    1-d one (terms._dots), so every move has _movement's bits.
+    """
+    DV = V[1:] - V[:-1]
+    return np.sqrt(_dots(DV, DV)), np.sqrt(_dots(G, G))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +578,7 @@ def run_sweep(spec, state, sweep, params=None):
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
     cs = _CSweep(sweep, spec)
     v_old = state.z.sum(axis=0)
-    z_new = np.empty_like(state.z)
+    z_new = state.z.copy()
     exact = _execute_sweep(spec, state.z, v_old, cs, params, z_new)
     v_diff, norms = _movement(z_new, state.z, cs, z_new.sum(axis=0), v_old)
     state.z = z_new
@@ -964,13 +979,16 @@ class _Log(NamedTuple):
 def _log_strays(z, z_prev, runs, s, strays):
     """Append to strays the rows in which z, state s, differs bytewise from
     z_prev, which holds the state before it with the rows the sweep
-    declares taken from z; runs are slices that cover all rows."""
+    declares taken from z, and take them into z_prev, which is then bitwise
+    z; runs are slices that cover all rows."""
     for run in runs:
         new, old = z[run], z_prev[run]
         if new.tobytes() != old.tobytes():
             rows = run.start + np.flatnonzero(
                 (new.view(np.int64) != old.view(np.int64)).any(axis=1))
-            strays.append((s, rows, z[rows]))
+            values = z[rows]
+            z_prev[rows] = values
+            strays.append((s, rows, values))
 
 
 class _Index(NamedTuple):
@@ -1009,9 +1027,9 @@ class _CCheck:
               (sweep w, term row i) pairs that the sweeps write, in sweep
               order; positions index the array of their new conjugates and
               offsets are the pairs' w * n + i
-      layers  (mask, positions) per k for the rows' k-th writes in the
-              cycle: mask[w - 1, i] holds from the sweep of row i's k-th
-              write on, and positions[i] is that write's pair
+      layers  (first, positions) per k for the rows' k-th writes in the
+              cycle: first[i] is the sweep of row i's k-th write, W + 1
+              when it has none, and positions[i] is that write's pair
       last    the pair of each term row's last write, which holds its
               conjugate at the cycle's end; None when the cycle leaves a
               term row unwritten, and the cycles are then checked one at a
@@ -1027,8 +1045,9 @@ class _CCheck:
       resolve  the replayed sweeps that the batch re-solves at once
                (_Resolve), or None; one whose re-solve matches its state
                is not replayed
-    scratch are the replay's two z buffers at check_level="full", shared by
-    the checks of all cycle patterns, and None otherwise.
+    scratch holds the replay's two z buffers at check_level="full", made
+    at the first replay and shared by the checks of all cycle patterns, and
+    is None otherwise.
 
     The passes read the batch's states through flat indices (_Index), each
     row where it was last written: a row that no sweep of the cycle has
@@ -1059,6 +1078,10 @@ class _CCheck:
         rows = [np.arange(n)[idx].tolist() for idx in self.written]
         self.offs = np.cumsum([0] + [len(x) for x in rows]).tolist()
         self.P = self.offs[-1]
+        # run keeps the differences of the governing rows of a cycle's
+        # sweeps, counts[w - 1] of them from gov_offs[w - 1] on for sweep w
+        self.counts = [len(cs.block_js) for cs in sweeps]
+        self.gov_offs = np.cumsum([0] + self.counts).tolist()
         # the declared (sweep, row) pairs in log order, and sorted by row
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
         dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
@@ -1074,10 +1097,10 @@ class _CCheck:
         last = np.zeros(r, dtype=np.intp)
         for k, (w, i) in enumerate(zip(pw, pi)):
             if writes[i] == len(self.layers):
-                self.layers.append((np.zeros((len(sweeps), r), dtype=bool),
+                self.layers.append((np.full(r, self.W + 1, dtype=np.intp),
                                     np.zeros(r, dtype=np.intp)))
-            mask, pos = self.layers[writes[i]]
-            mask[w - 1:, i] = True
+            first, pos = self.layers[writes[i]]
+            first[i] = w
             pos[i] = last[i] = k
             writes[i] += 1
         self.last = last if all(writes) else None
@@ -1158,6 +1181,31 @@ class _CCheck:
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
             groups)
+
+    def movement_sums(self, v, moves):
+        """The margins of sweeps 1..u of a cycle, as a list, and the
+        cycle's gamma_n, sum of squared movements and sum of dual-sum moves,
+        from _movements: v (u,) are the sweeps' moves of the dual sum and
+        moves those of their governing rows.  Each is added as run's
+        unchecked loop adds it, left to right from 0.0, whatever sum() does
+        (3.12 compensates a float sum).
+        """
+        moves = moves.tolist()
+        margins = []
+        gamma = sq = v_sum = 0.0
+        k = 0
+        for v_diff, count in zip(v.tolist(), self.counts):
+            inner_sum = inner_sq = 0.0
+            if count:
+                for d in moves[k:k + count]:
+                    inner_sum += d
+                    inner_sq += d * d
+                k += count
+            gamma += v_diff + inner_sum
+            sq += v_diff * v_diff + inner_sq
+            v_sum += v_diff
+            margins.append(0.5 * v_diff * v_diff + 0.5 * inner_sq)
+        return margins, (gamma, sq, v_sum)
 
     def _per_sweep(self, A):
         """The sums of A (k, Q), integers for the written rows, over the
@@ -1318,11 +1366,19 @@ class _CCheck:
         starts[0] = conj0
         if k > 1:   # each cycle starts with the last writes of the one before
             starts[1:] = new[:-1, self.last]
-        C = self._conjugates(starts, new)
-        ends = C[:, -1, 1:].copy()
-        # the running sums overwrite C, which is then let go
-        total = C.cumsum(axis=2, out=C)[..., -1].ravel()
-        del C
+        # the conjugate table in chunks of sweeps: the running sums go along
+        # its rows, so each row's sum has the bits of one table's
+        total = np.empty((k, W))
+        step = max(1, _TABLE_CHUNK_BYTES // (k * (r + 1) * 8))
+        for a in range(0, W, step):
+            b = min(W, a + step)
+            C = self._conjugates(starts, new, a, b)
+            if b == W:
+                ends = C[:, -1, 1:].copy()
+            # the running sums overwrite C, which is then let go
+            total[:, a:b] = C.cumsum(axis=2, out=C)[..., -1]
+            del C
+        total = total.ravel()
         if spec.m:
             Q = _gather(R, at.quad, k, at.K).reshape(k * W, spec.m, spec.d)
             np.add(Q, spec.x0, out=Q)
@@ -1340,18 +1396,19 @@ class _CCheck:
         return _Pass(F, F_prev, bad, decreased, short, stat_bad, resid, new,
                      starts, ends)
 
-    def _conjugates(self, starts, new):
-        """The conjugates after each sweep of k cycles, (k, W, r + 1).
+    def _conjugates(self, starts, new, a, b):
+        """The conjugates after sweeps a + 1..b of k cycles, (k, b - a, r + 1).
 
-        Row (c, w - 1) holds a leading 0.0 and the r conjugates after sweep
-        w of cycle c, whose start has the conjugates starts[c] and whose
-        sweeps write the pairs' conjugates new[c].
+        Row (c, w - a - 1) holds a leading 0.0 and the r conjugates after
+        sweep w of cycle c, whose start has the conjugates starts[c] and
+        whose sweeps write the pairs' conjugates new[c].
         """
-        C = np.empty((len(starts), self.W, starts.shape[1] + 1))
+        C = np.empty((len(starts), b - a, starts.shape[1] + 1))
         C[..., 0] = 0.0
         C[..., 1:] = starts[:, None]
-        for mask, pos in self.layers:
-            np.copyto(C[..., 1:], new[:, pos][:, None], where=mask)
+        w = np.arange(a + 1, b + 1)[:, None]
+        for first, pos in self.layers:
+            np.copyto(C[..., 1:], new[:, pos][:, None], where=w >= first)
         return C
 
     def _resolved(self, spec, R, V, at, k, moved):
@@ -1376,10 +1433,15 @@ class _CCheck:
         # the rows before each sweep, re-solved in place once read
         X = _gather(R, before, k, at.K)
         V0 = _gather(V, sums_before, k, at.K)
+        for start, count, size, place in rs.groups:   # _quad_rows
+            G = X[:, start:start + count * size].reshape(k, count, size, d)
+            c = V0[:, place:place + count] - G.sum(axis=2)
+            G[...] = (-c / (size + 1.0))[:, :, None]
+        U = np.empty((k, m, d))
+        u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
+        np.subtract(V0[:, :n_prox], X[:, :n_prox], out=u)
+        del V0   # before the dual proxes add their temporaries
         if m:
-            U = np.empty((k, m, d))
-            u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
-            np.subtract(V0[:, :n_prox], X[:, :n_prox], out=u)
             np.subtract(x0, u, out=u)
             bsum = X[:, n_prox:m] + X[:, gov]   # _stacked_blocks'
             np.add(bsum, x0, out=U[:, n_prox:])
@@ -1388,13 +1450,8 @@ class _CCheck:
             else:
                 for pos, stack in rs.moreau:
                     X[:, pos] = stack.moreau(U[:, pos])
-            del U
             np.subtract(bsum, X[:, n_prox:m], out=X[:, gov])
-        for start, count, size, place in rs.groups:   # _quad_rows
-            G = X[:, start:start + count * size].reshape(k, count, size, d)
-            c = V0[:, place:place + count] - G.sum(axis=2)
-            G[...] = (-c / (size + 1.0))[:, :, None]
-        del V0
+        del U
         X1 = _gather(R, after, k, at.K)   # the states after the sweeps
         # a sweep matched when none of its rows differs from the state's
         # and the rows that moved in it are all its own: its differing rows
@@ -1421,20 +1478,20 @@ class _CCheck:
         last = self.W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
         if params.check_level == "full":
-            FS = C = None
+            FS = None
             for w in self.replays:
                 if w >= first:
                     break
                 b = None if matched is None else self.resolve.at.get(w)
                 if b is not None and matched[c, b]:
                     continue
-                if FS is None:
-                    # the objective and the conjugates at each state
+                if FS is None:   # the objective at each state
                     FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
-                    C = self._conjugates(p.starts[c:c + 1],
-                                         p.new[c:c + 1])[0]
-                self._replay(spec, log, c, FS, C,
-                             p.starts[c] if w == 1 else C[w - 2, 1:],
+                # the conjugates before and after sweep w
+                C = self._conjugates(p.starts[c:c + 1], p.new[c:c + 1],
+                                     max(w - 2, 0), w)[0]
+                self._replay(spec, log, c, FS, C[-1, 1:],
+                             p.starts[c] if w == 1 else C[0, 1:],
                              w, params, n)
         if first <= last:
             j = first - 1
@@ -1451,7 +1508,7 @@ class _CCheck:
                 f"cycle {n} sweep {first}: stationarity"
                 f" residual {p.resid[c, i]:.3e} at index {self.stat_i[i] + 1}")
 
-    def _replay(self, spec, log, c, FS, C, conj_prev, w, params, n):
+    def _replay(self, spec, log, c, FS, conj_w, conj_prev, w, params, n):
         """check_level=full: sweep w of cycle c of the batch in log
         re-solved one subproblem at a time.
 
@@ -1459,22 +1516,25 @@ class _CCheck:
         the state before the sweep, rebuilt from the log, and its
         subproblems are then applied one at a time, each checked against
         its own margin; the state must end within 1e-9 of the state after
-        the sweep, S.  FS[w] is the pass's objective at S, C holds its
-        conjugates after each sweep and conj_prev those before sweep w.
-        Each state is summed once.  The first step reads the logged sum
-        before the sweep and takes its rows' conjugates from C, since it
+        the sweep, S.  FS[w] is the pass's objective at S, conj_w its
+        conjugates and conj_prev those before sweep w.  Each state is
+        summed once.  The first step reads the logged sum before the sweep
+        and takes its rows' conjugates from conj_w, since it
         solves from the same state as the sweep did.  When the last state
         is bitwise S, it takes S's logged sum and FS[w], which are bitwise
         its sum and dual_objective_from on it, and it agrees with S exactly.
         """
         steps = self.replays[w]
+        if not self.scratch:
+            self.scratch += [np.empty((self.n, spec.d)),
+                             np.empty((self.n, spec.d))]
         z_seq, z_step = self.scratch
         s = c * self.W + w
         self._state(log, s - 1, z_seq)
         v = log.sums[s - 1]
         F_before = FS[w - 1]
         conj = None   # the conjugates at z_seq, copied at the first write
-        conj_step = C[w - 1, 1:]
+        conj_step = conj_w
         final = steps[-1][2][-1]
         snapshot = False
         for k, (step, groups, subs) in enumerate(steps):
@@ -1742,12 +1802,15 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # each snapshot.  With checks on, a batch of up to n_batch cycles of one
     # pattern is logged (_Log): its start state, copied from z when it
     # begins, then per sweep the rows it declares, its sum and its strays.
-    # z alternates between the two states, each sweep writing into the one
-    # its snapshot is not in.  With checks off, row 0 of buf is the start of
-    # a batch of up to n_batch cycles and row c + 1 the end of cycle c,
-    # which its last sweep writes; the sweeps before it alternate between
-    # the row after the ends and row 0, whose batch start the batch's first
-    # sweep has read.
+    # z alternates between two states that are bitwise equal between
+    # sweeps: each sweep writes its rows into the one its snapshot is not
+    # in, and the snapshot then takes them, and any stray rows, from it.  A
+    # cycle's movements are taken at its end from its logged sums and its
+    # governing rows' differences, kept in gov.  With checks off, row 0 of
+    # buf is the start of a batch of up to n_batch cycles and row c + 1 the
+    # end of cycle c, which its last sweep writes; the sweeps before it
+    # alternate between the row after the ends and row 0, whose batch start
+    # the batch's first sweep has read.
     # A batch is checked, or priced, in one pass when it is full, when the
     # next cycle takes another pattern (checks on), when the gap rule needs
     # its objective (checks off) or stops the run, before an exception
@@ -1755,8 +1818,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     sweep_checks = params.check_level in ("sweep", "full")
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
-        scratch = ((np.empty_like(z), np.empty_like(z))
-                   if params.check_level == "full" else None)
+        scratch = [] if params.check_level == "full" else None
         checks = [_CCheck(c, spec, ca, valid, shared, scratch)
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
@@ -1774,11 +1836,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             [])
         margins = np.zeros((n_batch, max(map(len, compiled))))
         sums = log.sums
-        # the slices of rows _log_strays compares, a copy of at most 64 KiB
+        gov = np.empty((max(chk.gov_offs[-1] for chk in checks), spec.d))
+        # the slices of rows _log_strays compares, a copy of at most 64 KiB;
+        # a state of one slice is compared whole first, in one comparison
         step = max(1, 8192 // spec.d)
         runs = [slice(a, a + step) for a in range(0, spec.n_duals, step)]
-        states = (np.empty_like(z), np.empty_like(z))
-        states[0][...] = z
+        whole = len(runs) == 1
+        states = (z.copy(), z.copy())
         z = states[0]
         v = z.sum(axis=0, out=sums[0])
         # per-row conjugate cache, carried from one batch's end to the next
@@ -1862,6 +1926,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     else:
                         slot = c + 1
                     z = buf[slot]
+                    z[...] = z_prev
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
                 written = z[cs.written]
                 # the rows the sweep did not write were scanned when written
@@ -1871,21 +1936,32 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         # first, then this one's sweeps before this one
                         if pending:
                             flush()
+                        cycle_margins[:w - 1] = chk.movement_sums(*_movements(
+                            sums[slot - w:slot], gov[:chk.gov_offs[w - 1]]))[0]
                         chk.check_sweeps(spec, log, c, z_prev, v_prev, conj,
                                          F_state, cycle_margins, n, params,
                                          upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
                 v = z.sum(axis=0, out=sums[slot])
-                v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
+                cycle_approx = cycle_approx or not exact
+                if per_sweep:
+                    trace.sweep_approx.append(not exact)
                 if sweep_checks:
                     log.rows[start + chk.offs[w - 1]:
                              start + chk.offs[w]] = written
+                    if cs.block_js:
+                        np.subtract(z[cs.gov0], z_prev[cs.gov0], out=gov[
+                            chk.gov_offs[w - 1]:chk.gov_offs[w]])
                     # z_prev is read no more: given the declared rows, it
                     # differs from z only in the rows a faulty solver moved
                     z_prev[cs.written] = written
-                    _log_strays(z, z_prev, runs, slot, log.strays)
-                del written   # a copy unless a slice: not kept to a flush
+                    del written   # a copy unless a slice: not kept to a flush
+                    if not whole or z.tobytes() != z_prev.tobytes():
+                        _log_strays(z, z_prev, runs, slot, log.strays)
+                    continue
+                del written
+                v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
                 # left to right from 0.0, whatever sum() does (3.12
                 # compensates a float sum)
                 inner_sum = inner_sq = 0.0
@@ -1895,15 +1971,19 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 gamma_acc += v_diff + inner_sum
                 sq_acc += v_diff * v_diff + inner_sq
                 v_acc += v_diff
-                cycle_approx = cycle_approx or not exact
-                if sweep_checks:
-                    cycle_margins[w - 1] = (0.5 * v_diff * v_diff
-                                            + 0.5 * inner_sq)
-
                 if per_sweep:
                     trace.sweep_v_diff.append(v_diff)
-                    trace.sweep_approx.append(not exact)
                     trace.moves.extend(inner)
+
+            if sweep_checks:
+                v_diffs, moves = _movements(sums[slot - W:slot + 1],
+                                            gov[:chk.gov_offs[W]])
+                cycle_margins[:W], (gamma_acc, sq_acc, v_acc) = (
+                    chk.movement_sums(v_diffs, moves))
+                if per_sweep:
+                    trace.sweep_v_diff.frombytes(v_diffs.tobytes())
+                    trace.moves.frombytes(moves.tobytes())
+                del v_diffs, moves   # not kept to a flush
 
             ascent = not any_approx and not cycle_approx
             any_approx = any_approx or cycle_approx
@@ -1953,7 +2033,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = None
+    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = gov = None
     return RunResult(
         state=state,
         x=x,

@@ -13,6 +13,7 @@ from dyksplit.engine import EngineInvariantError, NonFiniteStateError
 from dyksplit.terms import HalfspaceStack
 
 from . import test_engine
+from .test_engine import _dots_kernel
 
 
 def _case(name):
@@ -210,19 +211,20 @@ def _raise_on_mark(monkeypatch):
     monkeypatch.setattr(HalfspaceStack, "support", marked)
 
 
-def _gamma_zero_in_cycle(monkeypatch, n, sweeps):
-    """Report no movement in cycle n: its certificates fail."""
-    movement = engine._movement
+def _gamma_zero_in_cycle(monkeypatch, n):
+    """Report no movement in cycle n: its certificates fail.  A checked
+    run takes each cycle's movements in one call, at the cycle's end."""
+    movements = engine._movements
     calls = [0]
 
     def short(*args):
         calls[0] += 1
-        v, inner = movement(*args)
-        if (n - 1) * sweeps < calls[0] <= n * sweeps:
-            return 0.0 * v, [0.0 * d for d in inner]
+        v, inner = movements(*args)
+        if calls[0] == n:
+            return 0.0 * v, 0.0 * inner
         return v, inner
 
-    monkeypatch.setattr(engine, "_movement", short)
+    monkeypatch.setattr(engine, "_movements", short)
 
 
 _CYCLE_2 = r"cycle 2 sweep 1: dual objective decreased by \d\.\d{3}e-\d\d"
@@ -246,7 +248,7 @@ def test_fault_in_a_batch_reports_its_first_failing_cycle(
     def run_with(*faults):
         _raise_on_mark(monkeypatch)
         if later == "certificate":
-            _gamma_zero_in_cycle(monkeypatch, 4, 6)
+            _gamma_zero_in_cycle(monkeypatch, 4)
         else:
             act = {"non-finite": _write(np.nan),
                    "prox-raises": _raise_in_prox,
@@ -343,13 +345,6 @@ def _batched_replay_off(m, how):
         def raising(self, *args):
             raise ValueError("re-solve failed")
         m.setattr(engine._CCheck, "_resolved", raising)
-
-
-def _dots_kernel(m, kernel):
-    """terms._dots as built (np.vecdot on numpy 2) or its matmul form."""
-    if kernel == "matmul":
-        m.setattr(terms_module, "_dots", terms_module._dots_matmul)
-        m.setattr(engine, "_dots", terms_module._dots_matmul)
 
 
 def _replays(monkeypatch):
@@ -653,3 +648,44 @@ def test_checked_memory_stays_within_three_times_unchecked():
     off = test_engine._peak_bytes(solve("off"))
     for level in ("sweep", "full"):
         assert test_engine._peak_bytes(solve(level)) <= 3 * off
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "custom_nested"])
+def test_a_conjugate_table_in_chunks_gives_the_bits_of_one(monkeypatch,
+                                                           case, level):
+    # the sweep pass builds its conjugate table one sweep at a time, or two
+    # for batches of one cycle: every field, trace row and certificate is
+    # that of the whole table
+    spec, plan = _case(case)
+    params = dk.SolveParams(max_iterations=26, check_level=level,
+                            per_sweep_trace=True)
+    whole = dk.run(spec, plan, params)
+    for chunk in (1, 2 * (spec.r + 1) * 8):
+        monkeypatch.setattr(engine, "_TABLE_CHUNK_BYTES", chunk)
+        _assert_same_result(dk.run(spec, plan, params), whole)
+
+
+def test_a_replay_reads_the_conjugates_of_its_states(monkeypatch):
+    # _raise_sweeps builds only the conjugate rows before and after each
+    # sweep it replays: they are those of the states rebuilt from the log
+    spec, plan = _case("classic")
+    groups = terms_module.stack_terms(spec.terms, range(spec.r))
+    replay = engine._CCheck._replay
+    replayed = set()
+
+    def checked(self, spec, log, c, FS, conj_w, conj_prev, w, params, n):
+        z = np.empty((self.n, spec.d))
+        s = c * self.W + w
+        for state, conj in ((s - 1, conj_prev), (s, conj_w)):
+            expected = terms_module.stacked_conjugates(
+                groups, self._state(log, state, z), np.empty(spec.r))
+            assert conj.tobytes() == expected.tobytes()
+        replayed.add(w)
+        return replay(self, spec, log, c, FS, conj_w, conj_prev, w, params,
+                      n)
+
+    monkeypatch.setattr(engine._CCheck, "_replay", checked)
+    _batched_replay_off(monkeypatch, "not-compiled")
+    dk.run(spec, plan, dk.SolveParams(max_iterations=3, check_level="full"))
+    assert replayed == set(range(1, 7))

@@ -8,6 +8,7 @@ import pytest
 
 import dyksplit as dk
 from dyksplit import engine, fixtures
+from dyksplit import terms as terms_module
 from dyksplit.engine import (EngineInvariantError, NonFiniteStateError,
                              _assert_freeze)
 from dyksplit.terms import FEAS_TOL, HalfspaceStack, moreau_dual, stack_terms
@@ -447,21 +448,75 @@ def test_run_cached_objective_is_bitwise_reference(case):
         assert np.isfinite(per_sweep[2:]).all()
 
 
-def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
-    # "off" alternates two z buffers and prices its cycle ends in batches,
-    # "sweep" and "full" log each sweep's rows and take F from the per-row
-    # conjugate cache; all take each dual sum once per snapshot
+def _dots_kernel(m, kernel):
+    """terms._dots as built (np.vecdot on numpy 2) or its matmul form."""
+    if kernel == "matmul":
+        m.setattr(terms_module, "_dots", terms_module._dots_matmul)
+        m.setattr(engine, "_dots", terms_module._dots_matmul)
+
+
+def _margins_before_a_non_finite_sweep(monkeypatch, spec, plan, k, message):
+    """The margins that the check of a cycle's sweeps before its first
+    non-finite one receives, when the k-th sweep of a checked run writes
+    NaN into its first row; the run raises message."""
+    execute, check_sweeps = engine._execute_sweep, engine._CCheck.check_sweeps
+    calls, seen = [0], []
+
+    def poisoned(spec, z, v, cs, params, out):
+        exact = execute(spec, z, v, cs, params, out)
+        calls[0] += 1
+        if calls[0] == k:
+            out[np.arange(len(out))[cs.written][0], 0] = np.nan
+        return exact
+
+    def recorded(self, *args, upto):
+        seen.append(args[7][:upto].tolist())
+        return check_sweeps(self, *args, upto=upto)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_execute_sweep", poisoned)
+        m.setattr(engine._CCheck, "check_sweeps", recorded)
+        with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
+            dk.run(spec, plan, dk.SolveParams(max_iterations=5))
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _assert_same_bits_at_every_check_level(monkeypatch, spec, plan, kernel,
+                                           n_cycles=30):
+    # "off" alternates two z buffers, takes each sweep's movements from its
+    # states and prices its cycle ends in batches; "sweep" and "full" log
+    # each sweep's rows, take a cycle's movements from its logged sums at
+    # its end and take F from the per-row conjugate cache; all take each
+    # dual sum once per snapshot
+    _dots_kernel(monkeypatch, kernel)
     off, sweep, full = (dk.run(spec, plan,
                                dk.SolveParams(max_iterations=n_cycles,
                                               check_level=level,
                                               per_sweep_trace=True))
                         for level in ("off", "sweep", "full"))
+    moves = [(row.v_diff, row.inner_diffs) for row in off.sweep_rows]
     for checked in (sweep, full):
         assert np.array_equal(off.state.z, checked.state.z)
         assert np.array_equal(off.F_per_cycle, checked.F_per_cycle)
         assert np.array_equal(off.gamma, checked.gamma)
         assert np.array_equal(off.sq_diff_cumsum, checked.sq_diff_cumsum)
+        assert [(row.v_diff, row.inner_diffs)
+                for row in checked.sweep_rows] == moves
     assert np.isfinite(off.F_per_cycle).all()
+    # a sweep of cycle 3 goes non-finite: the check of the sweeps before it
+    # tests their margins, taken from the logged sums, against "off"'s
+    k, row = next((k, row) for k, row in enumerate(off.sweep_rows, start=1)
+                  if row.n == 3 and row.w == len(plan.cycle(3)) // 2 + 1)
+    expected = []
+    for before in off.sweep_rows[k - row.w:k - 1]:
+        inner_sq = 0.0
+        for move in before.inner_diffs.values():
+            inner_sq += move * move
+        expected.append(0.5 * before.v_diff * before.v_diff + 0.5 * inner_sq)
+    assert _margins_before_a_non_finite_sweep(
+        monkeypatch, spec, plan, k,
+        f"non-finite duals after cycle 3 sweep {row.w}") == expected
     # the replay records nothing: "full" has the trace rows, per-sweep F
     # included, and the certificates of "sweep"
     assert full.sweep_rows == sweep.sweep_rows
@@ -473,12 +528,14 @@ def _assert_same_bits_at_every_check_level(spec, plan, n_cycles=30):
         assert (a.residual, a.fenchel) == (b.residual, b.fenchel)
 
 
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
 @pytest.mark.parametrize("spec", [fixtures.random_halfspaces(5, 20, 10, m=19),
                                   fixtures.random_mixed(6, 6, 4, m=5)],
                          ids=["halfspaces", "mixed"])
-def test_product_run_same_bits_with_and_without_sweep_checks(spec):
+def test_product_run_same_bits_with_and_without_sweep_checks(monkeypatch,
+                                                             spec, kernel):
     _assert_same_bits_at_every_check_level(
-        spec, dk.product_space_schedule(spec.r))
+        monkeypatch, spec, dk.product_space_schedule(spec.r), kernel)
 
 
 def _custom_nested_plan():
@@ -491,8 +548,9 @@ def _custom_nested_plan():
     return dk.rewrite_deferred(plan, 8, 2)
 
 
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
 @pytest.mark.parametrize("case", ["classic", "mixed_block", "custom_nested"])
-def test_run_same_bits_at_every_check_level(case):
+def test_run_same_bits_at_every_check_level(monkeypatch, case, kernel):
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
@@ -503,7 +561,7 @@ def test_run_same_bits_at_every_check_level(case):
         spec = fixtures.random_mixed(8, 8, 6, m=2)
         plan = _custom_nested_plan()
         assert plan.lead_in
-    _assert_same_bits_at_every_check_level(spec, plan)
+    _assert_same_bits_at_every_check_level(monkeypatch, spec, plan, kernel)
 
 
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
@@ -933,13 +991,13 @@ def test_fault_moving_frozen_rows_fails_freeze(monkeypatch, level, at_row):
 @pytest.mark.parametrize("level", ["sweep", "full"])
 def test_fault_certificate_distance(monkeypatch, level):
     # movements reported at a tenth shrink gamma below the true distances
-    orig = engine._movement
+    orig = engine._movements
 
     def short(*args):
         v, inner = orig(*args)
-        return 0.1 * v, [0.1 * d for d in inner]
+        return 0.1 * v, 0.1 * inner
 
-    monkeypatch.setattr(engine, "_movement", short)
+    monkeypatch.setattr(engine, "_movements", short)
     spec = fixtures.random_halfspaces(1, 6, 4)
     with pytest.raises(EngineInvariantError,
                        match=r"^cycle 1: certificate for index 1 is"
