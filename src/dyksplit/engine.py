@@ -1953,8 +1953,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     if cs.block_js:
                         np.subtract(z[cs.gov0], z_prev[cs.gov0], out=gov[
                             chk.gov_offs[w - 1]:chk.gov_offs[w]])
-                    # z_prev is read no more: given the declared rows, it
-                    # differs from z only in the rows a faulty solver moved
+                    # z_prev, which the next sweep writes into, takes the
+                    # declared rows; it then differs from z only in the
+                    # rows a faulty solver moved, which it takes too
                     z_prev[cs.written] = written
                     del written   # a copy unless a slice: not kept to a flush
                     if not whole or z.tobytes() != z_prev.tobytes():
