@@ -539,6 +539,32 @@ def _movements(V, G):
     return np.sqrt(_dots(DV, DV)), np.sqrt(_dots(G, G))
 
 
+def _movement_sums(v, moves, sweeps):
+    """The margins of sweeps 1..u of a cycle, as a list, and the cycle's
+    gamma_n, sum of squared movements and sum of dual-sum moves, from
+    _movements: v (u,) are the moves of the dual sum by the first u of the
+    compiled sweeps and moves those of their governing rows.  Each is added
+    as run's unchecked loop adds it, left to right from 0.0, whatever sum()
+    does (3.12 compensates a float sum).
+    """
+    moves = moves.tolist()
+    margins = []
+    gamma = sq = v_sum = 0.0
+    k = 0
+    for v_diff, cs in zip(v.tolist(), sweeps):
+        inner_sum = inner_sq = 0.0
+        if cs.block_js:
+            for d in moves[k:k + len(cs.block_js)]:
+                inner_sum += d
+                inner_sq += d * d
+            k += len(cs.block_js)
+        gamma += v_diff + inner_sum
+        sq += v_diff * v_diff + inner_sq
+        v_sum += v_diff
+        margins.append(0.5 * v_diff * v_diff + 0.5 * inner_sq)
+    return margins, (gamma, sq, v_sum)
+
+
 # ---------------------------------------------------------------------------
 # public single-step operations
 # ---------------------------------------------------------------------------
@@ -1027,9 +1053,9 @@ class _CCheck:
               (sweep w, term row i) pairs that the sweeps write, in sweep
               order; positions index the array of their new conjugates and
               offsets are the pairs' w * n + i
-      layers  (first, positions) per k for the rows' k-th writes in the
-              cycle: first[i] is the sweep of row i's k-th write, W + 1
-              when it has none, and positions[i] is that write's pair
+      layers  (mask, positions) per k for the rows' k-th writes in the
+              cycle: mask[w - 1, i] holds from the sweep of row i's k-th
+              write on, and positions[i] is that write's pair
       last    the pair of each term row's last write, which holds its
               conjugate at the cycle's end; None when the cycle leaves a
               term row unwritten, and the cycles are then checked one at a
@@ -1078,10 +1104,6 @@ class _CCheck:
         rows = [np.arange(n)[idx].tolist() for idx in self.written]
         self.offs = np.cumsum([0] + [len(x) for x in rows]).tolist()
         self.P = self.offs[-1]
-        # run keeps the differences of the governing rows of a cycle's
-        # sweeps, counts[w - 1] of them from gov_offs[w - 1] on for sweep w
-        self.counts = [len(cs.block_js) for cs in sweeps]
-        self.gov_offs = np.cumsum([0] + self.counts).tolist()
         # the declared (sweep, row) pairs in log order, and sorted by row
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
         dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
@@ -1097,10 +1119,10 @@ class _CCheck:
         last = np.zeros(r, dtype=np.intp)
         for k, (w, i) in enumerate(zip(pw, pi)):
             if writes[i] == len(self.layers):
-                self.layers.append((np.full(r, self.W + 1, dtype=np.intp),
+                self.layers.append((np.zeros((len(sweeps), r), dtype=bool),
                                     np.zeros(r, dtype=np.intp)))
-            first, pos = self.layers[writes[i]]
-            first[i] = w
+            mask, pos = self.layers[writes[i]]
+            mask[w - 1:, i] = True
             pos[i] = last[i] = k
             writes[i] += 1
         self.last = last if all(writes) else None
@@ -1181,31 +1203,6 @@ class _CCheck:
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
             groups)
-
-    def movement_sums(self, v, moves):
-        """The margins of sweeps 1..u of a cycle, as a list, and the
-        cycle's gamma_n, sum of squared movements and sum of dual-sum moves,
-        from _movements: v (u,) are the sweeps' moves of the dual sum and
-        moves those of their governing rows.  Each is added as run's
-        unchecked loop adds it, left to right from 0.0, whatever sum() does
-        (3.12 compensates a float sum).
-        """
-        moves = moves.tolist()
-        margins = []
-        gamma = sq = v_sum = 0.0
-        k = 0
-        for v_diff, count in zip(v.tolist(), self.counts):
-            inner_sum = inner_sq = 0.0
-            if count:
-                for d in moves[k:k + count]:
-                    inner_sum += d
-                    inner_sq += d * d
-                k += count
-            gamma += v_diff + inner_sum
-            sq += v_diff * v_diff + inner_sq
-            v_sum += v_diff
-            margins.append(0.5 * v_diff * v_diff + 0.5 * inner_sq)
-        return margins, (gamma, sq, v_sum)
 
     def _per_sweep(self, A):
         """The sums of A (k, Q), integers for the written rows, over the
@@ -1406,9 +1403,8 @@ class _CCheck:
         C = np.empty((len(starts), b - a, starts.shape[1] + 1))
         C[..., 0] = 0.0
         C[..., 1:] = starts[:, None]
-        w = np.arange(a + 1, b + 1)[:, None]
-        for first, pos in self.layers:
-            np.copyto(C[..., 1:], new[:, pos][:, None], where=w >= first)
+        for mask, pos in self.layers:
+            np.copyto(C[..., 1:], new[:, pos][:, None], where=mask[a:b])
         return C
 
     def _resolved(self, spec, R, V, at, k, moved):
@@ -1836,7 +1832,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             [])
         margins = np.zeros((n_batch, max(map(len, compiled))))
         sums = log.sums
-        gov = np.empty((max(chk.gov_offs[-1] for chk in checks), spec.d))
+        # the differences of the governing rows of a cycle's sweeps
+        gov = np.empty((max(sum(len(cs.block_js) for cs in c)
+                            for c in compiled), spec.d))
         # the slices of rows _log_strays compares, a copy of at most 64 KiB;
         # a state of one slice is compared whole first, in one comparison
         step = max(1, 8192 // spec.d)
@@ -1913,6 +1911,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             gamma_acc = 0.0
             sq_acc = 0.0
             v_acc = 0.0
+            n_gov = 0   # the governing rows the cycle's sweeps moved
             cycle_approx = False
 
             for w, cs in enumerate(sweeps, start=1):
@@ -1936,8 +1935,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         # first, then this one's sweeps before this one
                         if pending:
                             flush()
-                        cycle_margins[:w - 1] = chk.movement_sums(*_movements(
-                            sums[slot - w:slot], gov[:chk.gov_offs[w - 1]]))[0]
+                        cycle_margins[:w - 1] = _movement_sums(*_movements(
+                            sums[slot - w:slot], gov[:n_gov]), sweeps)[0]
                         chk.check_sweeps(spec, log, c, z_prev, v_prev, conj,
                                          F_state, cycle_margins, n, params,
                                          upto=w - 1)
@@ -1951,8 +1950,10 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     log.rows[start + chk.offs[w - 1]:
                              start + chk.offs[w]] = written
                     if cs.block_js:
-                        np.subtract(z[cs.gov0], z_prev[cs.gov0], out=gov[
-                            chk.gov_offs[w - 1]:chk.gov_offs[w]])
+                        g = n_gov + len(cs.block_js)
+                        np.subtract(z[cs.gov0], z_prev[cs.gov0],
+                                    out=gov[n_gov:g])
+                        n_gov = g
                     # z_prev, which the next sweep writes into, takes the
                     # declared rows; it then differs from z only in the
                     # rows a faulty solver moved, which it takes too
@@ -1978,9 +1979,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
 
             if sweep_checks:
                 v_diffs, moves = _movements(sums[slot - W:slot + 1],
-                                            gov[:chk.gov_offs[W]])
+                                            gov[:n_gov])
                 cycle_margins[:W], (gamma_acc, sq_acc, v_acc) = (
-                    chk.movement_sums(v_diffs, moves))
+                    _movement_sums(v_diffs, moves, sweeps))
                 if per_sweep:
                     trace.sweep_v_diff.frombytes(v_diffs.tobytes())
                     trace.moves.frombytes(moves.tobytes())
