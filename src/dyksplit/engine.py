@@ -539,19 +539,18 @@ def _movements(V, G):
     return np.sqrt(_dots(DV, DV)), np.sqrt(_dots(G, G))
 
 
-def _movement_sums(v, moves, sweeps):
-    """The margins of sweeps 1..u of a cycle, as a list, and the cycle's
-    gamma_n, sum of squared movements and sum of dual-sum moves, from
-    _movements: v (u,) are the moves of the dual sum by the first u of the
+def _movement_sums(v, moves, sweeps, margins):
+    """The cycle's gamma_n, sum of squared movements and sum of dual-sum
+    moves, from _movements, with the margins of its sweeps 1..u written
+    into margins: v (u,) are the moves of the dual sum by the first u of the
     compiled sweeps and moves those of their governing rows.  Each is added
     as run's unchecked loop adds it, left to right from 0.0, whatever sum()
     does (3.12 compensates a float sum).
     """
     moves = moves.tolist()
-    margins = []
     gamma = sq = v_sum = 0.0
     k = 0
-    for v_diff, cs in zip(v.tolist(), sweeps):
+    for w, (v_diff, cs) in enumerate(zip(v.tolist(), sweeps)):
         inner_sum = inner_sq = 0.0
         if cs.block_js:
             for d in moves[k:k + len(cs.block_js)]:
@@ -561,8 +560,8 @@ def _movement_sums(v, moves, sweeps):
         gamma += v_diff + inner_sum
         sq += v_diff * v_diff + inner_sq
         v_sum += v_diff
-        margins.append(0.5 * v_diff * v_diff + 0.5 * inner_sq)
-    return margins, (gamma, sq, v_sum)
+        margins[w] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
+    return gamma, sq, v_sum
 
 
 # ---------------------------------------------------------------------------
@@ -1935,8 +1934,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         # first, then this one's sweeps before this one
                         if pending:
                             flush()
-                        cycle_margins[:w - 1] = _movement_sums(*_movements(
-                            sums[slot - w:slot], gov[:n_gov]), sweeps)[0]
+                        _movement_sums(*_movements(sums[slot - w:slot],
+                                                   gov[:n_gov]),
+                                       sweeps, cycle_margins)
                         chk.check_sweeps(spec, log, c, z_prev, v_prev, conj,
                                          F_state, cycle_margins, n, params,
                                          upto=w - 1)
@@ -1980,8 +1980,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             if sweep_checks:
                 v_diffs, moves = _movements(sums[slot - W:slot + 1],
                                             gov[:n_gov])
-                cycle_margins[:W], (gamma_acc, sq_acc, v_acc) = (
-                    _movement_sums(v_diffs, moves, sweeps))
+                gamma_acc, sq_acc, v_acc = _movement_sums(
+                    v_diffs, moves, sweeps, cycle_margins)
                 if per_sweep:
                     trace.sweep_v_diff.frombytes(v_diffs.tobytes())
                     trace.moves.frombytes(moves.tobytes())
