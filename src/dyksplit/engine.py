@@ -1406,14 +1406,15 @@ class _CCheck:
             np.copyto(C[..., 1:], new[:, pos][:, None], where=mask[a:b])
         return C
 
-    def _resolved(self, spec, R, V, at, k, moved):
+    def _resolved(self, spec, R, V, at, k, own, moves):
         """check_level=full: the batch's re-solve of the sweeps in resolve,
         for its first k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
-        every row it writes is bitwise its state's and no other row moved
-        (moved, _freeze_pass).  The sequential replay of its one subproblem
+        every row it writes is bitwise its state's and no other row moved:
+        own (k, Q) say which of its written rows moved and moves (k, B) how
+        many rows moved in it (_freeze_pass).  The sequential replay of its one subproblem
         would then find the state and test the pass's objectives against
         a margin no larger than the pass's own (_replay), so it passes on
         every sweep before the cycle's first failing one, the only sweeps
@@ -1424,7 +1425,7 @@ class _CCheck:
         n_prox, n_block = rs.n_prox, rs.n_block
         m = n_prox + n_block   # the rows that take a dual prox
         gov = slice(m, m + n_block)
-        before, after, sums_before, places = at.resolve
+        before, after, sums_before, _ = at.resolve
         # the rows before each sweep, re-solved in place once read
         X = _gather(R, before, k, at.K)
         V0 = _gather(V, sums_before, k, at.K)
@@ -1451,12 +1452,10 @@ class _CCheck:
         # a sweep matched when none of its rows differs from the state's
         # and the rows that moved in it are all its own: its differing rows
         # minus its own moved rows, plus all its moved rows, are 0 exactly
-        # then.  places are its rows' places in moved
+        # then
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        own = moved.reshape(-1).take(places[:differs.size])
-        return (self._per_sweep(differs.astype(np.intp)
-                                - own.reshape(differs.shape))
-                + moved.sum(axis=2)[:, rs.cols]) == 0
+        return (self._per_sweep(differs.astype(np.intp) - own)
+                + moves) == 0
 
     def _raise_sweeps(self, spec, log, p, c, n, params, upto=None,
                       matched=None):
@@ -1615,7 +1614,7 @@ class _CCheck:
         """
         k = len(batch)
         V = log.sums
-        moved = certs = matched = None
+        moved = frozen = certs = matched = None
         try:
             R, at = self._source(log, k)
             p = self._sweep_pass(spec, R, V, at, k, conj, F,
@@ -1624,9 +1623,19 @@ class _CCheck:
                        and k * len(self.resolve.cols) >= _RESOLVE_MIN)
             if resolve or self.valid and k > 1:
                 moved = self._freeze_pass(R, at, k)
+                if self.valid:
+                    frozen = self._frozen(moved)
+            if resolve:
+                # which rows each re-solved sweep writes moved, and how many
+                # rows moved in it, in the layout of _Resolve
+                own = moved.reshape(-1).take(
+                    at.resolve[3][:k * len(self.resolve.rows)]).reshape(k, -1)
+                moves = moved.sum(axis=2)[:, self.resolve.cols]
+            if frozen is None or not frozen.any():
+                moved = None   # read no more: let go before the re-solve
             if resolve:
                 try:
-                    matched = self._resolved(spec, R, V, at, k, moved)
+                    matched = self._resolved(spec, R, V, at, k, own, moves)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
             if self.valid and k > 1:
@@ -1648,7 +1657,7 @@ class _CCheck:
             else:
                 quiet &= matched.all(axis=1)
         F_rows = p.F.tolist()
-        frozen = flagged = None
+        flagged = None
         F_list = trace.F
         for c, cyc in enumerate(batch):
             if not quiet[c]:
@@ -1661,13 +1670,15 @@ class _CCheck:
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
             if self.valid:
                 # one cycle alone: each pass runs after the checks before it
-                if moved is None:
-                    moved = self._freeze_pass(R, at, k)
                 if frozen is None:
+                    if moved is None:
+                        moved = self._freeze_pass(R, at, k)
                     frozen = self._frozen(moved)
                 if frozen[c]:
                     _raise_freeze(self.c_analysis, moved[c], cyc.n,
                                   self.masks)
+                if not frozen[c + 1:].any():
+                    moved = None   # read no more: let go before certificates
                 if certs is None:
                     certs = _certificates(spec, R, V, at.cert, k, groups,
                                           p.ends)
@@ -1831,9 +1842,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             [])
         margins = np.zeros((n_batch, max(map(len, compiled))))
         sums = log.sums
-        # the differences of the governing rows of a cycle's sweeps
-        gov = np.empty((max(sum(len(cs.block_js) for cs in c)
-                            for c in compiled), spec.d))
+        # how many governing rows the sweeps of a cycle of each pattern move
+        n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
         # the slices of rows _log_strays compares, a copy of at most 64 KiB;
         # a state of one slice is compared whole first, in one comparison
         step = max(1, 8192 // spec.d)
@@ -1904,6 +1914,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     z = buf[0]
             if sweep_checks:
                 chk = checks[k]
+                # the differences of the governing rows the cycle's sweeps
+                # move, let go at its end, before its batch is checked
+                gov = np.empty((n_gov_rows[k], spec.d))
                 slot = c * W
                 start = spec.n_duals + c * chk.P
                 cycle_margins = margins[c]
@@ -1985,7 +1998,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 if per_sweep:
                     trace.sweep_v_diff.frombytes(v_diffs.tobytes())
                     trace.moves.frombytes(moves.tobytes())
-                del v_diffs, moves   # not kept to a flush
+                del v_diffs, moves, gov   # not kept to a flush
 
             ascent = not any_approx and not cycle_approx
             any_approx = any_approx or cycle_approx
@@ -2035,7 +2048,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = gov = None
+    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = None
     return RunResult(
         state=state,
         x=x,
