@@ -1413,12 +1413,13 @@ class _CCheck:
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
         every row it writes is bitwise its state's and no other row moved:
-        own (k, Q) say which of its written rows moved and moves (k, B) how
-        many rows moved in it (_freeze_pass).  The sequential replay of its one subproblem
-        would then find the state and test the pass's objectives against
-        a margin no larger than the pass's own (_replay), so it passes on
-        every sweep before the cycle's first failing one, the only sweeps
-        that are replayed.  R, V and at are those of _sweep_pass.
+        own (k, Q) say which of the rows it writes moved and moves (k, B)
+        how many rows moved in it (_freeze_pass).  The sequential replay of
+        its one subproblem would then find the state and test the pass's
+        objectives against a margin no larger than the pass's own (_replay),
+        so it passes on every sweep before the cycle's first failing one,
+        the only sweeps that are replayed.  R, V and at are those of
+        _sweep_pass.
         """
         rs = self.resolve
         d, x0 = spec.d, spec.x0
