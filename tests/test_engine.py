@@ -469,9 +469,10 @@ def _margins_before_a_non_finite_sweep(monkeypatch, spec, plan, k, message):
             out[np.arange(len(out))[cs.written][0], 0] = np.nan
         return exact
 
-    def recorded(self, *args, upto):
-        seen.append(args[7][:upto].tolist())
-        return check_sweeps(self, *args, upto=upto)
+    def recorded(self, spec, log, c, z, v, conj, F, margins, *rest, upto):
+        seen.append(margins[:upto].tolist())
+        return check_sweeps(self, spec, log, c, z, v, conj, F, margins,
+                            *rest, upto=upto)
 
     with monkeypatch.context() as m:
         m.setattr(engine, "_execute_sweep", poisoned)
