@@ -76,41 +76,45 @@ def _json_float(x):
     return "null" if x is None else json.dumps(x)
 
 
-def _csv_lines(rows):
-    for r in rows:
-        yield (f"{r.n},{r.w},{_fmt(r.F)},{_fmt(r.v_diff)},{_fmt(r.gamma_n)},"
-               f"{_fmt(r.growth_monitor)},{_fmt(r.cert_max_residual)},"
-               f"{1 if r.approx else 0}\n")
+def _csv_lines(fields):
+    for n, w, F, v_diff, _, gamma, growth, cert, approx in fields:
+        yield (f"{n},{w},{_fmt(F)},{_fmt(v_diff)},{_fmt(gamma)},"
+               f"{_fmt(growth)},{_fmt(cert)},{1 if approx else 0}\n")
 
 
-def _json_lines(rows):
+def _json_lines(fields):
     """The rows as json.dumps writes each, one per line after a separator."""
     f = _json_float
     sep = "\n"
-    for r in rows:
-        diffs = ", ".join([f'"{j}": {f(d)}' for j, d in r.inner_diffs.items()])
-        yield (f'{sep}{{"n": {r.n}, "w": {r.w}, "F": {f(r.F)}, "v_diff":'
-               f' {f(r.v_diff)}, "inner_diffs": {{{diffs}}}, "gamma_n":'
-               f' {f(r.gamma_n)}, "growth_monitor": {f(r.growth_monitor)},'
-               f' "cert_max_residual": {f(r.cert_max_residual)},'
-               f' "approx_flag": {"true" if r.approx else "false"}}}')
+    for n, w, F, v_diff, inner, gamma, growth, cert, approx in fields:
+        diffs = ", ".join([f'"{j}": {f(d)}' for j, d in inner])
+        yield (f'{sep}{{"n": {n}, "w": {w}, "F": {f(F)}, "v_diff":'
+               f' {f(v_diff)}, "inner_diffs": {{{diffs}}}, "gamma_n":'
+               f' {f(gamma)}, "growth_monitor": {f(growth)},'
+               f' "cert_max_residual": {f(cert)},'
+               f' "approx_flag": {"true" if approx else "false"}}}')
         sep = ",\n"
 
 
 def _write_trace(path, fmt, rows, meta):
-    """Write the trace rows, any iterable of TraceRow, as they are
-    formatted, 64 lines at a time; the bytes are those of one json.dumps per
-    row (JSON) or _fmt per field (CSV)."""
+    """Write the trace rows, TraceRows or any iterable of TraceRow, as they
+    are formatted, 64 lines at a time; the bytes are those of one
+    json.dumps per row (JSON) or _fmt per field (CSV).  A run's rows are
+    formatted from their fields, not built."""
+    fields = (rows.fields(0) if isinstance(rows, engine.TraceRows) else
+              ((r.n, r.w, r.F, r.v_diff, r.inner_diffs.items(), r.gamma_n,
+                r.growth_monitor, r.cert_max_residual, r.approx)
+               for r in rows))
     with open(path, "w") as fh:
         if fmt == "csv":
             if meta.get("schedule_rewritten"):
                 fh.write("# schedule auto-deferred: (B)-violating blocks"
                          " moved to cycle starts\n")
             fh.write(",".join(TRACE_COLUMNS) + "\n")
-            lines = _csv_lines(rows)
+            lines = _csv_lines(fields)
         else:
             fh.write(f'{{"meta": {json.dumps(meta)}, "rows": [')
-            lines = _json_lines(rows)
+            lines = _json_lines(fields)
         while chunk := "".join(islice(lines, 64)):
             fh.write(chunk)
         if fmt != "csv":

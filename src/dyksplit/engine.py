@@ -67,8 +67,8 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (DimensionMismatch, _dots, _norm, all_finite, stack_terms,
-                    stacked_conjugates)
+from .terms import (FEAS_TOL, DimensionMismatch, Indicator, _dots, _norm,
+                    all_finite, stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -76,6 +76,7 @@ CLAIM_TOL = 1e-8          # stationarity residual after exact solves
 CERT_SLACK = 1e-9         # slack on the certificate distance bound
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
 # how many cycles are checked together, or with checks off how many cycle
 # ends are priced together, at most (run)
 _OBJ_BATCH = 8
@@ -252,13 +253,13 @@ class TraceRows(Sequence):
     is a list), iteration and == against any sequence of TraceRow.
     """
 
-    __slots__ = ("_fields", "_column")
+    __slots__ = ("fields", "_column")
 
     def __init__(self, fields, column):
         # fields(k) yields the fields of the rows from row k on, one tuple
         # per row in TraceRow order, with inner_diffs as (j, movement)
-        # pairs; column holds one value per row
-        self._fields = fields
+        # pairs, without building the rows; column holds one value per row
+        self.fields = fields
         self._column = column
 
     def __len__(self):
@@ -272,10 +273,10 @@ class TraceRows(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError("trace row index out of range")
-        return _as_row(next(self._fields(k)))
+        return _as_row(next(self.fields(k)))
 
     def __iter__(self):
-        return map(_as_row, self._fields(0))
+        return map(_as_row, self.fields(0))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -387,28 +388,29 @@ def _nested_rows(spec, z, v, arg, params, out):
     moves no entry by params.nested_tol.
     """
     rows, j0 = arg
+    add = np.add.reduce
     work = z[rows]
     if j0 is None:
-        offset = v - work.sum(axis=0)
+        offset = v - add(work, axis=0)
     else:
-        bsum = work.sum(axis=0) + z[j0]
+        bsum = add(work, axis=0) + z[j0]
         offset = -bsum
     for _ in range(params.nested_bcm_sweeps):
-        delta = 0.0
+        start = work.copy()
         for k, i in enumerate(rows.tolist()):
-            rest = offset + (work.sum(axis=0) - work[k])
+            rest = offset + (add(work, axis=0) - work[k])
             if i < spec.r:
                 u = spec.x0 - rest
-                new = u - spec.terms[i].prox(u, 1.0)
+                work[k] = u - spec.terms[i].prox(u, 1.0)
             else:
-                new = -0.5 * rest
-            delta = max(delta, float(np.abs(new - work[k]).max()))
-            work[k] = new
-        if delta < params.nested_tol:
+                work[k] = -0.5 * rest
+        # the largest move; fmax passes over a NaN row, as max() would
+        if np.fmax.reduce(np.abs(work - start).max(axis=1),
+                          initial=0.0) < params.nested_tol:
             break
     out[rows] = work
     if j0 is not None:
-        out[j0] = bsum - work.sum(axis=0)
+        out[j0] = bsum - add(work, axis=0)
     return False
 
 
@@ -1733,23 +1735,40 @@ class _CCheck:
 # ---------------------------------------------------------------------------
 
 def _primal_value(spec, groups, x, hint=0):
-    """(spec.primal_value(x), hint) through the term stacks of all r rows.
+    """(spec.primal_value(x), hint, c) through the term stacks of all r rows.
 
     The term values are summed in term order, and +inf when one is.  Term
-    `hint` is tried alone first: when its value is +inf, so is the sum, and
-    no stack is evaluated.  The hint returned is the first term at +inf, for
-    the next call, whose point is usually outside the same set.
+    `hint`, an indicator, is tried alone first: when x is c > FEAS_TOL from
+    its set, so is the sum, and no stack is evaluated; else c is 0.0.  The
+    hint returned is the first term at +inf, for the next call, whose point
+    is usually outside the same set.
     """
-    if spec.terms[hint].value(x) == _INF:
-        return _INF, hint
+    if isinstance(term := spec.terms[hint], Indicator):
+        c = term.distance(x)
+        if not c <= FEAS_TOL:   # Indicator.value's test
+            return _INF, hint, c
     vals = np.empty(spec.r)
     for rows, stack in groups:
         vals[rows] = stack.value(x)
     total = _ordered_sum(vals)
     if total == _INF:
         vals = vals.tolist()
-        return _INF, vals.index(_INF) if _INF in vals else hint
-    return total + (spec.m + 1) * spec.quad_value(x), hint
+        return _INF, vals.index(_INF) if _INF in vals else hint, 0.0
+    return total + (spec.m + 1) * spec.quad_value(x), hint, 0.0
+
+
+def _stays_out(v, kept, c, scale, diff):
+    """Whether x0 - v is surely farther than FEAS_TOL from the hint's set,
+    which Indicator.distance found c > FEAS_TOL from x0 - kept; scale is
+    ||x0 - kept|| plus the set's scale.  x moves as v does and a distance
+    is 1-Lipschitz, so it is at least c - ||v - kept||, up to the rounding
+    of x0 - v (eps·||x||), of the move ((d + 2)·eps relative) and of the
+    two distances (a few d·eps times the points', projections' and set's
+    norms, all within c + scale + 2·move): under 16·d·eps·(1 + c + scale
+    + move), 2e-14 at unit scale and d = 6.  diff is a (d,) buffer."""
+    np.subtract(v, kept, out=diff)
+    move = math.sqrt(diff.dot(diff))
+    return c - move > FEAS_TOL + 16 * _EPS * len(v) * (1 + c + scale + move)
 
 
 def _column(values):
@@ -1883,6 +1902,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     stop_reason = "max_iterations"
     cycles_run = 0
     hint = 0   # the term the gap rule tries first
+    # its distance from x0 - kept when over FEAS_TOL, else 0.0 (_stays_out)
+    far = scale = 0.0
+    kept, diff = np.empty(spec.d), np.empty(spec.d)
 
     def flush():
         """Check the pending cycles, or with checks off price their ends."""
@@ -2024,9 +2046,15 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             cycles_run = n
 
             if params.stop_gap is not None:
-                primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
-                                             hint)
-                if np.isfinite(primal):
+                if far and _stays_out(v, kept, far, scale, diff):
+                    continue   # the primal value is +inf
+                primal, hint, far = _primal_value(spec, all_terms,
+                                                  spec.x0 - v, hint)
+                if far:
+                    kept[...] = v
+                    scale = _norm(spec.x0 - v) + getattr(
+                        spec.terms[hint].set, "scale", 0.0)
+                if math.isfinite(primal):
                     if pending and not sweep_checks:
                         flush()
                     # a checked cycle that waits for its batch is priced by
@@ -2034,7 +2062,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     F_cycle = (dual_objective_from(spec, z, stacked_conjugates(
                         all_terms, z, np.empty(spec.r)), v)
                         if pending else F_list[-1])
-                    if (np.isfinite(F_cycle)
+                    if (math.isfinite(F_cycle)
                             and primal - F_cycle <= params.stop_gap):
                         stop_reason = "gap"
                         break

@@ -69,6 +69,9 @@ def _vec(x, d, name="x"):
 # ---------------------------------------------------------------------------
 # projectable sets
 # ---------------------------------------------------------------------------
+#
+# P(u) is computed within a few d·eps·(||u|| + ||P(u)|| + scale): a ball's
+# scale bounds its center's norm, the other sets need none (_stays_out).
 
 class _LinearSet:
     """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero."""
@@ -159,6 +162,9 @@ class L2Ball:
         if self.radius < 0.0:
             raise ValueError("ball radius must be nonnegative")
         self.dim = self.center.size
+        # >= ||center||, inf rather than a warning when that overflows
+        self.scale = math.sqrt(self.dim) * float(
+            np.abs(self.center).max(initial=0.0))
 
     def project(self, u):
         u = _vec(u, self.dim, "u")
@@ -224,11 +230,13 @@ class Indicator:
         self.set = set_
         self.dim = set_.dim
 
-    def value(self, x):
+    def distance(self, x):
+        """||x - P(x)||, the distance to the set that value tests."""
         x = _vec(x, self.dim)
-        if _norm(x - self.set.project(x)) <= FEAS_TOL:
-            return 0.0
-        return _INF
+        return _norm(x - self.set.project(x))
+
+    def value(self, x):
+        return 0.0 if self.distance(x) <= FEAS_TOL else _INF
 
     def prox(self, u, t=1.0):
         if t <= 0.0:

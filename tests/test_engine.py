@@ -1279,7 +1279,7 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
         assert np.isfinite(values).any()
         for x, value in zip(points, values):
             for hint in range(spec.r):
-                got, first = engine._primal_value(spec, groups, x, hint)
+                got, first, _ = engine._primal_value(spec, groups, x, hint)
                 assert got == value
                 # the next call's hint is a term at +inf, when there is one
                 if got == np.inf:
