@@ -21,13 +21,15 @@ check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots; the cycle
            ends are evaluated in batches of up to _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
-           sets, freeze equalities, per-cycle convergence certificates,
+           sets, freeze equalities (on the batches of cycles that wrote a
+           stray row, the only ones that can fail them), per-cycle
+           convergence certificates,
   "full"   additionally a sequential replay of each exact sweep with
            per-subproblem gain checks.  The sweeps of one step with one
            subproblem whose solver has a stacked form are re-solved for a
            whole batch in a few stacked calls (_CCheck._resolved), when it
            holds at least _RESOLVE_MIN of them over its cycles; one whose
-           written rows are bitwise its snapshot's, with no other row moved,
+           written rows are bitwise its snapshot's, with no stray row,
            passes there, since its replay's margin test is implied by the
            sweep pass's.  Every other sweep, and every sweep of a batch
            whose re-solve raises, is replayed by itself (_CCheck._replay).
@@ -760,15 +762,18 @@ def _moved(S):
     return (S[1:] != S[:-1]).any(axis=2)
 
 
-def _raise_freeze(c_analysis, moved, n, masks):
-    """Bitwise freeze equalities implied by the touch pattern.
+def _assert_freeze(c_analysis, snaps, n):
+    """Bitwise freeze equalities implied by the touch pattern, on one
+    cycle's snapshots 0..W, a list or one array.
 
-    moved is _moved of one cycle's snapshots 0..W and masks are their
-    _freeze_masks.  A row equals its value at sweep p in every later
-    snapshot exactly when it never moves after p, and the first sweep that
-    moves it is the first that differs from sweep p.
+    A row equals its value at sweep p in every later snapshot exactly when
+    it never moves after p, and the first sweep that moves it is the first
+    that differs from sweep p.
     """
-    after, pairs, cols, window = masks
+    S = np.asarray(snaps)
+    moved = _moved(S)
+    after, pairs, cols, window = _freeze_masks(c_analysis, len(S) - 1,
+                                               S.shape[1])
     bad = moved & after
     if bad.any():
         for i1, p in c_analysis.p.items():
@@ -784,13 +789,6 @@ def _raise_freeze(c_analysis, moved, n, masks):
             raise EngineInvariantError(
                 f"cycle {n}: block member z_{i2} moved inside the"
                 f" protected window ({q}..{p - 1})")
-
-
-def _assert_freeze(c_analysis, snaps, n, masks=None):
-    """_raise_freeze on one cycle's snapshots 0..W, a list or one array."""
-    S = np.asarray(snaps)
-    _raise_freeze(c_analysis, _moved(S), n, masks or
-                  _freeze_masks(c_analysis, len(S) - 1, S.shape[1]))
 
 
 def _cert_layout(c_analysis, r):
@@ -1025,9 +1023,8 @@ class _Index(NamedTuple):
     states (full), or into its sums.  conj per conjugate group, stat the
     sums and rows of the stat pairs, quad the quadratic rows of every state
     after a sweep (None at m = 0), resolve the rows before and after each
-    resolve sweep, the sums before it and its place in moved, prev the value
-    before each declared row's write (log only), moved each declared row's
-    place in moved, and cert those of _cert_index (valid plans only).
+    resolve sweep and the sums before it, and cert those of _cert_index
+    (valid plans only).
     """
     K: int
     full: bool
@@ -1035,8 +1032,6 @@ class _Index(NamedTuple):
     stat: tuple
     quad: np.ndarray
     resolve: tuple
-    prev: np.ndarray
-    moved: np.ndarray
     cert: tuple
 
 
@@ -1046,8 +1041,9 @@ class _CCheck:
     check evaluates them for a batch of k consecutive cycles of the pattern
     from its _Log: one sweep pass over all k cycles for the per-sweep checks
     (ascent, margin, stationarity of exact outer sets, and the replay at
-    check_level="full"), one cycle pass for the freeze equalities and
-    certificates.  Compiled here:
+    check_level="full"), one cycle pass for the certificates, and for a
+    batch that logged a stray the freeze equalities of each cycle.
+    Compiled here:
       written, offs, P   per sweep the rows it declares and where they
               start in a cycle's P log rows
       conj    one (positions, stack, offsets) gather per term kind over the
@@ -1064,14 +1060,14 @@ class _CCheck:
               with
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
-      masks, layout   freeze masks and certificate layout (valid plans only)
+      layout  the certificate layout (valid plans only)
       replays  with scratch, per exact sweep w its steps, each with the
                stacks of its term rows (None for the first step, which
                takes its conjugates from the pass) and its subproblems as
                (rows, a slice when contiguous; margin row; term rows)
       resolve  the replayed sweeps that the batch re-solves at once
-               (_Resolve), or None; one whose re-solve matches its state
-               is not replayed
+               (_Resolve), or None; one whose re-solve matches its state,
+               and which logged no stray, is not replayed
     scratch holds the replay's two z buffers at check_level="full", made
     at the first replay and shared by the checks of all cycle patterns, and
     is None otherwise.
@@ -1081,9 +1077,9 @@ class _CCheck:
     written yet is read where the cycle before wrote it last, or in the
     batch's start state.  They are built at the first check, for its k
     cycles, and again only when a later batch is larger (_index); a smaller
-    batch reads their first rows.  A batch whose log holds strays, or whose
-    start sum is not finite, is checked from its full states instead, read
-    through the same offsets (_source).
+    batch reads their first rows.  A batch whose log holds strays is
+    checked from its full states instead, read through the same offsets
+    (_source); only such a batch can fail a freeze equality.
     """
 
     def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
@@ -1109,7 +1105,6 @@ class _CCheck:
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
         dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
         di = np.array(sum(rows, []), dtype=np.intp)
-        self.declared = (dw - 1) * n + di
         self.places = np.lexsort((dw, di))
         self.keys = (di * (self.W + 1) + dw)[self.places]
         offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
@@ -1158,7 +1153,6 @@ class _CCheck:
         self.c_analysis = c_analysis
         self.valid = valid
         if valid:
-            self.masks = _freeze_masks(c_analysis, len(sweeps), spec.n_duals)
             self.layout = _cert_layout(c_analysis, r)
 
     def _compile_resolve(self, spec, shared):
@@ -1206,17 +1200,17 @@ class _CCheck:
             groups)
 
     def _per_sweep(self, A):
-        """The sums of A (k, Q), integers for the written rows, over the
-        rows of each resolve sweep, as (k, B)."""
+        """Whether any of A (k, Q), one flag per written row, holds over
+        the rows of each resolve sweep, as (k, B)."""
         rs = self.resolve
         m = rs.n_prox + rs.n_block
-        out = np.empty((len(A), len(rs.cols)), dtype=np.intp)
+        out = np.empty((len(A), len(rs.cols)), dtype=bool)
         out[:, :rs.n_prox] = A[:, :rs.n_prox]
-        np.add(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
-               out=out[:, rs.n_outer:])
+        np.logical_or(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
+                      out=out[:, rs.n_outer:])
         for start, count, size, place in rs.groups:
             out[:, place:place + count] = A[:, start:start + count * size
-                                            ].reshape(-1, count, size).sum(2)
+                                            ].reshape(-1, count, size).any(2)
         return out
 
     def _index(self, k):
@@ -1254,8 +1248,7 @@ class _CCheck:
             k, full, [rows(offsets) for _, _, offsets in self.conj],
             (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
             None if rs is None else (rows(rs.rows), rows(rs.rows + n),
-                                     sums(rs.vrows), states(rs.rows)),
-            None if full else rows(self.declared), states(self.declared),
+                                     sums(rs.vrows)),
             _cert_index(self.layout, n, W, k, rows, sums) if self.valid
             else None)
 
@@ -1301,9 +1294,9 @@ class _CCheck:
 
     def _source(self, log, k):
         """The rows the passes read for the first k cycles of log, as one
-        (rows, d) array, and their _Index: the log's own, or with strays or
-        a start sum that is not finite, the batch's rebuilt full states."""
-        if not log.strays and np.isfinite(log.sums[0]).all():
+        (rows, d) array, and their _Index: the log's own, or with strays,
+        the batch's rebuilt full states."""
+        if not log.strays:
             return log.rows, self._index(k)
         S = np.empty((k * self.W + 1, self.n, log.rows.shape[1]))
         S[0] = log.rows[:self.n]
@@ -1408,27 +1401,26 @@ class _CCheck:
             np.copyto(C[..., 1:], new[:, pos][:, None], where=mask[a:b])
         return C
 
-    def _resolved(self, spec, R, V, at, k, own, moves):
+    def _resolved(self, spec, R, V, at, k):
         """check_level=full: the batch's re-solve of the sweeps in resolve,
         for its first k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
-        every row it writes is bitwise its state's and no other row moved:
-        own (k, Q) say which of the rows it writes moved and moves (k, B)
-        how many rows moved in it (_freeze_pass).  The sequential replay of
-        its one subproblem would then find the state and test the pass's
-        objectives against a margin no larger than the pass's own (_replay),
-        so it passes on every sweep before the cycle's first failing one,
-        the only sweeps that are replayed.  R, V and at are those of
-        _sweep_pass.
+        every row it writes is bitwise its state's.  Unless the sweep also
+        logged a stray, which check looks up in the log, the sequential
+        replay of its one subproblem would then find the state and test the
+        pass's objectives against a margin no larger than the pass's own
+        (_replay), so it passes on every sweep before the cycle's first
+        failing one, the only sweeps that are replayed.  R, V and at are
+        those of _sweep_pass.
         """
         rs = self.resolve
         d, x0 = spec.d, spec.x0
         n_prox, n_block = rs.n_prox, rs.n_block
         m = n_prox + n_block   # the rows that take a dual prox
         gov = slice(m, m + n_block)
-        before, after, sums_before, _ = at.resolve
+        before, after, sums_before = at.resolve
         # the rows before each sweep, re-solved in place once read
         X = _gather(R, before, k, at.K)
         V0 = _gather(V, sums_before, k, at.K)
@@ -1452,13 +1444,8 @@ class _CCheck:
             np.subtract(bsum, X[:, n_prox:m], out=X[:, gov])
         del U
         X1 = _gather(R, after, k, at.K)   # the states after the sweeps
-        # a sweep matched when none of its rows differs from the state's
-        # and the rows that moved in it are all its own: its differing rows
-        # minus its own moved rows, plus all its moved rows, are 0 exactly
-        # then
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        return (self._per_sweep(differs.astype(np.intp) - own)
-                + moves) == 0
+        return ~self._per_sweep(differs)
 
     def _raise_sweeps(self, spec, log, p, c, n, params, upto=None,
                       matched=None):
@@ -1580,20 +1567,6 @@ class _CCheck:
                 f"cycle {n} sweep {w}: sequential replay disagrees with the"
                 f" snapshot execution")
 
-    def _freeze_pass(self, R, at, k):
-        """_moved of each of the first k cycles, (k, W, rows), from the rows
-        and indices of _source: in the log, a declared row moved when its
-        value differs from the one before its write, and no other moved."""
-        W, n = self.W, self.n
-        if at.full:
-            return _moved(R.reshape(-1, n, R.shape[1])[:k * W + 1]
-                          ).reshape(k, W, n)
-        moved = np.zeros((k, W, n), dtype=bool)
-        new = R[n:n + k * self.P]
-        old = _gather(R, at.prev, k, at.K).reshape(new.shape)
-        moved.reshape(-1)[at.moved[:len(new)]] = (new != old).any(axis=1)
-        return moved
-
     def check(self, spec, log, conj, F, margins, batch, params, groups,
               trace):
         """Check the batch's cycles in cycle order; returns (conj, F, certs).
@@ -1606,39 +1579,30 @@ class _CCheck:
         check_level="full", in one re-solve of the batch where _resolved
         can, else one at a time), then its end-of-cycle objective against
         the last one in trace.F when its ascent flag is set, and for valid
-        plans its freeze equalities and, unless it is approximate, its
-        certificate bounds.  When a pass over the whole batch raises, the
-        cycles are checked one at a time, so that the first cycle's error
-        comes first; when the re-solve raises, every sweep is replayed one
-        at a time.  Each cycle's objectives, and for a valid plan its
-        largest certificate distance, are appended to the trace's columns.
+        plans, in a batch that logged a stray, its freeze equalities, and
+        unless it is approximate its certificate bounds.  A batch without
+        strays cannot fail a freeze equality: its sweeps changed only the
+        rows they declare, and a valid plan declares no row after its last
+        touch or inside a protected window.  When a pass over the whole
+        batch raises, the cycles are checked one at a time, so that the
+        first cycle's error comes first; when the re-solve raises, every
+        sweep is replayed one at a time.  Each cycle's objectives, and for a
+        valid plan its largest certificate distance, are appended to the
+        trace's columns.
         Returns the conjugates and objective at the last cycle's end and its
         certificate arrays, or None for an invalid plan.
         """
         k = len(batch)
         V = log.sums
-        moved = frozen = certs = matched = None
+        certs = matched = None
         try:
             R, at = self._source(log, k)
             p = self._sweep_pass(spec, R, V, at, k, conj, F,
                                  margins[:k, :self.W])
-            resolve = (self.resolve is not None
-                       and k * len(self.resolve.cols) >= _RESOLVE_MIN)
-            if resolve or self.valid and k > 1:
-                moved = self._freeze_pass(R, at, k)
-                if self.valid:
-                    frozen = self._frozen(moved)
-            if resolve:
-                # which rows each re-solved sweep writes moved, and how many
-                # rows moved in it, in the layout of _Resolve
-                own = moved.reshape(-1).take(
-                    at.resolve[3][:k * len(self.resolve.rows)]).reshape(k, -1)
-                moves = moved.sum(axis=2)[:, self.resolve.cols]
-            if frozen is None or not frozen.any():
-                moved = None   # read no more: let go before the re-solve
-            if resolve:
+            if (self.resolve is not None
+                    and k * len(self.resolve.cols) >= _RESOLVE_MIN):
                 try:
-                    matched = self._resolved(spec, R, V, at, k, own, moves)
+                    matched = self._resolved(spec, R, V, at, k)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
             if self.valid and k > 1:
@@ -1651,6 +1615,14 @@ class _CCheck:
                     spec, self._cycle_log(log, c), conj, F, margins[c:],
                     [cyc], params, groups, trace)
             return conj, F, certs
+        if matched is not None:
+            # a sweep that logged a stray moved a row it does not write:
+            # its replay decides it
+            for s, _, _ in log.strays:
+                c, w = divmod(s - 1, self.W)
+                b = self.resolve.at.get(w + 1)
+                if c < k and b is not None:
+                    matched[c, b] = False
         # the cycles that no sweep check or replay can fail, found for the
         # whole batch; the others go through _raise_sweeps
         quiet = ~p.bad.any(axis=1)
@@ -1672,16 +1644,10 @@ class _CCheck:
                 raise EngineInvariantError(
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
             if self.valid:
-                # one cycle alone: each pass runs after the checks before it
-                if frozen is None:
-                    if moved is None:
-                        moved = self._freeze_pass(R, at, k)
-                    frozen = self._frozen(moved)
-                if frozen[c]:
-                    _raise_freeze(self.c_analysis, moved[c], cyc.n,
-                                  self.masks)
-                if not frozen[c + 1:].any():
-                    moved = None   # read no more: let go before certificates
+                if at.full:   # from cycle c's rebuilt states 0..W
+                    S = R.reshape(-1, self.n, R.shape[1])[c * self.W:]
+                    _assert_freeze(self.c_analysis, S[:self.W + 1], cyc.n)
+                # one cycle alone: the certificates after the checks before
                 if certs is None:
                     certs = _certificates(spec, R, V, at.cert, k, groups,
                                           p.ends)
@@ -1701,16 +1667,6 @@ class _CCheck:
         if certs is not None:   # the last cycle's
             certs = X[-1], res[-1], fen[-1]
         return p.ends[-1], F, certs
-
-    def _frozen(self, moved):
-        """Whether each cycle fails a freeze equality (_raise_freeze), from
-        the _moved of its sweeps, (k, W, rows); returns (k,)."""
-        after, pairs, cols, window = self.masks
-        bad = (moved & after).any(axis=(1, 2))
-        if pairs:
-            bad |= (window & moved[:, :, cols].transpose(0, 2, 1)).any(
-                axis=(1, 2))
-        return bad
 
     def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
                      upto):

@@ -15,6 +15,12 @@ from dyksplit.terms import HalfspaceStack
 from . import test_engine
 from .test_engine import _dots_kernel
 
+try:
+    from hypothesis import HealthCheck, assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:   # only the random plans need it
+    given = None
+
 
 def _case(name):
     if name == "classic":
@@ -564,10 +570,10 @@ def _run_sweep_cycles(spec, plan, n_cycles):
 def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                                                          level):
     # every state rebuilt from a batch's log is bitwise the run_sweep
-    # loop's, its sums are theirs, and the log's moved rows and
-    # certificates are _moved and certificate_points on those states.  The
-    # stray case writes outside its rows in cycle 1, whose batch is read
-    # from its rebuilt full states
+    # loop's, its sums are theirs, and the log's certificates are
+    # certificate_points on those states.  The stray case writes outside
+    # its rows in cycle 1, whose batch is read from its rebuilt full
+    # states, the states its freeze equalities are checked on
     spec, plan = _log_case(monkeypatch, case)
     groups = terms_module.stack_terms(spec.terms, range(spec.r))
     batches = _logged_batches(monkeypatch)
@@ -592,9 +598,9 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
             strays += len(log.strays)
             R, at = chk._source(log, k)
             assert at.full == bool(log.strays)
-            moved = chk._freeze_pass(R, at, k)
-            assert np.array_equal(moved, engine._moved(
-                np.array(states)).reshape(k, W, -1))
+            if at.full:
+                assert R[:len(states) * chk.n].tobytes() == np.array(
+                    states).tobytes()
             if not chk.valid:
                 assert res.certificates is None
                 continue
@@ -632,6 +638,109 @@ def test_a_stray_write_before_a_last_touch_keeps_its_verdict(monkeypatch,
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):
         dk.run(spec, plan, dk.SolveParams(max_iterations=3,
                                           check_level=level))
+
+
+# ---------------------------------------------------------------------------
+# the freeze equalities, checked only on batches that logged a stray
+# ---------------------------------------------------------------------------
+
+def _assert_no_written_row_is_frozen(spec, plan):
+    """No row that a sweep of a cycle of plan writes (_CSweep.written) is
+    one the freeze equalities hold fixed at that sweep (_freeze_masks):
+    after its last touch, or inside a protected window."""
+    analysis = dk.validate(plan, spec.r, spec.m)
+    assert analysis.valid_A and analysis.valid_B
+    for sweeps, c_analysis in zip((plan.pattern,) + plan.lead_in,
+                                  analysis.cycles):
+        W, n = len(sweeps), spec.n_duals
+        after, pairs, cols, window = engine._freeze_masks(c_analysis, W, n)
+        for w, sweep in enumerate(sweeps, start=1):
+            rows = np.arange(n)[engine._CSweep(sweep, spec).written]
+            assert not after[w - 1, rows].any()
+            assert not np.isin(cols[window[:, w - 1]], rows).any()
+
+
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested"])
+def test_a_valid_plan_writes_no_frozen_row(case):
+    _assert_no_written_row_is_frozen(*_case(case))
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_a_random_valid_plan_writes_no_frozen_row():
+    # random sweeps of outer sets and blocks, made valid by the deferral
+    # rewrite where it can be
+    @st.composite
+    def plans(draw):
+        r, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+        sweeps = []
+        for _ in range(draw(st.integers(1, 6))):
+            keys = draw(st.sets(st.integers(r + 1, r + m))) if m else set()
+            outer, inner = set(), {}
+            for i in range(1, r + m + 1):
+                if i in keys:
+                    continue
+                place = draw(st.sampled_from(
+                    [None, 0] + (sorted(keys) if i <= r else [])))
+                if place == 0:
+                    outer.add(i)
+                elif place:
+                    inner.setdefault(place, {place}).add(i)
+            sweeps.append(dk.SweepPlan(outer=outer, inner=inner))
+        try:
+            plan = dk.rewrite_deferred(dk.CyclePlan(pattern=tuple(sweeps)),
+                                       r, m)
+        except dk.UnresolvableDeferralError:
+            plan = None
+        assume(plan is not None)
+        analysis = dk.validate(plan, r, m)
+        assume(analysis.valid_A and analysis.valid_B)
+        return fixtures.random_mixed(1, r, 2, m=m), plan
+
+    seen = []
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    @given(plans())
+    def check(case):
+        _assert_no_written_row_is_frozen(*case)
+        seen.append(bool(case[1].lead_in))
+
+    check()
+    assert len(seen) >= 100 and any(seen)
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested"])
+def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
+    # a batch read from its log wrote only its declared rows, so it cannot
+    # fail a freeze equality, and none is evaluated
+    def called(*args):
+        raise AssertionError("freeze work on a batch without strays")
+
+    monkeypatch.setattr(engine, "_moved", called)
+    monkeypatch.setattr(engine, "_freeze_masks", called)
+    spec, plan = _case(case)
+    dk.run(spec, plan, dk.SolveParams(max_iterations=26, check_level=level))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
+def test_a_start_whose_sum_overflows_is_reported_at_its_first_sweep(
+        case, level):
+    # every row is finite and the dual sum is not: the batch is checked
+    # from its log, and the sweep that goes non-finite is reported
+    spec, plan = _case(case)
+    z = np.zeros((spec.n_duals, spec.d))
+    z[0, 0] = z[1, 0] = 1e308
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            NonFiniteStateError,
+            match="^non-finite duals after cycle 1 sweep 1$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=5,
+                                          check_level=level), z_init=z)
 
 
 def test_checked_memory_stays_within_three_times_unchecked():

@@ -12,7 +12,9 @@ product schedule with m = r - 1, the mixed-block schedule
 fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
-untimed run in KiB.  The grid is --schedules (default classic, product
+untimed run in KiB.  Each peak is taken in a fresh child process, one at a
+time, after one untimed solve there, so that it does not depend on the
+points run before it.  The grid is --schedules (default classic, product
 and mixed) x --sizes x {off, sweep, full}.  The package is imported from
 each --src, by default the src/ directory of this checkout.  Given two
 trees, each grid point times them in turn, one run of each at a time, and
@@ -36,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -81,23 +84,45 @@ def peak_kib(fn, *args):
         tracemalloc.stop()
 
 
-def time_point(packages, schedule, r, d, level, cycles, runs):
+def make_solve(dk, schedule, r, d, level, cycles):
+    """The spec, plan and params of a grid point's solve in package dk."""
+    if schedule == "classic":
+        spec = dk.fixtures.random_halfspaces(1, r, d)
+        plan = dk.classic_dykstra_schedule(r)
+    elif schedule == "product":
+        spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
+        plan = dk.product_space_schedule(r)
+    else:
+        spec = dk.fixtures.random_halfspaces(1, r, d, m=1)
+        plan = dk.fixtures.mixed_block_schedule(r)
+    return (spec, plan,
+            dk.SolveParams(max_iterations=cycles, check_level=level))
+
+
+def child_peak(src, name, point):
+    """peak_kib of a grid point's solve in the package in src, imported as
+    name, after one untimed solve; run in a fresh process (fresh_peak)."""
+    dk = import_package(src, name)
+    spec, plan, params = make_solve(dk, *point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
+        dk.run(spec, plan, params)
+        return peak_kib(dk.run, spec, plan, params)
+
+
+def fresh_peak(src, name, point):
+    """child_peak in a new process of its own, which this one waits for."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(child_peak, (src, name, point))
+
+
+def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
     """Best of runs timed solves per package, in microseconds per sweep, the
-    tracemalloc peak of one untimed solve per package, and the sweeps."""
-    solves = []
-    for dk in packages:
-        if schedule == "classic":
-            spec = dk.fixtures.random_halfspaces(1, r, d)
-            plan = dk.classic_dykstra_schedule(r)
-        elif schedule == "product":
-            spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
-            plan = dk.product_space_schedule(r)
-        else:
-            spec = dk.fixtures.random_halfspaces(1, r, d, m=1)
-            plan = dk.fixtures.mixed_block_schedule(r)
-        params = dk.SolveParams(max_iterations=cycles, check_level=level)
-        solves.append((dk, spec, plan, params))
-    sweeps = cycles * len(plan.pattern)
+    tracemalloc peak of one untimed solve per package (fresh_peak), and the
+    sweeps."""
+    point = (schedule, r, d, level, cycles)
+    solves = [(dk,) + make_solve(dk, *point) for dk in packages]
+    sweeps = cycles * len(solves[0][2].pattern)
     best = [float("inf")] * len(packages)
     with warnings.catch_warnings():
         # the product schedule's growth monitor is advisory; expected here
@@ -112,8 +137,8 @@ def time_point(packages, schedule, r, d, level, cycles, runs):
                 elapsed = perf_counter() - t0
                 if k:   # run 0 is the warm-up
                     best[t] = min(best[t], elapsed)
-        peaks = [peak_kib(dk.run, spec, plan, params)
-                 for dk, spec, plan, params in solves]
+    peaks = [fresh_peak(src, dk.__name__, point)
+             for dk, src in zip(packages, srcs)]
     return [1e6 * b / sweeps for b in best], peaks, sweeps
 
 
@@ -145,8 +170,9 @@ def main(argv=None):
     for schedule in args.schedules:
         for r, d in args.sizes:
             for level in LEVELS:
-                us, peaks, sweeps = time_point(packages, schedule, r, d,
-                                               level, args.cycles, args.runs)
+                us, peaks, sweeps = time_point(packages, srcs, schedule, r,
+                                               d, level, args.cycles,
+                                               args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
                                "check_level": level, "us_per_sweep": us,
                                "peak_kib": peaks, "sweeps": sweeps})
