@@ -40,6 +40,8 @@ _OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
 per sweep, the new values of the rows the sweep declares, its dual sum, and
 any row it changed outside them (a stray, which only a faulty solver
 writes); a cycle's movements are taken at its end, from its logged sums.
+A still sweep, which leaves the state bytewise its snapshot, takes the
+snapshot's sum and skips the finiteness scan.
 A batch's log rows and sums and its check's conjugate table take at most
 _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
@@ -678,7 +680,7 @@ def _state_objectives(spec, groups, Z, V):
     conj = C[:, 1:]
     for rows, stack in groups:
         conj[:, rows] = stack.support(Z[:, rows])
-    total = C.cumsum(axis=1, out=C)[:, -1]
+    total = np.add.accumulate(C, axis=1, out=C)[:, -1]
     if spec.m:
         total = total + _quad_conjugates(spec, Z[:, spec.r:] + spec.x0)
     return _objectives(spec, V, total)
@@ -1005,7 +1007,8 @@ def _log_strays(z, z_prev, runs, s, strays):
     """Append to strays the rows in which z, state s, differs bytewise from
     z_prev, which holds the state before it with the rows the sweep
     declares taken from z, and take them into z_prev, which is then bitwise
-    z; runs are slices that cover all rows."""
+    z; runs are slices that cover all rows.  Returns whether any differed."""
+    logged = len(strays)
     for run in runs:
         new, old = z[run], z_prev[run]
         if new.tobytes() != old.tobytes():
@@ -1014,6 +1017,7 @@ def _log_strays(z, z_prev, runs, s, strays):
             values = z[rows]
             z_prev[rows] = values
             strays.append((s, rows, values))
+    return len(strays) > logged
 
 
 class _Index(NamedTuple):
@@ -1099,7 +1103,7 @@ class _CCheck:
         self.r = r
         self.written = [cs.written for cs in sweeps]
         rows = [np.arange(n)[idx].tolist() for idx in self.written]
-        self.offs = np.cumsum([0] + [len(x) for x in rows]).tolist()
+        self.offs = np.add.accumulate([0] + [len(x) for x in rows]).tolist()
         self.P = self.offs[-1]
         # the declared (sweep, row) pairs in log order, and sorted by row
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
@@ -1367,7 +1371,7 @@ class _CCheck:
             if b == W:
                 ends = C[:, -1, 1:].copy()
             # the running sums overwrite C, which is then let go
-            total[:, a:b] = C.cumsum(axis=2, out=C)[..., -1]
+            total[:, a:b] = np.add.accumulate(C, axis=2, out=C)[..., -1]
             del C
         total = total.ravel()
         if spec.m:
@@ -1787,6 +1791,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # z alternates between two states that are bitwise equal between
     # sweeps: each sweep writes its rows into the one its snapshot is not
     # in, and the snapshot then takes them, and any stray rows, from it.  A
+    # still sweep, whose state is bytewise its snapshot, keeps its sum.  A
     # cycle's movements are taken at its end from its logged sums and its
     # governing rows' differences, kept in gov.  With checks off, row 0 of
     # buf is the start of a batch of up to n_batch cycles and row c + 1 the
@@ -1919,8 +1924,20 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     z[...] = z_prev
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
                 written = z[cs.written]
-                # the rows the sweep did not write were scanned when written
-                if not all_finite(written):
+                still = False
+                if sweep_checks:
+                    # a still sweep leaves the state bytewise its snapshot;
+                    # a sweep whose declared rows kept their bytes has its
+                    # states compared here, in its one comparison, which
+                    # logs any stray and takes it into z_prev
+                    moved = (written.tobytes()
+                             != z_prev[cs.written].tobytes())
+                    still = not moved and (
+                        whole and z.tobytes() == z_prev.tobytes()
+                        or not _log_strays(z, z_prev, runs, slot, log.strays))
+                # the rows the sweep did not write were scanned when written,
+                # and a still sweep's rows are its snapshot's
+                if not still and not all_finite(written):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
                         # first, then this one's sweeps before this one
@@ -1934,7 +1951,11 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                                          upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
-                v = z.sum(axis=0, out=sums[slot])
+                if still:   # equal bytes give z.sum's bits
+                    sums[slot] = v_prev
+                    v = sums[slot]
+                else:
+                    v = z.sum(axis=0, out=sums[slot])
                 cycle_approx = cycle_approx or not exact
                 if per_sweep:
                     trace.sweep_approx.append(not exact)
@@ -1943,15 +1964,21 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                              start + chk.offs[w]] = written
                     if cs.block_js:
                         g = n_gov + len(cs.block_js)
-                        np.subtract(z[cs.gov0], z_prev[cs.gov0],
-                                    out=gov[n_gov:g])
+                        if still:
+                            gov[n_gov:g] = 0.0
+                        else:
+                            np.subtract(z[cs.gov0], z_prev[cs.gov0],
+                                        out=gov[n_gov:g])
                         n_gov = g
                     # z_prev, which the next sweep writes into, takes the
-                    # declared rows; it then differs from z only in the
-                    # rows a faulty solver moved, which it takes too
-                    z_prev[cs.written] = written
+                    # declared rows of a sweep that moved them; it then
+                    # differs from z only in the rows a faulty solver moved,
+                    # which it takes too, after the sweep's one comparison
+                    if moved:
+                        z_prev[cs.written] = written
                     del written   # a copy unless a slice: not kept to a flush
-                    if not whole or z.tobytes() != z_prev.tobytes():
+                    if moved and (not whole
+                                  or z.tobytes() != z_prev.tobytes()):
                         _log_strays(z, z_prev, runs, slot, log.strays)
                     continue
                 del written

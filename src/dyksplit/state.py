@@ -123,12 +123,16 @@ def _ordered_sum(values):
 
     The running sum of np.cumsum, as the engine sums its batches of states.
     Python's sum() gave the same bits up to 3.11; from 3.12 on it
-    compensates a float sum, and so rounds differently.
+    compensates a float sum, and so rounds differently.  The package calls
+    np.add.accumulate, not ndarray.cumsum, which looks the ufunc's method
+    up by a name string made at each call; the interpreter's type
+    attribute cache keeps such strings alive in slots chosen by their
+    addresses, so tracemalloc peaks would move with the memory layout.
     """
     acc = np.empty(len(values) + 1)
     acc[0] = 0.0
     acc[1:] = values
-    return float(acc.cumsum(out=acc)[-1])
+    return float(np.add.accumulate(acc, out=acc)[-1])
 
 
 def dual_objective_from(spec, z, conjugates, v=None):

@@ -641,6 +641,137 @@ def test_a_stray_write_before_a_last_touch_keeps_its_verdict(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# still sweeps: a checked sweep that leaves the state bytewise its snapshot
+# reuses its sum
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("r,d,at_row,row,replays", [
+    (6, 4, 2, 0, [(1, 3)]),
+    (200, 50, 3, 2, [(1, 4)]),
+    (200, 50, 189, 186, [(1, 190)]),
+], ids=["whole", "sliced-first", "sliced-last"])
+def test_a_still_sweep_that_moves_another_row_logs_the_stray(
+        monkeypatch, r, d, at_row, row, replays, level):
+    # the sweep that solves at_row, whose halfspace does not cut, writes
+    # its own row back with the bits it read and moves row, last touched
+    # by the sweep before it, by one ulp.  Its declared rows match the
+    # snapshot and its state does not: the stray is logged, the freeze
+    # check reports it, and at "full" only that sweep is replayed.  At
+    # (200, 50) the states are compared in slices of 163 rows, and row is
+    # in the first or the last
+    own = []
+
+    def still_with_a_stray(spec, z, i, out):
+        if i == at_row:
+            own.append(out[i].tobytes() == z[i].tobytes())
+            out[i] = z[i]
+            out[row] = np.nextafter(z[row], np.inf)
+
+    test_engine._after_prox_row(monkeypatch, still_with_a_stray)
+    spec = fixtures.random_halfspaces(1, r, d)
+    plan = dk.classic_dykstra_schedule(r)
+    assert (spec.n_duals * d > 8192) == (r == 200)
+    batches = _logged_batches(monkeypatch)
+    calls = _replays(monkeypatch)
+    with pytest.raises(EngineInvariantError,
+                       match=rf"^cycle 1: z_{row + 1} moved after its last"
+                             rf" touch \(sweep {row + 1} vs {at_row + 1}\)$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=1,
+                                          check_level=level))
+    assert own[0]   # the sweep was still but for its stray
+    (_, log, ns), = batches
+    assert ns == [1]
+    assert [(s, rows.tolist()) for s, rows, _ in log.strays] == [
+        (at_row + 1, [row])]
+    assert calls == (replays if level == "full" else [])
+
+
+def _summed_sweeps(monkeypatch):
+    """Count the sweeps whose rows run scans and whose state it sums: every
+    sweep but a still one, with checks on."""
+    calls = []
+    all_finite = engine.all_finite
+
+    def counted(a):
+        calls.append(1)
+        return all_finite(a)
+
+    monkeypatch.setattr(engine, "all_finite", counted)
+    return calls
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_a_row_rewritten_as_the_other_zero_is_summed(monkeypatch, level):
+    # x0 lies inside every halfspace, so every solve leaves its row zero,
+    # and the solver writes it as the zero of the other sign: an equal
+    # value in other bytes.  No sweep is still: each is summed, and each
+    # state rebuilt from the log, and its sum, is bitwise the run_sweep
+    # loop's.  A sweep taken as still by value would leave its snapshot
+    # with the old zero
+    def other_zero(spec, z, i, out):
+        if not out[i].any():
+            out[i] = np.where(np.signbit(z[i]), 0.0, -0.0)
+
+    test_engine._after_prox_row(monkeypatch, other_zero)
+    A = np.random.default_rng(3).standard_normal((4, 3))
+    spec = dk.ProblemSpec(np.zeros(3), [dk.Indicator(dk.Halfspace(a, 1.0))
+                                        for a in A])
+    plan = dk.classic_dykstra_schedule(4)
+    batches = _logged_batches(monkeypatch)
+    summed = _summed_sweeps(monkeypatch)
+    res = dk.run(spec, plan, dk.SolveParams(max_iterations=4,
+                                            check_level=level))
+    assert len(summed) == 4 * 4
+    cycles = _run_sweep_cycles(spec, plan, 4)
+    assert res.state.z.tobytes() == cycles[-1][-1].tobytes()
+    assert np.signbit(cycles[0][-1]).all() and not cycles[1][-1].any()
+    out = np.empty_like(cycles[0][0])
+    for chk, log, ns in batches:
+        assert not log.strays
+        states = [cycles[ns[0] - 1][0]] + [
+            cycles[n - 1][w] for n in ns for w in range(1, chk.W + 1)]
+        for s, state in enumerate(states):
+            assert chk._state(log, s, out).tobytes() == state.tobytes()
+            assert log.sums[s].tobytes() == state.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("r,d,n_cycles", [(50, 20, 30), (200, 50, 2)],
+                         ids=["whole", "sliced"])
+def test_still_sweeps_give_the_bits_of_checks_off(monkeypatch, r, d,
+                                                  n_cycles):
+    # most classic sweeps on these halfspaces leave the state bytewise as
+    # it was, and a checked run takes its sum from the sweep before; every
+    # result has the bits of check_level="off", which sums each state.  At
+    # (200, 50) the states are compared in slices
+    spec = fixtures.random_halfspaces(1, r, d)
+    plan = dk.classic_dykstra_schedule(r)
+    assert (spec.n_duals * d > 8192) == (r == 200)
+    summed = _summed_sweeps(monkeypatch)
+    runs = []
+    for level in ("off", "sweep", "full"):
+        summed.clear()
+        runs.append(dk.run(spec, plan, dk.SolveParams(
+            max_iterations=n_cycles, check_level=level,
+            per_sweep_trace=True)))
+        assert 2 * len(summed) < n_cycles * r or level == "off"
+    off, sweep, full = runs
+    for checked in (sweep, full):
+        assert checked.state.z.tobytes() == off.state.z.tobytes()
+        for name in ("x", "gamma", "growth", "F_per_cycle", "sq_diff_cumsum"):
+            assert (getattr(checked, name).tobytes()
+                    == getattr(off, name).tobytes())
+        assert [(row.v_diff, row.inner_diffs, row.approx)
+                for row in checked.sweep_rows] == [
+            (row.v_diff, row.inner_diffs, row.approx)
+            for row in off.sweep_rows]
+        assert [(row.F, row.v_diff, row.gamma_n, row.growth_monitor)
+                for row in checked.cycle_rows] == [
+            (row.F, row.v_diff, row.gamma_n, row.growth_monitor)
+            for row in off.cycle_rows]
+
+
+# ---------------------------------------------------------------------------
 # the freeze equalities, checked only on batches that logged a stray
 # ---------------------------------------------------------------------------
 

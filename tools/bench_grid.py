@@ -12,14 +12,15 @@ product schedule with m = r - 1, the mixed-block schedule
 fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
-untimed run in KiB.  Each peak is taken in a fresh child process, one at a
-time, after one untimed solve there, so that it does not depend on the
-points run before it.  The grid is --schedules (default classic, product
+untimed run in KiB.  Each peak is taken in a fresh child process with hash
+seed 0, one at a time, after one untimed solve there, so that it does not
+depend on the points run before it or on the hash seed.  The grid is --schedules (default classic, product
 and mixed) x --sizes x {off, sweep, full}.  The package is imported from
 each --src, by default the src/ directory of this checkout.  Given two
 trees, each grid point times them in turn, one run of each at a time, and
 flips which goes first from run to run, so that a drift in machine speed
-reaches both alike.
+reaches both alike.  --same-peaks fails the run when the trees' peaks
+differ at any point, as they must not for one tree given twice.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one value per tree
@@ -99,10 +100,12 @@ def make_solve(dk, schedule, r, d, level, cycles):
             dk.SolveParams(max_iterations=cycles, check_level=level))
 
 
-def child_peak(src, name, point):
-    """peak_kib of a grid point's solve in the package in src, imported as
-    name, after one untimed solve; run in a fresh process (fresh_peak)."""
-    dk = import_package(src, name)
+def child_peak(src, point):
+    """peak_kib of a grid point's solve in the package in src after one
+    untimed solve; run in a fresh process (fresh_peak).  Every tree is
+    imported under one name, whose hash, like the hash seed, moves the
+    peak."""
+    dk = import_package(src, "dyksplit_peak")
     spec, plan, params = make_solve(dk, *point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
@@ -110,10 +113,12 @@ def child_peak(src, name, point):
         return peak_kib(dk.run, spec, plan, params)
 
 
-def fresh_peak(src, name, point):
-    """child_peak in a new process of its own, which this one waits for."""
+def fresh_peak(src, point):
+    """child_peak in a new process of its own, with hash seed 0, which this
+    one waits for."""
+    os.environ["PYTHONHASHSEED"] = "0"   # the spawned process's
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        return pool.apply(child_peak, (src, name, point))
+        return pool.apply(child_peak, (src, point))
 
 
 def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
@@ -137,8 +142,7 @@ def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
                 elapsed = perf_counter() - t0
                 if k:   # run 0 is the warm-up
                     best[t] = min(best[t], elapsed)
-    peaks = [fresh_peak(src, dk.__name__, point)
-             for dk, src in zip(packages, srcs)]
+    peaks = [fresh_peak(src, point) for src in srcs]
     return [1e6 * b / sweeps for b in best], peaks, sweeps
 
 
@@ -155,6 +159,9 @@ def main(argv=None):
     p.add_argument("--runs", type=int, default=7,
                    help="timed runs per point, after one warm-up run")
     p.add_argument("--out", help="also write the JSON result here")
+    p.add_argument("--same-peaks", action="store_true",
+                   help="exit with status 1 if the trees' peaks differ at"
+                        " any point, as for one tree given twice")
     args = p.parse_args(argv)
     if args.cycles < 1 or args.runs < 1:
         p.error("--cycles and --runs must be at least 1")
@@ -190,6 +197,12 @@ def main(argv=None):
             json.dump(result, fh, indent=1)
             fh.write("\n")
     print(json.dumps(result))
+    differ = [pt for pt in points if len(set(pt["peak_kib"])) > 1]
+    if args.same_peaks and differ:
+        for pt in differ:
+            print(f"peaks differ: {pt['schedule']} ({pt['r']}, {pt['d']})"
+                  f" {pt['check_level']}: {pt['peak_kib']}", file=sys.stderr)
+        return 1
     return 0
 
 
