@@ -40,8 +40,9 @@ _OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
 per sweep, the new values of the rows the sweep declares, its dual sum, and
 any row it changed outside them (a stray, which only a faulty solver
 writes); a cycle's movements are taken at its end, from its logged sums.
-A still sweep, which leaves the state bytewise its snapshot, takes the
-snapshot's sum and skips the finiteness scan.
+A sweep that keeps its declared rows' bytes skips their finiteness scan,
+and a still sweep, which leaves the state bytewise its snapshot, takes the
+snapshot's sum.
 A batch's log rows and sums and its check's conjugate table take at most
 _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
@@ -1924,20 +1925,12 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     z[...] = z_prev
                 exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
                 written = z[cs.written]
-                still = False
-                if sweep_checks:
-                    # a still sweep leaves the state bytewise its snapshot;
-                    # a sweep whose declared rows kept their bytes has its
-                    # states compared here, in its one comparison, which
-                    # logs any stray and takes it into z_prev
-                    moved = (written.tobytes()
-                             != z_prev[cs.written].tobytes())
-                    still = not moved and (
-                        whole and z.tobytes() == z_prev.tobytes()
-                        or not _log_strays(z, z_prev, runs, slot, log.strays))
-                # the rows the sweep did not write were scanned when written,
-                # and a still sweep's rows are its snapshot's
-                if not still and not all_finite(written):
+                # a checked sweep that kept its declared rows' bytes has them
+                # in its snapshot, scanned when written, as were the rows no
+                # sweep wrote
+                moved = (not sweep_checks
+                         or written.tobytes() != z_prev[cs.written].tobytes())
+                if moved and not all_finite(written):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
                         # first, then this one's sweeps before this one
@@ -1951,11 +1944,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                                          upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
-                if still:   # equal bytes give z.sum's bits
-                    sums[slot] = v_prev
-                    v = sums[slot]
-                else:
-                    v = z.sum(axis=0, out=sums[slot])
                 cycle_approx = cycle_approx or not exact
                 if per_sweep:
                     trace.sweep_approx.append(not exact)
@@ -1964,23 +1952,28 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                              start + chk.offs[w]] = written
                     if cs.block_js:
                         g = n_gov + len(cs.block_js)
-                        if still:
-                            gov[n_gov:g] = 0.0
-                        else:
+                        if moved:
                             np.subtract(z[cs.gov0], z_prev[cs.gov0],
                                         out=gov[n_gov:g])
+                        else:
+                            gov[n_gov:g] = 0.0
                         n_gov = g
                     # z_prev, which the next sweep writes into, takes the
-                    # declared rows of a sweep that moved them; it then
-                    # differs from z only in the rows a faulty solver moved,
-                    # which it takes too, after the sweep's one comparison
+                    # declared rows; it then differs from z only in the rows
+                    # a faulty solver moved, which it takes too
                     if moved:
                         z_prev[cs.written] = written
                     del written   # a copy unless a slice: not kept to a flush
-                    if moved and (not whole
-                                  or z.tobytes() != z_prev.tobytes()):
-                        _log_strays(z, z_prev, runs, slot, log.strays)
+                    strayed = ((not whole or z.tobytes() != z_prev.tobytes())
+                               and _log_strays(z, z_prev, runs, slot,
+                                               log.strays))
+                    if moved or strayed:
+                        z.sum(axis=0, out=sums[slot])
+                    else:   # a still sweep: equal bytes give z.sum's bits
+                        sums[slot] = v_prev
+                    v = sums[slot]
                     continue
+                v = z.sum(axis=0, out=sums[slot])
                 del written
                 v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
                 # left to right from 0.0, whatever sum() does (3.12

@@ -14,13 +14,14 @@ no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
 untimed run in KiB.  Each peak is taken in a fresh child process with hash
 seed 0, one at a time, after one untimed solve there, so that it does not
-depend on the points run before it or on the hash seed.  The grid is --schedules (default classic, product
-and mixed) x --sizes x {off, sweep, full}.  The package is imported from
-each --src, by default the src/ directory of this checkout.  Given two
-trees, each grid point times them in turn, one run of each at a time, and
-flips which goes first from run to run, so that a drift in machine speed
-reaches both alike.  --same-peaks fails the run when the trees' peaks
-differ at any point, as they must not for one tree given twice.
+depend on the points run before it or on the hash seed.  The grid is
+--schedules (default classic, product and mixed) x --sizes x {off, sweep,
+full}.  The package is imported from each --src, by default the src/
+directory of this checkout.  Given two trees, each grid point times them
+in turn, one run of each at a time, and flips which goes first from run to
+run, so that a drift in machine speed reaches both alike.  Given one tree
+several times (--src src --src src), the run exits with status 1 if its
+peaks differ at any point.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one value per tree
@@ -159,9 +160,6 @@ def main(argv=None):
     p.add_argument("--runs", type=int, default=7,
                    help="timed runs per point, after one warm-up run")
     p.add_argument("--out", help="also write the JSON result here")
-    p.add_argument("--same-peaks", action="store_true",
-                   help="exit with status 1 if the trees' peaks differ at"
-                        " any point, as for one tree given twice")
     args = p.parse_args(argv)
     if args.cycles < 1 or args.runs < 1:
         p.error("--cycles and --runs must be at least 1")
@@ -197,8 +195,9 @@ def main(argv=None):
             json.dump(result, fh, indent=1)
             fh.write("\n")
     print(json.dumps(result))
+    # one tree given several times must give one peak per point
     differ = [pt for pt in points if len(set(pt["peak_kib"])) > 1]
-    if args.same_peaks and differ:
+    if len({os.path.realpath(src) for src in srcs}) == 1 and differ:
         for pt in differ:
             print(f"peaks differ: {pt['schedule']} ({pt['r']}, {pt['d']})"
                   f" {pt['check_level']}: {pt['peak_kib']}", file=sys.stderr)
