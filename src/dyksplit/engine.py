@@ -21,28 +21,27 @@ check_level:
   "off"    objective at cycle ends only, no per-sweep snapshots; the cycle
            ends are evaluated in batches of up to _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
-           sets, freeze equalities (on the batches of cycles that wrote a
-           stray row, the only ones that can fail them), per-cycle
-           convergence certificates,
+           sets, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each exact sweep with
            per-subproblem gain checks.  The sweeps of one step with one
            subproblem whose solver has a stacked form are re-solved for a
            whole batch in a few stacked calls (_CCheck._resolved), when it
            holds at least _RESOLVE_MIN of them over its cycles; one whose
-           written rows are bitwise its snapshot's, with no stray row,
-           passes there, since its replay's margin test is implied by the
-           sweep pass's.  Every other sweep, and every sweep of a batch
-           whose re-solve raises, is replayed by itself (_CCheck._replay).
-           A solver that answers a repeated call differently is caught only
-           when its first answer differs from the stacked re-solve.
+           written rows are bitwise its snapshot's passes there, since its
+           replay's margin test is implied by the sweep pass's.  Every
+           other sweep, and every sweep of a batch whose re-solve raises, is
+           replayed by itself (_CCheck._replay).  A solver that answers a
+           repeated call differently is caught only when its first answer
+           differs from the stacked re-solve.
+A solver reads a read-only snapshot and writes only its sweep's declared
+rows (_CSweep), so a valid plan keeps its freeze equalities when it declares
+no frozen row, checked once per cycle pattern (_assert_unfrozen).
 With checks on, the sweep loop only solves and logs: a batch of up to
 _OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
-per sweep, the new values of the rows the sweep declares, its dual sum, and
-any row it changed outside them (a stray, which only a faulty solver
-writes); a cycle's movements are taken at its end, from its logged sums.
-A sweep that keeps its declared rows' bytes skips their finiteness scan,
-and a still sweep, which leaves the state bytewise its snapshot, takes the
-snapshot's sum.
+per sweep, its dual sum and its declared rows, which it writes into the log
+and the one state then takes in place; a cycle's movements are taken at its
+end, from its logged sums.  A still sweep, which keeps its rows' bytes,
+skips their finiteness scan and takes its snapshot's sum.
 A batch's log rows and sums and its check's conjugate table take at most
 _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
@@ -82,9 +81,13 @@ CERT_SLACK = 1e-9         # slack on the certificate distance bound
 
 _INF = float("inf")
 _EPS = float(np.finfo(float).eps)
+_NO_ROWS = slice(0, 0)   # the index of every empty list of rows (_rows_index)
 # how many cycles are checked together, or with checks off how many cycle
 # ends are priced together, at most (run)
 _OBJ_BATCH = 8
+# with checks off, a batch's cycle ends take at most this many bytes, unless
+# one alone needs more (run)
+_OFF_BATCH_BYTES = 262144
 # with checks on, a batch of cycles holds at most this many bytes of log rows
 # and sums and of its sweep pass's conjugate table, unless one cycle alone
 # needs more (run)
@@ -323,44 +326,46 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# subproblem solvers (snapshot in, replacement rows written to out)
+# subproblem solvers (snapshot in, the sweep's rows written to out)
 # ---------------------------------------------------------------------------
 #
 # Every solver has the signature (spec, z, v, arg, params, out) -> exact,
-# where v is z.sum(axis=0), taken once per snapshot by the caller, and arg is
-# what _CSweep fixed for it at compile time, its row sets compiled by
-# _rows_index.  Each reads everything it needs from z before it writes out,
-# so out may be z itself when the sweep has one subproblem.
+# where z is the snapshot, read-only, v is z.sum(axis=0), taken once per
+# snapshot by the caller, out is the sweep's buffer of the rows it writes
+# (_CSweep.written), and arg is what _CSweep fixed for it at compile time:
+# its row sets, compiled by _rows_index, and their places in out.
 
-def _prox_row(spec, z, v, i, params, out):
+def _prox_row(spec, z, v, arg, params, out):
     """Outer set {i} with one term row: its dual prox against the rest."""
+    i, at = arg
     u = spec.x0 - (v - z[i])
-    out[i] = u - spec.terms[i].prox(u, 1.0)
+    out[at] = u - spec.terms[i].prox(u, 1.0)
     return True
 
 
-def _quad_rows(spec, z, v, rows, params, out):
+def _quad_rows(spec, z, v, arg, params, out):
     """Outer set of k quadratic-copy rows only: all share -rest / (k + 1)."""
+    rows, at = arg
     quads = z[rows]
     c = v - quads.sum(axis=0)
-    out[rows] = -c / (len(quads) + 1.0)
+    out[at] = -c / (len(quads) + 1.0)
     return True
 
 
 def _prox_quad_rows(spec, z, v, arg, params, out):
     """Outer set of one term row i plus the k quadratic rows quads after it.
 
-    arg is (i, outer, quads, tau): outer are all k + 1 rows and tau is
-    k + 1.0.
+    arg is (i, outer, quads, tau, i_at, quads_at): outer are all k + 1 rows,
+    tau is k + 1.0, and i_at and quads_at are places in out.
     """
-    i, outer, quads, tau = arg
+    i, outer, quads, tau, i_at, quads_at = arg
     c = v - z[outer].sum(axis=0)
     # eliminate the copies: z_i minimizes h_i*(.) + ||. - u_bar||^2/(2 tau)
     u_bar = tau * spec.x0 - c
     x_hat = spec.terms[i].prox(u_bar / tau, 1.0 / tau)
     z_i = u_bar - tau * x_hat
-    out[quads] = -(z_i + c) / tau
-    out[i] = z_i
+    out[quads_at] = -(z_i + c) / tau
+    out[i_at] = z_i
     return True
 
 
@@ -368,21 +373,22 @@ def _stacked_blocks(spec, z, v, arg, params, out):
     """Blocks {I[k], J[k]} with one term member each, in one stacked call.
 
     Exact: the term row takes the dual prox at its block sum plus x0 and the
-    governing row J[k] the rest of the frozen sum.
+    governing row J[k] the rest of the frozen sum.  arg is (stack, I, J,
+    I_at, J_at), the last two places in out.
     """
-    stack, I, J = arg
+    stack, I, J, I_at, J_at = arg
     bsum = z[I] + z[J]
     z_i = stack.moreau(bsum + spec.x0)
-    out[I] = z_i
-    out[J] = bsum - z_i
+    out[I_at] = z_i
+    out[J_at] = bsum - z_i
     return True
 
 
 def _nested_rows(spec, z, v, arg, params, out):
     """Cyclic coordinate minimization over rows (0-based, sorted); approximate.
 
-    rows is an index array, never a slice: the loop works on the copy z[rows]
-    and must not write into the snapshot z.
+    arg is (rows, j0, rows_at, j0_at), the last two places in out; rows is
+    an index array, and the loop works on the copy z[rows].
 
     Each row takes its dual prox (a quadratic row: -rest / 2) at x0 minus
     rest, where rest is a frozen offset plus the loop's other rows.  With
@@ -392,7 +398,7 @@ def _nested_rows(spec, z, v, arg, params, out):
     members.  Stops after params.nested_bcm_sweeps passes or once a pass
     moves no entry by params.nested_tol.
     """
-    rows, j0 = arg
+    rows, j0, rows_at, j0_at = arg
     add = np.add.reduce
     work = z[rows]
     if j0 is None:
@@ -413,9 +419,9 @@ def _nested_rows(spec, z, v, arg, params, out):
         if np.fmax.reduce(np.abs(work - start).max(axis=1),
                           initial=0.0) < params.nested_tol:
             break
-    out[rows] = work
+    out[rows_at] = work
     if j0 is not None:
-        out[j0] = bsum - add(work, axis=0)
+        out[j0_at] = bsum - add(work, axis=0)
     return False
 
 
@@ -443,20 +449,33 @@ class _CSweep:
     rows (_quad_rows) or one term row plus quadratic rows (_prox_quad_rows),
     and _nested_rows for two or more term rows.  gov0 are the governing rows
     of the blocks in block_js order, and exact says that no step runs
-    _nested_rows.  written are the rows the sweep writes.  gov0, written and
-    the row sets of every solver but _nested_rows go through _rows_index, so
-    a contiguous run of rows is read as a view; subs and conj_rows stay
-    index arrays for _CCheck.  Only a _stacked_blocks step holds a stack;
-    the replay at check_level="full" stacks the other steps' term rows.
+    _nested_rows.  written are the rows the sweep declares, sorted, and size
+    their number: a sweep writes them into a (size, d) buffer, each row at
+    its place there, and gov_at are the places of gov0.  gov0, written, the
+    places and the row sets of every solver but _nested_rows go through
+    _rows_index, so a contiguous run of rows is read as a view; subs and
+    conj_rows stay index arrays for _CCheck.  Only a _stacked_blocks step
+    holds a stack; the replay at check_level="full" stacks the other steps'
+    term rows.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "gov0", "exact", "written")
+    __slots__ = ("steps", "outer1", "block_js", "gov0", "gov_at", "exact",
+                 "written", "size")
 
     def __init__(self, sweep, spec):
         terms = spec.terms
         self.outer1 = tuple(sorted(sweep.outer))
         self.block_js = tuple(sorted(sweep.inner))
-        self.gov0 = _rows_index([j - 1 for j in self.block_js])
+        declared = sorted(i - 1 for i in sweep.touched)
+        self.written = _rows_index(declared)
+        self.size = len(declared)
+        place = {i: k for k, i in enumerate(declared)}
+
+        def at(rows):
+            return _rows_index([place[i] for i in rows])
+
+        gov = [j - 1 for j in self.block_js]
+        self.gov0, self.gov_at = _rows_index(gov), at(gov)
         single = {}   # term row -> governing row, for one-member blocks
         nested = []
         for j in self.block_js:
@@ -464,59 +483,79 @@ class _CSweep:
             if len(prox0) == 1:
                 single[prox0[0]] = j - 1
                 continue
-            prox0 = np.array(prox0, dtype=np.intp)
+            members = np.array(prox0, dtype=np.intp)
             all0 = np.array(sorted(i - 1 for i in sweep.inner[j]), dtype=np.intp)
-            nested.append(_Step(_nested_rows, (prox0, j - 1), [(all0, j - 1)],
-                                prox0))
+            nested.append(_Step(_nested_rows,
+                                (members, j - 1, at(prox0), place[j - 1]),
+                                [(all0, j - 1)], members))
         self.steps = []
         for I, stack in stack_terms(terms, list(single)):
             I0 = I.tolist()
             J0 = [single[i] for i in I0]
             subs = [(np.array([i, j]), j) for i, j in zip(I0, J0)]
             self.steps.append(_Step(
-                _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0)),
-                subs, I))
+                _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0),
+                                  at(I0), at(J0)), subs, I))
         self.steps.extend(nested)
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
             prox0 = outer0[outer0 < spec.r]
+            rows = outer0.tolist()
             if prox0.size >= 2:
-                solve, arg = _nested_rows, (outer0, None)
+                solve, arg = _nested_rows, (outer0, None, at(rows), None)
             elif prox0.size == 0:
-                solve, arg = _quad_rows, _rows_index(outer0.tolist())
+                solve, arg = _quad_rows, (_rows_index(rows), at(rows))
             elif outer0.size == 1:
-                solve, arg = _prox_row, int(prox0[0])
+                solve, arg = _prox_row, (rows[0], place[rows[0]])
             else:
                 solve, arg = _prox_quad_rows, (
-                    int(outer0[0]), _rows_index(outer0.tolist()),
-                    _rows_index(outer0[1:].tolist()), float(outer0.size))
+                    rows[0], _rows_index(rows), _rows_index(rows[1:]),
+                    float(outer0.size), place[rows[0]], at(rows[1:]))
             self.steps.append(_Step(solve, arg, [(outer0, None)], prox0))
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
-        self.written = _rows_index(sorted(
-            {i for step in self.steps for sub, _ in step.subs
-             for i in sub.tolist()}))
 
 
 def _rows_index(rows):
     """A list of 0-based rows as an index: a basic slice, read as a view,
     when the rows are an exact ascending contiguous run (an empty list
     included), else an array."""
-    start = rows[0] if rows else 0
+    if not rows:
+        return _NO_ROWS
+    start = rows[0]
     if rows == list(range(start, start + len(rows))):
         return slice(start, start + len(rows))
     return np.array(rows, dtype=np.intp)
 
 
-def _execute_sweep(spec, z, v, cs, params, out):
-    """Run one sweep against the snapshot z, whose row sum is v; returns exact.
+def _read_only(a):
+    """A read-only view of a, for the solvers' snapshots; setflags, unlike
+    the flags attribute, makes no name string that the type attribute cache
+    keeps alive at a place chosen by its address, moving tracemalloc peaks."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
-    out, another array of z's shape that holds z's values, receives the
-    sweep's rows; a correct solver writes no other row.  Every step reads z
+
+def _execute_sweep(spec, z, v, cs, params, out):
+    """Run one sweep against the snapshot z, read-only, whose row sum is v;
+    returns exact.
+
+    out, a (cs.size, d) buffer, receives the new values of the rows the
+    sweep declares, cs.written, each at its place.  Every step reads z
     itself, never the rows an earlier step wrote.
     """
     exact = True
     for step in cs.steps:
         exact = step.solve(spec, z, v, step.arg, params, out) and exact
+    return exact
+
+
+def _solve_in_place(spec, z, v, cs, params):
+    """Run the sweep cs against z, whose row sum is v, then write its rows
+    into z; returns exact."""
+    out = np.empty((cs.size, spec.d))
+    exact = _execute_sweep(spec, _read_only(z), v, cs, params, out)
+    z[cs.written] = out
     return exact
 
 
@@ -581,19 +620,12 @@ def _check_indices(spec, indices):
             raise IndexError(f"dual index {i} out of range 1..{spec.n_duals}")
 
 
-def _solve_in_place(spec, z, sweep, params):
-    """Run a sweep of at most one subproblem directly on z; returns exact."""
-    exact = True
-    for step in _CSweep(sweep, spec).steps:
-        exact = step.solve(spec, z, z.sum(axis=0), step.arg, params, z)
-    return exact
-
-
 def solve_outer(spec, state, S, params=None):
     """Exactly-or-approximately minimize over the 1-based index set S in place."""
     S = sorted(set(int(i) for i in S))
     _check_indices(spec, S)
-    return _solve_in_place(spec, state.z, sched.SweepPlan(outer=S),
+    return _solve_in_place(spec, state.z, state.z.sum(axis=0),
+                           _CSweep(sched.SweepPlan(outer=S), spec),
                            params or SolveParams())
 
 
@@ -601,7 +633,8 @@ def solve_inner_block(spec, state, j, members, params=None):
     """Minimize over block members with the block sum frozen, in place."""
     sweep = sched.SweepPlan(inner={int(j): frozenset(int(i) for i in members)})
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc block")
-    return _solve_in_place(spec, state.z, sweep, params or SolveParams())
+    return _solve_in_place(spec, state.z, state.z.sum(axis=0),
+                           _CSweep(sweep, spec), params or SolveParams())
 
 
 def run_sweep(spec, state, sweep, params=None):
@@ -611,7 +644,7 @@ def run_sweep(spec, state, sweep, params=None):
     cs = _CSweep(sweep, spec)
     v_old = state.z.sum(axis=0)
     z_new = state.z.copy()
-    exact = _execute_sweep(spec, state.z, v_old, cs, params, z_new)
+    exact = _solve_in_place(spec, z_new, v_old, cs, params)
     v_diff, norms = _movement(z_new, state.z, cs, z_new.sum(axis=0), v_old)
     state.z = z_new
     state.w += 1
@@ -738,60 +771,29 @@ def _pair_stacks(terms, rows, shared):
     return out
 
 
-def _freeze_masks(c_analysis, W, n):
-    """What sweeps 1..W of a cycle must leave unchanged, as masks.
-
-    Returns (after, pairs, cols, window).  after[w - 1, i] holds when sweep
-    w comes after row i's last touch.  pairs are the (member i2, q, p) of
-    every block member whose block has a protected window, in the order of
-    the touch maps; cols are their rows and window[k, w - 1] holds when
-    sweep w lies inside the window q+1..p-1 of pair k.
+def _assert_unfrozen(c_analysis, dw, di):
+    """Raise EngineInvariantError when a sweep of a valid plan's cycle
+    declares a row that a freeze equality holds fixed there: after its last
+    touch p, or a block member inside the protected window q+1..p-1 of its
+    block.  dw and di are the declared (sweep, 0-based row) pairs in sweep
+    order.  A sweep writes only the rows it declares, so a cycle that
+    passes keeps every freeze equality.
     """
-    after = np.zeros((W, n), dtype=bool)
-    for i1, p in c_analysis.p.items():
-        after[p:, i1 - 1] = True
-    pairs = [(i2, q, c_analysis.p[i1]) for i1, q in c_analysis.q.items()
-             for i2 in c_analysis.block_members[i1]]
-    window = np.zeros((len(pairs), W), dtype=bool)
-    for k, (_, q, p) in enumerate(pairs):
-        window[k, q:p - 1] = True
-    cols = np.array([i2 - 1 for i2, _, _ in pairs], dtype=np.intp)
-    return after, pairs, cols, window
-
-
-def _moved(S):
-    """moved[w - 1, row]: whether the row changed from S[w - 1] to S[w], for
-    every state w >= 1 of the full states S."""
-    return (S[1:] != S[:-1]).any(axis=2)
-
-
-def _assert_freeze(c_analysis, snaps, n):
-    """Bitwise freeze equalities implied by the touch pattern, on one
-    cycle's snapshots 0..W, a list or one array.
-
-    A row equals its value at sweep p in every later snapshot exactly when
-    it never moves after p, and the first sweep that moves it is the first
-    that differs from sweep p.
-    """
-    S = np.asarray(snaps)
-    moved = _moved(S)
-    after, pairs, cols, window = _freeze_masks(c_analysis, len(S) - 1,
-                                               S.shape[1])
-    bad = moved & after
-    if bad.any():
-        for i1, p in c_analysis.p.items():
-            col = bad[:, i1 - 1]
-            if col.any():
-                raise EngineInvariantError(
-                    f"cycle {n}: z_{i1} moved after its last touch"
-                    f" (sweep {p} vs {1 + int(col.argmax())})")
-    if pairs:
-        hit = (window & moved[:, cols].T).any(axis=1)
-        if hit.any():
-            i2, q, p = pairs[int(hit.argmax())]
+    p = c_analysis.p
+    windows = {}
+    for i1, q in c_analysis.q.items():
+        for i2 in c_analysis.block_members[i1]:
+            windows.setdefault(i2, []).append((q, p[i1]))
+    for w, i in zip(dw.tolist(), (di + 1).tolist()):
+        if w > p[i]:
             raise EngineInvariantError(
-                f"cycle {n}: block member z_{i2} moved inside the"
-                f" protected window ({q}..{p - 1})")
+                f"{c_analysis.label} sweep {w}: z_{i} is written after its"
+                f" last touch (sweep {p[i]})")
+        for q, last in windows.get(i, ()):
+            if q < w < last:
+                raise EngineInvariantError(
+                    f"{c_analysis.label} sweep {w}: block member z_{i} is"
+                    f" written inside the protected window ({q}..{last - 1})")
 
 
 def _cert_layout(c_analysis, r):
@@ -994,50 +996,46 @@ class _Log(NamedTuple):
     rows[:n] are the batch's start state; then cycle c's sweeps fill P rows
     from n + c * P on, sweep w the new values of the rows it declares
     (_CSweep.written) from offs[w - 1] on (_CCheck).  sums[s] is the row
-    sum of state s.  strays lists (s, rows, values) for the rows that the
-    sweep ending at state s changed outside its declared rows, each row
-    whose bytes changed, with its new value: only a faulty solver writes
-    any.
+    sum of state s.
     """
     rows: np.ndarray
     sums: np.ndarray
-    strays: list
-
-
-def _log_strays(z, z_prev, runs, s, strays):
-    """Append to strays the rows in which z, state s, differs bytewise from
-    z_prev, which holds the state before it with the rows the sweep
-    declares taken from z, and take them into z_prev, which is then bitwise
-    z; runs are slices that cover all rows.  Returns whether any differed."""
-    logged = len(strays)
-    for run in runs:
-        new, old = z[run], z_prev[run]
-        if new.tobytes() != old.tobytes():
-            rows = run.start + np.flatnonzero(
-                (new.view(np.int64) != old.view(np.int64)).any(axis=1))
-            values = z[rows]
-            z_prev[rows] = values
-            strays.append((s, rows, values))
-    return len(strays) > logged
 
 
 class _Index(NamedTuple):
     """The flat indices a check pass reads for K cycles (_CCheck._build).
 
-    Each is cycle-major, into the rows of the batch's log or of its full
-    states (full), or into its sums.  conj per conjugate group, stat the
-    sums and rows of the stat pairs, quad the quadratic rows of every state
-    after a sweep (None at m = 0), resolve the rows before and after each
-    resolve sweep and the sums before it, and cert those of _cert_index
-    (valid plans only).
+    Each is cycle-major, into the rows of the batch's log or into its sums.
+    conj per conjugate group, stat the sums and rows of the stat pairs, quad
+    the quadratic rows of every state after a sweep (None at m = 0), resolve
+    the rows before and after each resolve sweep and the sums before it, and
+    cert those of _cert_index (valid plans only).
     """
     K: int
-    full: bool
     conj: list
     stat: tuple
     quad: np.ndarray
     resolve: tuple
     cert: tuple
+
+
+def _replay_steps(cs, spec):
+    """The steps of the exact sweep cs as _CCheck._replay runs them."""
+    declared = np.arange(spec.n_duals)[cs.written]   # sorted: rows to places
+    steps = []
+    for k, step in enumerate(cs.steps):
+        groups = None
+        if k:
+            groups = ([(step.conj_rows, step.arg[0])]
+                      if step.solve is _stacked_blocks
+                      else stack_terms(spec.terms, step.conj_rows))
+            groups = [(rows, declared.searchsorted(rows), stack)
+                      for rows, stack in groups]
+        steps.append((step, groups, [
+            (_rows_index(rows.tolist()), declared.searchsorted(rows), gov,
+             None if gov is None else declared.searchsorted(gov),
+             rows[rows < spec.r]) for rows, gov in step.subs]))
+    return steps
 
 
 class _CCheck:
@@ -1046,8 +1044,9 @@ class _CCheck:
     check evaluates them for a batch of k consecutive cycles of the pattern
     from its _Log: one sweep pass over all k cycles for the per-sweep checks
     (ascent, margin, stationarity of exact outer sets, and the replay at
-    check_level="full"), one cycle pass for the certificates, and for a
-    batch that logged a stray the freeze equalities of each cycle.
+    check_level="full") and one cycle pass for the certificates.  The
+    freeze equalities of a valid plan are checked here, once: a sweep writes
+    only the rows it declares (_assert_unfrozen).
     Compiled here:
       written, offs, P   per sweep the rows it declares and where they
               start in a cycle's P log rows
@@ -1066,25 +1065,24 @@ class _CCheck:
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
       layout  the certificate layout (valid plans only)
-      replays  with scratch, per exact sweep w its steps, each with the
-               stacks of its term rows (None for the first step, which
-               takes its conjugates from the pass) and its subproblems as
-               (rows, a slice when contiguous; margin row; term rows)
+      replays  with scratch, per exact sweep w its steps, each with its
+               term rows' (rows, places, stack) groups (None for the first
+               step, which takes its conjugates from the pass) and its
+               subproblems as (rows, a slice when contiguous; places; margin
+               row; place; term rows), places in the sweep's buffer
       resolve  the replayed sweeps that the batch re-solves at once
-               (_Resolve), or None; one whose re-solve matches its state,
-               and which logged no stray, is not replayed
-    scratch holds the replay's two z buffers at check_level="full", made
-    at the first replay and shared by the checks of all cycle patterns, and
-    is None otherwise.
+               (_Resolve), or None; one whose re-solve matches its state is
+               not replayed
+    scratch holds the replay's z buffers at check_level="full", made at the
+    first replay and shared by the checks of all cycle patterns, and is None
+    otherwise.
 
     The passes read the batch's states through flat indices (_Index), each
     row where it was last written: a row that no sweep of the cycle has
     written yet is read where the cycle before wrote it last, or in the
     batch's start state.  They are built at the first check, for its k
     cycles, and again only when a later batch is larger (_index); a smaller
-    batch reads their first rows.  A batch whose log holds strays is
-    checked from its full states instead, read through the same offsets
-    (_source); only such a batch can fail a freeze equality.
+    batch reads their first rows.
     """
 
     def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
@@ -1110,6 +1108,8 @@ class _CCheck:
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
         dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
         di = np.array(sum(rows, []), dtype=np.intp)
+        if valid:
+            _assert_unfrozen(c_analysis, dw, di)
         self.places = np.lexsort((dw, di))
         self.keys = (di * (self.W + 1) + dw)[self.places]
         offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
@@ -1144,18 +1144,11 @@ class _CCheck:
 
         self.scratch = scratch
         self.replays = {} if scratch is None else {
-            w: [(step,
-                 None if not k else [(step.conj_rows, step.arg[0])]
-                 if step.solve is _stacked_blocks
-                 else stack_terms(spec.terms, step.conj_rows),
-                 [(_rows_index(rows.tolist()), gov, rows[rows < r])
-                  for rows, gov in step.subs])
-                for k, step in enumerate(cs.steps)]
+            w: _replay_steps(cs, spec)
             for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
         self.resolve = self._compile_resolve(spec, shared)
         self.K = 0   # the batch size the log's indices are built for
 
-        self.c_analysis = c_analysis
         self.valid = valid
         if valid:
             self.layout = _cert_layout(c_analysis, r)
@@ -1223,26 +1216,23 @@ class _CCheck:
         are built for at least that many."""
         if k > self.K:
             self.K = k
-            self.at = self._build(k, False)
+            self.at = self._build(k)
         return self.at
 
-    def _build(self, k, full):
-        """The _Index of k cycles, into the log or into the full states.
+    def _build(self, k):
+        """The _Index of k cycles.
 
         Every index is first an offset w * n + i of one cycle's states, row
         i of state w; state w of cycle c is state c * W + w of the batch.
         """
-        W, n, P = self.W, self.n, self.P
+        W, n = self.W, self.n
         c = np.arange(k, dtype=np.intp)[:, None]
 
         def sums(w):
             return (c * W + w).ravel()
 
-        def states(o):
-            return (c * (W * n) + o.ravel()).ravel()
-
         def rows(o):
-            return states(o) if full else self._locate(c, o.ravel()).ravel()
+            return self._locate(c, o.ravel()).ravel()
 
         rs = self.resolve
         quad = None
@@ -1250,7 +1240,7 @@ class _CCheck:
             quad = rows(np.arange(1, W + 1)[:, None] * n
                         + np.arange(self.r, n))
         return _Index(
-            k, full, [rows(offsets) for _, _, offsets in self.conj],
+            k, [rows(offsets) for _, _, offsets in self.conj],
             (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
             None if rs is None else (rows(rs.rows), rows(rs.rows + n),
                                      sums(rs.vrows)),
@@ -1275,40 +1265,11 @@ class _CCheck:
         return np.where(written & (cc >= 0), n + cc * self.P + self.places[t],
                         i)
 
-    def _apply(self, log, s, z):
-        """Sweep s of the batch in log: z, state s - 1, becomes state s."""
-        c, w = divmod(s - 1, self.W)
-        start = self.n + c * self.P
-        z[self.written[w]] = log.rows[start + self.offs[w]:
-                                      start + self.offs[w + 1]]
-        for t, rows, values in log.strays:
-            if t == s:
-                z[rows] = values
-
     def _state(self, log, s, out):
         """State s of the batch in log, rebuilt into out."""
-        if log.strays:   # each sweep's strays after its declared rows
-            out[...] = log.rows[:self.n]
-            for t in range(1, s + 1):
-                self._apply(log, t, out)
-        else:
-            c, w = divmod(s, self.W)
-            log.rows.take(self._locate(c, w * self.n + np.arange(self.n)),
-                          axis=0, out=out)
-        return out
-
-    def _source(self, log, k):
-        """The rows the passes read for the first k cycles of log, as one
-        (rows, d) array, and their _Index: the log's own, or with strays,
-        the batch's rebuilt full states."""
-        if not log.strays:
-            return log.rows, self._index(k)
-        S = np.empty((k * self.W + 1, self.n, log.rows.shape[1]))
-        S[0] = log.rows[:self.n]
-        for s in range(1, len(S)):
-            S[s] = S[s - 1]
-            self._apply(log, s, S[s])
-        return S.reshape(-1, S.shape[2]), self._build(k, True)
+        c, w = divmod(s, self.W)
+        return log.rows.take(self._locate(c, w * self.n + np.arange(self.n)),
+                             axis=0, out=out)
 
     def _cycle_log(self, log, c):
         """Cycle c of the batch in log as a log of its own."""
@@ -1317,12 +1278,11 @@ class _CCheck:
         self._state(log, s, rows[:self.n])
         start = self.n + c * self.P
         rows[self.n:] = log.rows[start:start + self.P]
-        return _Log(rows, log.sums[s:],
-                    [(t - s, i, z) for t, i, z in log.strays if t > s])
+        return _Log(rows, log.sums[s:])
 
     def _stationarity(self, spec, R, V, at, k, new):
         """fenchel_residual of every stat pair at its sweep's x0 - v, in
-        each of k cycles; R holds their rows (_source), V their row sums."""
+        each of k cycles; R holds the log's rows, V their row sums."""
         X = _gather(V, at.stat[0], k, at.K)
         np.subtract(spec.x0, X, out=X)
         Z = _gather(R, at.stat[1], k, at.K)
@@ -1344,10 +1304,10 @@ class _CCheck:
     def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins):
         """The per-sweep values of the first k cycles, as a _Pass.
 
-        R and at are the rows and indices of _source, V the row sums of the
-        states, conj0 and F0 the conjugates and objective at the batch's
-        start, and margins[c] the squared-movement margins of cycle c's
-        sweeps.
+        R and at are the log's rows and their indices (_index), V the row
+        sums of the states, conj0 and F0 the conjugates and objective at the
+        batch's start, and margins[c] the squared-movement margins of cycle
+        c's sweeps.
         """
         W, r = self.W, spec.r
         if len(self.conj) == 1:   # one group of every pair, in order
@@ -1412,13 +1372,12 @@ class _CCheck:
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind.  Sweep b of cycle c matched when
-        every row it writes is bitwise its state's.  Unless the sweep also
-        logged a stray, which check looks up in the log, the sequential
-        replay of its one subproblem would then find the state and test the
-        pass's objectives against a margin no larger than the pass's own
-        (_replay), so it passes on every sweep before the cycle's first
-        failing one, the only sweeps that are replayed.  R, V and at are
-        those of _sweep_pass.
+        every row it writes is bitwise its state's.  The sequential replay of
+        its one subproblem would then find the state and test the pass's
+        objectives against a margin no larger than the pass's own (_replay),
+        so it passes on every sweep before the cycle's first failing one,
+        the only sweeps that are replayed.  R, V and at are those of
+        _sweep_pass.
         """
         rs = self.resolve
         d, x0 = spec.d, spec.x0
@@ -1501,24 +1460,29 @@ class _CCheck:
         """check_level=full: sweep w of cycle c of the batch in log
         re-solved one subproblem at a time.
 
-        Each step solves from the state its earlier steps left, starting at
-        the state before the sweep, rebuilt from the log, and its
-        subproblems are then applied one at a time, each checked against
-        its own margin; the state must end within 1e-9 of the state after
-        the sweep, S.  FS[w] is the pass's objective at S, conj_w its
-        conjugates and conj_prev those before sweep w.  Each state is
-        summed once.  The first step reads the logged sum before the sweep
-        and takes its rows' conjugates from conj_w, since it
-        solves from the same state as the sweep did.  When the last state
-        is bitwise S, it takes S's logged sum and FS[w], which are bitwise
-        its sum and dual_objective_from on it, and it agrees with S exactly.
+        Each step solves into a buffer of the sweep's rows from the state
+        its earlier steps left, starting at the state before the sweep,
+        rebuilt from the log, and its subproblems are then applied one at a
+        time, each checked against its own margin; the state must end within
+        1e-9 of the state after the sweep, S.  FS[w] is the pass's objective
+        at S, conj_w its conjugates and conj_prev those before sweep w.
+        Each state is summed once.  The first step reads the logged sum
+        before the sweep and takes its rows' conjugates from conj_w, since
+        it solves from the same state as the sweep did.  When the sweep's
+        rows end bitwise its logged ones, the state is S: it takes S's
+        logged sum and FS[w], which are bitwise its sum and
+        dual_objective_from on it, and it agrees with S exactly.
         """
         steps = self.replays[w]
         if not self.scratch:
-            self.scratch += [np.empty((self.n, spec.d)),
+            z_seq = np.empty((self.n, spec.d))
+            self.scratch += [z_seq, _read_only(z_seq),
                              np.empty((self.n, spec.d))]
-        z_seq, z_step = self.scratch
+        z_seq, snap, z_end = self.scratch
         s = c * self.W + w
+        start = self.n + c * self.P
+        logged = log.rows[start + self.offs[w - 1]:start + self.offs[w]]
+        out = z_end[:len(logged)]   # the sweep's rows, until S is rebuilt
         self._state(log, s - 1, z_seq)
         v = log.sums[s - 1]
         F_before = FS[w - 1]
@@ -1527,23 +1491,20 @@ class _CCheck:
         final = steps[-1][2][-1]
         snapshot = False
         for k, (step, groups, subs) in enumerate(steps):
-            # a step writes only its own rows of z_step: nothing else is read
-            step.solve(spec, z_seq, v, step.arg, params, z_step)
+            step.solve(spec, snap, v, step.arg, params, out)
             if k:
-                conj_step = stacked_conjugates(groups, z_step,
-                                               np.empty(spec.r))
+                conj_step = np.empty(spec.r)
+                for rows, at, stack in groups:
+                    conj_step[rows] = stack.support(out[at])
             for sub in subs:
-                rows, gov, term_rows = sub
+                rows, at, gov, gov_at, term_rows = sub
                 if gov is not None:
-                    dv = z_step[gov] - z_seq[gov]
-                z_seq[rows] = z_step[rows]
+                    dv = out[gov_at] - z_seq[gov]
+                z_seq[rows] = out[at]
                 if sub is final:
-                    # z_step is read no more: it takes S, which is z_seq
-                    # with the sweep's logged rows and strays
-                    z_step[...] = z_seq
-                    self._apply(log, s, z_step)
                     # bitwise, so that the pass's values are this state's
-                    snapshot = z_seq.tobytes() == z_step.tobytes()
+                    snapshot = (z_seq[self.written[w - 1]].tobytes()
+                                == logged.tobytes())
                 if snapshot:
                     v_new, F_new = log.sums[s], FS[w]
                 else:
@@ -1566,8 +1527,9 @@ class _CCheck:
                 F_before, v = F_new, v_new
         if snapshot:
             return
-        scale = max(1.0, float(np.abs(z_step).max()))
-        if float(np.abs(z_seq - z_step).max()) > 1e-9 * scale:
+        S = self._state(log, s, z_end)
+        scale = max(1.0, float(np.abs(S).max()))
+        if float(np.abs(z_seq - S).max()) > 1e-9 * scale:
             raise EngineInvariantError(
                 f"cycle {n} sweep {w}: sequential replay disagrees with the"
                 f" snapshot execution")
@@ -1584,11 +1546,8 @@ class _CCheck:
         check_level="full", in one re-solve of the batch where _resolved
         can, else one at a time), then its end-of-cycle objective against
         the last one in trace.F when its ascent flag is set, and for valid
-        plans, in a batch that logged a stray, its freeze equalities, and
-        unless it is approximate its certificate bounds.  A batch without
-        strays cannot fail a freeze equality: its sweeps changed only the
-        rows they declare, and a valid plan declares no row after its last
-        touch or inside a protected window.  When a pass over the whole
+        plans, unless it is approximate, its certificate bounds.  When a
+        pass over the whole
         batch raises, the cycles are checked one at a time, so that the
         first cycle's error comes first; when the re-solve raises, every
         sweep is replayed one at a time.  Each cycle's objectives, and for a
@@ -1601,7 +1560,7 @@ class _CCheck:
         V = log.sums
         certs = matched = None
         try:
-            R, at = self._source(log, k)
+            R, at = log.rows, self._index(k)
             p = self._sweep_pass(spec, R, V, at, k, conj, F,
                                  margins[:k, :self.W])
             if (self.resolve is not None
@@ -1620,14 +1579,6 @@ class _CCheck:
                     spec, self._cycle_log(log, c), conj, F, margins[c:],
                     [cyc], params, groups, trace)
             return conj, F, certs
-        if matched is not None:
-            # a sweep that logged a stray moved a row it does not write:
-            # its replay decides it
-            for s, _, _ in log.strays:
-                c, w = divmod(s - 1, self.W)
-                b = self.resolve.at.get(w + 1)
-                if c < k and b is not None:
-                    matched[c, b] = False
         # the cycles that no sweep check or replay can fail, found for the
         # whole batch; the others go through _raise_sweeps
         quiet = ~p.bad.any(axis=1)
@@ -1649,9 +1600,6 @@ class _CCheck:
                 raise EngineInvariantError(
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
             if self.valid:
-                if at.full:   # from cycle c's rebuilt states 0..W
-                    S = R.reshape(-1, self.n, R.shape[1])[c * self.W:]
-                    _assert_freeze(self.c_analysis, S[:self.W + 1], cyc.n)
                 # one cycle alone: the certificates after the checks before
                 if certs is None:
                     certs = _certificates(spec, R, V, at.cert, k, groups,
@@ -1684,10 +1632,8 @@ class _CCheck:
             one.rows[self.n + self.offs[w - 1]:self.n + self.offs[w]] = z[
                 self.written[w - 1]]
         one.sums[upto + 1:self.W + 1] = v
-        one.strays[:] = [s for s in one.strays if s[0] <= upto]
-        R, at = self._source(one, 1)
-        p = self._sweep_pass(spec, R, one.sums, at, 1, conj, F,
-                             margins[None, :self.W])
+        p = self._sweep_pass(spec, one.rows, one.sums, self._index(1), 1,
+                             conj, F, margins[None, :self.W])
         self._raise_sweeps(spec, one, p, 0, n, params, upto)
 
 
@@ -1786,19 +1732,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     all_terms = stack_terms(spec.terms, range(spec.r))
 
     # z and its row sum v live in preallocated buffers, v taken once for
-    # each snapshot.  With checks on, a batch of up to n_batch cycles of one
-    # pattern is logged (_Log): its start state, copied from z when it
-    # begins, then per sweep the rows it declares, its sum and its strays.
-    # z alternates between two states that are bitwise equal between
-    # sweeps: each sweep writes its rows into the one its snapshot is not
-    # in, and the snapshot then takes them, and any stray rows, from it.  A
-    # still sweep, whose state is bytewise its snapshot, keeps its sum.  A
+    # each snapshot, which the sweeps read through read-only views made once.
+    # With checks on, a batch of up to n_batch cycles of one pattern is
+    # logged (_Log): its start state, copied from z when it begins, then per
+    # sweep its sum and its declared rows, which it writes into the log and
+    # z, the one state, then takes in place; a still sweep keeps its sum.  A
     # cycle's movements are taken at its end from its logged sums and its
     # governing rows' differences, kept in gov.  With checks off, row 0 of
     # buf is the start of a batch of up to n_batch cycles and row c + 1 the
     # end of cycle c, which its last sweep writes; the sweeps before it
     # alternate between the row after the ends and row 0, whose batch start
-    # the batch's first sweep has read.
+    # the batch's first sweep has read.  A sweep writes its rows into its
+    # state when they are one contiguous run, else into scratch first.
     # A batch is checked, or priced, in one pass when it is full, when the
     # next cycle takes another pattern (checks on), when the gap rule needs
     # its objective (checks off) or stops the run, before an exception
@@ -1820,30 +1765,29 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             np.empty((spec.n_duals + max(n_batch * P0,
                                          *(chk.P for chk in checks)),
                       spec.d)),
-            np.empty((max(n_batch * W0, *map(len, compiled)) + 1, spec.d)),
-            [])
+            np.empty((max(n_batch * W0, *map(len, compiled)) + 1, spec.d)))
         margins = np.zeros((n_batch, max(map(len, compiled))))
         sums = log.sums
         # how many governing rows the sweeps of a cycle of each pattern move
         n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
-        # the slices of rows _log_strays compares, a copy of at most 64 KiB;
-        # a state of one slice is compared whole first, in one comparison
-        step = max(1, 8192 // spec.d)
-        runs = [slice(a, a + step) for a in range(0, spec.n_duals, step)]
-        whole = len(runs) == 1
-        states = (z.copy(), z.copy())
-        z = states[0]
+        z = z.copy()   # written in place
+        snap = _read_only(z)
         v = z.sum(axis=0, out=sums[0])
         # per-row conjugate cache, carried from one batch's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
         F_state = dual_objective_from(spec, z, conj, v)
     else:
-        n_batch = min(_OBJ_BATCH, params.max_iterations)
+        n_batch = max(1, min(_OBJ_BATCH, params.max_iterations,
+                             _OFF_BATCH_BYTES // (spec.n_duals * spec.d * 8)))
         buf = np.empty((n_batch + min(2, max(map(len, compiled))),
                         spec.n_duals, spec.d))
+        snaps = [_read_only(state) for state in buf]
         sums = vbuf = np.empty((len(buf), spec.d))
+        scratch = np.empty((max((cs.size for c in compiled for cs in c
+                                 if type(cs.written) is not slice),
+                                default=0), spec.d))
         buf[0] = z
-        z = buf[0]
+        z, snap = buf[0], snaps[0]
         v = z.sum(axis=0, out=sums[0])
         # only the objective and the stop rule read the groups: a contiguous
         # one is read as a view
@@ -1893,10 +1837,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 v = sums[0]
                 if sweep_checks:
                     log.rows[:spec.n_duals] = z
-                    log.strays.clear()
                 else:
                     buf[0] = z
-                    z = buf[0]
+                    z, snap = buf[0], snaps[0]
             if sweep_checks:
                 chk = checks[k]
                 # the differences of the governing rows the cycle's sweeps
@@ -1912,25 +1855,29 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             cycle_approx = False
 
             for w, cs in enumerate(sweeps, start=1):
-                z_prev, v_prev = z, v
                 if sweep_checks:
                     slot += 1
-                    z = states[1] if z_prev is states[0] else states[0]
+                    block = log.rows[start + chk.offs[w - 1]:
+                                     start + chk.offs[w]]
+                    exact = _execute_sweep(spec, snap, v, cs, params, block)
+                    # a sweep that kept its rows' bytes has them in z,
+                    # scanned when written, as were the rows no sweep wrote
+                    moved = block.tobytes() != z[cs.written].tobytes()
+                    rows = block
                 else:
+                    z_prev, v_prev, snap_prev = z, v, snap
                     if w < W:
                         slot = n_batch + 1 if w % 2 else 0
                     else:
                         slot = c + 1
-                    z = buf[slot]
+                    z, snap = buf[slot], snaps[slot]
                     z[...] = z_prev
-                exact = _execute_sweep(spec, z_prev, v_prev, cs, params, z)
-                written = z[cs.written]
-                # a checked sweep that kept its declared rows' bytes has them
-                # in its snapshot, scanned when written, as were the rows no
-                # sweep wrote
-                moved = (not sweep_checks
-                         or written.tobytes() != z_prev[cs.written].tobytes())
-                if moved and not all_finite(written):
+                    scatter = type(cs.written) is not slice
+                    rows = scratch[:cs.size] if scatter else z[cs.written]
+                    exact = _execute_sweep(spec, snap_prev, v_prev, cs,
+                                           params, rows)
+                    moved = True
+                if moved and not all_finite(rows):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
                         # first, then this one's sweeps before this one
@@ -1939,8 +1886,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         _movement_sums(*_movements(sums[slot - w:slot],
                                                    gov[:n_gov]),
                                        sweeps, cycle_margins)
-                        chk.check_sweeps(spec, log, c, z_prev, v_prev, conj,
-                                         F_state, cycle_margins, n, params,
+                        chk.check_sweeps(spec, log, c, z, v, conj, F_state,
+                                         cycle_margins, n, params,
                                          upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
@@ -1948,33 +1895,24 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 if per_sweep:
                     trace.sweep_approx.append(not exact)
                 if sweep_checks:
-                    log.rows[start + chk.offs[w - 1]:
-                             start + chk.offs[w]] = written
                     if cs.block_js:
                         g = n_gov + len(cs.block_js)
                         if moved:
-                            np.subtract(z[cs.gov0], z_prev[cs.gov0],
+                            np.subtract(block[cs.gov_at], z[cs.gov0],
                                         out=gov[n_gov:g])
                         else:
                             gov[n_gov:g] = 0.0
                         n_gov = g
-                    # z_prev, which the next sweep writes into, takes the
-                    # declared rows; it then differs from z only in the rows
-                    # a faulty solver moved, which it takes too
                     if moved:
-                        z_prev[cs.written] = written
-                    del written   # a copy unless a slice: not kept to a flush
-                    strayed = ((not whole or z.tobytes() != z_prev.tobytes())
-                               and _log_strays(z, z_prev, runs, slot,
-                                               log.strays))
-                    if moved or strayed:
+                        z[cs.written] = block
                         z.sum(axis=0, out=sums[slot])
                     else:   # a still sweep: equal bytes give z.sum's bits
-                        sums[slot] = v_prev
+                        sums[slot] = v
                     v = sums[slot]
                     continue
+                if scatter:
+                    z[cs.written] = rows
                 v = z.sum(axis=0, out=sums[slot])
-                del written
                 v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
                 # left to right from 0.0, whatever sum() does (3.12
                 # compensates a float sum)
@@ -2053,7 +1991,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = buf = vbuf = margins = states = log = None
+    z = v = z_prev = v_prev = snap = snap_prev = snaps = buf = vbuf = None
+    margins = log = scratch = None
     return RunResult(
         state=state,
         x=x,

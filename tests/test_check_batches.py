@@ -172,34 +172,34 @@ def test_the_gap_rule_prices_a_pending_cycle_with_the_bits_of_its_check(
 
 
 def _distinct_input(row, call, act):
-    """act(out) on the call-th distinct input state of row's solves.
+    """act(new) on the call-th distinct input state of row's solves.
 
     A replay at check_level="full" re-solves an input it has seen, and gets
     the same fault, whenever it runs.
     """
     seen = {}
 
-    def fault(spec, z, i, out):
+    def fault(spec, z, i, new):
         if i == row:
             key = z.tobytes()
             if key not in seen:
                 seen[key] = len(seen) + 1
             if seen[key] == call:
-                act(out)
+                act(new)
     return fault
 
 
-def _half_step(out):
-    out[0] *= 0.5
+def _half_step(new):
+    new *= 0.5
 
 
 def _write(value):
-    def act(out):
-        out[4, 0] = value
+    def act(new):
+        new[0] = value
     return act
 
 
-def _raise_in_prox(out):
+def _raise_in_prox(new):
     raise ValueError("prox failed")
 
 
@@ -458,9 +458,9 @@ def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
     # row 3's solve is one ulp off, every time.  The stacked re-solve of its
     # sweep misses the snapshot, and _replay, which calls the same solver,
     # decides it alone; the result is that of the per-sweep replay
-    def one_ulp_off(spec, z, i, out):
+    def one_ulp_off(spec, z, i, new):
         if i == 2:
-            out[2] = np.nextafter(out[2], np.inf)
+            new[...] = np.nextafter(new, np.inf)
 
     calls = _replays(monkeypatch)
     spec, plan = test_engine._classic_faults(monkeypatch, one_ulp_off)
@@ -471,22 +471,6 @@ def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
         _batched_replay_off(m, "not-compiled")
         replayed = dk.run(spec, plan, params)
     _assert_same_result(batched, replayed)
-
-
-def test_a_sweep_that_moves_another_row_goes_to_the_per_sweep_replay(
-        monkeypatch):
-    # solving row 3 also moves z_1 by one ulp.  The re-solve of sweep 3
-    # gives its own row's bits, but another row moved, so _replay decides
-    # the sweep; the freeze check then reports z_1
-    calls = _replays(monkeypatch)
-    spec, plan = test_engine._classic_faults(monkeypatch,
-                                             test_engine._nudge(2, 0))
-    with pytest.raises(EngineInvariantError,
-                       match=r"^cycle 1: z_1 moved after its last touch"
-                             r" \(sweep 1 vs 3\)$"):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
-                                          check_level="full"))
-    assert calls == [(1, 3)]
 
 
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
@@ -519,20 +503,11 @@ def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
 # the sweep log against the states it stands for
 # ---------------------------------------------------------------------------
 
-def _stray_zero(spec, z, i, out):
-    """Solving row 3 writes -0.0 over row 6 while it is all zero: its bytes
-    change and its value does not, so no check fails."""
-    if i == 2 and not z[5].any():
-        out[5] = -z[5]
-
-
-def _log_case(monkeypatch, name):
+def _log_case(name):
     if name == "invalid":
         S = dk.SweepPlan
         return fixtures.random_halfspaces(3, 4, 3), dk.CyclePlan(pattern=(
             S(outer={1}), S(outer={2}), S(outer={4})))
-    if name == "stray":
-        return test_engine._classic_faults(monkeypatch, _stray_zero)
     return _case(name)
 
 
@@ -543,7 +518,7 @@ def _logged_batches(monkeypatch):
     check = engine._CCheck.check
 
     def recorded(self, spec, log, conj, F, margins, batch, *rest):
-        copy = engine._Log(log.rows.copy(), log.sums.copy(), list(log.strays))
+        copy = engine._Log(log.rows.copy(), log.sums.copy())
         batches.append((self, copy, [cyc.n for cyc in batch]))
         return check(self, spec, log, conj, F, margins, batch, *rest)
 
@@ -566,18 +541,16 @@ def _run_sweep_cycles(spec, plan, n_cycles):
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested", "invalid", "stray"])
+                                  "custom_nested", "invalid"])
 def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                                                          level):
     # every state rebuilt from a batch's log is bitwise the run_sweep
     # loop's, its sums are theirs, and the log's certificates are
-    # certificate_points on those states.  The stray case writes outside
-    # its rows in cycle 1, whose batch is read from its rebuilt full
-    # states, the states its freeze equalities are checked on
-    spec, plan = _log_case(monkeypatch, case)
+    # certificate_points on those states
+    spec, plan = _log_case(case)
+    analysis = dk.validate(plan, spec.r, spec.m)
     groups = terms_module.stack_terms(spec.terms, range(spec.r))
     batches = _logged_batches(monkeypatch)
-    strays = 0
     for cap in (1, 3, 9, 26):
         batches.clear()
         res = dk.run(spec, plan, dk.SolveParams(
@@ -595,97 +568,26 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                 assert chk._state(log, s, out).tobytes() == state.tobytes()
                 assert (log.sums[s].tobytes()
                         == state.sum(axis=0).tobytes())
-            strays += len(log.strays)
-            R, at = chk._source(log, k)
-            assert at.full == bool(log.strays)
-            if at.full:
-                assert R[:len(states) * chk.n].tobytes() == np.array(
-                    states).tobytes()
             if not chk.valid:
                 assert res.certificates is None
                 continue
             ends = np.array([terms_module.stacked_conjugates(
                 groups, cycles[n - 1][-1], np.empty(spec.r)) for n in ns])
-            X, res_c, fen = engine._certificates(spec, R, log.sums, at.cert,
-                                                 k, groups, ends)
+            X, res_c, fen = engine._certificates(
+                spec, log.rows, log.sums, chk._index(k).cert, k, groups, ends)
             for c, n in enumerate(ns):
-                public = dk.certificate_points(spec, cycles[n - 1],
-                                               chk.c_analysis)
+                public = dk.certificate_points(
+                    spec, cycles[n - 1], analysis.for_cycle(plan, n))
                 assert X[c].tobytes() == np.array(
                     [p.point for p in public]).tobytes()
                 assert res_c[c].tolist() == [p.residual for p in public]
                 assert fen[c].tolist() == [p.fenchel for p in public]
-    assert (strays > 0) == (case == "stray")
-
-
-@pytest.mark.parametrize("level,message", [
-    ("sweep", "cycle 1 sweep 5: ascent fell short of the quadratic margin"),
-    ("full", "cycle 1 sweep 3: sequential replay disagrees with the snapshot"
-             " execution"),
-])
-def test_a_stray_write_before_a_last_touch_keeps_its_verdict(monkeypatch,
-                                                             level, message):
-    # solving row 3 also moves z_5, before its last touch at sweep 5, so the
-    # freeze check does not flag it.  The pass prices z_5 with the
-    # conjugate of its last write, and at sweep 5 the margin fails; the
-    # replay of sweep 3 rebuilds its state with the stray row and finds it
-    # apart from its own
-    def stray(spec, z, i, out):
-        if i == 2:
-            out[4, 0] = z[4, 0] + 1e-6
-
-    spec, plan = test_engine._classic_faults(monkeypatch, stray)
-    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
-                                          check_level=level))
 
 
 # ---------------------------------------------------------------------------
 # still sweeps: a checked sweep that leaves the state bytewise its snapshot
 # reuses its sum
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("level", ["sweep", "full"])
-@pytest.mark.parametrize("r,d,at_row,row,replays", [
-    (6, 4, 2, 0, [(1, 3)]),
-    (200, 50, 3, 2, [(1, 4)]),
-    (200, 50, 189, 186, [(1, 190)]),
-], ids=["whole", "sliced-first", "sliced-last"])
-def test_a_still_sweep_that_moves_another_row_logs_the_stray(
-        monkeypatch, r, d, at_row, row, replays, level):
-    # the sweep that solves at_row, whose halfspace does not cut, writes
-    # its own row back with the bits it read and moves row, last touched
-    # by the sweep before it, by one ulp.  Its declared rows match the
-    # snapshot and its state does not: the stray is logged, the freeze
-    # check reports it, and at "full" only that sweep is replayed.  At
-    # (200, 50) the states are compared in slices of 163 rows, and row is
-    # in the first or the last
-    own = []
-
-    def still_with_a_stray(spec, z, i, out):
-        if i == at_row:
-            own.append(out[i].tobytes() == z[i].tobytes())
-            out[i] = z[i]
-            out[row] = np.nextafter(z[row], np.inf)
-
-    test_engine._after_prox_row(monkeypatch, still_with_a_stray)
-    spec = fixtures.random_halfspaces(1, r, d)
-    plan = dk.classic_dykstra_schedule(r)
-    assert (spec.n_duals * d > 8192) == (r == 200)
-    batches = _logged_batches(monkeypatch)
-    calls = _replays(monkeypatch)
-    with pytest.raises(EngineInvariantError,
-                       match=rf"^cycle 1: z_{row + 1} moved after its last"
-                             rf" touch \(sweep {row + 1} vs {at_row + 1}\)$"):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=1,
-                                          check_level=level))
-    assert own[0]   # the sweep was still but for its stray
-    (_, log, ns), = batches
-    assert ns == [1]
-    assert [(s, rows.tolist()) for s, rows, _ in log.strays] == [
-        (at_row + 1, [row])]
-    assert calls == (replays if level == "full" else [])
-
 
 def _summed_sweeps(monkeypatch):
     """Count the sweeps whose rows run scans and whose state it sums: every
@@ -709,15 +611,15 @@ def test_a_row_rewritten_as_the_other_zero_is_summed(monkeypatch, level):
     # state rebuilt from the log, and its sum, is bitwise the run_sweep
     # loop's.  A sweep taken as still by value would leave its snapshot
     # with the old zero
-    def other_zero(spec, z, i, out):
-        if not out[i].any():
-            out[i] = np.where(np.signbit(z[i]), 0.0, -0.0)
+    def other_zero(spec, z, i, new):
+        if not new.any():
+            new[...] = np.where(np.signbit(z[i]), 0.0, -0.0)
 
-    test_engine._after_prox_row(monkeypatch, other_zero)
     A = np.random.default_rng(3).standard_normal((4, 3))
     spec = dk.ProblemSpec(np.zeros(3), [dk.Indicator(dk.Halfspace(a, 1.0))
                                         for a in A])
     plan = dk.classic_dykstra_schedule(4)
+    test_engine._after_prox_row(monkeypatch, spec, plan, other_zero)
     batches = _logged_batches(monkeypatch)
     summed = _summed_sweeps(monkeypatch)
     res = dk.run(spec, plan, dk.SolveParams(max_iterations=4,
@@ -728,7 +630,6 @@ def test_a_row_rewritten_as_the_other_zero_is_summed(monkeypatch, level):
     assert np.signbit(cycles[0][-1]).all() and not cycles[1][-1].any()
     out = np.empty_like(cycles[0][0])
     for chk, log, ns in batches:
-        assert not log.strays
         states = [cycles[ns[0] - 1][0]] + [
             cycles[n - 1][w] for n in ns for w in range(1, chk.W + 1)]
         for s, state in enumerate(states):
@@ -743,7 +644,7 @@ def test_still_sweeps_give_the_bits_of_checks_off(monkeypatch, r, d,
     # most classic sweeps on these halfspaces leave the state bytewise as
     # it was, and a checked run takes its sum from the sweep before; every
     # result has the bits of check_level="off", which sums each state.  At
-    # (200, 50) the states are compared in slices
+    # (200, 50) a state is larger than 64 KiB
     spec = fixtures.random_halfspaces(1, r, d)
     plan = dk.classic_dykstra_schedule(r)
     assert (spec.n_duals * d > 8192) == (r == 200)
@@ -772,23 +673,29 @@ def test_still_sweeps_give_the_bits_of_checks_off(monkeypatch, r, d,
 
 
 # ---------------------------------------------------------------------------
-# the freeze equalities, checked only on batches that logged a stray
+# the freeze equalities, checked once per cycle pattern when its checks are
+# compiled
 # ---------------------------------------------------------------------------
 
 def _assert_no_written_row_is_frozen(spec, plan):
     """No row that a sweep of a cycle of plan writes (_CSweep.written) is
-    one the freeze equalities hold fixed at that sweep (_freeze_masks):
-    after its last touch, or inside a protected window."""
+    one the freeze equalities hold fixed at that sweep: after its last
+    touch, or inside a protected window."""
     analysis = dk.validate(plan, spec.r, spec.m)
     assert analysis.valid_A and analysis.valid_B
     for sweeps, c_analysis in zip((plan.pattern,) + plan.lead_in,
                                   analysis.cycles):
         W, n = len(sweeps), spec.n_duals
-        after, pairs, cols, window = engine._freeze_masks(c_analysis, W, n)
+        # frozen[w - 1, i]: row i must keep its value through sweep w
+        frozen = np.zeros((W, n), dtype=bool)
+        for i1, p in c_analysis.p.items():
+            frozen[p:, i1 - 1] = True
+        for i1, q in c_analysis.q.items():
+            for i2 in c_analysis.block_members[i1]:
+                frozen[q:c_analysis.p[i1] - 1, i2 - 1] = True
         for w, sweep in enumerate(sweeps, start=1):
             rows = np.arange(n)[engine._CSweep(sweep, spec).written]
-            assert not after[w - 1, rows].any()
-            assert not np.isin(cols[window[:, w - 1]], rows).any()
+            assert not frozen[w - 1, rows].any()
 
 
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
@@ -797,12 +704,56 @@ def test_a_valid_plan_writes_no_frozen_row(case):
     _assert_no_written_row_is_frozen(*_case(case))
 
 
-@pytest.mark.skipif(given is None, reason="needs hypothesis")
-def test_a_random_valid_plan_writes_no_frozen_row():
-    # random sweeps of outer sets and blocks, made valid by the deferral
-    # rewrite where it can be
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case,w,message", [
+    ("classic", 3, "pattern sweep 3: z_1 is written after its last touch"
+                   r" \(sweep 1\)"),
+    ("window", 2, "pattern sweep 2: block member z_1 is written inside the"
+                  r" protected window \(1\.\.2\)"),
+])
+def test_a_declared_frozen_row_fails_when_its_checks_are_compiled(
+        monkeypatch, case, w, message, level):
+    # a sweep writes only the rows it declares (_CSweep.written), so the
+    # freeze equalities are a property of those rows: a sweep compiled to
+    # declare z_1 where it is frozen fails before any sweep runs.  In the
+    # window case z_1 is a member of the block {1, 3} at sweep 3, whose
+    # copy 3 is solved outer at sweep 1
+    if case == "classic":
+        spec, plan = (fixtures.random_halfspaces(1, 6, 4),
+                      dk.classic_dykstra_schedule(6))
+    else:
+        spec = fixtures.random_halfspaces(3, 2, 3, m=1)
+        plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={3}),
+                                     dk.SweepPlan(outer={2}),
+                                     dk.SweepPlan(inner={3: {1, 3}})))
+    dk.run(spec, plan, dk.SolveParams(max_iterations=3, check_level=level))
+    init, execute = engine._CSweep.__init__, engine._execute_sweep
+    calls = []
+
+    def declaring(self, sweep, spec):
+        init(self, sweep, spec)
+        if sweep == plan.pattern[w - 1]:
+            self.written = np.union1d(
+                np.arange(spec.n_duals)[self.written], [0])
+            self.size = len(self.written)
+
+    def counted(*args):
+        calls.append(1)
+        return execute(*args)
+
+    monkeypatch.setattr(engine._CSweep, "__init__", declaring)
+    monkeypatch.setattr(engine, "_execute_sweep", counted)
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                          check_level=level))
+    assert not calls
+
+
+if given is not None:
     @st.composite
     def plans(draw):
+        """(r, m, plan): random sweeps of outer sets and blocks, made valid
+        by the deferral rewrite where it can be."""
         r, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
         sweeps = []
         for _ in range(draw(st.integers(1, 6))):
@@ -826,36 +777,56 @@ def test_a_random_valid_plan_writes_no_frozen_row():
         assume(plan is not None)
         analysis = dk.validate(plan, r, m)
         assume(analysis.valid_A and analysis.valid_B)
-        return fixtures.random_mixed(1, r, 2, m=m), plan
+        return r, m, plan
 
+
+def _random_plans(n_examples):
+    return settings(max_examples=n_examples, deadline=None, database=None,
+                    derandomize=True,
+                    suppress_health_check=[HealthCheck.filter_too_much,
+                                           HealthCheck.too_slow])
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_a_random_valid_plan_writes_no_frozen_row():
     seen = []
 
-    @settings(max_examples=300, deadline=None, database=None,
-              derandomize=True,
-              suppress_health_check=[HealthCheck.filter_too_much,
-                                     HealthCheck.too_slow])
+    @_random_plans(300)
     @given(plans())
     def check(case):
-        _assert_no_written_row_is_frozen(*case)
-        seen.append(bool(case[1].lead_in))
+        r, m, plan = case
+        _assert_no_written_row_is_frozen(fixtures.random_mixed(1, r, 2, m=m),
+                                         plan)
+        seen.append(bool(plan.lead_in))
 
     check()
     assert len(seen) >= 100 and any(seen)
 
 
-@pytest.mark.parametrize("level", ["sweep", "full"])
-@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested"])
-def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
-    # a batch read from its log wrote only its declared rows, so it cannot
-    # fail a freeze equality, and none is evaluated
-    def called(*args):
-        raise AssertionError("freeze work on a batch without strays")
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_a_random_valid_plan_converges_to_the_projection():
+    # every valid plan is one order of the same dual minimization: checked
+    # in full, each run stops by the gap rule, and x is then within the
+    # gap's bound of the exact projection (qp_project), approximate cycles
+    # included
+    stop_gap = 1e-12
+    approx = []
 
-    monkeypatch.setattr(engine, "_moved", called)
-    monkeypatch.setattr(engine, "_freeze_masks", called)
-    spec, plan = _case(case)
-    dk.run(spec, plan, dk.SolveParams(max_iterations=26, check_level=level))
+    @_random_plans(150)
+    @given(plans(), st.integers(1, 10**6), st.integers(2, 4))
+    def check(case, seed, d):
+        r, m, plan = case
+        spec = fixtures.random_halfspaces(seed, r, d, m=m)
+        res = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=20000, stop_gap=stop_gap, check_level="full"))
+        assert res.stop_reason == "gap"
+        x_star = dk.qp_project(dk.PolyhedralInstance.from_spec(spec))
+        assert (np.linalg.norm(res.x - x_star)
+                <= math.sqrt(2.0 * stop_gap / (m + 1)) + 1e-10)
+        approx.append(res.any_approx)
+
+    check()
+    assert len(approx) >= 100 and any(approx)
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
@@ -875,7 +846,7 @@ def test_a_start_whose_sum_overflows_is_reported_at_its_first_sweep(
 
 
 def test_checked_memory_stays_within_three_times_unchecked():
-    # a checked batch holds two states, its log and the pass's tables, not
+    # a checked batch holds one state, its log and the pass's tables, not
     # a state per sweep: classic (200, 20) over two cycles
     spec = fixtures.random_halfspaces(1, 200, 20)
     plan = dk.classic_dykstra_schedule(200)

@@ -9,8 +9,7 @@ import pytest
 import dyksplit as dk
 from dyksplit import engine, fixtures
 from dyksplit import terms as terms_module
-from dyksplit.engine import (EngineInvariantError, NonFiniteStateError,
-                             _assert_freeze)
+from dyksplit.engine import EngineInvariantError, NonFiniteStateError
 from dyksplit.terms import FEAS_TOL, HalfspaceStack, moreau_dual, stack_terms
 
 from .support import (TERM_KINDS, invalid_deferred_plan, irrational_angle_spec,
@@ -466,7 +465,7 @@ def _margins_before_a_non_finite_sweep(monkeypatch, spec, plan, k, message):
         exact = execute(spec, z, v, cs, params, out)
         calls[0] += 1
         if calls[0] == k:
-            out[np.arange(len(out))[cs.written][0], 0] = np.nan
+            out[0, 0] = np.nan
         return exact
 
     def recorded(self, spec, log, c, z, v, conj, F, margins, *rest, upto):
@@ -625,6 +624,29 @@ def test_batched_cycle_ends_give_the_bits_of_one_at_a_time(monkeypatch,
     assert mid_batch
 
 
+@pytest.mark.parametrize("r,d,product,n_batch", [
+    (50, 20, False, 8), (20, 10, True, 8), (200, 50, False, 3),
+    (800, 50, False, 1)])
+def test_checks_off_batches_hold_at_most_their_bytes_of_cycle_ends(
+        monkeypatch, r, d, product, n_batch):
+    # a batch's cycle-end states take at most _OFF_BATCH_BYTES, or one
+    # state: eight cycles at the benchmark's sizes, fewer of larger states
+    sizes = []
+    flush = engine._flush_cycle_ends
+
+    def recorded(spec, groups, Z, V, batch, F_list):
+        sizes.append(len(batch))
+        return flush(spec, groups, Z, V, batch, F_list)
+
+    monkeypatch.setattr(engine, "_flush_cycle_ends", recorded)
+    spec = fixtures.random_halfspaces(1, r, d, m=r - 1 if product else 0)
+    plan = (dk.product_space_schedule(r) if product
+            else dk.classic_dykstra_schedule(r))
+    dk.run(spec, plan, dk.SolveParams(max_iterations=n_batch + 1,
+                                      check_level="off"))
+    assert sizes == [n_batch, 1]
+
+
 def test_rows_index_is_a_slice_only_for_an_ascending_run():
     assert engine._rows_index([3, 4, 5]) == slice(3, 6)
     assert engine._rows_index([7]) == slice(7, 8)
@@ -683,8 +705,8 @@ def test_slices_and_index_arrays_give_the_same_bits(monkeypatch, case,
 
 
 def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
-    # the nested loop works on a copy of its rows: a view would write into
-    # the snapshot that every subproblem of the sweep reads
+    # the nested loop works on a copy of its rows, not on the read-only
+    # snapshot that every subproblem of the sweep reads
     spec = fixtures.random_mixed(8, 8, 6, m=2)
     sweep = dk.SweepPlan(outer={3, 4})
     assert not engine._CSweep(sweep, spec).exact
@@ -695,6 +717,35 @@ def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
     dk.run_sweep(spec, st, sweep)
     assert z.tobytes() == snapshot.tobytes()
     assert st.z is not z and not np.array_equal(st.z[2:4], snapshot[2:4])
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full", "public"])
+def test_a_solver_cannot_write_into_its_snapshot(monkeypatch, level):
+    # every solver reads its snapshot through a read-only view, in a run at
+    # every check level, in the replay at "full" (here every sweep's, after
+    # the cycle's six sweeps) and in the public single steps
+    spec = fixtures.random_halfspaces(1, 6, 4)
+    plan = dk.classic_dykstra_schedule(6)
+    solve = engine._prox_row
+    calls = []
+
+    def writing(spec, z, v, arg, params, out):
+        exact = solve(spec, z, v, arg, params, out)
+        calls.append(1)
+        if level != "full" or len(calls) > 6:
+            z[arg[0]] = out[arg[1]]
+        return exact
+
+    monkeypatch.setattr(engine, "_prox_row", writing)
+    monkeypatch.setattr(engine._CCheck, "_compile_resolve",
+                        lambda self, spec, shared: None)
+    with pytest.raises(ValueError, match="read-only"):
+        if level == "public":
+            dk.solve_outer(spec, dk.DualState.zeros(spec), [1])
+        else:
+            dk.run(spec, plan, dk.SolveParams(max_iterations=1,
+                                              check_level=level))
+    assert len(calls) == (7 if level == "full" else 1)
 
 
 def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
@@ -810,7 +861,7 @@ def test_run_keeps_cycle_starts_only_on_request():
         assert np.array_equal(starts[k], ends.state.z)
 
 
-def _freeze_fixture(plan, spec):
+def _cycle_snapshots(plan, spec):
     """One real cycle's snapshots and analysis, from public run_sweep."""
     analysis = dk.validate(plan, spec.r, spec.m)
     st = dk.DualState.zeros(spec)
@@ -819,45 +870,6 @@ def _freeze_fixture(plan, spec):
         dk.run_sweep(spec, st, sweep)
         snaps.append(st.z.copy())
     return analysis.for_cycle(plan, 1), snaps
-
-
-def test_freeze_check_rejects_move_after_last_touch():
-    spec = fixtures.random_halfspaces(2, 4, 3)
-    c_analysis, snaps = _freeze_fixture(dk.classic_dykstra_schedule(4), spec)
-    _assert_freeze(c_analysis, snaps, 1)
-    # z_1 is last touched at sweep 1; drift it from sweep 3 on
-    bad = [s.copy() for s in snaps]
-    for s in bad[3:]:
-        s[0, 1] = np.nextafter(s[0, 1], np.inf)
-    with pytest.raises(EngineInvariantError,
-                       match=r"^cycle 1: z_1 moved after its last touch"
-                             r" \(sweep 1 vs 3\)$"):
-        _assert_freeze(c_analysis, bad, 1)
-    # a move that a later snapshot undoes is reported at the sweep it happened
-    bad = [s.copy() for s in snaps]
-    bad[2][0, 0] += 1.0
-    with pytest.raises(EngineInvariantError,
-                       match=r"z_1 moved after its last touch \(sweep 1 vs 2\)"):
-        _assert_freeze(c_analysis, bad, 1)
-
-
-def test_freeze_check_rejects_move_inside_protected_window():
-    # index 3 is solved outer at sweep 1 and governs the block {1, 3} at
-    # sweep 3, so both block rows are frozen during sweep 2
-    spec = fixtures.random_halfspaces(3, 2, 3, m=1)
-    plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={3}),
-                                 dk.SweepPlan(outer={2}),
-                                 dk.SweepPlan(inner={3: {1, 3}})))
-    c_analysis, snaps = _freeze_fixture(plan, spec)
-    assert c_analysis.q == {1: 1, 3: 1} and c_analysis.p[1] == 3
-    _assert_freeze(c_analysis, snaps, 1)
-    for row in (0, 2):
-        bad = [s.copy() for s in snaps]
-        bad[2][row, 2] += 1.0
-        with pytest.raises(EngineInvariantError,
-                           match=rf"^cycle 1: block member z_{row + 1} moved"
-                                 r" inside the protected window \(1\.\.2\)$"):
-            _assert_freeze(c_analysis, bad, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -869,14 +881,26 @@ def test_freeze_check_rejects_move_inside_protected_window():
 # messages are those of the sweep-by-sweep checks, which the cycle-end check
 # pass must reproduce, first failure first.
 
-def _after_prox_row(monkeypatch, *faults):
-    """Apply each fault(spec, z, i, out) after every _prox_row solve."""
+def _after_prox_row(monkeypatch, spec, plan, *faults):
+    """Apply each fault(spec, z, i, new) after every _prox_row solve of
+    plan's sweeps: z is the snapshot and new the new value of term row i.
+
+    A solver writes only the rows its sweep declares, into a buffer of
+    them: one row per index the sweep touches.
+    """
+    written = {}   # term row -> the rows of the sweep that solves it alone
+    for sweep in [sw for c in (plan.pattern,) + plan.lead_in for sw in c]:
+        if len(sweep.outer) == 1 and min(sweep.outer) <= spec.r:
+            i = min(sweep.outer) - 1
+            assert written.setdefault(i, sweep.touched) == sweep.touched
     orig = engine._prox_row
 
-    def solver(spec, z, v, i, params, out):
-        exact = orig(spec, z, v, i, params, out)
+    def solver(spec, z, v, arg, params, out):
+        i, at = arg
+        assert out.shape == (len(written[i]), spec.d)
+        exact = orig(spec, z, v, arg, params, out)
         for fault in faults:
-            fault(spec, z, i, out)
+            fault(spec, z, i, out[at])
         return exact
 
     monkeypatch.setattr(engine, "_prox_row", solver)
@@ -884,29 +908,17 @@ def _after_prox_row(monkeypatch, *faults):
 
 def _step(row, t, always=False):
     """Scale row's move by t, unless always only once it has moved before."""
-    def fault(spec, z, i, out):
+    def fault(spec, z, i, new):
         if i == row and (always or z[i].any()):
-            out[i] = z[i] + t * (out[i] - z[i])
-    return fault
-
-
-def _nudge(at_row, row):
-    """Move row by one ulp whenever at_row is solved."""
-    def fault(spec, z, i, out):
-        if i == at_row:
-            out[row] = np.nextafter(z[row], np.inf)
+            new[...] = z[i] + t * (new - z[i])
     return fault
 
 
 def _non_finite(row, value=np.nan):
-    """Write value into row's first entry and minus value into z_1's.
-
-    An infinite value then makes the first column of the dual sum inf - inf.
-    """
-    def fault(spec, z, i, out):
+    """Write value into row's first entry once row has moved before."""
+    def fault(spec, z, i, new):
         if i == row and z[i].any():
-            out[i, 0] = value
-            out[0, 0] = -value
+            new[0] = value
     return fault
 
 
@@ -918,23 +930,25 @@ def _shrink_on_repeat(row):
     """
     seen = set()
 
-    def fault(spec, z, i, out):
+    def fault(spec, z, i, new):
         key = (i, z.tobytes())
         if i == row and key in seen:
-            out[i] *= 1.0 - 1e-6
+            new *= 1.0 - 1e-6
         seen.add(key)
     return fault
 
 
-def _leak_sum(spec, z, i, out):
+def _leak_sum(spec, z, i, new):
     """The last term's outer solve reads the copies, which a block moves."""
     if i == spec.r - 1:
-        out[i] = out[i] + 1e-3 * z[spec.r:].sum(axis=0)
+        new += 1e-3 * z[spec.r:].sum(axis=0)
 
 
 def _classic_faults(monkeypatch, *faults):
-    _after_prox_row(monkeypatch, *faults)
-    return fixtures.random_halfspaces(1, 6, 4), dk.classic_dykstra_schedule(6)
+    spec, plan = (fixtures.random_halfspaces(1, 6, 4),
+                  dk.classic_dykstra_schedule(6))
+    _after_prox_row(monkeypatch, spec, plan, *faults)
+    return spec, plan
 
 
 _STAT_1 = "cycle 2 sweep 1: stationarity residual inf at index 1"
@@ -964,32 +978,6 @@ def test_fault_off_checks_only_the_cycle_end(monkeypatch):
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
-@pytest.mark.parametrize("at_row", [1, 2, 5])
-def test_fault_moving_frozen_rows_fails_freeze(monkeypatch, level, at_row):
-    # z_1 is last touched at sweep 1; the sweep that solves at_row moves it,
-    # from the first sweep after its last touch to the last of the cycle
-    spec, plan = _classic_faults(monkeypatch, _nudge(at_row, 0))
-    with pytest.raises(EngineInvariantError,
-                       match=r"^cycle 1: z_1 moved after its last touch"
-                             rf" \(sweep 1 vs {at_row + 1}\)$"):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
-                                          check_level=level))
-    # the protected window: block member z_1 moves at sweep 2, before the
-    # block {1, 3} runs at sweep 3
-    monkeypatch.undo()
-    _after_prox_row(monkeypatch, _nudge(1, 0))
-    spec = fixtures.random_halfspaces(3, 2, 3, m=1)
-    plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={3}),
-                                 dk.SweepPlan(outer={2}),
-                                 dk.SweepPlan(inner={3: {1, 3}})))
-    with pytest.raises(EngineInvariantError,
-                       match=r"^cycle 1: block member z_1 moved inside the"
-                             r" protected window \(1\.\.2\)$"):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=3,
-                                          check_level=level))
-
-
-@pytest.mark.parametrize("level", ["sweep", "full"])
 def test_fault_certificate_distance(monkeypatch, level):
     # movements reported at a tenth shrink gamma below the true distances
     orig = engine._movements
@@ -1016,10 +1004,10 @@ def test_fault_certificate_fenchel(monkeypatch, level):
 
     def half(spec, z, v, arg, params, out):
         exact = orig(spec, z, v, arg, params, out)
-        _, I, J = arg
+        _, I, J, I_at, J_at = arg
         bsum = z[I] + z[J]
-        out[I] = z[I] + 0.5 * (out[I] - z[I])
-        out[J] = bsum - out[I]
+        out[I_at] = z[I] + 0.5 * (out[I_at] - z[I])
+        out[J_at] = bsum - out[I_at]
         return exact
 
     monkeypatch.setattr(engine, "_stacked_blocks", half)
@@ -1037,11 +1025,12 @@ def test_fault_certificate_fenchel(monkeypatch, level):
              " quadratic margin"),
 ])
 def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
-    _after_prox_row(monkeypatch, _leak_sum)
     spec = fixtures.random_halfspaces(1, 4, 3, m=3)
+    plan = dk.product_space_schedule(4)
+    _after_prox_row(monkeypatch, spec, plan, _leak_sum)
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):
-        dk.run(spec, dk.product_space_schedule(4),
-               dk.SolveParams(max_iterations=4, check_level=level))
+        dk.run(spec, plan, dk.SolveParams(max_iterations=4,
+                                          check_level=level))
 
 
 def _stacked_prox_off_by_one_ulp(monkeypatch):
@@ -1081,24 +1070,24 @@ _MARK = 1234.5
 
 
 def _on_solve(row, call, act):
-    """act(out) after the call-th solve of row only."""
+    """act(new) after the call-th solve of row only."""
     calls = [0]
 
-    def fault(spec, z, i, out):
+    def fault(spec, z, i, new):
         if i == row:
             calls[0] += 1
             if calls[0] == call:
-                act(out)
+                act(new)
     return fault
 
 
 def _write(value):
-    def act(out):
-        out[4, 0] = value
+    def act(new):
+        new[0] = value
     return act
 
 
-def _raise_in_prox(out):
+def _raise_in_prox(new):
     raise ValueError("prox failed")
 
 
@@ -1166,8 +1155,8 @@ def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
 
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
 def test_public_checks_match_the_engine(case):
-    # certificate_points and the list form of _assert_freeze take the same
-    # states that the engine's cycle-end pass reads from its sweep log
+    # certificate_points takes the same states that the engine's cycle-end
+    # pass reads from its sweep log
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
@@ -1178,8 +1167,7 @@ def test_public_checks_match_the_engine(case):
         spec = fixtures.random_mixed(7, 4, 3, m=1)
         plan = fixtures.mixed_block_schedule(4)
     res = dk.run(spec, plan, dk.SolveParams(max_iterations=1))
-    c_analysis, snaps = _freeze_fixture(plan, spec)
-    _assert_freeze(c_analysis, snaps, 1)
+    c_analysis, snaps = _cycle_snapshots(plan, spec)
     public = dk.certificate_points(spec, snaps, c_analysis)
     assert [c.index for c in public] == [c.index for c in res.certificates]
     for a, b in zip(public, res.certificates):
@@ -1225,7 +1213,7 @@ def test_certificate_points_follow_the_formula(case):
         plan = dk.rewrite_deferred(invalid_deferred_plan(), 2, 2)
     res = dk.run(spec, plan, dk.SolveParams(max_iterations=1,
                                             check_level="full"))
-    c_analysis, snaps = _freeze_fixture(plan, spec)
+    c_analysis, snaps = _cycle_snapshots(plan, spec)
     x_final = spec.x0 - snaps[-1].sum(axis=0)
     assert [c.index for c in res.certificates] == list(
         range(1, spec.n_duals + 1))
