@@ -749,6 +749,69 @@ def test_a_declared_frozen_row_fails_when_its_checks_are_compiled(
     assert not calls
 
 
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested"])
+def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
+    # the freeze equalities are checked once per cycle pattern when the
+    # checks are compiled, before any sweep; no batch evaluates them
+    check, execute = engine._assert_unfrozen, engine._execute_sweep
+    events = []
+
+    def checked(*args):
+        events.append("freeze")
+        return check(*args)
+
+    def executed(*args):
+        events.append("sweep")
+        return execute(*args)
+
+    monkeypatch.setattr(engine, "_assert_unfrozen", checked)
+    monkeypatch.setattr(engine, "_execute_sweep", executed)
+    spec, plan = _case(case)
+    dk.run(spec, plan, dk.SolveParams(max_iterations=26, check_level=level))
+    patterns = 1 + len(plan.lead_in)
+    assert events[:patterns] == ["freeze"] * patterns
+    assert events[patterns:].count("freeze") == 0
+    assert events.count("sweep") >= 26 * len(plan.pattern)
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("solver,case", [
+    ("_prox_row", "classic"), ("_quad_rows", "product"),
+    ("_prox_quad_rows", "prox_quad"), ("_stacked_blocks", "mixed_block"),
+    ("_nested_rows", "custom_nested")])
+def test_every_solver_writes_a_buffer_of_its_sweeps_rows(
+        monkeypatch, solver, case, level):
+    # each solver tier gets a (size, d) buffer of the declared rows of a
+    # sweep that runs it and a snapshot it cannot write, in a run at every
+    # check level and in the replay at "full"
+    spec, plan = _case(case)
+    orig = getattr(engine, solver)
+    sizes = {cs.size for c in (plan.pattern,) + plan.lead_in for cs in
+             (engine._CSweep(sw, spec) for sw in c)
+             if any(step.solve is orig for step in cs.steps)}
+    seen = []
+
+    def solve(spec, z, v, arg, params, out):
+        assert out.shape[0] in sizes and out.shape[1:] == (spec.d,)
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+        seen.append(out.shape[0])
+        return orig(spec, z, v, arg, params, out)
+
+    monkeypatch.setattr(engine, solver, solve)
+    monkeypatch.setattr(engine._CCheck, "_compile_resolve",
+                        lambda self, spec, shared: None)
+    res = dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                            check_level=level))
+    monkeypatch.undo()
+    ref = dk.run(spec, plan, dk.SolveParams(max_iterations=3,
+                                            check_level=level))
+    assert set(seen) == sizes
+    assert res.state.z.tobytes() == ref.state.z.tobytes()
+
+
 if given is not None:
     @st.composite
     def plans(draw):
