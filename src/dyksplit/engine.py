@@ -4,8 +4,12 @@ Each sweep jointly minimizes the dual objective over its outer index set
 (complement frozen) and, independently, over each inner block (block sum
 frozen).  Each subproblem's solve tier is fixed once, when its sweep is
 compiled: an outer set with at most one proximable index has an exact closed
-form; an outer set with two or more, and a block with two or more term
-members, run the one nested coordinate loop (_nested_rows) and are flagged
+form, and so does an outer set of two halfspace or ball indicators, or a
+block whose two term members are, whose joint solve projects onto the
+intersection of the two sets (_pair_rows; where that has no closed form, it
+runs the nested loop instead and is approximate).  Any other outer set with
+two or more proximable indices, and block with two or more term members,
+runs the one nested coordinate loop (_nested_rows) and is flagged
 approximate.  All subproblems of a sweep read the same snapshot of the duals
 and write disjoint rows, so they are independent; they run one after
 another, and their order cannot change the result.
@@ -24,7 +28,8 @@ check_level:
            sets, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each exact sweep with
            per-subproblem gain checks.  The sweeps of one step with one
-           subproblem whose solver has a stacked form are re-solved for a
+           subproblem whose solver has a stacked form (a pair's is
+           terms.PairStack.duals) are re-solved for a
            whole batch in a few stacked calls (_CCheck._resolved), when it
            holds at least _RESOLVE_MIN of them over its cycles; one whose
            written rows are bitwise its snapshot's passes there, since its
@@ -71,8 +76,9 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (FEAS_TOL, DimensionMismatch, Indicator, _dots, _norm,
-                    all_finite, stack_terms, stacked_conjugates)
+from .terms import (FEAS_TOL, DimensionMismatch, Indicator, PairStack, _dots,
+                    _norm, all_finite, pair_constants, pair_duals, pair_order,
+                    stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -384,6 +390,34 @@ def _stacked_blocks(spec, z, v, arg, params, out):
     return True
 
 
+def _pair_rows(spec, z, v, arg, params, out):
+    """Outer set {i, j}, or the block of j0 with term members {i, j}, of two
+    halfspace or ball indicators: their joint solve is the projection of u
+    onto C_i ∩ C_j, exact in closed form (terms.pair_duals).
+
+    arg is (pair, i, j, j0, i_at, j_at, j0_at, nested): pair_duals' sets,
+    in pair order, and their constants, the places in out and nested
+    _nested_rows' arg, which a pair with no closed form at u runs instead.
+    j0 is None for an outer set, whose u is x0 - rest; a block's u is x0
+    plus the block sum, the rest of which j0 gets.
+    """
+    pair, i, j, j0, i_at, j_at, j0_at, nested = arg
+    if j0 is None:
+        u = spec.x0 - (v - z[i] - z[j])
+    else:
+        bsum = z[i] + z[j] + z[j0]
+        u = bsum + spec.x0
+    duals = pair_duals(*pair, u)
+    if duals is None:
+        return _nested_rows(spec, z, v, nested, params, out)
+    z_i, z_j = duals
+    out[i_at] = z_i
+    out[j_at] = z_j
+    if j0 is not None:
+        out[j0_at] = bsum - z_i - z_j
+    return True
+
+
 def _nested_rows(spec, z, v, arg, params, out):
     """Cyclic coordinate minimization over rows (0-based, sorted); approximate.
 
@@ -444,19 +478,22 @@ class _CSweep:
 
     steps (_Step, 0-based rows) run in this order: the blocks with one term
     member, one _stacked_blocks step per term kind (terms.stack_terms); each
-    block with several term members (_nested_rows); the outer set.  The
-    outer set's tier is exact for one term row (_prox_row), only quadratic
-    rows (_quad_rows) or one term row plus quadratic rows (_prox_quad_rows),
-    and _nested_rows for two or more term rows.  gov0 are the governing rows
-    of the blocks in block_js order, and exact says that no step runs
-    _nested_rows.  written are the rows the sweep declares, sorted, and size
+    block with several term members (_pair_rows for two halfspace or ball
+    indicators, else _nested_rows); the outer set.  The outer set's tier is
+    exact for one term row (_prox_row), only quadratic rows (_quad_rows),
+    one term row plus quadratic rows (_prox_quad_rows) or two halfspace or
+    ball indicator rows (_pair_rows), and _nested_rows for any other two or
+    more term rows.  gov0 are the governing rows of the blocks in block_js
+    order, and exact says that no step runs _nested_rows: the sweep is exact
+    unless a pair falls back at run time (_Pending.approx).
+    written are the rows the sweep declares, sorted, and size
     their number: a sweep writes them into a (size, d) buffer, each row at
     its place there, and gov_at are the places of gov0.  gov0, written, the
     places and the row sets of every solver but _nested_rows go through
-    _rows_index, so a contiguous run of rows is read as a view; subs and
-    conj_rows stay index arrays for _CCheck.  Only a _stacked_blocks step
-    holds a stack; the replay at check_level="full" stacks the other steps'
-    term rows.
+    _rows_index, so a contiguous run of rows is read as a view (_pair_rows
+    takes single rows); subs and conj_rows stay index arrays for _CCheck.
+    Only a _stacked_blocks step holds a stack; the replay at
+    check_level="full" stacks the other steps' term rows.
     """
 
     __slots__ = ("steps", "outer1", "block_js", "gov0", "gov_at", "exact",
@@ -476,18 +513,35 @@ class _CSweep:
 
         gov = [j - 1 for j in self.block_js]
         self.gov0, self.gov_at = _rows_index(gov), at(gov)
+
+        def joint(rows, j0):
+            """The step of the outer set rows (j0 None) or of the term
+            members rows of the block of j0: _pair_rows, else
+            _nested_rows."""
+            members = np.array(rows, dtype=np.intp)
+            arg = (members, j0, at(rows), None if j0 is None else place[j0])
+            subs = [(members if j0 is None else np.array(
+                sorted(rows + [j0]), dtype=np.intp), j0)]
+            # a block's members are term rows (sched._check_ranges)
+            prox = members if j0 is not None else members[members < spec.r]
+            pair = (pair_order(terms, rows)
+                    if len(rows) == 2 and prox.size == 2 else None)
+            if pair is None:
+                return _Step(_nested_rows, arg, subs, prox)
+            i, j = pair
+            sets = (terms[i].set, terms[j].set)
+            return _Step(_pair_rows, (
+                sets + (pair_constants(*sets),), i, j, j0, place[i],
+                place[j], arg[3], arg), subs, prox)
+
         single = {}   # term row -> governing row, for one-member blocks
         nested = []
         for j in self.block_js:
             prox0 = sorted(i - 1 for i in sweep.inner[j] if i != j)
             if len(prox0) == 1:
                 single[prox0[0]] = j - 1
-                continue
-            members = np.array(prox0, dtype=np.intp)
-            all0 = np.array(sorted(i - 1 for i in sweep.inner[j]), dtype=np.intp)
-            nested.append(_Step(_nested_rows,
-                                (members, j - 1, at(prox0), place[j - 1]),
-                                [(all0, j - 1)], members))
+            else:
+                nested.append(joint(prox0, j - 1))
         self.steps = []
         for I, stack in stack_terms(terms, list(single)):
             I0 = I.tolist()
@@ -502,17 +556,36 @@ class _CSweep:
             prox0 = outer0[outer0 < spec.r]
             rows = outer0.tolist()
             if prox0.size >= 2:
-                solve, arg = _nested_rows, (outer0, None, at(rows), None)
-            elif prox0.size == 0:
-                solve, arg = _quad_rows, (_rows_index(rows), at(rows))
-            elif outer0.size == 1:
-                solve, arg = _prox_row, (rows[0], place[rows[0]])
+                self.steps.append(joint(rows, None))
             else:
-                solve, arg = _prox_quad_rows, (
-                    rows[0], _rows_index(rows), _rows_index(rows[1:]),
-                    float(outer0.size), place[rows[0]], at(rows[1:]))
-            self.steps.append(_Step(solve, arg, [(outer0, None)], prox0))
+                if prox0.size == 0:
+                    solve, arg = _quad_rows, (_rows_index(rows), at(rows))
+                elif outer0.size == 1:
+                    solve, arg = _prox_row, (rows[0], place[rows[0]])
+                else:
+                    solve, arg = _prox_quad_rows, (
+                        rows[0], _rows_index(rows), _rows_index(rows[1:]),
+                        float(outer0.size), place[rows[0]], at(rows[1:]))
+                self.steps.append(_Step(solve, arg, [(outer0, None)], prox0))
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
+
+
+_TIERS = {_prox_row: "prox", _quad_rows: "quad", _prox_quad_rows: "prox-quad",
+          _stacked_blocks: "stacked", _pair_rows: "pair",
+          _nested_rows: "nested"}
+
+
+def sweep_tiers(spec, sweep):
+    """The solve tiers a SweepPlan compiles to, one "tier {i,j,...}" string
+    per step in the order the sweep runs them, with the 1-based indices of
+    each of its subproblems (a block's include its governing index), and
+    " (approximate)" after the nested loop's.  A pair falls back to the
+    nested loop where it has no closed form (_pair_rows)."""
+    return [" ".join([_TIERS[step.solve]] + [
+        "{" + ",".join(str(i + 1) for i in rows.tolist()) + "}"
+        for rows, _ in step.subs]) + (
+            " (approximate)" if step.solve is _nested_rows else "")
+        for step in _CSweep(sweep, spec).steps]
 
 
 def _rows_index(rows):
@@ -725,12 +798,14 @@ class _Pending(NamedTuple):
 
     n is its number; ascent says whether its end-of-cycle objective must
     not fall below the cycle before it, gamma is its gamma_n and approx
-    whether a sweep was approximate.
+    whether a sweep was approximate: a bool, or, when a compiled exact
+    tier fell back to _nested_rows (_pair_rows), the tuple of those
+    sweeps, 1-based, which is true (_CCheck._exact).
     """
     n: int
     ascent: bool
     gamma: float
-    approx: bool
+    approx: bool | tuple
 
 
 def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
@@ -769,6 +844,14 @@ def _pair_stacks(terms, rows, shared):
         key = tuple(rows[k] for k in pos.tolist())
         out.append((pos, shared.setdefault(key, stack)))
     return out
+
+
+def _shared_pairs(pairs, key, shared):
+    """The PairStack of pairs of sets, or the one in shared under key, the
+    pairs' rows, which a new one is added as."""
+    if key not in shared:
+        shared[key] = PairStack(pairs)
+    return shared[key]
 
 
 def _assert_unfrozen(c_analysis, dw, di):
@@ -941,7 +1024,8 @@ class _Pass(NamedTuple):
     short (k, W) and stat_bad (k, pairs) which check; resid (k, pairs) are
     the stationarity residuals.  new (k, pairs) are the conjugates of the rows
     each sweep writes, and starts and ends (k, r) the conjugates at each
-    cycle's start and end.
+    cycle's start and end.  exact, (W,) or (k, W), flags the sweeps that
+    ran exact tiers only, the ones that are checked (_CCheck._exact).
     """
     F: np.ndarray
     F_prev: np.ndarray
@@ -953,6 +1037,7 @@ class _Pass(NamedTuple):
     new: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
+    exact: np.ndarray
 
 
 class _Resolve(NamedTuple):
@@ -961,16 +1046,21 @@ class _Resolve(NamedTuple):
 
     Each is one step with one subproblem.  The B sweeps come in this order:
     n_prox outer sets of one term row (_prox_row), the outer sets of
-    quadratic rows only (_quad_rows), then n_block one-block sweeps
-    (_stacked_blocks); the first n_outer are outer sets.  at maps a sweep w
-    to its place and cols (B,) are the sweeps, 0-based.  Their written rows,
-    Q in all, come in this order: the prox rows, the blocks' term rows, the
-    blocks' governing rows, then each quadratic group's rows.  rows (Q,) are
-    their flat offsets w_prev * n + i in a cycle's states, w_prev the state
-    each sweep starts from, and vrows (n_outer,) the outer sets' w_prev.
-    moreau are the stacks of the prox and block term rows, as
+    quadratic rows only (_quad_rows), n_pair outer sets of two terms
+    (_pair_rows), then n_block one-block sweeps (_stacked_blocks) and the
+    blocks of two term members (_pair_rows); the first n_outer are outer
+    sets.  at maps a sweep w to its place and cols (B,) are the sweeps,
+    0-based.  Their written rows, Q in all, come in this order: the prox
+    rows, the blocks' term rows, the blocks' governing rows, each quadratic
+    group's rows, then from pair_start on the pair sweeps' rows, i and j of
+    each outer set and i, j and the governing row of each block.  rows (Q,)
+    are their flat offsets w_prev * n + i in a cycle's states, w_prev the
+    state each sweep starts from, and vrows (n_outer,) the outer sets'
+    w_prev.  moreau are the stacks of the prox and block term rows, as
     (positions, stack); groups are (start row, sweeps, rows each, first
-    outer place) for the _quad_rows outer sets of one size.
+    outer place) for the _quad_rows outer sets of one size; pairs are
+    (positions, PairStack) over the pair sweeps, outer sets first, and
+    pair_at their places.
     """
     at: dict
     cols: np.ndarray
@@ -981,6 +1071,10 @@ class _Resolve(NamedTuple):
     vrows: np.ndarray
     moreau: list
     groups: list
+    n_pair: int
+    pair_start: int
+    pairs: list
+    pair_at: np.ndarray
 
 
 def _gather(A, at, k, K):
@@ -1044,7 +1138,9 @@ class _CCheck:
     check evaluates them for a batch of k consecutive cycles of the pattern
     from its _Log: one sweep pass over all k cycles for the per-sweep checks
     (ascent, margin, stationarity of exact outer sets, and the replay at
-    check_level="full") and one cycle pass for the certificates.  The
+    check_level="full") and one cycle pass for the certificates.  A cycle's
+    per-sweep checks cover the sweeps compiled exact (exact), but for those
+    whose pair fell back to the nested loop in that cycle (_exact).  The
     freeze equalities of a valid plan are checked here, once: a sweep writes
     only the rows it declares (_assert_unfrozen).
     Compiled here:
@@ -1065,11 +1161,13 @@ class _CCheck:
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
       layout  the certificate layout (valid plans only)
-      replays  with scratch, per exact sweep w its steps, each with its
-               term rows' (rows, places, stack) groups (None for the first
-               step, which takes its conjugates from the pass) and its
-               subproblems as (rows, a slice when contiguous; places; margin
-               row; place; term rows), places in the sweep's buffer
+      replays  with scratch, the compiled exact sweeps w that are
+               replayed; at its first replay a sweep's steps are compiled
+               into steps[w] (_replay_steps), each with its term rows'
+               (rows, places, stack) groups (None for the first step, which
+               takes its conjugates from the pass) and its subproblems as
+               (rows, a slice when contiguous; places; margin row; place;
+               term rows), places in the sweep's buffer
       resolve  the replayed sweeps that the batch re-solves at once
                (_Resolve), or None; one whose re-solve matches its state is
                not replayed
@@ -1144,8 +1242,9 @@ class _CCheck:
 
         self.scratch = scratch
         self.replays = {} if scratch is None else {
-            w: _replay_steps(cs, spec)
-            for w, cs in enumerate(sweeps, start=1) if cs.exact and cs.steps}
+            w: cs for w, cs in enumerate(sweeps, start=1)
+            if cs.exact and cs.steps}
+        self.steps = {}
         self.resolve = self._compile_resolve(spec, shared)
         self.K = 0   # the batch size the log's indices are built for
 
@@ -1156,10 +1255,10 @@ class _CCheck:
     def _compile_resolve(self, spec, shared):
         """The replayed sweeps of one step with one subproblem whose solver
         has a stacked form, as a _Resolve, or None when there are none."""
-        prox, sums, blocks = [], {}, []
-        for w, steps in self.replays.items():
-            step = steps[0][0]
-            if len(steps) > 1 or len(step.subs) > 1:
+        prox, sums, blocks, pairs = [], {}, [], ([], [])
+        for w, cs in self.replays.items():
+            step = cs.steps[0]
+            if len(cs.steps) > 1 or len(step.subs) > 1:
                 continue
             rows = step.subs[0][0].tolist()
             if step.solve is _prox_row:
@@ -1168,34 +1267,56 @@ class _CCheck:
                 blocks.append((w, rows))   # the term row, then the governing
             elif step.solve is _quad_rows:
                 sums.setdefault(len(rows), []).append((w, rows))
-        order = prox + [s for group in sums.values() for s in group] + blocks
+            elif step.solve is _pair_rows:
+                pair, i, j, j0 = step.arg[:4]
+                pairs[j0 is not None].append(
+                    (w, [i, j] if j0 is None else [i, j, j0], pair[:2]))
+        quads = [s for group in sums.values() for s in group]
+        order = prox + quads + pairs[0] + blocks + pairs[1]
         if not order:
             return None
-        n_prox, n_block = len(prox), len(blocks)
-        n_outer = len(order) - n_block
+        n_prox, n_block, n_pair = len(prox), len(blocks), len(pairs[0])
+        n_outer = len(order) - n_block - len(pairs[1])
         # (place, row) of each written row, in the layout of _Resolve
         written = [(b, rows[0]) for b, (_, rows) in enumerate(prox)]
         for k in (0, 1):   # the blocks' term rows, then governing rows
             written += [(n_outer + b, rows[k])
                         for b, (_, rows) in enumerate(blocks)]
-        written += [(n_prox + b, i) for b, (_, rows) in enumerate(
-            order[n_prox:n_outer]) for i in rows]
+        written += [(n_prox + b, i) for b, (_, rows) in enumerate(quads)
+                    for i in rows]
+        pair_start = len(written)
+        pair_at = list(range(n_outer - n_pair, n_outer)) + list(
+            range(n_outer + n_block, len(order)))
+        written += [(b, i) for b, (_, rows, _) in zip(
+            pair_at, pairs[0] + pairs[1]) for i in rows]
         groups = []
         start, place = n_prox + 2 * n_block, n_prox
         for size, group in sums.items():
             groups.append((start, len(group), size, place))
             start += len(group) * size
             place += len(group)
-        cols = np.array([w - 1 for w, _ in order], dtype=np.intp)
+        # the pair sweeps by kind, as (position in pair order, their sets,
+        # (i, j)); a checked cycle with the same pairs of a kind shares
+        # their stack
+        kinds = {}
+        for b, (_, rows, sets) in enumerate(pairs[0] + pairs[1]):
+            kinds.setdefault(tuple(map(type, sets)), []).append(
+                (b, sets, tuple(rows[:2])))
+        cols = np.array([w - 1 for w, *_ in order], dtype=np.intp)
         return _Resolve(
-            {w: b for b, (w, _) in enumerate(order)}, cols, n_prox, n_block,
+            {w: b for b, (w, *_) in enumerate(order)}, cols, n_prox, n_block,
             n_outer,
             np.array([cols[b] * spec.n_duals + i for b, i in written],
                      dtype=np.intp),
             cols[:n_outer].copy(),
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
-            groups)
+            groups, n_pair, pair_start,
+            [(np.array([b for b, _, _ in kind], dtype=np.intp),
+              _shared_pairs([pair for _, pair, _ in kind],
+                            tuple(rows for _, _, rows in kind), shared))
+             for kind in kinds.values()],
+            np.array(pair_at, dtype=np.intp))
 
     def _per_sweep(self, A):
         """Whether any of A (k, Q), one flag per written row, holds over
@@ -1205,10 +1326,16 @@ class _CCheck:
         out = np.empty((len(A), len(rs.cols)), dtype=bool)
         out[:, :rs.n_prox] = A[:, :rs.n_prox]
         np.logical_or(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
-                      out=out[:, rs.n_outer:])
+                      out=out[:, rs.n_outer:rs.n_outer + rs.n_block])
         for start, count, size, place in rs.groups:
             out[:, place:place + count] = A[:, start:start + count * size
                                             ].reshape(-1, count, size).any(2)
+        if rs.pairs:
+            s, o = rs.pair_start, rs.n_pair
+            out[:, rs.pair_at[:o]] = A[:, s:s + 2 * o].reshape(
+                len(A), o, 2).any(2)
+            out[:, rs.pair_at[o:]] = A[:, s + 2 * o:].reshape(
+                len(A), -1, 3).any(2)
         return out
 
     def _index(self, k):
@@ -1301,13 +1428,14 @@ class _CCheck:
             H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
         return _fenchel(H, Cv, X, Z)
 
-    def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins):
+    def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins, exact):
         """The per-sweep values of the first k cycles, as a _Pass.
 
         R and at are the log's rows and their indices (_index), V the row
         sums of the states, conj0 and F0 the conjugates and objective at the
-        batch's start, and margins[c] the squared-movement margins of cycle
-        c's sweeps.
+        batch's start, margins[c] the squared-movement margins of cycle c's
+        sweeps and exact (W,) or (k, W) the sweeps that ran exact tiers only
+        (_exact).
         """
         W, r = self.W, spec.r
         if len(self.conj) == 1:   # one group of every pair, in order
@@ -1343,14 +1471,29 @@ class _CCheck:
         F = _objectives(spec, V[1:k * W + 1], total)
         F_prev = np.concatenate(([F0], F[:-1])).reshape(k, W)
         F = F.reshape(k, W)
-        decreased = self.exact & (F < F_prev - ASCENT_TOL)
-        short = self.exact & (F < F_prev + margins - SWEEP_GAIN_TOL)
+        decreased = exact & (F < F_prev - ASCENT_TOL)
+        short = exact & (F < F_prev + margins - SWEEP_GAIN_TOL)
         stat_bad = resid > CLAIM_TOL
+        if exact.ndim > 1:
+            stat_bad &= exact[:, self.stat_w - 1]
         bad = decreased | short
         c, j = np.nonzero(stat_bad)
         bad[c, self.stat_w[j] - 1] = True
         return _Pass(F, F_prev, bad, decreased, short, stat_bad, resid, new,
-                     starts, ends)
+                     starts, ends, exact)
+
+    def _exact(self, approx):
+        """The sweeps that ran exact tiers only in each cycle of a batch, as
+        (W,) when no compiled exact tier fell back, else (k, W); approx
+        are the cycles' _Pending.approx, a tuple of the sweeps that fell
+        back where any did."""
+        if not any(type(a) is tuple for a in approx):
+            return self.exact
+        exact = np.tile(self.exact, (len(approx), 1))
+        for c, ws in enumerate(approx):
+            if type(ws) is tuple:
+                exact[c, [w - 1 for w in ws]] = False
+        return exact
 
     def _conjugates(self, starts, new, a, b):
         """The conjugates after sweeps a + 1..b of k cycles, (k, b - a, r + 1).
@@ -1392,6 +1535,7 @@ class _CCheck:
             G = X[:, start:start + count * size].reshape(k, count, size, d)
             c = V0[:, place:place + count] - G.sum(axis=2)
             G[...] = (-c / (size + 1.0))[:, :, None]
+        ok = self._pairs_resolved(spec, X, V0) if rs.pairs else None
         U = np.empty((k, m, d))
         u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
         np.subtract(V0[:, :n_prox], X[:, :n_prox], out=u)
@@ -1409,7 +1553,42 @@ class _CCheck:
         del U
         X1 = _gather(R, after, k, at.K)   # the states after the sweeps
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        return ~self._per_sweep(differs)
+        matched = ~self._per_sweep(differs)
+        if ok is not None:   # a pair with no closed form ran _nested_rows
+            matched[:, rs.pair_at] &= ok
+        return matched
+
+    def _pairs_resolved(self, spec, X, V0):
+        """_resolved's re-solve of the pair sweeps: their rows in X are
+        overwritten with _pair_rows' values; V0 holds the sums before the
+        outer sets.  Returns ok (k, pairs), False where a pair has no closed
+        form."""
+        rs = self.resolve
+        k, d = len(X), spec.d
+        s, o, x0 = rs.pair_start, rs.n_pair, spec.x0
+        # views of each pair sweep's rows: i, j and a block's governing row
+        outer = X[:, s:s + 2 * o].reshape(k, o, 2, d)
+        block = X[:, s + 2 * o:].reshape(k, -1, 3, d)
+        U = np.empty((k, len(rs.pair_at), d))
+        # _pair_rows' u: x0 - (v - z_i - z_j) and x0 plus the block sum
+        u = U[:, :o]
+        np.subtract(V0[:, rs.n_outer - o:rs.n_outer], outer[:, :, 0], out=u)
+        np.subtract(u, outer[:, :, 1], out=u)
+        np.subtract(x0, u, out=u)
+        bsum = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
+        np.add(bsum, x0, out=U[:, o:])
+        if len(rs.pairs) == 1:   # one kind, in order
+            Z1, Z2, ok = rs.pairs[0][1].duals(U)
+        else:
+            Z1, Z2 = np.empty_like(U), np.empty_like(U)
+            ok = np.empty(U.shape[:2], dtype=bool)
+            for pos, stack in rs.pairs:
+                Z1[:, pos], Z2[:, pos], ok[:, pos] = stack.duals(U[:, pos])
+        outer[:, :, 0], outer[:, :, 1] = Z1[:, :o], Z2[:, :o]
+        block[:, :, 0], block[:, :, 1] = Z1[:, o:], Z2[:, o:]
+        np.subtract(bsum, block[:, :, 0], out=bsum)
+        np.subtract(bsum, block[:, :, 1], out=block[:, :, 2])
+        return ok
 
     def _raise_sweeps(self, spec, log, p, c, n, params, upto=None,
                       matched=None):
@@ -1420,9 +1599,11 @@ class _CCheck:
         At check_level="full" the exact sweeps before the failing one are
         replayed first through _replay, but for those that matched, the
         batch's _resolved, finds bitwise their states in this cycle: their
-        replay cannot fail.
+        replay cannot fail.  A sweep whose exact tier fell back in this
+        cycle (p.exact) is not replayed.
         """
         bad = p.bad[c]
+        exact = p.exact if p.exact.ndim == 1 else p.exact[c]
         last = self.W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
         if params.check_level == "full":
@@ -1431,7 +1612,7 @@ class _CCheck:
                 if w >= first:
                     break
                 b = None if matched is None else self.resolve.at.get(w)
-                if b is not None and matched[c, b]:
+                if b is not None and matched[c, b] or not exact[w - 1]:
                     continue
                 if FS is None:   # the objective at each state
                     FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
@@ -1473,7 +1654,9 @@ class _CCheck:
         logged sum and FS[w], which are bitwise its sum and
         dual_objective_from on it, and it agrees with S exactly.
         """
-        steps = self.replays[w]
+        steps = self.steps.get(w)
+        if steps is None:
+            steps = self.steps[w] = _replay_steps(self.replays[w], spec)
         if not self.scratch:
             z_seq = np.empty((self.n, spec.d))
             self.scratch += [z_seq, _read_only(z_seq),
@@ -1562,7 +1745,8 @@ class _CCheck:
         try:
             R, at = log.rows, self._index(k)
             p = self._sweep_pass(spec, R, V, at, k, conj, F,
-                                 margins[:k, :self.W])
+                                 margins[:k, :self.W],
+                                 self._exact([c.approx for c in batch]))
             if (self.resolve is not None
                     and k * len(self.resolve.cols) >= _RESOLVE_MIN):
                 try:
@@ -1622,18 +1806,20 @@ class _CCheck:
         return p.ends[-1], F, certs
 
     def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
-                     upto):
+                     fallbacks, upto):
         """The per-sweep checks of sweeps 1..upto of cycle c of the batch in
         log, cycle n of the run; z and v are the state after sweep upto and
         its sum, which the cycle's later sweeps are taken to leave as they
-        are, and margins are its sweeps' squared-movement margins."""
+        are, margins are its sweeps' squared-movement margins and fallbacks
+        its sweeps whose exact tiers fell back (_Pending.approx)."""
         one = self._cycle_log(log, c)
         for w in range(upto + 1, self.W + 1):
             one.rows[self.n + self.offs[w - 1]:self.n + self.offs[w]] = z[
                 self.written[w - 1]]
         one.sums[upto + 1:self.W + 1] = v
         p = self._sweep_pass(spec, one.rows, one.sums, self._index(1), 1,
-                             conj, F, margins[None, :self.W])
+                             conj, F, margins[None, :self.W],
+                             self._exact([fallbacks]))
         self._raise_sweeps(spec, one, p, 0, n, params, upto)
 
 
@@ -1679,9 +1865,10 @@ def _stays_out(v, kept, c, scale, diff):
 
 
 def _column(values):
-    """A read-only array over the doubles of values, not a copy."""
+    """A read-only array over the doubles of values, not a copy; setflags,
+    as in _read_only."""
     out = np.frombuffer(values)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -1853,6 +2040,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             v_acc = 0.0
             n_gov = 0   # the governing rows the cycle's sweeps moved
             cycle_approx = False
+            fallbacks = ()
 
             for w, cs in enumerate(sweeps, start=1):
                 if sweep_checks:
@@ -1888,10 +2076,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                                        sweeps, cycle_margins)
                         chk.check_sweeps(spec, log, c, z, v, conj, F_state,
                                          cycle_margins, n, params,
-                                         upto=w - 1)
+                                         fallbacks, upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
-                cycle_approx = cycle_approx or not exact
+                if not exact:
+                    cycle_approx = True
+                    if cs.exact:   # an exact tier fell back (_pair_rows)
+                        fallbacks += (w,)
                 if per_sweep:
                     trace.sweep_approx.append(not exact)
                 if sweep_checks:
@@ -1947,7 +2138,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             # F, and with checks on the objectives of the sweeps and the
             # certificate distance, are appended when the cycle's batch is
             # checked or priced
-            pending.append(_Pending(n, ascent, gamma_acc, cycle_approx))
+            pending.append(_Pending(n, ascent, gamma_acc,
+                                    fallbacks or cycle_approx))
             if len(pending) == n_batch or (sweep_checks and n <= n_lead):
                 flush()
             if n == n_lead:

@@ -36,6 +36,10 @@ def _case(name):
         S = dk.SweepPlan
         return fixtures.random_mixed(3, 4, 3, m=1), dk.CyclePlan(pattern=(
             S(outer={1, 5}), S(outer={2}), S(outer={3}), S(outer={4})))
+    if name == "custom_pair":
+        # a halfspace and a ball in each joint subproblem (_pair_rows)
+        return (fixtures.random_mixed(7, 8, 6, m=2),
+                test_engine._custom_pair_plan())
     # both nested fallbacks; the block {5, 10} is deferred to a lead-in
     return fixtures.random_mixed(7, 8, 6, m=2), test_engine._custom_nested_plan()
 
@@ -75,7 +79,7 @@ def _assert_same_result(a, b):
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested"])
+                                  "custom_nested", "custom_pair"])
 def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
         monkeypatch, case, level):
     # caps on both sides of a full batch, gap stops inside one, and a zero
@@ -369,7 +373,8 @@ def _replays(monkeypatch):
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
 @pytest.mark.parametrize("off", ["not-compiled", "raises"])
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested", "prox_quad"])
+                                  "custom_nested", "custom_pair",
+                                  "prox_quad"])
 def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
         monkeypatch, case, off, kernel):
     # caps on both sides of a full batch: every field, trace row and
@@ -699,7 +704,7 @@ def _assert_no_written_row_is_frozen(spec, plan):
 
 
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested"])
+                                  "custom_nested", "custom_pair"])
 def test_a_valid_plan_writes_no_frozen_row(case):
     _assert_no_written_row_is_frozen(*_case(case))
 
@@ -780,7 +785,7 @@ def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
 @pytest.mark.parametrize("solver,case", [
     ("_prox_row", "classic"), ("_quad_rows", "product"),
     ("_prox_quad_rows", "prox_quad"), ("_stacked_blocks", "mixed_block"),
-    ("_nested_rows", "custom_nested")])
+    ("_pair_rows", "custom_pair"), ("_nested_rows", "custom_nested")])
 def test_every_solver_writes_a_buffer_of_its_sweeps_rows(
         monkeypatch, solver, case, level):
     # each solver tier gets a (size, d) buffer of the declared rows of a
@@ -963,3 +968,60 @@ def test_a_replay_reads_the_conjugates_of_its_states(monkeypatch):
     _batched_replay_off(monkeypatch, "not-compiled")
     dk.run(spec, plan, dk.SolveParams(max_iterations=3, check_level="full"))
     assert replayed == set(range(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# the pair tier: exact joint solves of two sets, and their fallback
+# ---------------------------------------------------------------------------
+
+def test_a_custom_pair_run_at_full_is_exact_and_replays_no_sweep(
+        monkeypatch):
+    # the benchmark's pattern: its outer set {3, 4} and block {1, 2, 9}
+    # pair a halfspace with a ball; every run stops by the gap rule with no
+    # approximate cycle, and the batched re-solve decides every replay
+    calls = _replays(monkeypatch)
+    plan = test_engine._custom_pair_plan()
+    for seed in range(1, 5):
+        res = dk.run(fixtures.random_mixed(seed, 8, 6, m=2), plan,
+                     dk.SolveParams(max_iterations=50000, stop_gap=1e-8,
+                                    check_level="full"))
+        assert res.stop_reason == "gap"
+        assert not res.any_approx
+    assert calls == []
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_a_pair_that_falls_back_is_approximate_and_unchecked(monkeypatch,
+                                                             level):
+    # two tangent balls: their outer set is compiled exact, and its every
+    # solve falls back to the nested loop, approximate.  That sweep is not
+    # checked as an exact one, and the run has the bits of checks off
+    H, B = dk.Halfspace, dk.L2Ball
+    spec = dk.ProblemSpec([1.0, 1.0], [
+        dk.Indicator(B([0.0, 0.0], 1.0)), dk.Indicator(B([2.0, 0.0], 1.0)),
+        dk.Indicator(H([0.0, 1.0], 0.5))])
+    plan = dk.CyclePlan(pattern=(dk.SweepPlan(outer={1, 2}),
+                                 dk.SweepPlan(outer={3})))
+    assert engine._CSweep(plan.pattern[0], spec).exact
+    passes = []
+    sweep_pass = engine._CCheck._sweep_pass
+
+    def recorded(self, *args):
+        p = sweep_pass(self, *args)
+        passes.append(p.exact.copy())
+        return p
+
+    monkeypatch.setattr(engine._CCheck, "_sweep_pass", recorded)
+    calls = _replays(monkeypatch)
+    params = dk.SolveParams(max_iterations=12, per_sweep_trace=True)
+    params.check_level = level
+    res = dk.run(spec, plan, params)
+    params.check_level = "off"
+    off = dk.run(spec, plan, params)
+    for name in ("F_per_cycle", "gamma", "sq_diff_cumsum", "x"):
+        assert getattr(res, name).tobytes() == getattr(off, name).tobytes()
+    assert res.state.z.tobytes() == off.state.z.tobytes()
+    assert res.any_approx
+    assert [row.approx for row in res.sweep_rows] == [True, False] * 12
+    assert all((p == [False, True]).all() for p in passes)
+    assert all(w == 2 for _, w in calls)

@@ -291,6 +291,25 @@ _GROWTH_PATTERN = [
 ]
 
 
+def test_validate_prints_each_sweeps_compiled_tiers(tmp_path, capsys):
+    # before a run: which subproblems are exact, and which nested
+    spec = fixtures.random_mixed(3, 8, 6, m=2)
+    terms = [term_to_dict(t) for t in spec.terms]
+    terms[7] = {"kind": "box", "lo": [-1.0] * 6, "hi": [1.0] * 6}
+    pattern = [dict(sweep) for sweep in _GROWTH_PATTERN]
+    pattern[6] = {"outer": [7, 8]}
+    path = _dump(tmp_path, "run.json", {
+        "problem": {"x0": spec.x0.tolist(), "terms": terms},
+        "splitting": _custom(2, pattern)})
+    main(["validate", path])
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("sweep ")] == [
+        "sweep 1: quad {9}", "sweep 2: pair {1,2,9}", "sweep 3: pair {3,4}",
+        "sweep 4: quad {10}", "sweep 5: prox {5}",
+        "sweep 6: stacked {5,10}; prox {6}",
+        "sweep 7: nested {7,8} (approximate)", "sweep 8: prox {8}"]
+
+
 def test_solve_prints_the_growth_advisory_once_per_solve(tmp_path, capsys):
     # solve says what validate says, in one stderr line, on every solve of
     # the process, and lets no ScheduleGrowthWarning through

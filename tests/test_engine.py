@@ -107,7 +107,7 @@ def test_outer_two_prox_matches_projection_oracle():
         st = dk.DualState.zeros(spec)
         st.z[2] = float(rng.uniform(0.0, 0.3)) * terms[2].set.a  # on the ray
         exact = dk.solve_outer(spec, st, [1, 2], params)
-        assert exact is False
+        assert exact is True   # two halfspaces: _pair_rows
         u = spec.x0 - st.z[2]
         inst = dk.PolyhedralInstance(
             [dk.LinearConstraint(a1, b1, "le"),
@@ -214,7 +214,7 @@ def test_inner_block_two_prox_matches_projection_oracle():
         st = dk.DualState(rng.standard_normal((3, d)) * 0.3)
         bsum = st.z.sum(axis=0)           # all three rows form the block
         exact = dk.solve_inner_block(spec, st, 3, [1, 2, 3], params)
-        assert exact is False
+        assert exact is True   # two halfspaces: _pair_rows
         inst = dk.PolyhedralInstance(
             [dk.LinearConstraint(a1, b1, "le"),
              dk.LinearConstraint(a2, b2, "le")],
@@ -539,7 +539,22 @@ def test_product_run_same_bits_with_and_without_sweep_checks(monkeypatch,
 
 
 def _custom_nested_plan():
-    """A pattern with both nested fallbacks, deferred: r = 8, m = 2."""
+    """A pattern with both nested fallbacks, deferred: r = 8, m = 2.
+
+    Its joint subproblems have three term rows each, which no closed form
+    solves; _custom_pair_plan has the same pattern with two.
+    """
+    S = dk.SweepPlan
+    plan = dk.CyclePlan(pattern=(
+        S(outer={9}), S(inner={9: {1, 2, 3, 9}}), S(outer={3, 4, 5}),
+        S(outer={10}), S(outer={5}), S(outer={6}, inner={10: {5, 10}}),
+        S(outer={7}), S(outer={8})))
+    return dk.rewrite_deferred(plan, 8, 2)
+
+
+def _custom_pair_plan():
+    """The pattern of _custom_nested_plan with a halfspace and a ball in
+    each joint subproblem of random_mixed (_pair_rows): the benchmark's."""
     S = dk.SweepPlan
     plan = dk.CyclePlan(pattern=(
         S(outer={9}), S(inner={9: {1, 2, 9}}), S(outer={3, 4}),
@@ -549,7 +564,8 @@ def _custom_nested_plan():
 
 
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
-@pytest.mark.parametrize("case", ["classic", "mixed_block", "custom_nested"])
+@pytest.mark.parametrize("case", ["classic", "mixed_block", "custom_nested",
+                                  "custom_pair"])
 def test_run_same_bits_at_every_check_level(monkeypatch, case, kernel):
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
@@ -559,7 +575,8 @@ def test_run_same_bits_at_every_check_level(monkeypatch, case, kernel):
         plan = fixtures.mixed_block_schedule(4)
     else:
         spec = fixtures.random_mixed(8, 8, 6, m=2)
-        plan = _custom_nested_plan()
+        plan = (_custom_nested_plan() if case == "custom_nested"
+                else _custom_pair_plan())
         assert plan.lead_in
     _assert_same_bits_at_every_check_level(monkeypatch, spec, plan, kernel)
 
@@ -708,7 +725,7 @@ def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
     # the nested loop works on a copy of its rows, not on the read-only
     # snapshot that every subproblem of the sweep reads
     spec = fixtures.random_mixed(8, 8, 6, m=2)
-    sweep = dk.SweepPlan(outer={3, 4})
+    sweep = dk.SweepPlan(outer={3, 4, 5})
     assert not engine._CSweep(sweep, spec).exact
     z = dk.run(spec, _custom_nested_plan(),
                dk.SolveParams(max_iterations=3)).state.z
@@ -784,7 +801,7 @@ def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
     return [tuple(c) for c in calls[1:]], matched
 
 
-@pytest.mark.parametrize("case", ["classic", "custom_nested"])
+@pytest.mark.parametrize("case", ["classic", "custom_nested", "custom_pair"])
 def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
                                                             case):
     # every replayed sweep has one subproblem: the batched re-solve finds
@@ -794,12 +811,18 @@ def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
         matched = dict.fromkeys(range(1, 7), 20)
-    else:
+    elif case == "custom_nested":
         spec = fixtures.random_mixed(8, 8, 6, m=2)
         plan = _custom_nested_plan()
         # the nested sweeps 3 and 4 are approximate and not replayed, and
         # the lead-in cycle's sweep 1 is empty
         matched = dict.fromkeys([1, 2, 5, 6, 7, 8, 9], 20)
+        matched[1] = 19
+    else:
+        # the pair sweeps 3 and 4 are exact and re-solved with the others
+        spec = fixtures.random_mixed(8, 8, 6, m=2)
+        plan = _custom_pair_plan()
+        matched = dict.fromkeys(range(1, 10), 20)
         matched[1] = 19
     assert _replay_objective_calls(monkeypatch, spec, plan) == ([], matched)
 

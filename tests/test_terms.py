@@ -550,3 +550,115 @@ def test_moreau_over_a_batch_of_states_is_per_state_calls(kind, dots):
         assert np.array_equal(got, [[moreau_dual(t, u)
                                      for t, u in zip(terms, b)]
                                     for b in batch])
+
+
+# ---------------------------------------------------------------------------
+# pairs: the projection onto the intersection of two sets, with its duals
+# ---------------------------------------------------------------------------
+
+def _pair_instance(kind, case, rng, d):
+    """(t1, t2, u, x*): two terms of the kind ("hh", "hb" or "bb", a
+    halfspace first), a point u and its projection x* onto their
+    intersection, built from the KKT conditions: x* lies on the boundary of
+    each set that case makes active ("inside", "first", "second" or
+    "both"), strictly inside the other, and u - x* is a positive
+    combination of the active sets' normals there."""
+    x = rng.standard_normal(d)
+    active = {"inside": (), "first": (0,), "second": (1,),
+              "both": (0, 1)}[case]
+    terms, u = [], x.copy()
+    for k, s in enumerate(kind):
+        n = rng.standard_normal(d)
+        n /= np.linalg.norm(n)
+        slack = 0.0 if k in active else float(rng.uniform(0.3, 1.0))
+        if s == "h":
+            terms.append(dk.Indicator(dk.Halfspace(2.0 * n, 2.0 * n @ x
+                                                   + slack)))
+        else:
+            rho = float(rng.uniform(0.5, 2.0))
+            terms.append(dk.Indicator(dk.L2Ball(x - rho * n, rho + slack)))
+        if k in active:
+            u += float(rng.uniform(0.2, 1.0)) * n
+    return terms[0], terms[1], u, x
+
+
+@pytest.mark.parametrize("case", ["inside", "first", "second", "both"])
+@pytest.mark.parametrize("kind", ["hh", "hb", "bb"])
+def test_pair_duals_give_the_projection(kind, case, dots):
+    # u - z - z' is the known projection; each dual lies in its set's
+    # normal cone there: a finite conjugate with h*(z) = <x, z>; an
+    # inactive set's dual is 0
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{case}".encode()))
+    for d in (2, 3, 5):
+        for _ in range(10):
+            t1, t2, u, x_star = _pair_instance(kind, case, rng, d)
+            sets = (t1.set, t2.set)
+            z1, z2 = (np.broadcast_to(z, (d,)) for z in terms_module.pair_duals(
+                *sets, terms_module.pair_constants(*sets), u))
+            x = u - z1 - z2
+            assert np.linalg.norm(x - x_star) <= 1e-12 * (
+                1.0 + np.linalg.norm(u))
+            for t, z, on in ((t1, z1, case in ("first", "both")),
+                             (t2, z2, case in ("second", "both"))):
+                assert (np.linalg.norm(z) > 0.0) == on
+                assert abs(t.conjugate(z) - x @ z) <= 1e-12 * (
+                    1.0 + np.linalg.norm(z))
+            Z1, Z2, ok = terms_module.PairStack([sets]).duals(u[None])
+            assert ok.tolist() == [True]
+            assert Z1[0].tobytes() == np.array(z1).tobytes()
+            assert Z2[0].tobytes() == np.array(z2).tobytes()
+
+
+@pytest.mark.parametrize("case", ["parallel", "tangent-hb", "tangent-bb"])
+def test_a_pair_with_no_closed_form_gives_no_duals(case, dots):
+    # both sets active where their normals are parallel, or where the
+    # sphere both boundaries share has radius 0
+    H, B = dk.Halfspace, dk.L2Ball
+    t1, t2, u = {
+        "parallel": (H([1.0, 0.0], -1.0), H([-2.0, 0.0], -2.0), [0.0, 0.5]),
+        "tangent-hb": (H([-1.0, 0.0], -1.0), B([0.0, 0.0], 1.0),
+                       [0.5, 1.5]),
+        "tangent-bb": (B([0.0, 0.0], 1.0), B([2.0, 0.0], 1.0), [1.0, 1.0]),
+    }[case]
+    u = np.array(u)
+    assert terms_module.pair_duals(
+        t1, t2, terms_module.pair_constants(t1, t2), u) is None
+    assert terms_module.PairStack([(t1, t2)]).duals(u[None])[2].tolist() == [
+        False]
+
+
+@pytest.mark.parametrize("kind", ["hh", "hb", "bb"])
+def test_pair_stack_rows_are_bitwise_pair_duals(kind, dots):
+    # a stack of k pairs on (b, k, d) points gives each row the bits of
+    # pair_duals on its pair: every case, the pairs with no closed form
+    # at the point included
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    d, k, b = 3, 12, 40
+    pairs = [_pair_instance(kind, "both", rng, d)[:2] for _ in range(k)]
+    # a disjoint pair, which every case misses
+    far = [dk.Indicator(dk.Halfspace([1.0, 0.0, 0.0], -1.0)),
+           dk.Indicator(dk.Halfspace([-1.0, 0.0, 0.0], -1.0)),
+           dk.Indicator(dk.L2Ball([9.0, 0.0, 0.0], 1.0))]
+    pairs[-1] = (far[0], far[1] if kind == "hh" else far[2])
+    if kind == "bb":
+        pairs[-1] = (dk.Indicator(dk.L2Ball([0.0, 0.0, 0.0], 1.0)), far[2])
+    U = rng.standard_normal((b, k, d)) * rng.choice([0.1, 1.0, 4.0],
+                                                     size=(b, k, 1))
+    Z1, Z2, ok = terms_module.PairStack(
+        [(t1.set, t2.set) for t1, t2 in pairs]).duals(U)
+    seen = set()
+    for c in range(b):
+        for i, pair in enumerate(pairs):
+            sets = (pair[0].set, pair[1].set)
+            want = terms_module.pair_duals(
+                *sets, terms_module.pair_constants(*sets), U[c, i])
+            assert ok[c, i] == (want is not None)
+            if want is None:
+                seen.add("none")
+                continue
+            w1, w2 = (np.broadcast_to(z, (d,)) for z in want)
+            assert Z1[c, i].tobytes() == np.array(w1).tobytes()
+            assert Z2[c, i].tobytes() == np.array(w2).tobytes()
+            seen.add((bool(w1.any()), bool(w2.any())))
+    assert seen == {"none", (False, False), (True, False), (False, True),
+                    (True, True)}

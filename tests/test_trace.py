@@ -17,7 +17,7 @@ from .test_check_batches import _assert_same_result, _neumaier_sum
 
 
 def _deferred_run(level="sweep", per_sweep=True, cycles=11):
-    # a lead-in cycle of its own sweeps, blocks of one and three members,
+    # a lead-in cycle of its own sweeps, blocks of one and four members,
     # and an approximate nested fallback in every cycle
     return dk.run(fixtures.random_mixed(8, 8, 6, m=2),
                   test_engine._custom_nested_plan(),

@@ -9,14 +9,16 @@ Run from the root of a checkout:
 
 Each grid point runs engine.run on fixtures.random_halfspaces(1, r, d) (the
 product schedule with m = r - 1, the mixed-block schedule
-fixtures.mixed_block_schedule with m = 1) for a fixed number of cycles, with
+fixtures.mixed_block_schedule with m = 1; the pairs schedule, whose sweeps
+are the outer sets {1, 2}, {3, 4}, ..., solves each pair of halfspaces in
+closed form) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, and the tracemalloc peak of one more,
 untimed run in KiB.  Each peak is taken in a fresh child process with hash
 seed 0, one at a time, after one untimed solve there, so that it does not
 depend on the points run before it or on the hash seed.  The grid is
---schedules (default classic, product and mixed) x --sizes x {off, sweep,
-full}.  The package is imported from each --src, by default the src/
+--schedules (default classic, product, mixed and pairs) x --sizes x {off,
+sweep, full}.  The package is imported from each --src, by default the src/
 directory of this checkout.  Given two trees, each grid point times them
 in turn, one run of each at a time, and flips which goes first from run to
 run, so that a drift in machine speed reaches both alike.  Given one tree
@@ -49,7 +51,7 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEDULES = ("classic", "product", "mixed")
+SCHEDULES = ("classic", "product", "mixed", "pairs")
 LEVELS = ("off", "sweep", "full")
 SIZES = ((10, 8), (50, 20), (200, 50))
 
@@ -94,9 +96,14 @@ def make_solve(dk, schedule, r, d, level, cycles):
     elif schedule == "product":
         spec = dk.fixtures.random_halfspaces(1, r, d, m=r - 1)
         plan = dk.product_space_schedule(r)
-    else:
+    elif schedule == "mixed":
         spec = dk.fixtures.random_halfspaces(1, r, d, m=1)
         plan = dk.fixtures.mixed_block_schedule(r)
+    else:   # two consecutive rows per outer set, the last alone for odd r
+        spec = dk.fixtures.random_halfspaces(1, r, d)
+        plan = dk.CyclePlan(pattern=tuple(
+            dk.SweepPlan(outer={i, i + 1} if i < r else {i})
+            for i in range(1, r + 1, 2)))
     return (spec, plan,
             dk.SolveParams(max_iterations=cycles, check_level=level))
 
