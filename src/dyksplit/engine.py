@@ -22,8 +22,9 @@ A stack's rows are bitwise the scalar oracles', so a block solved on its
 own (solve_inner_block) gives the same bits as inside its sweep.
 
 check_level:
-  "off"    objective at cycle ends only, no per-sweep snapshots; the cycle
-           ends are evaluated in batches of up to _OBJ_BATCH (run),
+  "off"    objective at cycle ends only, no per-sweep checks; the cycle
+           ends are copied out and evaluated in batches of up to
+           _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
            sets, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each exact sweep with
@@ -41,12 +42,15 @@ check_level:
 A solver reads a read-only snapshot and writes only its sweep's declared
 rows (_CSweep), so a valid plan keeps its freeze equalities when it declares
 no frozen row, checked once per cycle pattern (_assert_unfrozen).
-With checks on, the sweep loop only solves and logs: a batch of up to
-_OBJ_BATCH consecutive cycles of one pattern is kept as its start state and,
-per sweep, its dual sum and its declared rows, which it writes into the log
-and the one state then takes in place; a cycle's movements are taken at its
-end, from its logged sums.  A still sweep, which keeps its rows' bytes,
-skips their finiteness scan and takes its snapshot's sum.
+At every check level a sweep runs the same way: it solves its declared rows
+into a buffer, which the one state then takes in place, and sums the state;
+a still sweep, which keeps its rows' bytes, skips their finiteness scan and
+takes its snapshot's sum.  A cycle's movements are taken at its end, from
+the differences its sweeps made to the dual sum and to their governing rows
+(_movements).  With checks on, the sweep loop only solves and logs: the
+buffer is the sweep's block of a log, which keeps a batch of up to
+_OBJ_BATCH consecutive cycles of one pattern as its start state and, per
+sweep, its dual sum and its declared rows.
 A batch's log rows and sums and its check's conjugate table take at most
 _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
@@ -632,30 +636,17 @@ def _solve_in_place(spec, z, v, cs, params):
     return exact
 
 
-def _movement(z_new, z_old, cs, v_new, v_old):
-    """How far a sweep moved the dual sum and each block's governing row.
+def _movements(D, u):
+    """How far a run of u sweeps moved the dual sum and their blocks'
+    governing rows, as two arrays.
 
-    v_new and v_old are the row sums of z_new and z_old.  Returns v_diff and
-    the governing rows' moves as a list in cs.block_js order.
+    D holds the differences the u sweeps made to the dual sum, then those
+    they made to their governing rows, sweep by sweep in block_js order.
+    Each row's dot product has the bits of the 1-d one (terms._dots), and
+    so each move those of np.linalg.norm of its difference.
     """
-    dv = v_new - v_old
-    v_diff = math.sqrt(dv.dot(dv))   # np.linalg.norm's formula and bits
-    if not cs.block_js:
-        return v_diff, []
-    diff = z_new[cs.gov0] - z_old[cs.gov0]
-    return v_diff, np.sqrt(_dots(diff, diff)).tolist()
-
-
-def _movements(V, G):
-    """_movement of a run of sweeps at once, as two arrays.
-
-    V holds the row sums of the states before and after each sweep, (u + 1,
-    d), and G the differences the sweeps made to their governing rows, sweep
-    by sweep in block_js order.  Each row's dot product has the bits of the
-    1-d one (terms._dots), so every move has _movement's bits.
-    """
-    DV = V[1:] - V[:-1]
-    return np.sqrt(_dots(DV, DV)), np.sqrt(_dots(G, G))
+    M = np.sqrt(_dots(D, D))
+    return M[:u], M[u:]
 
 
 def _movement_sums(v, moves, sweeps, margins):
@@ -663,19 +654,20 @@ def _movement_sums(v, moves, sweeps, margins):
     moves, from _movements, with the margins of its sweeps 1..u written
     into margins: v (u,) are the moves of the dual sum by the first u of the
     compiled sweeps and moves those of their governing rows.  Each is added
-    as run's unchecked loop adds it, left to right from 0.0, whatever sum()
-    does (3.12 compensates a float sum).
+    left to right from 0.0, whatever sum() does (3.12 compensates a float
+    sum).
     """
     moves = moves.tolist()
     gamma = sq = v_sum = 0.0
     k = 0
-    for w, (v_diff, cs) in enumerate(zip(v.tolist(), sweeps)):
+    for w, v_diff in enumerate(v.tolist()):
         inner_sum = inner_sq = 0.0
-        if cs.block_js:
-            for d in moves[k:k + len(cs.block_js)]:
+        n_blocks = len(sweeps[w].block_js)
+        if n_blocks:
+            for d in moves[k:k + n_blocks]:
                 inner_sum += d
                 inner_sq += d * d
-            k += len(cs.block_js)
+            k += n_blocks
         gamma += v_diff + inner_sum
         sq += v_diff * v_diff + inner_sq
         v_sum += v_diff
@@ -715,13 +707,16 @@ def run_sweep(spec, state, sweep, params=None):
     params = params or SolveParams()
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
     cs = _CSweep(sweep, spec)
-    v_old = state.z.sum(axis=0)
-    z_new = state.z.copy()
+    z = state.z
+    v_old = z.sum(axis=0)
+    z_new = z.copy()
     exact = _solve_in_place(spec, z_new, v_old, cs, params)
-    v_diff, norms = _movement(z_new, state.z, cs, z_new.sum(axis=0), v_old)
+    v_diff, norms = _movements(np.concatenate(
+        ([z_new.sum(axis=0) - v_old], z_new[cs.gov0] - z[cs.gov0])), 1)
     state.z = z_new
     state.w += 1
-    return {"v_diff": v_diff, "inner_diffs": dict(zip(cs.block_js, norms)),
+    return {"v_diff": v_diff.item(),
+            "inner_diffs": dict(zip(cs.block_js, norms.tolist())),
             "exact": exact}
 
 
@@ -1905,7 +1900,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     if z_init is None:
         z = np.zeros((spec.n_duals, spec.d))
     else:
-        z = np.asarray(z_init, dtype=float)   # copied into buf below
+        z = np.asarray(z_init, dtype=float)   # copied below
         if z.shape != (spec.n_duals, spec.d):
             raise DimensionMismatch(
                 f"z_init has shape {z.shape}, expected {(spec.n_duals, spec.d)}")
@@ -1918,24 +1913,24 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     n_lead = len(plan.lead_in)
     all_terms = stack_terms(spec.terms, range(spec.r))
 
-    # z and its row sum v live in preallocated buffers, v taken once for
-    # each snapshot, which the sweeps read through read-only views made once.
+    # z, the one state, and its row sum v live in preallocated buffers, v
+    # taken once for each snapshot, which the sweeps read through a
+    # read-only view of z made once.  A sweep solves into a (cs.size, d)
+    # buffer.  Unless it is still, z takes the buffer in place and is summed
+    # into the next row of sums, and the sweep records in diffs what it
+    # changed in the dual sum and its governing rows, whose movements the
+    # cycle takes at its end.
     # With checks on, a batch of up to n_batch cycles of one pattern is
     # logged (_Log): its start state, copied from z when it begins, then per
-    # sweep its sum and its declared rows, which it writes into the log and
-    # z, the one state, then takes in place; a still sweep keeps its sum.  A
-    # cycle's movements are taken at its end from its logged sums and its
-    # governing rows' differences, kept in gov.  With checks off, row 0 of
-    # buf is the start of a batch of up to n_batch cycles and row c + 1 the
-    # end of cycle c, which its last sweep writes; the sweeps before it
-    # alternate between the row after the ends and row 0, whose batch start
-    # the batch's first sweep has read.  A sweep writes its rows into its
-    # state when they are one contiguous run, else into scratch first.
+    # sweep its sum and its declared rows, the sweep's buffer.  With checks
+    # off, the buffer is scratch, sums has two rows, and a batch's cycle
+    # ends and their sums are copied into ends and ends_v to be priced.
     # A batch is checked, or priced, in one pass when it is full, when the
     # next cycle takes another pattern (checks on), when the gap rule needs
     # its objective (checks off) or stops the run, before an exception
     # leaves the loop, and at the end of the run.
     sweep_checks = params.check_level in ("sweep", "full")
+    max_W = max(map(len, compiled))
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
         scratch = [] if params.check_level == "full" else None
@@ -1952,34 +1947,32 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             np.empty((spec.n_duals + max(n_batch * P0,
                                          *(chk.P for chk in checks)),
                       spec.d)),
-            np.empty((max(n_batch * W0, *map(len, compiled)) + 1, spec.d)))
-        margins = np.zeros((n_batch, max(map(len, compiled))))
+            np.empty((max(n_batch * W0, max_W) + 1, spec.d)))
         sums = log.sums
-        # how many governing rows the sweeps of a cycle of each pattern move
-        n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
-        z = z.copy()   # written in place
-        snap = _read_only(z)
-        v = z.sum(axis=0, out=sums[0])
-        # per-row conjugate cache, carried from one batch's end to the next
-        conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
-        F_state = dual_objective_from(spec, z, conj, v)
     else:
         n_batch = max(1, min(_OBJ_BATCH, params.max_iterations,
                              _OFF_BATCH_BYTES // (spec.n_duals * spec.d * 8)))
-        buf = np.empty((n_batch + min(2, max(map(len, compiled))),
-                        spec.n_duals, spec.d))
-        snaps = [_read_only(state) for state in buf]
-        sums = vbuf = np.empty((len(buf), spec.d))
-        scratch = np.empty((max((cs.size for c in compiled for cs in c
-                                 if type(cs.written) is not slice),
-                                default=0), spec.d))
-        buf[0] = z
-        z, snap = buf[0], snaps[0]
-        v = z.sum(axis=0, out=sums[0])
+        ends = np.empty((n_batch, spec.n_duals, spec.d))
+        ends_v = np.empty((n_batch, spec.d))
+        sums = np.empty((2, spec.d))
+        scratch = np.empty((max(cs.size for c in compiled for cs in c),
+                            spec.d))
         # only the objective and the stop rule read the groups: a contiguous
         # one is read as a view
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
+    margins = np.zeros((n_batch, max_W))
+    # how many governing rows the sweeps of a cycle of each pattern move
+    n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
+    z = z.copy()   # written in place
+    snap = _read_only(z)
+    slot = 0   # the row of sums that holds v
+    v = z.sum(axis=0, out=sums[0])
+    if sweep_checks:
+        # per-row conjugate cache, carried from one batch's end to the next
+        conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
+        F_state = dual_objective_from(spec, z, conj, v)
+    else:
         F_state = dual_objective_z(spec, z, all_terms, v)
     F_initial = F_state
 
@@ -2005,8 +1998,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         batch = pending[:]
         pending.clear()   # so that nothing is evaluated twice after an error
         if not sweep_checks:
-            _flush_cycle_ends(spec, all_terms, buf[1:], vbuf[1:], batch,
-                              F_list)
+            _flush_cycle_ends(spec, all_terms, ends, ends_v, batch, F_list)
             return
         cert_arrays = None   # the last batch's go before this one's come
         conj, F_state, cert_arrays = chk.check(
@@ -2019,61 +2011,40 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             sweeps = compiled[k]
             W = len(sweeps)
             c = len(pending)   # the cycle's place in its batch
-            if not c:
-                sums[0] = v
-                v = sums[0]
-                if sweep_checks:
-                    log.rows[:spec.n_duals] = z
-                else:
-                    buf[0] = z
-                    z, snap = buf[0], snaps[0]
             if sweep_checks:
                 chk = checks[k]
-                # the differences of the governing rows the cycle's sweeps
-                # move, let go at its end, before its batch is checked
-                gov = np.empty((n_gov_rows[k], spec.d))
-                slot = c * W
+                if not c:
+                    slot = 0
+                    sums[0] = v
+                    v = sums[0]
+                    log.rows[:spec.n_duals] = z
                 start = spec.n_duals + c * chk.P
-                cycle_margins = margins[c]
-            gamma_acc = 0.0
-            sq_acc = 0.0
-            v_acc = 0.0
-            n_gov = 0   # the governing rows the cycle's sweeps moved
+            # the differences the cycle's sweeps make to the dual sum, then
+            # to their governing rows, zero where a sweep is still; let go at
+            # the cycle's end, before its batch is checked or priced
+            diffs = np.zeros((W + n_gov_rows[k], spec.d))
+            n_gov = W
+            cycle_margins = margins[c]
             cycle_approx = False
             fallbacks = ()
 
             for w, cs in enumerate(sweeps, start=1):
-                if sweep_checks:
-                    slot += 1
-                    block = log.rows[start + chk.offs[w - 1]:
-                                     start + chk.offs[w]]
-                    exact = _execute_sweep(spec, snap, v, cs, params, block)
-                    # a sweep that kept its rows' bytes has them in z,
-                    # scanned when written, as were the rows no sweep wrote
-                    moved = block.tobytes() != z[cs.written].tobytes()
-                    rows = block
-                else:
-                    z_prev, v_prev, snap_prev = z, v, snap
-                    if w < W:
-                        slot = n_batch + 1 if w % 2 else 0
-                    else:
-                        slot = c + 1
-                    z, snap = buf[slot], snaps[slot]
-                    z[...] = z_prev
-                    scatter = type(cs.written) is not slice
-                    rows = scratch[:cs.size] if scatter else z[cs.written]
-                    exact = _execute_sweep(spec, snap_prev, v_prev, cs,
-                                           params, rows)
-                    moved = True
-                if moved and not all_finite(rows):
+                slot = (slot + 1) % len(sums)
+                block = (log.rows[start + chk.offs[w - 1]:start + chk.offs[w]]
+                         if sweep_checks else scratch[:cs.size])
+                exact = _execute_sweep(spec, snap, v, cs, params, block)
+                # a sweep that kept its rows' bytes has them in z, scanned
+                # when written, as were the rows no sweep wrote
+                moved = block.tobytes() != z[cs.written].tobytes()
+                if moved and not all_finite(block):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
                         # first, then this one's sweeps before this one
                         if pending:
                             flush()
-                        _movement_sums(*_movements(sums[slot - w:slot],
-                                                   gov[:n_gov]),
-                                       sweeps, cycle_margins)
+                        v_diffs, moves = _movements(diffs[:n_gov], W)
+                        _movement_sums(v_diffs[:w - 1], moves, sweeps,
+                                       cycle_margins)
                         chk.check_sweeps(spec, log, c, z, v, conj, F_state,
                                          cycle_margins, n, params,
                                          fallbacks, upto=w - 1)
@@ -2085,48 +2056,28 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         fallbacks += (w,)
                 if per_sweep:
                     trace.sweep_approx.append(not exact)
-                if sweep_checks:
+                if moved:
                     if cs.block_js:
-                        g = n_gov + len(cs.block_js)
-                        if moved:
-                            np.subtract(block[cs.gov_at], z[cs.gov0],
-                                        out=gov[n_gov:g])
-                        else:
-                            gov[n_gov:g] = 0.0
-                        n_gov = g
-                    if moved:
-                        z[cs.written] = block
-                        z.sum(axis=0, out=sums[slot])
-                    else:   # a still sweep: equal bytes give z.sum's bits
-                        sums[slot] = v
-                    v = sums[slot]
-                    continue
-                if scatter:
-                    z[cs.written] = rows
-                v = z.sum(axis=0, out=sums[slot])
-                v_diff, inner = _movement(z, z_prev, cs, v, v_prev)
-                # left to right from 0.0, whatever sum() does (3.12
-                # compensates a float sum)
-                inner_sum = inner_sq = 0.0
-                for d in inner:
-                    inner_sum += d
-                    inner_sq += d * d
-                gamma_acc += v_diff + inner_sum
-                sq_acc += v_diff * v_diff + inner_sq
-                v_acc += v_diff
-                if per_sweep:
-                    trace.sweep_v_diff.append(v_diff)
-                    trace.moves.extend(inner)
+                        np.subtract(block[cs.gov_at], z[cs.gov0],
+                                    out=diffs[n_gov:n_gov + len(cs.block_js)])
+                    z[cs.written] = block
+                    np.subtract(z.sum(axis=0, out=sums[slot]), v,
+                                out=diffs[w - 1])
+                else:   # a still sweep: equal bytes give z.sum's bits
+                    sums[slot] = v
+                v = sums[slot]
+                n_gov += len(cs.block_js)
 
-            if sweep_checks:
-                v_diffs, moves = _movements(sums[slot - W:slot + 1],
-                                            gov[:n_gov])
-                gamma_acc, sq_acc, v_acc = _movement_sums(
-                    v_diffs, moves, sweeps, cycle_margins)
-                if per_sweep:
-                    trace.sweep_v_diff.frombytes(v_diffs.tobytes())
-                    trace.moves.frombytes(moves.tobytes())
-                del v_diffs, moves, gov   # not kept to a flush
+            v_diffs, moves = _movements(diffs, W)
+            gamma_acc, sq_acc, v_acc = _movement_sums(v_diffs, moves, sweeps,
+                                                      cycle_margins)
+            if per_sweep:
+                trace.sweep_v_diff.frombytes(v_diffs.tobytes())
+                trace.moves.frombytes(moves.tobytes())
+            del v_diffs, moves, diffs   # not kept to a flush
+            if not sweep_checks:
+                ends[c] = z
+                ends_v[c] = v
 
             ascent = not any_approx and not cycle_approx
             any_approx = any_approx or cycle_approx
@@ -2183,8 +2134,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = z_prev = v_prev = snap = snap_prev = snaps = buf = vbuf = None
-    margins = log = scratch = None
+    z = v = snap = sums = ends = ends_v = margins = log = scratch = None
     return RunResult(
         state=state,
         x=x,

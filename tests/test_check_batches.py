@@ -491,7 +491,7 @@ def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
     for d in (1, 2, 3, 5, 8, 20, 64, 257, 1000):
         D = rng.standard_normal((50, d)) * 10.0 ** rng.integers(
             -8, 9, size=(50, 1))
-        # _movement's norms of the governing rows' moves, and the replay's
+        # _movements' norms of the governing rows' moves, and the replay's
         assert np.sqrt(engine._dots(D, D)).tolist() == [
             math.sqrt(row.dot(row)) for row in D]
     v, g = rng.standard_normal((2, 20000)) * 10.0 ** rng.uniform(
@@ -587,6 +587,35 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                     [p.point for p in public]).tobytes()
                 assert res_c[c].tolist() == [p.residual for p in public]
                 assert fen[c].tolist() == [p.fenchel for p in public]
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_pair"])
+def test_movements_are_the_norms_of_a_run_sweep_loops_moves(case, level):
+    # each sweep's movements, taken by run at its cycle's end, are
+    # np.linalg.norm of the change it made to the dual sum and to each of
+    # its governing rows, read from the states of a run_sweep loop
+    if case == "product":   # every block moves, each by its own amount
+        spec = fixtures.random_mixed(6, 6, 4, m=5)
+        plan = dk.product_space_schedule(6)
+    else:
+        spec, plan = _case(case)
+    n_cycles = 12
+    res = dk.run(spec, plan, dk.SolveParams(
+        max_iterations=n_cycles, check_level=level, per_sweep_trace=True))
+    expected = []
+    for n, states in enumerate(_run_sweep_cycles(spec, plan, n_cycles),
+                               start=1):
+        for w, sweep in enumerate(plan.cycle(n), start=1):
+            before, after = states[w - 1], states[w]
+            expected.append((n, w, float(np.linalg.norm(
+                after.sum(axis=0) - before.sum(axis=0))), {
+                j: float(np.linalg.norm(after[j - 1] - before[j - 1]))
+                for j in sorted(sweep.inner)}))
+    assert [(row.n, row.w, row.v_diff, row.inner_diffs)
+            for row in res.sweep_rows] == expected
+    assert any(moves for *_, moves in expected) == (case != "classic")
 
 
 # ---------------------------------------------------------------------------

@@ -484,11 +484,12 @@ def _margins_before_a_non_finite_sweep(monkeypatch, spec, plan, k, message):
 
 def _assert_same_bits_at_every_check_level(monkeypatch, spec, plan, kernel,
                                            n_cycles=30):
-    # "off" alternates two z buffers, takes each sweep's movements from its
-    # states and prices its cycle ends in batches; "sweep" and "full" log
-    # each sweep's rows, take a cycle's movements from its logged sums at
-    # its end and take F from the per-row conjugate cache; all take each
-    # dual sum once per snapshot
+    # every level writes each sweep's rows into the one state and takes a
+    # cycle's movements at its end; "off" solves into a scratch buffer and
+    # prices its cycle ends in batches, while "sweep" and "full" solve into
+    # the log and take F from the per-row conjugate cache; all take each
+    # dual sum once per snapshot.  The movements themselves are checked
+    # against the states of a run_sweep loop in test_check_batches.py
     _dots_kernel(monkeypatch, kernel)
     off, sweep, full = (dk.run(spec, plan,
                                dk.SolveParams(max_iterations=n_cycles,
@@ -564,12 +565,16 @@ def _custom_pair_plan():
 
 
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
-@pytest.mark.parametrize("case", ["classic", "mixed_block", "custom_nested",
-                                  "custom_pair"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested", "custom_pair"])
 def test_run_same_bits_at_every_check_level(monkeypatch, case, kernel):
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        # sweep 2 writes all 2r - 1 rows, r - 1 of them governing rows
+        spec = fixtures.random_mixed(9, 5, 3, m=4)
+        plan = dk.product_space_schedule(5)
     elif case == "mixed_block":
         spec = fixtures.random_mixed(7, 4, 3, m=1)
         plan = fixtures.mixed_block_schedule(4)
@@ -588,8 +593,9 @@ def test_batched_cycle_ends_give_the_bits_of_one_at_a_time(monkeypatch,
     # with checks off the cycle ends are priced in batches: caps on both
     # sides of a full batch, gap stops inside one, and a zero gap that
     # prices every cycle once x is feasible give the bits of batches of
-    # one, and those of "sweep".  The last sweep of a cycle writes its end
-    # into the batch: a cycle of one sweep reads the end before it there
+    # one, and those of "sweep".  Each cycle's end is copied from the one
+    # state into the batch, which the next cycle goes on writing: with one
+    # sweep a cycle, the copy and not the state must be priced
     nested = {}
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
@@ -763,6 +769,37 @@ def test_a_solver_cannot_write_into_its_snapshot(monkeypatch, level):
             dk.run(spec, plan, dk.SolveParams(max_iterations=1,
                                               check_level=level))
     assert len(calls) == (7 if level == "full" else 1)
+
+
+@pytest.mark.parametrize("level", ["off", "sweep"])
+@pytest.mark.parametrize("case", ["classic", "product", "custom_pair"])
+def test_a_run_holds_one_state(monkeypatch, case, level):
+    # at every check level each sweep reads a read-only view of the one
+    # state, which then takes the sweep's rows in place: one array at one
+    # address for the whole run, across batches and lead-in cycles, never a
+    # state per sweep
+    if case == "classic":
+        spec = fixtures.random_halfspaces(1, 6, 4)
+        plan = dk.classic_dykstra_schedule(6)
+    elif case == "product":
+        spec = fixtures.random_halfspaces(1, 4, 3, m=3)
+        plan = dk.product_space_schedule(4)
+    else:
+        spec = fixtures.random_mixed(8, 8, 6, m=2)
+        plan = _custom_pair_plan()
+    execute = engine._execute_sweep
+    seen = set()
+
+    def recorded(spec, z, v, cs, params, out):
+        assert not z.flags.writeable and z.shape == (spec.n_duals, spec.d)
+        seen.add((id(z.base), z.__array_interface__["data"][0]))
+        return execute(spec, z, v, cs, params, out)
+
+    monkeypatch.setattr(engine, "_execute_sweep", recorded)
+    res = dk.run(spec, plan, dk.SolveParams(max_iterations=20,
+                                            check_level=level))
+    assert res.cycles_run == 20
+    assert len(seen) == 1
 
 
 def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
