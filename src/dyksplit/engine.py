@@ -29,16 +29,18 @@ check_level:
            sets, per-cycle convergence certificates,
   "full"   additionally a sequential replay of each exact sweep with
            per-subproblem gain checks.  The sweeps of one step with one
-           subproblem whose solver has a stacked form (a pair's is
-           terms.PairStack.duals) are re-solved for a
-           whole batch in a few stacked calls (_CCheck._resolved), when it
-           holds at least _RESOLVE_MIN of them over its cycles; one whose
-           written rows are bitwise its snapshot's passes there, since its
-           replay's margin test is implied by the sweep pass's.  Every
-           other sweep, and every sweep of a batch whose re-solve raises, is
-           replayed by itself (_CCheck._replay).  A solver that answers a
-           repeated call differently is caught only when its first answer
-           differs from the stacked re-solve.
+           subproblem, a prox row, quadratic rows, a single-member block
+           or a pair, are re-solved for a whole batch at once
+           (_CCheck._resolved), when it holds at least _RESOLVE_MIN of
+           them over its cycles: the first three in a few stacked calls,
+           and each pair by the sweep's own terms.pair_duals at its point,
+           assembled for the batch; one whose written rows are bitwise its
+           snapshot's passes there, since its replay's margin test is
+           implied by the sweep pass's.  Every other sweep, and every
+           sweep of a batch whose re-solve raises, is replayed by itself
+           (_CCheck._replay).  A solver that answers a repeated call
+           differently is caught only when its first answer differs from
+           the batched re-solve.
 A solver reads a read-only snapshot and writes only its sweep's declared
 rows (_CSweep), so a valid plan keeps its freeze equalities when it declares
 no frozen row, checked once per cycle pattern (_assert_unfrozen).
@@ -80,8 +82,8 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (FEAS_TOL, DimensionMismatch, Indicator, PairStack, _dots,
-                    _norm, all_finite, pair_constants, pair_duals, pair_order,
+from .terms import (FEAS_TOL, DimensionMismatch, Indicator, _dots, _norm,
+                    all_finite, pair_constants, pair_duals, pair_order,
                     stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
@@ -140,6 +142,18 @@ class SolveParams:
     per_sweep_trace: bool = False
 
     def __post_init__(self):
+        # counts are ints, as config takes them: a bool or a value that is
+        # not integral is an error
+        for name in ("max_iterations", "nested_bcm_sweeps", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, float):
+                integral = value.is_integer()
+            else:   # an int or a numpy integer, not a bool
+                integral = (hasattr(value, "__index__")
+                            and not isinstance(value, (bool, np.bool_)))
+            if not integral:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            setattr(self, name, int(value))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.stop_gap is not None and not self.stop_gap >= 0.0:
@@ -630,6 +644,9 @@ def _execute_sweep(spec, z, v, cs, params, out):
 def _solve_in_place(spec, z, v, cs, params):
     """Run the sweep cs against z, whose row sum is v, then write its rows
     into z; returns exact."""
+    if z.shape != (spec.n_duals, spec.d):
+        raise DimensionMismatch(
+            f"z has shape {z.shape}, expected {(spec.n_duals, spec.d)}")
     out = np.empty((cs.size, spec.d))
     exact = _execute_sweep(spec, _read_only(z), v, cs, params, out)
     z[cs.written] = out
@@ -841,14 +858,6 @@ def _pair_stacks(terms, rows, shared):
     return out
 
 
-def _shared_pairs(pairs, key, shared):
-    """The PairStack of pairs of sets, or the one in shared under key, the
-    pairs' rows, which a new one is added as."""
-    if key not in shared:
-        shared[key] = PairStack(pairs)
-    return shared[key]
-
-
 def _assert_unfrozen(c_analysis, dw, di):
     """Raise EngineInvariantError when a sweep of a valid plan's cycle
     declares a row that a freeze equality holds fixed there: after its last
@@ -1053,9 +1062,9 @@ class _Resolve(NamedTuple):
     state each sweep starts from, and vrows (n_outer,) the outer sets'
     w_prev.  moreau are the stacks of the prox and block term rows, as
     (positions, stack); groups are (start row, sweeps, rows each, first
-    outer place) for the _quad_rows outer sets of one size; pairs are
-    (positions, PairStack) over the pair sweeps, outer sets first, and
-    pair_at their places.
+    outer place) for the _quad_rows outer sets of one size; pairs are the
+    pair sweeps' (s1, s2, constants), _pair_rows' first arg, outer sets
+    first, and pair_at their places.
     """
     at: dict
     cols: np.ndarray
@@ -1248,8 +1257,9 @@ class _CCheck:
             self.layout = _cert_layout(c_analysis, r)
 
     def _compile_resolve(self, spec, shared):
-        """The replayed sweeps of one step with one subproblem whose solver
-        has a stacked form, as a _Resolve, or None when there are none."""
+        """The replayed sweeps of one step with one subproblem that the
+        batched re-solve covers, as a _Resolve, or None when there are
+        none."""
         prox, sums, blocks, pairs = [], {}, [], ([], [])
         for w, cs in self.replays.items():
             step = cs.steps[0]
@@ -1265,7 +1275,7 @@ class _CCheck:
             elif step.solve is _pair_rows:
                 pair, i, j, j0 = step.arg[:4]
                 pairs[j0 is not None].append(
-                    (w, [i, j] if j0 is None else [i, j, j0], pair[:2]))
+                    (w, [i, j] if j0 is None else [i, j, j0], pair))
         quads = [s for group in sums.values() for s in group]
         order = prox + quads + pairs[0] + blocks + pairs[1]
         if not order:
@@ -1290,13 +1300,6 @@ class _CCheck:
             groups.append((start, len(group), size, place))
             start += len(group) * size
             place += len(group)
-        # the pair sweeps by kind, as (position in pair order, their sets,
-        # (i, j)); a checked cycle with the same pairs of a kind shares
-        # their stack
-        kinds = {}
-        for b, (_, rows, sets) in enumerate(pairs[0] + pairs[1]):
-            kinds.setdefault(tuple(map(type, sets)), []).append(
-                (b, sets, tuple(rows[:2])))
         cols = np.array([w - 1 for w, *_ in order], dtype=np.intp)
         return _Resolve(
             {w: b for b, (w, *_) in enumerate(order)}, cols, n_prox, n_block,
@@ -1307,10 +1310,7 @@ class _CCheck:
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
             groups, n_pair, pair_start,
-            [(np.array([b for b, _, _ in kind], dtype=np.intp),
-              _shared_pairs([pair for _, pair, _ in kind],
-                            tuple(rows for _, _, rows in kind), shared))
-             for kind in kinds.values()],
+            [pair for _, _, pair in pairs[0] + pairs[1]],
             np.array(pair_at, dtype=np.intp))
 
     def _per_sweep(self, A):
@@ -1509,7 +1509,8 @@ class _CCheck:
         for its first k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
-        one stacked call per term kind.  Sweep b of cycle c matched when
+        one stacked call per term kind, or a pair's pair_duals call per
+        cycle (_pairs_resolved).  Sweep b of cycle c matched when
         every row it writes is bitwise its state's.  The sequential replay of
         its one subproblem would then find the state and test the pass's
         objectives against a margin no larger than the pass's own (_replay),
@@ -1555,9 +1556,10 @@ class _CCheck:
 
     def _pairs_resolved(self, spec, X, V0):
         """_resolved's re-solve of the pair sweeps: their rows in X are
-        overwritten with _pair_rows' values; V0 holds the sums before the
-        outer sets.  Returns ok (k, pairs), False where a pair has no closed
-        form."""
+        overwritten with _pair_rows' values, from pair_duals at each
+        (cycle, pair sweep)'s u, assembled for all at once; V0 holds the
+        sums before the outer sets.  Returns ok (k, pairs), False where a
+        pair has no closed form."""
         rs = self.resolve
         k, d = len(X), spec.d
         s, o, x0 = rs.pair_start, rs.n_pair, spec.x0
@@ -1572,15 +1574,15 @@ class _CCheck:
         np.subtract(x0, u, out=u)
         bsum = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
         np.add(bsum, x0, out=U[:, o:])
-        if len(rs.pairs) == 1:   # one kind, in order
-            Z1, Z2, ok = rs.pairs[0][1].duals(U)
-        else:
-            Z1, Z2 = np.empty_like(U), np.empty_like(U)
-            ok = np.empty(U.shape[:2], dtype=bool)
-            for pos, stack in rs.pairs:
-                Z1[:, pos], Z2[:, pos], ok[:, pos] = stack.duals(U[:, pos])
-        outer[:, :, 0], outer[:, :, 1] = Z1[:, :o], Z2[:, :o]
-        block[:, :, 0], block[:, :, 1] = Z1[:, o:], Z2[:, o:]
+        ok = np.ones(U.shape[:2], dtype=bool)
+        for c in range(k):
+            for b, pair in enumerate(rs.pairs):
+                duals = pair_duals(*pair, U[c, b])
+                if duals is None:
+                    ok[c, b] = False
+                else:
+                    rows = outer[c, b] if b < o else block[c, b - o]
+                    rows[0], rows[1] = duals
         np.subtract(bsum, block[:, :, 0], out=bsum)
         np.subtract(bsum, block[:, :, 1], out=block[:, :, 2])
         return ok

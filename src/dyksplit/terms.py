@@ -10,7 +10,7 @@ Stacks evaluate the dual prox and the conjugate of many terms of one kind in
 one vectorized call; the engine groups a sweep's single-term blocks and the
 dual objective's conjugates into them.  Two halfspace or ball indicators
 also have the projection onto their intersection, with its duals, in closed
-form (pair_duals, and PairStack for many pairs).
+form (pair_duals, one point at a time).
 """
 
 from __future__ import annotations
@@ -500,17 +500,9 @@ def stacked_conjugates(groups, z, out):
 # falls back to an iterative solve.  Each test is taken from u's products
 # with the sets' data, <a, u> and ||u - c||^2, without forming P(u): a
 # halfspace's dual is e·a for its scaled excess e, and a ball's
-# (1 - rho / ||u - c||)·(u - c).  pair_duals is the scalar kernel, which
-# tries the cases in order, and PairStack its stacked form, which evaluates
-# them all for k pairs of one kind in the same steps and takes each row's
-# own.
-
-def _set_stack(sets):
-    """The HalfspaceStack or BallStack of sets of one kind."""
-    if type(sets[0]) is Halfspace:
-        return HalfspaceStack([s.a for s in sets], [s.b for s in sets])
-    return BallStack([s.center for s in sets], [s.radius for s in sets])
-
+# (1 - rho / ||u - c||)·(u - c).  pair_duals tries the cases in order, one
+# point at a time; it is the only form, which a sweep and the batched
+# re-solve of check_level="full" both call.
 
 def pair_order(terms, rows):
     """The two term rows in pair order, a halfspace before a ball, or None
@@ -625,125 +617,3 @@ def _sphere_duals(a, n, D, aD, h, rho2, s1, s2):
         return (L * a, K * X) if L >= 0.0 and K >= 0.0 else None
     M1, M2 = K + L, -L
     return (M1 * X, M2 * (X - a)) if M1 >= 0.0 and M2 >= 0.0 else None
-
-
-class PairStack:
-    """pair_duals of k pairs of one kind, row by row: two halfspaces, a
-    halfspace and a ball, or two balls.
-
-    duals(U) evaluates every case of every row of U, (..., k, d), in
-    pair_duals' steps, and takes each row's own, so that each row is
-    bitwise pair_duals' on its pair.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, pairs):
-        # pairs: [(C_i, C'_i), ...] in pair order
-        self.first = _set_stack([p[0] for p in pairs])
-        self.second = _set_stack([p[1] for p in pairs])
-
-    def _constants(self):
-        """pair_constants of every pair, taken at each call rather than
-        kept."""
-        first, second = self.first, self.second
-        if type(second) is HalfspaceStack:
-            return (_dots(first.A, second.A),)
-        if type(first) is HalfspaceStack:
-            return _dots(first.A, second.C), second.radius * second.radius
-        A = second.C - first.C
-        return (A, _dots(A, A), _dots(A, first.C),
-                first.radius * first.radius, second.radius * second.radius)
-
-    def duals(self, U):
-        """(Z, Z', ok) of every row of U, (..., k, d): ok is False where a
-        row has no closed form, whose duals are then meaningless."""
-        first, second = self.first, self.second
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if type(second) is HalfspaceStack:
-                return self._halfspaces(U)
-            if type(first) is HalfspaceStack:
-                (ac, rho2), A = self._constants(), first.A
-                b, n = first.b, first._nrm2
-                t = _dots(A, U)
-                E = t - b
-                D = U - second.C
-                q = _dots(D, D)
-                aD = t - ac
-                e = E / n
-                case2 = (E > 0.0) & (q - 2.0 * e * aD + e * e * n <= rho2)
-                s = second.radius / np.sqrt(q)
-                case3 = ~case2 & (q > rho2) & (ac + s * aD - b <= 0.0)
-                done = (E <= 0.0) & (q <= rho2) | case2 | case3
-                Z1 = np.where(case2[..., None], e[..., None] * A, 0.0)
-                Z2 = np.where(case3[..., None], (1.0 - s)[..., None] * D, 0.0)
-                if done.all():
-                    return Z1, Z2, done
-                B1, B2, ok = _sphere_stack(A, n, D, aD, (b - ac) / n, rho2,
-                                           True)
-            else:
-                A, nA, Ac, r1, r2 = self._constants()
-                D = U - first.C
-                q1 = _dots(D, D)
-                D2 = U - second.C
-                q2 = _dots(D2, D2)
-                aD = _dots(A, U) - Ac
-                s = first.radius / np.sqrt(q1)
-                case2 = (q1 > r1) & (s * s * q1 - 2.0 * s * aD + nA <= r2)
-                s2 = second.radius / np.sqrt(q2)
-                case3 = ~case2 & (q2 > r2) & (
-                    s2 * s2 * q2 + 2.0 * s2 * (aD - nA) + nA <= r1)
-                done = (q1 <= r1) & (q2 <= r2) | case2 | case3
-                Z1 = np.where(case2[..., None], (1.0 - s)[..., None] * D, 0.0)
-                Z2 = np.where(case3[..., None], (1.0 - s2)[..., None] * D2,
-                              0.0)
-                if done.all():
-                    return Z1, Z2, done
-                B1, B2, ok = _sphere_stack(A, nA, D, aD,
-                                           (r1 - r2 + nA) / (2.0 * nA), r1,
-                                           False)
-                ok &= nA > 0.0
-        both = ~done
-        Z1[both], Z2[both] = B1[both], B2[both]
-        return Z1, Z2, done | ok
-
-    def _halfspaces(self, U):
-        """duals of two halfspaces in pair_duals' steps."""
-        first, second, (g,) = self.first, self.second, self._constants()
-        A1, A2, b1, b2 = first.A, second.A, first.b, second.b
-        n1, n2 = first._nrm2, second._nrm2
-        t1, t2 = _dots(A1, U), _dots(A2, U)
-        E1, E2 = t1 - b1, t2 - b2
-        e1, e2 = E1 / n1, E2 / n2
-        case2 = (E1 > 0.0) & (t2 - e1 * g - b2 <= 0.0)
-        case3 = ~case2 & (E2 > 0.0) & (t1 - e2 * g - b1 <= 0.0)
-        done = (E1 <= 0.0) & (E2 <= 0.0) | case2 | case3
-        Z1 = np.where(case2[..., None], e1[..., None] * A1, 0.0)
-        Z2 = np.where(case3[..., None], e2[..., None] * A2, 0.0)
-        if done.all():
-            return Z1, Z2, done
-        det = n1 * n2 - g * g
-        L1 = (n2 * E1 - g * E2) / det
-        L2 = (n1 * E2 - g * E1) / det
-        both = ~done
-        Z1[both] = (L1[..., None] * A1)[both]
-        Z2[both] = (L2[..., None] * A2)[both]
-        return Z1, Z2, done | (det > 0.0) & (L1 >= 0.0) & (L2 >= 0.0)
-
-
-def _sphere_stack(A, n, D, aD, h, rho2, halfspace):
-    """_sphere_duals of every row, as (Z, Z', ok); halfspace says whether
-    the first set is a halfspace or a ball."""
-    rr = rho2 - h * h * n
-    rp = np.sqrt(rr)   # NaN where rr < 0, and then not ok
-    Dp = D - (aD / n)[..., None] * A
-    delta = np.sqrt(_dots(Dp, Dp))
-    K = (delta - rp) / rp
-    L = aD / n - h - K * h
-    X = h[..., None] * A + (rp / delta)[..., None] * Dp
-    ok = (rr > 0.0) & (delta != 0.0)
-    if halfspace:
-        return L[..., None] * A, K[..., None] * X, ok & (L >= 0.0) & (K >= 0.0)
-    M1, M2 = K + L, -L
-    return (M1[..., None] * X, M2[..., None] * (X - A),
-            ok & (M1 >= 0.0) & (M2 >= 0.0))

@@ -1019,6 +1019,30 @@ def test_a_custom_pair_run_at_full_is_exact_and_replays_no_sweep(
     assert calls == []
 
 
+def test_the_full_re_solve_calls_the_sweeps_pair_kernel(monkeypatch):
+    # pair_duals is the one pair kernel: at full, each exact pair sweep
+    # calls it twice, once as it runs and once in its batch's re-solve
+    spec, plan = _case("custom_pair")
+    pair_duals = engine.pair_duals
+    calls = {}
+
+    def counted(*args):
+        calls[level] = calls.get(level, 0) + 1
+        return pair_duals(*args)
+
+    monkeypatch.setattr(engine, "pair_duals", counted)
+    runs = {}
+    for level in ("sweep", "full"):
+        runs[level] = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=30, check_level=level))
+        assert not runs[level].any_approx
+    assert runs["full"].F_per_cycle.tobytes() == runs[
+        "sweep"].F_per_cycle.tobytes()
+    # two pair sweeps per cycle, each one call as it runs
+    assert calls["sweep"] == 2 * 30
+    assert calls["full"] == 2 * calls["sweep"]
+
+
 @pytest.mark.parametrize("level", ["sweep", "full"])
 def test_a_pair_that_falls_back_is_approximate_and_unchecked(monkeypatch,
                                                              level):

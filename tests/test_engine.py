@@ -246,6 +246,28 @@ def test_run_sweep_diagnostics():
     assert st.w == 1
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("helper", ["solve_outer", "solve_inner_block",
+                                    "run_sweep"])
+def test_single_step_ops_reject_a_state_of_the_wrong_shape(helper, shape):
+    # 4 duals in R^3: a state with a row too many or too few, or of the
+    # wrong width, raises dual_objective's error and is left as it was
+    spec = fixtures.random_halfspaces(1, 3, 3, m=1)
+    st = dk.DualState(np.ones(shape))
+    call = {"solve_outer": lambda: dk.solve_outer(spec, st, [1]),
+            "solve_inner_block": lambda: dk.solve_inner_block(spec, st, 4,
+                                                              [1, 4]),
+            "run_sweep": lambda: dk.run_sweep(spec, st,
+                                              dk.SweepPlan(outer=[1]))}
+    message = rf"z has shape \({shape[0]}, {shape[1]}\), expected \(4, 3\)"
+    with pytest.raises(dk.DimensionMismatch, match=message):
+        dk.dual_objective(spec, st)
+    with pytest.raises(dk.DimensionMismatch, match=message):
+        call[helper]()
+    assert np.array_equal(st.z, np.ones(shape))
+    assert st.w == 0
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
@@ -1373,6 +1395,22 @@ def test_solve_params_validation():
 def test_solve_params_reject_bad_tolerances(field, value):
     with pytest.raises(ValueError, match=field):
         dk.SolveParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "nested_bcm_sweeps",
+                                   "workers"])
+@pytest.mark.parametrize("value", [2.5, True, "3", float("inf")])
+def test_solve_params_reject_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        dk.SolveParams(**{field: value})
+
+
+def test_solve_params_take_integral_counts_as_ints():
+    params = dk.SolveParams(max_iterations=3.0, nested_bcm_sweeps=np.int64(2))
+    assert type(params.max_iterations) is int
+    assert type(params.nested_bcm_sweeps) is int
+    res = dk.run(two_halfspace_spec(), dk.classic_dykstra_schedule(2), params)
+    assert len(res.F_per_cycle) == 3
 
 
 def test_workers_one_is_silent():

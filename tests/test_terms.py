@@ -584,7 +584,7 @@ def _pair_instance(kind, case, rng, d):
 
 @pytest.mark.parametrize("case", ["inside", "first", "second", "both"])
 @pytest.mark.parametrize("kind", ["hh", "hb", "bb"])
-def test_pair_duals_give_the_projection(kind, case, dots):
+def test_pair_duals_give_the_projection(kind, case):
     # u - z - z' is the known projection; each dual lies in its set's
     # normal cone there: a finite conjugate with h*(z) = <x, z>; an
     # inactive set's dual is 0
@@ -603,14 +603,10 @@ def test_pair_duals_give_the_projection(kind, case, dots):
                 assert (np.linalg.norm(z) > 0.0) == on
                 assert abs(t.conjugate(z) - x @ z) <= 1e-12 * (
                     1.0 + np.linalg.norm(z))
-            Z1, Z2, ok = terms_module.PairStack([sets]).duals(u[None])
-            assert ok.tolist() == [True]
-            assert Z1[0].tobytes() == np.array(z1).tobytes()
-            assert Z2[0].tobytes() == np.array(z2).tobytes()
 
 
 @pytest.mark.parametrize("case", ["parallel", "tangent-hb", "tangent-bb"])
-def test_a_pair_with_no_closed_form_gives_no_duals(case, dots):
+def test_a_pair_with_no_closed_form_gives_no_duals(case):
     # both sets active where their normals are parallel, or where the
     # sphere both boundaries share has radius 0
     H, B = dk.Halfspace, dk.L2Ball
@@ -623,42 +619,3 @@ def test_a_pair_with_no_closed_form_gives_no_duals(case, dots):
     u = np.array(u)
     assert terms_module.pair_duals(
         t1, t2, terms_module.pair_constants(t1, t2), u) is None
-    assert terms_module.PairStack([(t1, t2)]).duals(u[None])[2].tolist() == [
-        False]
-
-
-@pytest.mark.parametrize("kind", ["hh", "hb", "bb"])
-def test_pair_stack_rows_are_bitwise_pair_duals(kind, dots):
-    # a stack of k pairs on (b, k, d) points gives each row the bits of
-    # pair_duals on its pair: every case, the pairs with no closed form
-    # at the point included
-    rng = np.random.default_rng(zlib.crc32(kind.encode()))
-    d, k, b = 3, 12, 40
-    pairs = [_pair_instance(kind, "both", rng, d)[:2] for _ in range(k)]
-    # a disjoint pair, which every case misses
-    far = [dk.Indicator(dk.Halfspace([1.0, 0.0, 0.0], -1.0)),
-           dk.Indicator(dk.Halfspace([-1.0, 0.0, 0.0], -1.0)),
-           dk.Indicator(dk.L2Ball([9.0, 0.0, 0.0], 1.0))]
-    pairs[-1] = (far[0], far[1] if kind == "hh" else far[2])
-    if kind == "bb":
-        pairs[-1] = (dk.Indicator(dk.L2Ball([0.0, 0.0, 0.0], 1.0)), far[2])
-    U = rng.standard_normal((b, k, d)) * rng.choice([0.1, 1.0, 4.0],
-                                                     size=(b, k, 1))
-    Z1, Z2, ok = terms_module.PairStack(
-        [(t1.set, t2.set) for t1, t2 in pairs]).duals(U)
-    seen = set()
-    for c in range(b):
-        for i, pair in enumerate(pairs):
-            sets = (pair[0].set, pair[1].set)
-            want = terms_module.pair_duals(
-                *sets, terms_module.pair_constants(*sets), U[c, i])
-            assert ok[c, i] == (want is not None)
-            if want is None:
-                seen.add("none")
-                continue
-            w1, w2 = (np.broadcast_to(z, (d,)) for z in want)
-            assert Z1[c, i].tobytes() == np.array(w1).tobytes()
-            assert Z2[c, i].tobytes() == np.array(w2).tobytes()
-            seen.add((bool(w1.any()), bool(w2.any())))
-    assert seen == {"none", (False, False), (True, False), (False, True),
-                    (True, True)}
