@@ -47,12 +47,18 @@ no frozen row, checked once per cycle pattern (_assert_unfrozen).
 At every check level a sweep runs the same way: it solves its declared rows
 into a buffer, which the one state then takes in place, and sums the state;
 a still sweep, which keeps its rows' bytes, skips their finiteness scan and
-takes its snapshot's sum.  A cycle's movements are taken at its end, from
-the differences its sweeps made to the dual sum and to their governing rows
-(_movements).  With checks on, the sweep loop only solves and logs: the
-buffer is the sweep's block of a log, which keeps a batch of up to
-_OBJ_BATCH consecutive cycles of one pattern as its start state and, per
-sweep, its dual sum and its declared rows.
+takes its snapshot's sum.  Most still sweeps are not solved at all: the
+sweep of one halfspace or ball row whose dual is +0.0 is skipped while a
+safe screen, taken at a cycle start from the sets' slacks and bounded by
+how far the dual sum has since moved, proves that its set holds the
+iterate (_Screen).  A skipped sweep logs its rows and sum and records its
+trace as a still one does, so the results are bitwise those of solving
+it; a plan with no such sweep builds no screen.  A cycle's movements are
+taken at its end, from the differences its sweeps made to the dual sum and
+to their governing rows (_movements).  With checks on, the sweep loop only
+solves and logs: the buffer is the sweep's block of a log, which keeps a
+batch of up to _OBJ_BATCH consecutive cycles of one pattern as its start
+state and, per sweep, its dual sum and its declared rows.
 A batch's log rows and sums and its check's conjugate table take at most
 _CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
@@ -77,12 +83,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .state import (DualState, _ordered_sum, dual_objective_from,
+from .state import (DualState, _as_count, _ordered_sum, dual_objective_from,
                     dual_objective_z)
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (FEAS_TOL, DimensionMismatch, Indicator, _dots, _norm,
+from .terms import (FEAS_TOL, BallStack, DimensionMismatch, Halfspace,
+                    HalfspaceStack, Indicator, L2Ball, _dots, _norm,
                     all_finite, pair_constants, pair_duals, pair_order,
                     stack_terms, stacked_conjugates)
 
@@ -142,18 +149,21 @@ class SolveParams:
     per_sweep_trace: bool = False
 
     def __post_init__(self):
-        # counts are ints, as config takes them: a bool or a value that is
-        # not integral is an error
         for name in ("max_iterations", "nested_bcm_sweeps", "workers"):
+            setattr(self, name, _as_count(name, getattr(self, name)))
+        # tolerances are floats, as config takes them: a bool or a string
+        # is an error
+        for name in ("stop_gap", "nested_tol"):
             value = getattr(self, name)
-            if isinstance(value, float):
-                integral = value.is_integer()
-            else:   # an int or a numpy integer, not a bool
-                integral = (hasattr(value, "__index__")
-                            and not isinstance(value, (bool, np.bool_)))
-            if not integral:
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            setattr(self, name, int(value))
+            if value is None and name == "stop_gap":
+                continue
+            if (isinstance(value, (bool, np.bool_)) or not isinstance(
+                    value, (int, float, np.integer, np.floating))):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+            try:
+                setattr(self, name, float(value))
+            except OverflowError:   # an integer beyond the float range
+                raise ValueError(f"{name} is out of range") from None
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.stop_gap is not None and not self.stop_gap >= 0.0:
@@ -347,6 +357,7 @@ class RunResult:
     certificates: list | None
     any_approx: bool
     analysis: sched.ScheduleAnalysis
+    skipped_sweeps: int   # sweeps a safe screen skipped as still (_Screen)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +615,148 @@ def sweep_tiers(spec, sweep):
         for rows, _ in step.subs]) + (
             " (approximate)" if step.solve is _nested_rows else "")
         for step in _CSweep(sweep, spec).steps]
+
+
+def _screen_row(spec, steps):
+    """The term row that a sweep of these compiled steps screens (_Screen):
+    that of its one step when it is _prox_row of a halfspace or ball
+    indicator, else None."""
+    if len(steps) != 1 or steps[0].solve is not _prox_row:
+        return None
+    i = steps[0].arg[0]
+    term = spec.terms[i]
+    if type(term) is Indicator and type(term.set) in (Halfspace, L2Ball):
+        return i
+    return None
+
+
+class _Screen:
+    """Safe screening of the still sweeps of halfspace and ball rows (run).
+
+    A sweep whose one step is _prox_row of a halfspace or ball row i
+    (_screen_row) is still when z_i is +0.0 and the set holds x = x0 - v:
+    u = x0 - (v - z_i) then has the bits of x0 - v, the set's project
+    returns u.copy(), and z_i gets u - u, +0.0 again.  A screen, taken at a
+    cycle start (slacks), gives for every term row a lower bound s_i on the
+    slack of the screen point x_s = x0 - v_s, (b - <a, x>)/||a|| for a
+    halfspace and rho - ||x - c|| for a ball, both 1-Lipschitz in x, or -inf
+    for a row whose bytes are not all +0.0 (a -0.0 included) or that is no
+    halfspace or ball.  Every sweep that moves then grows a bound m on
+    ||v - v_s|| by the norm of its dual-sum difference, and a sweep that
+    screens no row marks -inf the screened rows it writes (moved); a
+    screened sweep is skipped while s_i > m.  Its solve would have kept u: its set holds x0 - v, by at least
+    the margin the solver's own test needs.  The screen holds until a
+    screened sweep that is solved keeps a +0.0 row, a skip it missed; the
+    next cycle start then screens again, as does the first after a cycle
+    that screens no row.
+
+    The rounding slack, with u = eps/2, g_n = n·u and kappa = 8·(d + 8)·u:
+    - the move: still and skipped sweeps keep v's bits, so v - v_s is the
+      sum of the dual-sum differences of the sweeps that moved since the
+      screen, each within 1 + g_{d+4} of its rounded norm n; m takes each
+      as m <- (m + n)·(1 + kappa), which rounded still gains at least (1 +
+      g_{2d+6})·n, so (1 + g_d)·||u - x_s|| <= m + 4u·||x_s|| for the
+      solver's point u = fl(x0 - v) and x_s = fl(x0 - v_s);
+    - the solver: Halfspace.project keeps u when fl(<a, u>) <= b, which
+      holds when the slack of u is at least g_d·||u||; L2Ball.project keeps
+      it when fl(||u - c||) <= rho, which holds when the slack is at least
+      g_{d+3}·rho;
+    - the screen: a halfspace's rounded slack s' is within g_{d+4}·|s'| +
+      g_d·||x_s|| of the slack of x_s, and s_i = s'·(1 - kappa) -
+      kappa·||x_s||; a ball's q = ||c||^2 - 2<c, x_s> + ||x_s||^2 is within
+      g_{d+3}·(||c|| + ||x_s||)^2 of ||x_s - c||^2, so the root of q +
+      kappa·(||c|| + ||x_s||)^2, times 1 + kappa, bounds ||x_s - c|| above,
+      and s_i = rho·(1 - kappa) minus that bound minus kappa·||x_s||.
+    Together s_i > m gives the solver's test, with (kappa - g_{d+4})·(|s'|
+    + ||x_s||) to spare for a halfspace and (kappa - 6u)·rho + (kappa -
+    4u)·||x_s|| for a ball: more than the few roundings of s_i itself and
+    the g_d·||x_s|| or g_{d+3}·rho that the test needs.  A slack that
+    overflows is not finite and screens nothing.
+
+    rows[k] lists, for each sweep of compiled cycle k, the row it screens,
+    or r for none, whose s_i is always -inf, as a range when the rows run
+    up by one; it is None when no sweep of cycle k screens a row.  drops[k]
+    lists the screened rows that each sweep which screens none writes, or
+    is None when none does.  skipped counts the sweeps that run skipped.  A screen's arrays
+    are O(r) and let go before it returns but for its bounds, r + 1
+    doubles: the sets' data are read in place.
+    """
+
+    __slots__ = ("rows", "drops", "skipped", "_kappa", "_x0", "_r",
+                 "_groups")
+
+    def __init__(self, spec, rows, compiled, groups):
+        screened = {i for c in rows for i in c if i is not None}
+        self.rows, self.drops = [], []
+        for c, sweeps in zip(rows, compiled):
+            drops = []
+            for i, cs in zip(c, sweeps):
+                written = cs.written
+                written = (range(written.start, written.stop)
+                           if isinstance(written, slice) else written.tolist())
+                # a screened sweep writes only its own row, which the
+                # bound, never lower than its slack since it was solved,
+                # keeps from being skipped until the next screen
+                drops.append(() if i is not None else tuple(
+                    j for j in written if j in screened))
+            self.drops.append(drops if any(drops) else None)
+            if all(i is None for i in c):
+                c = None
+            else:
+                c = [spec.r if i is None else i for i in c]
+                if c == list(range(c[0], c[0] + len(c))):
+                    c = range(c[0], c[0] + len(c))   # the classic schedule's
+            self.rows.append(c)
+        self.skipped = 0
+        self._kappa = 4 * (spec.d + 8) * _EPS
+        self._x0, self._r, self._groups = spec.x0, spec.r, groups
+
+    @classmethod
+    def of(cls, spec, compiled, groups):
+        """The screen of run's compiled cycles, or None when no sweep of
+        theirs screens a row, which then costs nothing."""
+        rows = [[_screen_row(spec, cs.steps) for cs in c] for c in compiled]
+        if all(i is None for c in rows for i in c):
+            return None
+        return cls(spec, rows, compiled, groups)
+
+    def slacks(self, z, v):
+        """The r + 1 bounds s_i at x_s = x0 - v, the last -inf, for the
+        state z whose row sum is v, as an array("d"), whose items are read
+        as floats; a NaN screens nothing."""
+        kappa = self._kappa
+        s = np.full(self._r + 1, -_INF)
+        x = self._x0 - v
+        with np.errstate(all="ignore"):   # an overflow screens nothing
+            nx = math.sqrt(x.dot(x))
+            for rows, stack in self._groups:
+                if isinstance(stack, HalfspaceStack):
+                    t = stack.b - stack.A @ x
+                    t /= np.sqrt(stack._nrm2)
+                    t *= 1.0 - kappa
+                    t -= kappa * nx
+                    if not all_finite(t):
+                        t[~np.isfinite(t)] = -_INF
+                    s[rows] = t
+                elif isinstance(stack, BallStack):
+                    C, c2 = stack.C, _dots(stack.C, stack.C)
+                    q = c2 - 2.0 * (C @ x) + nx * nx
+                    q += kappa * (np.sqrt(c2) + nx) ** 2
+                    s[rows] = (stack.radius * (1.0 - kappa)
+                               - np.sqrt(q) * (1.0 + kappa) - kappa * nx)
+        s[:-1][np.logical_or.reduce(z[:self._r].view(np.uint64),
+                                    axis=1)] = -_INF
+        return array("d", s.tobytes())
+
+    def moved(self, slack, k, w, bound, dv):
+        """The bound m after sweep w (1-based) of cycle k moved the dual sum
+        by dv; marks -inf in slack the screened rows it wrote, if it screens
+        none."""
+        drops = self.drops[k]
+        if drops:
+            for i in drops[w - 1]:
+                slack[i] = -_INF
+        return (bound + math.sqrt(dv.dot(dv))) * (1.0 + self._kappa)
 
 
 def _rows_index(rows):
@@ -1891,8 +2044,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     analysis = sched.validate(plan, spec.r, spec.m)
     valid = analysis.valid_A and analysis.valid_B
     if not valid and not params.allow_invalid_schedule:
-        head = "; ".join(v.message for v in analysis.violations[:3])
-        raise InvalidScheduleError(f"schedule is invalid: {head}")
+        raise InvalidScheduleError("schedule is invalid: " + "; ".join(
+            v.message for v in analysis.violations[:3]))
     if not analysis.sqrt_growth_ok:
         warnings.warn(
             "schedule exceeds one index per outer set or two per block;"
@@ -1939,17 +2092,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         checks = [_CCheck(c, spec, ca, valid, shared, scratch)
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
-        W0, P0 = checks[0].W, checks[0].P
-        # a cycle's log rows and sums, and its sweep pass's conjugate table
-        per_cycle = (P0 + W0) * spec.d * 8 + W0 * (spec.r + 1) * 8
-        n_batch = 1 if checks[0].last is None else min(
+        chk = checks[0]
+        # a cycle's log rows and sums, and its sweep pass's conjugate table,
+        # take (P + W)·d + W·(r + 1) doubles
+        n_batch = 1 if chk.last is None else min(
             _OBJ_BATCH, params.max_iterations,
-            max(1, _CHECK_BATCH_BYTES // per_cycle))
+            max(1, _CHECK_BATCH_BYTES // (
+                8 * ((chk.P + chk.W) * spec.d + chk.W * (spec.r + 1)))))
         log = _Log(
-            np.empty((spec.n_duals + max(n_batch * P0,
-                                         *(chk.P for chk in checks)),
+            np.empty((spec.n_duals + max(n_batch * chk.P,
+                                         *(c.P for c in checks)),
                       spec.d)),
-            np.empty((max(n_batch * W0, max_W) + 1, spec.d)))
+            np.empty((max(n_batch * chk.W, max_W) + 1, spec.d)))
         sums = log.sums
     else:
         n_batch = max(1, min(_OBJ_BATCH, params.max_iterations,
@@ -1967,6 +2121,9 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # how many governing rows the sweeps of a cycle of each pattern move
     n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
     z = z.copy()   # written in place
+    # the screen of the sweeps that would surely be still (_Screen)
+    screen = _Screen.of(spec, compiled, all_terms)
+    stale = True   # whether the next screened cycle screens again
     snap = _read_only(z)
     slot = 0   # the row of sums that holds v
     v = z.sum(axis=0, out=sums[0])
@@ -2029,8 +2186,26 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             cycle_margins = margins[c]
             cycle_approx = False
             fallbacks = ()
+            rows = screen.rows[k] if screen else None
+            if not rows:
+                stale = True
+            elif stale:
+                slack = screen.slacks(z, v)
+                bound = 0.0   # on how far v has moved since the screen
+                stale = False
 
             for w, cs in enumerate(sweeps, start=1):
+                if rows and slack[rows[w - 1]] > bound:
+                    # surely still (_Screen): it keeps z_i's +0.0 bytes
+                    screen.skipped += 1
+                    if sweep_checks:
+                        slot = (slot + 1) % len(sums)
+                        log.rows[start + chk.offs[w - 1]] = 0.0
+                        sums[slot] = v
+                        v = sums[slot]
+                    if per_sweep:
+                        trace.sweep_approx.append(False)
+                    continue
                 slot = (slot + 1) % len(sums)
                 block = (log.rows[start + chk.offs[w - 1]:start + chk.offs[w]]
                          if sweep_checks else scratch[:cs.size])
@@ -2065,8 +2240,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     z[cs.written] = block
                     np.subtract(z.sum(axis=0, out=sums[slot]), v,
                                 out=diffs[w - 1])
+                    if rows:
+                        bound = screen.moved(slack, k, w, bound,
+                                             diffs[w - 1])
                 else:   # a still sweep: equal bytes give z.sum's bits
                     sums[slot] = v
+                    if rows and rows[w - 1] < spec.r and not block.any():
+                        stale = True   # a skip the screen missed
                 v = sums[slot]
                 n_gov += len(cs.block_js)
 
@@ -2081,7 +2261,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 ends[c] = z
                 ends_v[c] = v
 
-            ascent = not any_approx and not cycle_approx
             any_approx = any_approx or cycle_approx
             trace.v_diff.append(v_acc)
             trace.gamma.append(gamma_acc)
@@ -2091,7 +2270,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             # F, and with checks on the objectives of the sweeps and the
             # certificate distance, are appended when the cycle's batch is
             # checked or priced
-            pending.append(_Pending(n, ascent, gamma_acc,
+            # its ascent is checked when no cycle so far ran approximate
+            pending.append(_Pending(n, not any_approx, gamma_acc,
                                     fallbacks or cycle_approx))
             if len(pending) == n_batch or (sweep_checks and n <= n_lead):
                 flush()
@@ -2156,7 +2336,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         certificates=(None if cert_arrays is None else _certificate_list(
             cert_arrays[0].copy(), *cert_arrays[1:])),
         any_approx=any_approx,
-        analysis=analysis)
+        analysis=analysis,
+        skipped_sweeps=screen.skipped if screen else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ from .terms import (DimensionMismatch, all_finite, stack_terms,
 _INF = float("inf")
 
 
+def _as_count(name, value):
+    """value as an int, as config takes counts: an int or a numpy integer,
+    or a float with an integral value; a bool, a string or any other value
+    is a ValueError that names name."""
+    if isinstance(value, float):
+        integral = value.is_integer()
+    else:   # an int or a numpy integer, not a bool
+        integral = (hasattr(value, "__index__")
+                    and not isinstance(value, (bool, np.bool_)))
+    if not integral:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 class ProblemSpec:
     """Immutable-by-convention problem container.
 
@@ -30,8 +44,9 @@ class ProblemSpec:
     terms : sequence of term objects
         The r proximable terms, each of ambient dimension d.
     m : int
-        Number of extra quadratic copies (dual indices r+1 .. r+m).  The
-        copy weights are the derived lam = 1/(m+1) each, never stored.
+        Number of extra quadratic copies (dual indices r+1 .. r+m), an
+        integer (_as_count).  The copy weights are the derived lam = 1/(m+1)
+        each, never stored.
     """
 
     def __init__(self, x0, terms, m=0):
@@ -46,7 +61,7 @@ class ProblemSpec:
             if t.dim != self.d:
                 raise DimensionMismatch(
                     f"term {k + 1} has dimension {t.dim}, expected {self.d}")
-        m = int(m)
+        m = _as_count("m", m)
         if m < 0:
             raise ValueError("m must be nonnegative")
         self.m = m

@@ -802,6 +802,7 @@ def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
 
     monkeypatch.setattr(engine, "_assert_unfrozen", checked)
     monkeypatch.setattr(engine, "_execute_sweep", executed)
+    test_engine._screen_off(monkeypatch)   # every sweep is solved
     spec, plan = _case(case)
     dk.run(spec, plan, dk.SolveParams(max_iterations=26, check_level=level))
     patterns = 1 + len(plan.lead_in)

@@ -498,6 +498,7 @@ def _margins_before_a_non_finite_sweep(monkeypatch, spec, plan, k, message):
     with monkeypatch.context() as m:
         m.setattr(engine, "_execute_sweep", poisoned)
         m.setattr(engine._CCheck, "check_sweeps", recorded)
+        _screen_off(m)   # the k-th sweep is the k-th solved
         with pytest.raises(NonFiniteStateError, match=f"^{message}$"):
             dk.run(spec, plan, dk.SolveParams(max_iterations=5))
     assert len(seen) == 1
@@ -968,7 +969,8 @@ def _after_prox_row(monkeypatch, spec, plan, *faults):
     plan's sweeps: z is the snapshot and new the new value of term row i.
 
     A solver writes only the rows its sweep declares, into a buffer of
-    them: one row per index the sweep touches.
+    them: one row per index the sweep touches.  The screen of still sweeps
+    is off, so that every sweep reaches the faulty solver.
     """
     written = {}   # term row -> the rows of the sweep that solves it alone
     for sweep in [sw for c in (plan.pattern,) + plan.lead_in for sw in c]:
@@ -986,6 +988,13 @@ def _after_prox_row(monkeypatch, spec, plan, *faults):
         return exact
 
     monkeypatch.setattr(engine, "_prox_row", solver)
+    _screen_off(monkeypatch)
+
+
+def _screen_off(monkeypatch):
+    """Switch off the screen of still sweeps (engine._Screen), so that every
+    sweep runs its solver: a skipped sweep calls none."""
+    monkeypatch.setattr(engine, "_screen_row", lambda spec, steps: None)
 
 
 def _step(row, t, always=False):
@@ -1395,6 +1404,21 @@ def test_solve_params_validation():
 def test_solve_params_reject_bad_tolerances(field, value):
     with pytest.raises(ValueError, match=field):
         dk.SolveParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["stop_gap", "nested_tol"])
+@pytest.mark.parametrize("value", [True, np.bool_(True), "1e-8", [1e-8]])
+def test_solve_params_reject_tolerances_that_are_not_numbers(field, value):
+    # a bool would run as 1.0, as config refuses to
+    with pytest.raises(ValueError, match=f"^{field} must be a number"):
+        dk.SolveParams(**{field: value})
+
+
+def test_solve_params_take_tolerances_as_floats():
+    params = dk.SolveParams(stop_gap=0, nested_tol=np.float32(1e-6))
+    assert type(params.stop_gap) is float and params.stop_gap == 0.0
+    assert type(params.nested_tol) is float
+    assert dk.SolveParams().stop_gap is None
 
 
 @pytest.mark.parametrize("field", ["max_iterations", "nested_bcm_sweeps",

@@ -41,6 +41,23 @@ def test_spec_validation():
     assert not hasattr(spec, "_lam")
 
 
+@pytest.mark.parametrize("m", [1.5, "1", True, np.bool_(True), None,
+                               float("inf")])
+def test_spec_rejects_m_that_is_not_an_integer(m):
+    # a truncated m would leave an index untouched, and run would then
+    # report the plan, not m
+    hs = dk.Indicator(dk.Halfspace([1.0, 0.0], 0.0))
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        dk.ProblemSpec([1.0, 0.0], [hs], m=m)
+
+
+def test_spec_takes_an_integral_m_as_an_int():
+    hs = dk.Indicator(dk.Halfspace([1.0, 0.0], 0.0))
+    for m in (2.0, np.int64(2), 2):
+        spec = dk.ProblemSpec([1.0, 0.0], [hs], m=m)
+        assert type(spec.m) is int and spec.m == 2
+
+
 def test_dual_objective_desk():
     # single halfspace {x1 <= 0}, x0 = (1, 0), z = x0: F = dist^2 / 2
     spec = dk.ProblemSpec([1.0, 0.0],

@@ -13,8 +13,10 @@ fixtures.mixed_block_schedule with m = 1; the pairs schedule, whose sweeps
 are the outer sets {1, 2}, {3, 4}, ..., solves each pair of halfspaces in
 closed form) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
-timed run in microseconds per sweep, and the tracemalloc peak of one more,
-untimed run in KiB.  Each peak is taken in a fresh child process with hash
+timed run in microseconds per sweep, the share of sweeps that a tree's
+screen of still sweeps skipped (RunResult.skipped_sweeps; null where the
+tree does not count them), and the tracemalloc peak of one more, untimed
+run in KiB.  Each peak is taken in a fresh child process with hash
 seed 0, one at a time, after one untimed solve there, so that it does not
 depend on the points run before it or on the hash seed.  The grid is
 --schedules (default classic, product, mixed and pairs) x --sizes x {off,
@@ -27,7 +29,8 @@ peaks differ at any point.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one value per tree
-in each point's us_per_sweep and peak_kib; --out also writes it to a file.
+in each point's us_per_sweep, skipped and peak_kib; --out also writes it to
+a file.
 """
 
 from __future__ import annotations
@@ -131,12 +134,14 @@ def fresh_peak(src, point):
 
 def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
     """Best of runs timed solves per package, in microseconds per sweep, the
-    tracemalloc peak of one untimed solve per package (fresh_peak), and the
-    sweeps."""
+    share of sweeps each package's last solve skipped (None where it does
+    not count them), the tracemalloc peak of one untimed solve per package
+    (fresh_peak), and the sweeps."""
     point = (schedule, r, d, level, cycles)
     solves = [(dk,) + make_solve(dk, *point) for dk in packages]
     sweeps = cycles * len(solves[0][2].pattern)
     best = [float("inf")] * len(packages)
+    skipped = [None] * len(packages)
     with warnings.catch_warnings():
         # the product schedule's growth monitor is advisory; expected here
         for dk in packages:
@@ -146,12 +151,14 @@ def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
             for t in (order if k % 2 else reversed(order)):
                 dk, spec, plan, params = solves[t]
                 t0 = perf_counter()
-                dk.run(spec, plan, params)
+                result = dk.run(spec, plan, params)
                 elapsed = perf_counter() - t0
+                n_skipped = getattr(result, "skipped_sweeps", None)
+                skipped[t] = None if n_skipped is None else n_skipped / sweeps
                 if k:   # run 0 is the warm-up
                     best[t] = min(best[t], elapsed)
     peaks = [fresh_peak(src, point) for src in srcs]
-    return [1e6 * b / sweeps for b in best], peaks, sweeps
+    return [1e6 * b / sweeps for b in best], skipped, peaks, sweeps
 
 
 def main(argv=None):
@@ -178,19 +185,23 @@ def main(argv=None):
     points = []
     print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} "
           + " ".join(f"{'us/sweep':>10s}" for _ in srcs) + " "
+          + " ".join(f"{'skipped':>8s}" for _ in srcs) + " "
           + " ".join(f"{'peak KiB':>10s}" for _ in srcs))
     for schedule in args.schedules:
         for r, d in args.sizes:
             for level in LEVELS:
-                us, peaks, sweeps = time_point(packages, srcs, schedule, r,
-                                               d, level, args.cycles,
-                                               args.runs)
+                us, skipped, peaks, sweeps = time_point(
+                    packages, srcs, schedule, r, d, level, args.cycles,
+                    args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
                                "check_level": level, "us_per_sweep": us,
-                               "peak_kib": peaks, "sweeps": sweeps})
+                               "skipped": skipped, "peak_kib": peaks,
+                               "sweeps": sweeps})
                 print(f"{schedule:8s} {r:4d} {d:4d} {level:6s} "
-                      + " ".join(f"{u:10.1f}" for u in us + peaks),
-                      flush=True)
+                      + " ".join(f"{u:10.1f}" for u in us) + " "
+                      + " ".join("       -" if f is None else f"{f:8.3f}"
+                                 for f in skipped) + " "
+                      + " ".join(f"{p:10.1f}" for p in peaks), flush=True)
     result = {
         "env": {"python": platform.python_version(),
                 "numpy": numpy.__version__,
