@@ -12,8 +12,7 @@ convergence certificates.
 from .engine import (Certificate, EngineInvariantError, InvalidScheduleError,
                      NonFiniteStateError, RunResult, ScheduleGrowthWarning,
                      SolveParams, TraceRow, TraceRows, certificate_points,
-                     product_space_reference, run, run_sweep, solve_inner_block,
-                     solve_outer)
+                     product_space_reference, run, run_sweep)
 from .oracle import (ConvergenceError, LinearConstraint, PolyhedralInstance,
                      qp_project, reference_solve)
 from .schedule import (CyclePlan, ScheduleAnalysis, ScheduleStructureError,
@@ -42,6 +41,5 @@ __all__ = [
     "dual_objective", "fenchel_residual", "gap_report", "moreau_dual",
     "primal_estimate", "product_space_reference",
     "product_space_schedule", "qp_project", "reference_solve",
-    "rewrite_deferred", "run", "run_sweep", "solve_inner_block", "solve_outer",
-    "validate",
+    "rewrite_deferred", "run", "run_sweep", "validate",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from . import fixtures
 from .engine import SolveParams
 from .schedule import CyclePlan, SweepPlan, classic_dykstra_schedule, product_space_schedule
-from .state import ProblemSpec
+from .state import ProblemSpec, _as_count, _as_number
 from .terms import (AffineSubspace, Box, Halfspace, Hyperplane, Indicator,
                     L1Norm, L2Ball, Quadratic)
 
@@ -28,32 +28,13 @@ MODES = ("classic", "product", "custom", "product-reference")
 FORMATS = ("csv", "json")
 
 
-def _integer(value, where):
-    """value as an int; a bool, a string or a fractional number is an error."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{where} must be an integer, not {value!r}")
-
-
-def _number(value, where):
-    """value as a float; a bool or a string is an error."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:   # an integer literal beyond the float range
-            pass
-    raise ConfigError(f"{where} must be a number, not {value!r}")
-
-
 def _numbers(value, where):
     """Check that value is a number or a nested list of numbers."""
     if isinstance(value, list):
         for v in value:
             _numbers(v, where)
     else:
-        _number(value, where)
+        _as_number(where, value)
     return value
 
 
@@ -223,12 +204,10 @@ def sweep_from_dict(d, where):
         if not (str(j).isascii() and str(j).isdigit()):
             raise ConfigError(f"{where} block key {j!r} is not a decimal"
                               f" index")
-        inner[int(j)] = frozenset(_integer(i, "sweep index") for i in
-                                  _list(members, f"{where} block {j}"))
-    return SweepPlan(
-        outer=frozenset(_integer(i, "sweep index")
-                        for i in _list(d.get("outer") or [], f"{where} outer")),
-        inner=inner)
+        inner[int(j)] = _list(members, f"{where} block {j}")
+    # SweepPlan checks the indices
+    return SweepPlan(outer=_list(d.get("outer") or [], f"{where} outer"),
+                     inner=inner)
 
 
 def _sweeps(sweeps, where):
@@ -267,15 +246,15 @@ def _resolve_terms(pc, m, seed_override):
             if k not in g:
                 raise ConfigError(f"problem.generator missing {k!r}")
         seed = (seed_override if seed_override is not None
-                else _integer(g.get("seed", 0), "problem.generator.seed"))
+                else _as_count("problem.generator.seed", g.get("seed", 0)))
         return fixtures.generate(g["kind"],
-                                 _integer(g["r"], "problem.generator.r"),
-                                 _integer(g["dim"], "problem.generator.dim"),
+                                 _as_count("problem.generator.r", g["r"]),
+                                 _as_count("problem.generator.dim", g["dim"]),
                                  seed, m=m)
     if pc.x0 is None or pc.terms is None:
         raise ConfigError("problem needs x0 and terms (or a generator)")
     x0 = np.asarray(_numbers(pc.x0, "problem.x0"), dtype=float).ravel()
-    dim = x0.size if pc.dim is None else _integer(pc.dim, "problem.dim")
+    dim = x0.size if pc.dim is None else _as_count("problem.dim", pc.dim)
     if x0.size != dim:
         raise ConfigError(f"x0 has length {x0.size}, dim says {dim}")
     if not isinstance(pc.terms, list):
@@ -310,7 +289,7 @@ def _build(cfg, seed_override):
     # the mode pins m before the spec is built
     m_cfg = cfg.splitting.m
     if m_cfg is not None:
-        m_cfg = _integer(m_cfg, "splitting.m")
+        m_cfg = _as_count("splitting.m", m_cfg)
     if mode == "classic":
         if m_cfg not in (None, 0):
             raise ConfigError("classic mode requires m = 0")
@@ -352,13 +331,13 @@ def _build(cfg, seed_override):
 
     sc = cfg.solve
     params = SolveParams(
-        max_iterations=_integer(sc.max_iterations, "solve.max_iterations"),
+        max_iterations=_as_count("solve.max_iterations", sc.max_iterations),
         stop_gap=(None if sc.stop_gap is None
-                  else _number(sc.stop_gap, "solve.stop_gap")),
-        nested_bcm_sweeps=_integer(sc.nested_bcm_sweeps,
-                                   "solve.nested_bcm_sweeps"),
-        nested_tol=_number(sc.nested_tol, "solve.nested_tol"),
-        workers=_integer(sc.workers, "solve.workers"),
+                  else _as_number("solve.stop_gap", sc.stop_gap)),
+        nested_bcm_sweeps=_as_count("solve.nested_bcm_sweeps",
+                                    sc.nested_bcm_sweeps),
+        nested_tol=_as_number("solve.nested_tol", sc.nested_tol),
+        workers=_as_count("solve.workers", sc.workers),
         check_level=sc.check_level,
         per_sweep_trace=cfg.output.per_sweep)
 

@@ -19,7 +19,8 @@ grouped by term kind and each group is solved in one vectorized call of a
 term stack (terms.stack_terms), the product-space schedule's r-1 blocks
 included.  The dual objective reads its conjugates through the same stacks.
 A stack's rows are bitwise the scalar oracles', so a block solved on its
-own (solve_inner_block) gives the same bits as inside its sweep.
+own (run_sweep on a one-block SweepPlan) gives the same bits as inside its
+sweep.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep checks; the cycle
@@ -83,8 +84,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .state import (DualState, _as_count, _ordered_sum, dual_objective_from,
-                    dual_objective_z)
+from .state import (DualState, _as_count, _as_number, _ordered_sum,
+                    dual_objective_from, dual_objective_z)
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
@@ -151,19 +152,17 @@ class SolveParams:
     def __post_init__(self):
         for name in ("max_iterations", "nested_bcm_sweeps", "workers"):
             setattr(self, name, _as_count(name, getattr(self, name)))
-        # tolerances are floats, as config takes them: a bool or a string
-        # is an error
-        for name in ("stop_gap", "nested_tol"):
+        # tolerances are floats and flags bools, as config takes them: a
+        # bool tolerance or a string anywhere is an error
+        if self.stop_gap is not None:
+            self.stop_gap = _as_number("stop_gap", self.stop_gap)
+        self.nested_tol = _as_number("nested_tol", self.nested_tol)
+        for name in ("allow_invalid_schedule", "per_sweep_trace"):
             value = getattr(self, name)
-            if value is None and name == "stop_gap":
-                continue
-            if (isinstance(value, (bool, np.bool_)) or not isinstance(
-                    value, (int, float, np.integer, np.floating))):
-                raise ValueError(f"{name} must be a number, not {value!r}")
-            try:
-                setattr(self, name, float(value))
-            except OverflowError:   # an integer beyond the float range
-                raise ValueError(f"{name} is out of range") from None
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be True or False,"
+                                 f" not {value!r}")
+            setattr(self, name, bool(value))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.stop_gap is not None and not self.stop_gap >= 0.0:
@@ -644,11 +643,11 @@ class _Screen:
     halfspace or ball.  Every sweep that moves then grows a bound m on
     ||v - v_s|| by the norm of its dual-sum difference, and a sweep that
     screens no row marks -inf the screened rows it writes (moved); a
-    screened sweep is skipped while s_i > m.  Its solve would have kept u: its set holds x0 - v, by at least
-    the margin the solver's own test needs.  The screen holds until a
-    screened sweep that is solved keeps a +0.0 row, a skip it missed; the
-    next cycle start then screens again, as does the first after a cycle
-    that screens no row.
+    screened sweep is skipped while s_i > m.  Its solve would have kept u:
+    its set holds x0 - v, by at least the margin the solver's own test
+    needs.  The screen holds until a screened sweep that is solved keeps a
+    +0.0 row, a skip it missed; the next cycle start then screens again, as
+    does the first after a cycle that screens no row.
 
     The rounding slack, with u = eps/2, g_n = n·u and kappa = 8·(d + 8)·u:
     - the move: still and skipped sweeps keep v's bits, so v - v_s is the
@@ -677,9 +676,9 @@ class _Screen:
     or r for none, whose s_i is always -inf, as a range when the rows run
     up by one; it is None when no sweep of cycle k screens a row.  drops[k]
     lists the screened rows that each sweep which screens none writes, or
-    is None when none does.  skipped counts the sweeps that run skipped.  A screen's arrays
-    are O(r) and let go before it returns but for its bounds, r + 1
-    doubles: the sets' data are read in place.
+    is None when none does.  skipped counts the sweeps that run skipped.
+    A screen's arrays are O(r) and let go before it returns but for its
+    bounds, r + 1 doubles: the sets' data are read in place.
     """
 
     __slots__ = ("rows", "drops", "skipped", "_kappa", "_x0", "_r",
@@ -794,18 +793,6 @@ def _execute_sweep(spec, z, v, cs, params, out):
     return exact
 
 
-def _solve_in_place(spec, z, v, cs, params):
-    """Run the sweep cs against z, whose row sum is v, then write its rows
-    into z; returns exact."""
-    if z.shape != (spec.n_duals, spec.d):
-        raise DimensionMismatch(
-            f"z has shape {z.shape}, expected {(spec.n_duals, spec.d)}")
-    out = np.empty((cs.size, spec.d))
-    exact = _execute_sweep(spec, _read_only(z), v, cs, params, out)
-    z[cs.written] = out
-    return exact
-
-
 def _movements(D, u):
     """How far a run of u sweeps moved the dual sum and their blocks'
     governing rows, as two arrays.
@@ -846,41 +833,29 @@ def _movement_sums(v, moves, sweeps, margins):
 
 
 # ---------------------------------------------------------------------------
-# public single-step operations
+# the public single-step helper
 # ---------------------------------------------------------------------------
 
-def _check_indices(spec, indices):
-    for i in indices:
-        if not 1 <= i <= spec.n_duals:
-            raise IndexError(f"dual index {i} out of range 1..{spec.n_duals}")
-
-
-def solve_outer(spec, state, S, params=None):
-    """Exactly-or-approximately minimize over the 1-based index set S in place."""
-    S = sorted(set(int(i) for i in S))
-    _check_indices(spec, S)
-    return _solve_in_place(spec, state.z, state.z.sum(axis=0),
-                           _CSweep(sched.SweepPlan(outer=S), spec),
-                           params or SolveParams())
-
-
-def solve_inner_block(spec, state, j, members, params=None):
-    """Minimize over block members with the block sum frozen, in place."""
-    sweep = sched.SweepPlan(inner={int(j): frozenset(int(i) for i in members)})
-    sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc block")
-    return _solve_in_place(spec, state.z, state.z.sum(axis=0),
-                           _CSweep(sweep, spec), params or SolveParams())
-
-
 def run_sweep(spec, state, sweep, params=None):
-    """Execute one SweepPlan in place; returns movement diagnostics."""
+    """Execute one SweepPlan in place; returns movement diagnostics.
+
+    The one single-step helper: one outer solve or one inner block is a
+    SweepPlan of its own, whose indices SweepPlan checks.  An index out of
+    spec's ranges or a dual state of the wrong shape raises before the
+    state is touched.
+    """
     params = params or SolveParams()
     sched._check_ranges([sweep], spec.r, spec.m, "ad-hoc sweep")
-    cs = _CSweep(sweep, spec)
     z = state.z
+    if z.shape != (spec.n_duals, spec.d):
+        raise DimensionMismatch(
+            f"z has shape {z.shape}, expected {(spec.n_duals, spec.d)}")
+    cs = _CSweep(sweep, spec)
     v_old = z.sum(axis=0)
+    out = np.empty((cs.size, spec.d))
+    exact = _execute_sweep(spec, _read_only(z), v_old, cs, params, out)
     z_new = z.copy()
-    exact = _solve_in_place(spec, z_new, v_old, cs, params)
+    z_new[cs.written] = out
     v_diff, norms = _movements(np.concatenate(
         ([z_new.sum(axis=0) - v_old], z_new[cs.gov0] - z[cs.gov0])), 1)
     state.z = z_new

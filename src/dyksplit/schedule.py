@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .state import _as_count
+
 
 class ScheduleStructureError(ValueError):
     """Malformed plan: overlapping blocks, bad index ranges, empty cycles."""
@@ -32,12 +34,21 @@ class UnresolvableDeferralError(ValueError):
 
 
 def _as_index_set(values, what):
+    """values as a frozenset of 1-based indices, each by the integer rule of
+    counts (state._as_count): an integral float is taken, a bool, a string,
+    a fractional or non-finite number is not."""
     out = set()
     for v in values:
-        iv = int(v)
-        if iv != v or iv < 1:
-            raise ScheduleStructureError(f"{what} contains a non-positive index: {v!r}")
-        out.add(iv)
+        i = v
+        if type(i) is not int:   # most indices are, and take no conversion
+            try:
+                i = _as_count(f"{what} index", v)
+            except ValueError as exc:
+                raise ScheduleStructureError(str(exc)) from None
+        if i < 1:
+            raise ScheduleStructureError(
+                f"{what} contains a non-positive index: {v!r}")
+        out.add(i)
     return frozenset(out)
 
 
@@ -52,7 +63,7 @@ class SweepPlan:
         outer = _as_index_set(self.outer, "outer set")
         inner = {}
         for j, block in dict(self.inner).items():
-            ji = int(j)
+            (ji,) = _as_index_set((j,), "block key")
             members = _as_index_set(block, f"block for j={ji}")
             if not members:
                 continue

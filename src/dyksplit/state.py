@@ -21,9 +21,10 @@ _INF = float("inf")
 
 
 def _as_count(name, value):
-    """value as an int, as config takes counts: an int or a numpy integer,
-    or a float with an integral value; a bool, a string or any other value
-    is a ValueError that names name."""
+    """value as an int: an int or a numpy integer, or a float with an
+    integral value; a bool, a string or any other value is a ValueError that
+    names name.  The one integer rule of config, SolveParams, ProblemSpec's
+    m and SweepPlan's indices."""
     if isinstance(value, float):
         integral = value.is_integer()
     else:   # an int or a numpy integer, not a bool
@@ -32,6 +33,20 @@ def _as_count(name, value):
     if not integral:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def _as_number(name, value):
+    """value as a float: an int, a float or a numpy integer or float; a
+    bool, a string or any other value, or an integer beyond the float range,
+    is a ValueError that names name.  The one number rule of config and
+    SolveParams."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ValueError(f"{name} is out of range") from None
 
 
 class ProblemSpec:

@@ -302,15 +302,13 @@ def _sweep_by_parts(spec, z, sweep):
     """
     parts = []
     if sweep.outer:
-        parts.append((sweep.outer,
-                      lambda st: dk.solve_outer(spec, st, sweep.outer)))
+        parts.append((sweep.outer, dk.SweepPlan(outer=sweep.outer)))
     for j, members in sorted(sweep.inner.items()):
-        parts.append((members, lambda st, j=j, members=members:
-                      dk.solve_inner_block(spec, st, j, members)))
+        parts.append((members, dk.SweepPlan(inner={j: members})))
     merged = z.copy()
-    for rows, solve in reversed(parts):
+    for rows, part in reversed(parts):
         st = dk.DualState(z.copy())
-        solve(st)
+        dk.run_sweep(spec, st, part)
         rows0 = sorted(i - 1 for i in rows)
         merged[rows0] = st.z[rows0]
     return merged
@@ -341,7 +339,7 @@ def test_sweep_equals_subproblems_on_one_snapshot():
 def test_stacked_blocks_equal_subproblems_on_one_snapshot():
     # r = 20, d = 10 is the product-lean benchmark shape; every block of
     # sweep 2 has one halfspace member, so run_sweep solves them in one
-    # HalfspaceStack call while solve_inner_block runs a stack of one row
+    # HalfspaceStack call, and on a one-block SweepPlan a stack of one row
     spec = fixtures.random_halfspaces(4, 20, 10, m=19)
     plan = dk.product_space_schedule(20)
     st = dk.DualState.zeros(spec)

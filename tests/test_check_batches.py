@@ -1045,6 +1045,32 @@ def test_the_full_re_solve_calls_the_sweeps_pair_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "custom_pair"])
+def test_a_batch_whose_pass_raises_is_checked_a_cycle_at_a_time(
+        monkeypatch, case, level):
+    # the pass over a batch of several cycles raises, and each cycle alone
+    # passes: the run has the bits of one whose batches pass
+    spec, plan = _case(case)
+    params = dk.SolveParams(max_iterations=20, per_sweep_trace=True,
+                            check_level=level)
+    clean = dk.run(spec, plan, params)
+    sweep_pass = engine._CCheck._sweep_pass
+    sizes = []
+
+    def batched_fault(self, spec, R, V, at, k, *rest):
+        sizes.append(k)
+        if k > 1:
+            raise FloatingPointError("batched pass")
+        return sweep_pass(self, spec, R, V, at, k, *rest)
+
+    monkeypatch.setattr(engine._CCheck, "_sweep_pass", batched_fault)
+    res = dk.run(spec, plan, params)
+    assert any(k > 1 for k in sizes)
+    assert sizes.count(1) == res.cycles_run
+    _assert_same_result(res, clean)
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
 def test_a_pair_that_falls_back_is_approximate_and_unchecked(monkeypatch,
                                                              level):
     # two tangent balls: their outer set is compiled exact, and its every

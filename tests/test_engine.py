@@ -40,27 +40,28 @@ def test_outer_empty_set_is_noop():
     spec = two_halfspace_spec()
     st = dk.DualState(np.array([[0.3, 0.0], [0.0, 0.7]]))
     before = st.z.copy()
-    assert dk.solve_outer(spec, st, []) is True
+    assert dk.run_sweep(spec, st, dk.SweepPlan(outer=[]))["exact"] is True
     assert np.array_equal(st.z, before)
 
 
 def test_outer_single_prox_desk():
     spec = dk.ProblemSpec([1.0, 0.0], [HS([1.0, 0.0], 0.0)], m=0)
     st = dk.DualState.zeros(spec)
-    assert dk.solve_outer(spec, st, [1]) is True
+    assert dk.run_sweep(spec, st, dk.SweepPlan(outer=[1]))["exact"] is True
     assert np.allclose(st.z, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_outer_quadratic_rows_desk():
     spec = dk.ProblemSpec([0.0, 0.0], [HS([1.0, 0.0], 0.0)], m=1)
     st = dk.DualState(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert dk.solve_outer(spec, st, [2]) is True
+    assert dk.run_sweep(spec, st, dk.SweepPlan(outer=[2]))["exact"] is True
     assert np.allclose(st.z[1], [-0.5, 0.0], atol=1e-15)
     # three copies solved jointly each take -c / 4
     spec3 = dk.ProblemSpec([0.0, 0.0], [HS([1.0, 0.0], 0.0)], m=3)
     st3 = dk.DualState(np.zeros((4, 2)))
     st3.z[0] = [2.0, -1.0]
-    assert dk.solve_outer(spec3, st3, [2, 3, 4]) is True
+    out = dk.run_sweep(spec3, st3, dk.SweepPlan(outer=[2, 3, 4]))
+    assert out["exact"] is True
     assert np.allclose(st3.z[1:], [[-0.5, 0.25]] * 3, atol=1e-15)
 
 
@@ -68,7 +69,7 @@ def test_outer_prox_plus_quads_desk():
     # one projection plus both copies: x lands exactly on the set
     spec = dk.ProblemSpec([1.0, 2.0], [HS([1.0, 0.0], 0.0)], m=2)
     st = dk.DualState.zeros(spec)
-    assert dk.solve_outer(spec, st, [1, 2, 3]) is True
+    assert dk.run_sweep(spec, st, dk.SweepPlan(outer=[1, 2, 3]))["exact"] is True
     assert np.allclose(st.z[0], [3.0, 0.0], atol=1e-14)
     assert np.allclose(st.z[1:], [[-1.0, 0.0]] * 2, atol=1e-14)
     assert np.allclose(dk.primal_estimate(spec, st), [0.0, 2.0], atol=1e-14)
@@ -86,11 +87,11 @@ def test_outer_exact_tiers_reach_stationarity():
         st = dk.DualState.zeros(spec)
         # start from a state already inside every conjugate domain
         for i in range(1, spec.n_duals + 1):
-            dk.solve_outer(spec, st, [i])
+            dk.run_sweep(spec, st, dk.SweepPlan(outer=[i]))
         pick = int(rng.integers(1, r + 1))
         quads = list(range(r + 1, r + 1 + int(rng.integers(0, m + 1))))
         S = [pick] + quads
-        assert dk.solve_outer(spec, st, S) is True
+        assert dk.run_sweep(spec, st, dk.SweepPlan(outer=S))["exact"] is True
         assert _stationarity(spec, st.z, S) <= 1e-10
 
 
@@ -106,7 +107,8 @@ def test_outer_two_prox_matches_projection_oracle():
         spec = dk.ProblemSpec(rng.standard_normal(d), terms, m=0)
         st = dk.DualState.zeros(spec)
         st.z[2] = float(rng.uniform(0.0, 0.3)) * terms[2].set.a  # on the ray
-        exact = dk.solve_outer(spec, st, [1, 2], params)
+        exact = dk.run_sweep(spec, st, dk.SweepPlan(outer=[1, 2]),
+                             params)["exact"]
         assert exact is True   # two halfspaces: _pair_rows
         u = spec.x0 - st.z[2]
         inst = dk.PolyhedralInstance(
@@ -135,7 +137,8 @@ def test_outer_two_prox_plus_quads_matches_projection_oracle(m):
         z3 = float(rng.uniform(0.0, 0.3)) * terms[2].set.a  # on the ray
         st.z[2] = z3
         S = [1, 2] + list(range(4, 4 + m))
-        assert dk.solve_outer(spec, st, S, params) is False
+        out = dk.run_sweep(spec, st, dk.SweepPlan(outer=S), params)
+        assert out["exact"] is False
         assert np.array_equal(st.z[2], z3)
         inst = dk.PolyhedralInstance(
             [dk.LinearConstraint(a1, b1, "le"),
@@ -152,7 +155,8 @@ def test_outer_two_prox_plus_quads_matches_projection_oracle(m):
 def test_inner_block_desk():
     spec = dk.ProblemSpec([1.0, 0.0], [HS([1.0, 0.0], 0.0)], m=1)
     st = dk.DualState(np.array([[0.0, 0.0], [0.4, 0.0]]))
-    assert dk.solve_inner_block(spec, st, 2, [1, 2]) is True
+    out = dk.run_sweep(spec, st, dk.SweepPlan(inner={2: [1, 2]}))
+    assert out["exact"] is True
     assert np.allclose(st.z, [[1.4, 0.0], [-1.0, 0.0]], atol=1e-15)
 
 
@@ -162,7 +166,7 @@ def test_inner_block_empty_members_is_noop():
     spec = dk.ProblemSpec([1.0, 0.0], [HS([1.0, 0.0], 0.0)], m=1)
     st = dk.DualState(np.array([[0.5, 0.1], [0.4, 0.2]]))
     before = st.z.copy()
-    assert dk.solve_inner_block(spec, st, 2, []) is True
+    assert dk.run_sweep(spec, st, dk.SweepPlan(inner={2: []}))["exact"] is True
     assert np.array_equal(st.z, before)
 
 
@@ -178,7 +182,7 @@ def test_inner_block_preserves_block_sum():
         j = members[-1]
         bsum = st.z[[i - 1 for i in members]].sum(axis=0)
         v = st.v.copy()
-        dk.solve_inner_block(spec, st, j, members)
+        dk.run_sweep(spec, st, dk.SweepPlan(inner={j: members}))
         after = st.z[[i - 1 for i in members]].sum(axis=0)
         assert np.allclose(after, bsum, atol=1e-12)
         assert np.allclose(st.v, v, atol=1e-12)
@@ -193,10 +197,10 @@ def test_inner_block_never_decreases_objective():
         spec = dk.ProblemSpec(rng.standard_normal(d), terms, m=2)
         st = dk.DualState.zeros(spec)
         for i in (1, 2, 3, 4):
-            dk.solve_outer(spec, st, [i])
+            dk.run_sweep(spec, st, dk.SweepPlan(outer=[i]))
         before = dk.dual_objective(spec, st)
         members = [1, 2, 3] if rng.random() < 0.5 else [2, 4]
-        dk.solve_inner_block(spec, st, members[-1], members)
+        dk.run_sweep(spec, st, dk.SweepPlan(inner={members[-1]: members}))
         assert dk.dual_objective(spec, st) >= before - 1e-10
 
 
@@ -213,7 +217,8 @@ def test_inner_block_two_prox_matches_projection_oracle():
                               [HS(a1, b1), HS(a2, b2)], m=1)
         st = dk.DualState(rng.standard_normal((3, d)) * 0.3)
         bsum = st.z.sum(axis=0)           # all three rows form the block
-        exact = dk.solve_inner_block(spec, st, 3, [1, 2, 3], params)
+        exact = dk.run_sweep(spec, st, dk.SweepPlan(inner={3: [1, 2, 3]}),
+                             params)["exact"]
         assert exact is True   # two halfspaces: _pair_rows
         inst = dk.PolyhedralInstance(
             [dk.LinearConstraint(a1, b1, "le"),
@@ -225,14 +230,30 @@ def test_inner_block_two_prox_matches_projection_oracle():
 
 
 def test_single_step_ops_keep_their_error_types():
+    # an index out of range is a ScheduleStructureError, whether SweepPlan
+    # (0) or run_sweep (4, beyond r + m = 3) finds it
     spec = two_halfspace_spec(m=1)
     st = dk.DualState.zeros(spec)
     for S in ([0], [4], [1, 4]):
-        with pytest.raises(IndexError):
-            dk.solve_outer(spec, st, S)
+        with pytest.raises(dk.ScheduleStructureError):
+            dk.run_sweep(spec, st, dk.SweepPlan(outer=S))
     for j, members in ((1, [1, 2]), (3, [1]), (3, [3, 4]), (3, [1, 2])):
         with pytest.raises(dk.ScheduleStructureError):
-            dk.solve_inner_block(spec, st, j, members)
+            dk.run_sweep(spec, st, dk.SweepPlan(inner={j: members}))
+    assert np.array_equal(st.z, np.zeros((3, 2)))
+    assert st.w == 0
+
+
+def test_run_sweep_takes_no_index_that_is_not_an_integer():
+    # int() would read this as block 3 with member 1
+    spec = two_halfspace_spec(m=1)
+    st = dk.DualState.zeros(spec)
+    with pytest.raises(dk.ScheduleStructureError,
+                       match="index must be an integer, not 3.7"):
+        dk.run_sweep(spec, st, dk.SweepPlan(inner={3.7: [1.2, 3]}))
+    with pytest.raises(dk.ScheduleStructureError,
+                       match="index must be an integer, not 1.2"):
+        dk.run_sweep(spec, st, dk.SweepPlan(inner={3: [1.2, 3]}))
     assert np.array_equal(st.z, np.zeros((3, 2)))
 
 
@@ -247,23 +268,20 @@ def test_run_sweep_diagnostics():
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 3), (4, 2)])
-@pytest.mark.parametrize("helper", ["solve_outer", "solve_inner_block",
-                                    "run_sweep"])
-def test_single_step_ops_reject_a_state_of_the_wrong_shape(helper, shape):
+@pytest.mark.parametrize("sweep", [
+    dk.SweepPlan(outer=[1]), dk.SweepPlan(inner={4: [1, 4]}),
+    dk.SweepPlan(outer=[2], inner={4: [1, 4]})],
+    ids=["outer", "block", "both"])
+def test_single_step_ops_reject_a_state_of_the_wrong_shape(sweep, shape):
     # 4 duals in R^3: a state with a row too many or too few, or of the
     # wrong width, raises dual_objective's error and is left as it was
     spec = fixtures.random_halfspaces(1, 3, 3, m=1)
     st = dk.DualState(np.ones(shape))
-    call = {"solve_outer": lambda: dk.solve_outer(spec, st, [1]),
-            "solve_inner_block": lambda: dk.solve_inner_block(spec, st, 4,
-                                                              [1, 4]),
-            "run_sweep": lambda: dk.run_sweep(spec, st,
-                                              dk.SweepPlan(outer=[1]))}
     message = rf"z has shape \({shape[0]}, {shape[1]}\), expected \(4, 3\)"
     with pytest.raises(dk.DimensionMismatch, match=message):
         dk.dual_objective(spec, st)
     with pytest.raises(dk.DimensionMismatch, match=message):
-        call[helper]()
+        dk.run_sweep(spec, st, sweep)
     assert np.array_equal(st.z, np.ones(shape))
     assert st.w == 0
 
@@ -787,7 +805,8 @@ def test_a_solver_cannot_write_into_its_snapshot(monkeypatch, level):
                         lambda self, spec, shared: None)
     with pytest.raises(ValueError, match="read-only"):
         if level == "public":
-            dk.solve_outer(spec, dk.DualState.zeros(spec), [1])
+            dk.run_sweep(spec, dk.DualState.zeros(spec),
+                         dk.SweepPlan(outer=[1]))
         else:
             dk.run(spec, plan, dk.SolveParams(max_iterations=1,
                                               check_level=level))
@@ -1058,6 +1077,29 @@ def test_fault_in_outer_step_is_reported_at_its_sweep(monkeypatch, level,
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):
         dk.run(spec, plan, dk.SolveParams(max_iterations=6,
                                           check_level=level))
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+def test_fault_within_each_sweeps_slack_is_reported_at_the_cycle_end(
+        monkeypatch, level):
+    # x0 is in every set, so every state has one objective; as read, each
+    # state falls by 0.6 ASCENT_TOL, which every per-sweep check lets pass,
+    # and cycle 2's three sweeps fall by 1.8 ASCENT_TOL from cycle 1's end
+    # (cycle 1 has no cycle end before it)
+    objectives = engine._objectives
+
+    def falling(spec, V, total):
+        F = objectives(spec, V, total)
+        return F - 0.6 * engine.ASCENT_TOL * np.arange(1, F.size + 1)
+
+    monkeypatch.setattr(engine, "_objectives", falling)
+    spec = dk.ProblemSpec([-1.0, -1.0], [HS([1.0, 0.0], 0.0),
+                                         HS([0.0, 1.0], 0.0),
+                                         HS([1.0, 1.0], 0.0)])
+    with pytest.raises(EngineInvariantError,
+                       match="^cycle 2: end-of-cycle objective decreased$"):
+        dk.run(spec, dk.classic_dykstra_schedule(3),
+               dk.SolveParams(max_iterations=4, check_level=level))
 
 
 def test_fault_off_checks_only_the_cycle_end(monkeypatch):
@@ -1389,11 +1431,22 @@ def test_run_rejects_nonfinite_start():
                dk.SolveParams(max_iterations=2), z_init=z0)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,)])
+def test_run_rejects_a_start_of_the_wrong_shape(shape):
+    spec = two_halfspace_spec()
+    message = rf"z_init has shape \({', '.join(map(str, shape))},?\)"
+    with pytest.raises(dk.DimensionMismatch, match=message):
+        dk.run(spec, dk.classic_dykstra_schedule(2),
+               dk.SolveParams(max_iterations=2), z_init=np.zeros(shape))
+
+
 def test_solve_params_validation():
     with pytest.raises(ValueError):
         dk.SolveParams(max_iterations=0)
     with pytest.raises(ValueError):
         dk.SolveParams(workers=0)
+    with pytest.raises(ValueError, match="nested_bcm_sweeps must be at least"):
+        dk.SolveParams(nested_bcm_sweeps=0)
     with pytest.raises(ValueError):
         dk.SolveParams(check_level="everything")
 
@@ -1404,6 +1457,28 @@ def test_solve_params_validation():
 def test_solve_params_reject_bad_tolerances(field, value):
     with pytest.raises(ValueError, match=field):
         dk.SolveParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["stop_gap", "nested_tol"])
+def test_solve_params_reject_an_integer_beyond_the_float_range(field):
+    with pytest.raises(ValueError, match=f"^{field} is out of range$"):
+        dk.SolveParams(**{field: 10 ** 400})
+
+
+@pytest.mark.parametrize("field", ["allow_invalid_schedule",
+                                   "per_sweep_trace"])
+@pytest.mark.parametrize("value", ["no", 0, 1.0, None, np.int64(1)])
+def test_solve_params_take_only_bools_as_flags(field, value):
+    # "no" is truthy: it would keep per-sweep rows, or run an invalid plan
+    with pytest.raises(ValueError, match=f"^{field} must be True or False"):
+        dk.SolveParams(**{field: value})
+
+
+def test_solve_params_take_numpy_bools_as_flags():
+    params = dk.SolveParams(per_sweep_trace=np.bool_(True),
+                            allow_invalid_schedule=np.bool_(False))
+    assert params.per_sweep_trace is True
+    assert params.allow_invalid_schedule is False
 
 
 @pytest.mark.parametrize("field", ["stop_gap", "nested_tol"])

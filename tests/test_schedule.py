@@ -1,5 +1,6 @@
 """Sweep plans: structure checks, validity analysis, deferral rewriting."""
 
+import numpy as np
 import pytest
 
 import dyksplit as dk
@@ -23,6 +24,25 @@ def test_sweep_plan_structure_errors():
         dk.SweepPlan(outer=[1], inner={3: [1, 3]})   # overlap with outer
     with pytest.raises(dk.ScheduleStructureError):
         dk.SweepPlan(inner={2: [1, 2], 3: [1, 3]})   # blocks share index 1
+
+
+@pytest.mark.parametrize("index", [True, 1.5, "2", float("nan")],
+                         ids=["bool", "fraction", "string", "nan"])
+def test_sweep_plan_indices_must_be_integers(index):
+    # int() would take True and "2" as 1 and 2, and stop at nan
+    for sweep in ({"outer": {index}}, {"outer": {1}, "inner": {3: {index, 3}}},
+                  {"inner": {index: {1, 3}}}):
+        with pytest.raises(dk.ScheduleStructureError,
+                           match=r"index must be an integer, not "):
+            dk.SweepPlan(**sweep)
+
+
+def test_sweep_plan_takes_integral_indices_as_ints():
+    s = dk.SweepPlan(outer=[2.0], inner={np.int64(4): [1, 4.0]})
+    assert s.outer == {2} and s.inner == {4: {1, 4}}
+    assert all(type(i) is int for i in (*s.outer, *s.inner, *s.inner[4]))
+    with pytest.raises(dk.ScheduleStructureError, match="non-positive"):
+        dk.SweepPlan(outer=[0])
 
 
 def test_classic_schedule_valid():
