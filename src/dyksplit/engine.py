@@ -1978,12 +1978,21 @@ def _primal_value(spec, groups, x, hint=0):
 def _stays_out(v, kept, c, scale, diff):
     """Whether x0 - v is surely farther than FEAS_TOL from the hint's set,
     which Indicator.distance found c > FEAS_TOL from x0 - kept; scale is
-    ||x0 - kept|| plus the set's scale.  x moves as v does and a distance
-    is 1-Lipschitz, so it is at least c - ||v - kept||, up to the rounding
-    of x0 - v (eps·||x||), of the move ((d + 2)·eps relative) and of the
-    two distances (a few d·eps times the points', projections' and set's
-    norms, all within c + scale + 2·move): under 16·d·eps·(1 + c + scale
-    + move), 2e-14 at unit scale and d = 6.  diff is a (d,) buffer."""
+    ||x0 - kept|| plus the set's scale s, a bound on a ball's center's norm
+    (0 for the other sets).  x moves as v does and a distance is
+    1-Lipschitz, so it is at least c - ||v - kept||, up to the rounding of
+    x0 - v (eps·||x||), of the move ((d + 2)·eps relative) and of the two
+    distances.  With u = eps/2: a halfspace's fl(<a, x>) - b is off by at
+    most d·u·||a||·||x|| plus u of itself, and fl(sqrt(fl(||a||^2))) by
+    (d/2 + 1)·u of ||a||, plus u for the quotient, so its distance is
+    within d·u·||x|| + (d/2 + 3)·u·c; a ball's fl(||x - center||) is within
+    (d/2 + 2)·u of ||x - center|| <= ||x|| + s, so its distance is within
+    (d/2 + 2)·u·(||x|| + s) + u·c.  Each is under 2·d·eps·(c + ||x|| + s),
+    as the projection form of the other sets is under a few d·eps times the
+    points', projections' and set's norms.  The two points lie within
+    scale + move and the two distances within c + move, so all the rounding
+    is under 16·d·eps·(1 + c + scale + move), 2e-14 at unit scale and d = 6.
+    diff is a (d,) buffer."""
     np.subtract(v, kept, out=diff)
     move = math.sqrt(diff.dot(diff))
     return c - move > FEAS_TOL + 16 * _EPS * len(v) * (1 + c + scale + move)

@@ -73,7 +73,9 @@ def _vec(x, d, name="x"):
 # ---------------------------------------------------------------------------
 #
 # P(u) is computed within a few d·eps·(||u|| + ||P(u)|| + scale): a ball's
-# scale bounds its center's norm, the other sets need none (_stays_out).
+# scale bounds its center's norm, the other sets need none (_stays_out).  A
+# halfspace's and a ball's closed-form distance c is within
+# 2·d·eps·(c + ||x|| + scale) of the exact one (_stays_out derives it).
 
 class _LinearSet:
     """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero."""
@@ -116,6 +118,11 @@ class Halfspace(_LinearSet):
         # dom sigma = nonnegative ray through a
         s, off = self._line(z)
         return _INF if off or s < -DOM_TOL else self.b * s
+
+    def distance(self, x):
+        """max(0, <a, x> - b) / ||a||, without projecting."""
+        x = _vec(x, self.dim)
+        return max(float(self.a @ x) - self.b, 0.0) / math.sqrt(self._nrm2)
 
 
 class Hyperplane(_LinearSet):
@@ -180,6 +187,11 @@ class L2Ball:
         z = _vec(z, self.dim, "z")
         return float(z @ self.center) + self.radius * _norm(z)
 
+    def distance(self, x):
+        """max(0, ||x - center|| - radius), without projecting."""
+        x = _vec(x, self.dim)
+        return max(_norm(x - self.center) - self.radius, 0.0)
+
 
 class AffineSubspace:
     """{x : A x = c} with A full row rank (k x d, k <= d).
@@ -233,7 +245,10 @@ class Indicator:
         self.dim = set_.dim
 
     def distance(self, x):
-        """||x - P(x)||, the distance to the set that value tests."""
+        """The distance to the set that value tests: the set's closed form
+        where it has one (a halfspace or a ball), else ||x - P(x)||."""
+        if hasattr(self.set, "distance"):
+            return self.set.distance(x)
         x = _vec(x, self.dim)
         return _norm(x - self.set.project(x))
 
@@ -321,10 +336,11 @@ def moreau_dual(term, u):
 # support, value and the set stacks' project take a leading batch axis,
 # (b, k, d) to (b, k) or (b, k, d), so that one call evaluates the same rows
 # of b states.  The closed-form stacks take the scalar oracles' steps row by
-# row, with every dot product through _dots, and derive moreau and value
-# from project as moreau_dual and Indicator.value do, so each row is
-# bitwise the scalar oracle's and never depends on the stack's height, its
-# row order or the batch.
+# row, with every dot product through _dots: moreau is derived from project
+# as moreau_dual derives it, and value from the set's closed-form distance,
+# with no projection, as Indicator.value takes it.  So each row is bitwise
+# the scalar oracle's and never depends on the stack's height, its row
+# order or the batch.
 
 def _dots_matmul(X, Y):
     """Row-wise <x_k, y_k> over the last axis, broadcast over the leading
@@ -342,21 +358,14 @@ def _dots_matmul(X, Y):
 _dots = getattr(np, "vecdot", _dots_matmul)
 
 
-def _indicator_value(D):
-    """0 where the row of D (x - P(x)) has norm within FEAS_TOL, else +inf."""
-    return np.where(np.sqrt(_dots(D, D)) <= FEAS_TOL, 0.0, _INF)
-
-
 class _SetStack:
-    """Indicators of k sets of one kind; subclasses give project and support."""
+    """Indicators of k sets of one kind; subclasses give project, support
+    and value."""
 
     __slots__ = ()
 
     def moreau(self, U):
         return U - self.project(U)
-
-    def value(self, X):
-        return _indicator_value(X - self.project(X))
 
 
 class HalfspaceStack(_SetStack):
@@ -389,6 +398,17 @@ class HalfspaceStack(_SetStack):
         out[(np.sqrt(_dots(R, R)) > tol) | (s < -DOM_TOL)] = _INF
         return out
 
+    def value(self, X):
+        # Indicator.value's test of Halfspace.distance, whose max with 0
+        # decides nothing.  E is scaled in place and released before
+        # np.where: a third (k,) temporary alive at once would leave one
+        # more block in numpy's cache of array shapes, 16 B on a peak
+        E = _dots(self.A, X) - self.b
+        E /= np.sqrt(self._nrm2)
+        inside = E <= FEAS_TOL
+        del E
+        return np.where(inside, 0.0, _INF)
+
 
 class BallStack(_SetStack):
     """Indicators of {x : ||x - c_i|| <= radius_i} for the rows c_i of C."""
@@ -414,6 +434,12 @@ class BallStack(_SetStack):
 
     def support(self, Z):
         return _dots(Z, self.C) + self.radius * np.sqrt(_dots(Z, Z))
+
+    def value(self, X):
+        # Indicator.value's test of L2Ball.distance, as for halfspaces
+        D = X - self.C
+        return np.where(np.sqrt(_dots(D, D)) - self.radius <= FEAS_TOL, 0.0,
+                        _INF)
 
 
 class TermStack:

@@ -1,12 +1,16 @@
 """Term oracles: desk values, conjugate domains, and the prox property suite."""
 
+import math
 import warnings
 import zlib
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dyksplit as dk
+from dyksplit import engine
 from dyksplit import terms as terms_module
 from dyksplit.terms import (DOM_TOL, FEAS_TOL, BallStack, HalfspaceStack,
                            TermStack, all_finite, moreau_dual, stack_terms,
@@ -550,6 +554,147 @@ def test_moreau_over_a_batch_of_states_is_per_state_calls(kind, dots):
         assert np.array_equal(got, [[moreau_dual(t, u)
                                      for t, u in zip(terms, b)]
                                     for b in batch])
+
+
+# ---------------------------------------------------------------------------
+# closed-form distances: halfspace and ball membership without a projection
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_KINDS = ("halfspace", "l2ball")
+EPS = float(np.finfo(float).eps)
+
+
+def _closed_form_distance(set_, x):
+    """max(0, <a, x> - b) / ||a|| of a halfspace, max(0, ||x - c|| - rho) of
+    a ball, written out from the sets' public data."""
+    if type(set_) is dk.Halfspace:
+        return (max(float(set_.a @ x) - set_.b, 0.0)
+                / math.sqrt(float(np.vdot(set_.a, set_.a))))
+    return max(float(np.linalg.norm(x - set_.center)) - set_.radius, 0.0)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_closed_form_stack_value_is_the_scalar_value(kind, dots):
+    # at, near and about FEAS_TOL from each set, over one state and over a
+    # leading batch axis of two: each stacked row is the term's own
+    # Indicator.value, bit for bit
+    decisions = set()
+    for d in STACK_DIMS:
+        rng, terms, U, _ = _stack_inputs(kind, d)
+        Xb, owner = _boundary_points(terms, U, rng)
+        for rows, X in ((range(STACK_HEIGHT), _value_points(terms, U)),
+                        (owner, Xb)):
+            rows = list(rows)
+            stack = _one_stack([terms[i] for i in rows])
+            want = [[terms[i].value(x) for i, x in zip(rows, Y)]
+                    for Y in (X, X[::-1])]
+            assert stack.value(X).tolist() == want[0]
+            assert stack.value(np.stack([X, X[::-1]])).tolist() == want
+            decisions.update(want[0] + want[1])
+    assert decisions == {0.0, INF}
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_indicator_distance_is_the_closed_form(kind):
+    # the same bits as the written-out formula, and within rounding of the
+    # projection form ||x - P(x)|| it replaces
+    for d in STACK_DIMS:
+        rng, terms, U, _ = _stack_inputs(kind, d)
+        Xb, owner = _boundary_points(terms, U, rng)
+        for t, x in [*zip(terms, U), *zip(terms, _value_points(terms, U)),
+                     *((terms[i], x) for i, x in zip(owner, Xb))]:
+            dist = t.distance(x)
+            assert dist == _closed_form_distance(t.set, x)
+            assert abs(dist - float(np.linalg.norm(x - t.prox(x)))) <= (
+                1e-13 * (1.0 + float(np.linalg.norm(x))))
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_value_and_distance_never_project(kind, dots, monkeypatch):
+    # with every halfspace and ball projection raising, the scalar and
+    # stacked values, the distance, ProblemSpec.primal_value and the gap
+    # rule's primal value still answer, as they did before the patch
+    for d in STACK_DIMS:
+        rng, terms, U, _ = _stack_inputs(kind, d)
+        X = _value_points(terms, U)
+        spec = dk.ProblemSpec(U[0], terms)
+        groups = stack_terms(terms, range(STACK_HEIGHT))
+
+        def answers():
+            stack = _one_stack(terms)
+            return ([(t.value(x), t.distance(x)) for t, x in zip(terms, X)],
+                    stack.value(X).tolist(), stack.value(X[0]).tolist(),
+                    stack.value(np.stack([X, X[::-1]])).tolist(),
+                    [spec.primal_value(x) for x in X],
+                    [engine._primal_value(spec, groups, x, hint)
+                     for x in X for hint in (0, STACK_HEIGHT - 1)])
+
+        def refuse(*args):
+            raise AssertionError("value or distance projected")
+
+        want = answers()
+        with monkeypatch.context() as m:
+            for cls in (dk.Halfspace, dk.L2Ball, HalfspaceStack, BallStack):
+                m.setattr(cls, "project", refuse)
+            with pytest.raises(AssertionError, match="projected"):
+                terms[0].prox(U[0])
+            assert answers() == want
+
+
+def _exact_distance(set_, x):
+    """The distance of x to the halfspace or ball set_, from its float data
+    taken exactly, as a 60-digit Decimal: <a, x> - b and ||x - c||^2 are
+    exact Fractions, and only the square root rounds."""
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if type(set_) is dk.Halfspace:
+            a = [Fraction(v) for v in set_.a.tolist()]
+            t = sum(p * Fraction(v) for p, v in zip(a, x.tolist()))
+            signed = (dec(t - Fraction(set_.b))
+                      / dec(sum(p * p for p in a)).sqrt())
+        else:
+            q = sum((Fraction(v) - Fraction(c)) ** 2
+                    for v, c in zip(x.tolist(), set_.center.tolist()))
+            signed = dec(q).sqrt() - Decimal(set_.radius)
+        return max(signed, Decimal(0))
+
+
+@pytest.mark.parametrize("s", [1e-4, 1.0, 1e3, 1e5])
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_closed_form_distance_is_within_its_rounding_bound(kind, s):
+    # data and points at scale s, a distance out from 1e-12·s to s, with
+    # <a, x> and b, or ||x - c|| and rho, cancelling to that: the rounded
+    # distance c is within 2·d·eps·(c + ||x|| + s_set) of the exact one, the
+    # bound _stays_out's slack is derived from (s_set: a ball's scale, a
+    # halfspace's 0)
+    rng = np.random.default_rng(zlib.crc32(f"{kind}-{s}".encode()))
+    worst = 0.0
+    for d in STACK_DIMS:
+        for _ in range(24):
+            x = 3.0 * s * rng.standard_normal(d)
+            gap = s * 10.0 ** rng.uniform(-12.0, 0.0)
+            if kind == "halfspace":
+                a = rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 2.0)
+                set_ = dk.Halfspace(a, float(a @ x) - gap * np.linalg.norm(a))
+                s_set = 0.0
+            else:
+                n = rng.standard_normal(d)
+                rho = s * rng.uniform(0.2, 2.0)
+                set_ = dk.L2Ball(x - (rho + gap) * n / np.linalg.norm(n),
+                                 rho)
+                s_set = set_.scale
+            got = dk.Indicator(set_).distance(x)
+            exact = _exact_distance(set_, x)
+            bound = 2 * d * EPS * (float(exact) + float(np.linalg.norm(x))
+                                   + s_set)
+            err = float(abs(Decimal(got) - exact))
+            assert err <= bound, (d, got, exact)
+            worst = max(worst, err / bound)
+    # the reference resolves the rounding: some distances are off by it
+    assert worst > 0.0
 
 
 # ---------------------------------------------------------------------------
