@@ -15,9 +15,9 @@ import numpy as np
 from . import fixtures
 from .engine import SolveParams
 from .schedule import CyclePlan, SweepPlan, classic_dykstra_schedule, product_space_schedule
-from .state import ProblemSpec, _as_count, _as_number
+from .state import ProblemSpec
 from .terms import (AffineSubspace, Box, Halfspace, Hyperplane, Indicator,
-                    L1Norm, L2Ball, Quadratic)
+                    L1Norm, L2Ball, Quadratic, _as_count, _as_number)
 
 
 class ConfigError(ValueError):

@@ -84,13 +84,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .state import (DualState, _as_count, _as_number, _ordered_sum,
-                    dual_objective_from, dual_objective_z)
+from .state import (DualState, _ordered_sum, dual_objective_from,
+                    dual_objective_z)
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
-from .terms import (FEAS_TOL, BallStack, DimensionMismatch, Halfspace,
-                    HalfspaceStack, Indicator, L2Ball, _dots, _norm,
+from .terms import (BallStack, DimensionMismatch, Halfspace, HalfspaceStack,
+                    Indicator, L2Ball, _as_count, _as_number, _dots, _norm,
                     all_finite, pair_constants, pair_duals, pair_order,
                     stack_terms, stacked_conjugates)
 
@@ -131,7 +131,7 @@ class NonFiniteStateError(EngineInvariantError):
 
 
 class InvalidScheduleError(ValueError):
-    """The plan fails the touch-pattern conditions and override is off."""
+    """The plan fails the touch-pattern conditions (A) or (B)."""
 
 
 class ScheduleGrowthWarning(UserWarning):
@@ -146,33 +146,24 @@ class SolveParams:
     nested_tol: float = 1e-12
     workers: int = 1          # deprecated and ignored: sweeps run serially
     check_level: str = "sweep"
-    allow_invalid_schedule: bool = False
     per_sweep_trace: bool = False
 
     def __post_init__(self):
         for name in ("max_iterations", "nested_bcm_sweeps", "workers"):
-            setattr(self, name, _as_count(name, getattr(self, name)))
-        # tolerances are floats and flags bools, as config takes them: a
+            setattr(self, name, _as_count(name, getattr(self, name), 1))
+        # tolerances are floats and the flag a bool, as config takes them: a
         # bool tolerance or a string anywhere is an error
         if self.stop_gap is not None:
             self.stop_gap = _as_number("stop_gap", self.stop_gap)
         self.nested_tol = _as_number("nested_tol", self.nested_tol)
-        for name in ("allow_invalid_schedule", "per_sweep_trace"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be True or False,"
-                                 f" not {value!r}")
-            setattr(self, name, bool(value))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not isinstance(self.per_sweep_trace, (bool, np.bool_)):
+            raise ValueError(f"per_sweep_trace must be True or False,"
+                             f" not {self.per_sweep_trace!r}")
+        self.per_sweep_trace = bool(self.per_sweep_trace)
         if self.stop_gap is not None and not self.stop_gap >= 0.0:
             raise ValueError("stop_gap must be nonnegative when set")
-        if self.nested_bcm_sweeps < 1:
-            raise ValueError("nested_bcm_sweeps must be at least 1")
         if not self.nested_tol > 0.0:
             raise ValueError("nested_tol must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.workers > 1:
             warnings.warn("workers is deprecated and ignored; sweeps run"
                           " serially", DeprecationWarning, stacklevel=3)
@@ -197,26 +188,25 @@ class _Trace:
     """A run's trace rows as typed columns, filled in by run (TraceRows).
 
     Per cycle: F, v_diff, gamma, growth and approx, and cert, the largest
-    certificate distance, when every cycle has one (checks on and a valid
-    plan), else None.  Per sweep, with per-sweep rows: sweep_F (None with
-    checks off, where no sweep has an objective), sweep_v_diff,
-    sweep_approx, and moves, the block movements of every sweep in block_js
-    order; without them all four are None.  Rows are numbered by position:
-    keys lists, for each cycle the plan runs, the block_js of each of its
-    sweeps, the pattern's first and then those of the lead-in cycles, as
-    run compiles them.
+    certificate distance, with checks on, else None.  Per sweep, with
+    per-sweep rows: sweep_F (None with checks off, where no sweep has an
+    objective), sweep_v_diff, sweep_approx, and moves, the block movements
+    of every sweep in block_js order; without them all four are None.  Rows
+    are numbered by position: keys lists, for each cycle the plan runs, the
+    block_js of each of its sweeps, the pattern's first and then those of
+    the lead-in cycles, as run compiles them.
     """
 
     __slots__ = ("keys", "F", "v_diff", "gamma", "growth", "approx", "cert",
                  "sweep_F", "sweep_v_diff", "sweep_approx", "moves")
 
-    def __init__(self, keys, certs, sweeps, sweep_objectives):
+    def __init__(self, keys, sweeps, checks):
         self.keys = keys
         self.F, self.v_diff, self.gamma, self.growth = (
             array("d"), array("d"), array("d"), array("d"))
         self.approx = array("b")
-        self.cert = array("d") if certs else None
-        self.sweep_F = array("d") if sweeps and sweep_objectives else None
+        self.cert = array("d") if checks else None
+        self.sweep_F = array("d") if sweeps and checks else None
         self.sweep_v_diff, self.sweep_approx, self.moves = (
             (array("d"), array("b"), array("d")) if sweeps
             else (None, None, None))
@@ -1235,7 +1225,7 @@ class _Index(NamedTuple):
     conj per conjugate group, stat the sums and rows of the stat pairs, quad
     the quadratic rows of every state after a sweep (None at m = 0), resolve
     the rows before and after each resolve sweep and the sums before it, and
-    cert those of _cert_index (valid plans only).
+    cert those of _cert_index.
     """
     K: int
     conj: list
@@ -1273,8 +1263,8 @@ class _CCheck:
     check_level="full") and one cycle pass for the certificates.  A cycle's
     per-sweep checks cover the sweeps compiled exact (exact), but for those
     whose pair fell back to the nested loop in that cycle (_exact).  The
-    freeze equalities of a valid plan are checked here, once: a sweep writes
-    only the rows it declares (_assert_unfrozen).
+    freeze equalities of the plan, which run keeps valid, are checked here,
+    once: a sweep writes only the rows it declares (_assert_unfrozen).
     Compiled here:
       written, offs, P   per sweep the rows it declares and where they
               start in a cycle's P log rows
@@ -1286,13 +1276,11 @@ class _CCheck:
               cycle: mask[w - 1, i] holds from the sweep of row i's k-th
               write on, and positions[i] is that write's pair
       last    the pair of each term row's last write, which holds its
-              conjugate at the cycle's end; None when the cycle leaves a
-              term row unwritten, and the cycles are then checked one at a
-              time, each starting from the conjugates the last one ended
-              with
+              conjugate at the cycle's end: a valid plan writes every term
+              row in every cycle (condition (A))
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
-      layout  the certificate layout (valid plans only)
+      layout  the certificate layout
       replays  with scratch, the compiled exact sweeps w that are
                replayed; at its first replay a sweep's steps are compiled
                into steps[w] (_replay_steps), each with its term rows'
@@ -1315,7 +1303,7 @@ class _CCheck:
     batch reads their first rows.
     """
 
-    def __init__(self, sweeps, spec, c_analysis, valid, shared, scratch):
+    def __init__(self, sweeps, spec, c_analysis, shared, scratch):
         r = spec.r
         self.W = len(sweeps)
         self.exact = np.array([cs.exact for cs in sweeps], dtype=bool)
@@ -1338,8 +1326,7 @@ class _CCheck:
         # and sweep as keys i * (W + 1) + w with their log places (_locate)
         dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
         di = np.array(sum(rows, []), dtype=np.intp)
-        if valid:
-            _assert_unfrozen(c_analysis, dw, di)
+        _assert_unfrozen(c_analysis, dw, di)
         self.places = np.lexsort((dw, di))
         self.keys = (di * (self.W + 1) + dw)[self.places]
         offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
@@ -1356,7 +1343,7 @@ class _CCheck:
             mask[w - 1:, i] = True
             pos[i] = last[i] = k
             writes[i] += 1
-        self.last = last if all(writes) else None
+        self.last = last
         pair = {wi: k for k, wi in enumerate(zip(pw, pi))}
 
         self.stat_w = np.array(sw, dtype=np.intp)
@@ -1379,10 +1366,7 @@ class _CCheck:
         self.steps = {}
         self.resolve = self._compile_resolve(spec, shared)
         self.K = 0   # the batch size the log's indices are built for
-
-        self.valid = valid
-        if valid:
-            self.layout = _cert_layout(c_analysis, r)
+        self.layout = _cert_layout(c_analysis, r)
 
     def _compile_resolve(self, spec, shared):
         """The replayed sweeps of one step with one subproblem that the
@@ -1494,8 +1478,7 @@ class _CCheck:
             (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
             None if rs is None else (rows(rs.rows), rows(rs.rows + n),
                                      sums(rs.vrows)),
-            _cert_index(self.layout, n, W, k, rows, sums) if self.valid
-            else None)
+            _cert_index(self.layout, n, W, k, rows, sums))
 
     def _locate(self, c, o):
         """The log rows of the offsets o, w * n + i for row i of state w of
@@ -1853,16 +1836,14 @@ class _CCheck:
         made cycle by cycle would: its sweeps first (each replayed at
         check_level="full", in one re-solve of the batch where _resolved
         can, else one at a time), then its end-of-cycle objective against
-        the last one in trace.F when its ascent flag is set, and for valid
-        plans, unless it is approximate, its certificate bounds.  When a
-        pass over the whole
+        the last one in trace.F when its ascent flag is set, and, unless it
+        is approximate, its certificate bounds.  When a pass over the whole
         batch raises, the cycles are checked one at a time, so that the
         first cycle's error comes first; when the re-solve raises, every
-        sweep is replayed one at a time.  Each cycle's objectives, and for a
-        valid plan its largest certificate distance, are appended to the
-        trace's columns.
+        sweep is replayed one at a time.  Each cycle's objectives and its
+        largest certificate distance are appended to the trace's columns.
         Returns the conjugates and objective at the last cycle's end and its
-        certificate arrays, or None for an invalid plan.
+        certificate arrays.
         """
         k = len(batch)
         V = log.sums
@@ -1878,7 +1859,7 @@ class _CCheck:
                     matched = self._resolved(spec, R, V, at, k)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
-            if self.valid and k > 1:
+            if k > 1:
                 certs = _certificates(spec, R, V, at.cert, k, groups, p.ends)
         except Exception:   # an oracle's, or a warning raised as an error
             if k == 1:
@@ -1908,27 +1889,24 @@ class _CCheck:
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
                 raise EngineInvariantError(
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
-            if self.valid:
-                # one cycle alone: the certificates after the checks before
-                if certs is None:
-                    certs = _certificates(spec, R, V, at.cert, k, groups,
-                                          p.ends)
-                if flagged is None:
-                    X, res, fen = certs
-                    # _raise_certificates' test, for every cycle at once
-                    gamma = np.array([cyc.gamma for cyc in batch])
-                    flagged = ((res > (gamma + CERT_SLACK)[:, None])
-                               | (fen > CLAIM_TOL)).any(axis=1)
-                    res_max = res.max(axis=1).tolist()
-                if flagged[c] and not cyc.approx:
-                    _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
-                trace.cert.append(res_max[c])
+            # one cycle alone: the certificates after the checks before
+            if certs is None:
+                certs = _certificates(spec, R, V, at.cert, k, groups, p.ends)
+            if flagged is None:
+                X, res, fen = certs
+                # _raise_certificates' test, for every cycle at once
+                gamma = np.array([cyc.gamma for cyc in batch])
+                flagged = ((res > (gamma + CERT_SLACK)[:, None])
+                           | (fen > CLAIM_TOL)).any(axis=1)
+                res_max = res.max(axis=1).tolist()
+            if flagged[c] and not cyc.approx:
+                _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
+            trace.cert.append(res_max[c])
             F_list.append(F)
             if trace.sweep_F is not None:
                 trace.sweep_F.extend(F_sweeps)
-        if certs is not None:   # the last cycle's
-            certs = X[-1], res[-1], fen[-1]
-        return p.ends[-1], F, certs
+        # the last cycle's
+        return p.ends[-1], F, (X[-1], res[-1], fen[-1])
 
     def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
                      fallbacks, upto):
@@ -1953,49 +1931,23 @@ class _CCheck:
 # ---------------------------------------------------------------------------
 
 def _primal_value(spec, groups, x, hint=0):
-    """(spec.primal_value(x), hint, c) through the term stacks of all r rows.
+    """(spec.primal_value(x), hint) through the term stacks of all r rows.
 
     The term values are summed in term order, and +inf when one is.  Term
-    `hint`, an indicator, is tried alone first: when x is c > FEAS_TOL from
-    its set, so is the sum, and no stack is evaluated; else c is 0.0.  The
-    hint returned is the first term at +inf, for the next call, whose point
-    is usually outside the same set.
+    `hint` is asked for its own value first: when that is +inf, so is the
+    sum, and no stack is evaluated.  The hint returned is the first term at
+    +inf, for the next call, whose point is usually outside the same set.
     """
-    if isinstance(term := spec.terms[hint], Indicator):
-        c = term.distance(x)
-        if not c <= FEAS_TOL:   # Indicator.value's test
-            return _INF, hint, c
+    if spec.terms[hint].value(x) == _INF:
+        return _INF, hint
     vals = np.empty(spec.r)
     for rows, stack in groups:
         vals[rows] = stack.value(x)
     total = _ordered_sum(vals)
     if total == _INF:
         vals = vals.tolist()
-        return _INF, vals.index(_INF) if _INF in vals else hint, 0.0
-    return total + (spec.m + 1) * spec.quad_value(x), hint, 0.0
-
-
-def _stays_out(v, kept, c, scale, diff):
-    """Whether x0 - v is surely farther than FEAS_TOL from the hint's set,
-    which Indicator.distance found c > FEAS_TOL from x0 - kept; scale is
-    ||x0 - kept|| plus the set's scale s, a bound on a ball's center's norm
-    (0 for the other sets).  x moves as v does and a distance is
-    1-Lipschitz, so it is at least c - ||v - kept||, up to the rounding of
-    x0 - v (eps·||x||), of the move ((d + 2)·eps relative) and of the two
-    distances.  With u = eps/2: a halfspace's fl(<a, x>) - b is off by at
-    most d·u·||a||·||x|| plus u of itself, and fl(sqrt(fl(||a||^2))) by
-    (d/2 + 1)·u of ||a||, plus u for the quotient, so its distance is
-    within d·u·||x|| + (d/2 + 3)·u·c; a ball's fl(||x - center||) is within
-    (d/2 + 2)·u of ||x - center|| <= ||x|| + s, so its distance is within
-    (d/2 + 2)·u·(||x|| + s) + u·c.  Each is under 2·d·eps·(c + ||x|| + s),
-    as the projection form of the other sets is under a few d·eps times the
-    points', projections' and set's norms.  The two points lie within
-    scale + move and the two distances within c + move, so all the rounding
-    is under 16·d·eps·(1 + c + scale + move), 2e-14 at unit scale and d = 6.
-    diff is a (d,) buffer."""
-    np.subtract(v, kept, out=diff)
-    move = math.sqrt(diff.dot(diff))
-    return c - move > FEAS_TOL + 16 * _EPS * len(v) * (1 + c + scale + move)
+        return _INF, vals.index(_INF) if _INF in vals else hint
+    return total + (spec.m + 1) * spec.quad_value(x), hint
 
 
 def _column(values):
@@ -2014,7 +1966,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     spec : ProblemSpec
     plan : CyclePlan
         Validated before any work; (A)/(B) failures raise
-        InvalidScheduleError unless params.allow_invalid_schedule.
+        InvalidScheduleError.
     params : SolveParams
     z_init : array (r+m, d), optional
         Starting duals, zeros when omitted.  Passing the final duals of a
@@ -2026,8 +1978,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     """
     params = params or SolveParams()
     analysis = sched.validate(plan, spec.r, spec.m)
-    valid = analysis.valid_A and analysis.valid_B
-    if not valid and not params.allow_invalid_schedule:
+    if not (analysis.valid_A and analysis.valid_B):
         raise InvalidScheduleError("schedule is invalid: " + "; ".join(
             v.message for v in analysis.violations[:3]))
     if not analysis.sqrt_growth_ok:
@@ -2065,23 +2016,22 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # off, the buffer is scratch, sums has two rows, and a batch's cycle
     # ends and their sums are copied into ends and ends_v to be priced.
     # A batch is checked, or priced, in one pass when it is full, when the
-    # next cycle takes another pattern (checks on), when the gap rule needs
-    # its objective (checks off) or stops the run, before an exception
-    # leaves the loop, and at the end of the run.
+    # next cycle takes another pattern (checks on), when the gap rule stops
+    # the run, before an exception leaves the loop, and at the end of the
+    # run.
     sweep_checks = params.check_level in ("sweep", "full")
     max_W = max(map(len, compiled))
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
         scratch = [] if params.check_level == "full" else None
-        checks = [_CCheck(c, spec, ca, valid, shared, scratch)
+        checks = [_CCheck(c, spec, ca, shared, scratch)
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
         chk = checks[0]
         # a cycle's log rows and sums, and its sweep pass's conjugate table,
         # take (P + W)·d + W·(r + 1) doubles
-        n_batch = 1 if chk.last is None else min(
-            _OBJ_BATCH, params.max_iterations,
-            max(1, _CHECK_BATCH_BYTES // (
+        n_batch = min(_OBJ_BATCH, params.max_iterations, max(
+            1, _CHECK_BATCH_BYTES // (
                 8 * ((chk.P + chk.W) * spec.d + chk.W * (spec.r + 1)))))
         log = _Log(
             np.empty((spec.n_duals + max(n_batch * chk.P,
@@ -2121,7 +2071,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
 
     per_sweep = params.per_sweep_trace
     trace = _Trace([tuple(cs.block_js for cs in c) for c in compiled],
-                   sweep_checks and valid, per_sweep, sweep_checks)
+                   per_sweep, sweep_checks)
     F_list = trace.F
     sq_list = array("d")   # the running sums of squared movements
     pending = []   # the cycles that wait for their batch, as _Pending
@@ -2131,9 +2081,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     stop_reason = "max_iterations"
     cycles_run = 0
     hint = 0   # the term the gap rule tries first
-    # its distance from x0 - kept when over FEAS_TOL, else 0.0 (_stays_out)
-    far = scale = 0.0
-    kept, diff = np.empty(spec.d), np.empty(spec.d)
 
     def flush():
         """Check the pending cycles, or with checks off price their ends."""
@@ -2269,22 +2216,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             cycles_run = n
 
             if params.stop_gap is not None:
-                if far and _stays_out(v, kept, far, scale, diff):
-                    continue   # the primal value is +inf
-                primal, hint, far = _primal_value(spec, all_terms,
-                                                  spec.x0 - v, hint)
-                if far:
-                    kept[...] = v
-                    scale = _norm(spec.x0 - v) + getattr(
-                        spec.terms[hint].set, "scale", 0.0)
+                primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
+                                             hint)
                 if math.isfinite(primal):
-                    if pending and not sweep_checks:
-                        flush()
-                    # a checked cycle that waits for its batch is priced by
-                    # itself, with the bits its check will find
-                    F_cycle = (dual_objective_from(spec, z, stacked_conjugates(
-                        all_terms, z, np.empty(spec.r)), v)
-                        if pending else F_list[-1])
+                    # a cycle that waits for its batch is priced by itself,
+                    # with the bits its check or its batch's pricing finds
+                    F_cycle = (dual_objective_z(spec, z, all_terms, v)
+                               if pending else F_list[-1])
                     if (math.isfinite(F_cycle)
                             and primal - F_cycle <= params.stop_gap):
                         stop_reason = "gap"
@@ -2332,9 +2270,11 @@ def product_space_reference(spec, z_init=None, n_cycles=50):
     """Plain averaged-projection Dykstra loop, kept separate from the engine.
 
     Works on the r indicator terms only; returns the list [z^1, ..., z^{N+1}]
-    of (r, d) dual arrays, where z^{n+1} is the state after n loop bodies.
-    The primal iterate at step n is x0 - mean(z^n, axis=0).
+    of (r, d) dual arrays, where z^{n+1} is the state after n loop bodies
+    and N = n_cycles, a count of at least 0 (terms._as_count).  The primal
+    iterate at step n is x0 - mean(z^n, axis=0).
     """
+    n_cycles = _as_count("n_cycles", n_cycles, 0)
     r, d = spec.r, spec.d
     for k, t in enumerate(spec.terms):
         if not hasattr(t, "set"):

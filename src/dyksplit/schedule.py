@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .state import _as_count
+from .terms import _as_count
 
 
 class ScheduleStructureError(ValueError):
@@ -35,7 +35,7 @@ class UnresolvableDeferralError(ValueError):
 
 def _as_index_set(values, what):
     """values as a frozenset of 1-based indices, each by the integer rule of
-    counts (state._as_count): an integral float is taken, a bool, a string,
+    counts (terms._as_count): an integral float is taken, a bool, a string,
     a fractional or non-finite number is not."""
     out = set()
     for v in values:

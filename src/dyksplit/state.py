@@ -14,39 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import (DimensionMismatch, all_finite, stack_terms,
+from .terms import (DimensionMismatch, _as_count, all_finite, stack_terms,
                     stacked_conjugates)
 
 _INF = float("inf")
-
-
-def _as_count(name, value):
-    """value as an int: an int or a numpy integer, or a float with an
-    integral value; a bool, a string or any other value is a ValueError that
-    names name.  The one integer rule of config, SolveParams, ProblemSpec's
-    m and SweepPlan's indices."""
-    if isinstance(value, float):
-        integral = value.is_integer()
-    else:   # an int or a numpy integer, not a bool
-        integral = (hasattr(value, "__index__")
-                    and not isinstance(value, (bool, np.bool_)))
-    if not integral:
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _as_number(name, value):
-    """value as a float: an int, a float or a numpy integer or float; a
-    bool, a string or any other value, or an integer beyond the float range,
-    is a ValueError that names name.  The one number rule of config and
-    SolveParams."""
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(
-            value, (int, float, np.integer, np.floating))):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    try:
-        return float(value)
-    except OverflowError:   # an integer beyond the float range
-        raise ValueError(f"{name} is out of range") from None
 
 
 class ProblemSpec:
@@ -76,10 +47,7 @@ class ProblemSpec:
             if t.dim != self.d:
                 raise DimensionMismatch(
                     f"term {k + 1} has dimension {t.dim}, expected {self.d}")
-        m = _as_count("m", m)
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        self.m = m
+        self.m = _as_count("m", m, 0)
         self.r = len(self.terms)
         # x0 @ x0, which warns on overflow
         self._x0_sq = float(np.vdot(self.x0, self.x0))
@@ -128,8 +96,8 @@ class DualState:
         self.z = np.asarray(z, dtype=float)
         if self.z.ndim != 2:
             raise ValueError("z must be a (r+m, d) array")
-        self.n = int(n)
-        self.w = int(w)
+        self.n = _as_count("n", n, 0)
+        self.w = _as_count("w", w, 0)
 
     @classmethod
     def zeros(cls, spec):

@@ -50,6 +50,45 @@ def _finite(name, *values):
             raise ValueError(f"{name} data must be finite")
 
 
+def _as_count(name, value, low=None):
+    """value as an int: an int or a numpy integer, or a float with an
+    integral value; a bool, a string or any other value, or one below low
+    when that is given, is a ValueError that names name.  The one integer
+    rule of the package's counts and indices, config's included."""
+    if isinstance(value, float):
+        integral = value.is_integer()
+    else:   # an int or a numpy integer, not a bool
+        integral = (hasattr(value, "__index__")
+                    and not isinstance(value, (bool, np.bool_)))
+    if not integral:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value
+
+
+def _as_number(name, value):
+    """value as a float: an int, a float or a numpy integer or float; a
+    bool, a string or any other value, or an integer beyond the float range,
+    is a ValueError that names name.  The one number rule of config and
+    SolveParams."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ValueError(f"{name} is out of range") from None
+
+
+def _check_step(t):
+    """Reject a prox step that is not a finite positive number."""
+    if not 0.0 < t < _INF:   # NaN fails both tests
+        raise ValueError(f"prox step must be a finite positive number,"
+                         f" not {t!r}")
+
+
 def _norm(x):
     """np.linalg.norm(x) of a float array without its wrapper: numpy's own
     formula, the root of the raveled array's dot product with itself, and
@@ -71,11 +110,6 @@ def _vec(x, d, name="x"):
 # ---------------------------------------------------------------------------
 # projectable sets
 # ---------------------------------------------------------------------------
-#
-# P(u) is computed within a few d·eps·(||u|| + ||P(u)|| + scale): a ball's
-# scale bounds its center's norm, the other sets need none (_stays_out).  A
-# halfspace's and a ball's closed-form distance c is within
-# 2·d·eps·(c + ||x|| + scale) of the exact one (_stays_out derives it).
 
 class _LinearSet:
     """{x : <a, x> <= b} or {x : <a, x> = b} with a nonzero."""
@@ -171,9 +205,6 @@ class L2Ball:
         if self.radius < 0.0:
             raise ValueError("ball radius must be nonnegative")
         self.dim = self.center.size
-        # >= ||center||, inf rather than a warning when that overflows
-        self.scale = math.sqrt(self.dim) * float(
-            np.abs(self.center).max(initial=0.0))
 
     def project(self, u):
         u = _vec(u, self.dim, "u")
@@ -256,8 +287,7 @@ class Indicator:
         return 0.0 if self.distance(x) <= FEAS_TOL else _INF
 
     def prox(self, u, t=1.0):
-        if t <= 0.0:
-            raise ValueError("prox step must be positive")
+        _check_step(t)
         return self.set.project(u)
 
     def conjugate(self, z):
@@ -268,7 +298,7 @@ class L1Norm:
     """weight * ||x||_1; prox is soft thresholding."""
 
     def __init__(self, dim, weight=1.0):
-        self.dim = int(dim)
+        self.dim = _as_count("l1 dim", dim, 1)
         self.weight = float(weight)
         _finite("l1", self.weight)
         if self.weight <= 0.0:
@@ -279,8 +309,7 @@ class L1Norm:
         return self.weight * float(np.abs(x).sum())
 
     def prox(self, u, t=1.0):
-        if t <= 0.0:
-            raise ValueError("prox step must be positive")
+        _check_step(t)
         u = _vec(u, self.dim, "u")
         return np.sign(u) * np.maximum(np.abs(u) - t * self.weight, 0.0)
 
@@ -309,8 +338,7 @@ class Quadratic:
         return 0.5 * self.weight * float(d @ d)
 
     def prox(self, u, t=1.0):
-        if t <= 0.0:
-            raise ValueError("prox step must be positive")
+        _check_step(t)
         u = _vec(u, self.dim, "u")
         tw = t * self.weight
         return (u + tw * self.center) / (1.0 + tw)

@@ -125,28 +125,28 @@ def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
     assert mid_batch
 
 
-def test_a_pattern_that_leaves_a_term_row_unwritten_is_checked_cycle_by_cycle(
-        monkeypatch):
-    # its conjugates at a cycle's end depend on those at its start
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+def test_a_pattern_that_leaves_a_term_row_unwritten_is_refused(level):
+    # condition (A): a cycle of a plan that runs writes every term row, so
+    # its conjugates at a cycle's end never depend on those at its start
     spec = fixtures.random_halfspaces(3, 4, 3)
     S = dk.SweepPlan
     plan = dk.CyclePlan(pattern=(S(outer={1}), S(outer={2}), S(outer={4})))
-    sizes = _batch_sizes(monkeypatch)
-    for level in ("sweep", "full"):
-        res = dk.run(spec, plan, dk.SolveParams(
-            max_iterations=20, check_level=level,
-            allow_invalid_schedule=True))
-        assert res.cycles_run == 20 and res.certificates is None
-    assert set(sizes) == {1}
+    with pytest.raises(dk.InvalidScheduleError,
+                       match=r"\(A\) violated: index 3 is never touched"):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=20,
+                                          check_level=level))
 
 
-@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "custom_nested"])
 def test_the_gap_rule_prices_a_pending_cycle_with_the_bits_of_its_check(
         monkeypatch, case, level):
     # while a cycle waits for its batch, the gap rule prices its end by
-    # itself; that objective is the one the check pass finds for it.  x is
-    # feasible at most cycle ends of these runs, and the gap never closes
+    # itself; that objective is the one the check pass, or with checks off
+    # the pricing of its batch, finds for it, and with checks off no batch
+    # is priced before it is full.  x is feasible at most cycle ends of
+    # these runs, and the gap never closes
     if case == "classic":
         spec = fixtures.random_halfspaces(2, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
@@ -154,25 +154,68 @@ def test_the_gap_rule_prices_a_pending_cycle_with_the_bits_of_its_check(
         spec = fixtures.random_mixed(3, 8, 6, m=2)
         plan = test_engine._custom_nested_plan()
     priced = []
-    objective = engine.dual_objective_from
+    objective = engine.dual_objective_z
 
-    def recorded(spec, z, conjugates, v=None):
-        F = objective(spec, z, conjugates, v)
+    def recorded(spec, z, groups=None, v=None):
+        F = objective(spec, z, groups, v)
         priced.append((z.tobytes(), F))
         return F
 
-    monkeypatch.setattr(engine, "dual_objective_from", recorded)
+    monkeypatch.setattr(engine, "dual_objective_z", recorded)
+    flushed = []
+    flush_cycle_ends = engine._flush_cycle_ends
+
+    def counted(spec, groups, Z, V, batch, F_list):
+        flushed.append(len(batch))
+        return flush_cycle_ends(spec, groups, Z, V, batch, F_list)
+
+    monkeypatch.setattr(engine, "_flush_cycle_ends", counted)
     res = dk.run(spec, plan, dk.SolveParams(
         max_iterations=100, stop_gap=0.0, check_level=level),
         keep_cycle_starts=True)
     assert res.stop_reason == "max_iterations"
     F_at = {z.tobytes(): F for z, F in zip(res.cycle_start_duals[1:],
                                            res.F_per_cycle.tolist())}
-    # after F_initial; the replay prices states that are not cycle ends
-    pending = [(z, F) for z, F in priced[1:] if z in F_at]
+    # the states priced at cycle ends, not F_initial's
+    pending = [(z, F) for z, F in priced if z in F_at]
     assert len(pending) > 50
     for z, F in pending:
         assert F == F_at[z]
+    if level == "off":
+        n_batch = min(engine._OBJ_BATCH, engine._OFF_BATCH_BYTES // (
+            spec.n_duals * spec.d * 8))
+        assert flushed == [n_batch] * (100 // n_batch) + (
+            [100 % n_batch] if 100 % n_batch else [])
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("case,stops", [
+    # stop_gap -> the cycle the run stops at.  classic and product are
+    # feasible from cycle 1 on, at gaps that close slowly; the others first
+    # enter every set within FEAS_TOL at a negative gap
+    ("classic", {1e-8: 4, 0.05: 3, 0.2: 2}),
+    ("product", {1e-8: 74, 0.5: 5}),
+    ("mixed_block", {1e-8: 140, 0.0: 140}),
+    ("custom_pair", {1e-8: 78, 0.0: 78})])
+def test_the_gap_rule_stops_where_the_scalar_reference_first_closes(
+        case, stops, level):
+    # the run stops at the first cycle n whose end has
+    # primal_value(x0 - v_n) - dual_objective(z_n) <= stop_gap, never
+    # earlier, and F_per_cycle is dual_objective at every cycle end
+    spec, plan = ((fixtures.random_halfspaces(3, 8, 6, m=7),
+                   dk.product_space_schedule(8)) if case == "product"
+                  else _case(case))
+    for stop_gap, n_stop in stops.items():
+        res = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=400, stop_gap=stop_gap, check_level=level),
+            keep_cycle_starts=True)
+        assert (res.stop_reason, res.cycles_run) == ("gap", n_stop)
+        ends = res.cycle_start_duals[1:]
+        assert res.F_per_cycle.tolist() == [dk.dual_objective(spec, z)
+                                            for z in ends]
+        closed = [spec.primal_value(spec.x0 - z.sum(axis=0))
+                  - dk.dual_objective(spec, z) <= stop_gap for z in ends]
+        assert closed.index(True) == n_stop - 1
 
 
 def _distinct_input(row, call, act):
@@ -508,14 +551,6 @@ def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
 # the sweep log against the states it stands for
 # ---------------------------------------------------------------------------
 
-def _log_case(name):
-    if name == "invalid":
-        S = dk.SweepPlan
-        return fixtures.random_halfspaces(3, 4, 3), dk.CyclePlan(pattern=(
-            S(outer={1}), S(outer={2}), S(outer={4})))
-    return _case(name)
-
-
 def _logged_batches(monkeypatch):
     """Record (check, a copy of the log, the cycle numbers) of every batch
     the checks take."""
@@ -546,21 +581,20 @@ def _run_sweep_cycles(spec, plan, n_cycles):
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
-                                  "custom_nested", "invalid"])
+                                  "custom_nested"])
 def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                                                          level):
     # every state rebuilt from a batch's log is bitwise the run_sweep
     # loop's, its sums are theirs, and the log's certificates are
     # certificate_points on those states
-    spec, plan = _log_case(case)
+    spec, plan = _case(case)
     analysis = dk.validate(plan, spec.r, spec.m)
     groups = terms_module.stack_terms(spec.terms, range(spec.r))
     batches = _logged_batches(monkeypatch)
     for cap in (1, 3, 9, 26):
         batches.clear()
         res = dk.run(spec, plan, dk.SolveParams(
-            max_iterations=cap, check_level=level,
-            allow_invalid_schedule=case == "invalid"))
+            max_iterations=cap, check_level=level))
         cycles = _run_sweep_cycles(spec, plan, cap)
         assert res.state.z.tobytes() == cycles[-1][-1].tobytes()
         assert sum(len(ns) for _, _, ns in batches) == cap
@@ -573,9 +607,6 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                 assert chk._state(log, s, out).tobytes() == state.tobytes()
                 assert (log.sums[s].tobytes()
                         == state.sum(axis=0).tobytes())
-            if not chk.valid:
-                assert res.certificates is None
-                continue
             ends = np.array([terms_module.stacked_conjugates(
                 groups, cycles[n - 1][-1], np.empty(spec.r)) for n in ns])
             X, res_c, fen = engine._certificates(

@@ -1400,7 +1400,7 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
         assert np.isfinite(values).any()
         for x, value in zip(points, values):
             for hint in range(spec.r):
-                got, first, _ = engine._primal_value(spec, groups, x, hint)
+                got, first = engine._primal_value(spec, groups, x, hint)
                 assert got == value
                 # the next call's hint is a term at +inf, when there is one
                 if got == np.inf:
@@ -1414,12 +1414,14 @@ def test_run_rejects_invalid_schedule():
     spec = dk.ProblemSpec([1.0, 0.5], [HS(unit(rng, 2), 0.2),
                                        HS(unit(rng, 2), 0.3)], m=2)
     plan = invalid_deferred_plan()
-    with pytest.raises(dk.InvalidScheduleError):
-        dk.run(spec, plan, dk.SolveParams(max_iterations=5))
-    res = dk.run(spec, plan, dk.SolveParams(max_iterations=5,
-                                            allow_invalid_schedule=True))
-    assert res.certificates is None
-    assert not res.analysis.valid_B
+    assert not dk.validate(plan, spec.r, spec.m).valid_B
+    for level in ("off", "sweep", "full"):
+        with pytest.raises(dk.InvalidScheduleError, match=r"\(B\) violated"):
+            dk.run(spec, plan, dk.SolveParams(max_iterations=5,
+                                              check_level=level))
+    # no setting runs an invalid plan
+    with pytest.raises(TypeError, match="allow_invalid_schedule"):
+        dk.SolveParams(allow_invalid_schedule=True)
 
 
 def test_run_rejects_nonfinite_start():
@@ -1465,20 +1467,17 @@ def test_solve_params_reject_an_integer_beyond_the_float_range(field):
         dk.SolveParams(**{field: 10 ** 400})
 
 
-@pytest.mark.parametrize("field", ["allow_invalid_schedule",
-                                   "per_sweep_trace"])
 @pytest.mark.parametrize("value", ["no", 0, 1.0, None, np.int64(1)])
-def test_solve_params_take_only_bools_as_flags(field, value):
-    # "no" is truthy: it would keep per-sweep rows, or run an invalid plan
-    with pytest.raises(ValueError, match=f"^{field} must be True or False"):
-        dk.SolveParams(**{field: value})
+def test_solve_params_take_only_bools_as_flags(value):
+    # "no" is truthy: it would keep per-sweep rows
+    with pytest.raises(ValueError,
+                       match="^per_sweep_trace must be True or False"):
+        dk.SolveParams(per_sweep_trace=value)
 
 
 def test_solve_params_take_numpy_bools_as_flags():
-    params = dk.SolveParams(per_sweep_trace=np.bool_(True),
-                            allow_invalid_schedule=np.bool_(False))
+    params = dk.SolveParams(per_sweep_trace=np.bool_(True))
     assert params.per_sweep_trace is True
-    assert params.allow_invalid_schedule is False
 
 
 @pytest.mark.parametrize("field", ["stop_gap", "nested_tol"])
@@ -1538,6 +1537,18 @@ def test_engine_matches_product_space_reference():
         assert len(res.cycle_start_duals) == 31 and len(hist) == 31
         for mine, ref in zip(res.cycle_start_duals, hist):
             assert np.allclose(mine[:r], ref, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_cycles,match", [
+    (-3, "must be at least 0"), (2.5, "must be an integer"),
+    (True, "must be an integer")])
+def test_product_space_reference_takes_n_cycles_as_a_count(n_cycles, match):
+    # n_cycles=-3 ran no loop body and returned one state
+    spec = two_halfspace_spec()
+    with pytest.raises(ValueError, match=f"^n_cycles {match}"):
+        dk.product_space_reference(spec, n_cycles=n_cycles)
+    assert len(dk.product_space_reference(spec, n_cycles=0)) == 1
+    assert len(dk.product_space_reference(spec, n_cycles=2.0)) == 3
 
 
 def test_product_space_reference_needs_indicators():

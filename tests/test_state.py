@@ -51,6 +51,17 @@ def test_spec_rejects_m_that_is_not_an_integer(m):
         dk.ProblemSpec([1.0, 0.0], [hs], m=m)
 
 
+@pytest.mark.parametrize("field,value,match", [
+    ("n", 1.5, "must be an integer"), ("w", True, "must be an integer"),
+    ("n", "1", "must be an integer"), ("w", -1, "must be at least 0")])
+def test_dual_state_takes_its_counters_as_counts(field, value, match):
+    # int() truncated 1.5 to 1 and took True as 1
+    with pytest.raises(ValueError, match=f"^{field} {match}"):
+        dk.DualState(np.zeros((1, 2)), **{field: value})
+    st = dk.DualState(np.zeros((1, 2)), n=2.0, w=np.int64(3))
+    assert (type(st.n), type(st.w), st.n, st.w) == (int, int, 2, 3)
+
+
 def test_spec_takes_an_integral_m_as_an_int():
     hs = dk.Indicator(dk.Halfspace([1.0, 0.0], 0.0))
     for m in (2.0, np.int64(2), 2):

@@ -138,6 +138,28 @@ def test_non_finite_input_rejected_at_construction(make):
         make()
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, NAN, INF, -INF])
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_prox_rejects_a_step_that_is_not_a_finite_positive_number(kind, t):
+    # a NaN step passed a t <= 0.0 test: l1 and quadratic gave NaN, and an
+    # indicator ignored the step
+    term = sample_term(kind, np.random.default_rng(0), 3)
+    with pytest.raises(ValueError,
+                       match="^prox step must be a finite positive number"):
+        term.prox(np.zeros(3), t)
+
+
+@pytest.mark.parametrize("dim,match", [
+    (2.7, "must be an integer"), (True, "must be an integer"),
+    ("2", "must be an integer"), (0, "must be at least 1")])
+def test_l1_takes_its_dim_as_a_count(dim, match):
+    # int() truncated 2.7 to 2 and took True as 1
+    with pytest.raises(ValueError, match=f"^l1 dim {match}"):
+        dk.L1Norm(dim)
+    for dim in (3, 3.0, np.int64(3)):
+        assert type(dk.L1Norm(dim).dim) is int and dk.L1Norm(dim).dim == 3
+
+
 @pytest.mark.parametrize("make,u,expected", [
     (lambda: dk.L2Ball([1e160, 0.0], 1.0).project, [1e160, 1.0],
      [1e160, 1.0]),
@@ -667,9 +689,8 @@ def _exact_distance(set_, x):
 def test_closed_form_distance_is_within_its_rounding_bound(kind, s):
     # data and points at scale s, a distance out from 1e-12·s to s, with
     # <a, x> and b, or ||x - c|| and rho, cancelling to that: the rounded
-    # distance c is within 2·d·eps·(c + ||x|| + s_set) of the exact one, the
-    # bound _stays_out's slack is derived from (s_set: a ball's scale, a
-    # halfspace's 0)
+    # distance c is within 2·d·eps·(c + ||x|| + s_set) of the exact one
+    # (s_set: the norm of a ball's center, a halfspace's 0)
     rng = np.random.default_rng(zlib.crc32(f"{kind}-{s}".encode()))
     worst = 0.0
     for d in STACK_DIMS:
@@ -685,7 +706,7 @@ def test_closed_form_distance_is_within_its_rounding_bound(kind, s):
                 rho = s * rng.uniform(0.2, 2.0)
                 set_ = dk.L2Ball(x - (rho + gap) * n / np.linalg.norm(n),
                                  rho)
-                s_set = set_.scale
+                s_set = float(np.linalg.norm(set_.center))
             got = dk.Indicator(set_).distance(x)
             exact = _exact_distance(set_, x)
             bound = 2 * d * EPS * (float(exact) + float(np.linalg.norm(x))

@@ -17,8 +17,12 @@ The run set is every combination of
 - with and without the per-sweep trace;
 over the instances (seed, r, d) in INSTANCES, or QUICK with --quick; the
 custom patterns take r = 8 and d = 6, and only the instances of that
-size.  Every run keeps its cycle
-starts.  A run's hash covers every RunResult field but the work counter
+size.  These runs stop at MAX_ITERATIONS cycles, before any product run
+closes its gap, so the set also holds product runs that stop by the gap
+rule: the (8, 6) instances of both fixtures in GAP_STOPS, or QUICK_GAP_STOPS
+with --quick, at check_level off and sweep, with stop_gap 1e-8 and a cap of
+GAP_STOP_CAP cycles; they stop in 74 to 2927 cycles.  Every run keeps its
+cycle starts.  A run's hash covers every RunResult field but the work counter
 skipped_sweeps, every trace row, every cycle start and every certificate,
 each float by its bytes; a run that raises is hashed by its error.  The
 package is imported from each --src.
@@ -47,6 +51,10 @@ SCHEDULES = ("classic", "product", "mixed", "pairs", "nested")
 LEVELS = ("off", "sweep", "full")
 MAX_ITERATIONS = 40
 STOP_GAP = 1e-8
+# (fixture, seed) of the product gap stops, at (8, 6)
+GAP_STOPS = [(fixture, seed) for fixture in FIXTURES for seed in (1, 2, 3)]
+QUICK_GAP_STOPS = [("halfspaces", 3)]   # 74 cycles
+GAP_STOP_CAP = 5000
 # not a result: how much solver work a run skipped
 SKIP_FIELDS = {"skipped_sweeps"}
 
@@ -125,9 +133,9 @@ def digest(result):
 def hash_run(dk, key):
     """(hex digest, skipped sweeps or None, sweeps) of one run of the run
     set."""
-    fixture, schedule, level, gap, per_sweep, seed, r, d = key
+    fixture, schedule, level, gap, per_sweep, seed, r, d, cap = key
     spec, plan = make_problem(dk, fixture, schedule, seed, r, d)
-    params = dk.SolveParams(max_iterations=MAX_ITERATIONS,
+    params = dk.SolveParams(max_iterations=cap,
                             stop_gap=STOP_GAP if gap else None,
                             check_level=level, per_sweep_trace=per_sweep)
     try:
@@ -140,13 +148,16 @@ def hash_run(dk, key):
             sum(row.w for row in result.cycle_rows))
 
 
-def run_keys(instances):
+def run_keys(instances, gap_stops):
     return [(fixture, schedule, level, gap, per_sweep) + inst
+            + (MAX_ITERATIONS,)
             for inst in instances for fixture in FIXTURES
             for schedule in SCHEDULES
             if schedule in SCHEDULES[:3] or inst[1:] == (8, 6)
             for level in LEVELS for gap in (False, True)
-            for per_sweep in (False, True)]
+            for per_sweep in (False, True)] + [
+        (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP)
+        for fixture, seed in gap_stops for level in ("off", "sweep")]
 
 
 def main(argv=None):
@@ -160,7 +171,8 @@ def main(argv=None):
     from bench_grid import import_package   # next to this script
     packages = [import_package(src, f"dyksplit_{k}")
                 for k, src in enumerate(args.src)]
-    keys = run_keys(QUICK if args.quick else INSTANCES)
+    keys = (run_keys(QUICK, QUICK_GAP_STOPS) if args.quick
+            else run_keys(INSTANCES, GAP_STOPS))
     mismatches = 0
     skipped = [0] * len(packages)
     sweeps = 0
