@@ -52,11 +52,14 @@ takes its snapshot's sum.  Most still sweeps are not solved at all: the
 sweep of one halfspace or ball row whose dual is +0.0 is skipped while a
 safe screen, taken at a cycle start from the sets' slacks and bounded by
 how far the dual sum has since moved, proves that its set holds the
-iterate (_Screen).  A skipped sweep logs its rows and sum and records its
-trace as a still one does, so the results are bitwise those of solving
-it; a plan with no such sweep builds no screen.  A cycle's movements are
-taken at its end, from the differences its sweeps made to the dual sum and
-to their governing rows (_movements).  With checks on, the sweep loop only
+iterate (_Screen); the bound cannot grow while sweeps are skipped, so a
+run of such sweeps is skipped in one step.  A skipped sweep logs its rows
+and sum and records its trace as a still one does, so the results are
+bitwise those of solving it; a plan with no such sweep builds no screen.
+A cycle's movements are taken at its end, from the differences its sweeps
+made to the dual sum and to their governing rows (_movements), and summed
+over the sweeps that moved where no sweep has blocks (_movement_sums).
+With checks on, the sweep loop only
 solves and logs: the buffer is the sweep's block of a log, which keeps a
 batch of up to _OBJ_BATCH consecutive cycles of one pattern as its start
 state and, per sweep, its dual sum and its declared rows.
@@ -92,7 +95,7 @@ from .state import fenchel_residual  # noqa: F401
 from .terms import (BallStack, DimensionMismatch, Halfspace, HalfspaceStack,
                     Indicator, L2Ball, _as_count, _as_number, _dots, _norm,
                     all_finite, pair_constants, pair_duals, pair_order,
-                    stack_terms, stacked_conjugates)
+                    stack_kinds, stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -518,6 +521,19 @@ class _CSweep:
                  "written", "size")
 
     def __init__(self, sweep, spec):
+        if not sweep.inner and len(sweep.outer) == 1:
+            (i1,) = sweep.outer
+            if i1 <= spec.r:
+                # one term row, as in every classic sweep, compiled on
+                # every run: nothing to sort or place, one index array
+                i = i1 - 1
+                rows = np.array([i], dtype=np.intp)
+                self.outer1, self.block_js = (i1,), ()
+                self.written, self.size = _rows_index([i]), 1
+                self.gov0 = self.gov_at = _NO_ROWS
+                self.steps = [_Step(_prox_row, (i, 0), [(rows, None)], rows)]
+                self.exact = True
+                return
         terms = spec.terms
         self.outer1 = tuple(sorted(sweep.outer))
         self.block_js = tuple(sorted(sweep.inner))
@@ -680,14 +696,16 @@ class _Screen:
         for c, sweeps in zip(rows, compiled):
             drops = []
             for i, cs in zip(c, sweeps):
-                written = cs.written
-                written = (range(written.start, written.stop)
-                           if isinstance(written, slice) else written.tolist())
                 # a screened sweep writes only its own row, which the
                 # bound, never lower than its slack since it was solved,
                 # keeps from being skipped until the next screen
-                drops.append(() if i is not None else tuple(
-                    j for j in written if j in screened))
+                if i is not None:
+                    drops.append(())
+                    continue
+                written = cs.written
+                written = (range(written.start, written.stop)
+                           if isinstance(written, slice) else written.tolist())
+                drops.append(tuple(j for j in written if j in screened))
             self.drops.append(drops if any(drops) else None)
             if all(i is None for i in c):
                 c = None
@@ -803,7 +821,21 @@ def _movement_sums(v, moves, sweeps, margins):
     compiled sweeps and moves those of their governing rows.  Each is added
     left to right from 0.0, whatever sum() does (3.12 compensates a float
     sum).
+
+    A sweep that moved nothing adds a zero to each sum, which keeps its
+    bits, as the sums start at +0.0: when no sweep has blocks, only the
+    sweeps that moved the dual sum are added, gamma_n is then the sum of
+    moves, and the other margins are 0.0.
     """
+    if not moves.size:
+        margins[:len(v)] = 0.0
+        gamma = sq = 0.0
+        for w, v_diff in enumerate(v.tolist()):
+            if v_diff:   # a NaN too
+                gamma += v_diff
+                sq += v_diff * v_diff
+                margins[w] = 0.5 * v_diff * v_diff
+        return gamma, sq, gamma
     moves = moves.tolist()
     gamma = sq = v_sum = 0.0
     k = 0
@@ -966,13 +998,20 @@ def _pair_stacks(terms, rows, shared):
     """stack_terms over a list of term rows that may repeat.
 
     Returns [(positions in rows, stack), ...].  shared maps a tuple of term
-    rows to their stack: a group of the same rows reuses it, and a new one
-    is added.
+    rows to their stack: a group of the same rows takes it, and only a group
+    that shared lacks is built, and added.
     """
+    whole = shared.get(tuple(rows))
+    if whole is not None:   # rows that shared holds as one group are one
+        return [(np.arange(len(rows)), whole)]
     out = []
-    for pos, stack in stack_terms([terms[i] for i in rows], range(len(rows))):
-        key = tuple(rows[k] for k in pos.tolist())
-        out.append((pos, shared.setdefault(key, stack)))
+    for kind, pos in stack_kinds([terms[i] for i in rows],
+                                 range(len(rows))).items():
+        key = tuple([rows[k] for k in pos])
+        stack = shared.get(key)
+        if stack is None:
+            stack = shared[key] = kind.of([terms[i] for i in key])
+        out.append((np.array(pos, dtype=np.intp), stack))
     return out
 
 
@@ -980,7 +1019,7 @@ def _assert_unfrozen(c_analysis, dw, di):
     """Raise EngineInvariantError when a sweep of a valid plan's cycle
     declares a row that a freeze equality holds fixed there: after its last
     touch p, or a block member inside the protected window q+1..p-1 of its
-    block.  dw and di are the declared (sweep, 0-based row) pairs in sweep
+    block.  dw and di list the declared (sweep, 0-based row) pairs in sweep
     order.  A sweep writes only the rows it declares, so a cycle that
     passes keeps every freeze equality.
     """
@@ -989,7 +1028,8 @@ def _assert_unfrozen(c_analysis, dw, di):
     for i1, q in c_analysis.q.items():
         for i2 in c_analysis.block_members[i1]:
             windows.setdefault(i2, []).append((q, p[i1]))
-    for w, i in zip(dw.tolist(), (di + 1).tolist()):
+    for w, i in zip(dw, di):
+        i += 1
         if w > p[i]:
             raise EngineInvariantError(
                 f"{c_analysis.label} sweep {w}: z_{i} is written after its"
@@ -1009,14 +1049,14 @@ def _cert_layout(c_analysis, r):
     block, and the term indices last touched in a block, these grouped by
     their number of term members (parts, 0-based and sorted).
     """
-    outer, quad, blocks = [], [], {}
+    outer, quad, blocks = ([], []), ([], []), {}
     for i1 in sorted(c_analysis.p):
         i0, p = i1 - 1, c_analysis.p[i1]
         j1 = c_analysis.via_block.get(i1)
-        if j1 is None:
-            outer.append((i0, p))
-        elif i1 > r:
-            quad.append((i0, p))
+        if j1 is None or i1 > r:   # an outer solve's, or a copy's
+            rows, ps = outer if j1 is None else quad
+            rows.append(i0)
+            ps.append(p)
         else:
             parts = sorted(i2 - 1 for i2 in c_analysis.block_members[i1]
                            if i2 != j1)
@@ -1024,8 +1064,7 @@ def _cert_layout(c_analysis, r):
                 (i0, p, c_analysis.q[i1], parts))
 
     def columns(pairs):
-        a = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
-        return a[:, 0], a[:, 1]
+        return tuple(np.array(x, dtype=np.intp) for x in pairs)
 
     return columns(outer), columns(quad), [
         (np.array([b[0] for b in group], dtype=np.intp),
@@ -1304,46 +1343,59 @@ class _CCheck:
     """
 
     def __init__(self, sweeps, spec, c_analysis, shared, scratch):
+        # the index sets are gathered as lists, each made an array once:
+        # most sweeps write one row, and the checks compile on every run
         r = spec.r
-        self.W = len(sweeps)
+        self.W = W = len(sweeps)
         self.exact = np.array([cs.exact for cs in sweeps], dtype=bool)
         pw, pi, sw, si = [], [], [], []
+        # the declared (sweep, row) pairs in log order
+        dw, di = [], []
+        self.offs = offs = [0]
         for w, cs in enumerate(sweeps, start=1):
             for step in cs.steps:
-                pw += [w] * step.conj_rows.size
-                pi += step.conj_rows.tolist()
+                rows = step.conj_rows.tolist()
+                pw += [w] * len(rows)
+                pi += rows
             if cs.exact:
                 sw += [w] * len(cs.outer1)
                 si += [i1 - 1 for i1 in cs.outer1]
+            idx = cs.written
+            rows = (range(idx.start, idx.stop) if isinstance(idx, slice)
+                    else idx.tolist())
+            dw += [w] * len(rows)
+            di += rows
+            offs.append(len(di))
         self.n_pairs = len(pi)
         self.n = n = spec.n_duals
         self.r = r
         self.written = [cs.written for cs in sweeps]
-        rows = [np.arange(n)[idx].tolist() for idx in self.written]
-        self.offs = np.add.accumulate([0] + [len(x) for x in rows]).tolist()
-        self.P = self.offs[-1]
-        # the declared (sweep, row) pairs in log order, and sorted by row
-        # and sweep as keys i * (W + 1) + w with their log places (_locate)
-        dw = np.repeat(np.arange(1, self.W + 1), np.diff(self.offs))
-        di = np.array(sum(rows, []), dtype=np.intp)
+        self.P = offs[-1]
         _assert_unfrozen(c_analysis, dw, di)
+        # the declared pairs sorted by row and sweep as keys i * (W + 1) + w,
+        # with their log places (_locate)
+        dw, di = np.array(dw, dtype=np.intp), np.array(di, dtype=np.intp)
         self.places = np.lexsort((dw, di))
-        self.keys = (di * (self.W + 1) + dw)[self.places]
+        self.keys = (di * (W + 1) + dw)[self.places]
         offsets = np.array(pw, dtype=np.intp) * n + np.array(pi, dtype=np.intp)
         self.conj = [(pos, stack, offsets[pos])
                      for pos, stack in _pair_stacks(spec.terms, pi, shared)]
-        self.layers = []
+        # per layer k, the sweep of each row's k-th write (W for none, so
+        # that the row's mask column stays False) and that write's pair
+        layers = []
         writes = [0] * r
-        last = np.zeros(r, dtype=np.intp)
+        last = [0] * r
         for k, (w, i) in enumerate(zip(pw, pi)):
-            if writes[i] == len(self.layers):
-                self.layers.append((np.zeros((len(sweeps), r), dtype=bool),
-                                    np.zeros(r, dtype=np.intp)))
-            mask, pos = self.layers[writes[i]]
-            mask[w - 1:, i] = True
+            if writes[i] == len(layers):
+                layers.append(([W] * r, [0] * r))
+            first, pos = layers[writes[i]]
+            first[i] = w - 1
             pos[i] = last[i] = k
             writes[i] += 1
-        self.last = last
+        sweep = np.arange(W)[:, None]
+        self.layers = [(sweep >= np.array(first, dtype=np.intp),
+                        np.array(pos, dtype=np.intp)) for first, pos in layers]
+        self.last = np.array(last, dtype=np.intp)
         pair = {wi: k for k, wi in enumerate(zip(pw, pi))}
 
         self.stat_w = np.array(sw, dtype=np.intp)
@@ -2079,7 +2131,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     cert_arrays = None
     any_approx = False
     stop_reason = "max_iterations"
-    cycles_run = 0
     hint = 0   # the term the gap rule tries first
 
     def flush():
@@ -2125,17 +2176,29 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 bound = 0.0   # on how far v has moved since the screen
                 stale = False
 
-            for w, cs in enumerate(sweeps, start=1):
+            w = 0
+            while w < W:
+                cs = sweeps[w]
+                w += 1
                 if rows and slack[rows[w - 1]] > bound:
-                    # surely still (_Screen): it keeps z_i's +0.0 bytes
-                    screen.skipped += 1
+                    # sweeps w..e are surely still (_Screen): each keeps its
+                    # z_i's +0.0 bytes, and the bound stays while they are
+                    # skipped
+                    e = w
+                    while e < W and slack[rows[e]] > bound:
+                        e += 1
+                    screen.skipped += e - w + 1
                     if sweep_checks:
-                        slot = (slot + 1) % len(sums)
-                        log.rows[start + chk.offs[w - 1]] = 0.0
-                        sums[slot] = v
+                        # one log row each, consecutive; a checked batch
+                        # never wraps slot
+                        log.rows[start + chk.offs[w - 1]:
+                                 start + chk.offs[e]] = 0.0
+                        sums[slot + 1:slot + e - w + 2] = v
+                        slot += e - w + 1
                         v = sums[slot]
                     if per_sweep:
-                        trace.sweep_approx.append(False)
+                        trace.sweep_approx.frombytes(bytes(e - w + 1))
+                    w = e
                     continue
                 slot = (slot + 1) % len(sums)
                 block = (log.rows[start + chk.offs[w - 1]:start + chk.offs[w]]
@@ -2213,7 +2276,6 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                     del checks[1:]
             if keep_cycle_starts:
                 cycle_start_duals.append(z.copy())
-            cycles_run = n
 
             if params.stop_gap is not None:
                 primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
@@ -2235,7 +2297,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     if pending:
         flush()
 
-    state = DualState(z.copy(), n=cycles_run, w=len(plan.cycle(cycles_run)))
+    # n is the last cycle run: max_iterations is at least 1
+    state = DualState(z.copy(), n=n, w=len(plan.cycle(n)))
     x = spec.x0 - v
     # the buffers go before the result is built
     z = v = snap = sums = ends = ends_v = margins = log = scratch = None
@@ -2245,7 +2308,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         F=F_list[-1],
         F_initial=F_initial,
         stop_reason=stop_reason,
-        cycles_run=cycles_run,
+        cycles_run=n,
         cycle_rows=TraceRows(trace.cycle_fields, trace.gamma),
         sweep_rows=(TraceRows(trace.sweep_fields, trace.sweep_v_diff)
                     if per_sweep else None),

@@ -243,9 +243,8 @@ def _analyze_cycle(sweeps, r, m, label):
         else:
             q[i] = found
 
-    sqrt_ok = all(
-        len(sw.outer) <= 1 and all(len(b) == 2 for b in sw.inner.values())
-        for sw in sweeps)
+    sqrt_ok = all(len(sw.outer) <= 1 for sw in sweeps) and all(
+        len(b) == 2 for sw in sweeps for b in sw.inner.values())
     a_bad = {v.index for v in violations if v.kind == "A"}
     b_bad = {v.index for v in violations if v.kind == "B"}
     return CycleAnalysis(

@@ -510,6 +510,15 @@ def _stack_kind(term):
     return TermStack
 
 
+def stack_kinds(terms, rows):
+    """The given rows grouped by the kind of stack their terms take, as
+    {kind: [row, ...]} in the order given; no stack is built."""
+    groups = {}
+    for i in rows:
+        groups.setdefault(_stack_kind(terms[i]), []).append(int(i))
+    return groups
+
+
 def stack_terms(terms, rows):
     """The terms at the given rows, grouped into one stack per kind.
 
@@ -517,11 +526,8 @@ def stack_terms(terms, rows):
     given; halfspace and ball indicators get closed-form stacks and every
     other term goes into one TermStack.
     """
-    groups = {}
-    for i in rows:
-        groups.setdefault(_stack_kind(terms[i]), []).append(int(i))
     return [(np.array(idx, dtype=np.intp), kind.of([terms[i] for i in idx]))
-            for kind, idx in groups.items()]
+            for kind, idx in stack_kinds(terms, rows).items()]
 
 
 def stacked_conjugates(groups, z, out):

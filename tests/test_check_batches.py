@@ -384,6 +384,41 @@ def test_only_the_full_replay_stacks_an_outer_set(monkeypatch):
     assert calls["full"] == calls["sweep"] + [[spec.r - 1]]
 
 
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "halfspaces", "custom_pair"])
+def test_the_checks_build_no_stack_for_rows_shared_holds(monkeypatch, case,
+                                                         level):
+    # the checks of a run share their stacks by row set: a group of rows
+    # that shared already holds takes that stack, and only a row set it
+    # lacks is built, once (engine._pair_stacks)
+    if case == "halfspaces":   # one kind: every group is all the rows
+        spec, plan = (fixtures.random_halfspaces(2, 6, 4),
+                      dk.classic_dykstra_schedule(6))
+    else:
+        spec, plan = _case(case)
+    built = []
+    for cls in (HalfspaceStack, terms_module.BallStack):
+        def of(kind, terms, of=cls.of.__func__):
+            built.append(tuple(map(id, terms)))
+            return of(kind, terms)
+        monkeypatch.setattr(cls, "of", classmethod(of))
+    pair_stacks, calls = engine._pair_stacks, []
+
+    def recorded(terms, rows, shared):
+        held = {tuple(id(terms[i]) for i in key) for key in shared}
+        start = len(built)
+        out = pair_stacks(terms, rows, shared)
+        calls.append((held, built[start:]))
+        return out
+
+    monkeypatch.setattr(engine, "_pair_stacks", recorded)
+    dk.run(spec, plan, dk.SolveParams(max_iterations=3, check_level=level))
+    assert calls
+    for held, new in calls:
+        assert not held.intersection(new)
+        assert len(set(new)) == len(new)
+
+
 # ---------------------------------------------------------------------------
 # the batched re-solve of check_level="full" against the per-sweep replay
 # ---------------------------------------------------------------------------

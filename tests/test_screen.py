@@ -141,14 +141,39 @@ def test_a_product_plan_never_screens(monkeypatch, level):
     assert res.skipped_sweeps == 0
 
 
+def _skip_runs(monkeypatch, spec, plan, params):
+    """Whether some cycle of a classic run opens with two or more skipped
+    sweeps, and whether some cycle closes with two or more: the sweeps
+    solved, 1-based, fall into cycles where they stop rising."""
+    solved, execute = [], engine._execute_sweep
+
+    def recorded(spec, z, v, cs, *rest):
+        solved.append(cs.outer1[0])
+        return execute(spec, z, v, cs, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_execute_sweep", recorded)
+        dk.run(spec, plan, params)
+    starts = [w for k, w in enumerate(solved) if not k or w <= solved[k - 1]]
+    ends = [w for k, w in enumerate(solved)
+            if k == len(solved) - 1 or solved[k + 1] <= w]
+    return (any(w >= 3 for w in starts),
+            any(w <= len(plan.pattern) - 2 for w in ends))
+
+
 @pytest.mark.parametrize("level", _LEVELS)
-@pytest.mark.parametrize("case", ["classic", "mixed", "custom_pair",
-                                  "custom_nested"])
+@pytest.mark.parametrize("case", ["classic", "classic_runs", "mixed",
+                                  "custom_pair", "custom_nested"])
 def test_screened_runs_hash_equal_to_unscreened_ones(monkeypatch, case,
                                                      level):
     if case == "classic":
         spec, plan = (fixtures.random_mixed(3, 12, 5),
                       dk.classic_dykstra_schedule(12))
+    elif case == "classic_runs":
+        # most sweeps are skipped, in runs of several that open and close
+        # cycles, each run skipped in one step
+        spec, plan = (fixtures.random_halfspaces(1, 40, 10),
+                      dk.classic_dykstra_schedule(40))
     elif case == "mixed":
         spec, plan = (fixtures.random_halfspaces(4, 12, 5, m=1),
                       fixtures.mixed_block_schedule(12))
@@ -163,3 +188,10 @@ def test_screened_runs_hash_equal_to_unscreened_ones(monkeypatch, case,
                             per_sweep_trace=per_sweep)
             assert on.skipped_sweeps > 0
             assert _digest(on) == _digest(off)
+            if case == "classic_runs":
+                assert (on.skipped_sweeps
+                        >= 0.6 * on.cycles_run * len(plan.pattern))
+        if case == "classic_runs":
+            assert _skip_runs(monkeypatch, spec, plan, dk.SolveParams(
+                max_iterations=60, stop_gap=gap,
+                check_level=level)) == (True, True)

@@ -3,14 +3,21 @@
 import builtins
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit import fixtures
+from dyksplit import engine, fixtures
 from dyksplit.cli import TRACE_COLUMNS, _write_trace
 from dyksplit.engine import TraceRow
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:   # only the movement sums' property needs it
+    given = None
 
 from . import test_engine
 from .test_check_batches import _assert_same_result, _neumaier_sum
@@ -206,3 +213,65 @@ def test_movements_keep_their_bits_under_a_compensated_sum(monkeypatch):
     plain = dk.run(spec, plan, params)
     monkeypatch.setattr(builtins, "sum", _neumaier_sum)
     _assert_same_result(dk.run(spec, plan, params), plain)
+
+
+def _scalar_movement_sums(v, moves, sweeps, margins):
+    """gamma_n, the sum of squared movements and the sum of dual-sum moves
+    of sweeps 1..len(v), and their margins, by the scalar formula: every
+    sweep, left to right from 0.0."""
+    gamma = sq = v_sum = 0.0
+    k = 0
+    for w, v_diff in enumerate(v):
+        inner_sum = inner_sq = 0.0
+        for d in moves[k:k + len(sweeps[w].block_js)]:
+            inner_sum += d
+            inner_sq += d * d
+        k += len(sweeps[w].block_js)
+        gamma += v_diff + inner_sum
+        sq += v_diff * v_diff + inner_sq
+        v_sum += v_diff
+        margins[w] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
+    return gamma, sq, v_sum
+
+
+if given is not None:
+    # mostly exact zeros, the moves of still and skipped sweeps, then any
+    # size down to the subnormals, and an overflow's inf and inf - inf
+    _MOVES = st.one_of(
+        st.just(0.0), st.just(0.0), st.just(-0.0),
+        st.floats(min_value=0.0, max_value=1e300),
+        st.sampled_from([5e-324, 1e-160, 1e160, math.inf, math.nan]))
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_movement_sums_match_the_scalar_formula_bit_for_bit():
+    # a cycle's movement sums pass over the sweeps that moved nothing when
+    # no sweep has blocks, whose margins are zeroed at once: every result
+    # has the bits of the scalar formula, also for the sweeps before a
+    # non-finite one (the prefix v_diffs[:w - 1] of a cycle's moves)
+    seen = []
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(st.lists(st.tuples(_MOVES, st.lists(_MOVES, max_size=3)),
+                    min_size=1, max_size=12),
+           st.booleans(), st.data())
+    def check(cycle, blocks, data):
+        if not blocks:
+            cycle = [(v_diff, []) for v_diff, _ in cycle]
+        W = len(cycle)
+        sweeps = [SimpleNamespace(block_js=tuple(range(len(moves))))
+                  for _, moves in cycle]
+        v = np.array([v_diff for v_diff, _ in cycle])
+        moves = np.array([d for _, m in cycle for d in m], dtype=float)
+        for u in (W, data.draw(st.integers(0, W - 1), label="prefix")):
+            ours, ref = np.full(W, 7.0), np.full(W, 7.0)
+            got = engine._movement_sums(v[:u], moves, sweeps, ours)
+            want = _scalar_movement_sums(v[:u].tolist(), moves.tolist(),
+                                         sweeps, ref)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert ours.tobytes() == ref.tobytes()
+        seen.append(bool(moves.size))
+
+    check()
+    assert len(seen) >= 300 and 0 < sum(seen) < len(seen)
