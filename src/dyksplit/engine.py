@@ -57,8 +57,9 @@ run of such sweeps is skipped in one step.  A skipped sweep logs its rows
 and sum and records its trace as a still one does, so the results are
 bitwise those of solving it; a plan with no such sweep builds no screen.
 A cycle's movements are taken at its end, from the differences its sweeps
-made to the dual sum and to their governing rows (_movements), and summed
-over the sweeps that moved where no sweep has blocks (_movement_sums).
+made to the dual sum and to their governing rows (_movements); a sweep
+without blocks that did not move adds nothing to their sums
+(_movement_sums).
 With checks on, the sweep loop only
 solves and logs: the buffer is the sweep's block of a log, which keeps a
 batch of up to _OBJ_BATCH consecutive cycles of one pattern as its start
@@ -525,7 +526,8 @@ class _CSweep:
             (i1,) = sweep.outer
             if i1 <= spec.r:
                 # one term row, as in every classic sweep, compiled on
-                # every run: nothing to sort or place, one index array
+                # every run: nothing to sort or place, one index array;
+                # _compile gives the same (test_engine.py)
                 i = i1 - 1
                 rows = np.array([i], dtype=np.intp)
                 self.outer1, self.block_js = (i1,), ()
@@ -534,6 +536,10 @@ class _CSweep:
                 self.steps = [_Step(_prox_row, (i, 0), [(rows, None)], rows)]
                 self.exact = True
                 return
+        self._compile(sweep, spec)
+
+    def _compile(self, sweep, spec):
+        """Compile any sweep."""
         terms = spec.terms
         self.outer1 = tuple(sorted(sweep.outer))
         self.block_js = tuple(sorted(sweep.inner))
@@ -822,26 +828,19 @@ def _movement_sums(v, moves, sweeps, margins):
     left to right from 0.0, whatever sum() does (3.12 compensates a float
     sum).
 
-    A sweep that moved nothing adds a zero to each sum, which keeps its
-    bits, as the sums start at +0.0: when no sweep has blocks, only the
-    sweeps that moved the dual sum are added, gamma_n is then the sum of
-    moves, and the other margins are 0.0.
+    A sweep without blocks that did not move the dual sum would add a zero
+    to each sum, which keeps its bits, as the sums start at +0.0: it only
+    gets its margin, 0.0.
     """
-    if not moves.size:
-        margins[:len(v)] = 0.0
-        gamma = sq = 0.0
-        for w, v_diff in enumerate(v.tolist()):
-            if v_diff:   # a NaN too
-                gamma += v_diff
-                sq += v_diff * v_diff
-                margins[w] = 0.5 * v_diff * v_diff
-        return gamma, sq, gamma
     moves = moves.tolist()
     gamma = sq = v_sum = 0.0
     k = 0
     for w, v_diff in enumerate(v.tolist()):
-        inner_sum = inner_sq = 0.0
         n_blocks = len(sweeps[w].block_js)
+        if not (n_blocks or v_diff):   # a NaN counts as a move
+            margins[w] = 0.0
+            continue
+        inner_sum = inner_sq = 0.0
         if n_blocks:
             for d in moves[k:k + n_blocks]:
                 inner_sum += d
@@ -1002,7 +1001,9 @@ def _pair_stacks(terms, rows, shared):
     that shared lacks is built, and added.
     """
     whole = shared.get(tuple(rows))
-    if whole is not None:   # rows that shared holds as one group are one
+    if whole is not None:
+        # rows that shared holds as one group, as every classic check's
+        # are, skip the grouping pass: a fifth of _CCheck's compile there
         return [(np.arange(len(rows)), whole)]
     out = []
     for kind, pos in stack_kinds([terms[i] for i in rows],

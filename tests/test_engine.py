@@ -721,6 +721,40 @@ def test_rows_index_is_a_slice_only_for_an_ascending_run():
         assert idx.tolist() == rows
 
 
+def _same_compiled(a, b):
+    """Equal index sets, solvers and arguments, element by element: a slice
+    equals a slice, an index array an array of the same dtype and rows."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and a.tolist() == b.tolist())
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same_compiled(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+def test_a_one_term_row_sweep_compiles_as_the_general_path_does():
+    # every classic sweep takes _CSweep's short path; the general one must
+    # give it the same slots and steps, so that the two cannot drift apart
+    spec = fixtures.random_mixed(5, 6, 4, m=2)
+    kinds = {type(t.set) for t in spec.terms}
+    assert kinds == {dk.Halfspace, dk.L2Ball}
+    for sweep in dk.classic_dykstra_schedule(spec.r).pattern:
+        short = engine._CSweep(sweep, spec)
+        general = object.__new__(engine._CSweep)
+        general._compile(sweep, spec)
+        for name in engine._CSweep.__slots__:
+            if name != "steps":
+                assert _same_compiled(getattr(short, name),
+                                      getattr(general, name)), name
+        assert len(short.steps) == len(general.steps) == 1
+        for field in engine._Step._fields:
+            a, b = getattr(short.steps[0], field), getattr(general.steps[0],
+                                                         field)
+            assert (a is b) if field == "solve" else _same_compiled(a, b), \
+                field
+
+
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
                                   "custom_nested"])

@@ -245,8 +245,8 @@ if given is not None:
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_movement_sums_match_the_scalar_formula_bit_for_bit():
-    # a cycle's movement sums pass over the sweeps that moved nothing when
-    # no sweep has blocks, whose margins are zeroed at once: every result
+    # a cycle's movement sums pass over each sweep without blocks that
+    # moved nothing, and only zero its margin: every result
     # has the bits of the scalar formula, also for the sweeps before a
     # non-finite one (the prefix v_diffs[:w - 1] of a cycle's moves)
     seen = []

@@ -82,8 +82,6 @@ def main(argv=None):
                         " twice, once per tree")
     p.add_argument("--rounds", type=int, default=10,
                    help="timed rounds, after one warm-up round")
-    p.add_argument("--populations", nargs="+", choices=POPULATIONS,
-                   default=POPULATIONS)
     args = p.parse_args(argv)
     if len(args.src) != 2:
         p.error("give --src exactly twice")
@@ -92,8 +90,8 @@ def main(argv=None):
     packages = [import_package(src, f"dyksplit_{k}")
                 for k, src in enumerate(args.src)]
     failed = False
-    ratios = {name: [] for name in args.populations}
-    wins = {name: [0, 0] for name in args.populations}
+    ratios = {name: [] for name in POPULATIONS}
+    wins = {name: [0, 0] for name in POPULATIONS}
     print(f"{'round':>5s} {'population':10s} {'first':>5s}"
           f" {'tree 0 s':>10s} {'tree 1 s':>10s} {'ratio':>7s}")
     with warnings.catch_warnings():
@@ -101,10 +99,10 @@ def main(argv=None):
         for dk in packages:
             warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
         solves = {name: [population(dk, name) for dk in packages]
-                  for name in args.populations}
+                  for name in POPULATIONS}
         for rnd in range(args.rounds + 1):   # round 0 is the warm-up
             first = rnd % 2
-            for name in args.populations:
+            for name in POPULATIONS:
                 totals, differ = time_round(packages, solves[name], first)
                 for k in differ:
                     failed = True
@@ -117,7 +115,7 @@ def main(argv=None):
                 wins[name][totals[1] < totals[0]] += 1
                 print(f"{rnd:5d} {name:10s} {first:5d} {totals[0]:10.4f}"
                       f" {totals[1]:10.4f} {ratio:7.3f}", flush=True)
-    for name in args.populations:
+    for name in POPULATIONS:
         print(f"{name}: median ratio {statistics.median(ratios[name]):.3f}"
               f" (tree 1 / tree 0); tree 0 won {wins[name][0]} and tree 1"
               f" won {wins[name][1]} of {args.rounds} rounds")
