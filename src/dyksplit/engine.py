@@ -1075,6 +1075,16 @@ def _cert_layout(c_analysis, r):
         for group in blocks.values()]
 
 
+def _cert_pairs(c_analysis, stat_w, stat_i):
+    """Per index, the place of the stationarity pair (sweep, 0-based row)
+    in stat_w and stat_i that is its last touch, or None when an outer
+    solve whose pair is not listed, or a block, touches it last."""
+    place = {wi: j for j, wi in enumerate(zip(stat_w, stat_i))}
+    return [None if i1 in c_analysis.via_block
+            else place.get((c_analysis.p[i1], i1 - 1))
+            for i1 in sorted(c_analysis.p)]
+
+
 def _cert_index(layout, n, W, K, rows, sums):
     """The flat indices _certificates reads for K cycles of W sweeps.
 
@@ -1104,7 +1114,9 @@ def _certificates(spec, R, V, at, k, groups, conjugates):
     at sweep p the point is x0 - v at that sweep; for a term index last
     touched inside a block the frozen-window mixed sum is used; for the
     governing quadratic index it is x0 + z_j at sweep p.  Each array has a
-    leading cycle axis.
+    leading cycle axis.  Every index is computed here; the checks of a cycle
+    whose every index is last touched by an exact outer solve take them
+    from their sweep pass instead (_CCheck._certificates).
     """
     d, x0 = spec.d, spec.x0
     K, (o_rows, o_sums), (q_rows, q_at), blocks, end_sums, end = at
@@ -1166,7 +1178,11 @@ def certificate_points(spec, snaps, c_analysis):
 
     snaps[w] must be the duals after sweep w (snaps[0] the cycle start), as
     a list or one array, and the analysis must be valid for this cycle.
-    The engine computes its certificates through the same arrays.
+    Every index is computed through the same arrays as the engine's checks
+    compute a cycle's that has an index not last touched by an exact outer
+    solve (_certificates).  A cycle whose every index is takes them from
+    the checks' stationarity pass, which this function does not share: it
+    stays a reference for both.
     """
     S = np.asarray(snaps, dtype=float)
     groups = stack_terms(spec.terms, range(spec.r))
@@ -1184,7 +1200,9 @@ class _Pass(NamedTuple):
     F and F_prev (k, W) are the objectives after and before each sweep of
     each cycle, bad (k, W) flags the sweeps that fail a check and decreased,
     short (k, W) and stat_bad (k, pairs) which check; resid (k, pairs) are
-    the stationarity residuals.  new (k, pairs) are the conjugates of the rows
+    the stationarity residuals, and stat_X (k, pairs, d) their points when
+    the cycle's certificates are taken from them (_CCheck.cert_pairs), else
+    None.  new (k, pairs) are the conjugates of the rows
     each sweep writes, and starts and ends (k, r) the conjugates at each
     cycle's start and end.  exact, (W,) or (k, W), flags the sweeps that
     ran exact tiers only, the ones that are checked (_CCheck._exact).
@@ -1195,6 +1213,7 @@ class _Pass(NamedTuple):
     decreased: np.ndarray
     short: np.ndarray
     stat_bad: np.ndarray
+    stat_X: np.ndarray | None
     resid: np.ndarray
     new: np.ndarray
     starts: np.ndarray
@@ -1321,6 +1340,10 @@ class _CCheck:
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
       layout  the certificate layout
+      cert_pairs  when every index is last touched by an exact outer
+              solve, the places of those stat pairs in index order
+              (_cert_pairs), a slice when they run up by one, from which
+              the certificates are taken (_certificates); else None
       replays  with scratch, the compiled exact sweeps w that are
                replayed; at its first replay a sweep's steps are compiled
                into steps[w] (_replay_steps), each with its term rows'
@@ -1408,6 +1431,11 @@ class _CCheck:
             [pair[w, i] for w, i in zip(self.stat_w[terms].tolist(),
                                         self.stat_i[terms].tolist())],
             dtype=np.intp))
+        # released first: with the share map's dict beside it, the compile
+        # set the memory peak of a mixed-block (800, 50) run
+        del pair
+        places = _cert_pairs(c_analysis, sw, si)
+        self.cert_pairs = None if None in places else _rows_index(places)
         self.stat_groups = [
             (terms[pos], stack) for pos, stack in _pair_stacks(
                 spec.terms, self.stat_i[terms].tolist(), shared)]
@@ -1567,8 +1595,9 @@ class _CCheck:
         return _Log(rows, log.sums[s:])
 
     def _stationarity(self, spec, R, V, at, k, new):
-        """fenchel_residual of every stat pair at its sweep's x0 - v, in
-        each of k cycles; R holds the log's rows, V their row sums."""
+        """The points x0 - v of every stat pair's sweep and their
+        fenchel_residual there, in each of k cycles, as (k, pairs, d) and
+        (k, pairs); R holds the log's rows, V their row sums."""
         X = _gather(V, at.stat[0], k, at.K)
         np.subtract(spec.x0, X, out=X)
         Z = _gather(R, at.stat[1], k, at.K)
@@ -1585,7 +1614,7 @@ class _CCheck:
             Cv[:, pos] = new[:, idx]
             q = self.stat_quads
             H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
-        return _fenchel(H, Cv, X, Z)
+        return X, _fenchel(H, Cv, X, Z)
 
     def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins, exact):
         """The per-sweep values of the first k cycles, as a _Pass.
@@ -1603,8 +1632,10 @@ class _CCheck:
             new = np.empty((k, self.n_pairs))
             for (pos, stack, _), idx in zip(self.conj, at.conj):
                 new[:, pos] = stack.support(_gather(R, idx, k, at.K))
-        resid = (self._stationarity(spec, R, V, at, k, new)
-                 if self.stat_w.size else np.empty((k, 0)))
+        stat_X, resid = (self._stationarity(spec, R, V, at, k, new)
+                         if self.stat_w.size else (None, np.empty((k, 0))))
+        if self.cert_pairs is None:
+            stat_X = None   # let go: only shared certificates read it
         starts = np.empty((k, r))
         starts[0] = conj0
         if k > 1:   # each cycle starts with the last writes of the one before
@@ -1638,8 +1669,8 @@ class _CCheck:
         bad = decreased | short
         c, j = np.nonzero(stat_bad)
         bad[c, self.stat_w[j] - 1] = True
-        return _Pass(F, F_prev, bad, decreased, short, stat_bad, resid, new,
-                     starts, ends, exact)
+        return _Pass(F, F_prev, bad, decreased, short, stat_bad, stat_X,
+                     resid, new, starts, ends, exact)
 
     def _exact(self, approx):
         """The sweeps that ran exact tiers only in each cycle of a batch, as
@@ -1903,17 +1934,19 @@ class _CCheck:
         certs = matched = None
         try:
             R, at = log.rows, self._index(k)
-            p = self._sweep_pass(spec, R, V, at, k, conj, F,
-                                 margins[:k, :self.W],
-                                 self._exact([c.approx for c in batch]))
+            # the re-solve first: the pass's points, which a shared cycle's
+            # certificates keep, are then not held beside its temporaries
             if (self.resolve is not None
                     and k * len(self.resolve.cols) >= _RESOLVE_MIN):
                 try:
                     matched = self._resolved(spec, R, V, at, k)
                 except Exception:   # the per-sweep replay raises it in order
                     pass
+            p = self._sweep_pass(spec, R, V, at, k, conj, F,
+                                 margins[:k, :self.W],
+                                 self._exact([c.approx for c in batch]))
             if k > 1:
-                certs = _certificates(spec, R, V, at.cert, k, groups, p.ends)
+                certs = self._certificates(spec, R, V, at, k, groups, p)
         except Exception:   # an oracle's, or a warning raised as an error
             if k == 1:
                 raise
@@ -1944,7 +1977,7 @@ class _CCheck:
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
             # one cycle alone: the certificates after the checks before
             if certs is None:
-                certs = _certificates(spec, R, V, at.cert, k, groups, p.ends)
+                certs = self._certificates(spec, R, V, at, k, groups, p)
             if flagged is None:
                 X, res, fen = certs
                 # _raise_certificates' test, for every cycle at once
@@ -1960,6 +1993,23 @@ class _CCheck:
                 trace.sweep_F.extend(F_sweeps)
         # the last cycle's
         return p.ends[-1], F, (X[-1], res[-1], fen[-1])
+
+    def _certificates(self, spec, R, V, at, k, groups, p):
+        """The certificates of k cycles, as _certificates gives them, from
+        the log's rows R and sums V and the sweep pass p.
+
+        When every index is last touched by an exact outer solve (cert_pairs),
+        each is the stationarity pair of that touch's: its point is the same
+        x0 - v, and its row and conjugate at the cycle's end are the ones
+        that touch wrote, so its Fenchel residual has the pair's bits too.
+        Only the distances to each cycle's end iterate are computed then.
+        """
+        if self.cert_pairs is None:
+            return _certificates(spec, R, V, at.cert, k, groups, p.ends)
+        end_sums = at.cert[-2]   # those of the cycles' last states
+        X = p.stat_X[:, self.cert_pairs]
+        D = X - (spec.x0 - _gather(V, end_sums, k, at.K))
+        return X, np.sqrt(_dots(D, D)), p.resid[:, self.cert_pairs]
 
     def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
                      fallbacks, upto):
@@ -1987,11 +2037,14 @@ def _primal_value(spec, groups, x, hint=0):
     """(spec.primal_value(x), hint) through the term stacks of all r rows.
 
     The term values are summed in term order, and +inf when one is.  Term
-    `hint` is asked for its own value first: when that is +inf, so is the
-    sum, and no stack is evaluated.  The hint returned is the first term at
-    +inf, for the next call, whose point is usually outside the same set.
+    `hint`, unless None, is asked for its own value first: when that is
+    +inf, so is the sum, and no stack is evaluated.  The hint returned is
+    the first term at +inf, for the next call, whose point is usually
+    outside the same set, or hint when the sum is finite.  After a feasible
+    point run passes None: the next point is usually feasible too, and the
+    hint's value would be taken again in its stack.
     """
-    if spec.terms[hint].value(x) == _INF:
+    if hint is not None and spec.terms[hint].value(x) == _INF:
         return _INF, hint
     vals = np.empty(spec.r)
     for rows, stack in groups:
@@ -2132,7 +2185,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     cert_arrays = None
     any_approx = False
     stop_reason = "max_iterations"
-    hint = 0   # the term the gap rule tries first
+    hint = 0   # the term the gap rule tries first; None after a feasible x
 
     def flush():
         """Check the pending cycles, or with checks off price their ends."""
@@ -2282,6 +2335,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
                                              hint)
                 if math.isfinite(primal):
+                    hint = None
                     # a cycle that waits for its batch is priced by itself,
                     # with the bits its check or its batch's pricing finds
                     F_cycle = (dual_objective_z(spec, z, all_terms, v)

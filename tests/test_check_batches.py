@@ -36,6 +36,8 @@ def _case(name):
         S = dk.SweepPlan
         return fixtures.random_mixed(3, 4, 3, m=1), dk.CyclePlan(pattern=(
             S(outer={1, 5}), S(outer={2}), S(outer={3}), S(outer={4})))
+    if name == "revisits":
+        return fixtures.random_mixed(5, 4, 3), test_engine._revisiting_plan()
     if name == "custom_pair":
         # a halfspace and a ball in each joint subproblem (_pair_rows)
         return (fixtures.random_mixed(7, 8, 6, m=2),
@@ -653,6 +655,56 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                     [p.point for p in public]).tobytes()
                 assert res_c[c].tolist() == [p.residual for p in public]
                 assert fen[c].tolist() == [p.fenchel for p in public]
+
+
+@pytest.mark.parametrize("case, shared", [
+    ("classic", [1, 2, 3, 4, 5, 6]),
+    ("product", [4]),
+    ("mixed_block", [2, 3, 4, 5, 6, 7, 8]),
+    ("custom_pair", [3, 4, 5, 6, 7, 8, 10]), ("revisits", [1, 2, 3, 4])])
+def test_the_share_map_pairs_each_index_with_its_last_exact_outer_solve(
+        monkeypatch, case, shared):
+    # an index whose last touch (p, i) is an exact outer solve has the
+    # certificate of the stationarity pair (p, i): every index on classic;
+    # on product only r, the others last touched in blocks; on mixed-block
+    # (r = 8, m = 1) all but term 1 and the copy, 7 of 9; on the benchmark's
+    # pattern all but the block {1, 2, 9}, in the lead-in cycle too; on a
+    # plan that solves index 2 twice, the second solve's.  The
+    # checks take the certificates from the sweep pass only in a cycle whose
+    # every index is shared
+    if case == "mixed_block":
+        spec = fixtures.random_mixed(7, 8, 6, m=1)
+        plan = fixtures.mixed_block_schedule(8)
+    else:
+        spec, plan = _case(case)
+    checks = []
+    init = engine._CCheck.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        checks.append(self)
+
+    monkeypatch.setattr(engine._CCheck, "__init__", recorded)
+    dk.run(spec, plan, dk.SolveParams(max_iterations=2, check_level="sweep"))
+    analysis = dk.validate(plan, spec.r, spec.m)
+    assert len(checks) == len(analysis.cycles) == (
+        2 if case == "custom_pair" else 1)
+    for chk, c_analysis in zip(checks, analysis.cycles):
+        pairs = list(zip(chk.stat_w.tolist(), chk.stat_i.tolist()))
+        places = engine._cert_pairs(c_analysis, *zip(*pairs))
+        assert [i + 1 for i, j in enumerate(places)
+                if j is not None] == shared
+        for i, j in enumerate(places):
+            last = (c_analysis.p[i + 1], i)
+            assert (j is None) == (i + 1 in c_analysis.via_block
+                                   or last not in pairs)
+            assert j is None or pairs[j] == last
+        if case == "classic":   # sweep w's pair is index w's
+            assert chk.cert_pairs == slice(0, spec.n_duals)
+        elif case == "revisits":
+            assert chk.cert_pairs.tolist() == [1, 4, 3, 2]
+        else:
+            assert chk.cert_pairs is None
 
 
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])

@@ -1,5 +1,6 @@
 """Subproblem solves, full runs, checks, and the product-space reference."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -592,6 +593,15 @@ def _custom_nested_plan():
         S(outer={10}), S(outer={5}), S(outer={6}, inner={10: {5, 10}}),
         S(outer={7}), S(outer={8})))
     return dk.rewrite_deferred(plan, 8, 2)
+
+
+def _revisiting_plan():
+    """Four outer sets of one index out of index order, index 2 solved at
+    sweeps 1 and 5: each index's last touch is an exact outer solve, but
+    not at the sweep of its number."""
+    S = dk.SweepPlan
+    return dk.CyclePlan(pattern=(S(outer={2}), S(outer={1}), S(outer={4}),
+                                 S(outer={3}), S(outer={2})))
 
 
 def _custom_pair_plan():
@@ -1320,25 +1330,60 @@ def test_fault_before_a_non_finite_sweep_is_reported_first(monkeypatch,
                                                   check_level=level))
 
 
-@pytest.mark.parametrize("case", ["classic", "product", "mixed_block"])
-def test_public_checks_match_the_engine(case):
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_pair", "revisits"])
+def test_public_checks_match_the_engine(monkeypatch, case, level):
     # certificate_points takes the same states that the engine's cycle-end
-    # pass reads from its sweep log
+    # pass reads from its sweep log, and computes every index itself, while
+    # the engine takes the indices last touched by an exact outer solve from
+    # its stationarity pass.  Over 12 cycles, checked in batches of several
+    # cycles, each cycle's largest certificate distance and the last cycle's
+    # certificates have the bits of certificate_points on the states of a
+    # run_sweep loop
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
     elif case == "product":
         spec = fixtures.random_mixed(6, 4, 3, m=3)
         plan = dk.product_space_schedule(4)
-    else:
+    elif case == "mixed_block":
         spec = fixtures.random_mixed(7, 4, 3, m=1)
         plan = fixtures.mixed_block_schedule(4)
-    res = dk.run(spec, plan, dk.SolveParams(max_iterations=1))
-    c_analysis, snaps = _cycle_snapshots(plan, spec)
-    public = dk.certificate_points(spec, snaps, c_analysis)
+    elif case == "revisits":   # every index shared, out of sweep order
+        spec, plan = fixtures.random_mixed(5, 4, 3), _revisiting_plan()
+    else:   # the benchmark's pattern, 7 of its 10 indices shared
+        spec = fixtures.random_mixed(7, 8, 6, m=2)
+        plan = _custom_pair_plan()
+    n_cycles = 12
+    sizes = []
+    check = engine._CCheck.check
+
+    def recorded(self, spec, log, conj, F, margins, batch, *rest):
+        sizes.append(len(batch))
+        return check(self, spec, log, conj, F, margins, batch, *rest)
+
+    monkeypatch.setattr(engine._CCheck, "check", recorded)
+    with warnings.catch_warnings():
+        # the product schedule's growth monitor is advisory
+        warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
+        res = dk.run(spec, plan, dk.SolveParams(max_iterations=n_cycles,
+                                                check_level=level))
+    assert sum(sizes) == n_cycles and max(sizes) >= (
+        4 if case == "custom_pair" else 2)
+    analysis = dk.validate(plan, spec.r, spec.m)
+    st = dk.DualState.zeros(spec)
+    for n, row in enumerate(res.cycle_rows, start=1):
+        snaps = [st.z.copy()]
+        for sweep in plan.cycle(n):
+            dk.run_sweep(spec, st, sweep)
+            snaps.append(st.z.copy())
+        public = dk.certificate_points(spec, snaps,
+                                       analysis.for_cycle(plan, n))
+        assert row.cert_max_residual == max(c.residual for c in public)
     assert [c.index for c in public] == [c.index for c in res.certificates]
     for a, b in zip(public, res.certificates):
-        assert np.array_equal(a.point, b.point)
+        assert a.point.tobytes() == b.point.tobytes()
         assert a.residual == b.residual and a.fenchel == b.fenchel
 
 
@@ -1441,6 +1486,47 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
                     assert spec.terms[first].value(x) == np.inf
                 else:
                     assert first == hint
+
+
+@pytest.mark.parametrize("level", ["off", "sweep"])
+@pytest.mark.parametrize("make, seed, r, d", [
+    (fixtures.random_halfspaces, 4, 10, 4), (fixtures.random_mixed, 2, 8, 6)])
+def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
+        monkeypatch, make, seed, r, d, level):
+    # the gap rule asks one term for its own value before the stacks only
+    # at the first cycle and after a cycle whose iterate lies outside some
+    # set: once the iterate is feasible, the next cycle goes straight to the
+    # stacks, which hold that term's value too.  The halfspaces turn
+    # feasible at cycle 3 and stay so up to the gap stop; the mixed sets
+    # leave the intersection at cycle 2 and come back at cycle 4
+    spec = make(seed, r, d)
+    plan = dk.classic_dykstra_schedule(r)
+    asked = [0]
+    value = dk.Indicator.value
+
+    def counted(self, x):
+        asked[0] += 1
+        return value(self, x)
+
+    params = dk.SolveParams(max_iterations=500, stop_gap=1e-8,
+                            check_level=level)
+    monkeypatch.setattr(dk.Indicator, "value", counted)
+    res = dk.run(spec, plan, params, keep_cycle_starts=True)
+    monkeypatch.undo()
+    assert res.stop_reason == "gap"
+    feasible = [math.isfinite(spec.primal_value(spec.x0 - z.sum(axis=0)))
+                for z in res.cycle_start_duals[1:]]
+    assert feasible[-1] and sum(feasible) >= 3 and not all(feasible)
+    assert asked[0] == 1 + feasible[:-1].count(False)
+    # the same stop, cycle and iterate as a run that asks a term first at
+    # every cycle
+    primal_value = engine._primal_value
+    monkeypatch.setattr(engine, "_primal_value",
+                        lambda spec, groups, x, hint: primal_value(
+                            spec, groups, x, 0 if hint is None else hint))
+    again = dk.run(spec, plan, params)
+    assert (again.cycles_run, again.x.tobytes()) == (res.cycles_run,
+                                                     res.x.tobytes())
 
 
 def test_run_rejects_invalid_schedule():

@@ -5,11 +5,14 @@ Run from the root of a checkout:
     python3 tools/ab_runs.py --src ../parent/src --src src   # 10 rounds
     python3 tools/ab_runs.py --rounds 1 --src src --src src  # smoke run
 
-The inputs are the stop-rule populations of the benchmark's library
-workloads, built from dyksplit.fixtures without the benchmark's rotations:
-classic, fixtures.random_halfspaces(s, 50, 20) on the classic schedule at
-check_level "sweep", s = 1..8; and product, random_halfspaces(s, 20, 10,
-m=19) on the product schedule at "off", s = 1..16; each solved to stop_gap
+The inputs are the stop-rule populations of the benchmark's workloads,
+built from dyksplit.fixtures without the benchmark's rotations: classic,
+fixtures.random_halfspaces(s, 50, 20) on the classic schedule at
+check_level "sweep", s = 1..8; product, random_halfspaces(s, 20, 10,
+m=19) on the product schedule at "off", s = 1..16; and custom, the
+custom-cli workload's path through the library, random_mixed(s, 8, 6,
+m=2) on its pattern repaired by rewrite_deferred (hash_runs.custom_plan)
+at "full" with the per-sweep trace, s = 1..16; each solved to stop_gap
 1e-8 within 50000 cycles.  After one untimed warm-up round, every round
 solves each instance under one tree and right after under the other, and
 flips which tree goes first from round to round, so that a drift in
@@ -33,10 +36,11 @@ import warnings
 from time import perf_counter
 
 from bench_grid import import_package   # next to this script; pins BLAS
+from hash_runs import custom_plan
 
 STOP_GAP = 1e-8
 MAX_ITERATIONS = 50_000
-POPULATIONS = ("classic", "product")
+POPULATIONS = ("classic", "product", "custom")
 
 
 def population(dk, name):
@@ -49,6 +53,13 @@ def population(dk, name):
         return [(dk.fixtures.random_halfspaces(s, 50, 20),
                  dk.classic_dykstra_schedule(50), params)
                 for s in range(1, 9)]
+    if name == "custom":
+        params = dk.SolveParams(stop_gap=STOP_GAP,
+                                max_iterations=MAX_ITERATIONS,
+                                check_level="full", per_sweep_trace=True)
+        plan = custom_plan(dk, nested=False)
+        return [(dk.fixtures.random_mixed(s, 8, 6, m=2), plan, params)
+                for s in range(1, 17)]
     params = dk.SolveParams(stop_gap=STOP_GAP, max_iterations=MAX_ITERATIONS,
                             check_level="off")
     return [(dk.fixtures.random_halfspaces(s, 20, 10, m=19),
