@@ -186,6 +186,7 @@ def cmd_solve(args):
         print(f"trace written to {built.output.trace_path}")
 
     print(f"cycles run: {result.cycles_run} (stop: {result.stop_reason})")
+    print(f"sweeps skipped by the screen: {result.skipped_sweeps}")
     print(f"dual objective: {result.F!r}")
     if np.isfinite(report.primal_value):
         print(f"primal value: {report.primal_value!r}"

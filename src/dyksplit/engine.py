@@ -49,13 +49,15 @@ At every check level a sweep runs the same way: it solves its declared rows
 into a buffer, which the one state then takes in place, and sums the state;
 a still sweep, which keeps its rows' bytes, skips their finiteness scan and
 takes its snapshot's sum.  Most still sweeps are not solved at all: the
-sweep of one halfspace or ball row whose dual is +0.0 is skipped while a
-safe screen, taken at a cycle start from the sets' slacks and bounded by
-how far the dual sum has since moved, proves that its set holds the
-iterate (_Screen); the bound cannot grow while sweeps are skipped, so a
-run of such sweeps is skipped in one step.  A skipped sweep logs its rows
-and sum and records its trace as a still one does, so the results are
-bitwise those of solving it; a plan with no such sweep builds no screen.
+sweep of one outer set or block of one or two halfspace or ball rows
+whose duals are +0.0 is skipped while a safe screen, taken at a cycle
+start from the sets' slacks and bounded by how far the dual sum, or the
+block's governing row, has since moved, proves that its sets hold the
+point its solver tests (_Screen); the bound cannot grow while sweeps are
+skipped, so a run of outer sweeps is skipped in one step.  A skipped
+sweep logs its rows and sum and records its trace as a still one does, so
+the results are bitwise those of solving it; a plan with no such sweep
+builds no screen.
 A cycle's movements are taken at its end, from the differences its sweeps
 made to the dual sum and to their governing rows (_movements); a sweep
 without blocks that did not move adds nothing to their sums
@@ -629,37 +631,84 @@ def sweep_tiers(spec, sweep):
 
 
 def _screen_row(spec, steps):
-    """The term row that a sweep of these compiled steps screens (_Screen):
-    that of its one step when it is _prox_row of a halfspace or ball
-    indicator, else None."""
-    if len(steps) != 1 or steps[0].solve is not _prox_row:
+    """What a sweep of these compiled steps screens (_Screen): when its one
+    step, of one subproblem, is _prox_row of a halfspace or ball indicator
+    row i, that row; when it is _pair_rows of an outer set {i, j}, ((i, j),
+    None); _stacked_blocks of a halfspace or ball block of j0 with term
+    member i, ((i,), j0); or _pair_rows of a block, ((i, j), j0).  Any
+    other sweep screens nothing: None."""
+    if len(steps) != 1:
         return None
-    i = steps[0].arg[0]
-    term = spec.terms[i]
-    if type(term) is Indicator and type(term.set) in (Halfspace, L2Ball):
-        return i
+    step = steps[0]
+    if step.solve is _prox_row:
+        i = step.arg[0]
+        term = spec.terms[i]
+        if type(term) is Indicator and type(term.set) in (Halfspace, L2Ball):
+            return i
+    elif step.solve is _pair_rows:
+        return tuple(step.arg[1:3]), step.arg[3]
+    elif (step.solve is _stacked_blocks and len(step.subs) == 1
+          and type(step.arg[0]) in (HalfspaceStack, BallStack)):
+        return (int(step.conj_rows[0]),), step.subs[0][1]
     return None
+
+
+def _slack_bounds(stack, X, nx, kappa):
+    """Lower bounds on the slacks of a halfspace or ball stack's sets at X,
+    whose norms are nx (_Screen): at one point (d,), or at each of n points
+    (n, 1, d), with nx (n, 1), as (n, rows).  One that overflows is -inf or
+    NaN, which screens nothing."""
+    if isinstance(stack, HalfspaceStack):
+        t = stack.b - _dots(stack.A, X)
+        t /= np.sqrt(stack._nrm2)
+        t *= 1.0 - kappa
+        t -= kappa * nx
+        if not all_finite(t):
+            t[~np.isfinite(t)] = -_INF
+        return t
+    C, c2 = stack.C, _dots(stack.C, stack.C)
+    q = c2 - 2.0 * _dots(C, X) + nx * nx
+    q += kappa * (np.sqrt(c2) + nx) ** 2
+    return (stack.radius * (1.0 - kappa) - np.sqrt(q) * (1.0 + kappa)
+            - kappa * nx)
 
 
 class _Screen:
     """Safe screening of the still sweeps of halfspace and ball rows (run).
 
-    A sweep whose one step is _prox_row of a halfspace or ball row i
-    (_screen_row) is still when z_i is +0.0 and the set holds x = x0 - v:
-    u = x0 - (v - z_i) then has the bits of x0 - v, the set's project
-    returns u.copy(), and z_i gets u - u, +0.0 again.  A screen, taken at a
-    cycle start (slacks), gives for every term row a lower bound s_i on the
-    slack of the screen point x_s = x0 - v_s, (b - <a, x>)/||a|| for a
-    halfspace and rho - ||x - c|| for a ball, both 1-Lipschitz in x, or -inf
-    for a row whose bytes are not all +0.0 (a -0.0 included) or that is no
-    halfspace or ball.  Every sweep that moves then grows a bound m on
-    ||v - v_s|| by the norm of its dual-sum difference, and a sweep that
-    screens no row marks -inf the screened rows it writes (moved); a
-    screened sweep is skipped while s_i > m.  Its solve would have kept u:
-    its set holds x0 - v, by at least the margin the solver's own test
-    needs.  The screen holds until a screened sweep that is solved keeps a
-    +0.0 row, a skip it missed; the next cycle start then screens again, as
-    does the first after a cycle that screens no row.
+    A sweep whose one step, of one subproblem, solves halfspace or ball
+    indicator rows (_screen_row) is still when those rows are +0.0 and its
+    sets hold the point its solver tests:
+    - an outer set {i} (_prox_row) or {i, j} (_pair_rows), at x = x0 - v:
+      u = x0 - (v - z_i) (- z_j) has the bits of x, and when its sets hold
+      u, the set's project returns u.copy() and z_i gets u - u, or
+      pair_duals takes its first branch, <a, u> - b <= 0 and ||u - c||^2
+      <= rho^2 for each set, and z_i and z_j get 0.0: +0.0 again;
+    - a block of j0 with term members {i} (_stacked_blocks) or {i, j}
+      (_pair_rows), at x = x0 + z_j0: the block sum adds the members' +0.0
+      to z_j0, which keeps its bits unless it holds a -0.0, which the sum
+      turns into +0.0, so u = bsum + x0 has the bits of x; when its sets
+      hold u, the members get u - u or 0.0, as above, and z_j0 gets bsum
+      minus them, its own bits.  A block whose z_j0 holds a -0.0 is never
+      still.
+    A screen, taken at a cycle start (slacks), gives each screened sweep a
+    lower bound s on the least slack of its sets at its point x_s, (b -
+    <a, x>)/||a|| for a halfspace and rho - ||x - c|| for a ball, both
+    1-Lipschitz in x, or -inf when one of its term rows' bytes are not all
+    +0.0 (a -0.0 included) or a set is no halfspace or ball.  An outer
+    sweep is skipped while s > m, a bound on ||v - v_s||: every sweep that
+    moves grows m by the norm of its dual-sum difference.  A block sweep is
+    skipped while s exceeds the norm of z_j0 - z_j0,s, how far its
+    governing row has moved since the screen, taken when the sweep comes,
+    and z_j0 holds no -0.0 then.  A sweep that moves marks -inf every other
+    screened sweep that keeps a term row it writes, and a block sweep its
+    own too; an outer sweep's own s, no more than m when it was solved,
+    stays so until the next screen, as m only grows, while z_j0 may move
+    back.  A skipped sweep's solve would have kept its rows:
+    its sets hold its point, by at least the margin the solver's own test
+    needs.  The screen holds until a screened sweep that is solved keeps
+    +0.0 term rows, a skip it missed; the next cycle start then screens
+    again, as does the first after a cycle that screens nothing.
 
     The rounding slack, with u = eps/2, g_n = n·u and kappa = 8·(d + 8)·u:
     - the move: still and skipped sweeps keep v's bits, so v - v_s is the
@@ -667,109 +716,172 @@ class _Screen:
       screen, each within 1 + g_{d+4} of its rounded norm n; m takes each
       as m <- (m + n)·(1 + kappa), which rounded still gains at least (1 +
       g_{2d+6})·n, so (1 + g_d)·||u - x_s|| <= m + 4u·||x_s|| for the
-      solver's point u = fl(x0 - v) and x_s = fl(x0 - v_s);
-    - the solver: Halfspace.project keeps u when fl(<a, u>) <= b, which
-      holds when the slack of u is at least g_d·||u||; L2Ball.project keeps
-      it when fl(||u - c||) <= rho, which holds when the slack is at least
-      g_{d+3}·rho;
+      solver's point u = fl(x0 - v) and x_s = fl(x0 - v_s).  A block's
+      bound is one such step, n·(1 + kappa) for the rounded norm n of z_j0
+      - z_j0,s, so the same holds for u = fl(x0 + z_j0) and x_s = fl(x0 +
+      z_j0,s);
+    - the solver: Halfspace.project, the halfspace stack and pair_duals
+      keep u when fl(<a, u>) <= b, which holds when the slack of u is at
+      least g_d·||u||; L2Ball.project and the ball stack keep it when
+      fl(||u - c||) <= rho, which holds when the slack is at least
+      g_{d+3}·rho, and pair_duals when fl(||u - c||^2) <= fl(rho^2), which
+      then holds too: fl(||u - c||^2) <= (1 + g_{d+2})·||u - c||^2 and (1 +
+      g_{d+2})·(1 - g_{d+3})^2 <= 1 - u;
     - the screen: a halfspace's rounded slack s' is within g_{d+4}·|s'| +
-      g_d·||x_s|| of the slack of x_s, and s_i = s'·(1 - kappa) -
+      g_d·||x_s|| of the slack of x_s, and s = s'·(1 - kappa) -
       kappa·||x_s||; a ball's q = ||c||^2 - 2<c, x_s> + ||x_s||^2 is within
       g_{d+3}·(||c|| + ||x_s||)^2 of ||x_s - c||^2, so the root of q +
       kappa·(||c|| + ||x_s||)^2, times 1 + kappa, bounds ||x_s - c|| above,
-      and s_i = rho·(1 - kappa) minus that bound minus kappa·||x_s||.
-    Together s_i > m gives the solver's test, with (kappa - g_{d+4})·(|s'|
-    + ||x_s||) to spare for a halfspace and (kappa - 6u)·rho + (kappa -
-    4u)·||x_s|| for a ball: more than the few roundings of s_i itself and
-    the g_d·||x_s|| or g_{d+3}·rho that the test needs.  A slack that
-    overflows is not finite and screens nothing.
+      and s = rho·(1 - kappa) minus that bound minus kappa·||x_s||; a
+      pair's s is the lesser of its sets'.
+    Together s > m gives the solver's test, with (kappa - g_{d+4})·(|s'| +
+    ||x_s||) to spare for a halfspace and (kappa - 6u)·rho + (kappa -
+    4u)·||x_s|| for a ball: more than the few roundings of s itself and of
+    ||x_s||, and the g_d·||x_s|| or g_{d+3}·rho that the test needs.  A
+    slack that overflows is not finite and screens nothing.
 
-    rows[k] lists, for each sweep of compiled cycle k, the row it screens,
-    or r for none, whose s_i is always -inf, as a range when the rows run
-    up by one; it is None when no sweep of cycle k screens a row.  drops[k]
-    lists the screened rows that each sweep which screens none writes, or
-    is None when none does.  skipped counts the sweeps that run skipped.
-    A screen's arrays are O(r) and let go before it returns but for its
-    bounds, r + 1 doubles: the sets' data are read in place.
+    s holds r + 1 + P + B doubles: the bound of each term row i as the
+    sweep {i} tests it, -inf at r, then those of the P screened pairs and
+    of the B screened blocks.  rows[k] lists, for each sweep of compiled
+    cycle k, the place in s of the bound it tests against m, r for a sweep
+    that screens none or is a block, as a range when the places run up by
+    one; blocks[k] lists each block sweep's (place in s, z_j0's row, places
+    of its term rows in its buffer, block number) and None for the other
+    sweeps; drops[k] lists the places in s that each sweep marks -inf when
+    it moves.  Each is None when no sweep of cycle k needs it.  skipped
+    counts the sweeps that run skipped.  A screen's arrays are O(B·r) and
+    let go before it returns but for s and, with blocks, the (B, d) rows
+    z_j0,s: the sets' data are read in place, from the stacks of all r
+    terms.
     """
 
-    __slots__ = ("rows", "drops", "skipped", "_kappa", "_x0", "_r",
-                 "_groups")
+    __slots__ = ("rows", "blocks", "drops", "skipped", "_kappa", "_x0",
+                 "_r", "_size", "_groups", "_pairs", "_members", "_Z")
 
-    def __init__(self, spec, rows, compiled, groups):
-        screened = {i for c in rows for i in c if i is not None}
-        self.rows, self.drops = [], []
-        for c, sweeps in zip(rows, compiled):
-            drops = []
-            for i, cs in zip(c, sweeps):
-                # a screened sweep writes only its own row, which the
-                # bound, never lower than its slack since it was solved,
-                # keeps from being skipped until the next screen
-                if i is not None:
+    def __init__(self, spec, keys, compiled, groups):
+        r = spec.r
+        singles = {key for c in keys for key in c if type(key) is int}
+        # the place in s of each pair, then of each block
+        place = dict.fromkeys(key for c in keys for key in c
+                              if type(key) is tuple)
+        pairs = [key for key in place if key[1] is None]
+        blocks = [key for key in place if key[1] is not None]
+        base = r + 1 + len(pairs)
+        readers = {}   # the places that keep a pair's or block's rows' +0.0
+        for q, key in enumerate(pairs + blocks, start=r + 1):
+            place[key] = q
+            for i in key[0]:
+                readers.setdefault(i, {i} if i in singles else set()).add(q)
+
+        def kept(i):
+            return readers.get(i, (i,) if i in singles else ())
+
+        self.rows, self.blocks, self.drops = [], [], []
+        for c, sweeps in zip(keys, compiled):
+            own = [key if type(key) is not tuple else place[key] for key in c]
+            drops, blks = [], []
+            for key, q, cs in zip(c, own, sweeps):
+                if type(key) is int and key not in readers:
+                    # the sweep {i} writes only row i, no other's to drop;
+                    # once it moves, its test fails until the next screen
                     drops.append(())
+                    blks.append(None)
                     continue
                 written = cs.written
                 written = (range(written.start, written.stop)
                            if isinstance(written, slice) else written.tolist())
-                drops.append(tuple(j for j in written if j in screened))
+                # so does an outer pair's, but not a block's: its z_j0 may
+                # move back, so it drops its own place too
+                drops.append(tuple(sorted(
+                    {x for i in written for x in kept(i)
+                     if x != q or q >= base})))
+                blks.append(None if q is None or q < base else (
+                    q, key[1], _rows_index(
+                        [p for p, i in enumerate(written) if i < r]),
+                    q - base))
             self.drops.append(drops if any(drops) else None)
-            if all(i is None for i in c):
-                c = None
-            else:
-                c = [spec.r if i is None else i for i in c]
-                if c == list(range(c[0], c[0] + len(c))):
-                    c = range(c[0], c[0] + len(c))   # the classic schedule's
+            self.blocks.append(blks if any(blks) else None)
+            if all(q is None for q in own):
+                self.rows.append(None)
+                continue
+            c = [r if q is None or q >= base else q for q in own]
+            if c == list(range(c[0], c[0] + len(c))):
+                c = range(c[0], c[0] + len(c))   # the classic schedule's
             self.rows.append(c)
+        self._pairs = None if not pairs else np.array(
+            [key[0] for key in pairs], dtype=np.intp).T
+        # per block, its z_j0 row and the places of its first and last term
+        # row in the (1 + B, r) table of the slacks at x and at the blocks'
+        # points (slacks)
+        self._members = None if not blocks else np.array(
+            [(j0, b * r + rows[0], b * r + rows[-1])
+             for b, (rows, j0) in enumerate(blocks, start=1)],
+            dtype=np.intp).T
         self.skipped = 0
         self._kappa = 4 * (spec.d + 8) * _EPS
-        self._x0, self._r, self._groups = spec.x0, spec.r, groups
+        self._x0, self._r, self._groups = spec.x0, r, groups
+        self._size = base + len(blocks)
+        self._Z = None
 
     @classmethod
     def of(cls, spec, compiled, groups):
         """The screen of run's compiled cycles, or None when no sweep of
         theirs screens a row, which then costs nothing."""
-        rows = [[_screen_row(spec, cs.steps) for cs in c] for c in compiled]
-        if all(i is None for c in rows for i in c):
+        keys = [[_screen_row(spec, cs.steps) for cs in c] for c in compiled]
+        if all(key is None for c in keys for key in c):
             return None
-        return cls(spec, rows, compiled, groups)
+        return cls(spec, keys, compiled, groups)
 
     def slacks(self, z, v):
-        """The r + 1 bounds s_i at x_s = x0 - v, the last -inf, for the
-        state z whose row sum is v, as an array("d"), whose items are read
-        as floats; a NaN screens nothing."""
-        kappa = self._kappa
-        s = np.full(self._r + 1, -_INF)
+        """The screen s of the state z whose row sum is v, as an
+        array("d"), whose items are read as floats; a NaN screens nothing.
+        Keeps the blocks' rows z_j0,s."""
+        r, kappa = self._r, self._kappa
+        s = np.full(self._size, -_INF)
         x = self._x0 - v
+        nonzero = np.logical_or.reduce(z[:r].view(np.uint64), axis=1)
         with np.errstate(all="ignore"):   # an overflow screens nothing
-            nx = math.sqrt(x.dot(x))
+            if self._members is None:
+                T = s[:r]   # the slacks at x, in place
+                nx = math.sqrt(x.dot(x))
+            else:
+                # and those at the blocks' points x0 + z_j0, a row of T each
+                self._Z = z[self._members[0]]
+                x = np.concatenate(([x], self._x0 + self._Z))[:, None]
+                T = np.full((len(x), r), -_INF)
+                nx = np.sqrt(_dots(x, x))
             for rows, stack in self._groups:
-                if isinstance(stack, HalfspaceStack):
-                    t = stack.b - stack.A @ x
-                    t /= np.sqrt(stack._nrm2)
-                    t *= 1.0 - kappa
-                    t -= kappa * nx
-                    if not all_finite(t):
-                        t[~np.isfinite(t)] = -_INF
-                    s[rows] = t
-                elif isinstance(stack, BallStack):
-                    C, c2 = stack.C, _dots(stack.C, stack.C)
-                    q = c2 - 2.0 * (C @ x) + nx * nx
-                    q += kappa * (np.sqrt(c2) + nx) ** 2
-                    s[rows] = (stack.radius * (1.0 - kappa)
-                               - np.sqrt(q) * (1.0 + kappa) - kappa * nx)
-        s[:-1][np.logical_or.reduce(z[:self._r].view(np.uint64),
-                                    axis=1)] = -_INF
+                if isinstance(stack, (HalfspaceStack, BallStack)):
+                    T[..., rows] = _slack_bounds(stack, x, nx, kappa)
+            T[..., nonzero] = -_INF
+            if self._members is not None:
+                _, first, last = self._members
+                s[:r] = T[0]
+                T = T.ravel()
+                np.minimum(T[first], T[last], out=s[-len(first):])
+            if self._pairs is not None:
+                i, j = self._pairs
+                np.minimum(s[i], s[j], out=s[r + 1:r + 1 + len(i)])
         return array("d", s.tobytes())
 
     def moved(self, slack, k, w, bound, dv):
         """The bound m after sweep w (1-based) of cycle k moved the dual sum
-        by dv; marks -inf in slack the screened rows it wrote, if it screens
-        none."""
+        by dv; marks -inf in slack the places it drops."""
         drops = self.drops[k]
         if drops:
             for i in drops[w - 1]:
                 slack[i] = -_INF
         return (bound + math.sqrt(dv.dot(dv))) * (1.0 + self._kappa)
+
+    def holds(self, slack, block, z):
+        """Whether a block sweep, with block its entry of blocks, is surely
+        still at the state z: its s exceeds its bound, and its z_j0 holds
+        no -0.0, which its block sum would turn into +0.0."""
+        q, j0, _, b = block
+        zj = z[j0]
+        d = zj - self._Z[b]
+        return (slack[q] > math.sqrt(d.dot(d)) * (1.0 + self._kappa)
+                and (zj + 0.0).tobytes() == zj.tobytes())
 
 
 def _rows_index(rows):
@@ -1284,7 +1396,9 @@ class _Index(NamedTuple):
     conj per conjugate group, stat the sums and rows of the stat pairs, quad
     the quadratic rows of every state after a sweep (None at m = 0), resolve
     the rows before and after each resolve sweep and the sums before it, and
-    cert those of _cert_index.
+    cert those of _cert_index, or, when the certificates are taken from the
+    sweep pass (_CCheck.cert_pairs), only the sums of each cycle's last
+    state.
     """
     K: int
     conj: list
@@ -1339,7 +1453,7 @@ class _CCheck:
               row in every cycle (condition (A))
       stat_*  the (sweep, row) pairs of the exact outer sets in sweep and
               index order, with stacks for their term rows
-      layout  the certificate layout
+      layout  the certificate layout, None when cert_pairs is not
       cert_pairs  when every index is last touched by an exact outer
               solve, the places of those stat pairs in index order
               (_cert_pairs), a slice when they run up by one, from which
@@ -1447,7 +1561,9 @@ class _CCheck:
         self.steps = {}
         self.resolve = self._compile_resolve(spec, shared)
         self.K = 0   # the batch size the log's indices are built for
-        self.layout = _cert_layout(c_analysis, r)
+        # shared certificates read only the sums of each cycle's last state
+        self.layout = (None if self.cert_pairs is not None
+                       else _cert_layout(c_analysis, r))
 
     def _compile_resolve(self, spec, shared):
         """The replayed sweeps of one step with one subproblem that the
@@ -1559,7 +1675,8 @@ class _CCheck:
             (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
             None if rs is None else (rows(rs.rows), rows(rs.rows + n),
                                      sums(rs.vrows)),
-            _cert_index(self.layout, n, W, k, rows, sums))
+            sums(np.array([W])) if self.layout is None
+            else _cert_index(self.layout, n, W, k, rows, sums))
 
     def _locate(self, c, o):
         """The log rows of the offsets o, w * n + i for row i of state w of
@@ -2006,9 +2123,8 @@ class _CCheck:
         """
         if self.cert_pairs is None:
             return _certificates(spec, R, V, at.cert, k, groups, p.ends)
-        end_sums = at.cert[-2]   # those of the cycles' last states
         X = p.stat_X[:, self.cert_pairs]
-        D = X - (spec.x0 - _gather(V, end_sums, k, at.K))
+        D = X - (spec.x0 - _gather(V, at.cert, k, at.K))
         return X, np.sqrt(_dots(D, D)), p.resid[:, self.cert_pairs]
 
     def check_sweeps(self, spec, log, c, z, v, conj, F, margins, n, params,
@@ -2225,10 +2341,13 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             rows = screen.rows[k] if screen else None
             if not rows:
                 stale = True
-            elif stale:
-                slack = screen.slacks(z, v)
-                bound = 0.0   # on how far v has moved since the screen
-                stale = False
+                blocks = None
+            else:
+                blocks = screen.blocks[k]
+                if stale:
+                    slack = screen.slacks(z, v)
+                    bound = 0.0   # on how far v has moved since the screen
+                    stale = False
 
             w = 0
             while w < W:
@@ -2254,6 +2373,23 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         trace.sweep_approx.frombytes(bytes(e - w + 1))
                     w = e
                     continue
+                if blocks:
+                    b = blocks[w - 1]
+                    if (b is not None and slack[b[0]] > 0.0
+                            and screen.holds(slack, b, z)):
+                        # the block is surely still (_Screen): it keeps its
+                        # rows' bytes, which it logs, and v
+                        screen.skipped += 1
+                        if sweep_checks:
+                            log.rows[start + chk.offs[w - 1]:
+                                     start + chk.offs[w]] = z[cs.written]
+                            slot += 1
+                            sums[slot] = v
+                            v = sums[slot]
+                        if per_sweep:
+                            trace.sweep_approx.append(False)
+                        n_gov += len(cs.block_js)
+                        continue
                 slot = (slot + 1) % len(sums)
                 block = (log.rows[start + chk.offs[w - 1]:start + chk.offs[w]]
                          if sweep_checks else scratch[:cs.size])
@@ -2293,8 +2429,11 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                                              diffs[w - 1])
                 else:   # a still sweep: equal bytes give z.sum's bits
                     sums[slot] = v
-                    if rows and rows[w - 1] < spec.r and not block.any():
-                        stale = True   # a skip the screen missed
+                    # with +0.0 term rows, a skip the screen missed
+                    if rows and rows[w - 1] != spec.r:
+                        stale = stale or not block.any()
+                    elif blocks and blocks[w - 1] is not None:
+                        stale = stale or not block[blocks[w - 1][2]].any()
                 v = sums[slot]
                 n_gov += len(cs.block_js)
 

@@ -646,8 +646,15 @@ def test_the_log_rebuilds_the_states_of_a_run_sweep_loop(monkeypatch, case,
                         == state.sum(axis=0).tobytes())
             ends = np.array([terms_module.stacked_conjugates(
                 groups, cycles[n - 1][-1], np.empty(spec.r)) for n in ns])
+            # the indices of every certificate, which the checks build only
+            # when they do not take them from the sweep pass
+            cycle = np.arange(k)[:, None]
+            at = engine._cert_index(
+                engine._cert_layout(analysis.for_cycle(plan, ns[0]), spec.r),
+                chk.n, W, k, lambda o: chk._locate(cycle, o.ravel()).ravel(),
+                lambda w: (cycle * W + w).ravel())
             X, res_c, fen = engine._certificates(
-                spec, log.rows, log.sums, chk._index(k).cert, k, groups, ends)
+                spec, log.rows, log.sums, at, k, groups, ends)
             for c, n in enumerate(ns):
                 public = dk.certificate_points(
                     spec, cycles[n - 1], analysis.for_cycle(plan, n))
@@ -1142,6 +1149,7 @@ def test_the_full_re_solve_calls_the_sweeps_pair_kernel(monkeypatch):
     # pair_duals is the one pair kernel: at full, each exact pair sweep
     # calls it twice, once as it runs and once in its batch's re-solve
     spec, plan = _case("custom_pair")
+    test_engine._screen_off(monkeypatch)   # every pair sweep runs
     pair_duals = engine.pair_duals
     calls = {}
 

@@ -85,6 +85,32 @@ def test_solve_lets_its_setup_objects_go_before_the_engine_runs(
     assert before[0] == 0
 
 
+def test_solve_prints_the_sweeps_the_screen_skipped(tmp_path, capsys,
+                                                   monkeypatch):
+    # a third halfspace far from the iterate is skipped as still: the count
+    # is the run's own, printed right after the cycle count
+    problem = _corner_problem()
+    problem["terms"].append({"kind": "halfspace", "a": [0.0, -2.0],
+                             "b": 10.0})
+    path = _dump(tmp_path, "run.json", {
+        "problem": problem, "solve": {"stop_gap": 1e-10,
+                                      "max_iterations": 50}})
+    run, results = engine.run, []
+
+    def recorded(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "run", recorded)
+    assert main(["solve", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (res,) = results
+    assert res.skipped_sweeps > 0
+    at = [k for k, line in enumerate(lines) if line.startswith("cycles run:")]
+    assert lines[at[0] + 1] == (
+        f"sweeps skipped by the screen: {res.skipped_sweeps}")
+
+
 def test_solve_cap_exit_two(tmp_path, capsys):
     path = _dump(tmp_path, "run.json", {
         "problem": _vertex_problem(),

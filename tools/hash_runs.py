@@ -30,7 +30,9 @@ package is imported from each --src.
 The run exits with status 1 when some run's hash differs between the
 trees, after printing each such run.  It also prints, per tree, how many
 sweeps a screen skipped as still (RunResult.skipped_sweeps), where the
-tree counts them.
+tree counts them, of all the sweeps the runs made, and beside that total
+the same count per schedule, so that a change to the screen shows where it
+skips.
 """
 
 from __future__ import annotations
@@ -174,8 +176,9 @@ def main(argv=None):
     keys = (run_keys(QUICK, QUICK_GAP_STOPS) if args.quick
             else run_keys(INSTANCES, GAP_STOPS))
     mismatches = 0
-    skipped = [0] * len(packages)
-    sweeps = 0
+    # per tree, the skipped sweeps per schedule, or None where not counted
+    skipped = [dict.fromkeys(SCHEDULES, 0) for _ in packages]
+    sweeps = dict.fromkeys(SCHEDULES, 0)
     with warnings.catch_warnings():
         for dk in packages:
             warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
@@ -185,19 +188,24 @@ def main(argv=None):
                 digest, n_skipped, n_sweeps = hash_run(dk, key)
                 hashes.append(digest)
                 if not t:
-                    sweeps += n_sweeps
+                    sweeps[key[1]] += n_sweeps
                 if n_skipped is None:
                     skipped[t] = None
                 elif skipped[t] is not None:
-                    skipped[t] += n_skipped
+                    skipped[t][key[1]] += n_skipped
             if len(set(hashes)) > 1:
                 mismatches += 1
                 print("mismatch: " + " ".join(map(str, key)) + ": "
                       + " ".join(x[:12] for x in hashes))
     print(f"{len(keys)} runs, {mismatches} mismatches")
-    for src, n in zip(args.src, skipped):
-        print(f"{src}: skipped sweeps " + ("not counted" if n is None else
-                                           f"{n} of {sweeps}"))
+    for src, counts in zip(args.src, skipped):
+        if counts is None:
+            print(f"{src}: skipped sweeps not counted")
+            continue
+        print(f"{src}: skipped sweeps {sum(counts.values())} of"
+              f" {sum(sweeps.values())} ("
+              + ", ".join(f"{name} {counts[name]} of {sweeps[name]}"
+                          for name in SCHEDULES) + ")")
     return 1 if mismatches else 0
 
 
