@@ -35,13 +35,14 @@ check_level:
            (_CCheck._resolved), when it holds at least _RESOLVE_MIN of
            them over its cycles: the first three in a few stacked calls,
            and each pair by the sweep's own terms.pair_duals at its point,
-           assembled for the batch; one whose written rows are bitwise its
-           snapshot's passes there, since its replay's margin test is
-           implied by the sweep pass's.  Every other sweep, and every
-           sweep of a batch whose re-solve raises, is replayed by itself
-           (_CCheck._replay).  A solver that answers a repeated call
-           differently is caught only when its first answer differs from
-           the batched re-solve.
+           but where one test over the batch finds that both sets hold it
+           (terms.pair_holds), assembled for the batch; one whose written
+           rows are bitwise its snapshot's passes there, since its
+           replay's margin test is implied by the sweep pass's.  Every
+           other sweep, and every sweep of a batch whose re-solve raises,
+           is replayed by itself (_CCheck._replay).  A solver that
+           answers a repeated call differently is caught only when its
+           first answer differs from the batched re-solve.
 A solver reads a read-only snapshot and writes only its sweep's declared
 rows (_CSweep), so a valid plan keeps its freeze equalities when it declares
 no frozen row, checked once per cycle pattern (_assert_unfrozen).
@@ -66,8 +67,10 @@ With checks on, the sweep loop only
 solves and logs: the buffer is the sweep's block of a log, which keeps a
 batch of up to _OBJ_BATCH consecutive cycles of one pattern as its start
 state and, per sweep, its dual sum and its declared rows.
-A batch's log rows and sums and its check's conjugate table take at most
-_CHECK_BATCH_BYTES, or one cycle's.  When the batch is checked, one
+A batch's log rows and sums, its check's conjugate table and the int32
+entries of the indices its check reads (_CCheck.cycle_bytes per cycle)
+take at most _CHECK_BATCH_BYTES, or one cycle's: 6 cycles of the
+custom-cli pattern, one of classic (50, 20).  When the batch is checked, one
 pass compiled per cycle pattern (_CCheck) evaluates every check of its
 cycles from the log in a few vectorized calls, reading each row of a state
 where it was last written.  Conjugates are evaluated only for the rows each
@@ -97,8 +100,8 @@ from .state import (DualState, _ordered_sum, dual_objective_from,
 from .state import fenchel_residual  # noqa: F401
 from .terms import (BallStack, DimensionMismatch, Halfspace, HalfspaceStack,
                     Indicator, L2Ball, _as_count, _as_number, _dots, _norm,
-                    all_finite, pair_constants, pair_duals, pair_order,
-                    stack_kinds, stack_terms, stacked_conjugates)
+                    all_finite, pair_constants, pair_duals, pair_holds,
+                    pair_order, stack_kinds, stack_terms, stacked_conjugates)
 
 ASCENT_TOL = 1e-10        # plain monotonicity slack
 SWEEP_GAIN_TOL = 1e-8     # slack on the quadratic-margin ascent inequality
@@ -115,9 +118,12 @@ _OBJ_BATCH = 8
 # one alone needs more (run)
 _OFF_BATCH_BYTES = 262144
 # with checks on, a batch of cycles holds at most this many bytes of log rows
-# and sums and of its sweep pass's conjugate table, unless one cycle alone
-# needs more (run)
-_CHECK_BATCH_BYTES = 8192
+# and sums, of its sweep pass's conjugate table and of the int32 entries of
+# its check's indices, unless one cycle alone needs more (run,
+# _CCheck.cycle_bytes): 6 cycles of 2124 bytes of the custom-cli pattern
+# (r = 8, m = 2, d = 6, 9 sweeps) at check_level "full", and one cycle of
+# about 37 KB of classic (50, 20)
+_CHECK_BATCH_BYTES = 13312
 # the sweep pass builds its conjugate table in chunks of sweeps of at most
 # this many bytes, or one sweep's (_CCheck._sweep_pass)
 _TABLE_CHUNK_BYTES = 65536
@@ -1017,16 +1023,20 @@ def run_sweep(spec, state, sweep, params=None):
 def _quad_parts(spec, X, Z):
     """Rows of spec.quad_value at X and of spec.conjugate_quad at Z."""
     D = X - spec.x0
-    E = Z + spec.x0
-    return 0.5 * _dots(D, D), 0.5 * _dots(E, E) - 0.5 * spec._x0_sq
+    values = 0.5 * _dots(D, D)
+    D = np.add(Z, spec.x0, out=D)   # in X's differences' place
+    return values, 0.5 * _dots(D, D) - 0.5 * spec._x0_sq
 
 
-def _fenchel(H, C, X, Z):
-    """Rows of fenchel_residual from h_i(x), h_i*(z) and the points.
+def _fenchel(H, C, XZ):
+    """Rows of fenchel_residual from h_i(x), h_i*(z) and <x, z>, written
+    into H.
 
     h and h* are never -inf, so an infinite one gives +inf, as there.
     """
-    return np.maximum(H + C - _dots(X, Z), 0.0)
+    H += C
+    H -= XZ
+    return np.maximum(H, 0.0, out=H)
 
 
 def _quad_conjugates(spec, Q):
@@ -1160,7 +1170,9 @@ def _cert_layout(c_analysis, r):
     Returns ((rows, p), (rows, p), [(rows, p, q, parts), ...]): the indices
     last touched by an outer solve, the quadratic indices last touched in a
     block, and the term indices last touched in a block, these grouped by
-    their number of term members (parts, 0-based and sorted).
+    their number of term members (parts, 0-based and sorted).  The rows are
+    int32, as the _Index that holds them; the sweeps and parts, from which
+    _cert_index computes offsets, are intp.
     """
     outer, quad, blocks = ([], []), ([], []), {}
     for i1 in sorted(c_analysis.p):
@@ -1177,10 +1189,11 @@ def _cert_layout(c_analysis, r):
                 (i0, p, c_analysis.q[i1], parts))
 
     def columns(pairs):
-        return tuple(np.array(x, dtype=np.intp) for x in pairs)
+        rows, ps = pairs
+        return np.array(rows, dtype=np.int32), np.array(ps, dtype=np.intp)
 
     return columns(outer), columns(quad), [
-        (np.array([b[0] for b in group], dtype=np.intp),
+        (np.array([b[0] for b in group], dtype=np.int32),
          np.array([b[1] for b in group], dtype=np.intp),
          np.array([b[2] for b in group], dtype=np.intp),
          np.array([b[3] for b in group], dtype=np.intp))
@@ -1240,6 +1253,7 @@ def _certificates(spec, R, V, at, k, groups, conjugates):
     points = take(V, o_sums)
     np.subtract(x0, points, out=points)
     X[:, o_rows] = points
+    del points
     X[:, q_rows] = x0 + take(R, q_at)
     for rows, size, p_at, q_at, q_sums in blocks:
         # summed over the parts of one block at a time, as for one cycle
@@ -1248,19 +1262,27 @@ def _certificates(spec, R, V, at, k, groups, conjugates):
         X[:, rows] = (x0 - part_p.sum(axis=1)
                       - (take(V, q_sums).reshape(-1, d) - part_q.sum(axis=1))
                       ).reshape(k, len(rows), d)
-    D = X - (x0 - take(V, end_sums))
-    res = np.sqrt(_dots(D, D))
-    del points, D   # before the term values add their own temporaries
-    Z = take(R, end)
+        del part_p, part_q
     r = spec.r
+    # the end states give <x, z> and the quadratic parts, then their place
+    # takes the differences to the end iterates; all go before the values
+    # are laid out and the term values add their own temporaries
+    Z = take(R, end)
+    XZ = _dots(X, Z)
+    if spec.m:
+        quad = _quad_parts(spec, X[:, r:], Z[:, r:])
+    D = np.subtract(X, x0 - take(V, end_sums), out=Z)
+    res = np.sqrt(_dots(D, D))
+    del Z, D
     H = np.empty(res.shape)
     C = np.empty(res.shape)
+    if spec.m:
+        H[:, r:], C[:, r:] = quad
+        del quad
     for rows, stack in groups:
         H[:, rows] = stack.value(X[:, :r] if rows.size == r else X[:, rows])
     C[:, :r] = conjugates
-    if spec.m:
-        H[:, r:], C[:, r:] = _quad_parts(spec, X[:, r:], Z[:, r:])
-    return X, res, _fenchel(H, C, X, Z)
+    return X, res, _fenchel(H, C, XZ)
 
 
 def _raise_certificates(res, fen, gamma, n):
@@ -1392,7 +1414,8 @@ class _Log(NamedTuple):
 class _Index(NamedTuple):
     """The flat indices a check pass reads for K cycles (_CCheck._build).
 
-    Each is cycle-major, into the rows of the batch's log or into its sums.
+    Each is cycle-major, into the rows of the batch's log or into its sums,
+    and int32: half what intp takes, for as long as the run holds them.
     conj per conjugate group, stat the sums and rows of the stat pairs, quad
     the quadratic rows of every state after a sweep (None at m = 0), resolve
     the rows before and after each resolve sweep and the sums before it, and
@@ -1468,6 +1491,10 @@ class _CCheck:
       resolve  the replayed sweeps that the batch re-solves at once
                (_Resolve), or None; one whose re-solve matches its state is
                not replayed
+      cycle_bytes  what a batch holds per cycle, which run fits into
+               _CHECK_BATCH_BYTES: the cycle's log rows and sums, its rows
+               of the conjugate table and the int32 entries it adds to the
+               indices (_build)
     scratch holds the replay's z buffers at check_level="full", made at the
     first replay and shared by the checks of all cycle patterns, and is None
     otherwise.
@@ -1564,6 +1591,18 @@ class _CCheck:
         # shared certificates read only the sums of each cycle's last state
         self.layout = (None if self.cert_pairs is not None
                        else _cert_layout(c_analysis, r))
+        # what a batch holds per cycle (run): its log rows and sums and its
+        # sweep pass's conjugate table, (P + W)·d + W·(r + 1) doubles, and
+        # the int32 entries of its indices (_build)
+        entries = self.n_pairs + 2 * len(sw) + W * (n - r) + 1
+        if self.resolve is not None:
+            entries += 2 * self.resolve.rows.size + self.resolve.vrows.size
+        if self.layout is not None:   # _cert_index's, but for its fixed rows
+            (_, o_p), (_, q_p), blocks = self.layout
+            entries += n + o_p.size + q_p.size + sum(
+                p.size * (2 * parts.shape[1] + 1) for _, p, _, parts in blocks)
+        self.cycle_bytes = (8 * ((self.P + W) * spec.d + W * (r + 1))
+                            + 4 * entries)
 
     def _compile_resolve(self, spec, shared):
         """The replayed sweeps of one step with one subproblem that the
@@ -1659,11 +1698,13 @@ class _CCheck:
         W, n = self.W, self.n
         c = np.arange(k, dtype=np.intp)[:, None]
 
+        # stored as int32, half the bytes of intp, for as long as the run
+        # holds them; take converts one at a time while it gathers
         def sums(w):
-            return (c * W + w).ravel()
+            return (c * W + w).astype(np.int32).ravel()
 
         def rows(o):
-            return self._locate(c, o.ravel()).ravel()
+            return self._locate(c, o.ravel()).astype(np.int32).ravel()
 
         rs = self.resolve
         quad = None
@@ -1731,7 +1772,7 @@ class _CCheck:
             Cv[:, pos] = new[:, idx]
             q = self.stat_quads
             H[:, q], Cv[:, q] = _quad_parts(spec, X[:, q], Z[:, q])
-        return X, _fenchel(H, Cv, X, Z)
+        return X, _fenchel(H, Cv, _dots(X, Z))
 
     def _sweep_pass(self, spec, R, V, at, k, conj0, F0, margins, exact):
         """The per-sweep values of the first k cycles, as a _Pass.
@@ -1868,10 +1909,11 @@ class _CCheck:
 
     def _pairs_resolved(self, spec, X, V0):
         """_resolved's re-solve of the pair sweeps: their rows in X are
-        overwritten with _pair_rows' values, from pair_duals at each
-        (cycle, pair sweep)'s u, assembled for all at once; V0 holds the
-        sums before the outer sets.  Returns ok (k, pairs), False where a
-        pair has no closed form."""
+        overwritten with _pair_rows' values, assembled for all at once: zeros
+        where both sets hold the (cycle, pair sweep)'s u, found for all
+        cycles of a pair sweep at once (pair_holds), else pair_duals at u;
+        V0 holds the sums before the outer sets.  Returns ok (k, pairs),
+        False where a pair has no closed form."""
         rs = self.resolve
         k, d = len(X), spec.d
         s, o, x0 = rs.pair_start, rs.n_pair, spec.x0
@@ -1887,14 +1929,17 @@ class _CCheck:
         bsum = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
         np.add(bsum, x0, out=U[:, o:])
         ok = np.ones(U.shape[:2], dtype=bool)
-        for c in range(k):
-            for b, pair in enumerate(rs.pairs):
+        for b, pair in enumerate(rs.pairs):
+            rows = outer[:, b] if b < o else block[:, b - o]
+            # where both sets hold u, pair_duals' first test gives zeros
+            held = pair_holds(*pair, U[:, b])
+            rows[held, :2] = 0.0
+            for c in np.flatnonzero(~held).tolist():
                 duals = pair_duals(*pair, U[c, b])
                 if duals is None:
                     ok[c, b] = False
                 else:
-                    rows = outer[c, b] if b < o else block[c, b - o]
-                    rows[0], rows[1] = duals
+                    rows[c, 0], rows[c, 1] = duals
         np.subtract(bsum, block[:, :, 0], out=bsum)
         np.subtract(bsum, block[:, :, 1], out=block[:, :, 2])
         return ok
@@ -2250,11 +2295,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
         chk = checks[0]
-        # a cycle's log rows and sums, and its sweep pass's conjugate table,
-        # take (P + W)·d + W·(r + 1) doubles
-        n_batch = min(_OBJ_BATCH, params.max_iterations, max(
-            1, _CHECK_BATCH_BYTES // (
-                8 * ((chk.P + chk.W) * spec.d + chk.W * (spec.r + 1)))))
+        n_batch = min(_OBJ_BATCH, params.max_iterations,
+                      max(1, _CHECK_BATCH_BYTES // chk.cycle_bytes))
         log = _Log(
             np.empty((spec.n_duals + max(n_batch * chk.P,
                                          *(c.P for c in checks)),

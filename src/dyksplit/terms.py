@@ -587,6 +587,21 @@ def pair_constants(s1, s2):
             s2.radius * s2.radius)
 
 
+def pair_holds(s1, s2, k, U):
+    """Whether both sets hold each row u of U, (rows, d), as pair_duals
+    decides it at u before its first return of (0.0, 0.0): bitwise, since
+    each _dots row is the 1-d product."""
+    if type(s2) is Halfspace:
+        return (_dots(U, s1.a) - s1.b <= 0.0) & (_dots(U, s2.a) - s2.b <= 0.0)
+    if type(s1) is Halfspace:
+        D = U - s2.center
+        return (_dots(U, s1.a) - s1.b <= 0.0) & (_dots(D, D) <= k[1])
+    D = U - s1.center
+    held = _dots(D, D) <= k[3]
+    D = U - s2.center
+    return held & (_dots(D, D) <= k[4])
+
+
 def pair_duals(s1, s2, k, u):
     """(z, z') at u, (d,), for the halfspace or ball s1 and s2 in pair
     order, with k their pair_constants: each an array or 0.0, or None

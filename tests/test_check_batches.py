@@ -46,6 +46,14 @@ def _case(name):
     return fixtures.random_mixed(7, 8, 6, m=2), test_engine._custom_nested_plan()
 
 
+def _check(spec, plan, level):
+    """The _CCheck of the plan's pattern, as run compiles it."""
+    analysis = dk.validate(plan, spec.r, spec.m)
+    return engine._CCheck([engine._CSweep(s, spec) for s in plan.pattern],
+                          spec, analysis.cycles[0], {},
+                          [] if level == "full" else None)
+
+
 def _recording(sizes):
     """_CCheck.check, appending the number of cycles of each batch to sizes."""
     check = engine._CCheck.check
@@ -87,21 +95,24 @@ def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
     # caps on both sides of a full batch, gap stops inside one, and a zero
     # gap that prices every feasible pending cycle by itself: every field,
     # trace row and certificate is that of batches of one, and "off" has
-    # the objectives of the checked run
+    # the objectives of the checked run.  The gap closes in one cycle, so
+    # a second gap stop starts from the duals after two cycles: the custom
+    # cases then stop 2 cycles sooner, so that one of the two stops lies
+    # inside a batch of any size from 2 to 8
     spec, plan = _case(case)
     sizes = _batch_sizes(monkeypatch)
-    # a cycle's log rows and sums, and its sweep pass's conjugate table
-    W = len(plan.pattern)
-    P = sum(np.arange(spec.n_duals)[engine._CSweep(sweep, spec).written].size
-            for sweep in plan.pattern)
-    per_cycle = (P + W) * spec.d * 8 + W * (spec.r + 1) * 8
+    per_cycle = _check(spec, plan, level).cycle_bytes
+    later = dk.run(spec, plan, dk.SolveParams(max_iterations=2,
+                                              check_level="off")).state.z
     mid_batch = False
-    for cap, gap in [(1, None), (3, None), (7, None), (8, None), (26, None),
-                     (400, 1e-8), (26, 0.0)]:
+    for cap, gap, start in [
+            (1, None, None), (3, None, None), (7, None, None),
+            (8, None, None), (26, None, None), (400, 1e-8, None),
+            (400, 1e-8, later), (26, 0.0, None)]:
         def solve(level):
             return dk.run(spec, plan, dk.SolveParams(
                 max_iterations=cap, stop_gap=gap, check_level=level,
-                per_sweep_trace=True))
+                per_sweep_trace=True), z_init=start)
 
         sizes.clear()
         batched = solve(level)
@@ -125,6 +136,62 @@ def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
         if batched.stop_reason == "gap":
             mid_batch = mid_batch or batched_sizes[-1] < n_batch
     assert mid_batch
+
+
+def _arrays(x):
+    """The arrays in the nested tuples and lists x, depth first."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (tuple, list)):
+        return [a for y in x for a in _arrays(y)]
+    return []
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("case", ["classic", "product", "mixed_block",
+                                  "custom_nested", "custom_pair"])
+def test_the_check_indices_take_four_bytes_an_entry(case, level):
+    # every array of a check pass's _Index is int32, gathers the bits of an
+    # intp take, and is counted in cycle_bytes at 4 bytes an entry per cycle
+    spec, plan = _case(case)
+    chk = _check(spec, plan, level)
+    K = 3
+    at = chk._build(K)
+    arrays = _arrays(tuple(at)[1:])
+    assert arrays and all(a.dtype == np.int32 for a in arrays)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((max(int(a.max()) for a in arrays) + 1, spec.d))
+    for a in arrays:
+        wide = a.astype(np.intp)
+        assert A.take(a, axis=0).tobytes() == A.take(wide, axis=0).tobytes()
+        if len(a) % K == 0:   # a gather's: the same rows of each cycle
+            for k in range(1, K + 1):
+                assert (engine._gather(A, a, k, K).tobytes()
+                        == engine._gather(A, wide, k, K).tobytes())
+    # the entries a cycle adds; the certificate layout's rows are fixed
+    per_cycle = (sum(a.size for a in arrays)
+                 - sum(a.size for a in _arrays(tuple(chk._build(K - 1))[1:])))
+    doubles = (chk.P + chk.W) * spec.d + chk.W * (spec.r + 1)
+    assert chk.cycle_bytes == 8 * doubles + 4 * per_cycle
+
+
+def test_the_batch_budget_holds_six_custom_cycles_and_one_classic(
+        monkeypatch):
+    # _CHECK_BATCH_BYTES against cycle_bytes: the benchmark's custom
+    # pattern at (r, d) = (8, 6) batches 6 cycles after its lead-in cycle,
+    # at either check level, and classic (50, 20) one, so that a change of
+    # the budget, or of what it counts, that moves them is deliberate
+    sizes = _batch_sizes(monkeypatch)
+    spec, plan = _case("custom_pair")
+    for level in ("sweep", "full"):
+        sizes.clear()
+        dk.run(spec, plan, dk.SolveParams(max_iterations=13,
+                                          check_level=level))
+        assert sizes == [1, 6, 6]
+    sizes.clear()
+    dk.run(fixtures.random_halfspaces(1, 50, 20),
+           dk.classic_dykstra_schedule(50), dk.SolveParams(max_iterations=3))
+    assert sizes == [1, 1, 1]
 
 
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])
@@ -1147,15 +1214,21 @@ def test_a_custom_pair_run_at_full_is_exact_and_replays_no_sweep(
 
 def test_the_full_re_solve_calls_the_sweeps_pair_kernel(monkeypatch):
     # pair_duals is the one pair kernel: at full, each exact pair sweep
-    # calls it twice, once as it runs and once in its batch's re-solve
+    # calls it twice, once as it runs and once in its batch's re-solve,
+    # unless both its sets hold its point, which the re-solve finds for
+    # the whole batch without it
     spec, plan = _case("custom_pair")
     test_engine._screen_off(monkeypatch)   # every pair sweep runs
     pair_duals = engine.pair_duals
-    calls = {}
+    calls, held = {}, {}
 
     def counted(*args):
         calls[level] = calls.get(level, 0) + 1
-        return pair_duals(*args)
+        duals = pair_duals(*args)
+        # only where both sets hold u does it return two floats
+        if duals is not None and all(type(z) is float for z in duals):
+            held[level] = held.get(level, 0) + 1
+        return duals
 
     monkeypatch.setattr(engine, "pair_duals", counted)
     runs = {}
@@ -1167,7 +1240,9 @@ def test_the_full_re_solve_calls_the_sweeps_pair_kernel(monkeypatch):
         "sweep"].F_per_cycle.tobytes()
     # two pair sweeps per cycle, each one call as it runs
     assert calls["sweep"] == 2 * 30
-    assert calls["full"] == 2 * calls["sweep"]
+    assert 0 < held["sweep"] < calls["sweep"]
+    assert held["full"] == held["sweep"]
+    assert calls["full"] == 2 * calls["sweep"] - held["sweep"]
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])

@@ -771,6 +771,36 @@ def test_pair_duals_give_the_projection(kind, case):
                     1.0 + np.linalg.norm(z))
 
 
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
+@pytest.mark.parametrize("kind", ["hh", "hb", "bb"])
+def test_pair_holds_is_where_pair_duals_gives_its_zeros(monkeypatch, kind,
+                                                         kernel):
+    # pair_holds, for many points at once, is true exactly where pair_duals
+    # returns (0.0, 0.0): at the points of every case, at their
+    # projections, which lie on each active boundary, and at the floats
+    # next to those, read from strided rows as the full re-solve reads them
+    if kernel == "matmul":
+        monkeypatch.setattr(terms_module, "_dots", terms_module._dots_matmul)
+    rng = np.random.default_rng(zlib.crc32(f"holds{kind}".encode()))
+    d = 5
+    seen = set()
+    for case in ("inside", "first", "second", "both"):
+        for _ in range(10):
+            t1, t2, u, x = _pair_instance(kind, case, rng, d)
+            sets = (t1.set, t2.set)
+            k = terms_module.pair_constants(*sets)
+            points = [u, x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+            U = np.empty((len(points), 2, d))
+            U[:, 0] = points
+            held = terms_module.pair_holds(*sets, k, U[:, 0]).tolist()
+            assert held == [
+                all(type(z) is float
+                    for z in terms_module.pair_duals(*sets, k, p) or [None])
+                for p in points]
+            seen.update(held)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("case", ["parallel", "tangent-hb", "tangent-bb"])
 def test_a_pair_with_no_closed_form_gives_no_duals(case):
     # both sets active where their normals are parallel, or where the

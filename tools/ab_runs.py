@@ -4,6 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/ab_runs.py --src ../parent/src --src src   # 10 rounds
     python3 tools/ab_runs.py --rounds 1 --src src --src src  # smoke run
+    python3 tools/ab_runs.py --population custom --src ../parent/src --src src
 
 The inputs are the stop-rule populations of the benchmark's workloads,
 built from dyksplit.fixtures without the benchmark's rotations: classic,
@@ -13,7 +14,9 @@ m=19) on the product schedule at "off", s = 1..16; and custom, the
 custom-cli workload's path through the library, random_mixed(s, 8, 6,
 m=2) on its pattern repaired by rewrite_deferred (hash_runs.custom_plan)
 at "full" with the per-sweep trace, s = 1..16; each solved to stop_gap
-1e-8 within 50000 cycles.  After one untimed warm-up round, every round
+1e-8 within 50000 cycles.  --population, which can be repeated, times
+only the named populations (default: all three).  After one untimed
+warm-up round, every round
 solves each instance under one tree and right after under the other, and
 flips which tree goes first from round to round, so that a drift in
 machine speed reaches both alike.  Both solves of an instance must give a
@@ -22,9 +25,9 @@ when one does not.
 
 Prints, per round and population, each tree's total solve time and the
 ratio of the second tree's to the first's, then per population the median
-ratio and how many rounds each tree took less time.  The package is
-imported from each --src; BLAS and OpenMP pools are pinned to one thread,
-as in tools/bench_grid.py.
+ratio with its quartiles (statistics.quantiles), and how many rounds each
+tree took less time.  The package is imported from each --src; BLAS and
+OpenMP pools are pinned to one thread, as in tools/bench_grid.py.
 """
 
 from __future__ import annotations
@@ -66,6 +69,15 @@ def population(dk, name):
              dk.product_space_schedule(20), params) for s in range(1, 17)]
 
 
+def quartiles(values):
+    """The first and third quartiles of values, both the one value when
+    there is only one."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def time_round(packages, solves, first):
     """Each tree's total time over one solve of every instance, tree first
     solving each instance first, and the instances whose two results
@@ -93,16 +105,21 @@ def main(argv=None):
                         " twice, once per tree")
     p.add_argument("--rounds", type=int, default=10,
                    help="timed rounds, after one warm-up round")
+    p.add_argument("--population", action="append", choices=POPULATIONS,
+                   help="time only this population; can be repeated"
+                        " (default: all)")
     args = p.parse_args(argv)
     if len(args.src) != 2:
         p.error("give --src exactly twice")
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
+    names = [name for name in POPULATIONS
+             if not args.population or name in args.population]
     packages = [import_package(src, f"dyksplit_{k}")
                 for k, src in enumerate(args.src)]
     failed = False
-    ratios = {name: [] for name in POPULATIONS}
-    wins = {name: [0, 0] for name in POPULATIONS}
+    ratios = {name: [] for name in names}
+    wins = {name: [0, 0] for name in names}
     print(f"{'round':>5s} {'population':10s} {'first':>5s}"
           f" {'tree 0 s':>10s} {'tree 1 s':>10s} {'ratio':>7s}")
     with warnings.catch_warnings():
@@ -110,10 +127,10 @@ def main(argv=None):
         for dk in packages:
             warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
         solves = {name: [population(dk, name) for dk in packages]
-                  for name in POPULATIONS}
+                  for name in names}
         for rnd in range(args.rounds + 1):   # round 0 is the warm-up
             first = rnd % 2
-            for name in POPULATIONS:
+            for name in names:
                 totals, differ = time_round(packages, solves[name], first)
                 for k in differ:
                     failed = True
@@ -126,10 +143,12 @@ def main(argv=None):
                 wins[name][totals[1] < totals[0]] += 1
                 print(f"{rnd:5d} {name:10s} {first:5d} {totals[0]:10.4f}"
                       f" {totals[1]:10.4f} {ratio:7.3f}", flush=True)
-    for name in POPULATIONS:
+    for name in names:
+        q1, q3 = quartiles(ratios[name])
         print(f"{name}: median ratio {statistics.median(ratios[name]):.3f}"
-              f" (tree 1 / tree 0); tree 0 won {wins[name][0]} and tree 1"
-              f" won {wins[name][1]} of {args.rounds} rounds")
+              f" (quartiles {q1:.3f}..{q3:.3f}; tree 1 / tree 0); tree 0"
+              f" won {wins[name][0]} and tree 1 won {wins[name][1]} of"
+              f" {args.rounds} rounds")
     return 1 if failed else 0
 
 

@@ -15,10 +15,12 @@ closed form) for a fixed number of cycles, with
 no stop rule, once as a warm-up and then --runs times.  It reports the best
 timed run in microseconds per sweep, the share of sweeps that a tree's
 screen of still sweeps skipped (RunResult.skipped_sweeps; null where the
-tree does not count them), and the tracemalloc peak of one more, untimed
-run in KiB.  Each peak is taken in a fresh child process with hash
-seed 0, one at a time, after one untimed solve there, so that it does not
-depend on the points run before it or on the hash seed.  The grid is
+tree does not count them), the most cycles that one check pass of the
+warm-up run took (null at check level off), and the tracemalloc peak of
+one more, untimed run in KiB.  Each peak is taken in a fresh child
+process with hash seed 0, one at a time, after one untimed solve there,
+so that it does not depend on the points run before it or on the hash
+seed.  The grid is
 --schedules (default classic, product, mixed and pairs) x --sizes x {off,
 sweep, full}.  The package is imported from each --src, by default the src/
 directory of this checkout.  Given two trees, each grid point times them
@@ -29,8 +31,8 @@ peaks differ at any point.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
 The last line of standard output is the JSON result, with one value per tree
-in each point's us_per_sweep, skipped and peak_kib; --out also writes it to
-a file.
+in each point's us_per_sweep, skipped, batch_cycles and peak_kib; --out
+also writes it to a file.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
@@ -132,16 +135,35 @@ def fresh_peak(src, point):
         return pool.apply(child_peak, (src, point))
 
 
+@contextlib.contextmanager
+def recording_batches(dk, sizes):
+    """dk's check pass, _CCheck.check, wrapped for the duration to append
+    the cycles of each batch it checks to sizes."""
+    check = dk.engine._CCheck.check
+
+    def recorded(self, *args):   # args[5] is the batch of _Pending cycles
+        sizes.append(len(args[5]))
+        return check(self, *args)
+
+    dk.engine._CCheck.check = recorded
+    try:
+        yield
+    finally:
+        dk.engine._CCheck.check = check
+
+
 def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
     """Best of runs timed solves per package, in microseconds per sweep, the
     share of sweeps each package's last solve skipped (None where it does
-    not count them), the tracemalloc peak of one untimed solve per package
-    (fresh_peak), and the sweeps."""
+    not count them), the most cycles of a checked batch in each package's
+    warm-up solve (None at level off), the tracemalloc peak of one untimed
+    solve per package (fresh_peak), and the sweeps."""
     point = (schedule, r, d, level, cycles)
     solves = [(dk,) + make_solve(dk, *point) for dk in packages]
     sweeps = cycles * len(solves[0][2].pattern)
     best = [float("inf")] * len(packages)
     skipped = [None] * len(packages)
+    batches = [None] * len(packages)
     with warnings.catch_warnings():
         # the product schedule's growth monitor is advisory; expected here
         for dk in packages:
@@ -150,15 +172,20 @@ def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
             order = range(len(solves))
             for t in (order if k % 2 else reversed(order)):
                 dk, spec, plan, params = solves[t]
+                sizes = []   # run 0, the warm-up, records its batches
                 t0 = perf_counter()
-                result = dk.run(spec, plan, params)
+                with (contextlib.nullcontext() if k
+                      else recording_batches(dk, sizes)):
+                    result = dk.run(spec, plan, params)
                 elapsed = perf_counter() - t0
                 n_skipped = getattr(result, "skipped_sweeps", None)
                 skipped[t] = None if n_skipped is None else n_skipped / sweeps
-                if k:   # run 0 is the warm-up
+                if k:
                     best[t] = min(best[t], elapsed)
+                else:
+                    batches[t] = max(sizes, default=None)
     peaks = [fresh_peak(src, point) for src in srcs]
-    return [1e6 * b / sweeps for b in best], skipped, peaks, sweeps
+    return [1e6 * b / sweeps for b in best], skipped, batches, peaks, sweeps
 
 
 def main(argv=None):
@@ -186,21 +213,24 @@ def main(argv=None):
     print(f"{'schedule':8s} {'r':>4s} {'d':>4s} {'level':6s} "
           + " ".join(f"{'us/sweep':>10s}" for _ in srcs) + " "
           + " ".join(f"{'skipped':>8s}" for _ in srcs) + " "
+          + " ".join(f"{'batch':>5s}" for _ in srcs) + " "
           + " ".join(f"{'peak KiB':>10s}" for _ in srcs))
     for schedule in args.schedules:
         for r, d in args.sizes:
             for level in LEVELS:
-                us, skipped, peaks, sweeps = time_point(
+                us, skipped, batches, peaks, sweeps = time_point(
                     packages, srcs, schedule, r, d, level, args.cycles,
                     args.runs)
                 points.append({"schedule": schedule, "r": r, "d": d,
                                "check_level": level, "us_per_sweep": us,
-                               "skipped": skipped, "peak_kib": peaks,
-                               "sweeps": sweeps})
+                               "skipped": skipped, "batch_cycles": batches,
+                               "peak_kib": peaks, "sweeps": sweeps})
                 print(f"{schedule:8s} {r:4d} {d:4d} {level:6s} "
                       + " ".join(f"{u:10.1f}" for u in us) + " "
                       + " ".join("       -" if f is None else f"{f:8.3f}"
                                  for f in skipped) + " "
+                      + " ".join("    -" if b is None else f"{b:5d}"
+                                 for b in batches) + " "
                       + " ".join(f"{p:10.1f}" for p in peaks), flush=True)
     result = {
         "env": {"python": platform.python_version(),
