@@ -305,55 +305,76 @@ def cmd_oracle(args):
     return 0
 
 
-def _parse_args(argv):
-    """The command line's arguments.  The parser is let go on return, so
-    that it is not kept alive while the command runs."""
+def _parser(command=None):
+    """The command line's parser, with the subparser of command only when
+    it names one, else with every subparser, as -h and errors print them.
+
+    The usage names every command either way, so that an error the parser
+    reports after a command prints the same usage; only errors of the
+    command argument itself, which name it, come from the full parser.
+    """
+    names = ("solve", "validate", "compare", "oracle")
+    every = command not in names
     parser = argparse.ArgumentParser(
         prog="dyksplit",
         description="Dykstra-style splitting with flexible sweep schedules.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(names) + "}")
 
-    p_solve = sub.add_parser(
-        "solve", help="run a config to convergence or the cycle cap",
-        epilog=_TRACE_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_solve.add_argument("config")
-    p_solve.add_argument("--auto-defer", action="store_true",
-                         help="rewrite (B)-violating blocks into deferred"
-                              " sweeps instead of refusing")
-    p_solve.add_argument("--workers", type=int, default=None,
-                         help="deprecated and ignored")
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="override the fixture generator seed")
-    p_solve.set_defaults(func=cmd_solve)
+    if every or command == "solve":
+        p_solve = sub.add_parser(
+            "solve", help="run a config to convergence or the cycle cap",
+            epilog=_TRACE_HELP,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        p_solve.add_argument("config")
+        p_solve.add_argument("--auto-defer", action="store_true",
+                             help="rewrite (B)-violating blocks into deferred"
+                                  " sweeps instead of refusing")
+        p_solve.add_argument("--workers", type=int, default=None,
+                             help="deprecated and ignored")
+        p_solve.add_argument("--seed", type=int, default=None,
+                             help="override the fixture generator seed")
+        p_solve.set_defaults(func=cmd_solve)
 
-    p_val = sub.add_parser("validate", help="analyze a schedule, print p/q"
-                                            " maps and violations")
-    p_val.add_argument("config")
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.set_defaults(func=cmd_validate)
+    if every or command == "validate":
+        p_val = sub.add_parser("validate", help="analyze a schedule, print"
+                                                " p/q maps and violations")
+        p_val.add_argument("config")
+        p_val.add_argument("--seed", type=int, default=None)
+        p_val.set_defaults(func=cmd_validate)
 
-    p_cmp = sub.add_parser(
-        "compare", help="run two configs on the same problem and compare"
-                        " per-cycle duals")
-    p_cmp.add_argument("config_a")
-    p_cmp.add_argument("config_b")
-    p_cmp.add_argument("--cycles", type=int, default=50)
-    p_cmp.add_argument("--report", action="store_true",
-                       help="print the per-cycle table and exit 0")
-    p_cmp.add_argument("--workers", type=int, default=None,
-                       help="deprecated and ignored")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.set_defaults(func=cmd_compare)
+    if every or command == "compare":
+        p_cmp = sub.add_parser(
+            "compare", help="run two configs on the same problem and compare"
+                            " per-cycle duals")
+        p_cmp.add_argument("config_a")
+        p_cmp.add_argument("config_b")
+        p_cmp.add_argument("--cycles", type=int, default=50)
+        p_cmp.add_argument("--report", action="store_true",
+                           help="print the per-cycle table and exit 0")
+        p_cmp.add_argument("--workers", type=int, default=None,
+                           help="deprecated and ignored")
+        p_cmp.add_argument("--seed", type=int, default=None)
+        p_cmp.set_defaults(func=cmd_compare)
 
-    p_orc = sub.add_parser(
-        "oracle", help="ground-truth projection for the config's problem")
-    p_orc.add_argument("config")
-    p_orc.add_argument("--reference", action="store_true",
-                       help="force the projection-loop reference solver")
-    p_orc.add_argument("--seed", type=int, default=None)
-    p_orc.set_defaults(func=cmd_oracle)
-    return parser.parse_args(argv)
+    if every or command == "oracle":
+        p_orc = sub.add_parser(
+            "oracle", help="ground-truth projection for the config's problem")
+        p_orc.add_argument("config")
+        p_orc.add_argument("--reference", action="store_true",
+                           help="force the projection-loop reference solver")
+        p_orc.add_argument("--seed", type=int, default=None)
+        p_orc.set_defaults(func=cmd_oracle)
+    return parser
+
+
+def _parse_args(argv):
+    """The command line's arguments, parsed with only the first argument's
+    subparser when it names a command (_parser).  The parser is let go on
+    return, so that it is not kept alive while the command runs."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _parser(argv[0] if argv else None).parse_args(argv)
 
 
 def main(argv=None):

@@ -78,6 +78,13 @@ sweep writes, the per-sweep objective is bitwise equal to
 dual_objective_from on each state, and a failure raises the same error for
 the same cycle and sweep as a check made sweep by sweep would, the sweeps
 before a non-finite one first.
+The gap stop rule is tested in the same cycle-ordered pass that checks a
+batch, or with checks off prices its cycle ends, at each cycle once its
+own checks pass, with the objective the pass found; a batch of several
+cycles takes its primal values in one stacked call per term kind
+(_GapRule).  The first cycle whose gap closes ends the run, which is cut
+back to it: the cycles its batch ran after it are discarded, and nothing
+they raise surfaces, so the result is bitwise that of one-cycle batches.
 """
 
 from __future__ import annotations
@@ -383,7 +390,8 @@ def _quad_rows(spec, z, v, arg, params, out):
     """Outer set of k quadratic-copy rows only: all share -rest / (k + 1)."""
     rows, at = arg
     quads = z[rows]
-    c = v - quads.sum(axis=0)
+    # numpy sums one row as 0.0 + row, which takes -0.0 to +0.0
+    c = v - (quads[0] + 0.0 if len(quads) == 1 else quads.sum(axis=0))
     out[at] = -c / (len(quads) + 1.0)
     return True
 
@@ -1083,29 +1091,40 @@ class _Pending(NamedTuple):
     not fall below the cycle before it, gamma is its gamma_n and approx
     whether a sweep was approximate: a bool, or, when a compiled exact
     tier fell back to _nested_rows (_pair_rows), the tuple of those
-    sweeps, 1-based, which is true (_CCheck._exact).
+    sweeps, 1-based, which is true (_CCheck._exact).  sweep_rows and moves
+    are the lengths of the trace's per-sweep columns and of its moves at
+    the cycle's end (0 without per-sweep rows), and skipped the screen's
+    count there: a run whose gap closes at this cycle is cut back to them.
     """
     n: int
     ascent: bool
     gamma: float
     approx: bool | tuple
+    sweep_rows: int
+    moves: int
+    skipped: int
 
 
-def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
-    """Evaluate a batch of checks-off cycle ends in cycle order.
+def _flush_cycle_ends(spec, groups, Z, V, batch, F_list, gap):
+    """Evaluate a batch of checks-off cycle ends in cycle order; returns
+    the place in batch of the first cycle whose gap closes, else None.
 
     batch lists the _Pending cycles whose ends are the states Z[k], with row
     sums V[k].  Each objective is appended to F_list, the trace's F column,
     and a cycle whose ascent flag is set must not fall below the cycle
-    before it, as in a cycle-by-cycle check.  When the batched call raises,
-    the states are priced one at a time, so that the first cycle's error
-    comes first.
+    before it, as in a cycle-by-cycle check.  Then, unless gap is None,
+    the gap rule (_GapRule) tests the cycle: the first whose gap closes
+    ends the batch, and no later cycle is tested or priced.  When the
+    batched call raises, the states are priced one at a time, so that the
+    first cycle's error comes first.
     """
     k = len(batch)
     try:
         F = _state_objectives(spec, groups, Z[:k], V[:k]).tolist()
     except Exception:   # an oracle's, or a warning raised as an error
         F = None
+    if gap is not None:   # once the objectives' temporaries are gone
+        prices = gap.price(V[:k])
     for j, cyc in enumerate(batch):
         F_n = (F[j] if F is not None else _state_objectives(
             spec, groups, Z[j:j + 1], V[j:j + 1]).tolist()[0])
@@ -1113,6 +1132,9 @@ def _flush_cycle_ends(spec, groups, Z, V, batch, F_list):
             raise EngineInvariantError(
                 f"cycle {cyc.n}: end-of-cycle objective decreased")
         F_list.append(F_n)
+        if gap is not None and gap.closes(prices, j, F_n):
+            return j
+    return None
 
 
 def _pair_stacks(terms, rows, shared):
@@ -2072,24 +2094,29 @@ class _CCheck:
                 f" snapshot execution")
 
     def check(self, spec, log, conj, F, margins, batch, params, groups,
-              trace):
-        """Check the batch's cycles in cycle order; returns (conj, F, certs).
+              trace, gap):
+        """Check the batch's cycles in cycle order; returns (conj, F, certs,
+        stop).
 
         batch lists the _Pending cycles held in log; conj and F are the
         conjugates and objective at its start, margins[c] the
         squared-movement margins of cycle c's sweeps, groups the stacks of
-        all r terms and trace the run's _Trace.  Each cycle fails as a check
-        made cycle by cycle would: its sweeps first (each replayed at
-        check_level="full", in one re-solve of the batch where _resolved
-        can, else one at a time), then its end-of-cycle objective against
-        the last one in trace.F when its ascent flag is set, and, unless it
-        is approximate, its certificate bounds.  When a pass over the whole
-        batch raises, the cycles are checked one at a time, so that the
-        first cycle's error comes first; when the re-solve raises, every
-        sweep is replayed one at a time.  Each cycle's objectives and its
-        largest certificate distance are appended to the trace's columns.
-        Returns the conjugates and objective at the last cycle's end and its
-        certificate arrays.
+        all r terms, trace the run's _Trace and gap the run's _GapRule, or
+        None.  Each cycle fails as a check made cycle by cycle would: its
+        sweeps first (each replayed at check_level="full", in one re-solve
+        of the batch where _resolved can, else one at a time), then its
+        end-of-cycle objective against the last one in trace.F when its
+        ascent flag is set, and, unless it is approximate, its certificate
+        bounds.  Then the gap rule tests the cycle, with the objective the
+        pass found: the first whose gap closes ends the batch, and stop is
+        its place in batch, else None; no later cycle of the batch raises.
+        When a pass over the whole batch raises, the cycles are checked one
+        at a time, so that the first cycle's error comes first; when the
+        re-solve raises, every sweep is replayed one at a time.  Each
+        cycle's objectives and its largest certificate distance are
+        appended to the trace's columns.  Returns the conjugates and
+        objective at the end of the last cycle checked and its certificate
+        arrays.
         """
         k = len(batch)
         V = log.sums
@@ -2113,10 +2140,14 @@ class _CCheck:
             if k == 1:
                 raise
             for c, cyc in enumerate(batch):
-                conj, F, certs = self.check(
+                conj, F, certs, stop = self.check(
                     spec, self._cycle_log(log, c), conj, F, margins[c:],
-                    [cyc], params, groups, trace)
-            return conj, F, certs
+                    [cyc], params, groups, trace, gap)
+                if stop is not None:
+                    return conj, F, certs, c
+            return conj, F, certs, None
+        if gap is not None:   # the cycle ends' sums
+            prices = gap.price(V[self.W:k * self.W + 1:self.W])
         # the cycles that no sweep check or replay can fail, found for the
         # whole batch; the others go through _raise_sweeps
         quiet = ~p.bad.any(axis=1)
@@ -2125,15 +2156,16 @@ class _CCheck:
                 quiet[:] = False
             else:
                 quiet &= matched.all(axis=1)
-        F_rows = p.F.tolist()
+        # the objectives at the cycles' ends: the sweeps' go into the trace
+        # as doubles, so that no float of theirs is alive at the gap test
+        F_ends = p.F[:, -1].tolist()
         flagged = None
         F_list = trace.F
         for c, cyc in enumerate(batch):
             if not quiet[c]:
                 self._raise_sweeps(spec, log, p, c, cyc.n, params,
                                    matched=matched)
-            F_sweeps = F_rows[c]
-            F = F_sweeps[-1]
+            F = F_ends[c]
             if cyc.ascent and F_list and F < F_list[-1] - ASCENT_TOL:
                 raise EngineInvariantError(
                     f"cycle {cyc.n}: end-of-cycle objective decreased")
@@ -2152,9 +2184,11 @@ class _CCheck:
             trace.cert.append(res_max[c])
             F_list.append(F)
             if trace.sweep_F is not None:
-                trace.sweep_F.extend(F_sweeps)
+                trace.sweep_F.frombytes(p.F[c].tobytes())
+            if gap is not None and gap.closes(prices, c, F):
+                return p.ends[c], F, (X[c], res[c], fen[c]), c
         # the last cycle's
-        return p.ends[-1], F, (X[-1], res[-1], fen[-1])
+        return p.ends[-1], F, (X[-1], res[-1], fen[-1]), None
 
     def _certificates(self, spec, R, V, at, k, groups, p):
         """The certificates of k cycles, as _certificates gives them, from
@@ -2202,8 +2236,8 @@ def _primal_value(spec, groups, x, hint=0):
     +inf, so is the sum, and no stack is evaluated.  The hint returned is
     the first term at +inf, for the next call, whose point is usually
     outside the same set, or hint when the sum is finite.  After a feasible
-    point run passes None: the next point is usually feasible too, and the
-    hint's value would be taken again in its stack.
+    point _GapRule passes None: the next point is usually feasible too, and
+    the hint's value would be taken again in its stack.
     """
     if hint is not None and spec.terms[hint].value(x) == _INF:
         return _INF, hint
@@ -2215,6 +2249,87 @@ def _primal_value(spec, groups, x, hint=0):
         vals = vals.tolist()
         return _INF, vals.index(_INF) if _INF in vals else hint
     return total + (spec.m + 1) * spec.quad_value(x), hint
+
+
+def _term_sums(spec, groups, V):
+    """The sums of the term values that _primal_value takes at every
+    x = x0 - V[k], with no hint, as a list, and the values (k, r).
+
+    Each stack takes every point in one call, and each point's values are
+    summed in term order, as _primal_value sums them: every sum is bitwise
+    that call's.
+    """
+    H = np.empty((len(V), spec.r + 1))
+    H[:, 0] = 0.0
+    terms = H[:, 1:]
+    P = (spec.x0 - V)[:, None]   # each point against every row of a stack
+    for rows, stack in groups:
+        terms[:, rows] = stack.value(P)
+    return np.add.accumulate(H, axis=1)[:, -1].tolist(), terms
+
+
+class _GapRule:
+    """The gap stop rule, tested where a batch's cycle ends are priced: in
+    the cycle loop of _CCheck.check with checks on, of _flush_cycle_ends
+    with checks off.
+
+    A cycle closes its gap when the primal value at its end's x = x0 - v
+    and its objective are finite and differ by at most stop_gap.  closes
+    tests each cycle, in cycle order, once its own checks have passed.  A
+    batch of k > 1 cycles takes the term values of all k cycle ends in one
+    stacked call per term kind (_term_sums), at the first cycle whose
+    value it needs: as _primal_value does, a cycle first asks the term
+    hint, when there is one, and its value is +inf when that term's is.
+    The quadratic part is added only where the terms' sum is finite.  A
+    batch of one cycle, or one whose stacked call raises, takes each
+    value when its cycle is tested, through _primal_value, so that the
+    first cycle's error comes first.  hint follows _primal_value's rule
+    over every cycle tested, stacked or not.
+    """
+
+    __slots__ = ("spec", "groups", "stop_gap", "hint")
+
+    def __init__(self, spec, groups, stop_gap):
+        self.spec, self.groups, self.stop_gap = spec, groups, stop_gap
+        self.hint = 0   # the term asked first; None after a feasible x
+
+    def price(self, V):
+        """closes' state for a batch whose cycle ends' sums are the rows of
+        V, the caller's, so that it goes with the batch: [V, stacked, sums,
+        terms], stacked False where each value is taken by itself, and the
+        stacked call's sums and values (_term_sums) None until taken."""
+        return [V, len(V) > 1, None, None]
+
+    def closes(self, prices, c, F):
+        """Whether the gap of the batch's cycle c, whose objective is F,
+        closes; prices are price's for the batch."""
+        spec = self.spec
+        V, stacked, sums, terms = prices
+        x = spec.x0 - V[c]
+        hint = self.hint
+        if stacked and sums is None:
+            if hint is not None and spec.terms[hint].value(x) == _INF:
+                return False   # as _primal_value finds it
+            try:
+                sums, terms = prices[2:] = _term_sums(spec, self.groups, V)
+            except Exception:   # an oracle's, or a warning raised as an error
+                stacked = prices[1] = False
+        if not stacked:
+            primal, self.hint = _primal_value(spec, self.groups, x, self.hint)
+        elif sums[c] == _INF:
+            # _primal_value's next hint
+            row = terms[c]
+            if self.hint is None or row[self.hint] != _INF:
+                vals = row.tolist()
+                if _INF in vals:
+                    self.hint = vals.index(_INF)
+            return False
+        else:
+            primal = sums[c] + (spec.m + 1) * spec.quad_value(x)
+        if not math.isfinite(primal):
+            return False
+        self.hint = None
+        return math.isfinite(F) and primal - F <= self.stop_gap
 
 
 def _column(values):
@@ -2283,9 +2398,10 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     # off, the buffer is scratch, sums has two rows, and a batch's cycle
     # ends and their sums are copied into ends and ends_v to be priced.
     # A batch is checked, or priced, in one pass when it is full, when the
-    # next cycle takes another pattern (checks on), when the gap rule stops
-    # the run, before an exception leaves the loop, and at the end of the
-    # run.
+    # next cycle takes another pattern (checks on), before an exception
+    # leaves the loop, and at the end of the run; the gap rule is tested
+    # there, at each cycle whose checks have passed, and a cycle whose gap
+    # closes ends the run, which is cut back to it (_GapRule).
     sweep_checks = params.check_level in ("sweep", "full")
     max_W = max(map(len, compiled))
     if sweep_checks:
@@ -2316,6 +2432,8 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
     margins = np.zeros((n_batch, max_W))
+    gap = (None if params.stop_gap is None
+           else _GapRule(spec, all_terms, params.stop_gap))
     # how many governing rows the sweeps of a cycle of each pattern move
     n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
     z = z.copy()   # written in place
@@ -2343,20 +2461,23 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     cert_arrays = None
     any_approx = False
     stop_reason = "max_iterations"
-    hint = 0   # the term the gap rule tries first; None after a feasible x
+    stop = None   # (place in its batch, _Pending) of the cycle that stops
 
     def flush():
-        """Check the pending cycles, or with checks off price their ends."""
+        """Check the pending cycles, or with checks off price their ends;
+        returns the stop of the first whose gap closes, else None."""
         nonlocal conj, F_state, cert_arrays
         batch = pending[:]
         pending.clear()   # so that nothing is evaluated twice after an error
         if not sweep_checks:
-            _flush_cycle_ends(spec, all_terms, ends, ends_v, batch, F_list)
-            return
-        cert_arrays = None   # the last batch's go before this one's come
-        conj, F_state, cert_arrays = chk.check(
-            spec, log, conj, F_state, margins, batch, params, all_terms,
-            trace)
+            c = _flush_cycle_ends(spec, all_terms, ends, ends_v, batch,
+                                  F_list, gap)
+        else:
+            cert_arrays = None   # the last batch's go before this one's come
+            conj, F_state, cert_arrays, c = chk.check(
+                spec, log, conj, F_state, margins, batch, params, all_terms,
+                trace, gap)
+        return None if c is None else (c, batch[c])
 
     try:
         for n in range(1, params.max_iterations + 1):
@@ -2442,15 +2563,17 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 if moved and not all_finite(block):
                     if sweep_checks:
                         # the batch's cycles before this one are checked
-                        # first, then this one's sweeps before this one
+                        # first, then, unless a gap closed there, this
+                        # one's sweeps before this one
                         if pending:
-                            flush()
-                        v_diffs, moves = _movements(diffs[:n_gov], W)
-                        _movement_sums(v_diffs[:w - 1], moves, sweeps,
-                                       cycle_margins)
-                        chk.check_sweeps(spec, log, c, z, v, conj, F_state,
-                                         cycle_margins, n, params,
-                                         fallbacks, upto=w - 1)
+                            stop = flush()
+                        if stop is None:
+                            v_diffs, moves = _movements(diffs[:n_gov], W)
+                            _movement_sums(v_diffs[:w - 1], moves, sweeps,
+                                           cycle_margins)
+                            chk.check_sweeps(spec, log, c, z, v, conj,
+                                             F_state, cycle_margins, n,
+                                             params, fallbacks, upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
                 if not exact:
@@ -2500,38 +2623,56 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             # certificate distance, are appended when the cycle's batch is
             # checked or priced
             # its ascent is checked when no cycle so far ran approximate
-            pending.append(_Pending(n, not any_approx, gamma_acc,
-                                    fallbacks or cycle_approx))
+            pending.append(_Pending(
+                n, not any_approx, gamma_acc, fallbacks or cycle_approx,
+                len(trace.sweep_v_diff) if per_sweep else 0,
+                len(trace.moves) if per_sweep else 0,
+                screen.skipped if screen else 0))
+            if keep_cycle_starts:
+                cycle_start_duals.append(z.copy())
             if len(pending) == n_batch or (sweep_checks and n <= n_lead):
-                flush()
+                stop = flush()
+                if stop is not None:
+                    break
             if n == n_lead:
                 # nothing reads the lead-in cycles' sweeps and checks again
                 del compiled[1:]
                 if sweep_checks:
                     del checks[1:]
-            if keep_cycle_starts:
-                cycle_start_duals.append(z.copy())
-
-            if params.stop_gap is not None:
-                primal, hint = _primal_value(spec, all_terms, spec.x0 - v,
-                                             hint)
-                if math.isfinite(primal):
-                    hint = None
-                    # a cycle that waits for its batch is priced by itself,
-                    # with the bits its check or its batch's pricing finds
-                    F_cycle = (dual_objective_z(spec, z, all_terms, v)
-                               if pending else F_list[-1])
-                    if (math.isfinite(F_cycle)
-                            and primal - F_cycle <= params.stop_gap):
-                        stop_reason = "gap"
-                        break
     except Exception:
-        # an earlier cycle's error comes first, as in a cycle-by-cycle check
+        # an earlier cycle's error, or its closed gap, comes first, as in a
+        # cycle-by-cycle check
         if pending:
-            flush()
-        raise
+            stop = flush()
+        if stop is None:
+            raise
     if pending:
-        flush()
+        stop = flush()
+    if stop is not None:
+        # the run ends at the cycle whose gap closed: its end state, from
+        # the log or the batch's copy, and the trace as that cycle left it;
+        # F, cert and the sweeps' F were appended up to it
+        c, cyc = stop
+        stop_reason = "gap"
+        if cyc.n < n:   # later cycles ran; else z and v are its own
+            if sweep_checks:
+                s = (c + 1) * chk.W
+                chk._state(log, s, z)
+                v = log.sums[s]
+            else:
+                z, v = ends[c], ends_v[c]
+        n = cyc.n
+        for column, size in (
+                (trace.v_diff, n), (trace.gamma, n), (trace.growth, n),
+                (trace.approx, n), (sq_list, n), (cycle_start_duals, n + 1),
+                (trace.sweep_v_diff, cyc.sweep_rows),
+                (trace.sweep_approx, cyc.sweep_rows),
+                (trace.moves, cyc.moves)):
+            if column is not None:
+                del column[size:]
+        any_approx = not cyc.ascent
+        if screen:
+            screen.skipped = cyc.skipped
 
     # n is the last cycle run: max_iterations is at least 1
     state = DualState(z.copy(), n=n, w=len(plan.cycle(n)))

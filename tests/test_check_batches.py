@@ -72,12 +72,39 @@ def _batch_sizes(monkeypatch):
     return sizes
 
 
+def _flush_sizes(monkeypatch):
+    """Record the number of cycles of every checks-off pricing batch."""
+    sizes = []
+    flush = engine._flush_cycle_ends
+
+    def recorded(spec, groups, Z, V, batch, F_list, gap):
+        sizes.append(len(batch))
+        return flush(spec, groups, Z, V, batch, F_list, gap)
+
+    monkeypatch.setattr(engine, "_flush_cycle_ends", recorded)
+    return sizes
+
+
+def _one_cycle_batches(monkeypatch, level):
+    """Make every batch of the level hold one cycle."""
+    if level == "off":
+        monkeypatch.setattr(engine, "_OBJ_BATCH", 1)
+    else:
+        monkeypatch.setattr(engine, "_CHECK_BATCH_BYTES", 0)
+
+
 def _assert_same_result(a, b):
     for name in ("F_per_cycle", "gamma", "growth", "sq_diff_cumsum", "x"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     assert a.state.z.tobytes() == b.state.z.tobytes()
-    assert (a.F, a.F_initial, a.stop_reason, a.cycles_run, a.any_approx) == (
-        b.F, b.F_initial, b.stop_reason, b.cycles_run, b.any_approx)
+    assert (a.F, a.F_initial, a.stop_reason, a.cycles_run, a.any_approx,
+            a.skipped_sweeps) == (b.F, b.F_initial, b.stop_reason,
+                                  b.cycles_run, b.any_approx,
+                                  b.skipped_sweeps)
+    assert (a.cycle_start_duals is None) == (b.cycle_start_duals is None)
+    assert len(a.cycle_start_duals or ()) == len(b.cycle_start_duals or ())
+    for p, q in zip(a.cycle_start_duals or (), b.cycle_start_duals or ()):
+        assert p.tobytes() == q.tobytes()
     assert a.cycle_rows == b.cycle_rows
     assert a.sweep_rows == b.sweep_rows
     assert (a.certificates is None) == (b.certificates is None)
@@ -93,12 +120,12 @@ def _assert_same_result(a, b):
 def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
         monkeypatch, case, level):
     # caps on both sides of a full batch, gap stops inside one, and a zero
-    # gap that prices every feasible pending cycle by itself: every field,
-    # trace row and certificate is that of batches of one, and "off" has
-    # the objectives of the checked run.  The gap closes in one cycle, so
-    # a second gap stop starts from the duals after two cycles: the custom
-    # cases then stop 2 cycles sooner, so that one of the two stops lies
-    # inside a batch of any size from 2 to 8
+    # gap that tests every feasible cycle: every field, trace row and
+    # certificate is that of batches of one, and "off" has the objectives
+    # of the checked run.  The gap closes in one cycle, so a second gap stop
+    # starts from the duals after two cycles: the custom cases then stop 2
+    # cycles sooner, so that one of the two stops lies inside a batch of
+    # any size from 2 to 8, not on its last cycle
     spec, plan = _case(case)
     sizes = _batch_sizes(monkeypatch)
     per_cycle = _check(spec, plan, level).cycle_bytes
@@ -129,12 +156,15 @@ def test_checked_batches_give_the_bits_of_one_cycle_at_a_time(
                 == [row.F for row in batched.cycle_rows])
         assert (off.stop_reason, off.cycles_run) == (batched.stop_reason,
                                                      batched.cycles_run)
+        # a stop's batch is checked whole: its cycles after the stop ran
         n_batch = min(engine._OBJ_BATCH, cap,
                       engine._CHECK_BATCH_BYTES // per_cycle)
-        assert max(batched_sizes) == min(
-            n_batch, max(1, batched.cycles_run - len(plan.lead_in)))
+        assert max(batched_sizes) == min(n_batch,
+                                         max(1, cap - len(plan.lead_in)))
+        assert sum(batched_sizes) >= batched.cycles_run
         if batched.stop_reason == "gap":
-            mid_batch = mid_batch or batched_sizes[-1] < n_batch
+            mid_batch = mid_batch or (
+                batched.cycles_run < sum(batched_sizes))
     assert mid_batch
 
 
@@ -209,52 +239,212 @@ def test_a_pattern_that_leaves_a_term_row_unwritten_is_refused(level):
 
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])
 @pytest.mark.parametrize("case", ["classic", "custom_nested"])
-def test_the_gap_rule_prices_a_pending_cycle_with_the_bits_of_its_check(
-        monkeypatch, case, level):
-    # while a cycle waits for its batch, the gap rule prices its end by
-    # itself; that objective is the one the check pass, or with checks off
-    # the pricing of its batch, finds for it, and with checks off no batch
-    # is priced before it is full.  x is feasible at most cycle ends of
-    # these runs, and the gap never closes
+def test_the_gap_rule_prices_no_cycle_twice(monkeypatch, case, level):
+    # the gap rule reads each cycle's objective where its batch's check,
+    # or with checks off its pricing, finds it: run calls dual_objective_z
+    # only for F_initial with checks off, and _primal_value only for the
+    # cycles checked or priced alone; a batch of more takes the term values
+    # of its cycle ends in at most one stacked call per term kind.  x is
+    # feasible at most cycle ends of these runs, and the gap never closes
     if case == "classic":
         spec = fixtures.random_halfspaces(2, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
     else:
         spec = fixtures.random_mixed(3, 8, 6, m=2)
         plan = test_engine._custom_nested_plan()
-    priced = []
-    objective = engine.dual_objective_z
+    calls = {"dual_objective_z": 0, "_primal_value": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(engine, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(engine, name, counted)
+    stacked = []
+    term_sums = engine._term_sums
 
-    def recorded(spec, z, groups=None, v=None):
-        F = objective(spec, z, groups, v)
-        priced.append((z.tobytes(), F))
-        return F
+    def recorded(spec, groups, V):
+        stacked.append(len(V))
+        return term_sums(spec, groups, V)
 
-    monkeypatch.setattr(engine, "dual_objective_z", recorded)
-    flushed = []
-    flush_cycle_ends = engine._flush_cycle_ends
-
-    def counted(spec, groups, Z, V, batch, F_list):
-        flushed.append(len(batch))
-        return flush_cycle_ends(spec, groups, Z, V, batch, F_list)
-
-    monkeypatch.setattr(engine, "_flush_cycle_ends", counted)
+    monkeypatch.setattr(engine, "_term_sums", recorded)
+    sizes = (_flush_sizes(monkeypatch) if level == "off"
+             else _batch_sizes(monkeypatch))
     res = dk.run(spec, plan, dk.SolveParams(
         max_iterations=100, stop_gap=0.0, check_level=level),
         keep_cycle_starts=True)
     assert res.stop_reason == "max_iterations"
-    F_at = {z.tobytes(): F for z, F in zip(res.cycle_start_duals[1:],
-                                           res.F_per_cycle.tolist())}
-    # the states priced at cycle ends, not F_initial's
-    pending = [(z, F) for z, F in priced if z in F_at]
-    assert len(pending) > 50
-    for z, F in pending:
-        assert F == F_at[z]
+    assert res.F_per_cycle.tolist() == [dk.dual_objective(spec, z)
+                                        for z in res.cycle_start_duals[1:]]
+    assert calls["dual_objective_z"] == (1 if level == "off" else 0)
+    assert sum(sizes) == 100 and max(sizes) > 1
+    assert calls["_primal_value"] == sizes.count(1)
+    # at most one stacked call a batch of more cycles, over all of them
+    assert stacked and all(k > 1 for k in stacked)
+    assert len(stacked) <= len([k for k in sizes if k > 1])
     if level == "off":
         n_batch = min(engine._OBJ_BATCH, engine._OFF_BATCH_BYTES // (
             spec.n_duals * spec.d * 8))
-        assert flushed == [n_batch] * (100 // n_batch) + (
+        assert sizes == [n_batch] * (100 // n_batch) + (
             [100 % n_batch] if 100 % n_batch else [])
+
+
+def _stop_problem(case):
+    """The spec and plan of a gap stop test: the product schedule's, whose
+    gap closes slowly, or a _case."""
+    if case == "product":
+        return (fixtures.random_halfspaces(3, 8, 6, m=7),
+                dk.product_space_schedule(8))
+    return _case(case)
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("case", ["product", "custom_pair"])
+def test_a_gap_that_closes_anywhere_in_a_batch_gives_one_cycle_batches(
+        monkeypatch, case, level):
+    # the gap rule is tested in each batch's cycle-ordered pass, and the run
+    # is cut back to the first cycle whose gap closes, whose batch ran the
+    # cycles after it: at the first, a middle and the last cycle of a
+    # batch, every field, skipped_sweeps, cycle start, certificate and
+    # per-sweep row is that of one-cycle batches, which never ran them.
+    # Starting from the duals after j cycles moves the stop through the
+    # batches
+    spec, plan = _stop_problem(case)
+    sizes = (_flush_sizes(monkeypatch) if level == "off"
+             else _batch_sizes(monkeypatch))
+    places = set()
+    for j in range(8):
+        start = dk.run(spec, plan, dk.SolveParams(
+            max_iterations=j, check_level="off")).state.z if j else None
+
+        def solve():
+            return dk.run(spec, plan, dk.SolveParams(
+                max_iterations=400, stop_gap=1e-8, check_level=level,
+                per_sweep_trace=True), z_init=start, keep_cycle_starts=True)
+
+        sizes.clear()
+        batched = solve()
+        assert batched.stop_reason == "gap"
+        # the stop's place in the last batch, which is full
+        assert sizes[-1] == max(sizes) > 1
+        place = batched.cycles_run - sum(sizes[:-1])
+        places.add("first" if place == 1 else
+                   "last" if place == sizes[-1] else "middle")
+        with monkeypatch.context() as m:
+            _one_cycle_batches(m, level)
+            single = solve()
+        _assert_same_result(batched, single)
+    assert places == {"first", "middle", "last"}
+
+
+def _write_in_cycle(monkeypatch, n, act):
+    """act(out) on the rows of each sweep solved in cycle n: a checked or
+    unchecked run takes each cycle's movements once, at its end."""
+    ends = [0]
+    movements = engine._movements
+    execute = engine._execute_sweep
+
+    def counted(*args):
+        ends[0] += 1
+        return movements(*args)
+
+    def faulty(spec, z, v, cs, params, out):
+        exact = execute(spec, z, v, cs, params, out)
+        if ends[0] == n - 1:
+            act(out)
+        return exact
+
+    monkeypatch.setattr(engine, "_movements", counted)
+    monkeypatch.setattr(engine, "_execute_sweep", faulty)
+
+
+def _add_one(out):
+    out += 1.0
+
+
+_NAN_79 = ("non-finite", NonFiniteStateError,
+           "non-finite duals after cycle 79 sweep 2")
+_CHECK_79 = ("check", EngineInvariantError, "cycle 79 sweep 2: .*")
+
+
+@pytest.mark.parametrize("level,fault,error,message", [
+    ("off",) + _NAN_79, ("sweep",) + _NAN_79, ("full",) + _NAN_79,
+    ("sweep",) + _CHECK_79, ("full",) + _CHECK_79])
+def test_nothing_of_a_cycle_after_the_stop_surfaces(monkeypatch, level,
+                                                    fault, error, message):
+    # custom_pair's gap closes at cycle 78, the 5th of its batch of six
+    # (the 6th of eight with checks off): a NaN written in cycle 79, or
+    # rows of cycle 79 moved off their solves, which fails its first
+    # solved sweep's check (its sweep 1 is screened), is an error alone,
+    # and after the stop in the same batch it does not surface, since a
+    # cycle-by-cycle run never runs cycle 79
+    spec, plan = _case("custom_pair")
+    write = _write(np.nan) if fault == "non-finite" else _add_one
+    hits = []
+
+    def inject(monkeypatch, n):
+        _write_in_cycle(monkeypatch, n, lambda out: hits.append(write(out)))
+
+    def solve(cap, gap):
+        return dk.run(spec, plan, dk.SolveParams(
+            max_iterations=cap, stop_gap=gap, check_level=level,
+            per_sweep_trace=True), keep_cycle_starts=True)
+
+    with monkeypatch.context() as m:
+        inject(m, 79)
+        with pytest.raises(error, match=f"^{message}$"):
+            solve(79, None)
+    hits.clear()
+    with monkeypatch.context() as m:
+        inject(m, 79)
+        batched = solve(400, 1e-8)
+    assert (batched.stop_reason, batched.cycles_run) == ("gap", 78)
+    assert hits   # cycle 79 ran, in the stop's batch
+    with monkeypatch.context() as m:
+        _one_cycle_batches(m, level)
+        single = solve(400, 1e-8)
+    _assert_same_result(batched, single)
+
+
+@pytest.mark.parametrize("level", ["sweep", "full"])
+@pytest.mark.parametrize("n", [77, 78])
+def test_a_failing_check_up_to_the_stop_still_raises(monkeypatch, level, n):
+    # custom_pair's gap closes at cycle 78: a cycle's checks are decided
+    # before its gap test, so a failing check of cycle 77 or of the stop
+    # cycle itself raises its error, batched or checked cycle by cycle
+    spec, plan = _case("custom_pair")
+    for one in (False, True):
+        with monkeypatch.context() as m:
+            if one:
+                _one_cycle_batches(m, level)
+            _write_in_cycle(m, n, _add_one)
+            with pytest.raises(EngineInvariantError,
+                               match=f"^cycle {n} sweep 2: "):
+                dk.run(spec, plan, dk.SolveParams(
+                    max_iterations=400, stop_gap=1e-8, check_level=level))
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("cap", [78, 79])
+def test_a_stop_in_the_last_batch_before_the_cap(monkeypatch, level, cap):
+    # custom_pair's gap closes at cycle 78: with a cap of 78 or 79 its
+    # batch is the run's last, checked or priced when the loop ends (but
+    # for cap 79 with checks on, which fills it), and the run stops by the
+    # gap rule as one-cycle batches do
+    spec, plan = _case("custom_pair")
+    sizes = (_flush_sizes(monkeypatch) if level == "off"
+             else _batch_sizes(monkeypatch))
+
+    def solve():
+        return dk.run(spec, plan, dk.SolveParams(
+            max_iterations=cap, stop_gap=1e-8, check_level=level,
+            per_sweep_trace=True), keep_cycle_starts=True)
+
+    batched = solve()
+    assert (batched.stop_reason, batched.cycles_run) == ("gap", 78)
+    assert sum(sizes) == cap
+    with monkeypatch.context() as m:
+        _one_cycle_batches(m, level)
+        single = solve()
+    _assert_same_result(batched, single)
 
 
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])

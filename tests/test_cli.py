@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
-from dyksplit import engine, fixtures
+from dyksplit import cli, engine, fixtures
 from dyksplit.cli import TRACE_COLUMNS, main
 from dyksplit.config import (ConfigError, RunConfig, build, term_from_dict,
                              term_to_dict)
@@ -315,6 +315,69 @@ _GROWTH_PATTERN = [
     {"outer": [10]}, {"outer": [5]}, {"outer": [6], "blocks": {"10": [5, 10]}},
     {"outer": [7]}, {"outer": [8]},
 ]
+
+
+def test_solve_prints_the_skips_of_the_stop_cycle(tmp_path, capsys,
+                                                  monkeypatch):
+    # the benchmark's custom pattern at check_level full stops by the gap
+    # at cycle 106, the 3rd of a checked batch of six: the run is cut back
+    # to it, and solve prints the lines, the screen's skips among them, of
+    # a run checked one cycle at a time
+    spec = fixtures.random_mixed(6, 8, 6, m=2)
+    path = _dump(tmp_path, "run.json", {
+        "problem": {"x0": spec.x0.tolist(),
+                    "terms": [term_to_dict(t) for t in spec.terms]},
+        "splitting": _custom(2, _GROWTH_PATTERN),
+        "solve": {"check_level": "full", "stop_gap": 1e-8,
+                  "max_iterations": 400}})
+    sizes = []
+    check = engine._CCheck.check
+
+    def recorded(self, *args):   # args[5] is the batch of _Pending cycles
+        sizes.append(len(args[5]))
+        return check(self, *args)
+
+    monkeypatch.setattr(engine._CCheck, "check", recorded)
+    assert main(["solve", path, "--auto-defer"]) == 0
+    batched = capsys.readouterr().out
+    assert "cycles run: 106 (stop: gap)" in batched
+    assert sum(sizes) > 106   # the stop's batch ran cycles after it
+    monkeypatch.setattr(engine, "_CHECK_BATCH_BYTES", 0)
+    assert main(["solve", path, "--auto-defer"]) == 0
+    single = capsys.readouterr().out
+    skipped = [line for line in batched.splitlines()
+               if line.startswith("sweeps skipped by the screen: ")]
+    assert len(skipped) == 1 and skipped[0] != (
+        "sweeps skipped by the screen: 0")
+    assert batched == single
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], [], ["bogus"], ["-x"], ["solve", "-h"],
+    ["validate", "-h"], ["compare", "-h"], ["oracle", "-h"], ["solve"],
+    ["solve", "run.json", "--bogus"], ["solve", "a.json", "b.json"],
+    ["compare", "a.json"], ["validate", "--seed", "x", "run.json"],
+    ["oracle", "run.json", "--reference", "extra"],
+    ["compare", "a.json", "b.json", "--cycles", "3", "--report"]])
+def test_the_command_line_parses_as_with_every_subparser(argv, capsys):
+    # _parse_args builds only the subparser of the command it is given,
+    # else all of them: the arguments, the help, the usage and the errors
+    # are those of the parser with every subparser
+    def parsed(parse):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            args = exc.code
+        out = capsys.readouterr()
+        return args, out.out, out.err
+
+    assert parsed(cli._parse_args) == parsed(cli._parser().parse_args)
+    if argv and argv[0] in ("solve", "validate", "compare", "oracle"):
+        # the other commands are not built
+        other = "validate" if argv[0] == "solve" else "solve"
+        with pytest.raises(SystemExit):
+            cli._parser(argv[0]).parse_args([other, "run.json"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_validate_prints_each_sweeps_compiled_tiers(tmp_path, capsys):

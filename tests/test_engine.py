@@ -708,9 +708,9 @@ def test_checks_off_batches_hold_at_most_their_bytes_of_cycle_ends(
     sizes = []
     flush = engine._flush_cycle_ends
 
-    def recorded(spec, groups, Z, V, batch, F_list):
+    def recorded(spec, groups, Z, V, batch, F_list, gap):
         sizes.append(len(batch))
-        return flush(spec, groups, Z, V, batch, F_list)
+        return flush(spec, groups, Z, V, batch, F_list, gap)
 
     monkeypatch.setattr(engine, "_flush_cycle_ends", recorded)
     spec = fixtures.random_halfspaces(1, r, d, m=r - 1 if product else 0)
@@ -741,6 +741,24 @@ def _same_compiled(a, b):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(_same_compiled(x, y) for x, y in zip(a, b)))
     return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("rows", [slice(2, 3), np.array([2]),
+                                  slice(1, 3), np.array([2, 1])])
+def test_quad_rows_of_one_row_give_the_bits_of_the_sum(rows):
+    # one copy row takes v - (z_j + 0.0), not the reduction: numpy sums one
+    # row as 0.0 + row, which takes -0.0 to +0.0, and keeps a NaN's bits
+    spec = fixtures.random_mixed(1, 1, 6, m=2)
+    z = np.array([[1.0, -2.0, 0.5, 3.0, -0.0, 7.0],
+                  [-0.0, 2.5, 0.0, -1.0, 4.0, -0.0],
+                  [-0.0, 0.0, np.nan, -np.nan, -0.0, 1e-300]])
+    k = len(z[rows])
+    out = np.empty((k, 6))
+    for v in (np.zeros(6), -np.zeros(6), z.sum(axis=0), np.full(6, 2.0)):
+        assert engine._quad_rows(spec, z, v, (rows, slice(0, k)), None, out)
+        c = v - z[rows].sum(axis=0)
+        assert out.tobytes() == np.broadcast_to(-c / (k + 1.0),
+                                                (k, 6)).tobytes()
 
 
 def test_a_one_term_row_sweep_compiles_as_the_general_path_does():
@@ -1493,12 +1511,14 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
     (fixtures.random_halfspaces, 4, 10, 4), (fixtures.random_mixed, 2, 8, 6)])
 def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
         monkeypatch, make, seed, r, d, level):
-    # the gap rule asks one term for its own value before the stacks only
-    # at the first cycle and after a cycle whose iterate lies outside some
-    # set: once the iterate is feasible, the next cycle goes straight to the
-    # stacks, which hold that term's value too.  The halfspaces turn
-    # feasible at cycle 3 and stay so up to the gap stop; the mixed sets
-    # leave the intersection at cycle 2 and come back at cycle 4
+    # in batches of one cycle, the gap rule asks one term for its own value
+    # before the stacks only at the first cycle and after a cycle whose
+    # iterate lies outside some set: once the iterate is feasible, the next
+    # cycle goes straight to the stacks, which hold that term's value too.
+    # A batch of more cycles asks it only until its one stacked call.  The
+    # halfspaces turn feasible at cycle 3 and stay so up to the gap stop;
+    # the mixed sets leave the intersection at cycle 2 and come back at
+    # cycle 4
     spec = make(seed, r, d)
     plan = dk.classic_dykstra_schedule(r)
     asked = [0]
@@ -1511,6 +1531,9 @@ def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
     params = dk.SolveParams(max_iterations=500, stop_gap=1e-8,
                             check_level=level)
     monkeypatch.setattr(dk.Indicator, "value", counted)
+    batched = dk.run(spec, plan, params)
+    asked_batched, asked[0] = asked[0], 0
+    monkeypatch.setattr(engine, "_OBJ_BATCH", 1)
     res = dk.run(spec, plan, params, keep_cycle_starts=True)
     monkeypatch.undo()
     assert res.stop_reason == "gap"
@@ -1518,15 +1541,65 @@ def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
                 for z in res.cycle_start_duals[1:]]
     assert feasible[-1] and sum(feasible) >= 3 and not all(feasible)
     assert asked[0] == 1 + feasible[:-1].count(False)
-    # the same stop, cycle and iterate as a run that asks a term first at
-    # every cycle
+    assert 1 <= asked_batched <= asked[0]
+    # the same stop, cycle and iterate as batches of more cycles and as a
+    # run that asks a term first at every cycle
+    assert (batched.cycles_run, batched.x.tobytes()) == (res.cycles_run,
+                                                         res.x.tobytes())
     primal_value = engine._primal_value
+    monkeypatch.setattr(engine, "_OBJ_BATCH", 1)
     monkeypatch.setattr(engine, "_primal_value",
                         lambda spec, groups, x, hint: primal_value(
                             spec, groups, x, 0 if hint is None else hint))
     again = dk.run(spec, plan, params)
     assert (again.cycles_run, again.x.tobytes()) == (res.cycles_run,
                                                      res.x.tobytes())
+
+
+def test_the_stacked_gap_rule_matches_one_point_at_a_time():
+    # _GapRule over a batch of cycle ends: one stacked call per term kind
+    # gives every primal value bitwise, with the quadratic part added where
+    # the terms' sum is finite; closes decides every cycle as the rule of
+    # one point at a time does, and the hint it leaves for a batch
+    # of one is _primal_value's after the same points.  Every term kind,
+    # with points inside, outside and on two sets, over batches of 1 to 5
+    rng = np.random.default_rng(34)
+    for kind in TERM_KINDS:
+        terms = [sample_term(k, rng, 3)
+                 for k in (kind, "l1", kind, "quadratic", kind)]
+        # the copies of the set are one, so its points satisfy all three
+        terms[2] = terms[4] = terms[0]
+        spec = dk.ProblemSpec(rng.standard_normal(3), terms, m=1)
+        groups = stack_terms(spec.terms, range(spec.r))
+        points = [rng.standard_normal(3) * s for s in (0.1, 3.0, 30.0)
+                  for _ in range(6)]
+        points += [terms[0].prox(x, 1.0) for x in points[:6]]
+        rng.shuffle(points)
+        V = spec.x0 - np.array(points)
+        F = rng.standard_normal(len(V)) - 5.0
+        primal = [engine._primal_value(spec, groups, spec.x0 - v, None)[0]
+                  for v in V]
+        assert np.isfinite(primal).any()
+        assert np.isinf(primal).any() or kind in ("l1", "quadratic")
+        one = engine._GapRule(spec, groups, 10.0)
+        stacked = engine._GapRule(spec, groups, 10.0)
+        at = 0
+        for k in (1, 2, 5, 3, 4, 1, 5, 3):
+            batch = V[at:at + k]
+            # the terms' sums, to which the quadratic part is added where
+            # finite, as _primal_value adds it
+            sums, _ = engine._term_sums(spec, groups, batch)
+            for v, total, value in zip(batch, sums, primal[at:at + k]):
+                assert (total == value == np.inf or total + (spec.m + 1)
+                        * spec.quad_value(spec.x0 - v) == value)
+            prices = stacked.price(batch)
+            assert prices[1] == (k > 1)
+            for c in range(k):
+                assert (stacked.closes(prices, c, F[at + c])
+                        == one.closes(one.price(batch[c:c + 1]), 0,
+                                      F[at + c]))
+                assert stacked.hint == one.hint
+            at += k
 
 
 def test_run_rejects_invalid_schedule():

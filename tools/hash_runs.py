@@ -18,10 +18,14 @@ The run set is every combination of
 over the instances (seed, r, d) in INSTANCES, or QUICK with --quick; the
 custom patterns take r = 8 and d = 6, and only the instances of that
 size.  These runs stop at MAX_ITERATIONS cycles, before any product run
-closes its gap, so the set also holds product runs that stop by the gap
-rule: the (8, 6) instances of both fixtures in GAP_STOPS, or QUICK_GAP_STOPS
-with --quick, at check_level off and sweep, with stop_gap 1e-8 and a cap of
-GAP_STOP_CAP cycles; they stop in 74 to 2927 cycles.  Every run keeps its
+closes its gap, so the set also holds runs that stop by the gap rule, with
+stop_gap 1e-8 and a cap of GAP_STOP_CAP cycles: product runs of the (8, 6)
+instances of both fixtures in GAP_STOPS, or QUICK_GAP_STOPS with --quick,
+at every check level, which stop in 74 to 2927 cycles, and runs of the
+custom pair pattern in CUSTOM_GAP_STOPS, or QUICK_CUSTOM_GAP_STOPS, at
+check_level sweep and full, whose stops fall inside a checked batch of six
+cycles and not on its last.  For each gap stop the run prints its cycle
+and, with checks on, its place in its batch.  Every run keeps its
 cycle starts.  A run's hash covers every RunResult field but the work counter
 skipped_sweeps, every trace row, every cycle start and every certificate,
 each float by its bytes; a run that raises is hashed by its error.  The
@@ -56,6 +60,12 @@ STOP_GAP = 1e-8
 # (fixture, seed) of the product gap stops, at (8, 6)
 GAP_STOPS = [(fixture, seed) for fixture in FIXTURES for seed in (1, 2, 3)]
 QUICK_GAP_STOPS = [("halfspaces", 3)]   # 74 cycles
+# (fixture, seed) of the custom pair pattern's gap stops: cycles 112, 86,
+# 17 and 106, the 3rd, 1st, 4th and 3rd of a batch of six cycles after the
+# pattern's one lead-in cycle
+CUSTOM_GAP_STOPS = [("halfspaces", 1), ("halfspaces", 2), ("halfspaces", 3),
+                    ("mixed", 6)]
+QUICK_CUSTOM_GAP_STOPS = [("halfspaces", 3)]
 GAP_STOP_CAP = 5000
 # not a result: how much solver work a run skipped
 SKIP_FIELDS = {"skipped_sweeps"}
@@ -133,24 +143,36 @@ def digest(result):
 
 
 def hash_run(dk, key):
-    """(hex digest, skipped sweeps or None, sweeps) of one run of the run
-    set."""
+    """(hex digest, skipped sweeps or None, sweeps, where it stopped) of
+    one run of the run set; where is None but for a run of the gap stops
+    that stops by the gap rule."""
+    from bench_grid import recording_batches   # next to this script
     fixture, schedule, level, gap, per_sweep, seed, r, d, cap = key
     spec, plan = make_problem(dk, fixture, schedule, seed, r, d)
     params = dk.SolveParams(max_iterations=cap,
                             stop_gap=STOP_GAP if gap else None,
                             check_level=level, per_sweep_trace=per_sweep)
+    sizes = []   # the cycles of each checked batch
     try:
-        result = dk.run(spec, plan, params, keep_cycle_starts=True)
+        with recording_batches(dk, sizes):
+            result = dk.run(spec, plan, params, keep_cycle_starts=True)
     except Exception as exc:   # a failing run is hashed by its error
         h = hashlib.sha256()
         feed(h, f"{type(exc).__name__}: {exc}")
-        return h.hexdigest(), 0, 0
+        return h.hexdigest(), 0, 0, None
+    where = None
+    if cap == GAP_STOP_CAP and result.stop_reason == "gap":
+        n = result.cycles_run
+        where = f"cycle {n}"
+        if sizes:   # its place among the batches after the lead-in cycles
+            n_batch = max(sizes)
+            place = (n - len(plan.lead_in) - 1) % n_batch + 1
+            where += f", {place} of a batch of {n_batch}"
     return (digest(result), getattr(result, "skipped_sweeps", None),
-            sum(row.w for row in result.cycle_rows))
+            sum(row.w for row in result.cycle_rows), where)
 
 
-def run_keys(instances, gap_stops):
+def run_keys(instances, gap_stops, custom_gap_stops):
     return [(fixture, schedule, level, gap, per_sweep) + inst
             + (MAX_ITERATIONS,)
             for inst in instances for fixture in FIXTURES
@@ -159,7 +181,9 @@ def run_keys(instances, gap_stops):
             for level in LEVELS for gap in (False, True)
             for per_sweep in (False, True)] + [
         (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP)
-        for fixture, seed in gap_stops for level in ("off", "sweep")]
+        for fixture, seed in gap_stops for level in LEVELS] + [
+        (fixture, "pairs", level, True, False, seed, 8, 6, GAP_STOP_CAP)
+        for fixture, seed in custom_gap_stops for level in LEVELS[1:]]
 
 
 def main(argv=None):
@@ -173,8 +197,9 @@ def main(argv=None):
     from bench_grid import import_package   # next to this script
     packages = [import_package(src, f"dyksplit_{k}")
                 for k, src in enumerate(args.src)]
-    keys = (run_keys(QUICK, QUICK_GAP_STOPS) if args.quick
-            else run_keys(INSTANCES, GAP_STOPS))
+    keys = (run_keys(QUICK, QUICK_GAP_STOPS, QUICK_CUSTOM_GAP_STOPS)
+            if args.quick
+            else run_keys(INSTANCES, GAP_STOPS, CUSTOM_GAP_STOPS))
     mismatches = 0
     # per tree, the skipped sweeps per schedule, or None where not counted
     skipped = [dict.fromkeys(SCHEDULES, 0) for _ in packages]
@@ -185,10 +210,13 @@ def main(argv=None):
         for key in keys:
             hashes = []
             for t, dk in enumerate(packages):
-                digest, n_skipped, n_sweeps = hash_run(dk, key)
+                digest, n_skipped, n_sweeps, where = hash_run(dk, key)
                 hashes.append(digest)
                 if not t:
                     sweeps[key[1]] += n_sweeps
+                    if where is not None:
+                        print("gap stop: " + " ".join(
+                            map(str, key[:3] + key[5:6])) + ": " + where)
                 if n_skipped is None:
                     skipped[t] = None
                 elif skipped[t] is not None:
