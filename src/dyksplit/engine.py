@@ -28,21 +28,22 @@ check_level:
            _OBJ_BATCH (run),
   "sweep"  per-sweep ascent and gain margins, stationarity of exact outer
            sets, per-cycle convergence certificates,
-  "full"   additionally a sequential replay of each exact sweep with
-           per-subproblem gain checks.  The sweeps of one step with one
-           subproblem, a prox row, quadratic rows, a single-member block
-           or a pair, are re-solved for a whole batch at once
-           (_CCheck._resolved), when it holds at least _RESOLVE_MIN of
-           them over its cycles: the first three in a few stacked calls,
-           and each pair by the sweep's own terms.pair_duals at its point,
-           but where one test over the batch finds that both sets hold it
-           (terms.pair_holds), assembled for the batch; one whose written
-           rows are bitwise its snapshot's passes there, since its
-           replay's margin test is implied by the sweep pass's.  Every
-           other sweep, and every sweep of a batch whose re-solve raises,
-           is replayed by itself (_CCheck._replay).  A solver that
-           answers a repeated call differently is caught only when its
-           first answer differs from the batched re-solve.
+  "full"   additionally each subproblem's own margin in the exact sweeps
+           of several, in closed form (_CCheck._gains), and a re-solve of
+           each exact sweep, whose rows must agree with the logged ones.
+           The sweeps of one step with one subproblem, a prox row,
+           quadratic rows, a single-member block or a pair, are re-solved
+           for a whole batch at once (_CCheck._resolved), when it holds at
+           least _RESOLVE_MIN of them over its cycles: the first three in
+           a few stacked calls, and each pair by the sweep's own
+           terms.pair_duals at its point, but where one test over the batch
+           finds that both sets hold it (terms.pair_holds); one whose rows
+           are bitwise its snapshot's passes there.  Every other sweep, and
+           every sweep of a batch whose re-solve raises, is re-solved by
+           itself, step by step, and nothing is priced
+           (_CCheck._resolve_sweep).  A solver that answers a repeated call
+           differently is caught only when its first answer differs from
+           the batched re-solve.
 A solver reads a read-only snapshot and writes only its sweep's declared
 rows (_CSweep), so a valid plan keeps its freeze equalities when it declares
 no frozen row, checked once per cycle pattern (_assert_unfrozen).
@@ -135,14 +136,15 @@ _CHECK_BATCH_BYTES = 13312
 # this many bytes, or one sweep's (_CCheck._sweep_pass)
 _TABLE_CHUNK_BYTES = 65536
 # at check_level="full", a batch's one-subproblem sweeps are re-solved at
-# once only when it holds at least this many (cycle, sweep) pairs of them:
-# the re-solve's fixed cost is about that of four per-sweep replays
-# (_CCheck.check)
+# once only when it holds at least this many (cycle, sweep) pairs of them
+# (_CCheck.check), else one by one: a threshold of 1, 4 or 8 measured
+# alike on the (10, 8) grid, and 4 faster than 1 for product's batches of
+# one cycle
 _RESOLVE_MIN = 4
 
 
 class EngineInvariantError(RuntimeError):
-    """A runtime check (ascent, freeze, certificate, replay) failed."""
+    """A runtime check (ascent, freeze, certificate, re-solve) failed."""
 
 
 class NonFiniteStateError(EngineInvariantError):
@@ -530,8 +532,7 @@ class _CSweep:
     places and the row sets of every solver but _nested_rows go through
     _rows_index, so a contiguous run of rows is read as a view (_pair_rows
     takes single rows); subs and conj_rows stay index arrays for _CCheck.
-    Only a _stacked_blocks step holds a stack; the replay at
-    check_level="full" stacks the other steps' term rows.
+    Only a _stacked_blocks step holds a stack.
     """
 
     __slots__ = ("steps", "outer1", "block_js", "gov0", "gov_at", "exact",
@@ -1358,10 +1359,10 @@ class _Pass(NamedTuple):
     short (k, W) and stat_bad (k, pairs) which check; resid (k, pairs) are
     the stationarity residuals, and stat_X (k, pairs, d) their points when
     the cycle's certificates are taken from them (_CCheck.cert_pairs), else
-    None.  new (k, pairs) are the conjugates of the rows
-    each sweep writes, and starts and ends (k, r) the conjugates at each
-    cycle's start and end.  exact, (W,) or (k, W), flags the sweeps that
-    ran exact tiers only, the ones that are checked (_CCheck._exact).
+    None.  ends (k, r) are the conjugates at each cycle's end.  exact, (W,)
+    or (k, W), flags the sweeps that ran exact tiers only, the ones that
+    are checked (_CCheck._exact).  sub_short (k, S) flags the subproblems
+    of _CCheck.gains that gained less than their own margins, or is None.
     """
     F: np.ndarray
     F_prev: np.ndarray
@@ -1371,14 +1372,13 @@ class _Pass(NamedTuple):
     stat_bad: np.ndarray
     stat_X: np.ndarray | None
     resid: np.ndarray
-    new: np.ndarray
-    starts: np.ndarray
     ends: np.ndarray
     exact: np.ndarray
+    sub_short: np.ndarray | None
 
 
 class _Resolve(NamedTuple):
-    """The replayed sweeps that check re-solves for all cycles of a batch at
+    """The exact sweeps that check re-solves for all cycles of a batch at
     once, at check_level="full" (_CCheck._compile_resolve).
 
     Each is one step with one subproblem.  The B sweeps come in this order:
@@ -1392,12 +1392,12 @@ class _Resolve(NamedTuple):
     group's rows, then from pair_start on the pair sweeps' rows, i and j of
     each outer set and i, j and the governing row of each block.  rows (Q,)
     are their flat offsets w_prev * n + i in a cycle's states, w_prev the
-    state each sweep starts from, and vrows (n_outer,) the outer sets'
-    w_prev.  moreau are the stacks of the prox and block term rows, as
-    (positions, stack); groups are (start row, sweeps, rows each, first
-    outer place) for the _quad_rows outer sets of one size; pairs are the
-    pair sweeps' (s1, s2, constants), _pair_rows' first arg, outer sets
-    first, and pair_at their places.
+    state each sweep starts from, owner (positions, starts) them by sweep,
+    and vrows (n_outer,) the outer sets' w_prev.  moreau are the stacks of
+    the prox and block term rows, as (positions, stack); groups are (start
+    row, sweeps, rows each, first outer place) for the _quad_rows outer
+    sets of one size; pairs are the pair sweeps' (s1, s2, constants),
+    _pair_rows' first arg, outer sets first, and pair_at their places.
     """
     at: dict
     cols: np.ndarray
@@ -1405,6 +1405,7 @@ class _Resolve(NamedTuple):
     n_block: int
     n_outer: int
     rows: np.ndarray
+    owner: tuple
     vrows: np.ndarray
     moreau: list
     groups: list
@@ -1412,6 +1413,25 @@ class _Resolve(NamedTuple):
     pair_start: int
     pairs: list
     pair_at: np.ndarray
+
+
+class _Gains(NamedTuple):
+    """The S subproblems whose margins the sweep pass tests at "full"
+    (_CCheck._compile_gains), in sweep, step and subproblem order: cols
+    (S,) are their sweeps, 0-based, and bounds where each sweep's start,
+    then S.  offsets (N,) are their rows' (w - 1) * n + i in a cycle's
+    states, w the sweep: subproblem j's are offsets[subs[j]:subs[j + 1]].
+    terms (3, T) are the term rows' places among the N, their pairs' in
+    the pass and those of their conjugates before the sweep among the r at
+    the cycle's start and the pairs.  blocks are the blocks' places, whose
+    last rows govern them; the others are outer sets.
+    """
+    cols: np.ndarray
+    bounds: np.ndarray
+    offsets: np.ndarray
+    subs: np.ndarray
+    terms: np.ndarray
+    blocks: np.ndarray
 
 
 def _gather(A, at, k, K):
@@ -1440,8 +1460,9 @@ class _Index(NamedTuple):
     and int32: half what intp takes, for as long as the run holds them.
     conj per conjugate group, stat the sums and rows of the stat pairs, quad
     the quadratic rows of every state after a sweep (None at m = 0), resolve
-    the rows before and after each resolve sweep and the sums before it, and
-    cert those of _cert_index, or, when the certificates are taken from the
+    the rows before and after each resolve sweep and the sums before it,
+    gains those of the gains' rows and sweeps (None without), and cert
+    those of _cert_index, or, when the certificates are taken from the
     sweep pass (_CCheck.cert_pairs), only the sums of each cycle's last
     state.
     """
@@ -1450,26 +1471,8 @@ class _Index(NamedTuple):
     stat: tuple
     quad: np.ndarray
     resolve: tuple
+    gains: tuple
     cert: tuple
-
-
-def _replay_steps(cs, spec):
-    """The steps of the exact sweep cs as _CCheck._replay runs them."""
-    declared = np.arange(spec.n_duals)[cs.written]   # sorted: rows to places
-    steps = []
-    for k, step in enumerate(cs.steps):
-        groups = None
-        if k:
-            groups = ([(step.conj_rows, step.arg[0])]
-                      if step.solve is _stacked_blocks
-                      else stack_terms(spec.terms, step.conj_rows))
-            groups = [(rows, declared.searchsorted(rows), stack)
-                      for rows, stack in groups]
-        steps.append((step, groups, [
-            (_rows_index(rows.tolist()), declared.searchsorted(rows), gov,
-             None if gov is None else declared.searchsorted(gov),
-             rows[rows < spec.r]) for rows, gov in step.subs]))
-    return steps
 
 
 class _CCheck:
@@ -1477,8 +1480,9 @@ class _CCheck:
 
     check evaluates them for a batch of k consecutive cycles of the pattern
     from its _Log: one sweep pass over all k cycles for the per-sweep checks
-    (ascent, margin, stationarity of exact outer sets, and the replay at
-    check_level="full") and one cycle pass for the certificates.  A cycle's
+    (ascent, margin, stationarity of exact outer sets, and at
+    check_level="full" each subproblem's own margin) and one cycle pass for
+    the certificates, and at "full" a re-solve of each exact sweep.  A cycle's
     per-sweep checks cover the sweeps compiled exact (exact), but for those
     whose pair fell back to the nested loop in that cycle (_exact).  The
     freeze equalities of the plan, which run keeps valid, are checked here,
@@ -1503,23 +1507,16 @@ class _CCheck:
               solve, the places of those stat pairs in index order
               (_cert_pairs), a slice when they run up by one, from which
               the certificates are taken (_certificates); else None
-      replays  with scratch, the compiled exact sweeps w that are
-               replayed; at its first replay a sweep's steps are compiled
-               into steps[w] (_replay_steps), each with its term rows'
-               (rows, places, stack) groups (None for the first step, which
-               takes its conjugates from the pass) and its subproblems as
-               (rows, a slice when contiguous; places; margin row; place;
-               term rows), places in the sweep's buffer
-      resolve  the replayed sweeps that the batch re-solves at once
-               (_Resolve), or None; one whose re-solve matches its state is
-               not replayed
+      exact_sweeps  at check_level="full" the compiled exact sweeps w, which
+               are re-solved, else {}; gains the subproblems of those with
+               several, whose margins the sweep pass tests (_Gains), or None
+      resolve  those that the batch re-solves at once (_Resolve), or None;
+               any other, or one that does not match its state there, is
+               re-solved by itself (_resolve_sweep)
       cycle_bytes  what a batch holds per cycle, which run fits into
                _CHECK_BATCH_BYTES: the cycle's log rows and sums, its rows
                of the conjugate table and the int32 entries it adds to the
                indices (_build)
-    scratch holds the replay's z buffers at check_level="full", made at the
-    first replay and shared by the checks of all cycle patterns, and is None
-    otherwise.
 
     The passes read the batch's states through flat indices (_Index), each
     row where it was last written: a row that no sweep of the cycle has
@@ -1529,7 +1526,7 @@ class _CCheck:
     batch reads their first rows.
     """
 
-    def __init__(self, sweeps, spec, c_analysis, shared, scratch):
+    def __init__(self, sweeps, spec, c_analysis, shared, full):
         # the index sets are gathered as lists, each made an array once:
         # most sweeps write one row, and the checks compile on every run
         r = spec.r
@@ -1603,11 +1600,12 @@ class _CCheck:
             (terms[pos], stack) for pos, stack in _pair_stacks(
                 spec.terms, self.stat_i[terms].tolist(), shared)]
 
-        self.scratch = scratch
-        self.replays = {} if scratch is None else {
+        self.exact_sweeps = {} if not full else {
             w: cs for w, cs in enumerate(sweeps, start=1)
             if cs.exact and cs.steps}
-        self.steps = {}
+        self.gains = self._compile_gains(spec, {
+            w: cs for w, cs in self.exact_sweeps.items()
+            if sum(len(step.subs) for step in cs.steps) > 1}, pw, pi)
         self.resolve = self._compile_resolve(spec, shared)
         self.K = 0   # the batch size the log's indices are built for
         # shared certificates read only the sums of each cycle's last state
@@ -1619,6 +1617,8 @@ class _CCheck:
         entries = self.n_pairs + 2 * len(sw) + W * (n - r) + 1
         if self.resolve is not None:
             entries += 2 * self.resolve.rows.size + self.resolve.vrows.size
+        if self.gains is not None:
+            entries += 2 * self.gains.offsets.size + self.gains.cols.size
         if self.layout is not None:   # _cert_index's, but for its fixed rows
             (_, o_p), (_, q_p), blocks = self.layout
             entries += n + o_p.size + q_p.size + sum(
@@ -1626,12 +1626,37 @@ class _CCheck:
         self.cycle_bytes = (8 * ((self.P + W) * spec.d + W * (r + 1))
                             + 4 * entries)
 
+    def _compile_gains(self, spec, sweeps, pw, pi):
+        """The _Gains of the exact sweeps {w: cs}, or None when there are
+        none; pw and pi are the sweep pass's (sweep, term row) pairs."""
+        if not sweeps:
+            return None
+        r, n = spec.r, self.n
+        pair, before, last = {}, {}, list(range(r))
+        for k, (w, i) in enumerate(zip(pw, pi)):
+            pair[w, i], before[w, i], last[i] = k, last[i], r + k
+        offsets, subs, cols, terms, blocks = [], [0], [], [], []
+        for w, cs in sweeps.items():
+            for rows, gov in [sub for step in cs.steps for sub in step.subs]:
+                blocks.append(gov is not None)
+                cols.append(w - 1)
+                terms += [(len(offsets) + k, pair[w, i], before[w, i])
+                          for k, i in enumerate(rows.tolist()) if i < r]
+                offsets += ((w - 1) * n + rows).tolist()
+                subs.append(len(offsets))
+        cols = np.array(cols, dtype=np.intp)
+        return _Gains(
+            cols, np.flatnonzero(np.diff(cols, prepend=-1, append=-1)),
+            np.array(offsets, dtype=np.intp), np.array(subs, dtype=np.intp),
+            np.array(terms, dtype=np.intp).reshape(-1, 3).T,
+            np.flatnonzero(blocks))
+
     def _compile_resolve(self, spec, shared):
-        """The replayed sweeps of one step with one subproblem that the
+        """The exact sweeps of one step with one subproblem that the
         batched re-solve covers, as a _Resolve, or None when there are
         none."""
         prox, sums, blocks, pairs = [], {}, [], ([], [])
-        for w, cs in self.replays.items():
+        for w, cs in self.exact_sweeps.items():
             step = cs.steps[0]
             if len(cs.steps) > 1 or len(step.subs) > 1:
                 continue
@@ -1671,37 +1696,20 @@ class _CCheck:
             start += len(group) * size
             place += len(group)
         cols = np.array([w - 1 for w, *_ in order], dtype=np.intp)
+        place = np.array([b for b, _ in written], dtype=np.intp)
+        owner = np.argsort(place, kind="stable")
         return _Resolve(
             {w: b for b, (w, *_) in enumerate(order)}, cols, n_prox, n_block,
             n_outer,
             np.array([cols[b] * spec.n_duals + i for b, i in written],
                      dtype=np.intp),
+            (owner, np.searchsorted(place[owner], np.arange(len(order)))),
             cols[:n_outer].copy(),
             _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
                          shared),
             groups, n_pair, pair_start,
             [pair for _, _, pair in pairs[0] + pairs[1]],
             np.array(pair_at, dtype=np.intp))
-
-    def _per_sweep(self, A):
-        """Whether any of A (k, Q), one flag per written row, holds over
-        the rows of each resolve sweep, as (k, B)."""
-        rs = self.resolve
-        m = rs.n_prox + rs.n_block
-        out = np.empty((len(A), len(rs.cols)), dtype=bool)
-        out[:, :rs.n_prox] = A[:, :rs.n_prox]
-        np.logical_or(A[:, rs.n_prox:m], A[:, m:m + rs.n_block],
-                      out=out[:, rs.n_outer:rs.n_outer + rs.n_block])
-        for start, count, size, place in rs.groups:
-            out[:, place:place + count] = A[:, start:start + count * size
-                                            ].reshape(-1, count, size).any(2)
-        if rs.pairs:
-            s, o = rs.pair_start, rs.n_pair
-            out[:, rs.pair_at[:o]] = A[:, s:s + 2 * o].reshape(
-                len(A), o, 2).any(2)
-            out[:, rs.pair_at[o:]] = A[:, s + 2 * o:].reshape(
-                len(A), -1, 3).any(2)
-        return out
 
     def _index(self, k):
         """The log's flat indices for batches of k cycles, built unless they
@@ -1728,7 +1736,7 @@ class _CCheck:
         def rows(o):
             return self._locate(c, o.ravel()).astype(np.int32).ravel()
 
-        rs = self.resolve
+        rs, g = self.resolve, self.gains
         quad = None
         if self.r < n:
             quad = rows(np.arange(1, W + 1)[:, None] * n
@@ -1738,6 +1746,8 @@ class _CCheck:
             (sums(self.stat_w), rows(self.stat_w * n + self.stat_i)), quad,
             None if rs is None else (rows(rs.rows), rows(rs.rows + n),
                                      sums(rs.vrows)),
+            None if g is None else (rows(g.offsets), rows(g.offsets + n),
+                                    sums(g.cols)),
             sums(np.array([W])) if self.layout is None
             else _cert_index(self.layout, n, W, k, rows, sums))
 
@@ -1761,6 +1771,9 @@ class _CCheck:
 
     def _state(self, log, s, out):
         """State s of the batch in log, rebuilt into out."""
+        if not s:   # the batch's start
+            out[...] = log.rows[:self.n]
+            return out
         c, w = divmod(s, self.W)
         return log.rows.take(self._locate(c, w * self.n + np.arange(self.n)),
                              axis=0, out=out)
@@ -1820,13 +1833,19 @@ class _CCheck:
         starts[0] = conj0
         if k > 1:   # each cycle starts with the last writes of the one before
             starts[1:] = new[:-1, self.last]
-        # the conjugate table in chunks of sweeps: the running sums go along
-        # its rows, so each row's sum has the bits of one table's
+        # the conjugate table in chunks of sweeps: row (c, w - a - 1) holds
+        # a leading 0.0 and the r conjugates after sweep w of cycle c.  The
+        # running sums go along its rows, so each row's sum has the bits of
+        # one table's
         total = np.empty((k, W))
         step = max(1, _TABLE_CHUNK_BYTES // (k * (r + 1) * 8))
         for a in range(0, W, step):
             b = min(W, a + step)
-            C = self._conjugates(starts, new, a, b)
+            C = np.empty((k, b - a, r + 1))
+            C[..., 0] = 0.0
+            C[..., 1:] = starts[:, None]
+            for mask, pos in self.layers:
+                np.copyto(C[..., 1:], new[:, pos][:, None], where=mask[a:b])
             if b == W:
                 ends = C[:, -1, 1:].copy()
             # the running sums overwrite C, which is then let go
@@ -1849,8 +1868,51 @@ class _CCheck:
         bad = decreased | short
         c, j = np.nonzero(stat_bad)
         bad[c, self.stat_w[j] - 1] = True
+        sub_short = None
+        if self.gains is not None:
+            gain, margin = self._gains(spec, R, V, at, k, new, starts)
+            cols = self.gains.cols
+            sub_short = (gain < margin - SWEEP_GAIN_TOL) & exact[..., cols]
+            c, j = np.nonzero(sub_short)
+            bad[c, cols[j]] = True
         return _Pass(F, F_prev, bad, decreased, short, stat_bad, stat_X,
-                     resid, new, starts, ends, exact)
+                     resid, ends, exact, sub_short)
+
+    def _gains(self, spec, R, V, at, k, new, starts):
+        """check_level=full: the gain and margin (k, S) of each of gains'
+        subproblems in k cycles, applied in order with their logged rows;
+        R, V and at are _sweep_pass's, new (k, pairs) its pairs' conjugates
+        and starts (k, r) those at each cycle's start.
+
+        A row o that moves by D changes a copy's quadratic conjugate by <o +
+        x0, D> + ||D||^2 / 2, and rows that move v by M from v' change
+        ||x0 - v||^2 / 2 by ||M||^2 / 2 - <x0 - v', M>.  A subproblem gains
+        minus these and its term rows' conjugates' changes; its margin is
+        ||M||^2 / 2 for an outer set, ||D||^2 / 2 of the governing row for a
+        block.  A gain that is not finite compares false, as an objective
+        does in the pass, which flags that state.
+        """
+        g = self.gains
+        x0 = spec.x0
+        with np.errstate(all="ignore"):
+            O = _gather(R, at.gains[0], k, at.K)
+            D = _gather(R, at.gains[1], k, at.K)
+            D -= O
+            O += x0
+            e = _dots(O, D) + 0.5 * _dots(D, D)   # as a copy row's
+            del O
+            pos, now, then = g.terms
+            e[:, pos] = new[:, now] - np.concatenate((starts, new), 1)[:, then]
+            M = np.add.reduceat(D, g.subs[:-1], axis=1)
+            # x0 - v before each subproblem
+            Y = x0 - _gather(V, at.gains[2], k, at.K)
+            for s, t in zip(g.bounds[:-1], g.bounds[1:]):
+                Y[:, s + 1:t] -= np.cumsum(M[:, s:t - 1], axis=1)
+            margin = 0.5 * _dots(M, M)
+            gain = _dots(Y, M) - margin - np.add.reduceat(e, g.subs[:-1], 1)
+            D = D[:, g.subs[1:][g.blocks] - 1]   # governing rows
+            margin[:, g.blocks] = 0.5 * _dots(D, D)
+        return gain, margin
 
     def _exact(self, approx):
         """The sweeps that ran exact tiers only in each cycle of a batch, as
@@ -1865,32 +1927,15 @@ class _CCheck:
                 exact[c, [w - 1 for w in ws]] = False
         return exact
 
-    def _conjugates(self, starts, new, a, b):
-        """The conjugates after sweeps a + 1..b of k cycles, (k, b - a, r + 1).
-
-        Row (c, w - a - 1) holds a leading 0.0 and the r conjugates after
-        sweep w of cycle c, whose start has the conjugates starts[c] and
-        whose sweeps write the pairs' conjugates new[c].
-        """
-        C = np.empty((len(starts), b - a, starts.shape[1] + 1))
-        C[..., 0] = 0.0
-        C[..., 1:] = starts[:, None]
-        for mask, pos in self.layers:
-            np.copyto(C[..., 1:], new[:, pos][:, None], where=mask[a:b])
-        return C
-
     def _resolved(self, spec, R, V, at, k):
         """check_level=full: the batch's re-solve of the sweeps in resolve,
         for its first k cycles at once; returns matched (k, B).
 
         Each sweep solves from the state before it, as the sweep did, with
         one stacked call per term kind, or a pair's pair_duals call per
-        cycle (_pairs_resolved).  Sweep b of cycle c matched when
-        every row it writes is bitwise its state's.  The sequential replay of
-        its one subproblem would then find the state and test the pass's
-        objectives against a margin no larger than the pass's own (_replay),
-        so it passes on every sweep before the cycle's first failing one,
-        the only sweeps that are replayed.  R, V and at are those of
+        cycle (_pairs_resolved).  Sweep b of cycle c matched when every
+        row it writes is bitwise its state's, which its re-solve by itself
+        (_resolve_sweep) would then find too.  R, V and at are those of
         _sweep_pass.
         """
         rs = self.resolve
@@ -1924,7 +1969,9 @@ class _CCheck:
         del U
         X1 = _gather(R, after, k, at.K)   # the states after the sweeps
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
-        matched = ~self._per_sweep(differs)
+        # a sweep matched when none of its rows differs
+        by_sweep, starts = rs.owner
+        matched = ~np.logical_or.reduceat(differs[:, by_sweep], starts, 1)
         if ok is not None:   # a pair with no closed form ran _nested_rows
             matched[:, rs.pair_at] &= ok
         return matched
@@ -1973,122 +2020,72 @@ class _CCheck:
         all).
 
         At check_level="full" the exact sweeps before the failing one are
-        replayed first through _replay, but for those that matched, the
-        batch's _resolved, finds bitwise their states in this cycle: their
-        replay cannot fail.  A sweep whose exact tier fell back in this
-        cycle (p.exact) is not replayed.
+        re-solved first (_resolve_sweep), but those that matched in the
+        batch's _resolved and those whose exact tier fell back in this
+        cycle (p.exact).  A sweep's checks fail in this order: ascent,
+        margin, stationarity, its subproblems' own margins.
         """
         bad = p.bad[c]
         exact = p.exact if p.exact.ndim == 1 else p.exact[c]
         last = self.W if upto is None else upto
         first = int(bad[:last].argmax()) + 1 if bad[:last].any() else last + 1
-        if params.check_level == "full":
-            FS = None
-            for w in self.replays:
-                if w >= first:
-                    break
-                b = None if matched is None else self.resolve.at.get(w)
-                if b is not None and matched[c, b] or not exact[w - 1]:
-                    continue
-                if FS is None:   # the objective at each state
-                    FS = p.F_prev[c, :1].tolist() + p.F[c].tolist()
-                # the conjugates before and after sweep w
-                C = self._conjugates(p.starts[c:c + 1], p.new[c:c + 1],
-                                     max(w - 2, 0), w)[0]
-                self._replay(spec, log, c, FS, C[-1, 1:],
-                             p.starts[c] if w == 1 else C[0, 1:],
-                             w, params, n)
-        if first <= last:
-            j = first - 1
-            if p.decreased[c, j]:
-                raise EngineInvariantError(
-                    f"cycle {n} sweep {first}: dual objective"
-                    f" decreased by {p.F_prev[c, j] - p.F[c, j]:.3e}")
-            if p.short[c, j]:
-                raise EngineInvariantError(
-                    f"cycle {n} sweep {first}: ascent fell short of"
-                    f" the quadratic margin")
-            i = int(np.flatnonzero(p.stat_bad[c] & (self.stat_w == first))[0])
-            raise EngineInvariantError(
-                f"cycle {n} sweep {first}: stationarity"
-                f" residual {p.resid[c, i]:.3e} at index {self.stat_i[i] + 1}")
+        z = at = None   # the state after the last sweep re-solved, state at
+        for w in self.exact_sweeps:
+            if w >= first:
+                break
+            b = None if matched is None else self.resolve.at.get(w)
+            if b is not None and matched[c, b] or not exact[w - 1]:
+                continue
+            s = c * self.W + w
+            if at != s - 1:
+                z = self._state(log, s - 1, np.empty((self.n, spec.d)))
+            self._resolve_sweep(spec, log, c, w, params, n, z)
+            at = s
+        if first > last:
+            return
+        j = first - 1
+        stat = np.flatnonzero(p.stat_bad[c] & (self.stat_w == first))
+        if p.decreased[c, j]:
+            why = (f"dual objective decreased by"
+                   f" {p.F_prev[c, j] - p.F[c, j]:.3e}")
+        elif p.short[c, j]:
+            why = "ascent fell short of the quadratic margin"
+        elif stat.size:
+            why = (f"stationarity residual {p.resid[c, stat[0]]:.3e} at index"
+                   f" {self.stat_i[stat[0]] + 1}")
+        else:   # a subproblem of the sweep fell short (_gains)
+            sub = np.flatnonzero(p.sub_short[c] & (self.gains.cols == j))[0]
+            why = (f"a {'block' if sub in self.gains.blocks else 'outer'}"
+                   f" subproblem gained less than its quadratic margin")
+        raise EngineInvariantError(f"cycle {n} sweep {first}: {why}")
 
-    def _replay(self, spec, log, c, FS, conj_w, conj_prev, w, params, n):
-        """check_level=full: sweep w of cycle c of the batch in log
-        re-solved one subproblem at a time.
-
-        Each step solves into a buffer of the sweep's rows from the state
-        its earlier steps left, starting at the state before the sweep,
-        rebuilt from the log, and its subproblems are then applied one at a
-        time, each checked against its own margin; the state must end within
-        1e-9 of the state after the sweep, S.  FS[w] is the pass's objective
-        at S, conj_w its conjugates and conj_prev those before sweep w.
-        Each state is summed once.  The first step reads the logged sum
-        before the sweep and takes its rows' conjugates from conj_w, since
-        it solves from the same state as the sweep did.  When the sweep's
-        rows end bitwise its logged ones, the state is S: it takes S's
-        logged sum and FS[w], which are bitwise its sum and
-        dual_objective_from on it, and it agrees with S exactly.
+    def _resolve_sweep(self, spec, log, c, w, params, n, z):
+        """check_level=full: sweep w of cycle c of the batch in log, cycle
+        n of the run, solved again from z, the state before it, which is
+        left the state after it.  Each step solves from the state that the
+        logged rows of the steps before it leave, with its sum; their rows
+        must agree with the logged ones within 1e-9 of the largest entry of
+        the state after the sweep, or of 1.  Nothing is priced (_gains).
         """
-        steps = self.steps.get(w)
-        if steps is None:
-            steps = self.steps[w] = _replay_steps(self.replays[w], spec)
-        if not self.scratch:
-            z_seq = np.empty((self.n, spec.d))
-            self.scratch += [z_seq, _read_only(z_seq),
-                             np.empty((self.n, spec.d))]
-        z_seq, snap, z_end = self.scratch
-        s = c * self.W + w
+        cs = self.exact_sweeps[w]
         start = self.n + c * self.P
         logged = log.rows[start + self.offs[w - 1]:start + self.offs[w]]
-        out = z_end[:len(logged)]   # the sweep's rows, until S is rebuilt
-        self._state(log, s - 1, z_seq)
-        v = log.sums[s - 1]
-        F_before = FS[w - 1]
-        conj = None   # the conjugates at z_seq, copied at the first write
-        conj_step = conj_w
-        final = steps[-1][2][-1]
-        snapshot = False
-        for k, (step, groups, subs) in enumerate(steps):
+        snap = _read_only(z)
+        v = log.sums[c * self.W + w - 1]
+        out = np.empty(logged.shape)
+        declared = np.arange(self.n)[cs.written]   # sorted: rows to places
+        for k, step in enumerate(cs.steps):
+            if k:   # the state that the logged rows of the step before leave
+                rows = np.concatenate([sub for sub, _ in
+                                       cs.steps[k - 1].subs])
+                z[rows] = logged[declared.searchsorted(rows)]
+                v = z.sum(axis=0)
             step.solve(spec, snap, v, step.arg, params, out)
-            if k:
-                conj_step = np.empty(spec.r)
-                for rows, at, stack in groups:
-                    conj_step[rows] = stack.support(out[at])
-            for sub in subs:
-                rows, at, gov, gov_at, term_rows = sub
-                if gov is not None:
-                    dv = out[gov_at] - z_seq[gov]
-                z_seq[rows] = out[at]
-                if sub is final:
-                    # bitwise, so that the pass's values are this state's
-                    snapshot = (z_seq[self.written[w - 1]].tobytes()
-                                == logged.tobytes())
-                if snapshot:
-                    v_new, F_new = log.sums[s], FS[w]
-                else:
-                    v_new = z_seq.sum(axis=0)
-                    if conj is None:
-                        conj = conj_prev.copy()
-                    conj[term_rows] = conj_step[term_rows]
-                    F_new = dual_objective_from(spec, z_seq, conj, v_new)
-                if gov is None:
-                    dv = v_new - v
-                # run's formula for the pass's margins: a sweep of one
-                # subproblem that ends at its state tests the pass's
-                # objectives against at most the pass's margin (_resolved)
-                s_move = math.sqrt(dv.dot(dv))
-                if F_new < F_before + 0.5 * s_move * s_move - SWEEP_GAIN_TOL:
-                    label = "outer" if gov is None else "block"
-                    raise EngineInvariantError(
-                        f"cycle {n} sweep {w}: a {label} subproblem gained"
-                        f" less than its quadratic margin")
-                F_before, v = F_new, v_new
-        if snapshot:
-            return
-        S = self._state(log, s, z_end)
-        scale = max(1.0, float(np.abs(S).max()))
-        if float(np.abs(z_seq - S).max()) > 1e-9 * scale:
+        out -= logged
+        diff = float(np.abs(out, out=out).max())
+        z[cs.written] = logged   # the state after the sweep
+        # 1e-9 of at least 1: its largest entry is read only past that
+        if diff > 1e-9 and diff > 1e-9 * max(1.0, float(np.abs(z).max())):
             raise EngineInvariantError(
                 f"cycle {n} sweep {w}: sequential replay disagrees with the"
                 f" snapshot execution")
@@ -2103,7 +2100,7 @@ class _CCheck:
         squared-movement margins of cycle c's sweeps, groups the stacks of
         all r terms, trace the run's _Trace and gap the run's _GapRule, or
         None.  Each cycle fails as a check made cycle by cycle would: its
-        sweeps first (each replayed at check_level="full", in one re-solve
+        sweeps first (each re-solved at check_level="full", in one re-solve
         of the batch where _resolved can, else one at a time), then its
         end-of-cycle objective against the last one in trace.F when its
         ascent flag is set, and, unless it is approximate, its certificate
@@ -2112,7 +2109,7 @@ class _CCheck:
         its place in batch, else None; no later cycle of the batch raises.
         When a pass over the whole batch raises, the cycles are checked one
         at a time, so that the first cycle's error comes first; when the
-        re-solve raises, every sweep is replayed one at a time.  Each
+        batched re-solve raises, every sweep is re-solved by itself.  Each
         cycle's objectives and its largest certificate distance are
         appended to the trace's columns.  Returns the conjugates and
         objective at the end of the last cycle checked and its certificate
@@ -2129,7 +2126,7 @@ class _CCheck:
                     and k * len(self.resolve.cols) >= _RESOLVE_MIN):
                 try:
                     matched = self._resolved(spec, R, V, at, k)
-                except Exception:   # the per-sweep replay raises it in order
+                except Exception:   # the per-sweep re-solve raises it in order
                     pass
             p = self._sweep_pass(spec, R, V, at, k, conj, F,
                                  margins[:k, :self.W],
@@ -2148,11 +2145,11 @@ class _CCheck:
             return conj, F, certs, None
         if gap is not None:   # the cycle ends' sums
             prices = gap.price(V[self.W:k * self.W + 1:self.W])
-        # the cycles that no sweep check or replay can fail, found for the
+        # the cycles that no sweep check or re-solve can fail, found for the
         # whole batch; the others go through _raise_sweeps
         quiet = ~p.bad.any(axis=1)
-        if self.replays:
-            if matched is None or len(self.resolve.at) < len(self.replays):
+        if self.exact_sweeps:
+            if matched is None or matched.shape[1] < len(self.exact_sweeps):
                 quiet[:] = False
             else:
                 quiet &= matched.all(axis=1)
@@ -2406,8 +2403,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     max_W = max(map(len, compiled))
     if sweep_checks:
         shared = {tuple(rows.tolist()): stack for rows, stack in all_terms}
-        scratch = [] if params.check_level == "full" else None
-        checks = [_CCheck(c, spec, ca, shared, scratch)
+        checks = [_CCheck(c, spec, ca, shared, params.check_level == "full")
                   for c, ca in zip(compiled, analysis.cycles)]
         del shared   # the checks hold their stacks
         chk = checks[0]

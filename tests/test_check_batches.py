@@ -1,6 +1,7 @@
 """Checked cycles in batches: the bits, the flush points and the error order."""
 
 import builtins
+import contextlib
 import math
 
 import numpy as np
@@ -50,8 +51,7 @@ def _check(spec, plan, level):
     """The _CCheck of the plan's pattern, as run compiles it."""
     analysis = dk.validate(plan, spec.r, spec.m)
     return engine._CCheck([engine._CSweep(s, spec) for s in plan.pattern],
-                          spec, analysis.cycles[0], {},
-                          [] if level == "full" else None)
+                          spec, analysis.cycles[0], {}, level == "full")
 
 
 def _recording(sizes):
@@ -480,7 +480,7 @@ def test_the_gap_rule_stops_where_the_scalar_reference_first_closes(
 def _distinct_input(row, call, act):
     """act(new) on the call-th distinct input state of row's solves.
 
-    A replay at check_level="full" re-solves an input it has seen, and gets
+    A re-solve at check_level="full" solves an input it has seen, and gets
     the same fault, whenever it runs.
     """
     seen = {}
@@ -619,11 +619,12 @@ def test_objectives_keep_their_bits_under_a_compensated_sum(monkeypatch,
     test_engine.test_run_cached_objective_is_bitwise_reference(case)
 
 
-def test_only_the_full_replay_stacks_an_outer_set(monkeypatch):
-    # a sweep builds stacks for its one-member blocks only; the replay at
-    # check_level="full" stacks the term rows of a step after the first,
-    # here the outer set {r} of the product schedule's sweep 2, after its
-    # r - 1 blocks
+def test_full_builds_the_stacks_that_sweep_builds(monkeypatch):
+    # a sweep builds stacks for its one-member blocks only.  At
+    # check_level="full" the per-sweep re-solve calls each step's own
+    # solver, and the subproblems' gains read the pass's conjugates: the
+    # product schedule's outer set {r} of sweep 2, after its r - 1 blocks,
+    # is stacked by neither
     spec, plan = _case("product")
     stack_terms = engine.stack_terms
     calls = {}
@@ -640,7 +641,7 @@ def test_only_the_full_replay_stacks_an_outer_set(monkeypatch):
         dk.run(spec, plan, dk.SolveParams(max_iterations=2,
                                           check_level=level))
     assert calls["sweep"] == [list(range(spec.r - 1))]
-    assert calls["full"] == calls["sweep"] + [[spec.r - 1]]
+    assert calls["full"] == calls["sweep"]
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])
@@ -679,12 +680,12 @@ def test_the_checks_build_no_stack_for_rows_shared_holds(monkeypatch, case,
 
 
 # ---------------------------------------------------------------------------
-# the batched re-solve of check_level="full" against the per-sweep replay
+# the batched re-solve of check_level="full" against the per-sweep re-solve
 # ---------------------------------------------------------------------------
 
 def _batched_replay_off(m, how):
-    """Leave every replayed sweep to _replay: no re-solve is compiled, or
-    the re-solve raises and its batch falls back to _replay."""
+    """Leave every exact sweep to the per-sweep re-solve: no batched
+    re-solve is compiled, or it raises and its batch falls back."""
     if how == "not-compiled":
         m.setattr(engine._CCheck, "_compile_resolve",
                   lambda self, spec, shared: None)
@@ -695,15 +696,15 @@ def _batched_replay_off(m, how):
 
 
 def _replays(monkeypatch):
-    """Record (n, w) of every per-sweep replay."""
+    """Record (n, w) of every per-sweep re-solve (_resolve_sweep)."""
     calls = []
-    replay = engine._CCheck._replay
+    resolve = engine._CCheck._resolve_sweep
 
-    def recorded(self, spec, log, c, FS, C, conj_prev, w, params, n):
+    def recorded(self, spec, log, c, w, params, n, z):
         calls.append((n, w))
-        return replay(self, spec, log, c, FS, C, conj_prev, w, params, n)
+        return resolve(self, spec, log, c, w, params, n, z)
 
-    monkeypatch.setattr(engine._CCheck, "_replay", recorded)
+    monkeypatch.setattr(engine._CCheck, "_resolve_sweep", recorded)
     return calls
 
 
@@ -715,12 +716,13 @@ def _replays(monkeypatch):
 def test_the_batched_replay_gives_the_bits_of_the_per_sweep_replay(
         monkeypatch, case, off, kernel):
     # caps on both sides of a full batch: every field, trace row and
-    # certificate is that of the per-sweep replay.  With the batched
-    # re-solve on, the product schedule replays its sweep 2, r - 1 blocks
-    # and an outer set, in every cycle, and its sweep 1, the one it
-    # re-solves, in batches of fewer than _RESOLVE_MIN cycles.  The
-    # prox-quad plan replays its sweep 1, one term row with a copy, in every
-    # cycle, and its sweeps 2-4 in batches of one cycle
+    # certificate is that of the per-sweep re-solve.  With the batched
+    # re-solve on, the product schedule re-solves by itself its sweep 2,
+    # r - 1 blocks and an outer set, in every cycle, and its sweep 1, the
+    # one the batch re-solves, in batches of fewer than _RESOLVE_MIN
+    # cycles.  The prox-quad plan re-solves by itself its sweep 1, one term
+    # row with a copy, in every cycle, and its sweeps 2-4 in batches of one
+    # cycle
     spec, plan = _case(case)
     _dots_kernel(monkeypatch, kernel)
     calls = _replays(monkeypatch)
@@ -788,7 +790,7 @@ def _fault_id(fn, kwargs):
 def test_fault_messages_do_not_depend_on_the_batched_replay(
         monkeypatch, fault, kwargs):
     # each fault test asserts its exception and message with the batched
-    # re-solve on; here it runs with every sweep replayed one at a time.
+    # re-solve on; here it runs with every sweep re-solved by itself.
     # The patch has its own MonkeyPatch: some tests undo theirs midway
     with pytest.MonkeyPatch.context() as m:
         _batched_replay_off(m, "not-compiled")
@@ -798,8 +800,8 @@ def test_fault_messages_do_not_depend_on_the_batched_replay(
 def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
         monkeypatch):
     # row 3's solve is one ulp off, every time.  The stacked re-solve of its
-    # sweep misses the snapshot, and _replay, which calls the same solver,
-    # decides it alone; the result is that of the per-sweep replay
+    # sweep misses the snapshot, and _resolve_sweep, which calls the same
+    # solver, decides it alone; the result is that of the per-sweep re-solve
     def one_ulp_off(spec, z, i, new):
         if i == 2:
             new[...] = np.nextafter(new, np.inf)
@@ -817,18 +819,19 @@ def test_a_sweep_that_misses_its_snapshot_goes_to_the_per_sweep_replay(
 
 @pytest.mark.parametrize("kernel", ["built", "matmul"])
 def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
-    # the replay of a sweep of one subproblem that matched its snapshot
-    # tests the pass's objectives against 0.5 * s * s of its move s.  The
-    # pass tested them against 0.5 * v * v + 0.5 * (0.0 + g * g) for a
-    # block, v the move of the dual sum and g = s the governing row's, and
-    # against 0.5 * v * v + 0.5 * 0.0 for an outer set, whose s is v.  The
-    # moves are taken from the same rows, with the same bits
+    # a sweep of one subproblem has no margin of its own to test at
+    # check_level="full" (_CCheck._gains): its subproblem's margin, 0.5 *
+    # s * s of its move s, is never more than the pass's, 0.5 * v * v +
+    # 0.5 * (0.0 + g * g) for a block, v the move of the dual sum and g = s
+    # the governing row's, and 0.5 * v * v + 0.5 * 0.0 for an outer set,
+    # whose s is v.  The moves are taken from the same rows, with the same
+    # bits
     _dots_kernel(monkeypatch, kernel)
     rng = np.random.default_rng(15)
     for d in (1, 2, 3, 5, 8, 20, 64, 257, 1000):
         D = rng.standard_normal((50, d)) * 10.0 ** rng.integers(
             -8, 9, size=(50, 1))
-        # _movements' norms of the governing rows' moves, and the replay's
+        # _movements' norms of the governing rows' moves, and math's
         assert np.sqrt(engine._dots(D, D)).tolist() == [
             math.sqrt(row.dot(row)) for row in D]
     v, g = rng.standard_normal((2, 20000)) * 10.0 ** rng.uniform(
@@ -1202,7 +1205,7 @@ def test_every_solver_writes_a_buffer_of_its_sweeps_rows(
         monkeypatch, solver, case, level):
     # each solver tier gets a (size, d) buffer of the declared rows of a
     # sweep that runs it and a snapshot it cannot write, in a run at every
-    # check level and in the replay at "full"
+    # check level and in the re-solve at "full"
     spec, plan = _case(case)
     orig = getattr(engine, solver)
     sizes = {cs.size for c in (plan.pattern,) + plan.lead_in for cs in
@@ -1357,29 +1360,84 @@ def test_a_conjugate_table_in_chunks_gives_the_bits_of_one(monkeypatch,
         _assert_same_result(dk.run(spec, plan, params), whole)
 
 
-def test_a_replay_reads_the_conjugates_of_its_states(monkeypatch):
-    # _raise_sweeps builds only the conjugate rows before and after each
-    # sweep it replays: they are those of the states rebuilt from the log
-    spec, plan = _case("classic")
+def _two_block_plan():
+    """Sweep 2 holds the pair block {1, 2, 5} of a halfspace and a ball
+    (_pair_rows), the block {3, 6} (_stacked_blocks) and the outer set {4}
+    (_prox_row) of random_mixed's r = 4, m = 2."""
+    S = dk.SweepPlan
+    return dk.CyclePlan(pattern=(
+        S(outer={5, 6}), S(outer={4}, inner={5: {1, 2, 5}, 6: {3, 6}})))
+
+
+@pytest.mark.parametrize("case", ["product", "mixed_block", "two_blocks",
+                                  "leaky_blocks"])
+def test_closed_form_gains_are_the_objective_differences(monkeypatch, case):
+    # each subproblem's gain, which the sweep pass takes in closed form
+    # (_CCheck._gains), is the difference of dual_objective_from between
+    # the states that the sweep's logged rows leave one subproblem at a
+    # time, within 1e-12 of the objectives' size, and so is its margin,
+    # 0.5 * ||dv||^2 of an outer set and 0.5 * ||dz_j0||^2 of a block.  The
+    # gains here take every exact sweep, not only those of several
+    # subproblems, so that mixed-block's one-subproblem sweeps count too.
+    # Leaky blocks move the dual sum, which the subproblems after them in
+    # their sweep then see moved; what the checks make of them is not
+    # asked here
+    if case == "two_blocks":
+        spec, plan = fixtures.random_mixed(3, 4, 3, m=2), _two_block_plan()
+    else:
+        spec, plan = _case("product" if case == "leaky_blocks" else case)
+    if case == "leaky_blocks":
+        stacked = engine._stacked_blocks
+
+        def leaky(spec, z, v, arg, params, out):
+            exact = stacked(spec, z, v, arg, params, out)
+            out[arg[4]] += 0.25   # the governing rows
+            return exact
+
+        monkeypatch.setattr(engine, "_stacked_blocks", leaky)
     groups = terms_module.stack_terms(spec.terms, range(spec.r))
-    replay = engine._CCheck._replay
-    replayed = set()
 
-    def checked(self, spec, log, c, FS, conj_w, conj_prev, w, params, n):
-        z = np.empty((self.n, spec.d))
-        s = c * self.W + w
-        for state, conj in ((s - 1, conj_prev), (s, conj_w)):
-            expected = terms_module.stacked_conjugates(
-                groups, self._state(log, state, z), np.empty(spec.r))
-            assert conj.tobytes() == expected.tobytes()
-        replayed.add(w)
-        return replay(self, spec, log, c, FS, conj_w, conj_prev, w, params,
-                      n)
+    def objective(z):
+        conj = terms_module.stacked_conjugates(groups, z, np.empty(spec.r))
+        return engine.dual_objective_from(spec, z, conj, z.sum(axis=0))
 
-    monkeypatch.setattr(engine._CCheck, "_replay", checked)
-    _batched_replay_off(monkeypatch, "not-compiled")
-    dk.run(spec, plan, dk.SolveParams(max_iterations=3, check_level="full"))
-    assert replayed == set(range(1, 7))
+    compile_gains, gains = engine._CCheck._compile_gains, engine._CCheck._gains
+    kinds = []
+
+    def every_exact_sweep(self, spec, sweeps, pw, pi):
+        return compile_gains(self, spec, self.exact_sweeps, pw, pi)
+
+    def compared(self, spec, R, V, at, k, new, starts):
+        gain, margin = gains(self, spec, R, V, at, k, new, starts)
+        g, n = self.gains, self.n
+        ends = g.subs
+        for c in range(k):
+            sweep = None
+            # w, 0-based, is also the number of the state before the sweep
+            for s, w in enumerate(g.cols.tolist()):
+                if w != sweep:   # the sweep's first subproblem
+                    z = R.take(self._locate(c, w * n + np.arange(n)), axis=0)
+                    F, v, sweep = objective(z), z.sum(axis=0), w
+                rows = g.offsets[ends[s]:ends[s + 1]] - w * n
+                before = z.copy()
+                z[rows] = R.take(self._locate(c, rows + (w + 1) * n), axis=0)
+                F_s, v_s = objective(z), z.sum(axis=0)
+                block = s in g.blocks
+                move = (z - before)[rows[-1]] if block else v_s - v
+                tol = 1e-12 * max(1.0, abs(F), abs(F_s))
+                assert abs(gain[c, s] - (F_s - F)) <= tol
+                assert abs(margin[c, s] - 0.5 * move.dot(move)) <= tol
+                kinds.append((block, F_s != F))
+                F, v = F_s, v_s
+        return gain, margin
+
+    monkeypatch.setattr(engine._CCheck, "_compile_gains", every_exact_sweep)
+    monkeypatch.setattr(engine._CCheck, "_gains", compared)
+    with contextlib.suppress(EngineInvariantError):
+        dk.run(spec, plan, dk.SolveParams(max_iterations=9,
+                                          check_level="full"))
+    # outer sets and blocks that moved the objective were compared
+    assert (True, True) in kinds and (False, True) in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -1390,7 +1448,7 @@ def test_a_custom_pair_run_at_full_is_exact_and_replays_no_sweep(
         monkeypatch):
     # the benchmark's pattern: its outer set {3, 4} and block {1, 2, 9}
     # pair a halfspace with a ball; every run stops by the gap rule with no
-    # approximate cycle, and the batched re-solve decides every replay
+    # approximate cycle, and the batched re-solve decides every exact sweep
     calls = _replays(monkeypatch)
     plan = test_engine._custom_pair_plan()
     for seed in range(1, 5):

@@ -560,7 +560,7 @@ def _assert_same_bits_at_every_check_level(monkeypatch, spec, plan, kernel,
     assert _margins_before_a_non_finite_sweep(
         monkeypatch, spec, plan, k,
         f"non-finite duals after cycle 3 sweep {row.w}") == expected
-    # the replay records nothing: "full" has the trace rows, per-sweep F
+    # the re-solve records nothing: "full" has the trace rows, per-sweep F
     # included, and the certificates of "sweep"
     assert full.sweep_rows == sweep.sweep_rows
     assert full.cycle_rows == sweep.cycle_rows
@@ -848,7 +848,7 @@ def test_a_contiguous_nested_outer_set_leaves_its_snapshot_unchanged():
 @pytest.mark.parametrize("level", ["off", "sweep", "full", "public"])
 def test_a_solver_cannot_write_into_its_snapshot(monkeypatch, level):
     # every solver reads its snapshot through a read-only view, in a run at
-    # every check level, in the replay at "full" (here every sweep's, after
+    # every check level, in the re-solve at "full" (here every sweep's, after
     # the cycle's six sweeps) and in the public single steps
     spec = fixtures.random_halfspaces(1, 6, 4)
     plan = dk.classic_dykstra_schedule(6)
@@ -906,25 +906,27 @@ def test_a_run_holds_one_state(monkeypatch, case, level):
     assert len(seen) == 1
 
 
-def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
-    """dual_objective_from calls of each replayed sweep of a full run.
+def _resolves_and_objectives(monkeypatch, spec, plan, n_cycles=20):
+    """The per-sweep re-solves of a full run and its objective calls.
 
-    Returns ([(w, calls), ...] in replay order, {w: cycles}): the second
-    counts, for each sweep the batched re-solve decides (_resolved), the
-    cycles in which it matched its snapshot.
+    Returns ([(n, w), ...] of every sweep re-solved by itself, in order,
+    {w: cycles}, the dual_objective_from calls): the second counts, for
+    each sweep the batched re-solve decides (_resolved), the cycles in
+    which it matched its snapshot.
     """
     calls = []
     matched = {}
-    objective, replay = engine.dual_objective_from, engine._CCheck._replay
-    resolved = engine._CCheck._resolved
+    priced = [0]
+    objective = engine.dual_objective_from
+    resolve, resolved = engine._CCheck._resolve_sweep, engine._CCheck._resolved
 
     def counted(*args, **kwargs):
-        calls[-1][1] += 1
+        priced[0] += 1
         return objective(*args, **kwargs)
 
-    def replay_counted(self, spec, log, c, FS, C, conj_prev, w, *rest):
-        calls.append([w, 0])
-        return replay(self, spec, log, c, FS, C, conj_prev, w, *rest)
+    def resolve_recorded(self, spec, log, c, w, params, n, z):
+        calls.append((n, w))
+        return resolve(self, spec, log, c, w, params, n, z)
 
     def resolved_counted(self, *args):
         out = resolved(self, *args)
@@ -932,22 +934,20 @@ def _replay_objective_calls(monkeypatch, spec, plan, n_cycles=20):
             matched[w] = matched.get(w, 0) + int(out[:, b].sum())
         return out
 
-    calls.append([0, 0])   # the objective at the start of the run
     monkeypatch.setattr(engine, "dual_objective_from", counted)
-    monkeypatch.setattr(engine._CCheck, "_replay", replay_counted)
+    monkeypatch.setattr(engine._CCheck, "_resolve_sweep", resolve_recorded)
     monkeypatch.setattr(engine._CCheck, "_resolved", resolved_counted)
     dk.run(spec, plan, dk.SolveParams(max_iterations=n_cycles,
                                       check_level="full"))
-    assert calls[0] == [0, 1]
-    return [tuple(c) for c in calls[1:]], matched
+    return calls, matched, priced[0]
 
 
 @pytest.mark.parametrize("case", ["classic", "custom_nested", "custom_pair"])
 def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
                                                             case):
-    # every replayed sweep has one subproblem: the batched re-solve finds
-    # it bitwise the snapshot in every cycle, and it takes the pass's
-    # objective, with no per-sweep replay and no objective evaluated
+    # every exact sweep has one subproblem: the batched re-solve finds it
+    # bitwise the snapshot in every cycle, and no sweep is re-solved by
+    # itself; the objective is priced once, at the start of the run
     if case == "classic":
         spec = fixtures.random_mixed(5, 6, 4)
         plan = dk.classic_dykstra_schedule(6)
@@ -955,7 +955,7 @@ def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
     elif case == "custom_nested":
         spec = fixtures.random_mixed(8, 8, 6, m=2)
         plan = _custom_nested_plan()
-        # the nested sweeps 3 and 4 are approximate and not replayed, and
+        # the nested sweeps 3 and 4 are approximate and not re-solved, and
         # the lead-in cycle's sweep 1 is empty
         matched = dict.fromkeys([1, 2, 5, 6, 7, 8, 9], 20)
         matched[1] = 19
@@ -965,21 +965,22 @@ def test_replay_of_one_subproblem_reuses_the_pass_objective(monkeypatch,
         plan = _custom_pair_plan()
         matched = dict.fromkeys(range(1, 10), 20)
         matched[1] = 19
-    assert _replay_objective_calls(monkeypatch, spec, plan) == ([], matched)
+    assert _resolves_and_objectives(monkeypatch, spec, plan) == (
+        [], matched, 1)
 
 
-def test_replay_of_a_product_sweep_evaluates_every_block(monkeypatch):
-    # sweep 2 replays r - 1 blocks one at a time; their states are not
-    # snapshots.  The outer set after them reads the moved blocks, so its
-    # state is evaluated too unless it is bitwise the snapshot.  Sweep 1,
+def test_a_full_product_run_prices_no_state_after_its_first(monkeypatch):
+    # sweep 2, r - 1 blocks and an outer set, is re-solved by itself in
+    # every cycle, and its subproblems' margins are taken in closed form
+    # (_CCheck._gains): no state is priced but the run's first.  Sweep 1,
     # one outer set of the r - 1 copies, is decided by the batched re-solve
     r = 5
     spec = fixtures.random_mixed(6, r, 3, m=r - 1)
-    calls, matched = _replay_objective_calls(monkeypatch, spec,
-                                             dk.product_space_schedule(r))
-    assert [w for w, _ in calls] == [2] * 20
-    assert all(n in (r - 1, r) for _, n in calls)
+    calls, matched, priced = _resolves_and_objectives(
+        monkeypatch, spec, dk.product_space_schedule(r))
+    assert calls == [(n, 2) for n in range(1, 21)]
     assert matched == {1: 20}
+    assert priced == 1
 
 
 def _peak_bytes(fn):
@@ -1040,8 +1041,8 @@ def _cycle_snapshots(plan, spec):
 # fault injection: every check raises its own message at its own sweep
 # ---------------------------------------------------------------------------
 #
-# Each fault is a pure function of a solver's input, so a replay at
-# check_level="full" sees the same fault as the sweep it replays.  The
+# Each fault is a pure function of a solver's input, so a re-solve at
+# check_level="full" sees the same fault as the sweep it re-solves.  The
 # messages are those of the sweep-by-sweep checks, which the cycle-end check
 # pass must reproduce, first failure first.
 
@@ -1097,8 +1098,8 @@ def _non_finite(row, value=np.nan):
 def _shrink_on_repeat(row):
     """Shorten row's move the second time the same input is solved.
 
-    The snapshot execution sees an input first and its replay second, so
-    only the replay's row differs.
+    The snapshot execution sees an input first and its re-solve second, so
+    only the re-solved row differs.
     """
     seen = set()
 
@@ -1216,10 +1217,14 @@ def test_fault_certificate_fenchel(monkeypatch, level):
 
 @pytest.mark.parametrize("level,message", [
     ("sweep", "cycle 2 sweep 2: dual objective decreased by inf"),
-    ("full", "cycle 1 sweep 2: a outer subproblem gained less than its"
-             " quadratic margin"),
+    ("full", "cycle 1 sweep 2: sequential replay disagrees with the snapshot"
+             " execution"),
 ])
 def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
+    # the outer solve of sweep 2 reads the copies, which its blocks move.
+    # In cycle 1 they are zeros in its snapshot, so its logged row is exact
+    # and every margin holds; its re-solve, from the state the blocks'
+    # logged rows leave, disagrees
     spec = fixtures.random_halfspaces(1, 4, 3, m=3)
     plan = dk.product_space_schedule(4)
     _after_prox_row(monkeypatch, spec, plan, _leak_sum)
@@ -1228,11 +1233,46 @@ def test_fault_seen_only_by_the_replay(monkeypatch, level, message):
                                           check_level=level))
 
 
+@pytest.mark.parametrize("level,message", [
+    ("sweep", "cycle 1: certificate for index 1 has Fenchel residual"
+              " 8.969e-03"),
+    ("full", "cycle 1 sweep 2: a block subproblem gained less than its"
+             " quadratic margin"),
+])
+def test_fault_block_short_of_its_own_margin(monkeypatch, level, message):
+    # in sweep 2 of the product schedule, the block of term 1 moves 1.1
+    # times its exact step, which no exact block gains its margin by, and
+    # the block of term 2 half its step, which gains more than its margin.
+    # The sweep's total gain passes its margin, so "sweep" first fails at
+    # the cycle's end; "full" tests each block's own margin
+    orig = engine._stacked_blocks
+    scale = {0: 1.1, 1: 0.5}
+
+    def uneven(spec, z, v, arg, params, out):
+        exact = orig(spec, z, v, arg, params, out)
+        _, I, J, I_at, J_at = arg
+        rows = np.arange(spec.n_duals)[I].tolist()
+        old, new = z[I], out[I_at]
+        for k, i in enumerate(rows):
+            if i in scale:
+                new[k] = old[k] + scale[i] * (new[k] - old[k])
+        out[I_at] = new
+        out[J_at] = z[I] + z[J] - new
+        return exact
+
+    monkeypatch.setattr(engine, "_stacked_blocks", uneven)
+    spec = fixtures.random_halfspaces(4, 4, 3, m=3)
+    with pytest.raises(EngineInvariantError, match=f"^{message}$"):
+        dk.run(spec, dk.product_space_schedule(4),
+               dk.SolveParams(max_iterations=4, check_level=level))
+
+
 def _stacked_prox_off_by_one_ulp(monkeypatch):
     """The halfspace stacks' dual prox one ulp off.
 
     On a classic plan only the batched re-solve of check_level="full" calls
-    it: every sweep it re-solves misses its snapshot and goes to _replay.
+    it: every sweep it re-solves misses its snapshot and is re-solved by
+    itself (_resolve_sweep).
     """
     moreau = HalfspaceStack.moreau
 
@@ -1248,10 +1288,11 @@ def _stacked_prox_off_by_one_ulp(monkeypatch):
     ((4, 0), "cycle 1 sweep 1: stationarity residual inf at index 1"),
 ], ids=["replay-first", "stationarity-first"])
 def test_fault_first_failing_sweep_wins(monkeypatch, faults, message):
-    # one row's replay disagrees, the other's stationarity fails; whichever
-    # sweep comes first in the cycle is reported.  The batched re-solve
-    # misses every snapshot, so each sweep before the failing one goes to
-    # _replay, whose repeated solve of the replay row disagrees
+    # one row's re-solve disagrees, the other's stationarity fails;
+    # whichever sweep comes first in the cycle is reported.  The batched
+    # re-solve misses every snapshot, so each sweep before the failing one
+    # is re-solved by itself, and the repeated solve of the first row
+    # disagrees
     replay_row, stat_row = faults
     _stacked_prox_off_by_one_ulp(monkeypatch)
     spec, plan = _classic_faults(monkeypatch, _shrink_on_repeat(replay_row),

@@ -448,7 +448,7 @@ def test_a_wrong_skip_of_each_kind_fails_the_full_check(monkeypatch, kind):
     # with every slack raised by 1e3 the screen skips it, which the run
     # with checks off does not notice.  The full check's batched re-solve
     # re-solves each skipped sweep from its logged state, finds other rows,
-    # and the replay of that sweep raises.  Only pairs and blocks screen
+    # and the re-solve of that sweep by itself raises.  Only pairs and blocks screen
     if kind == "outer_pair":
         # sweep 1 moves x0 by 1, into the ball's, 0.5 inside it at x0
         mover = _edge_spec("halfspace", True).terms[0]

@@ -30,9 +30,12 @@ several times (--src src --src src), the run exits with status 1 if its
 peaks differ at any point.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
-The last line of standard output is the JSON result, with one value per tree
-in each point's us_per_sweep, skipped, batch_cycles and peak_kib; --out
-also writes it to a file.
+After the three levels of each schedule and size, a "full/sweep" line gives
+each tree's us_per_sweep at full over that at sweep, the cost of the full
+check against the sweep check; the full point's full_over_sweep holds the
+same ratios.  The last line of standard output is the JSON result, with
+one value per tree in each point's us_per_sweep, skipped, batch_cycles and
+peak_kib; --out also writes it to a file.
 """
 
 from __future__ import annotations
@@ -232,6 +235,11 @@ def main(argv=None):
                       + " ".join("    -" if b is None else f"{b:5d}"
                                  for b in batches) + " "
                       + " ".join(f"{p:10.1f}" for p in peaks), flush=True)
+            sweep, full = (pt["us_per_sweep"] for pt in points[-2:])
+            points[-1]["full_over_sweep"] = ratios = [
+                f / s for f, s in zip(full, sweep)]
+            print(f"{schedule:8s} {r:4d} {d:4d} full/sweep "
+                  + " ".join(f"{q:6.2f}" for q in ratios), flush=True)
     result = {
         "env": {"python": platform.python_version(),
                 "numpy": numpy.__version__,
