@@ -1050,7 +1050,10 @@ def _fenchel(H, C, XZ):
 
 def _quad_conjugates(spec, Q):
     """The sum of the m quadratic conjugates of every state k, from Q[k],
-    its quadratic rows plus x0, which are overwritten."""
+    a copy of its quadratic rows, which is overwritten: x0 is added in
+    place, with no temporary of Q's size but numpy's buffer of the
+    broadcast x0."""
+    Q += spec.x0
     Q *= Q
     return (0.5 * Q.reshape(len(Q), -1).sum(axis=1)
             - spec.m * 0.5 * spec._x0_sq)
@@ -1072,7 +1075,11 @@ def _state_objectives(spec, groups, Z, V):
 
     groups are the term stacks of all r rows; each prices its rows of every
     state in one support call, and each state's conjugates are summed in row
-    order, as in the check pass.
+    order, as in the check pass.  No ufunc here broadcasts an operand over
+    a (k, rows, d) array: numpy would hold an iteration buffer of up to
+    np.getbufsize() doubles for it, as much as the batch's rows at the
+    benchmark's sizes.  The quadratic rows are copied and x0 added in place
+    (_quad_conjugates).
     """
     C = np.empty((len(Z), spec.r + 1))
     C[:, 0] = 0.0
@@ -1081,7 +1088,7 @@ def _state_objectives(spec, groups, Z, V):
         conj[:, rows] = stack.support(Z[:, rows])
     total = np.add.accumulate(C, axis=1, out=C)[:, -1]
     if spec.m:
-        total = total + _quad_conjugates(spec, Z[:, spec.r:] + spec.x0)
+        total = total + _quad_conjugates(spec, Z[:, spec.r:].copy())
     return _objectives(spec, V, total)
 
 
@@ -1854,7 +1861,6 @@ class _CCheck:
         total = total.ravel()
         if spec.m:
             Q = _gather(R, at.quad, k, at.K).reshape(k * W, spec.m, spec.d)
-            np.add(Q, spec.x0, out=Q)
             total = total + _quad_conjugates(spec, Q)
             del Q
         F = _objectives(spec, V[1:k * W + 1], total)
@@ -2277,55 +2283,81 @@ class _GapRule:
     stacked call per term kind (_term_sums), at the first cycle whose
     value it needs: as _primal_value does, a cycle first asks the term
     hint, when there is one, and its value is +inf when that term's is.
-    The quadratic part is added only where the terms' sum is finite.  A
-    batch of one cycle, or one whose stacked call raises, takes each
-    value when its cycle is tested, through _primal_value, so that the
+    The hint does not change before that call, so it is asked at all k
+    cycle ends at once, in one value call of a one-row stack of its term
+    (_outside), kept while the hint stays; x0 - v is formed only for a
+    cycle that goes on to its primal value.  When the hint's call raises,
+    each cycle asks the term itself.  The quadratic part is added only where the terms' sum is
+    finite.  A batch of one cycle, or one whose stacked call raises, takes
+    each value when its cycle is tested, through _primal_value.  So the
     first cycle's error comes first.  hint follows _primal_value's rule
     over every cycle tested, stacked or not.
     """
 
-    __slots__ = ("spec", "groups", "stop_gap", "hint")
+    __slots__ = ("spec", "groups", "stop_gap", "hint", "stack")
 
     def __init__(self, spec, groups, stop_gap):
         self.spec, self.groups, self.stop_gap = spec, groups, stop_gap
         self.hint = 0   # the term asked first; None after a feasible x
+        self.stack = None   # (hint, a one-row stack of its term)
 
     def price(self, V):
         """closes' state for a batch whose cycle ends' sums are the rows of
         V, the caller's, so that it goes with the batch: [V, stacked, sums,
-        terms], stacked False where each value is taken by itself, and the
-        stacked call's sums and values (_term_sums) None until taken."""
-        return [V, len(V) > 1, None, None]
+        terms, outside], stacked False where each value is taken by itself,
+        the stacked call's sums and values (_term_sums) None until taken,
+        and outside the hint's test at every cycle end (_outside), None
+        until taken."""
+        return [V, len(V) > 1, None, None, None]
+
+    def _outside(self, V):
+        """Whether the hint term's value is +inf at each x0 - V[c], as a
+        list, from one value call of a one-row stack of that term; () when
+        that call raises.  The stack is kept while the hint stays, which
+        saves building it per batch, and dropped with the hint at a
+        feasible x, so that a run near its stop does not hold it."""
+        try:
+            if self.stack is None or self.stack[0] != self.hint:
+                self.stack = (self.hint,
+                              stack_terms(self.spec.terms, [self.hint])[0][1])
+            P = (self.spec.x0 - V)[:, None]
+            return (self.stack[1].value(P)[:, 0] == _INF).tolist()
+        except Exception:   # an oracle's, or a warning raised as an error
+            return ()
 
     def closes(self, prices, c, F):
         """Whether the gap of the batch's cycle c, whose objective is F,
         closes; prices are price's for the batch."""
         spec = self.spec
-        V, stacked, sums, terms = prices
-        x = spec.x0 - V[c]
+        V, stacked, sums, terms, outside = prices
         hint = self.hint
         if stacked and sums is None:
-            if hint is not None and spec.terms[hint].value(x) == _INF:
-                return False   # as _primal_value finds it
+            if hint is not None:
+                if outside is None:   # the hint stays until _term_sums
+                    outside = prices[4] = self._outside(V)
+                if (outside[c] if outside else
+                        spec.terms[hint].value(spec.x0 - V[c]) == _INF):
+                    return False   # as _primal_value finds it
             try:
-                sums, terms = prices[2:] = _term_sums(spec, self.groups, V)
+                sums, terms = prices[2:4] = _term_sums(spec, self.groups, V)
             except Exception:   # an oracle's, or a warning raised as an error
                 stacked = prices[1] = False
         if not stacked:
-            primal, self.hint = _primal_value(spec, self.groups, x, self.hint)
+            primal, self.hint = _primal_value(spec, self.groups,
+                                              spec.x0 - V[c], hint)
         elif sums[c] == _INF:
             # _primal_value's next hint
             row = terms[c]
-            if self.hint is None or row[self.hint] != _INF:
+            if hint is None or row[hint] != _INF:
                 vals = row.tolist()
                 if _INF in vals:
                     self.hint = vals.index(_INF)
             return False
         else:
-            primal = sums[c] + (spec.m + 1) * spec.quad_value(x)
+            primal = sums[c] + (spec.m + 1) * spec.quad_value(spec.x0 - V[c])
         if not math.isfinite(primal):
             return False
-        self.hint = None
+        self.hint = self.stack = None
         return math.isfinite(F) and primal - F <= self.stop_gap
 
 

@@ -417,9 +417,20 @@ class HalfspaceStack(_SetStack):
                         U - excess[..., None] * self.A)
 
     def support(self, Z):
-        # Halfspace.support: dom sigma = nonnegative ray through a_i
+        """Halfspace.support at each row: dom sigma = nonnegative ray
+        through a_i.
+
+        Over more than one state's rows, s a_i is formed by einsum, whose
+        products are s[..., None] * A's, without the two iteration buffers
+        of up to np.getbufsize() doubles that numpy's broadcast multiply
+        holds; over one state's rows the multiply is about 2 us faster.
+        einsum gives +0.0 for a product -0.0, which no output depends on.
+        The subtraction still buffers Z when Z is a strided view, as a
+        batch of cycle ends is.
+        """
         s = _dots(self.A, Z) / self._nrm2
-        R = s[..., None] * self.A
+        R = (np.einsum("...r,rd->...rd", s, self.A) if Z.size > self.A.size
+             else s[..., None] * self.A)   # s a_i
         np.subtract(Z, R, out=R)   # Z - s a_i, in the temporary's place
         tol = DOM_TOL * np.maximum(1.0, np.sqrt(_dots(Z, Z)))
         out = self.b * s

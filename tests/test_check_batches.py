@@ -11,7 +11,8 @@ import dyksplit as dk
 from dyksplit import engine, fixtures
 from dyksplit import terms as terms_module
 from dyksplit.engine import EngineInvariantError, NonFiniteStateError
-from dyksplit.terms import HalfspaceStack
+from dyksplit.terms import (DOM_TOL, BallStack, HalfspaceStack, moreau_dual,
+                           stack_terms)
 
 from . import test_engine
 from .test_engine import _dots_kernel
@@ -1554,3 +1555,99 @@ def test_a_pair_that_falls_back_is_approximate_and_unchecked(monkeypatch,
     assert [row.approx for row in res.sweep_rows] == [True, False] * 12
     assert all((p == [False, True]).all() for p in passes)
     assert all(w == 2 for _, w in calls)
+
+
+# ---------------------------------------------------------------------------
+# pricing a batch of checks-off cycle ends
+# ---------------------------------------------------------------------------
+
+def _priced_ends(seed, r, d, m, n_batch=8):
+    """A mixed spec of halfspaces and balls and an (n_batch, r + m, d) array
+    of states, as run holds its cycle ends with checks off.  Each term row
+    is in its conjugate's domain, off a halfspace's ray by about DOM_TOL
+    times its norm, just before the ray's start, or a random vector (+inf
+    for a halfspace); the states cycle through the four, so some are
+    finite everywhere.  Returns the spec, the states and the (state, row)
+    pairs at the edge."""
+    rng = np.random.default_rng(seed)
+    spec = fixtures.random_mixed(seed, r, d, m=m)
+    ends = rng.standard_normal((n_batch, r + m, d))
+    edge = []
+    for j in range(n_batch):
+        for i, t in enumerate(spec.terms):
+            case = (i + j) % 4 if j % 3 else 0
+            if case == 0:
+                ends[j, i] = moreau_dual(t, rng.standard_normal(d) * 2.0)
+            elif case < 3 and isinstance(t.set, dk.Halfspace):
+                edge.append((j, i))
+                a, s = t.set.a, 1.0 + rng.uniform(-4e-6, 4e-6)
+                if case == 1:
+                    e = rng.standard_normal(d)
+                    e -= (e @ a) / (a @ a) * a
+                    z = rng.uniform(0.5, 3.0) * a
+                    tol = DOM_TOL * max(1.0, float(np.linalg.norm(z)))
+                    ends[j, i] = z + tol * s * e / np.linalg.norm(e)
+                else:
+                    ends[j, i] = -DOM_TOL * s * a
+    return spec, ends, edge
+
+
+@pytest.mark.parametrize("kernel", ["built", "matmul"])
+@pytest.mark.parametrize("k", [1, 5, 8])
+def test_priced_batches_have_the_bits_of_the_scalar_oracles(monkeypatch, k,
+                                                            kernel):
+    # the stacks' support over strided (k, rows, d) views of the cycle ends,
+    # and _state_objectives over the batch, are bit for bit the scalar
+    # conjugates and the per-state dual_objective_z, with rows at the edge
+    # of a halfspace's support domain and at +inf
+    _dots_kernel(monkeypatch, kernel)
+    spec, ends, edge = _priced_ends(4, 9, 5, 4)
+    Z = ends[:k]
+    V = Z.sum(axis=1)
+    groups = stack_terms(spec.terms, range(spec.r))
+    for rows, stack in groups:
+        terms = [spec.terms[i] for i in rows]
+        want = [[t.conjugate(z) for t, z in zip(terms, Zj[rows])]
+                for Zj in Z]
+        assert type(stack) in (HalfspaceStack, BallStack)
+        for index in (engine._rows_index(rows.tolist()), rows):
+            got = stack.support(Z[:, index])
+            assert np.array_equal(got, want)
+    # the edge's rows fall on both sides of the domain test
+    assert {spec.terms[i].conjugate(ends[j, i]) == math.inf
+            for j, i in edge} == {False, True}
+    views = [(engine._rows_index(rows.tolist()), stack)
+             for rows, stack in groups]
+    for g in (groups, views):
+        got = engine._state_objectives(spec, g, Z, V)
+        want = [dk.state.dual_objective_z(spec, Zj, groups, v)
+                for Zj, v in zip(Z, V)]
+        assert got.tobytes() == np.array(want).tobytes()
+    F = engine._state_objectives(spec, views, ends, ends.sum(axis=1))
+    assert -math.inf in F.tolist() and np.isfinite(F).any()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.4.0",
+                    reason="the iteration buffers bounded here were measured"
+                           " on numpy 2.4")
+def test_pricing_a_batch_holds_no_broadcast_buffer():
+    # a ufunc that broadcasts an operand over a (k, rows, d) array holds an
+    # iteration buffer for it, of up to np.getbufsize() doubles: as much as
+    # the batch's term rows at the product benchmark's size.  The support
+    # of contiguous rows holds one temporary of their size, s a_i, and its
+    # (k, rows) vectors: 1.5 times the rows, where broadcasting held 3.2.
+    # Pricing a batch of strided cycle ends (k = 8, r = 20, d = 10,
+    # m = 19) holds 2.3 times the rows, where broadcasting held 3.3
+    k, r, d = 8, 20, 10
+    spec = fixtures.random_halfspaces(1, r, d, m=r - 1)
+    ends = np.random.default_rng(2).standard_normal((k, spec.n_duals, d))
+    V = ends.sum(axis=1)
+    [(rows, stack)] = stack_terms(spec.terms, range(r))
+    groups = [(engine._rows_index(rows.tolist()), stack)]
+    rows_bytes = k * r * d * 8
+    Zc = ends[:, :r].copy()
+    for fn, bound in ((lambda: stack.support(Zc), 2.0),
+                      (lambda: engine._state_objectives(spec, groups, ends,
+                                                        V), 2.75)):
+        fn()   # numpy's caches, outside the measurement
+        assert test_engine._peak_bytes(fn) < bound * rows_bytes

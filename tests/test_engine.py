@@ -1,8 +1,10 @@
 """Subproblem solves, full runs, checks, and the product-space reference."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -1556,7 +1558,8 @@ def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
     # before the stacks only at the first cycle and after a cycle whose
     # iterate lies outside some set: once the iterate is feasible, the next
     # cycle goes straight to the stacks, which hold that term's value too.
-    # A batch of more cycles asks it only until its one stacked call.  The
+    # A batch of more cycles asks a one-row stack of it instead, once for
+    # all its cycle ends, and never the term itself (_GapRule._outside).  The
     # halfspaces turn feasible at cycle 3 and stay so up to the gap stop;
     # the mixed sets leave the intersection at cycle 2 and come back at
     # cycle 4
@@ -1582,7 +1585,7 @@ def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
                 for z in res.cycle_start_duals[1:]]
     assert feasible[-1] and sum(feasible) >= 3 and not all(feasible)
     assert asked[0] == 1 + feasible[:-1].count(False)
-    assert 1 <= asked_batched <= asked[0]
+    assert asked_batched <= asked[0]
     # the same stop, cycle and iterate as batches of more cycles and as a
     # run that asks a term first at every cycle
     assert (batched.cycles_run, batched.x.tobytes()) == (res.cycles_run,
@@ -1641,6 +1644,171 @@ def test_the_stacked_gap_rule_matches_one_point_at_a_time():
                                       F[at + c]))
                 assert stacked.hint == one.hint
             at += k
+
+
+class _PerCycleHint(engine._GapRule):
+    """The gap rule that asks its hint term itself at each cycle of a
+    batch, as it did before one call took all of them."""
+
+    __slots__ = ()
+
+    def _outside(self, V):
+        return ()
+
+
+def _hint_case(kind):
+    """A spec whose first term, the gap rule's first hint, is a set of the
+    kind, and cycle ends x inside it, outside it and about at distance
+    FEAS_TOL from it; the halfspace {x_1 <= 0} has ends at distance exactly
+    FEAS_TOL and one ulp beyond."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    d = 3
+    if kind == "halfspace":
+        hint = HS(np.eye(d)[0], 0.0)
+    else:
+        hint = sample_term(kind, rng, d)
+    terms = [hint, sample_term("halfspace", rng, d), sample_term("l1", rng, d),
+             sample_term(kind, rng, d)]
+    spec = dk.ProblemSpec(rng.standard_normal(d) * 0.3, terms, m=1)
+    points = [rng.standard_normal(d) * s for s in (0.1, 1.0, 3.0)
+              for _ in range(6)]
+    for u in rng.standard_normal((6, d)) * 2.0:
+        p = hint.prox(u, 1.0)
+        out = (u - p) / max(float(np.linalg.norm(u - p)), 1e-300)
+        points += [p + FEAS_TOL * (1.0 + s) * out
+                   for s in rng.uniform(-4e-6, 4e-6, 4)]
+    if kind == "halfspace":
+        for x in rng.standard_normal((6, d)):
+            x[0] = FEAS_TOL
+            points.append(x.copy())
+            x[0] = np.nextafter(FEAS_TOL, 1.0)
+            points.append(x)
+    points = [points[i] for i in rng.permutation(len(points))]
+    return spec, np.array(points)
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "l2ball", "box"])
+def test_the_batched_hint_decides_as_the_term_asked_cycle_by_cycle(
+        monkeypatch, kind):
+    # a batch asks its hint term at all its cycle ends in one value call of
+    # a one-row stack of that term: every decision and every hint it leaves
+    # are those of the same batches asking the term itself at each cycle,
+    # and of batches of one cycle.  The ends lie inside, outside and at
+    # distance FEAS_TOL from the hint's set; a box goes through TermStack.
+    # A batch of more cycles with a closed-form stack never asks the scalar
+    # Indicator.value
+    spec, points = _hint_case(kind)
+    hint_set = spec.terms[0]
+    at_inf = [hint_set.value(x) == np.inf for x in points]
+    assert any(at_inf) and not all(at_inf)
+    if kind == "halfspace":
+        on_edge = [x for x in points if x[0] == FEAS_TOL]
+        assert on_edge and all(hint_set.value(x) == 0.0 for x in on_edge)
+    groups = stack_terms(spec.terms, range(spec.r))
+    V = spec.x0 - points
+    F = np.random.default_rng(5).standard_normal(len(V)) - 5.0
+    batched, per_cycle, one = (rule(spec, groups, 10.0) for rule in (
+        engine._GapRule, _PerCycleHint, engine._GapRule))
+    asked, outside = [0], []
+    value, find = dk.Indicator.value, engine._GapRule._outside
+
+    def counted(self, x):
+        asked[0] += 1
+        return value(self, x)
+
+    def recorded(self, V):
+        outside.append(find(self, V))
+        return outside[-1]
+
+    at = ones = 0
+    for k in itertools.cycle((2, 5, 3, 8, 4, 7, 6)):
+        if at == len(V):
+            break
+        batch = V[at:at + k]
+        k = len(batch)
+        ones += k == 1
+        prices = [rule.price(batch) for rule in (batched, per_cycle)]
+        for c in range(k):
+            with monkeypatch.context() as m:
+                m.setattr(dk.Indicator, "value", counted)
+                m.setattr(engine._GapRule, "_outside", recorded)
+                got = batched.closes(prices[0], c, F[at + c])
+            assert got == per_cycle.closes(prices[1], c, F[at + c])
+            assert got == one.closes(one.price(batch[c:c + 1]), 0, F[at + c])
+            assert batched.hint == per_cycle.hint == one.hint
+        at += k
+    # outside and inside the hint's set in one call, and a batch that asks
+    # it at more than one cycle end
+    seen = [flag for flags in outside for flag in flags]
+    assert True in seen and False in seen
+    assert any(flags[:2] == [True, True] for flags in outside)
+    # a batch of one cycle asks the term itself, through _primal_value
+    assert asked[0] <= ones or kind == "box"
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(bad):
+    # under RuntimeWarning as an error, a cycle end far out overflows the
+    # one-row stack's call; the batch then asks the term itself at each
+    # cycle, as batches of one do: a cycle before the bad one is decided,
+    # and the bad cycle's own error, the scalar term's, comes first
+    rng = np.random.default_rng(8)
+    spec = dk.ProblemSpec(rng.standard_normal(3) * 0.1, [
+        HS(np.array([1.0, 1.0, 0.0]), 0.5), HS(unit(rng, 3), 1.0)], m=1)
+    groups = stack_terms(spec.terms, range(spec.r))
+    points = np.array([[2.0, 0.0, 0.0]] * 4)
+    points[bad] = 1e308
+    V = spec.x0 - points
+    rule, one = (engine._GapRule(spec, groups, 10.0) for _ in range(2))
+    prices = rule.price(V)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for c in range(bad):
+            assert not rule.closes(prices, c, -1.0)
+            assert not one.closes(one.price(V[c:c + 1]), 0, -1.0)
+        with pytest.raises(RuntimeWarning) as want:
+            one.closes(one.price(V[bad:bad + 1]), 0, -1.0)
+        with pytest.raises(RuntimeWarning) as got:
+            rule.closes(prices, bad, -1.0)
+    assert "overflow" in str(want.value)
+    assert str(got.value) == str(want.value)
+    assert prices[4] == ()   # the batched call raised
+    assert rule.hint == one.hint == 0
+
+
+@pytest.mark.parametrize("make, seed", [(fixtures.random_halfspaces, 2),
+                                        (fixtures.random_mixed, 1)])
+def test_a_checks_off_product_run_asks_the_scalar_hint_once_a_batch_at_most(
+        monkeypatch, make, seed):
+    # with checks off, each batch of priced cycle ends asks its hint term in
+    # one stacked call; only a batch of one cycle asks Indicator.value.
+    # Asking the term itself at each cycle, as before, gives the same run
+    spec, plan = make(seed, 8, 6, m=7), dk.product_space_schedule(8)
+    params = dk.SolveParams(max_iterations=5000, stop_gap=1e-8,
+                            check_level="off")
+    asked, batches = [0], [0]
+    value, flush = dk.Indicator.value, engine._flush_cycle_ends
+
+    def counted(self, x):
+        asked[0] += 1
+        return value(self, x)
+
+    def counted_flush(*args):
+        batches[0] += 1
+        return flush(*args)
+
+    monkeypatch.setattr(dk.Indicator, "value", counted)
+    monkeypatch.setattr(engine, "_flush_cycle_ends", counted_flush)
+    res = dk.run(spec, plan, params)
+    assert res.stop_reason == "gap" and batches[0] > 2
+    assert asked[0] <= batches[0]
+    asked_batched, n_batches = asked[0], batches[0]
+    asked[0] = 0
+    monkeypatch.setattr(engine._GapRule, "_outside", lambda self, V: ())
+    again = dk.run(spec, plan, params)
+    assert asked[0] > 2 * n_batches > asked_batched
+    assert (again.cycles_run, again.x.tobytes(), again.F_per_cycle.tobytes()
+            ) == (res.cycles_run, res.x.tobytes(), res.F_per_cycle.tobytes())
 
 
 def test_run_rejects_invalid_schedule():

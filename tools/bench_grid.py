@@ -139,20 +139,28 @@ def fresh_peak(src, point):
 
 
 @contextlib.contextmanager
-def recording_batches(dk, sizes):
+def recording_batches(dk, batches, priced=False):
     """dk's check pass, _CCheck.check, wrapped for the duration to append
-    the cycles of each batch it checks to sizes."""
-    check = dk.engine._CCheck.check
+    the cycle numbers of each batch it checks to batches, as a list; with
+    priced, also the pricing of checks-off cycle ends, _flush_cycle_ends."""
+    engine = dk.engine
+    check, flush = engine._CCheck.check, engine._flush_cycle_ends
 
     def recorded(self, *args):   # args[5] is the batch of _Pending cycles
-        sizes.append(len(args[5]))
+        batches.append([cyc.n for cyc in args[5]])
         return check(self, *args)
 
-    dk.engine._CCheck.check = recorded
+    def recorded_flush(*args):   # args[4] is the batch of _Pending cycles
+        batches.append([cyc.n for cyc in args[4]])
+        return flush(*args)
+
+    engine._CCheck.check = recorded
+    if priced:
+        engine._flush_cycle_ends = recorded_flush
     try:
         yield
     finally:
-        dk.engine._CCheck.check = check
+        engine._CCheck.check, engine._flush_cycle_ends = check, flush
 
 
 def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
@@ -175,10 +183,10 @@ def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
             order = range(len(solves))
             for t in (order if k % 2 else reversed(order)):
                 dk, spec, plan, params = solves[t]
-                sizes = []   # run 0, the warm-up, records its batches
+                cycles = []   # run 0, the warm-up, records its batches
                 t0 = perf_counter()
                 with (contextlib.nullcontext() if k
-                      else recording_batches(dk, sizes)):
+                      else recording_batches(dk, cycles)):
                     result = dk.run(spec, plan, params)
                 elapsed = perf_counter() - t0
                 n_skipped = getattr(result, "skipped_sweeps", None)
@@ -186,7 +194,7 @@ def time_point(packages, srcs, schedule, r, d, level, cycles, runs):
                 if k:
                     best[t] = min(best[t], elapsed)
                 else:
-                    batches[t] = max(sizes, default=None)
+                    batches[t] = max(map(len, cycles), default=None)
     peaks = [fresh_peak(src, point) for src in srcs]
     return [1e6 * b / sweeps for b in best], skipped, batches, peaks, sweeps
 

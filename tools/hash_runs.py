@@ -25,8 +25,9 @@ at every check level, which stop in 74 to 2927 cycles, and runs of the
 custom pair pattern in CUSTOM_GAP_STOPS, or QUICK_CUSTOM_GAP_STOPS, at
 check_level sweep and full, whose stops fall inside a checked batch of six
 cycles and not on its last.  For each gap stop the run prints its cycle
-and, with checks on, its place in its batch.  Every run keeps its
-cycle starts.  A run's hash covers every RunResult field but the work counter
+and its place in its batch: the batch that one check pass checked, or
+with checks off the batch of cycle ends priced together
+(engine._flush_cycle_ends).  Every run keeps its cycle starts.  A run's hash covers every RunResult field but the work counter
 skipped_sweeps, every trace row, every cycle start and every certificate,
 each float by its bytes; a run that raises is hashed by its error.  The
 package is imported from each --src.
@@ -152,9 +153,9 @@ def hash_run(dk, key):
     params = dk.SolveParams(max_iterations=cap,
                             stop_gap=STOP_GAP if gap else None,
                             check_level=level, per_sweep_trace=per_sweep)
-    sizes = []   # the cycles of each checked batch
+    batches = []   # the cycle numbers of each checked or priced batch
     try:
-        with recording_batches(dk, sizes):
+        with recording_batches(dk, batches, priced=True):
             result = dk.run(spec, plan, params, keep_cycle_starts=True)
     except Exception as exc:   # a failing run is hashed by its error
         h = hashlib.sha256()
@@ -164,10 +165,10 @@ def hash_run(dk, key):
     if cap == GAP_STOP_CAP and result.stop_reason == "gap":
         n = result.cycles_run
         where = f"cycle {n}"
-        if sizes:   # its place among the batches after the lead-in cycles
-            n_batch = max(sizes)
-            place = (n - len(plan.lead_in) - 1) % n_batch + 1
-            where += f", {place} of a batch of {n_batch}"
+        # its place in the first batch that held it
+        batch = next((b for b in batches if n in b), None)
+        if batch is not None:
+            where += f", {batch.index(n) + 1} of a batch of {len(batch)}"
     return (digest(result), getattr(result, "skipped_sweeps", None),
             sum(row.w for row in result.cycle_rows), where)
 
