@@ -17,10 +17,13 @@ another, and their order cannot change the result.
 The blocks with a single term member are where a sweep is parallel: they are
 grouped by term kind and each group is solved in one vectorized call of a
 term stack (terms.stack_terms), the product-space schedule's r-1 blocks
-included.  The dual objective reads its conjugates through the same stacks.
-A stack's rows are bitwise the scalar oracles', so a block solved on its
-own (run_sweep on a one-block SweepPlan) gives the same bits as inside its
-sweep.
+included.  An outer set of one term row of the last group's kind, after
+which no block comes, joins that call: the product-space step solves all r
+of its dual proxes in one.  The dual objective reads its conjugates
+through the same stacks.  A stack's rows are bitwise the scalar oracles',
+so a block solved on its own (run_sweep on a one-block SweepPlan) gives
+the same bits as inside its sweep, and an outer set the bits of its own
+prox step.
 
 check_level:
   "off"    objective at cycle ends only, no per-sweep checks; the cycle
@@ -61,9 +64,10 @@ sweep logs its rows and sum and records its trace as a still one does, so
 the results are bitwise those of solving it; a plan with no such sweep
 builds no screen.
 A cycle's movements are taken at its end, from the differences its sweeps
-made to the dual sum and to their governing rows (_movements); a sweep
-without blocks that did not move adds nothing to their sums
-(_movement_sums).
+made to the dual sum and to their governing rows (_movements), and kept,
+one row per cycle, until its batch is checked or priced: then the batch's
+margins, gamma_n and movement sums are taken in one vectorized call
+(_cycle_sums), left to right from +0.0 as a scalar loop would add them.
 With checks on, the sweep loop only
 solves and logs: the buffer is the sweep's block of a log, which keeps a
 batch of up to _OBJ_BATCH consecutive cycles of one pattern as its start
@@ -393,7 +397,7 @@ def _quad_rows(spec, z, v, arg, params, out):
     rows, at = arg
     quads = z[rows]
     # numpy sums one row as 0.0 + row, which takes -0.0 to +0.0
-    c = v - (quads[0] + 0.0 if len(quads) == 1 else quads.sum(axis=0))
+    c = v - (quads[0] + 0.0 if len(quads) == 1 else np.add.reduce(quads, 0))
     out[at] = -c / (len(quads) + 1.0)
     return True
 
@@ -420,13 +424,20 @@ def _stacked_blocks(spec, z, v, arg, params, out):
 
     Exact: the term row takes the dual prox at its block sum plus x0 and the
     governing row J[k] the rest of the frozen sum.  arg is (stack, I, J,
-    I_at, J_at), the last two places in out.
+    I_at, J_at, outer): I_at are the places in out of the stack's rows and
+    J_at those of J.  outer is None, or the _prox_row step of the sweep's
+    outer set {i}, folded in (_CSweep): the stack's last row is term i's,
+    which takes its dual prox at x0 - (v - z_i) in the same call, with
+    _prox_row's bits.
     """
-    stack, I, J, I_at, J_at = arg
+    stack, I, J, I_at, J_at, outer = arg
     bsum = z[I] + z[J]
-    z_i = stack.moreau(bsum + spec.x0)
-    out[I_at] = z_i
-    out[J_at] = bsum - z_i
+    U = np.empty((len(bsum) + (outer is not None), spec.d))
+    np.add(bsum, spec.x0, out=U[:len(bsum)])
+    if outer is not None:
+        np.subtract(spec.x0, v - z[outer.arg[0]], out=U[-1])
+    out[I_at] = z_i = stack.moreau(U)
+    out[J_at] = bsum - z_i[:len(bsum)]
     return True
 
 
@@ -523,9 +534,16 @@ class _CSweep:
     exact for one term row (_prox_row), only quadratic rows (_quad_rows),
     one term row plus quadratic rows (_prox_quad_rows) or two halfspace or
     ball indicator rows (_pair_rows), and _nested_rows for any other two or
-    more term rows.  gov0 are the governing rows of the blocks in block_js
-    order, and exact says that no step runs _nested_rows: the sweep is exact
-    unless a pair falls back at run time (_Pending.approx).
+    more term rows.  An outer set of one term row i whose term is of the
+    last stack's kind, with no block of several members, is folded into
+    that _stacked_blocks step, whose stack's last row is i's and whose arg
+    ends with i's _prox_row step (else None): the step writes row i too,
+    with that step's bits.  The _prox_row step stays the last of steps,
+    which the checks and sweep_tiers read, and solves, the steps a sweep
+    runs (_execute_sweep), leave it out; else solves are steps.  gov0 are
+    the governing rows of the blocks in block_js order, and exact says that
+    no step runs _nested_rows: the sweep is exact unless a pair falls back
+    at run time (_Pending.approx).
     written are the rows the sweep declares, sorted, and size
     their number: a sweep writes them into a (size, d) buffer, each row at
     its place there, and gov_at are the places of gov0.  gov0, written, the
@@ -535,8 +553,8 @@ class _CSweep:
     Only a _stacked_blocks step holds a stack.
     """
 
-    __slots__ = ("steps", "outer1", "block_js", "gov0", "gov_at", "exact",
-                 "written", "size")
+    __slots__ = ("steps", "solves", "outer1", "block_js", "gov0", "gov_at",
+                 "exact", "written", "size")
 
     def __init__(self, sweep, spec):
         if not sweep.inner and len(sweep.outer) == 1:
@@ -550,7 +568,8 @@ class _CSweep:
                 self.outer1, self.block_js = (i1,), ()
                 self.written, self.size = _rows_index([i]), 1
                 self.gov0 = self.gov_at = _NO_ROWS
-                self.steps = [_Step(_prox_row, (i, 0), [(rows, None)], rows)]
+                self.steps = self.solves = [
+                    _Step(_prox_row, (i, 0), [(rows, None)], rows)]
                 self.exact = True
                 return
         self._compile(sweep, spec)
@@ -599,21 +618,13 @@ class _CSweep:
                 single[prox0[0]] = j - 1
             else:
                 nested.append(joint(prox0, j - 1))
-        self.steps = []
-        for I, stack in stack_terms(terms, list(single)):
-            I0 = I.tolist()
-            J0 = [single[i] for i in I0]
-            subs = [(np.array([i, j]), j) for i, j in zip(I0, J0)]
-            self.steps.append(_Step(
-                _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0),
-                                  at(I0), at(J0)), subs, I))
-        self.steps.extend(nested)
+        outer = None
         if self.outer1:
             outer0 = np.array([i - 1 for i in self.outer1], dtype=np.intp)
             prox0 = outer0[outer0 < spec.r]
             rows = outer0.tolist()
             if prox0.size >= 2:
-                self.steps.append(joint(rows, None))
+                outer = joint(rows, None)
             else:
                 if prox0.size == 0:
                     solve, arg = _quad_rows, (_rows_index(rows), at(rows))
@@ -623,7 +634,26 @@ class _CSweep:
                     solve, arg = _prox_quad_rows, (
                         rows[0], _rows_index(rows), _rows_index(rows[1:]),
                         float(outer0.size), place[rows[0]], at(rows[1:]))
-                self.steps.append(_Step(solve, arg, [(outer0, None)], prox0))
+                outer = _Step(solve, arg, [(outer0, None)], prox0)
+        # an outer set of one term row whose kind is the last stack's, after
+        # which no step comes, joins that stack in solves; steps keep their
+        # order, the blocks' and then the outer set's, as the checks read it
+        fold = (outer and outer.solve is _prox_row and single and not nested
+                and list(stack_kinds(terms, outer.conj_rows.tolist()))
+                == list(stack_kinds(terms, single))[-1:])
+        self.steps = []
+        for I, stack in stack_terms(terms, list(single) + (
+                [outer.arg[0]] if fold else [])):
+            I0 = [i for i in I.tolist() if i in single]
+            J0 = [single[i] for i in I0]
+            subs = [(np.array([i, j]), j) for i, j in zip(I0, J0)]
+            self.steps.append(_Step(
+                _stacked_blocks, (stack, _rows_index(I0), _rows_index(J0),
+                                  at(I.tolist()), at(J0),
+                                  outer if len(I0) < len(I) else None),
+                subs, I[:len(I0)]))
+        self.steps += nested + ([outer] if outer else [])
+        self.solves = self.steps[:-1] if fold else self.steps
         self.exact = all(step.solve is not _nested_rows for step in self.steps)
 
 
@@ -929,55 +959,75 @@ def _execute_sweep(spec, z, v, cs, params, out):
     itself, never the rows an earlier step wrote.
     """
     exact = True
-    for step in cs.steps:
+    for step in cs.solves:
         exact = step.solve(spec, z, v, step.arg, params, out) and exact
     return exact
 
 
-def _movements(D, u):
-    """How far a run of u sweeps moved the dual sum and their blocks'
-    governing rows, as two arrays.
-
-    D holds the differences the u sweeps made to the dual sum, then those
-    they made to their governing rows, sweep by sweep in block_js order.
-    Each row's dot product has the bits of the 1-d one (terms._dots), and
-    so each move those of np.linalg.norm of its difference.
+def _movements(D):
+    """How far the sweeps of a cycle moved the dual sum and their blocks'
+    governing rows, as one row: D holds the differences the W sweeps made
+    to the dual sum, then the G they made to their governing rows, sweep
+    by sweep in block_js order.  Each row's dot product has the bits of
+    the 1-d one (terms._dots), and so each move those of np.linalg.norm of
+    its difference.
     """
-    M = np.sqrt(_dots(D, D))
-    return M[:u], M[u:]
+    return np.sqrt(_dots(D, D))
 
 
-def _movement_sums(v, moves, sweeps, margins):
-    """The cycle's gamma_n, sum of squared movements and sum of dual-sum
-    moves, from _movements, with the margins of its sweeps 1..u written
-    into margins: v (u,) are the moves of the dual sum by the first u of the
-    compiled sweeps and moves those of their governing rows.  Each is added
-    left to right from 0.0, whatever sum() does (3.12 compensates a float
-    sum).
+def _sum_layout(sweeps):
+    """Where _cycle_sums places the G block movements of a cycle of these
+    W compiled sweeps, as (W, B + 1, places, size): a table of W rows of
+    B + 1 columns, B the most blocks of one sweep, size entries in all (0
+    when no sweep has blocks), holds +0.0 in column 0 of each row, then
+    the sweep's block movements at places (G,), flat in the table, and
+    +0.0 in the padding after them.  places go through _rows_index: a
+    contiguous run is read as a view."""
+    nb = [len(cs.block_js) for cs in sweeps]
+    B1 = 1 + max(nb)
+    places = [w * B1 + c for w, b in enumerate(nb) for c in range(1, b + 1)]
+    return len(nb), B1, _rows_index(places), len(nb) * B1 if places else 0
 
-    A sweep without blocks that did not move the dual sum would add a zero
-    to each sum, which keeps its bits, as the sums start at +0.0: it only
-    gets its margin, 0.0.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _cycle_sums(M, layout, sq0, margins=False):
+    """The movement sums of k cycles of one pattern (run), from their rows
+    of _movements, M (k, W + G), and the pattern's _sum_layout: sums, three
+    lists of k floats, per cycle its gamma_n, the running sum of squared
+    movements, continued from sq0, and its sum of dual-sum moves, and with
+    margins true the margins (k, W) of the sweeps, else None.
+
+    Each sum has the bits of a scalar loop over every sweep, from +0.0
+    (tests/test_trace.py): a sweep adds its dual-sum move v plus the sum
+    of its block moves, v * v plus the sum of their squares, and gets the
+    margin 0.5 * v * v + 0.5 times that sum.  np.add.accumulate takes the
+    sums left to right: the block moves' along each table row, whose
+    padding adds +0.0, and then the sweeps', from a column of +0.0.  A
+    sweep that did not move adds zeros, which the loop skips: a sum from
+    +0.0 is never -0.0, the one value that adding a zero can change.
+    Python's floats overflow without a warning, and so do these.
     """
-    moves = moves.tolist()
-    gamma = sq = v_sum = 0.0
-    k = 0
-    for w, v_diff in enumerate(v.tolist()):
-        n_blocks = len(sweeps[w].block_js)
-        if not (n_blocks or v_diff):   # a NaN counts as a move
-            margins[w] = 0.0
-            continue
-        inner_sum = inner_sq = 0.0
-        if n_blocks:
-            for d in moves[k:k + n_blocks]:
-                inner_sum += d
-                inner_sq += d * d
-            k += n_blocks
-        gamma += v_diff + inner_sum
-        sq += v_diff * v_diff + inner_sq
-        v_sum += v_diff
-        margins[w] = 0.5 * v_diff * v_diff + 0.5 * inner_sq
-    return gamma, sq, v_sum
+    (W, B1, places, size), k = layout, len(M)
+    v = M[:, :W]
+    T = np.zeros((3, k, W + 1))   # per cycle and sweep, its terms of the sums
+    T[::2, :, 1:] = v
+    np.multiply(v, v, out=T[1, :, 1:])
+    if size:   # (2, k, W): each sweep's sum of block moves and of squares
+        P = np.zeros((2, k, size))
+        P[0][:, places] = M[:, W:]
+        np.multiply(P[0], P[0], out=P[1])
+        inner = np.add.accumulate(P.reshape(2, k, W, B1), axis=3)[..., -1]
+        T[:2, :, 1:] += inner
+    sums = np.add.accumulate(T, axis=2, out=T)[..., -1]   # gamma, sq, v_sum
+    sums[1, 0] += sq0
+    if k > 1:
+        np.add.accumulate(sums[1], out=sums[1])
+    if not margins:
+        return sums.tolist(), None
+    margins = 0.5 * v * v
+    if size:
+        margins += 0.5 * inner[1]
+    return sums.tolist(), margins
 
 
 # ---------------------------------------------------------------------------
@@ -1004,12 +1054,11 @@ def run_sweep(spec, state, sweep, params=None):
     exact = _execute_sweep(spec, _read_only(z), v_old, cs, params, out)
     z_new = z.copy()
     z_new[cs.written] = out
-    v_diff, norms = _movements(np.concatenate(
-        ([z_new.sum(axis=0) - v_old], z_new[cs.gov0] - z[cs.gov0])), 1)
+    v_diff, *norms = _movements(np.concatenate(
+        ([z_new.sum(axis=0) - v_old], z_new[cs.gov0] - z[cs.gov0]))).tolist()
     state.z = z_new
     state.w += 1
-    return {"v_diff": v_diff.item(),
-            "inner_diffs": dict(zip(cs.block_js, norms.tolist())),
+    return {"v_diff": v_diff, "inner_diffs": dict(zip(cs.block_js, norms)),
             "exact": exact}
 
 
@@ -1096,17 +1145,17 @@ class _Pending(NamedTuple):
     """A cycle whose checks or objective wait for its batch (run).
 
     n is its number; ascent says whether its end-of-cycle objective must
-    not fall below the cycle before it, gamma is its gamma_n and approx
-    whether a sweep was approximate: a bool, or, when a compiled exact
-    tier fell back to _nested_rows (_pair_rows), the tuple of those
-    sweeps, 1-based, which is true (_CCheck._exact).  sweep_rows and moves
-    are the lengths of the trace's per-sweep columns and of its moves at
-    the cycle's end (0 without per-sweep rows), and skipped the screen's
-    count there: a run whose gap closes at this cycle is cut back to them.
+    not fall below the cycle before it and approx whether a sweep was
+    approximate: a bool, or, when a compiled exact tier fell back to
+    _nested_rows (_pair_rows), the tuple of those sweeps, 1-based, which
+    is true (_CCheck._exact).  sweep_rows and moves are the lengths of the
+    trace's per-sweep columns and of its moves at the cycle's end (0
+    without per-sweep rows), and skipped the screen's count there: a run
+    whose gap closes at this cycle is cut back to them.  Its gamma_n is
+    in the trace, its movement sums taken with its batch's (run).
     """
     n: int
     ascent: bool
-    gamma: float
     approx: bool | tuple
     sweep_rows: int
     moves: int
@@ -1618,9 +1667,10 @@ class _CCheck:
         # shared certificates read only the sums of each cycle's last state
         self.layout = (None if self.cert_pairs is not None
                        else _cert_layout(c_analysis, r))
-        # what a batch holds per cycle (run): its log rows and sums and its
-        # sweep pass's conjugate table, (P + W)·d + W·(r + 1) doubles, and
-        # the int32 entries of its indices (_build)
+        # what a batch holds per cycle (run): its log rows and sums, its
+        # sweep pass's conjugate table and its movements, (P + W)·d + W·(r
+        # + 1) + W + G doubles for G governing rows, and the int32 entries
+        # of its indices (_build)
         entries = self.n_pairs + 2 * len(sw) + W * (n - r) + 1
         if self.resolve is not None:
             entries += 2 * self.resolve.rows.size + self.resolve.vrows.size
@@ -1630,8 +1680,8 @@ class _CCheck:
             (_, o_p), (_, q_p), blocks = self.layout
             entries += n + o_p.size + q_p.size + sum(
                 p.size * (2 * parts.shape[1] + 1) for _, p, _, parts in blocks)
-        self.cycle_bytes = (8 * ((self.P + W) * spec.d + W * (r + 1))
-                            + 4 * entries)
+        self.cycle_bytes = 8 * ((self.P + W) * spec.d + W * (r + 2) + sum(
+            len(cs.block_js) for cs in sweeps)) + 4 * entries
 
     def _compile_gains(self, spec, sweeps, pw, pi):
         """The _Gains of the exact sweeps {w: cs}, or None when there are
@@ -2178,12 +2228,12 @@ class _CCheck:
             if flagged is None:
                 X, res, fen = certs
                 # _raise_certificates' test, for every cycle at once
-                gamma = np.array([cyc.gamma for cyc in batch])
+                gamma = np.array([trace.gamma[cyc.n - 1] for cyc in batch])
                 flagged = ((res > (gamma + CERT_SLACK)[:, None])
                            | (fen > CLAIM_TOL)).any(axis=1)
                 res_max = res.max(axis=1).tolist()
             if flagged[c] and not cyc.approx:
-                _raise_certificates(res[c], fen[c], cyc.gamma, cyc.n)
+                _raise_certificates(res[c], fen[c], gamma[c], cyc.n)
             trace.cert.append(res_max[c])
             F_list.append(F)
             if trace.sweep_F is not None:
@@ -2459,18 +2509,21 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         # one is read as a view
         all_terms = [(_rows_index(rows.tolist()), stack)
                      for rows, stack in all_terms]
-    margins = np.zeros((n_batch, max_W))
     gap = (None if params.stop_gap is None
            else _GapRule(spec, all_terms, params.stop_gap))
     # how many governing rows the sweeps of a cycle of each pattern move
     n_gov_rows = [sum(len(cs.block_js) for cs in c) for c in compiled]
+    # where each pattern's movement sums place them (_sum_layout); the
+    # batch's movements, a row of W + n_gov_rows doubles per cycle, and its
+    # pattern's layout are set at its first cycle and let go in flush
+    layouts, movements, layout = [_sum_layout(c) for c in compiled], None, None
     z = z.copy()   # written in place
     # the screen of the sweeps that would surely be still (_Screen)
     screen = _Screen.of(spec, compiled, all_terms)
     stale = True   # whether the next screened cycle screens again
     snap = _read_only(z)
     slot = 0   # the row of sums that holds v
-    v = z.sum(axis=0, out=sums[0])
+    v = np.add.reduce(z, axis=0, out=sums[0])
     if sweep_checks:
         # per-row conjugate cache, carried from one batch's end to the next
         conj = stacked_conjugates(all_terms, z, np.empty(spec.r))
@@ -2492,11 +2545,21 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     stop = None   # (place in its batch, _Pending) of the cycle that stops
 
     def flush():
-        """Check the pending cycles, or with checks off price their ends;
-        returns the stop of the first whose gap closes, else None."""
-        nonlocal conj, F_state, cert_arrays
+        """Sum the pending cycles' movements into the trace, then check
+        them, or with checks off price their ends; returns the stop of the
+        first whose gap closes, else None."""
+        nonlocal conj, F_state, cert_arrays, movements
         batch = pending[:]
         pending.clear()   # so that nothing is evaluated twice after an error
+        M = movements[:len(batch)]
+        totals, margins = _cycle_sums(
+            M, layout, sq_list[-1] if sq_list else 0.0, sweep_checks)
+        for column, row in zip((trace.gamma, sq_list, trace.v_diff), totals):
+            column.fromlist(row)
+        if per_sweep:
+            trace.sweep_v_diff.frombytes(M[:, :layout[0]].tobytes())
+            trace.moves.frombytes(M[:, layout[0]:].tobytes())
+        movements = M = None   # they go before the batch is priced
         if not sweep_checks:
             c = _flush_cycle_ends(spec, all_terms, ends, ends_v, batch,
                                   F_list, gap)
@@ -2523,10 +2586,11 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 start = spec.n_duals + c * chk.P
             # the differences the cycle's sweeps make to the dual sum, then
             # to their governing rows, zero where a sweep is still; let go at
-            # the cycle's end, before its batch is checked or priced
+            # the cycle's end, once their movements are taken
             diffs = np.zeros((W + n_gov_rows[k], spec.d))
             n_gov = W
-            cycle_margins = margins[c]
+            if not c:   # the batch's first cycle
+                movements, layout = np.empty((n_batch, len(diffs))), layouts[k]
             cycle_approx = False
             fallbacks = ()
             rows = screen.rows[k] if screen else None
@@ -2590,18 +2654,18 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 moved = block.tobytes() != z[cs.written].tobytes()
                 if moved and not all_finite(block):
                     if sweep_checks:
-                        # the batch's cycles before this one are checked
-                        # first, then, unless a gap closed there, this
-                        # one's sweeps before this one
+                        # the margins of this cycle's sweeps before this
+                        # one; no later sweep has moved.  The batch's
+                        # cycles before it are checked first, then, unless
+                        # a gap closed there, its sweeps before this one
+                        margins = _cycle_sums(_movements(diffs)[None],
+                                              layouts[k], 0.0, True)[1][0]
                         if pending:
                             stop = flush()
                         if stop is None:
-                            v_diffs, moves = _movements(diffs[:n_gov], W)
-                            _movement_sums(v_diffs[:w - 1], moves, sweeps,
-                                           cycle_margins)
                             chk.check_sweeps(spec, log, c, z, v, conj,
-                                             F_state, cycle_margins, n,
-                                             params, fallbacks, upto=w - 1)
+                                             F_state, margins, n, params,
+                                             fallbacks, upto=w - 1)
                     raise NonFiniteStateError(
                         f"non-finite duals after cycle {n} sweep {w}")
                 if not exact:
@@ -2615,7 +2679,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                         np.subtract(block[cs.gov_at], z[cs.gov0],
                                     out=diffs[n_gov:n_gov + len(cs.block_js)])
                     z[cs.written] = block
-                    np.subtract(z.sum(axis=0, out=sums[slot]), v,
+                    np.subtract(np.add.reduce(z, axis=0, out=sums[slot]), v,
                                 out=diffs[w - 1])
                     if rows:
                         bound = screen.moved(slack, k, w, bound,
@@ -2630,35 +2694,27 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
                 v = sums[slot]
                 n_gov += len(cs.block_js)
 
-            v_diffs, moves = _movements(diffs, W)
-            gamma_acc, sq_acc, v_acc = _movement_sums(v_diffs, moves, sweeps,
-                                                      cycle_margins)
-            if per_sweep:
-                trace.sweep_v_diff.frombytes(v_diffs.tobytes())
-                trace.moves.frombytes(moves.tobytes())
-            del v_diffs, moves, diffs   # not kept to a flush
+            movements[c] = _movements(diffs)
+            del diffs
             if not sweep_checks:
                 ends[c] = z
                 ends_v[c] = v
 
             any_approx = any_approx or cycle_approx
-            trace.v_diff.append(v_acc)
-            trace.gamma.append(gamma_acc)
             trace.growth.append(_norm(z) / math.sqrt(n))
             trace.approx.append(cycle_approx)
-            sq_list.append((sq_list[-1] if sq_list else 0.0) + sq_acc)
-            # F, and with checks on the objectives of the sweeps and the
-            # certificate distance, are appended when the cycle's batch is
-            # checked or priced
+            # the movement sums, F, and with checks on the objectives of the
+            # sweeps and the certificate distance, are appended when the
+            # cycle's batch is summed and checked or priced (flush)
             # its ascent is checked when no cycle so far ran approximate
             pending.append(_Pending(
-                n, not any_approx, gamma_acc, fallbacks or cycle_approx,
-                len(trace.sweep_v_diff) if per_sweep else 0,
-                len(trace.moves) if per_sweep else 0,
-                screen.skipped if screen else 0))
+                n, not any_approx, fallbacks or cycle_approx,
+                len(trace.sweep_approx) if per_sweep else 0,
+                len(trace.moves) + (c + 1) * n_gov_rows[k] if per_sweep
+                else 0, screen.skipped if screen else 0))
             if keep_cycle_starts:
                 cycle_start_duals.append(z.copy())
-            if len(pending) == n_batch or (sweep_checks and n <= n_lead):
+            if len(pending) == n_batch or n <= n_lead:
                 stop = flush()
                 if stop is not None:
                     break
@@ -2706,7 +2762,7 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     state = DualState(z.copy(), n=n, w=len(plan.cycle(n)))
     x = spec.x0 - v
     # the buffers go before the result is built
-    z = v = snap = sums = ends = ends_v = margins = log = scratch = None
+    z = v = snap = sums = ends = ends_v = log = scratch = None
     return RunResult(
         state=state,
         x=x,

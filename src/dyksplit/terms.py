@@ -393,7 +393,8 @@ class _SetStack:
     __slots__ = ()
 
     def moreau(self, U):
-        return U - self.project(U)
+        P = self.project(U)   # a new array: the difference takes its place
+        return np.subtract(U, P, out=P)
 
 
 class HalfspaceStack(_SetStack):
@@ -412,9 +413,11 @@ class HalfspaceStack(_SetStack):
 
     def project(self, U):
         # Halfspace.project: no move where the scaled excess is <= 0
+        # in place, so that a call holds one array of U's size besides U
         excess = (_dots(self.A, U) - self.b) / self._nrm2
-        return np.where((excess <= 0.0)[..., None], U,
-                        U - excess[..., None] * self.A)
+        P = np.subtract(U, excess[..., None] * self.A)
+        np.copyto(P, U, where=(excess <= 0.0)[..., None])
+        return P
 
     def support(self, Z):
         """Halfspace.support at each row: dom sigma = nonnegative ray

@@ -202,7 +202,10 @@ def test_the_check_indices_take_four_bytes_an_entry(case, level):
     # the entries a cycle adds; the certificate layout's rows are fixed
     per_cycle = (sum(a.size for a in arrays)
                  - sum(a.size for a in _arrays(tuple(chk._build(K - 1))[1:])))
-    doubles = (chk.P + chk.W) * spec.d + chk.W * (spec.r + 1)
+    # and the doubles: log rows and sums, the conjugate table's row per
+    # sweep and the cycle's movements, one per sweep and governing row
+    doubles = ((chk.P + chk.W) * spec.d + chk.W * (spec.r + 1) + chk.W
+               + sum(len(sweep.inner) for sweep in plan.pattern))
     assert chk.cycle_bytes == 8 * doubles + 4 * per_cycle
 
 
@@ -281,11 +284,12 @@ def test_the_gap_rule_prices_no_cycle_twice(monkeypatch, case, level):
     # at most one stacked call a batch of more cycles, over all of them
     assert stacked and all(k > 1 for k in stacked)
     assert len(stacked) <= len([k for k in sizes if k > 1])
-    if level == "off":
+    if level == "off":   # each lead-in cycle alone, as with checks on
         n_batch = min(engine._OBJ_BATCH, engine._OFF_BATCH_BYTES // (
             spec.n_duals * spec.d * 8))
-        assert sizes == [n_batch] * (100 // n_batch) + (
-            [100 % n_batch] if 100 % n_batch else [])
+        n = 100 - len(plan.lead_in)
+        assert sizes == ([1] * len(plan.lead_in) + [n_batch] * (n // n_batch)
+                         + ([n % n_batch] if n % n_batch else []))
 
 
 def _stop_problem(case):
@@ -532,10 +536,8 @@ def _gamma_zero_in_cycle(monkeypatch, n):
 
     def short(*args):
         calls[0] += 1
-        v, inner = movements(*args)
-        if calls[0] == n:
-            return 0.0 * v, 0.0 * inner
-        return v, inner
+        M = movements(*args)
+        return 0.0 * M if calls[0] == n else M
 
     monkeypatch.setattr(engine, "_movements", short)
 
@@ -621,11 +623,12 @@ def test_objectives_keep_their_bits_under_a_compensated_sum(monkeypatch,
 
 
 def test_full_builds_the_stacks_that_sweep_builds(monkeypatch):
-    # a sweep builds stacks for its one-member blocks only.  At
-    # check_level="full" the per-sweep re-solve calls each step's own
-    # solver, and the subproblems' gains read the pass's conjugates: the
-    # product schedule's outer set {r} of sweep 2, after its r - 1 blocks,
-    # is stacked by neither
+    # a sweep builds stacks for its one-member blocks only, which the
+    # product schedule's outer set {r} of sweep 2, a term of their kind,
+    # joins.  At check_level="full" the per-sweep re-solve calls each
+    # step's own solver, and the subproblems' gains read the pass's
+    # conjugates: no other stack is built.  A compiled sweep passes its
+    # rows as a list, run's stack of all r terms a range
     spec, plan = _case("product")
     stack_terms = engine.stack_terms
     calls = {}
@@ -633,16 +636,95 @@ def test_full_builds_the_stacks_that_sweep_builds(monkeypatch):
         calls[level] = made = []
 
         def counted(terms, rows):
-            rows = list(rows)
-            if terms is spec.terms and 0 < len(rows) < spec.r:
-                made.append(rows)
+            if terms is spec.terms and isinstance(rows, list) and rows:
+                made.append(list(rows))
             return stack_terms(terms, rows)
 
         monkeypatch.setattr(engine, "stack_terms", counted)
         dk.run(spec, plan, dk.SolveParams(max_iterations=2,
                                           check_level=level))
-    assert calls["sweep"] == [list(range(spec.r - 1))]
+    assert calls["sweep"] == [list(range(spec.r))]
     assert calls["full"] == calls["sweep"]
+
+
+def _two_step(monkeypatch):
+    """Compile every sweep as it was before an outer set {i} joined its
+    blocks' stack: a stack of the blocks' term rows alone, then the outer
+    set's own _prox_row step."""
+    compile_ = engine._CSweep._compile
+
+    def two_step(self, sweep, spec):
+        compile_(self, sweep, spec)
+        if self.solves is self.steps:
+            return
+        *steps, step, outer = self.steps   # the folded step, then {i}'s
+        ((_, stack),) = stack_terms(spec.terms, step.conj_rows.tolist())
+        # the stack's places in the sweep's buffer, but the outer row's
+        I, J, I_at, J_at = step.arg[1:5]
+        I_at = engine._rows_index(np.arange(self.size)[I_at][:-1].tolist())
+        self.steps = self.solves = steps + [
+            step._replace(arg=(stack, I, J, I_at, J_at, None)), outer]
+
+    monkeypatch.setattr(engine._CSweep, "_compile", two_step)
+
+
+def _boxes(seed, r, d, m):
+    """r box indicators around a common point, which take a TermStack."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.5, 0.5, size=d)
+    terms = [dk.Indicator(dk.Box(p - rng.uniform(0.1, 1.0, size=d),
+                                 p + rng.uniform(0.1, 1.0, size=d)))
+             for _ in range(r)]
+    return dk.ProblemSpec(p + 2.0 * test_engine.unit(rng, d), terms, m=m)
+
+
+@pytest.mark.parametrize("level", ["off", "sweep", "full"])
+@pytest.mark.parametrize("kind", ["HalfspaceStack", "BallStack", "TermStack"])
+def test_an_outer_set_in_its_blocks_stack_keeps_the_two_step_bits(
+        monkeypatch, kind, level):
+    # the product schedule's sweep 2 solves its r - 1 blocks and its outer
+    # set {r}, a term of their kind, in one moreau call of their stack,
+    # whose rows are the two steps' bits; validate still lists the outer
+    # set as its own prox step
+    make = {"HalfspaceStack": fixtures.random_halfspaces,
+            "BallStack": fixtures.random_balls, "TermStack": _boxes}[kind]
+    spec, plan = make(5, 6, 4, m=5), dk.product_space_schedule(6)
+    cs = engine._CSweep(plan.pattern[1], spec)
+    step, outer = cs.steps
+    assert len(cs.solves) == 1 and cs.solves[0] is step
+    assert step.solve is engine._stacked_blocks and step.arg[-1] is outer
+    assert type(step.arg[0]).__name__ == kind
+    assert outer.solve is engine._prox_row
+    assert [gov for _, gov in step.subs] == list(range(6, 11))
+    assert step.conj_rows.tolist() == list(range(5))
+    assert engine.sweep_tiers(spec, plan.pattern[1]) == [
+        "stacked {1,7} {2,8} {3,9} {4,10} {5,11}", "prox {6}"]
+    params = dk.SolveParams(max_iterations=40, stop_gap=1e-8,
+                            check_level=level, per_sweep_trace=True)
+    folded = dk.run(spec, plan, params, keep_cycle_starts=True)
+    _two_step(monkeypatch)
+    cs = engine._CSweep(plan.pattern[1], spec)
+    assert cs.solves is cs.steps and cs.steps[0].arg[-1] is None
+    two_step = dk.run(spec, plan, params, keep_cycle_starts=True)
+    _assert_same_result(folded, two_step)
+    assert folded.cycles_run > 1 and folded.state.z[spec.r - 1].any()
+
+
+def test_an_outer_set_joins_only_the_last_stack_of_its_kind():
+    # folded, the outer set's subproblem comes after every block's, as it
+    # did as its own step: a term of another kind than the last stack's,
+    # an earlier stack's kind included, is solved by itself
+    mixed = fixtures.random_mixed(2, 5, 4, m=4)   # halfspace {5}, balls last
+    halfspaces = fixtures.random_halfspaces(2, 4, 4, m=3)
+    ball = fixtures.random_balls(2, 1, 4).terms[0]
+    other = dk.ProblemSpec(halfspaces.x0, [*halfspaces.terms[:3], ball], m=3)
+    for spec in (mixed, other):
+        sweep = dk.product_space_schedule(spec.r).pattern[1]
+        cs = engine._CSweep(sweep, spec)
+        assert cs.solves is cs.steps
+        assert cs.steps[-1].solve is engine._prox_row
+        assert all(step.arg[-1] is None for step in cs.steps[:-1])
+        assert engine.sweep_tiers(spec, sweep)[-1] == f"prox {{{spec.r}}}"
 
 
 @pytest.mark.parametrize("level", ["sweep", "full"])

@@ -1050,7 +1050,9 @@ def _cycle_snapshots(plan, spec):
 
 def _after_prox_row(monkeypatch, spec, plan, *faults):
     """Apply each fault(spec, z, i, new) after every _prox_row solve of
-    plan's sweeps: z is the snapshot and new the new value of term row i.
+    plan's sweeps, and after the solve of an outer set {i} that a
+    _stacked_blocks call takes with its blocks (the product schedule's
+    sweep 2): z is the snapshot and new the new value of term row i.
 
     A solver writes only the rows its sweep declares, into a buffer of
     them: one row per index the sweep touches.  The screen of still sweeps
@@ -1061,7 +1063,7 @@ def _after_prox_row(monkeypatch, spec, plan, *faults):
         if len(sweep.outer) == 1 and min(sweep.outer) <= spec.r:
             i = min(sweep.outer) - 1
             assert written.setdefault(i, sweep.touched) == sweep.touched
-    orig = engine._prox_row
+    orig, orig_blocks = engine._prox_row, engine._stacked_blocks
 
     def solver(spec, z, v, arg, params, out):
         i, at = arg
@@ -1071,7 +1073,18 @@ def _after_prox_row(monkeypatch, spec, plan, *faults):
             fault(spec, z, i, out[at])
         return exact
 
+    def blocks(spec, z, v, arg, params, out):
+        exact = orig_blocks(spec, z, v, arg, params, out)
+        outer = arg[-1]   # the folded outer set's _prox_row step, or None
+        if outer is not None:
+            i, at = outer.arg
+            assert out.shape == (len(written[i]), spec.d)
+            for fault in faults:
+                fault(spec, z, i, out[at])
+        return exact
+
     monkeypatch.setattr(engine, "_prox_row", solver)
+    monkeypatch.setattr(engine, "_stacked_blocks", blocks)
     _screen_off(monkeypatch)
 
 
@@ -1181,8 +1194,7 @@ def test_fault_certificate_distance(monkeypatch, level):
     orig = engine._movements
 
     def short(*args):
-        v, inner = orig(*args)
-        return 0.1 * v, 0.1 * inner
+        return 0.1 * orig(*args)
 
     monkeypatch.setattr(engine, "_movements", short)
     spec = fixtures.random_halfspaces(1, 6, 4)
@@ -1202,7 +1214,7 @@ def test_fault_certificate_fenchel(monkeypatch, level):
 
     def half(spec, z, v, arg, params, out):
         exact = orig(spec, z, v, arg, params, out)
-        _, I, J, I_at, J_at = arg
+        _, I, J, I_at, J_at, _ = arg   # outer is None: sweep 2 is one block
         bsum = z[I] + z[J]
         out[I_at] = z[I] + 0.5 * (out[I_at] - z[I])
         out[J_at] = bsum - out[I_at]
@@ -1252,13 +1264,16 @@ def test_fault_block_short_of_its_own_margin(monkeypatch, level, message):
 
     def uneven(spec, z, v, arg, params, out):
         exact = orig(spec, z, v, arg, params, out)
-        _, I, J, I_at, J_at = arg
+        # the outer set {r}, folded in, keeps the row orig wrote: the
+        # stack's rows in out (I_at) are the blocks' term rows, then its
+        _, I, J, I_at, J_at, _ = arg
         rows = np.arange(spec.n_duals)[I].tolist()
-        old, new = z[I], out[I_at]
+        places = np.arange(len(out))[I_at][:len(rows)]
+        old, new = z[I], out[places]
         for k, i in enumerate(rows):
             if i in scale:
                 new[k] = old[k] + scale[i] * (new[k] - old[k])
-        out[I_at] = new
+        out[places] = new
         out[J_at] = z[I] + z[J] - new
         return exact
 

@@ -245,33 +245,75 @@ if given is not None:
 
 @pytest.mark.skipif(given is None, reason="needs hypothesis")
 def test_movement_sums_match_the_scalar_formula_bit_for_bit():
-    # a cycle's movement sums pass over each sweep without blocks that
-    # moved nothing, and only zero its margin: every result
-    # has the bits of the scalar formula, also for the sweeps before a
-    # non-finite one (the prefix v_diffs[:w - 1] of a cycle's moves)
+    # a batch of 1 to 8 cycles of one pattern takes its movement sums in
+    # one call (engine._cycle_sums): each cycle's margins, gamma_n and sum
+    # of dual-sum moves, and the running sum of squared movements, have
+    # the bits of the scalar formula, cycle by cycle, also where a sweep
+    # has no blocks.  A cycle cut short by a non-finite sweep (its prefix)
+    # has every later move zero, and its sweeps before that get the scalar
+    # formula's margins over the prefix
     seen = []
 
     @settings(max_examples=400, deadline=None, database=None,
               derandomize=True)
-    @given(st.lists(st.tuples(_MOVES, st.lists(_MOVES, max_size=3)),
-                    min_size=1, max_size=12),
-           st.booleans(), st.data())
-    def check(cycle, blocks, data):
-        if not blocks:
-            cycle = [(v_diff, []) for v_diff, _ in cycle]
-        W = len(cycle)
-        sweeps = [SimpleNamespace(block_js=tuple(range(len(moves))))
-                  for _, moves in cycle]
-        v = np.array([v_diff for v_diff, _ in cycle])
-        moves = np.array([d for _, m in cycle for d in m], dtype=float)
-        for u in (W, data.draw(st.integers(0, W - 1), label="prefix")):
-            ours, ref = np.full(W, 7.0), np.full(W, 7.0)
-            got = engine._movement_sums(v[:u], moves, sweeps, ours)
-            want = _scalar_movement_sums(v[:u].tolist(), moves.tolist(),
-                                         sweeps, ref)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert ours.tobytes() == ref.tobytes()
-        seen.append(bool(moves.size))
+    @given(st.lists(st.integers(0, 3) | st.just(9), min_size=1, max_size=12),
+           st.integers(1, 8), st.data())
+    def check(counts, k, data):
+        W, G = len(counts), sum(counts)
+        sweeps = [SimpleNamespace(block_js=tuple(range(b))) for b in counts]
+        layout = engine._sum_layout(sweeps)
+        M = np.array(data.draw(st.lists(
+            st.lists(_MOVES, min_size=W + G, max_size=W + G),
+            min_size=k, max_size=k), label="movements")).reshape(k, W + G)
+        sq = data.draw(_MOVES, label="running sum before")
+        (gamma, running, v_sum), margins = engine._cycle_sums(M, layout,
+                                                              sq, True)
+        want = []
+        for c in range(k):
+            ref = np.full(W, 7.0)
+            g, s, vs = _scalar_movement_sums(M[c, :W].tolist(),
+                                             M[c, W:].tolist(), sweeps, ref)
+            sq = sq + s   # run's running sum, cycle by cycle
+            want.append((g, vs, sq))
+            assert margins[c].tobytes() == ref.tobytes()
+        assert (np.array([gamma, v_sum, running]).T.tobytes()
+                == np.array(want).tobytes())
+        u = data.draw(st.integers(0, W - 1), label="prefix")
+        cut = M[:1].copy()
+        cut[0, u:W] = 0.0
+        cut[0, W + sum(counts[:u]):] = 0.0
+        ref = np.full(W, 7.0)
+        _scalar_movement_sums(cut[0, :u].tolist(), cut[0, W:].tolist(),
+                              sweeps, ref)
+        margins = engine._cycle_sums(cut, layout, 0.0, True)[1][0]
+        assert margins[:u].tobytes() == ref[:u].tobytes()
+        seen.append((G > 0, k > 1))
 
     check()
-    assert len(seen) >= 300 and 0 < sum(seen) < len(seen)
+    assert len(seen) >= 300 and len(set(seen)) == 4
+
+
+def test_a_negative_zero_move_does_not_leak_past_the_start():
+    # every sum starts at +0.0, which a -0.0 move leaves +0.0, as the
+    # scalar formula's; NaN and inf moves go through as there
+    sweeps = [SimpleNamespace(block_js=()), SimpleNamespace(block_js=(1, 2)),
+              SimpleNamespace(block_js=(3,))]
+    layout = engine._sum_layout(sweeps)
+    M = np.array([[-0.0, -0.0, 0.0, -0.0, -0.0, -0.0],
+                  [-0.0, math.inf, 1.5, math.nan, -0.0, 2.0]])
+    (gamma, running, v_sum), margins = engine._cycle_sums(M, layout, 0.0,
+                                                          True)
+    assert np.signbit(margins[0]).tolist() == [False] * 3
+    assert [gamma[0], v_sum[0], running[0]] == [0.0, 0.0, 0.0]
+    assert not np.signbit([gamma[0], v_sum[0], running[0]]).any()
+    sq = 0.0
+    for c in range(2):
+        ref = np.full(3, 7.0)
+        g, s, vs = _scalar_movement_sums(M[c, :3].tolist(), M[c, 3:].tolist(),
+                                         sweeps, ref)
+        sq = sq + s
+        assert margins[c].tobytes() == ref.tobytes()
+        assert (np.array([gamma[c], v_sum[c], running[c]]).tobytes()
+                == np.array([g, vs, sq]).tobytes())
+    assert math.isnan(gamma[1]) and math.isnan(margins[1, 1])
+    assert math.isinf(v_sum[1]) and margins[1, 2] == 3.125

@@ -18,9 +18,9 @@ screen of still sweeps skipped (RunResult.skipped_sweeps; null where the
 tree does not count them), the most cycles that one check pass of the
 warm-up run took (null at check level off), and the tracemalloc peak of
 one more, untimed run in KiB.  Each peak is taken in a fresh child
-process with hash seed 0, one at a time, after one untimed solve there,
-so that it does not depend on the points run before it or on the hash
-seed.  The grid is
+process with hash seed 0, one at a time, after one untimed solve there
+and a garbage collection, so that it does not depend on the points run
+before it or on the hash seed.  The grid is
 --schedules (default classic, product, mixed and pairs) x --sizes x {off,
 sweep, full}.  The package is imported from each --src, by default the src/
 directory of this checkout.  Given two trees, each grid point times them
@@ -49,6 +49,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import gc  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import multiprocessing  # noqa: E402
@@ -88,7 +89,10 @@ def import_package(src, name):
 
 
 def peak_kib(fn, *args):
-    """The tracemalloc peak of one call fn(*args), in KiB."""
+    """The tracemalloc peak of one call fn(*args), in KiB.  Garbage is
+    collected first, so that the peak depends less on the allocator state
+    that the imports and earlier runs left."""
+    gc.collect()
     tracemalloc.start()
     try:
         fn(*args)

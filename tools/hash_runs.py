@@ -24,7 +24,12 @@ instances of both fixtures in GAP_STOPS, or QUICK_GAP_STOPS with --quick,
 at every check level, which stop in 74 to 2927 cycles, and runs of the
 custom pair pattern in CUSTOM_GAP_STOPS, or QUICK_CUSTOM_GAP_STOPS, at
 check_level sweep and full, whose stops fall inside a checked batch of six
-cycles and not on its last.  For each gap stop the run prints its cycle
+cycles and not on its last.  Two more product runs, in FOLD_RUNS, at
+check_level full with the per-sweep trace, cover the outer set {r} that
+joins its blocks' stack (engine._CSweep): fixtures.random_balls, whose
+stack is a ball stack, and random_mixed at an odd r, whose outer
+halfspace is not of its last blocks' kind and is solved by itself.  For
+each gap stop the run prints its cycle
 and its place in its batch: the batch that one check pass checked, or
 with checks off the batch of cycle ends priced together
 (engine._flush_cycle_ends).  Every run keeps its cycle starts.  A run's hash covers every RunResult field but the work counter
@@ -67,6 +72,8 @@ QUICK_GAP_STOPS = [("halfspaces", 3)]   # 74 cycles
 CUSTOM_GAP_STOPS = [("halfspaces", 1), ("halfspaces", 2), ("halfspaces", 3),
                     ("mixed", 6)]
 QUICK_CUSTOM_GAP_STOPS = [("halfspaces", 3)]
+# (fixture, r) of the product runs of FOLD_RUNS, at seed 1 and d = 6
+FOLD_RUNS = [("balls", 8), ("mixed", 7)]
 GAP_STOP_CAP = 5000
 # not a result: how much solver work a run skipped
 SKIP_FIELDS = {"skipped_sweeps"}
@@ -86,8 +93,9 @@ def custom_plan(dk, nested):
 
 def make_problem(dk, fixture, schedule, seed, r, d):
     """The spec and plan of one instance of the run set, in package dk."""
-    make = (dk.fixtures.random_halfspaces if fixture == "halfspaces"
-            else dk.fixtures.random_mixed)
+    make = {"halfspaces": dk.fixtures.random_halfspaces,
+            "mixed": dk.fixtures.random_mixed,
+            "balls": dk.fixtures.random_balls}[fixture]
     if schedule == "classic":
         return make(seed, r, d), dk.classic_dykstra_schedule(r)
     if schedule == "product":
@@ -173,7 +181,7 @@ def hash_run(dk, key):
             sum(row.w for row in result.cycle_rows), where)
 
 
-def run_keys(instances, gap_stops, custom_gap_stops):
+def run_keys(instances, gap_stops, custom_gap_stops, folds=()):
     return [(fixture, schedule, level, gap, per_sweep) + inst
             + (MAX_ITERATIONS,)
             for inst in instances for fixture in FIXTURES
@@ -184,7 +192,9 @@ def run_keys(instances, gap_stops, custom_gap_stops):
         (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP)
         for fixture, seed in gap_stops for level in LEVELS] + [
         (fixture, "pairs", level, True, False, seed, 8, 6, GAP_STOP_CAP)
-        for fixture, seed in custom_gap_stops for level in LEVELS[1:]]
+        for fixture, seed in custom_gap_stops for level in LEVELS[1:]] + [
+        (fixture, "product", "full", False, True, 1, r, 6, MAX_ITERATIONS)
+        for fixture, r in folds]
 
 
 def main(argv=None):
@@ -200,7 +210,7 @@ def main(argv=None):
                 for k, src in enumerate(args.src)]
     keys = (run_keys(QUICK, QUICK_GAP_STOPS, QUICK_CUSTOM_GAP_STOPS)
             if args.quick
-            else run_keys(INSTANCES, GAP_STOPS, CUSTOM_GAP_STOPS))
+            else run_keys(INSTANCES, GAP_STOPS, CUSTOM_GAP_STOPS, FOLD_RUNS))
     mismatches = 0
     # per tree, the skipped sweeps per schedule, or None where not counted
     skipped = [dict.fromkeys(SCHEDULES, 0) for _ in packages]
