@@ -85,11 +85,13 @@ the same cycle and sweep as a check made sweep by sweep would, the sweeps
 before a non-finite one first.
 The gap stop rule is tested in the same cycle-ordered pass that checks a
 batch, or with checks off prices its cycle ends, at each cycle once its
-own checks pass, with the objective the pass found; a batch of several
-cycles takes its primal values in one stacked call per term kind
-(_GapRule).  The first cycle whose gap closes ends the run, which is cut
-back to it: the cycles its batch ran after it are discarded, and nothing
-they raise surfaces, so the result is bitwise that of one-cycle batches.
+own checks pass, with the objective the pass found.  One procedure
+decides every cycle, whatever the batch's size (_GapRule.closes): a test
+of one term at all the batch's cycle ends, then its primal values in one
+stacked call per term kind.  The first cycle whose gap closes ends the
+run, which is cut back to it: the cycles its batch ran after it are
+discarded, and nothing they raise surfaces, so the result is bitwise
+that of one-cycle batches.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import schedule as sched
-from .state import (DualState, _ordered_sum, dual_objective_from,
-                    dual_objective_z)
+from .state import DualState, dual_objective_from, dual_objective_z
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
@@ -1815,8 +1816,6 @@ class _CCheck:
         else in the batch's start state."""
         n, W1 = self.n, self.W + 1
         w, i = np.divmod(o, n)
-        if not self.P:
-            return np.broadcast_to(i, np.broadcast(c, i).shape)
         keys = self.keys
         t = np.searchsorted(keys, i * W1 + w, side="right") - 1
         back = (t < 0) | (keys[t] // W1 != i)
@@ -2281,36 +2280,13 @@ class _CCheck:
 # cycle loop
 # ---------------------------------------------------------------------------
 
-def _primal_value(spec, groups, x, hint=0):
-    """(spec.primal_value(x), hint) through the term stacks of all r rows.
-
-    The term values are summed in term order, and +inf when one is.  Term
-    `hint`, unless None, is asked for its own value first: when that is
-    +inf, so is the sum, and no stack is evaluated.  The hint returned is
-    the first term at +inf, for the next call, whose point is usually
-    outside the same set, or hint when the sum is finite.  After a feasible
-    point _GapRule passes None: the next point is usually feasible too, and
-    the hint's value would be taken again in its stack.
-    """
-    if hint is not None and spec.terms[hint].value(x) == _INF:
-        return _INF, hint
-    vals = np.empty(spec.r)
-    for rows, stack in groups:
-        vals[rows] = stack.value(x)
-    total = _ordered_sum(vals)
-    if total == _INF:
-        vals = vals.tolist()
-        return _INF, vals.index(_INF) if _INF in vals else hint
-    return total + (spec.m + 1) * spec.quad_value(x), hint
-
-
 def _term_sums(spec, groups, V):
-    """The sums of the term values that _primal_value takes at every
-    x = x0 - V[k], with no hint, as a list, and the values (k, r).
+    """The sums of the term values at every x = x0 - V[k], as a list, and
+    the values (k, r).
 
     Each stack takes every point in one call, and each point's values are
-    summed in term order, as _primal_value sums them: every sum is bitwise
-    that call's.
+    summed in term order from +0.0, as spec.primal_value sums them: every
+    sum is bitwise that of the scalar oracles.
     """
     H = np.empty((len(V), spec.r + 1))
     H[:, 0] = 0.0
@@ -2328,20 +2304,20 @@ class _GapRule:
 
     A cycle closes its gap when the primal value at its end's x = x0 - v
     and its objective are finite and differ by at most stop_gap.  closes
-    tests each cycle, in cycle order, once its own checks have passed.  A
-    batch of k > 1 cycles takes the term values of all k cycle ends in one
-    stacked call per term kind (_term_sums), at the first cycle whose
-    value it needs: as _primal_value does, a cycle first asks the term
-    hint, when there is one, and its value is +inf when that term's is.
-    The hint does not change before that call, so it is asked at all k
-    cycle ends at once, in one value call of a one-row stack of its term
-    (_outside), kept while the hint stays; x0 - v is formed only for a
-    cycle that goes on to its primal value.  When the hint's call raises,
-    each cycle asks the term itself.  The quadratic part is added only where the terms' sum is
-    finite.  A batch of one cycle, or one whose stacked call raises, takes
-    each value when its cycle is tested, through _primal_value.  So the
-    first cycle's error comes first.  hint follows _primal_value's rule
-    over every cycle tested, stacked or not.
+    tests each cycle, in cycle order, once its own checks have passed, by
+    one procedure whatever the batch's size.  A cycle first asks the term
+    hint, when there is one, and its value is +inf when that term's is
+    (_outside); the hint does not change before the terms are evaluated, so
+    it is asked at every cycle end of the batch at once.  At the first
+    cycle that goes on, the term values of all the batch's cycle ends are
+    taken in one stacked call per term kind (_term_sums), and the quadratic
+    part is added only where the terms' sum is finite.  When a call over
+    several cycle ends raises, this cycle and every later one of the batch
+    take the same procedure on their own row, which raises what a batch of
+    one would: so the first cycle's error comes first.  After a cycle
+    outside a set the hint is a term at +inf there, itself when it is, else
+    the first; after a feasible x it is None: the next point is usually
+    feasible too, and the hint's value would be taken again in its stack.
     """
 
     __slots__ = ("spec", "groups", "stop_gap", "hint", "stack")
@@ -2353,58 +2329,56 @@ class _GapRule:
 
     def price(self, V):
         """closes' state for a batch whose cycle ends' sums are the rows of
-        V, the caller's, so that it goes with the batch: [V, stacked, sums,
-        terms, outside], stacked False where each value is taken by itself,
-        the stacked call's sums and values (_term_sums) None until taken,
-        and outside the hint's test at every cycle end (_outside), None
-        until taken."""
-        return [V, len(V) > 1, None, None, None]
+        V, the caller's, so that it goes with the batch: [V, sums, terms,
+        outside], the stacked call's sums and values (_term_sums) None
+        until taken, sums False once each cycle takes its own row, and
+        outside the hint's test at every cycle end (_outside), None until
+        taken."""
+        return [V, None, None, None]
 
     def _outside(self, V):
         """Whether the hint term's value is +inf at each x0 - V[c], as a
-        list, from one value call of a one-row stack of that term; () when
-        that call raises.  The stack is kept while the hint stays, which
-        saves building it per batch, and dropped with the hint at a
-        feasible x, so that a run near its stop does not hold it."""
-        try:
-            if self.stack is None or self.stack[0] != self.hint:
-                self.stack = (self.hint,
-                              stack_terms(self.spec.terms, [self.hint])[0][1])
-            P = (self.spec.x0 - V)[:, None]
-            return (self.stack[1].value(P)[:, 0] == _INF).tolist()
-        except Exception:   # an oracle's, or a warning raised as an error
-            return ()
+        list.  One cycle end asks the term's own value, which is cheaper
+        than a stack's call; more ask a one-row stack of the term in one
+        value call.  The stack is kept while the hint stays, which saves
+        building it per batch, and dropped with the hint at a feasible x,
+        so that a run near its stop does not hold it."""
+        spec, hint = self.spec, self.hint
+        if len(V) == 1:
+            return [spec.terms[hint].value(spec.x0 - V[0]) == _INF]
+        if self.stack is None or self.stack[0] != hint:
+            self.stack = (hint, stack_terms(spec.terms, [hint])[0][1])
+        P = (spec.x0 - V)[:, None]
+        return (self.stack[1].value(P)[:, 0] == _INF).tolist()
 
     def closes(self, prices, c, F):
         """Whether the gap of the batch's cycle c, whose objective is F,
         closes; prices are price's for the batch."""
-        spec = self.spec
-        V, stacked, sums, terms, outside = prices
-        hint = self.hint
-        if stacked and sums is None:
-            if hint is not None:
-                if outside is None:   # the hint stays until _term_sums
-                    outside = prices[4] = self._outside(V)
-                if (outside[c] if outside else
-                        spec.terms[hint].value(spec.x0 - V[c]) == _INF):
-                    return False   # as _primal_value finds it
+        spec, hint = self.spec, self.hint
+        V, sums, terms, outside = prices
+        if sums is None:
             try:
-                sums, terms = prices[2:4] = _term_sums(spec, self.groups, V)
+                if hint is not None:
+                    if outside is None:   # the hint stays until _term_sums
+                        outside = prices[3] = self._outside(V)
+                    if outside[c]:
+                        return False
+                sums, terms = prices[1:3] = _term_sums(spec, self.groups, V)
             except Exception:   # an oracle's, or a warning raised as an error
-                stacked = prices[1] = False
-        if not stacked:
-            primal, self.hint = _primal_value(spec, self.groups,
-                                              spec.x0 - V[c], hint)
-        elif sums[c] == _INF:
-            # _primal_value's next hint
+                if len(V) == 1:
+                    raise
+                sums = prices[1] = False
+        if sums is False:   # each cycle on its own row, in cycle order
+            return self.closes(self.price(V[c:c + 1]), 0, F)
+        if sums[c] == _INF:
+            # the first term at +inf, unless the hint is
             row = terms[c]
             if hint is None or row[hint] != _INF:
                 vals = row.tolist()
                 if _INF in vals:
                     self.hint = vals.index(_INF)
             return False
-        else:
-            primal = sums[c] + (spec.m + 1) * spec.quad_value(spec.x0 - V[c])
+        primal = sums[c] + (spec.m + 1) * spec.quad_value(spec.x0 - V[c])
         if not math.isfinite(primal):
             return False
         self.hint = self.stack = None
@@ -2812,6 +2786,8 @@ def product_space_reference(spec, z_init=None, n_cycles=50):
         if z.shape != (r, d):
             raise DimensionMismatch(
                 f"z_init has shape {z.shape}, expected {(r, d)}")
+        if not np.isfinite(z).all():
+            raise ValueError("z_init must be finite")
     history = [z.copy()]
     x = spec.x0 - z.sum(axis=0) / r
     for _ in range(n_cycles):

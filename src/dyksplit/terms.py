@@ -496,23 +496,23 @@ class TermStack:
     def of(cls, terms):
         return cls(terms)
 
+    def _rows(self, f, A):
+        """f(term, a) for each term and its row a of A, or of the point A
+        at every row, over any leading batch axis."""
+        if A.ndim > 2:
+            return np.array([self._rows(f, Ab) for Ab in A])
+        A = np.broadcast_to(A, (len(self.terms), A.shape[-1]))
+        return np.array([f(t, a) for t, a in zip(self.terms, A)],
+                        dtype=float)
+
     def moreau(self, U):
-        if U.ndim > 2:
-            return np.array([self.moreau(Ub) for Ub in U])
-        return np.array([moreau_dual(t, u) for t, u in zip(self.terms, U)])
+        return self._rows(moreau_dual, U)
 
     def support(self, Z):
-        if Z.ndim > 2:
-            return np.array([self.support(Zb) for Zb in Z])
-        return np.array([t.conjugate(z) for t, z in zip(self.terms, Z)],
-                        dtype=float)
+        return self._rows(lambda t, z: t.conjugate(z), Z)
 
     def value(self, X):
-        if X.ndim > 2:
-            return np.array([self.value(Xb) for Xb in X])
-        X = np.broadcast_to(X, (len(self.terms), X.shape[-1]))
-        return np.array([t.value(x) for t, x in zip(self.terms, X)],
-                        dtype=float)
+        return self._rows(lambda t, x: t.value(x), X)
 
 
 _SET_STACKS = {Halfspace: HalfspaceStack, L2Ball: BallStack}

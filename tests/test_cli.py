@@ -248,6 +248,104 @@ def test_config_integers_are_strict(value, ok):
             build(cfg)
 
 
+class _Elsewhere:
+    """A set of no config kind."""
+
+    dim = 2
+
+
+def _one_halfspace():
+    return {"x0": [1.0, 1.0], "terms": _corner_problem()["terms"][:1]}
+
+
+_TERM_KINDS = ("['affine', 'box', 'halfspace', 'hyperplane', 'l1', 'l2ball',"
+               " 'quadratic']")
+
+
+# every ConfigError that config.py raises by name and the tests above do not
+# reach: a config file's is reported by dyksplit solve with exit 1; a term
+# of no config kind has no file form
+@pytest.mark.parametrize("cfg,message", [
+    ({"problem": _corner_problem(), "splitting": _custom(0, [{"outer": 1}])},
+     "pattern sweep 1 outer must be a list, not int"),
+    ({"problem": _corner_problem(), "output": {"format": "xml"}},
+     "output.format must be one of ('csv', 'json')"),
+    ({"problem": _corner_problem(), "output": {"trace_path": 5}},
+     "output.trace_path must be a string, not 5"),
+    ({"problem": {"x0": [1.0, 1.0], "terms": [{"a": [1.0, 0.0], "b": 0.0}]}},
+     "term 1 has no kind"),
+    ({"problem": {"x0": [1.0, 1.0], "terms": [{"kind": "plane"}]}},
+     f"unknown term kind 'plane', expected one of {_TERM_KINDS}"),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [{"kind": "halfspace", "a": [1.0, 0.0]}]}},
+     "term halfspace missing keys ['b']"),
+    (lambda: term_to_dict(dk.Indicator(_Elsewhere())),
+     "_Elsewhere has no config form"),
+    ({"problem": _corner_problem(), "splitting": _custom(0, [])},
+     "custom schedule needs a nonempty pattern"),
+    ({"problem": dict(_corner_problem(),
+                      generator={"kind": "halfspaces", "r": 2, "dim": 2})},
+     "problem.generator excludes explicit terms/x0"),
+    ({"problem": {"generator": {"kind": "halfspaces", "r": 2}}},
+     "problem.generator missing 'dim'"),
+    ({"problem": {"x0": [1.0, 1.0]}},
+     "problem needs x0 and terms (or a generator)"),
+    ({"problem": dict(_corner_problem(), dim=3)}, "x0 has length 2, dim says 3"),
+    ({"problem": {"x0": [1.0, 1.0], "terms": _corner_problem()["terms"][0]}},
+     "problem.terms must be a list, not dict"),
+    ({"problem": _corner_problem(), "splitting": {"schedule": {"mode": "x"}}},
+     "schedule.mode must be one of"
+     " ('classic', 'product', 'custom', 'product-reference')"),
+    ({"problem": _corner_problem(), "splitting": {"m": 1}},
+     "classic mode requires m = 0"),
+    ({"problem": _corner_problem(),
+      "splitting": {"m": 2, "schedule": {"mode": "product"}}},
+     "product mode forces m = r-1 = 1"),
+    ({"problem": {"x0": [1.0, 1.0],
+                  "terms": [*_corner_problem()["terms"][:1],
+                            {"kind": "l1", "weight": 1.0}]},
+      "splitting": {"schedule": {"mode": "product-reference"}}},
+     "product-reference mode needs indicator terms, term 2 is not"),
+    ({"problem": _one_halfspace(), "splitting": {"schedule": {"mode": "product"}}},
+     "product mode needs r >= 2"),
+    ({"problem": _corner_problem(),
+      "splitting": {"schedule": {"mode": "custom"}}},
+     "custom mode needs schedule.cycles"),
+    ({"problem": _corner_problem(), "solve": {"z_init": [[0.0, 0.0]]}},
+     "z_init has shape (1, 2), expected (2, 2)"),
+], ids=["outer-number", "format-unknown", "trace-path-number", "term-no-kind",
+        "term-kind-unknown", "term-missing-key", "term-no-config-form",
+        "pattern-empty", "generator-and-terms", "generator-missing-dim",
+        "problem-no-terms", "x0-length", "terms-object", "mode-unknown",
+        "classic-m", "product-m", "product-reference-l1", "product-one-set",
+        "custom-no-cycles", "z-init-shape"])
+def test_every_config_error_is_reported(tmp_path, capsys, cfg, message):
+    if callable(cfg):
+        with pytest.raises(ConfigError) as exc:
+            cfg()
+        assert str(exc.value) == message
+        return
+    with pytest.raises(ConfigError) as exc:
+        build(RunConfig.from_dict(cfg))
+    assert str(exc.value) == message
+    assert main(["solve", _dump(tmp_path, "run.json", cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_main_reports_an_engine_invariant_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(*args, **kwargs):
+        raise engine.EngineInvariantError("cycle 1 sweep 2: out of step")
+
+    monkeypatch.setattr(engine, "run", broken)
+    path = _dump(tmp_path, "run.json", {"problem": _corner_problem()})
+    assert main(["solve", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("error: engine invariant failed: cycle 1 sweep 2:"
+                       " out of step\n")
+
+
 def test_validate_classic_ok(tmp_path, capsys):
     path = _dump(tmp_path, "run.json", {"problem": _vertex_problem()})
     assert main(["validate", path]) == 0
@@ -437,6 +535,20 @@ def test_compare_product_modes_equivalent(tmp_path, capsys):
     assert "final x difference:" in report
 
 
+def test_compare_different_schedules_not_equivalent(tmp_path, capsys):
+    # the same problem under the classic and the product schedule: the
+    # prox duals at the cycle starts differ
+    base = {"problem": _vertex_problem()}
+    pa = _dump(tmp_path, "a.json", base)
+    pb = _dump(tmp_path, "b.json", dict(
+        base, splitting={"schedule": {"mode": "product"}}))
+    assert main(["compare", pa, pb, "--cycles", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("max dual difference over 6 cycle starts: ")
+    assert float(out[0].rsplit(" ", 1)[1]) > 1e-9
+    assert out[-1] == "NOT equivalent to 1e-9"
+
+
 def test_compare_rejects_mismatched_problems(tmp_path, capsys):
     a = {"problem": _vertex_problem(),
          "splitting": {"schedule": {"mode": "product"}}}
@@ -521,6 +633,42 @@ def test_oracle_reference_route(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x_star: [1.0, 0.0]" in out
     assert "alpha: 2.0" in out
+
+
+def test_oracle_takes_the_reference_loop_for_a_ball(tmp_path, capsys):
+    # a ball is not polyhedral, so the QP route is refused and the
+    # projection loop answers without --reference
+    cfg = {"problem": {"x0": [3.0, 0.0],
+                       "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
+                                  "radius": 1.0},
+                                 {"kind": "halfspace", "a": [0.0, 1.0],
+                                  "b": 0.0}]}}
+    path = _dump(tmp_path, "run.json", cfg)
+    assert main(["oracle", path]) == 0
+    out = capsys.readouterr().out
+    assert main(["oracle", path, "--reference"]) == 0
+    assert capsys.readouterr().out == out
+    assert out == "x_star: [1.0, 0.0]\nalpha: 2.0\n"
+
+
+def test_oracle_reference_loop_that_does_not_converge_exits_one(
+        tmp_path, capsys, monkeypatch):
+    solve = dk.oracle.reference_solve
+    monkeypatch.setattr(dk.oracle, "reference_solve",
+                        lambda spec, tol: solve(spec, tol, max_cycles=2))
+    cfg = {"problem": {"x0": [3.0, 1.0],
+                       "terms": [{"kind": "l2ball", "center": [0.0, 0.0],
+                                  "radius": 1.0},
+                                 {"kind": "halfspace", "a": [1.0, 1.0],
+                                  "b": 0.5}]}}
+    path = _dump(tmp_path, "run.json", cfg)
+    assert main(["oracle", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: reference loop did not converge (no"
+                              " convergence within 2 cycles, last cycle"
+                              " moved ")
+    assert cap.err.endswith(")\n")
 
 
 def test_generated_problem_seed_override(tmp_path, capsys):

@@ -1534,7 +1534,10 @@ def test_run_stop_reasons():
 def test_stop_rule_primal_value_matches_the_scalar_reference():
     # the gap rule sums the term values through the stacks; every term kind
     # and points on, inside and outside the sets, and at distance FEAS_TOL
-    # up to rounding, give the same value
+    # up to rounding, give ProblemSpec.primal_value's value, each point
+    # alone and all in one call.  From every hint, a cycle at such a point
+    # closes exactly when the value is finite, and leaves a term at +inf
+    # there as the next hint, the hint itself when it is, else None
     rng = np.random.default_rng(21)
     for kind in TERM_KINDS:
         terms = [sample_term(k, rng, 3)
@@ -1550,18 +1553,28 @@ def test_stop_rule_primal_value_matches_the_scalar_reference():
             out = (x - p) / max(float(np.linalg.norm(x - p)), 1e-300)
             points += [p + FEAS_TOL * (1.0 + s) * out
                        for s in rng.uniform(-4e-6, 4e-6, 16)]
-        values = [spec.primal_value(x) for x in points]
+        V = spec.x0 - np.array(points)
+        X = spec.x0 - V   # the points the rule takes
+        values = [spec.primal_value(x) for x in X]
         assert np.isinf(values).any() or kind in ("l1", "quadratic")
         assert np.isfinite(values).any()
-        for x, value in zip(points, values):
+        sums, _ = engine._term_sums(spec, groups, V)
+        for c, (x, value) in enumerate(zip(X, values)):
+            one, _ = engine._term_sums(spec, groups, V[c:c + 1])
+            for total in (sums[c], one[0]):
+                assert (total == value == np.inf or total + (spec.m + 1)
+                        * spec.quad_value(x) == value)
             for hint in range(spec.r):
-                got, first = engine._primal_value(spec, groups, x, hint)
-                assert got == value
-                # the next call's hint is a term at +inf, when there is one
-                if got == np.inf:
-                    assert spec.terms[first].value(x) == np.inf
+                rule = engine._GapRule(spec, groups, np.inf)
+                rule.hint = hint
+                assert rule.closes(rule.price(V[c:c + 1]), 0, 0.0) == (
+                    value < np.inf)
+                if value < np.inf:
+                    assert rule.hint is None
+                elif spec.terms[hint].value(x) == np.inf:
+                    assert rule.hint == hint
                 else:
-                    assert first == hint
+                    assert spec.terms[rule.hint].value(x) == np.inf
 
 
 @pytest.mark.parametrize("level", ["off", "sweep"])
@@ -1605,11 +1618,15 @@ def test_the_gap_rule_asks_its_hint_first_only_after_an_infeasible_cycle(
     # run that asks a term first at every cycle
     assert (batched.cycles_run, batched.x.tobytes()) == (res.cycles_run,
                                                          res.x.tobytes())
-    primal_value = engine._primal_value
+    closes = engine._GapRule.closes
+
+    def asks_first(self, prices, c, F):
+        if self.hint is None:
+            self.hint = 0
+        return closes(self, prices, c, F)
+
     monkeypatch.setattr(engine, "_OBJ_BATCH", 1)
-    monkeypatch.setattr(engine, "_primal_value",
-                        lambda spec, groups, x, hint: primal_value(
-                            spec, groups, x, 0 if hint is None else hint))
+    monkeypatch.setattr(engine._GapRule, "closes", asks_first)
     again = dk.run(spec, plan, params)
     assert (again.cycles_run, again.x.tobytes()) == (res.cycles_run,
                                                      res.x.tobytes())
@@ -1619,9 +1636,9 @@ def test_the_stacked_gap_rule_matches_one_point_at_a_time():
     # _GapRule over a batch of cycle ends: one stacked call per term kind
     # gives every primal value bitwise, with the quadratic part added where
     # the terms' sum is finite; closes decides every cycle as the rule of
-    # one point at a time does, and the hint it leaves for a batch
-    # of one is _primal_value's after the same points.  Every term kind,
-    # with points inside, outside and on two sets, over batches of 1 to 5
+    # one point at a time does, and the hint it leaves is that of batches
+    # of one after the same points.  Every term kind, with points inside,
+    # outside and on two sets, over batches of 1 to 5
     rng = np.random.default_rng(34)
     for kind in TERM_KINDS:
         terms = [sample_term(k, rng, 3)
@@ -1636,8 +1653,7 @@ def test_the_stacked_gap_rule_matches_one_point_at_a_time():
         rng.shuffle(points)
         V = spec.x0 - np.array(points)
         F = rng.standard_normal(len(V)) - 5.0
-        primal = [engine._primal_value(spec, groups, spec.x0 - v, None)[0]
-                  for v in V]
+        primal = [spec.primal_value(spec.x0 - v) for v in V]
         assert np.isfinite(primal).any()
         assert np.isinf(primal).any() or kind in ("l1", "quadratic")
         one = engine._GapRule(spec, groups, 10.0)
@@ -1646,29 +1662,31 @@ def test_the_stacked_gap_rule_matches_one_point_at_a_time():
         for k in (1, 2, 5, 3, 4, 1, 5, 3):
             batch = V[at:at + k]
             # the terms' sums, to which the quadratic part is added where
-            # finite, as _primal_value adds it
+            # finite, as ProblemSpec.primal_value adds it
             sums, _ = engine._term_sums(spec, groups, batch)
             for v, total, value in zip(batch, sums, primal[at:at + k]):
                 assert (total == value == np.inf or total + (spec.m + 1)
                         * spec.quad_value(spec.x0 - v) == value)
             prices = stacked.price(batch)
-            assert prices[1] == (k > 1)
             for c in range(k):
                 assert (stacked.closes(prices, c, F[at + c])
                         == one.closes(one.price(batch[c:c + 1]), 0,
                                       F[at + c]))
                 assert stacked.hint == one.hint
+            # the terms at all the batch's cycle ends, once taken
+            assert prices[1] is None or len(prices[1]) == k
             at += k
 
 
 class _PerCycleHint(engine._GapRule):
-    """The gap rule that asks its hint term itself at each cycle of a
-    batch, as it did before one call took all of them."""
+    """The gap rule that asks its hint term itself at each cycle end of a
+    batch, as a batch of one does, not a one-row stack of it."""
 
     __slots__ = ()
 
     def _outside(self, V):
-        return ()
+        term = self.spec.terms[self.hint]
+        return [term.value(self.spec.x0 - v) == np.inf for v in V]
 
 
 def _hint_case(kind):
@@ -1757,16 +1775,20 @@ def test_the_batched_hint_decides_as_the_term_asked_cycle_by_cycle(
     seen = [flag for flags in outside for flag in flags]
     assert True in seen and False in seen
     assert any(flags[:2] == [True, True] for flags in outside)
-    # a batch of one cycle asks the term itself, through _primal_value
+    # a batch of one cycle asks the term itself, in _outside
     assert asked[0] <= ones or kind == "box"
 
 
+@pytest.mark.parametrize("hint", [0, None])
 @pytest.mark.parametrize("bad", [0, 1])
-def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(bad):
+def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(
+        bad, hint):
     # under RuntimeWarning as an error, a cycle end far out overflows the
-    # one-row stack's call; the batch then asks the term itself at each
-    # cycle, as batches of one do: a cycle before the bad one is decided,
-    # and the bad cycle's own error, the scalar term's, comes first
+    # one-row stack's call, or with no hint after a feasible x the stacked
+    # call of every term; each cycle of the batch then takes its own row,
+    # as batches of one do, asking the term itself once there is a hint: a
+    # cycle before the bad one is decided, and the bad cycle's own error
+    # comes first
     rng = np.random.default_rng(8)
     spec = dk.ProblemSpec(rng.standard_normal(3) * 0.1, [
         HS(np.array([1.0, 1.0, 0.0]), 0.5), HS(unit(rng, 3), 1.0)], m=1)
@@ -1775,6 +1797,7 @@ def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(bad):
     points[bad] = 1e308
     V = spec.x0 - points
     rule, one = (engine._GapRule(spec, groups, 10.0) for _ in range(2))
+    rule.hint = one.hint = hint
     prices = rule.price(V)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1787,8 +1810,9 @@ def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(bad):
             rule.closes(prices, bad, -1.0)
     assert "overflow" in str(want.value)
     assert str(got.value) == str(want.value)
-    assert prices[4] == ()   # the batched call raised
-    assert rule.hint == one.hint == 0
+    assert prices[1] is False   # the batched call raised
+    # a cycle before the bad one lies outside the first set
+    assert rule.hint == one.hint == (0 if bad or hint == 0 else None)
 
 
 @pytest.mark.parametrize("make, seed", [(fixtures.random_halfspaces, 2),
@@ -1796,30 +1820,41 @@ def test_a_batched_hint_call_that_raises_falls_back_to_the_term_itself(bad):
 def test_a_checks_off_product_run_asks_the_scalar_hint_once_a_batch_at_most(
         monkeypatch, make, seed):
     # with checks off, each batch of priced cycle ends asks its hint term in
-    # one stacked call; only a batch of one cycle asks Indicator.value.
-    # Asking the term itself at each cycle, as before, gives the same run
+    # one stacked call; only a batch of one cycle asks Indicator.value, once
+    # at most.  Forcing each cycle of a batch onto its own row, as when a
+    # stacked call raises, asks the term itself at each cycle and gives the
+    # same run
     spec, plan = make(seed, 8, 6, m=7), dk.product_space_schedule(8)
     params = dk.SolveParams(max_iterations=5000, stop_gap=1e-8,
                             check_level="off")
-    asked, batches = [0], [0]
+    asked, batches = [0], []
     value, flush = dk.Indicator.value, engine._flush_cycle_ends
 
     def counted(self, x):
         asked[0] += 1
         return value(self, x)
 
-    def counted_flush(*args):
-        batches[0] += 1
-        return flush(*args)
+    def counted_flush(spec, groups, Z, V, batch, F_list, gap):
+        before = asked[0]
+        j = flush(spec, groups, Z, V, batch, F_list, gap)
+        batches.append((len(batch), asked[0] - before))
+        return j
 
     monkeypatch.setattr(dk.Indicator, "value", counted)
     monkeypatch.setattr(engine, "_flush_cycle_ends", counted_flush)
     res = dk.run(spec, plan, params)
-    assert res.stop_reason == "gap" and batches[0] > 2
-    assert asked[0] <= batches[0]
-    asked_batched, n_batches = asked[0], batches[0]
+    assert res.stop_reason == "gap" and len(batches) > 2
+    assert all(n <= (k == 1) for k, n in batches)
+    asked_batched, n_batches = asked[0], len(batches)
     asked[0] = 0
-    monkeypatch.setattr(engine._GapRule, "_outside", lambda self, V: ())
+    outside = engine._GapRule._outside
+
+    def refused(self, V):
+        if len(V) > 1:
+            raise FloatingPointError("refused")
+        return outside(self, V)
+
+    monkeypatch.setattr(engine._GapRule, "_outside", refused)
     again = dk.run(spec, plan, params)
     assert asked[0] > 2 * n_batches > asked_batched
     assert (again.cycles_run, again.x.tobytes(), again.F_per_cycle.tobytes()
@@ -1972,3 +2007,28 @@ def test_product_space_reference_needs_indicators():
     spec = dk.ProblemSpec([0.0, 0.0], [dk.L1Norm(2)], m=1)
     with pytest.raises(ValueError):
         dk.product_space_reference(spec, n_cycles=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_product_space_reference_rejects_a_nonfinite_start(bad):
+    # as run rejects it, before any loop body
+    spec = two_halfspace_spec()
+    z0 = np.zeros((2, 2))
+    z0[1, 0] = bad
+    with pytest.raises(ValueError, match="^z_init must be finite$"):
+        dk.product_space_reference(spec, z_init=z0, n_cycles=2)
+    with pytest.raises(ValueError, match="^z_init must be finite$"):
+        dk.run(spec, dk.classic_dykstra_schedule(2), z_init=np.vstack(
+            [z0, np.zeros((spec.m, 2))]))
+
+
+def test_product_space_reference_checks_the_start_shape():
+    # r rows of d: the m quadratic rows that run takes are not part of it
+    spec = two_halfspace_spec(m=1)
+    for shape in [(spec.n_duals, 2), (2, 3), (2,)]:
+        with pytest.raises(dk.DimensionMismatch,
+                           match=rf"^z_init has shape \({shape[0]},"):
+            dk.product_space_reference(spec, z_init=np.zeros(shape))
+    hist = dk.product_space_reference(spec, z_init=np.ones((2, 2)),
+                                      n_cycles=1)
+    assert hist[0].tolist() == [[1.0, 1.0], [1.0, 1.0]]

@@ -635,12 +635,19 @@ def test_indicator_distance_is_the_closed_form(kind):
 def test_value_and_distance_never_project(kind, dots, monkeypatch):
     # with every halfspace and ball projection raising, the scalar and
     # stacked values, the distance, ProblemSpec.primal_value and the gap
-    # rule's primal value still answer, as they did before the patch
+    # rule's term sums and decisions still answer, as they did before the
+    # patch
     for d in STACK_DIMS:
         rng, terms, U, _ = _stack_inputs(kind, d)
         X = _value_points(terms, U)
         spec = dk.ProblemSpec(U[0], terms)
         groups = stack_terms(terms, range(STACK_HEIGHT))
+        V = spec.x0 - X
+
+        def decision(v, hint):
+            rule = engine._GapRule(spec, groups, np.inf)
+            rule.hint = hint
+            return rule.closes(rule.price(v[None]), 0, 0.0), rule.hint
 
         def answers():
             stack = _one_stack(terms)
@@ -648,8 +655,9 @@ def test_value_and_distance_never_project(kind, dots, monkeypatch):
                     stack.value(X).tolist(), stack.value(X[0]).tolist(),
                     stack.value(np.stack([X, X[::-1]])).tolist(),
                     [spec.primal_value(x) for x in X],
-                    [engine._primal_value(spec, groups, x, hint)
-                     for x in X for hint in (0, STACK_HEIGHT - 1)])
+                    engine._term_sums(spec, groups, V)[0],
+                    [decision(v, hint)
+                     for v in V for hint in (0, STACK_HEIGHT - 1)])
 
         def refuse(*args):
             raise AssertionError("value or distance projected")

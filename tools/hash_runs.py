@@ -29,10 +29,14 @@ check_level full with the per-sweep trace, cover the outer set {r} that
 joins its blocks' stack (engine._CSweep): fixtures.random_balls, whose
 stack is a ball stack, and random_mixed at an odd r, whose outer
 halfspace is not of its last blocks' kind and is solved by itself.  For
-each gap stop the run prints its cycle
+each of these gap stops the run prints its cycle
 and its place in its batch: the batch that one check pass checked, or
 with checks off the batch of cycle ends priced together
-(engine._flush_cycle_ends).  Every run keeps its cycle starts.  A run's hash covers every RunResult field but the work counter
+(engine._flush_cycle_ends).  Some runs of the first kind stop by the gap
+rule too, the classic (30, 10) ones inside one-cycle batches; per tree, the
+run prints how many runs of the whole set stopped by the gap rule in
+batches of each size, so that a log shows both batches of one cycle and
+batches of more under the bitwise comparison.  Every run keeps its cycle starts.  A run's hash covers every RunResult field but the work counter
 skipped_sweeps, every trace row, every cycle start and every certificate,
 each float by its bytes; a run that raises is hashed by its error.  The
 package is imported from each --src.
@@ -153,8 +157,9 @@ def digest(result):
 
 def hash_run(dk, key):
     """(hex digest, skipped sweeps or None, sweeps, where it stopped) of
-    one run of the run set; where is None but for a run of the gap stops
-    that stops by the gap rule."""
+    one run of the run set; where is None but for a run that stops by the
+    gap rule, and then (cycle, place in its batch, batch size), the last
+    two None when no recorded batch holds the cycle."""
     from bench_grid import recording_batches   # next to this script
     fixture, schedule, level, gap, per_sweep, seed, r, d, cap = key
     spec, plan = make_problem(dk, fixture, schedule, seed, r, d)
@@ -170,15 +175,21 @@ def hash_run(dk, key):
         feed(h, f"{type(exc).__name__}: {exc}")
         return h.hexdigest(), 0, 0, None
     where = None
-    if cap == GAP_STOP_CAP and result.stop_reason == "gap":
+    if result.stop_reason == "gap":
         n = result.cycles_run
-        where = f"cycle {n}"
         # its place in the first batch that held it
         batch = next((b for b in batches if n in b), None)
-        if batch is not None:
-            where += f", {batch.index(n) + 1} of a batch of {len(batch)}"
+        where = ((n, None, None) if batch is None
+                 else (n, batch.index(n) + 1, len(batch)))
     return (digest(result), getattr(result, "skipped_sweeps", None),
             sum(row.w for row in result.cycle_rows), where)
+
+
+def _place(where):
+    """A gap stop's cycle and place in its batch, as the log prints it."""
+    n, place, size = where
+    return (f"cycle {n}" if place is None
+            else f"cycle {n}, {place} of a batch of {size}")
 
 
 def run_keys(instances, gap_stops, custom_gap_stops, folds=()):
@@ -215,6 +226,9 @@ def main(argv=None):
     # per tree, the skipped sweeps per schedule, or None where not counted
     skipped = [dict.fromkeys(SCHEDULES, 0) for _ in packages]
     sweeps = dict.fromkeys(SCHEDULES, 0)
+    # per tree, the runs that stopped by the gap rule per size of the batch
+    # that held the stop cycle
+    stops = [{} for _ in packages]
     with warnings.catch_warnings():
         for dk in packages:
             warnings.simplefilter("ignore", dk.ScheduleGrowthWarning)
@@ -223,11 +237,14 @@ def main(argv=None):
             for t, dk in enumerate(packages):
                 digest, n_skipped, n_sweeps, where = hash_run(dk, key)
                 hashes.append(digest)
+                if where is not None:
+                    stops[t][where[2]] = stops[t].get(where[2], 0) + 1
                 if not t:
                     sweeps[key[1]] += n_sweeps
-                    if where is not None:
+                    if where is not None and key[-1] == GAP_STOP_CAP:
                         print("gap stop: " + " ".join(
-                            map(str, key[:3] + key[5:6])) + ": " + where)
+                            map(str, key[:3] + key[5:6])) + ": "
+                            + _place(where))
                 if n_skipped is None:
                     skipped[t] = None
                 elif skipped[t] is not None:
@@ -237,6 +254,10 @@ def main(argv=None):
                 print("mismatch: " + " ".join(map(str, key)) + ": "
                       + " ".join(x[:12] for x in hashes))
     print(f"{len(keys)} runs, {mismatches} mismatches")
+    for src, sizes in zip(args.src, stops):
+        print(f"{src}: gap stops {sum(sizes.values())}, by batch size: "
+              + ", ".join(f"{'none' if k is None else k}: {sizes[k]}"
+                          for k in sorted(sizes, key=lambda k: k or 0)))
     for src, counts in zip(args.src, skipped):
         if counts is None:
             print(f"{src}: skipped sweeps not counted")
