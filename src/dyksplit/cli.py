@@ -208,9 +208,14 @@ def cmd_validate(args):
           f" {len(built.plan.lead_in)} lead-in cycle(s)")
     print(f"last-touch sweeps p: { {i: pat.p[i] for i in sorted(pat.p)} }")
     print(f"matched outer solves q: { {i: pat.q[i] for i in sorted(pat.q)} }")
-    for w, sweep in enumerate(built.plan.pattern, start=1):
-        tiers = engine.sweep_tiers(built.spec, sweep)
-        print(f"sweep {w}: {'; '.join(tiers) if tiers else 'empty'}")
+    # the pattern's sweeps, then each lead-in cycle's
+    cycles = [("", built.plan.pattern)] + [
+        (f"lead-in cycle {k} ", c)
+        for k, c in enumerate(built.plan.lead_in, start=1)]
+    for label, c in cycles:
+        for w, sweep in enumerate(c, start=1):
+            tiers = "; ".join(engine.sweep_tiers(built.spec, sweep))
+            print(f"{label}sweep {w}: {tiers or 'empty'}")
     for v in analysis.violations:
         print(f"violation: {v.message}")
     if not analysis.sqrt_growth_ok:

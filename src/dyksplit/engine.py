@@ -3,16 +3,10 @@
 Each sweep jointly minimizes the dual objective over its outer index set
 (complement frozen) and, independently, over each inner block (block sum
 frozen).  Each subproblem's solve tier is fixed once, when its sweep is
-compiled: an outer set with at most one proximable index has an exact closed
-form, and so does an outer set of two halfspace or ball indicators, or a
-block whose two term members are, whose joint solve projects onto the
-intersection of the two sets (_pair_rows; where that has no closed form, it
-runs the nested loop instead and is approximate).  Any other outer set with
-two or more proximable indices, and block with two or more term members,
-runs the one nested coordinate loop (_nested_rows) and is flagged
-approximate.  All subproblems of a sweep read the same snapshot of the duals
-and write disjoint rows, so they are independent; they run one after
-another, and their order cannot change the result.
+compiled (_CSweep); what each tier solves, and whether exactly, is said
+once, in the tier table _TIERS.  All subproblems of a sweep read the same
+snapshot of the duals and write disjoint rows, so they are independent;
+they run one after another, and their order cannot change the result.
 
 The blocks with a single term member are where a sweep is parallel: they are
 grouped by term kind and each group is solved in one vectorized call of a
@@ -34,16 +28,13 @@ check_level:
   "full"   additionally each subproblem's own margin in the exact sweeps
            of several, in closed form (_CCheck._gains), and a re-solve of
            each exact sweep, whose rows must agree with the logged ones.
-           The sweeps of one step with one subproblem, a prox row,
-           quadratic rows, a single-member block or a pair, are re-solved
-           for a whole batch at once (_CCheck._resolved), when it holds at
-           least _RESOLVE_MIN of them over its cycles: the first three in
-           a few stacked calls, and each pair by the sweep's own
-           terms.pair_duals at its point, but where one test over the batch
-           finds that both sets hold it (terms.pair_holds); one whose rows
-           are bitwise its snapshot's passes there.  Every other sweep, and
-           every sweep of a batch whose re-solve raises, is re-solved by
-           itself, step by step, and nothing is priced
+           The sweeps of one step with one subproblem whose tier has a
+           batched kernel are re-solved for a whole batch at once, a group
+           of sweeps of one tier per kernel call (_CCheck._resolved), when
+           it holds at least _RESOLVE_MIN of them over its cycles; one
+           whose rows are bitwise its snapshot's passes there.  Every other
+           sweep, and every sweep of a batch whose re-solve raises, is
+           re-solved by itself, step by step, and nothing is priced
            (_CCheck._resolve_sweep).  A solver that answers a repeated call
            differently is caught only when its first answer differs from
            the batched re-solve.
@@ -133,7 +124,7 @@ _OFF_BATCH_BYTES = 262144
 # with checks on, a batch of cycles holds at most this many bytes of log rows
 # and sums, of its sweep pass's conjugate table and of the int32 entries of
 # its check's indices, unless one cycle alone needs more (run,
-# _CCheck.cycle_bytes): 6 cycles of 2124 bytes of the custom-cli pattern
+# _CCheck.cycle_bytes): 6 cycles of 2212 bytes of the custom-cli pattern
 # (r = 8, m = 2, d = 6, 9 sweeps) at check_level "full", and one cycle of
 # about 37 KB of classic (50, 20)
 _CHECK_BATCH_BYTES = 13312
@@ -376,7 +367,8 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# subproblem solvers (snapshot in, the sweep's rows written to out)
+# the solve tiers: subproblem solvers (snapshot in, the sweep's rows written
+# to out), their batched re-solves and screen keys, and their table _TIERS
 # ---------------------------------------------------------------------------
 #
 # Every solver has the signature (spec, z, v, arg, params, out) -> exact,
@@ -511,6 +503,158 @@ def _nested_rows(spec, z, v, arg, params, out):
     return False
 
 
+# Every batched re-solve kernel has the signature (spec, G, V, item) -> ok:
+# G (k, count, size, d) holds, in k cycles, the rows of a group's count
+# sweeps as they were before each (_Tier.group's rows), which it overwrites
+# with the rows its solver writes; V (k, count, d) the dual sums before the
+# sweeps of outer sets, None for blocks, which it may overwrite; item the
+# group's.  ok (k, count) is False where the solver has no closed form, or
+# None when it always has.
+
+def _prox_kernel(spec, G, V, stack):
+    """_prox_row's, with the stack of the group's term rows."""
+    V -= G[:, :, 0]
+    np.subtract(spec.x0, V, out=V)   # x0 - (v - z_i)
+    G[:, :, 0] = stack.moreau(V)
+
+
+def _quad_kernel(spec, G, V, item):
+    """_quad_rows', for outer sets of size rows each; numpy sums one row as
+    0.0 + row, as the solver does."""
+    V -= G.sum(axis=2)
+    G[...] = (-V / (G.shape[2] + 1.0))[:, :, None]
+
+
+def _blocks_kernel(spec, G, V, stack):
+    """_stacked_blocks' for blocks of one term member each, whose rows are
+    the term row and then the governing row."""
+    bsum = G[:, :, 0] + G[:, :, 1]
+    G[:, :, 0] = stack.moreau(bsum + spec.x0)
+    np.subtract(bsum, G[:, :, 0], out=G[:, :, 1])
+
+
+def _pair_kernel(spec, G, V, pair):
+    """_pair_rows' for one sweep (count 1), whose rows are i, j and a
+    block's governing row, with pair its sets and constants: zeros where
+    both sets hold u, found for all cycles at once (pair_holds), else
+    pair_duals at u."""
+    P = G[:, 0]
+    if V is None:   # x0 plus the block sum
+        bsum = P[:, 0] + P[:, 1] + P[:, 2]
+        U = bsum + spec.x0
+    else:   # x0 - (v - z_i - z_j)
+        U = V[:, 0]
+        U -= P[:, 0]
+        U -= P[:, 1]
+        np.subtract(spec.x0, U, out=U)
+    held = pair_holds(*pair, U)
+    P[held, :2] = 0.0
+    ok = np.ones((len(P), 1), dtype=bool)
+    for c in np.flatnonzero(~held).tolist():
+        duals = pair_duals(*pair, U[c])
+        if duals is None:   # the solver ran _nested_rows
+            ok[c] = False
+        else:
+            P[c, 0], P[c, 1] = duals
+    if V is None:
+        bsum -= P[:, 0]
+        np.subtract(bsum, P[:, 1], out=P[:, 2])
+    return ok
+
+
+# Every group rule has the signature (spec, steps, shared) -> groups: steps
+# are compiled steps of its tier with one subproblem each, and each group is
+# (positions in steps, rows per step, item), the rows in its kernel's order,
+# as many for every step of the group.  shared maps term rows to their
+# stacks (_pair_stacks).
+
+def _moreau_groups(spec, steps, shared):
+    """Prox or one-member block steps, one group per kind of stack their
+    term rows take, with that stack."""
+    rows = [step.subs[0][0].tolist() for step in steps]
+    return [(pos.tolist(), [rows[p] for p in pos.tolist()], stack)
+            for pos, stack in _pair_stacks(spec.terms,
+                                           [r[0] for r in rows], shared)]
+
+
+def _quad_groups(spec, steps, shared):
+    """Outer sets of quadratic rows, one group per size."""
+    sizes = {}
+    for p, step in enumerate(steps):
+        sizes.setdefault(step.subs[0][0].size, []).append(p)
+    return [(pos, [steps[p].subs[0][0].tolist() for p in pos], None)
+            for pos in sizes.values()]
+
+
+def _pair_groups(spec, steps, shared):
+    """Pairs, one group each, with the rows i, j and a block's j0."""
+    return [([p], [[i, j] + ([] if j0 is None else [j0])], pair)
+            for p, (pair, i, j, j0) in enumerate(
+                step.arg[:4] for step in steps)]
+
+
+# Every screen key has the signature (spec, step) -> key or None: the key
+# that _Screen tests a sweep of this one step by (_screen_row).
+
+def _prox_screen(spec, step):
+    """Its row i, when its term is a halfspace or ball indicator."""
+    i = step.arg[0]
+    term = spec.terms[i]
+    if type(term) is Indicator and type(term.set) in (Halfspace, L2Ball):
+        return i
+    return None
+
+
+def _pair_screen(spec, step):
+    """((i, j), None) for an outer set, ((i, j), j0) for a block."""
+    return tuple(step.arg[1:3]), step.arg[3]
+
+
+def _blocks_screen(spec, step):
+    """((i,), j0) for one block of a halfspace or ball member i."""
+    if (len(step.subs) == 1
+            and type(step.arg[0]) in (HalfspaceStack, BallStack)):
+        return (int(step.conj_rows[0]),), step.subs[0][1]
+    return None
+
+
+class _Tier(NamedTuple):
+    """What one solver is (_TIERS): name, as sweep_tiers prints it; exact,
+    whether its rows minimize its subproblem (a pair may still fall back at
+    run time, _Pending.approx); screen, its screen key or None; and at
+    check_level "full" the batched re-solve of its steps of one subproblem,
+    group, its group rule, and kernel, which re-solves one group for all
+    cycles of a batch (_CCheck._resolved), or None for both."""
+    name: str
+    exact: bool
+    screen: Callable | None = None
+    group: Callable | None = None
+    kernel: Callable | None = None
+
+
+# the solve tiers, one entry per solver; _CSweep._compile chooses them
+_TIERS = {
+    # an outer set of one term row: its dual prox against the rest
+    _prox_row: _Tier("prox", True, _prox_screen, _moreau_groups,
+                     _prox_kernel),
+    # an outer set of quadratic rows only: all share -rest / (k + 1)
+    _quad_rows: _Tier("quad", True, None, _quad_groups, _quad_kernel),
+    # an outer set of one term row plus quadratic rows, which it eliminates
+    _prox_quad_rows: _Tier("prox-quad", True),
+    # the blocks of one term member each, one stacked call per term kind
+    _stacked_blocks: _Tier("stacked", True, _blocks_screen, _moreau_groups,
+                           _blocks_kernel),
+    # an outer set, or a block's members, of two halfspace or ball
+    # indicators: the projection onto their intersection in closed form, or
+    # the nested loop where it has none
+    _pair_rows: _Tier("pair", True, _pair_screen, _pair_groups,
+                      _pair_kernel),
+    # any other outer set of two or more term rows, or block of two or more
+    # term members: the nested coordinate loop
+    _nested_rows: _Tier("nested", False),
+}
+
+
 class _Step(NamedTuple):
     """One compiled subproblem group: solve(spec, z, v, arg, params, out).
 
@@ -528,23 +672,18 @@ class _Step(NamedTuple):
 class _CSweep:
     """Compiled sweep: its subproblem steps plus the 1-based originals.
 
-    steps (_Step, 0-based rows) run in this order: the blocks with one term
-    member, one _stacked_blocks step per term kind (terms.stack_terms); each
-    block with several term members (_pair_rows for two halfspace or ball
-    indicators, else _nested_rows); the outer set.  The outer set's tier is
-    exact for one term row (_prox_row), only quadratic rows (_quad_rows),
-    one term row plus quadratic rows (_prox_quad_rows) or two halfspace or
-    ball indicator rows (_pair_rows), and _nested_rows for any other two or
-    more term rows.  An outer set of one term row i whose term is of the
-    last stack's kind, with no block of several members, is folded into
-    that _stacked_blocks step, whose stack's last row is i's and whose arg
-    ends with i's _prox_row step (else None): the step writes row i too,
+    _compile chooses each step's tier (_TIERS).  steps (_Step, 0-based rows)
+    run in this order: the blocks with one term member, one _stacked_blocks
+    step per term kind (terms.stack_terms); each block with several term
+    members; the outer set.  An outer set of one term row i whose term is
+    of the last stack's kind, with no block of several members, is folded
+    into that _stacked_blocks step, whose stack's last row is i's and whose
+    arg ends with i's _prox_row step (else None): the step writes row i too,
     with that step's bits.  The _prox_row step stays the last of steps,
     which the checks and sweep_tiers read, and solves, the steps a sweep
     runs (_execute_sweep), leave it out; else solves are steps.  gov0 are
-    the governing rows of the blocks in block_js order, and exact says that
-    no step runs _nested_rows: the sweep is exact unless a pair falls back
-    at run time (_Pending.approx).
+    the governing rows of the blocks in block_js order, and exact whether
+    every step's tier is exact (_Tier.exact).
     written are the rows the sweep declares, sorted, and size
     their number: a sweep writes them into a (size, d) buffer, each row at
     its place there, and gov_at are the places of gov0.  gov0, written, the
@@ -655,48 +794,33 @@ class _CSweep:
                 subs, I[:len(I0)]))
         self.steps += nested + ([outer] if outer else [])
         self.solves = self.steps[:-1] if fold else self.steps
-        self.exact = all(step.solve is not _nested_rows for step in self.steps)
-
-
-_TIERS = {_prox_row: "prox", _quad_rows: "quad", _prox_quad_rows: "prox-quad",
-          _stacked_blocks: "stacked", _pair_rows: "pair",
-          _nested_rows: "nested"}
+        self.exact = all(_TIERS[step.solve].exact for step in self.steps)
 
 
 def sweep_tiers(spec, sweep):
     """The solve tiers a SweepPlan compiles to, one "tier {i,j,...}" string
     per step in the order the sweep runs them, with the 1-based indices of
     each of its subproblems (a block's include its governing index), and
-    " (approximate)" after the nested loop's.  A pair falls back to the
+    " (approximate)" after an inexact tier's.  A pair falls back to the
     nested loop where it has no closed form (_pair_rows)."""
-    return [" ".join([_TIERS[step.solve]] + [
-        "{" + ",".join(str(i + 1) for i in rows.tolist()) + "}"
-        for rows, _ in step.subs]) + (
-            " (approximate)" if step.solve is _nested_rows else "")
-        for step in _CSweep(sweep, spec).steps]
+    out = []
+    for step in _CSweep(sweep, spec).steps:
+        tier = _TIERS[step.solve]
+        out.append(" ".join([tier.name] + [
+            "{" + ",".join(str(i + 1) for i in rows.tolist()) + "}"
+            for rows, _ in step.subs]) + (
+                "" if tier.exact else " (approximate)"))
+    return out
 
 
 def _screen_row(spec, steps):
-    """What a sweep of these compiled steps screens (_Screen): when its one
-    step, of one subproblem, is _prox_row of a halfspace or ball indicator
-    row i, that row; when it is _pair_rows of an outer set {i, j}, ((i, j),
-    None); _stacked_blocks of a halfspace or ball block of j0 with term
-    member i, ((i,), j0); or _pair_rows of a block, ((i, j), j0).  Any
-    other sweep screens nothing: None."""
+    """What a sweep of these compiled steps screens (_Screen): its one
+    step's screen key (_Tier.screen), or None for a sweep of several steps
+    or a step that screens nothing."""
     if len(steps) != 1:
         return None
-    step = steps[0]
-    if step.solve is _prox_row:
-        i = step.arg[0]
-        term = spec.terms[i]
-        if type(term) is Indicator and type(term.set) in (Halfspace, L2Ball):
-            return i
-    elif step.solve is _pair_rows:
-        return tuple(step.arg[1:3]), step.arg[3]
-    elif (step.solve is _stacked_blocks and len(step.subs) == 1
-          and type(step.arg[0]) in (HalfspaceStack, BallStack)):
-        return (int(step.conj_rows[0]),), step.subs[0][1]
-    return None
+    screen = _TIERS[steps[0].solve].screen
+    return None if screen is None else screen(spec, steps[0])
 
 
 def _slack_bounds(stack, X, nx, kappa):
@@ -1435,41 +1559,23 @@ class _Pass(NamedTuple):
 
 
 class _Resolve(NamedTuple):
-    """The exact sweeps that check re-solves for all cycles of a batch at
-    once, at check_level="full" (_CCheck._compile_resolve).
+    """The exact sweeps of one step with one subproblem that check
+    re-solves for all cycles of a batch at once, at check_level="full"
+    (_CCheck._compile_resolve), in groups of one tier each (_Tier.group).
 
-    Each is one step with one subproblem.  The B sweeps come in this order:
-    n_prox outer sets of one term row (_prox_row), the outer sets of
-    quadratic rows only (_quad_rows), n_pair outer sets of two terms
-    (_pair_rows), then n_block one-block sweeps (_stacked_blocks) and the
-    blocks of two term members (_pair_rows); the first n_outer are outer
-    sets.  at maps a sweep w to its place and cols (B,) are the sweeps,
-    0-based.  Their written rows, Q in all, come in this order: the prox
-    rows, the blocks' term rows, the blocks' governing rows, each quadratic
-    group's rows, then from pair_start on the pair sweeps' rows, i and j of
-    each outer set and i, j and the governing row of each block.  rows (Q,)
-    are their flat offsets w_prev * n + i in a cycle's states, w_prev the
-    state each sweep starts from, owner (positions, starts) them by sweep,
-    and vrows (n_outer,) the outer sets' w_prev.  moreau are the stacks of
-    the prox and block term rows, as (positions, stack); groups are (start
-    row, sweeps, rows each, first outer place) for the _quad_rows outer
-    sets of one size; pairs are the pair sweeps' (s1, s2, constants),
-    _pair_rows' first arg, outer sets first, and pair_at their places.
+    at maps a sweep w to its place b among the B sweeps.  Their written
+    rows, Q in all, are laid out group by group and in a group sweep by
+    sweep: rows (Q,) are their flat offsets (w - 1) * n + i in a cycle's
+    states, w - 1 the state each sweep starts from, starts (B,) where each
+    sweep's rows start, and vrows the w - 1 of the outer sets, whose sums
+    their kernels read.  groups are (kernel, first place, count, first row,
+    rows per sweep, first place in vrows or None, item).
     """
     at: dict
-    cols: np.ndarray
-    n_prox: int
-    n_block: int
-    n_outer: int
     rows: np.ndarray
-    owner: tuple
+    starts: np.ndarray
     vrows: np.ndarray
-    moreau: list
     groups: list
-    n_pair: int
-    pair_start: int
-    pairs: list
-    pair_at: np.ndarray
 
 
 class _Gains(NamedTuple):
@@ -1517,11 +1623,11 @@ class _Index(NamedTuple):
     and int32: half what intp takes, for as long as the run holds them.
     conj per conjugate group, stat the sums and rows of the stat pairs, quad
     the quadratic rows of every state after a sweep (None at m = 0), resolve
-    the rows before and after each resolve sweep and the sums before it,
-    gains those of the gains' rows and sweeps (None without), and cert
-    those of _cert_index, or, when the certificates are taken from the
-    sweep pass (_CCheck.cert_pairs), only the sums of each cycle's last
-    state.
+    the rows before and after each resolve sweep and the sums before those
+    that are outer sets, gains those of the gains' rows and sweeps (None
+    without), and cert those of _cert_index, or, when the certificates are
+    taken from the sweep pass (_CCheck.cert_pairs), only the sums of each
+    cycle's last state.
     """
     K: int
     conj: list
@@ -1710,64 +1816,33 @@ class _CCheck:
             np.flatnonzero(blocks))
 
     def _compile_resolve(self, spec, shared):
-        """The exact sweeps of one step with one subproblem that the
-        batched re-solve covers, as a _Resolve, or None when there are
-        none."""
-        prox, sums, blocks, pairs = [], {}, [], ([], [])
+        """The exact sweeps of one step with one subproblem whose tier has
+        a batched re-solve, as a _Resolve, or None when there are none."""
+        tiers = {}   # tier -> [(w, step), ...]
         for w, cs in self.exact_sweeps.items():
             step = cs.steps[0]
-            if len(cs.steps) > 1 or len(step.subs) > 1:
-                continue
-            rows = step.subs[0][0].tolist()
-            if step.solve is _prox_row:
-                prox.append((w, rows))
-            elif step.solve is _stacked_blocks:
-                blocks.append((w, rows))   # the term row, then the governing
-            elif step.solve is _quad_rows:
-                sums.setdefault(len(rows), []).append((w, rows))
-            elif step.solve is _pair_rows:
-                pair, i, j, j0 = step.arg[:4]
-                pairs[j0 is not None].append(
-                    (w, [i, j] if j0 is None else [i, j, j0], pair))
-        quads = [s for group in sums.values() for s in group]
-        order = prox + quads + pairs[0] + blocks + pairs[1]
-        if not order:
+            tier = _TIERS[step.solve]
+            if len(cs.steps) == 1 and len(step.subs) == 1 and tier.group:
+                tiers.setdefault(tier, []).append((w, step))
+        at, rows, starts, vrows, groups = {}, [], [], [], []
+        for tier, sweeps in tiers.items():
+            for pos, written, item in tier.group(
+                    spec, [step for _, step in sweeps], shared):
+                outer = sweeps[pos[0]][1].subs[0][1] is None
+                groups.append((tier.kernel, len(at), len(pos), len(rows),
+                               len(written[0]), len(vrows) if outer else None,
+                               item))
+                for p, sub in zip(pos, written):
+                    w = sweeps[p][0]
+                    at[w] = len(at)
+                    starts.append(len(rows))
+                    rows += [(w - 1) * self.n + i for i in sub]
+                    if outer:
+                        vrows.append(w - 1)
+        if not at:
             return None
-        n_prox, n_block, n_pair = len(prox), len(blocks), len(pairs[0])
-        n_outer = len(order) - n_block - len(pairs[1])
-        # (place, row) of each written row, in the layout of _Resolve
-        written = [(b, rows[0]) for b, (_, rows) in enumerate(prox)]
-        for k in (0, 1):   # the blocks' term rows, then governing rows
-            written += [(n_outer + b, rows[k])
-                        for b, (_, rows) in enumerate(blocks)]
-        written += [(n_prox + b, i) for b, (_, rows) in enumerate(quads)
-                    for i in rows]
-        pair_start = len(written)
-        pair_at = list(range(n_outer - n_pair, n_outer)) + list(
-            range(n_outer + n_block, len(order)))
-        written += [(b, i) for b, (_, rows, _) in zip(
-            pair_at, pairs[0] + pairs[1]) for i in rows]
-        groups = []
-        start, place = n_prox + 2 * n_block, n_prox
-        for size, group in sums.items():
-            groups.append((start, len(group), size, place))
-            start += len(group) * size
-            place += len(group)
-        cols = np.array([w - 1 for w, *_ in order], dtype=np.intp)
-        place = np.array([b for b, _ in written], dtype=np.intp)
-        owner = np.argsort(place, kind="stable")
-        return _Resolve(
-            {w: b for b, (w, *_) in enumerate(order)}, cols, n_prox, n_block,
-            n_outer,
-            np.array([cols[b] * spec.n_duals + i for b, i in written],
-                     dtype=np.intp),
-            (owner, np.searchsorted(place[owner], np.arange(len(order)))),
-            cols[:n_outer].copy(),
-            _pair_stacks(spec.terms, [rows[0] for _, rows in prox + blocks],
-                         shared),
-            groups, n_pair, pair_start,
-            [pair for _, _, pair in pairs[0] + pairs[1]],
-            np.array(pair_at, dtype=np.intp))
+        return _Resolve(at, *(np.array(a, dtype=np.intp)
+                              for a in (rows, starts, vrows)), groups)
 
     def _index(self, k):
         """The log's flat indices for batches of k cycles, built unless they
@@ -1986,87 +2061,30 @@ class _CCheck:
         """check_level=full: the batch's re-solve of the sweeps in resolve,
         for its first k cycles at once; returns matched (k, B).
 
-        Each sweep solves from the state before it, as the sweep did, with
-        one stacked call per term kind, or a pair's pair_duals call per
-        cycle (_pairs_resolved).  Sweep b of cycle c matched when every
-        row it writes is bitwise its state's, which its re-solve by itself
-        (_resolve_sweep) would then find too.  R, V and at are those of
-        _sweep_pass.
+        Each sweep solves from the state before it, as the sweep did: each
+        group in one call of its tier's kernel.  Sweep b of cycle c matched
+        when its solver had a closed form and every row it writes is
+        bitwise its state's, which its re-solve by itself (_resolve_sweep)
+        would then find too.  R, V and at are those of _sweep_pass.
         """
         rs = self.resolve
-        d, x0 = spec.d, spec.x0
-        n_prox, n_block = rs.n_prox, rs.n_block
-        m = n_prox + n_block   # the rows that take a dual prox
-        gov = slice(m, m + n_block)
         before, after, sums_before = at.resolve
         # the rows before each sweep, re-solved in place once read
         X = _gather(R, before, k, at.K)
         V0 = _gather(V, sums_before, k, at.K)
-        for start, count, size, place in rs.groups:   # _quad_rows
-            G = X[:, start:start + count * size].reshape(k, count, size, d)
-            c = V0[:, place:place + count] - G.sum(axis=2)
-            G[...] = (-c / (size + 1.0))[:, :, None]
-        ok = self._pairs_resolved(spec, X, V0) if rs.pairs else None
-        U = np.empty((k, m, d))
-        u = U[:, :n_prox]   # _prox_row's x0 - (v - z_i)
-        np.subtract(V0[:, :n_prox], X[:, :n_prox], out=u)
-        del V0   # before the dual proxes add their temporaries
-        if m:
-            np.subtract(x0, u, out=u)
-            bsum = X[:, n_prox:m] + X[:, gov]   # _stacked_blocks'
-            np.add(bsum, x0, out=U[:, n_prox:])
-            if len(rs.moreau) == 1:   # one kind, in order
-                X[:, :m] = rs.moreau[0][1].moreau(U)
-            else:
-                for pos, stack in rs.moreau:
-                    X[:, pos] = stack.moreau(U[:, pos])
-            np.subtract(bsum, X[:, n_prox:m], out=X[:, gov])
-        del U
+        matched = np.ones((k, len(rs.starts)), dtype=bool)
+        for kernel, b, count, row, size, place, item in rs.groups:
+            ok = kernel(spec, X[:, row:row + count * size].reshape(
+                k, count, size, spec.d),
+                None if place is None else V0[:, place:place + count], item)
+            if ok is not None:
+                matched[:, b:b + count] = ok
+        del V0
         X1 = _gather(R, after, k, at.K)   # the states after the sweeps
         differs = (X.view(np.int64) != X1.view(np.int64)).any(axis=2)
         # a sweep matched when none of its rows differs
-        by_sweep, starts = rs.owner
-        matched = ~np.logical_or.reduceat(differs[:, by_sweep], starts, 1)
-        if ok is not None:   # a pair with no closed form ran _nested_rows
-            matched[:, rs.pair_at] &= ok
+        matched &= ~np.logical_or.reduceat(differs, rs.starts, axis=1)
         return matched
-
-    def _pairs_resolved(self, spec, X, V0):
-        """_resolved's re-solve of the pair sweeps: their rows in X are
-        overwritten with _pair_rows' values, assembled for all at once: zeros
-        where both sets hold the (cycle, pair sweep)'s u, found for all
-        cycles of a pair sweep at once (pair_holds), else pair_duals at u;
-        V0 holds the sums before the outer sets.  Returns ok (k, pairs),
-        False where a pair has no closed form."""
-        rs = self.resolve
-        k, d = len(X), spec.d
-        s, o, x0 = rs.pair_start, rs.n_pair, spec.x0
-        # views of each pair sweep's rows: i, j and a block's governing row
-        outer = X[:, s:s + 2 * o].reshape(k, o, 2, d)
-        block = X[:, s + 2 * o:].reshape(k, -1, 3, d)
-        U = np.empty((k, len(rs.pair_at), d))
-        # _pair_rows' u: x0 - (v - z_i - z_j) and x0 plus the block sum
-        u = U[:, :o]
-        np.subtract(V0[:, rs.n_outer - o:rs.n_outer], outer[:, :, 0], out=u)
-        np.subtract(u, outer[:, :, 1], out=u)
-        np.subtract(x0, u, out=u)
-        bsum = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
-        np.add(bsum, x0, out=U[:, o:])
-        ok = np.ones(U.shape[:2], dtype=bool)
-        for b, pair in enumerate(rs.pairs):
-            rows = outer[:, b] if b < o else block[:, b - o]
-            # where both sets hold u, pair_duals' first test gives zeros
-            held = pair_holds(*pair, U[:, b])
-            rows[held, :2] = 0.0
-            for c in np.flatnonzero(~held).tolist():
-                duals = pair_duals(*pair, U[c, b])
-                if duals is None:
-                    ok[c, b] = False
-                else:
-                    rows[c, 0], rows[c, 1] = duals
-        np.subtract(bsum, block[:, :, 0], out=bsum)
-        np.subtract(bsum, block[:, :, 1], out=block[:, :, 2])
-        return ok
 
     def _raise_sweeps(self, spec, log, p, c, n, params, upto=None,
                       matched=None):
@@ -2178,7 +2196,7 @@ class _CCheck:
             # the re-solve first: the pass's points, which a shared cycle's
             # certificates keep, are then not held beside its temporaries
             if (self.resolve is not None
-                    and k * len(self.resolve.cols) >= _RESOLVE_MIN):
+                    and k * len(self.resolve.at) >= _RESOLVE_MIN):
                 try:
                     matched = self._resolved(spec, R, V, at, k)
                 except Exception:   # the per-sweep re-solve raises it in order

@@ -3,8 +3,23 @@
 import numpy as np
 
 import dyksplit as dk
+from dyksplit import engine
 from dyksplit.engine import SolveParams, run
 from dyksplit.schedule import CyclePlan, SweepPlan
+
+
+# ---------------------------------------------------------------------------
+# fault injection into the engine's solvers
+# ---------------------------------------------------------------------------
+
+def patch_solver(monkeypatch, name, fake):
+    """Replace the engine solver called name with fake, which the sweeps
+    compiled from then on run as their steps' solve, and give fake the
+    original's entry of the tier table (engine._TIERS), under which the
+    compiled sweeps look their steps up."""
+    monkeypatch.setitem(engine._TIERS, fake,
+                        engine._TIERS[getattr(engine, name)])
+    monkeypatch.setattr(engine, name, fake)
 
 
 # ---------------------------------------------------------------------------

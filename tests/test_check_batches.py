@@ -15,6 +15,7 @@ from dyksplit.terms import (DOM_TOL, BallStack, HalfspaceStack, moreau_dual,
                            stack_terms)
 
 from . import test_engine
+from .support import TERM_KINDS, patch_solver, sample_term, unit
 from .test_engine import _dots_kernel
 
 try:
@@ -930,6 +931,100 @@ def test_a_matched_sweep_cannot_fall_short_in_its_replay(monkeypatch, kernel):
         assert 0.5 * move * move == 0.5 * 0.0 * 0.0 + 0.5 * (0.0 + move * move)
 
 
+def _kernel_sweeps(solve):
+    """A spec and SweepPlans whose one step of one subproblem each runs
+    solve, of a tier with a batched re-solve: every term kind's prox
+    (a row twice), quadratic outer sets of one and two rows, every kind's
+    one-member block, and halfspace and ball pairs, outer and in blocks,
+    one of two parallel halfspaces whose intersection is empty."""
+    S = dk.SweepPlan
+    rng = np.random.default_rng(29)
+    if solve is not engine._pair_rows:
+        spec = dk.ProblemSpec(rng.standard_normal(3), [
+            sample_term(kind, rng, 3) for kind in TERM_KINDS], m=2)
+        r = spec.r
+        return spec, {
+            engine._prox_row: [S(outer={i}) for i in range(1, r + 1)]
+            + [S(outer={2})],
+            engine._quad_rows: [S(outer={r + 1}), S(outer={r + 1, r + 2}),
+                                S(outer={r + 2})],
+            engine._stacked_blocks: [S(inner={j: {i, j}})
+                                     for i in range(1, r + 1)
+                                     for j in [r + 1 + i % 2]],
+        }[solve]
+    HS, Ball = dk.Halfspace, dk.L2Ball
+    a = unit(rng, 3)
+    sets = [HS(unit(rng, 3), 0.5), HS(unit(rng, 3), 0.5),
+            Ball(0.1 * unit(rng, 3), 1.0), Ball(0.2 * unit(rng, 3), 0.8),
+            HS(a, -0.5), HS(-a, -0.5)]
+    spec = dk.ProblemSpec(np.zeros(3), [dk.Indicator(s) for s in sets], m=3)
+    return spec, [S(outer={1, 2}), S(outer={1, 3}), S(outer={3, 4}),
+                  S(outer={5, 6}), S(inner={7: {1, 2, 7}}),
+                  S(inner={8: {2, 3, 8}}), S(inner={9: {5, 6, 9}}),
+                  S(inner={7: {3, 4, 7}})]
+
+
+@pytest.mark.parametrize("solve", [
+    solve for solve, tier in engine._TIERS.items() if tier.kernel],
+    ids=lambda solve: solve.__name__)
+def test_each_kernel_gives_its_solvers_rows(solve):
+    # each group's kernel, on random rows of k cycles with -0.0 entries,
+    # zero rows and a state of -0.0 rows among them, written through a
+    # strided view as _resolved passes it, gives bitwise the rows its
+    # solver writes, per (cycle, sweep); a pair's ok is False exactly where
+    # pair_duals has no closed form, whose rows the solver takes from the
+    # nested loop instead.  The pairs' states hit all four of pair_duals'
+    # kinds of answer
+    spec, sweeps = _kernel_sweeps(solve)
+    tier = engine._TIERS[solve]
+    compiled = [engine._CSweep(sw, spec) for sw in sweeps]
+    assert all(len(cs.steps) == 1 and cs.steps[0].solve is solve
+               and len(cs.steps[0].subs) == 1 for cs in compiled)
+    steps = [cs.steps[0] for cs in compiled]
+    rng = np.random.default_rng(31)
+    k, n, d = 24, spec.n_duals, spec.d
+    answers = set()
+    for pos, rows, item in tier.group(spec, steps, {}):
+        count, size = len(pos), len(rows[0])
+        Z = rng.standard_normal((k, count, n, d)) * np.array(
+            [0.0, 0.05, 0.5, 3.0] * (k // 4))[:, None, None, None]
+        Z[rng.random(Z.shape) < 0.3] = -0.0
+        Z[0] = -0.0
+        X = np.empty((k, count * size + 2, d))
+        G = X[:, 1:-1].reshape(k, count, size, d)
+        assert np.shares_memory(G, X)
+        outer = steps[pos[0]].subs[0][1] is None
+        for c in range(k):
+            for b in range(count):
+                G[c, b] = Z[c, b][rows[b]]
+        V = np.array([[z.sum(axis=0) for z in Zc] for Zc in Z])
+        ok = tier.kernel(spec, G, V.copy() if outer else None, item)
+        for c in range(k):
+            for b, p in enumerate(pos):
+                cs, step = compiled[p], steps[p]
+                z = engine._read_only(Z[c, b])
+                out = np.empty((cs.size, d))
+                solve(spec, z, V[c, b], step.arg, dk.SolveParams(), out)
+                if solve is engine._pair_rows:
+                    pair, i, j, j0 = step.arg[:4]
+                    u = (spec.x0 - (V[c, b] - z[i] - z[j]) if j0 is None
+                         else z[i] + z[j] + z[j0] + spec.x0)
+                    duals = engine.pair_duals(*pair, u)
+                    answers.add(None if duals is None else tuple(
+                        type(x) is float for x in duals))
+                    assert ok[c, b] == (duals is not None)
+                    if duals is None:
+                        continue
+                else:
+                    assert ok is None
+                declared = np.arange(n)[cs.written]
+                assert G[c, b].tobytes() == out[
+                    declared.searchsorted(rows[b])].tobytes()
+    if solve is engine._pair_rows:   # held, one active (either), both, none
+        assert answers == {(True, True), (False, True), (True, False),
+                           (False, False), None}
+
+
 # ---------------------------------------------------------------------------
 # the sweep log against the states it stands for
 # ---------------------------------------------------------------------------
@@ -1282,11 +1377,42 @@ def test_a_clean_run_takes_no_freeze_work(monkeypatch, case, level):
     assert events.count("sweep") >= 26 * len(plan.pattern)
 
 
+_CASES = ("classic", "product", "prox_quad", "mixed_block", "custom_pair",
+          "custom_nested")
+
+
+def _compiled(case):
+    """The spec of _case(case) and each SweepPlan of its plan with its
+    compiled sweep."""
+    spec, plan = _case(case)
+    return spec, [(sw, engine._CSweep(sw, spec))
+                  for c in (plan.pattern,) + plan.lead_in for sw in c]
+
+
+def _tier_case(solve):
+    """The first of _CASES whose plan has a sweep of one step that runs
+    solve, else None."""
+    for case in _CASES:
+        if any([step.solve for step in cs.steps] == [solve]
+               for _, cs in _compiled(case)[1]):
+            return case
+    return None
+
+
+def test_every_tier_is_reached():
+    # each entry of the tier table is compiled by a test plan, alone in a
+    # sweep, and named by sweep_tiers there
+    for solve, tier in engine._TIERS.items():
+        case = _tier_case(solve)
+        assert case is not None, solve.__name__
+        spec, sweeps = _compiled(case)
+        assert tier.name in {line.split(" ")[0] for sw, _ in sweeps
+                             for line in engine.sweep_tiers(spec, sw)}
+
+
 @pytest.mark.parametrize("level", ["off", "sweep", "full"])
 @pytest.mark.parametrize("solver,case", [
-    ("_prox_row", "classic"), ("_quad_rows", "product"),
-    ("_prox_quad_rows", "prox_quad"), ("_stacked_blocks", "mixed_block"),
-    ("_pair_rows", "custom_pair"), ("_nested_rows", "custom_nested")])
+    (solve.__name__, _tier_case(solve)) for solve in engine._TIERS])
 def test_every_solver_writes_a_buffer_of_its_sweeps_rows(
         monkeypatch, solver, case, level):
     # each solver tier gets a (size, d) buffer of the declared rows of a
@@ -1306,7 +1432,7 @@ def test_every_solver_writes_a_buffer_of_its_sweeps_rows(
         seen.append(out.shape[0])
         return orig(spec, z, v, arg, params, out)
 
-    monkeypatch.setattr(engine, solver, solve)
+    patch_solver(monkeypatch, solver, solve)
     monkeypatch.setattr(engine._CCheck, "_compile_resolve",
                         lambda self, spec, shared: None)
     res = dk.run(spec, plan, dk.SolveParams(max_iterations=3,
@@ -1480,7 +1606,7 @@ def test_closed_form_gains_are_the_objective_differences(monkeypatch, case):
             out[arg[4]] += 0.25   # the governing rows
             return exact
 
-        monkeypatch.setattr(engine, "_stacked_blocks", leaky)
+        patch_solver(monkeypatch, "_stacked_blocks", leaky)
     groups = terms_module.stack_terms(spec.terms, range(spec.r))
 
     def objective(z):

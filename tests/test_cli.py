@@ -497,6 +497,30 @@ def test_validate_prints_each_sweeps_compiled_tiers(tmp_path, capsys):
         "sweep 7: nested {7,8} (approximate)", "sweep 8: prox {8}"]
 
 
+def test_validate_prints_the_tiers_of_each_lead_in_cycle(tmp_path, capsys):
+    # the lead-in cycles compile too, and validate lists their tiers after
+    # the pattern's: an outer set of three halfspaces runs the nested loop,
+    # one of two the pair tier
+    terms = [{"kind": "halfspace", "a": a, "b": b}
+             for a, b in (([1.0, 0.0], 0.2), ([0.0, 1.0], 0.1),
+                          ([0.6, 0.8], 0.3))]
+    cycles = {"pattern": [{"outer": [1]}, {"outer": [2]}, {"outer": [3]}],
+              "lead_in": [[{"outer": [1, 2, 3]}],
+                          [{"outer": [3]}, {"outer": [1, 2]}]]}
+    path = _dump(tmp_path, "run.json", {
+        "problem": {"x0": [1.0, 2.0], "terms": terms},
+        "splitting": {"m": 0, "schedule": {"mode": "custom",
+                                           "cycles": cycles}}})
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "sweep " in line[:24]] == [
+        "sweep 1: prox {1}", "sweep 2: prox {2}", "sweep 3: prox {3}",
+        "lead-in cycle 1 sweep 1: nested {1,2,3} (approximate)",
+        "lead-in cycle 2 sweep 1: prox {3}",
+        "lead-in cycle 2 sweep 2: pair {1,2}"]
+    assert "schedule valid" in out
+
+
 def test_solve_prints_the_growth_advisory_once_per_solve(tmp_path, capsys):
     # solve says what validate says, in one stderr line, on every solve of
     # the process, and lets no ScheduleGrowthWarning through

@@ -16,8 +16,8 @@ from dyksplit.engine import EngineInvariantError, NonFiniteStateError
 from dyksplit.terms import FEAS_TOL, HalfspaceStack, moreau_dual, stack_terms
 
 from .support import (TERM_KINDS, invalid_deferred_plan, irrational_angle_spec,
-                      run_until, sample_term, two_halfspace_spec, unit,
-                      valid_deferred_plan)
+                      patch_solver, run_until, sample_term, two_halfspace_spec,
+                      unit, valid_deferred_plan)
 
 HS = lambda a, b: dk.Indicator(dk.Halfspace(a, b))
 
@@ -864,7 +864,7 @@ def test_a_solver_cannot_write_into_its_snapshot(monkeypatch, level):
             z[arg[0]] = out[arg[1]]
         return exact
 
-    monkeypatch.setattr(engine, "_prox_row", writing)
+    patch_solver(monkeypatch, "_prox_row", writing)
     monkeypatch.setattr(engine._CCheck, "_compile_resolve",
                         lambda self, spec, shared: None)
     with pytest.raises(ValueError, match="read-only"):
@@ -1083,8 +1083,8 @@ def _after_prox_row(monkeypatch, spec, plan, *faults):
                 fault(spec, z, i, out[at])
         return exact
 
-    monkeypatch.setattr(engine, "_prox_row", solver)
-    monkeypatch.setattr(engine, "_stacked_blocks", blocks)
+    patch_solver(monkeypatch, "_prox_row", solver)
+    patch_solver(monkeypatch, "_stacked_blocks", blocks)
     _screen_off(monkeypatch)
 
 
@@ -1220,7 +1220,7 @@ def test_fault_certificate_fenchel(monkeypatch, level):
         out[J_at] = bsum - out[I_at]
         return exact
 
-    monkeypatch.setattr(engine, "_stacked_blocks", half)
+    patch_solver(monkeypatch, "_stacked_blocks", half)
     spec = fixtures.random_halfspaces(4, 4, 3, m=1)
     with pytest.raises(EngineInvariantError,
                        match="^cycle 1: certificate for index 1 has Fenchel"
@@ -1277,7 +1277,7 @@ def test_fault_block_short_of_its_own_margin(monkeypatch, level, message):
         out[J_at] = z[I] + z[J] - new
         return exact
 
-    monkeypatch.setattr(engine, "_stacked_blocks", uneven)
+    patch_solver(monkeypatch, "_stacked_blocks", uneven)
     spec = fixtures.random_halfspaces(4, 4, 3, m=3)
     with pytest.raises(EngineInvariantError, match=f"^{message}$"):
         dk.run(spec, dk.product_space_schedule(4),

@@ -4,12 +4,16 @@ Run from the root of a checkout:
 
     python3 tools/loc.py                  # src/
     python3 tools/loc.py ../parent/src    # another tree
+    python3 tools/loc.py ../parent/src src   # two trees and the difference
 
 Every line of every .py file under the tree is counted once.  A docstring
 line is one of the lines a module's, class's or function's docstring spans,
 blank ones included; of the other lines, a blank line holds only
 whitespace, a comment line only a comment, and every other line is code.
-Prints one row per file and a total.
+Prints one row per file and a total; given two trees, one row per file
+whose counts differ, with the second tree's minus the first's (a file of
+one tree only counts as empty in the other), each tree's total and the
+difference of the totals.
 """
 
 from __future__ import annotations
@@ -52,22 +56,46 @@ def count(text):
     return counts
 
 
+def tree_counts(root):
+    """{relative path: counts} of every .py file under root."""
+    return {str(path.relative_to(root)): count(path.read_text())
+            for path in sorted(Path(root).rglob("*.py"))}
+
+
+def row(name, counts):
+    return (f"{name:<32}{sum(counts.values()):>7}"
+            + "".join(f"{counts[k]:>11}" for k in KINDS))
+
+
+def total(files):
+    return {k: sum(counts[k] for counts in files.values()) for k in KINDS}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("tree", nargs="?", default="src",
-                   help="directory to count (default: src)")
+    p.add_argument("trees", nargs="*", default=["src"], metavar="tree",
+                   help="directory to count (default: src); given two, the"
+                        " second's counts minus the first's")
     args = p.parse_args(argv)
-    root = Path(args.tree)
-    total = dict.fromkeys(KINDS, 0)
+    if len(args.trees) > 2:
+        p.error("at most two trees")
     print(f"{'file':<32}{'lines':>7}" + "".join(f"{k:>11}" for k in KINDS))
-    for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text())
-        for k in KINDS:
-            total[k] += counts[k]
-        print(f"{str(path.relative_to(root)):<32}{sum(counts.values()):>7}"
-              + "".join(f"{counts[k]:>11}" for k in KINDS))
-    print(f"{'total':<32}{sum(total.values()):>7}"
-          + "".join(f"{total[k]:>11}" for k in KINDS))
+    files = [tree_counts(tree) for tree in args.trees]
+    if len(files) == 1:
+        for name, counts in files[0].items():
+            print(row(name, counts))
+        print(row("total", total(files[0])))
+        return
+    zero = dict.fromkeys(KINDS, 0)
+    old, new = files
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, zero), new.get(name, zero)
+        if a != b:
+            print(row(name, {k: b[k] - a[k] for k in KINDS}))
+    a, b = total(old), total(new)
+    for tree, counts in zip(args.trees, (a, b)):
+        print(row(f"total {tree}", counts))
+    print(row("difference", {k: b[k] - a[k] for k in KINDS}))
 
 
 if __name__ == "__main__":
