@@ -181,12 +181,16 @@ def cmd_solve(args):
                 "cycles": result.cycles_run,
                 "F": result.F,
                 "schedule_rewritten": rewritten,
-                "any_approx": result.any_approx}
+                "any_approx": result.any_approx,
+                "rounds": result.rounds}
         _write_trace(built.output.trace_path, built.output.format, rows, meta)
         print(f"trace written to {built.output.trace_path}")
 
     print(f"cycles run: {result.cycles_run} (stop: {result.stop_reason})")
     print(f"sweeps skipped by the screen: {result.skipped_sweeps}")
+    if result.rounds is not None:
+        print(f"working set: {len(result.rounds)} round(s),"
+              f" |W| {len(result.rounds[0])} -> {len(result.rounds[-1])}")
     print(f"dual objective: {result.F!r}")
     if np.isfinite(report.primal_value):
         print(f"primal value: {report.primal_value!r}"

@@ -87,18 +87,20 @@ that of one-cycle batches.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import warnings
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import schedule as sched
-from .state import DualState, dual_objective_from, dual_objective_z
+from .state import (DualState, ProblemSpec, dual_objective_from,
+                    dual_objective_z)
 # kept as an engine name for perfbench/tracer.py, which wraps it here; the
 # cycle-end check pass evaluates the same residuals row-wise (_fenchel)
 from .state import fenchel_residual  # noqa: F401
@@ -364,6 +366,9 @@ class RunResult:
     any_approx: bool
     analysis: sched.ScheduleAnalysis
     skipped_sweeps: int   # sweeps a safe screen skipped as still (_Screen)
+    # each round's working set as 1-based term indices (_working_set_run);
+    # None for a run on the whole plan
+    rounds: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +828,17 @@ def _screen_row(spec, steps):
     return None if screen is None else screen(spec, steps[0])
 
 
+def _slack_kappa(d):
+    """The rounding factor kappa of _slack_bounds for points of dimension d,
+    8·(d + 8)·u with u = eps/2 (_Screen)."""
+    return 4 * (d + 8) * _EPS
+
+
 def _slack_bounds(stack, X, nx, kappa):
     """Lower bounds on the slacks of a halfspace or ball stack's sets at X,
-    whose norms are nx (_Screen): at one point (d,), or at each of n points
-    (n, 1, d), with nx (n, 1), as (n, rows).  One that overflows is -inf or
-    NaN, which screens nothing."""
+    whose norms are nx (_Screen, _working_set_run): at one point (d,), or at
+    each of n points (n, 1, d), with nx (n, 1), as (n, rows).  One that
+    overflows is -inf or NaN, which screens nothing."""
     if isinstance(stack, HalfspaceStack):
         t = stack.b - _dots(stack.A, X)
         t /= np.sqrt(stack._nrm2)
@@ -988,7 +999,7 @@ class _Screen:
              for b, (rows, j0) in enumerate(blocks, start=1)],
             dtype=np.intp).T
         self.skipped = 0
-        self._kappa = 4 * (spec.d + 8) * _EPS
+        self._kappa = _slack_kappa(spec.d)
         self._x0, self._r, self._groups = spec.x0, r, groups
         self._size = base + len(blocks)
         self._Z = None
@@ -2414,6 +2425,10 @@ def _column(values):
 def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
     """Run the cycle plan until the gap rule or the iteration cap fires.
 
+    A cold, gap-stopped run of the product-space plan on halfspace and ball
+    indicators is solved in rounds on a growing working set of its terms
+    (_working_set_run); every other run runs the plan on the whole problem.
+
     Parameters
     ----------
     spec : ProblemSpec
@@ -2439,7 +2454,19 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
             "schedule exceeds one index per outer set or two per block;"
             " the sqrt-n growth monitor is advisory only",
             ScheduleGrowthWarning, stacklevel=2)
+    if (params.stop_gap is not None and z_init is None
+            and not keep_cycle_starts and spec.r >= 2
+            and spec.m == spec.r - 1
+            and stack_kinds(spec.terms, range(spec.r)).keys()
+            <= {HalfspaceStack, BallStack}
+            and plan == sched.product_space_schedule(spec.r)):
+        return _working_set_run(spec, params, analysis)
+    return _run(spec, plan, params, analysis, z_init, keep_cycle_starts)
 
+
+def _run(spec, plan, params, analysis, z_init, keep_cycle_starts):
+    """run's loop: the valid plan, whose analysis is given, on the whole
+    problem."""
     if z_init is None:
         z = np.zeros((spec.n_duals, spec.d))
     else:
@@ -2776,6 +2803,148 @@ def run(spec, plan, params=None, z_init=None, keep_cycle_starts=False):
         any_approx=any_approx,
         analysis=analysis,
         skipped_sweeps=screen.skipped if screen else 0)
+
+
+class _Round(NamedTuple):
+    """One round of a working-set run (_working_set_run)."""
+    W: tuple   # its working set, as 1-based term indices
+    result: RunResult   # the run on W's terms
+    n0: int   # the cycles of the rounds before it
+    alpha: float   # (m + 1)/|W|, which scales its objectives
+    keys: list   # the 1-based index in the whole problem of each of its duals
+
+
+def _round_fields(rounds, name):
+    """The fields(k) (TraceRows) of a working-set run's cycle or sweep rows,
+    name, over those of its rounds: each row's cycle n counts on from the
+    rounds before, its F is scaled by its round's alpha and its
+    inner_diffs keys are the whole problem's."""
+    def fields(k):
+        for rnd in rounds:
+            rows = getattr(rnd.result, name)
+            if k >= len(rows):
+                k -= len(rows)
+                continue
+            keys, alpha, n0 = rnd.keys, rnd.alpha, rnd.n0
+            for n, w, F, v_diff, inner, *rest in rows.fields(k):
+                yield (n + n0, w, None if F is None else F * alpha, v_diff,
+                       [(keys[j - 1], move) for j, move in inner], *rest)
+            k = 0
+    return fields
+
+
+def _joined(arrays):
+    """The arrays end to end, as one read-only array."""
+    out = np.concatenate(arrays)
+    out.setflags(write=False)
+    return out
+
+
+def _working_set_run(spec, params, analysis):
+    """run's product-space plan, cold and stopped by the gap rule, solved
+    in rounds on a working set W of its r halfspace and ball terms.
+
+    The intersection C_W of W's sets contains C, so when the projection of
+    x0 onto C_W lies in every set outside W, it is the projection x* onto
+    C.  Each round runs the product-space plan of W (classic for one set)
+    on the problem of W's terms with m_W = |W| - 1 copies, from zero duals,
+    to the gap stop_gap·(m_W + 1)/(m + 1): its x then lies within rho =
+    sqrt(2·stop_gap/(m + 1)) of W's projection, the bound the whole plan
+    promises.  The sets outside W whose slack at x is not surely at least
+    rho, by the screen's lower bounds (_slack_bounds), join W and a new
+    round starts; when none joins, every outside set holds W's projection,
+    which is x*, and the run stops by the gap rule.  W starts as the set of
+    the least slack at x0 and only grows, so there are at most r rounds,
+    and max_iterations caps their cycles together.
+
+    The result is the whole problem's: its trace rows and columns run over
+    every round, each round's objectives scaled by alpha = (m + 1)/|W|,
+    which makes them lower bounds on the optimum of the whole problem; x is
+    the last round's; the state holds W's term rows times alpha, zeros for
+    the other terms, and in each copy row -s/(m + 1) for the sum s of its
+    term rows, so that P(x) - F is alpha times the last round's gap; the
+    certificates are the last round's, each at its index in the whole
+    problem (_Round.keys); rounds lists each round's W.
+    """
+    r, m = spec.r, spec.m
+    groups = stack_terms(spec.terms, range(r))
+    kappa = _slack_kappa(spec.d)
+    rho = math.sqrt(2.0 * params.stop_gap / (m + 1))
+
+    def slacks(x):
+        """Lower bounds on the slacks of the r sets at x, one stacked call
+        per kind."""
+        T = np.empty(r)
+        nx = math.sqrt(x.dot(x))
+        with np.errstate(all="ignore"):   # an overflow admits its set
+            for rows, stack in groups:
+                T[rows] = _slack_bounds(stack, x, nx, kappa)
+        return T
+
+    W = [int(np.argmin(slacks(spec.x0)))]   # 0-based, ascending
+    rounds = []
+    left = params.max_iterations
+    stop_reason = "max_iterations"
+    while True:
+        k = len(W)
+        plan = (sched.product_space_schedule(k) if k > 1
+                else sched.classic_dykstra_schedule(1))
+        sub = ProblemSpec(spec.x0, [spec.terms[i] for i in W], m=k - 1)
+        p = copy.copy(params)
+        p.max_iterations = left
+        p.stop_gap = params.stop_gap * k / (m + 1)
+        res = _run(sub, plan, p, sched.validate(plan, k, k - 1), None, False)
+        keys = [i + 1 for i in W] + [r + i + 1 for i in W[:-1]]
+        rounds.append(_Round(tuple(keys[:k]), res,
+                             params.max_iterations - left, (m + 1) / k, keys))
+        left -= res.cycles_run
+        if res.stop_reason != "gap":
+            break
+        T = slacks(res.x)
+        T[W] = _INF
+        join = np.flatnonzero(~(T >= rho)).tolist()   # NaN joins
+        if not join:
+            stop_reason = "gap"
+            break
+        if not left:
+            break
+        W = sorted(W + join)
+
+    last = rounds[-1]
+    z = np.zeros((spec.n_duals, spec.d))
+    z[W] = last.alpha * last.result.state.z[:len(W)]
+    np.divide(z[:r].sum(axis=0), -(m + 1), out=z[r:])   # each copy row
+    sq, total = [], 0.0   # the running sums go on from round to round
+    for rnd in rounds:
+        sq.append(rnd.result.sq_diff_cumsum + total)
+        total = float(sq[-1][-1])
+    results = [rnd.result for rnd in rounds]
+    gamma = _joined([res.gamma for res in results])
+    return RunResult(
+        state=DualState(z, n=len(gamma), w=last.result.state.w),
+        x=last.result.x,
+        F=last.result.F * last.alpha,
+        F_initial=rounds[0].result.F_initial * rounds[0].alpha,
+        stop_reason=stop_reason,
+        cycles_run=len(gamma),
+        cycle_rows=TraceRows(_round_fields(rounds, "cycle_rows"), gamma),
+        sweep_rows=(TraceRows(
+            _round_fields(rounds, "sweep_rows"),
+            range(sum(len(res.sweep_rows) for res in results)))
+            if params.per_sweep_trace else None),
+        gamma=gamma,
+        growth=_joined([res.growth for res in results]),
+        F_per_cycle=_joined([rnd.result.F_per_cycle * rnd.alpha
+                             for rnd in rounds]),
+        sq_diff_cumsum=_joined(sq),
+        cycle_start_duals=None,
+        certificates=(None if last.result.certificates is None else [
+            replace(c, index=last.keys[c.index - 1])
+            for c in last.result.certificates]),
+        any_approx=any(res.any_approx for res in results),
+        analysis=analysis,
+        skipped_sweeps=sum(res.skipped_sweeps for res in results),
+        rounds=[rnd.W for rnd in rounds])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import (DimensionMismatch, _as_count, all_finite, stack_terms,
-                    stacked_conjugates)
+from .terms import (DimensionMismatch, Indicator, _as_count, all_finite,
+                    stack_terms, stacked_conjugates)
 
 _INF = float("inf")
+_EPS = float(np.finfo(float).eps)
+# gap_report's rounding allowance, in units of eps·(|primal| + |dual|):
+# primal minus dual fell at most 4.47 units below the proven bound at the
+# gap stops of product runs of random_halfspaces(s, 20, 10) and (s, 50,
+# 20), random_mixed(s, 20, 10) and random_balls(s, 10, 5), s = 1..16
+GAP_ROUNDING = 16
 
 
 class ProblemSpec:
@@ -197,16 +203,27 @@ class WeakDualityError(RuntimeError):
 def gap_report(spec, state, x):
     """Duality-gap diagnostics for a candidate primal point x.
 
-    The lower bound (1/2)||x0 - x - v||^2 is valid for any x and any dual
-    state; when both values are finite the report checks it before returning.
+    Primal minus dual is the sum of the Fenchel-Young residuals h_i(x) +
+    h_i*(z_i) - <x, z_i> of every term and copy, the last copy's being
+    (1/2)||x0 - x - v||^2.  An indicator's value is 0 within FEAS_TOL of
+    its set, where its residual is sigma(z_i) - <x, z_i> >= -||z_i||·dist_i(x)
+    (sigma(z_i) >= <P(x), z_i>), not >= 0.  So the proven lower bound is
+    (1/2)||x0 - x - v||^2 minus ||z_i||·dist_i(x) over the indicators; when
+    both values are finite the report checks it, with a rounding allowance
+    of GAP_ROUNDING·eps·(|primal| + |dual|), before returning.
     """
     x = np.asarray(x, dtype=float)
     dual = dual_objective(spec, state)
     primal = spec.primal_value(x)
-    resid = spec.x0 - x - state.z.sum(axis=0)
+    z = state.z if isinstance(state, DualState) else np.asarray(state, dtype=float)
+    resid = spec.x0 - x - z.sum(axis=0)
     bound = 0.5 * float(resid @ resid)
     if np.isfinite(primal) and np.isfinite(dual):
-        if primal - dual < bound - 1e-8:
+        bound -= sum(math.sqrt(float(z[i] @ z[i])) * t.distance(x)
+                     for i, t in enumerate(spec.terms)
+                     if isinstance(t, Indicator))
+        allowance = GAP_ROUNDING * _EPS * (abs(primal) + abs(dual))
+        if primal - dual < bound - allowance:
             raise WeakDualityError(
                 f"gap {primal - dual:.3e} below certified bound {bound:.3e}")
     return GapReport(dual_value=dual, primal_value=primal, gap_lower_bound=bound)

@@ -752,3 +752,33 @@ def test_json_trace_contains_inner_diffs(tmp_path):
     lines = trace.read_text().splitlines()
     assert len(lines) == len(rows) + 2
     assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == rows
+
+
+def test_solve_reports_the_working_set_rounds(tmp_path, capsys):
+    # a cold product run stopped by the gap rule runs in rounds on a
+    # working set; gap_report then checks the whole problem's state
+    trace = tmp_path / "trace.json"
+    path = _dump(tmp_path, "run.json", {
+        "problem": {"generator": {"kind": "halfspaces", "r": 20, "dim": 10,
+                                  "seed": 1}},
+        "splitting": {"schedule": {"mode": "product"}},
+        "solve": {"stop_gap": 1e-8, "max_iterations": 50000,
+                  "check_level": "off"},
+        "output": {"trace_path": str(trace), "format": "json"}})
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out
+    assert "working set: 2 round(s), |W| 1 -> 8\n" in out
+    meta = json.loads(trace.read_text())["meta"]
+    assert meta["rounds"] == [[11], [1, 3, 4, 9, 11, 17, 18, 19]]
+    assert meta["cycles"] == 328
+
+
+def test_solve_on_the_whole_plan_reports_no_rounds(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    path = _dump(tmp_path, "run.json", {
+        "problem": _vertex_problem(),
+        "solve": {"stop_gap": 1e-10, "max_iterations": 200},
+        "output": {"trace_path": str(trace), "format": "json"}})
+    assert main(["solve", path]) == 0
+    assert "working set" not in capsys.readouterr().out
+    assert json.loads(trace.read_text())["meta"]["rounds"] is None

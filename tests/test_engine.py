@@ -1823,10 +1823,12 @@ def test_a_checks_off_product_run_asks_the_scalar_hint_once_a_batch_at_most(
     # one stacked call; only a batch of one cycle asks Indicator.value, once
     # at most.  Forcing each cycle of a batch onto its own row, as when a
     # stacked call raises, asks the term itself at each cycle and gives the
-    # same run
+    # same run.  A z_init of zeros keeps the run on the whole plan: a cold
+    # one would run on a working set (engine._working_set_run)
     spec, plan = make(seed, 8, 6, m=7), dk.product_space_schedule(8)
     params = dk.SolveParams(max_iterations=5000, stop_gap=1e-8,
                             check_level="off")
+    z0 = np.zeros((spec.n_duals, spec.d))
     asked, batches = [0], []
     value, flush = dk.Indicator.value, engine._flush_cycle_ends
 
@@ -1842,7 +1844,7 @@ def test_a_checks_off_product_run_asks_the_scalar_hint_once_a_batch_at_most(
 
     monkeypatch.setattr(dk.Indicator, "value", counted)
     monkeypatch.setattr(engine, "_flush_cycle_ends", counted_flush)
-    res = dk.run(spec, plan, params)
+    res = dk.run(spec, plan, params, z_init=z0)
     assert res.stop_reason == "gap" and len(batches) > 2
     assert all(n <= (k == 1) for k, n in batches)
     asked_batched, n_batches = asked[0], len(batches)
@@ -1855,7 +1857,7 @@ def test_a_checks_off_product_run_asks_the_scalar_hint_once_a_batch_at_most(
         return outside(self, V)
 
     monkeypatch.setattr(engine._GapRule, "_outside", refused)
-    again = dk.run(spec, plan, params)
+    again = dk.run(spec, plan, params, z_init=z0)
     assert asked[0] > 2 * n_batches > asked_batched
     assert (again.cycles_run, again.x.tobytes(), again.F_per_cycle.tobytes()
             ) == (res.cycles_run, res.x.tobytes(), res.F_per_cycle.tobytes())

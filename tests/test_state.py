@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import dyksplit as dk
+from dyksplit import fixtures
 from dyksplit.state import dual_objective_z
+from dyksplit.terms import HalfspaceStack
 
 from .support import (direct_d1_d2_minimizer, dual_objective_scaled_route,
                       sample_term, two_halfspace_spec, unit)
@@ -122,6 +124,42 @@ def test_gap_report_solved_pair():
     rep = dk.gap_report(spec, res.state, res.x)
     assert rep.gap <= 1e-8
     assert rep.gap_lower_bound <= 1e-8
+
+
+def _product_gap_stop(seed):
+    """A checks-off product run of random_halfspaces(seed, 20, 10) to the
+    gap stop on the whole plan, which a z_init keeps it on."""
+    spec = fixtures.random_halfspaces(seed, 20, 10, m=19)
+    res = dk.run(spec, dk.product_space_schedule(20),
+                 dk.SolveParams(stop_gap=1e-8, max_iterations=50000,
+                                check_level="off"),
+                 z_init=np.zeros((spec.n_duals, spec.d)))
+    assert res.stop_reason == "gap"
+    return spec, res
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5, 8])
+def test_gap_report_allows_an_x_inside_feas_tol_of_its_sets(seed):
+    # these stops' x lie outside some sets, within FEAS_TOL, where primal
+    # minus dual falls below (1/2)||x0 - x - v||^2: by up to the indicators'
+    # ||z_i||·dist_i(x), which the proven bound subtracts
+    spec, res = _product_gap_stop(seed)
+    rep = dk.gap_report(spec, res.state, res.x)
+    assert rep.gap < 0.0
+
+
+def test_gap_report_still_catches_an_understated_support(monkeypatch):
+    spec, res = _product_gap_stop(1)
+    support = HalfspaceStack.support
+
+    def understated(self, Z):
+        out = support(self, Z)
+        out[..., 0] -= 1e-6   # the first halfspace's
+        return out
+
+    monkeypatch.setattr(HalfspaceStack, "support", understated)
+    with pytest.raises(dk.WeakDualityError, match="below certified bound"):
+        dk.gap_report(spec, res.state, res.x)
 
 
 def test_fenchel_residual_desk():

@@ -36,10 +36,16 @@ with checks off the batch of cycle ends priced together
 rule too, the classic (30, 10) ones inside one-cycle batches; per tree, the
 run prints how many runs of the whole set stopped by the gap rule in
 batches of each size, so that a log shows both batches of one cycle and
-batches of more under the bitwise comparison.  Every run keeps its cycle starts.  A run's hash covers every RunResult field but the work counter
-skipped_sweeps, every trace row, every cycle start and every certificate,
-each float by its bytes; a run that raises is hashed by its error.  The
-package is imported from each --src.
+batches of more under the bitwise comparison.  Every run so far keeps
+its cycle starts, which keeps it on the whole plan.  The product gap
+stops of GAP_STOPS, or QUICK_GAP_STOPS, are then run once more at every
+check level without them: cold product runs stopped by the gap rule on
+halfspace and ball terms, which engine.run solves in rounds on a working
+set (engine._working_set_run).  A run's hash covers every RunResult field
+but the work counter skipped_sweeps, and rounds where it is None, as it is
+on the whole plan and in trees without the field, every trace row, every
+cycle start and every certificate, each float by its bytes; a run that
+raises is hashed by its error.  The package is imported from each --src.
 
 The run exits with status 1 when some run's hash differs between the
 trees, after printing each such run.  It also prints, per tree, how many
@@ -81,6 +87,9 @@ FOLD_RUNS = [("balls", 8), ("mixed", 7)]
 GAP_STOP_CAP = 5000
 # not a result: how much solver work a run skipped
 SKIP_FIELDS = {"skipped_sweeps"}
+# hashed only when set, so that a run on the whole plan hashes as in trees
+# without the field
+UNSET_FIELDS = {"rounds"}
 
 
 def custom_plan(dk, nested):
@@ -132,7 +141,8 @@ def feed(h, obj):
     elif dataclasses.is_dataclass(obj):
         h.update(type(obj).__name__.encode())
         for f in dataclasses.fields(obj):
-            if f.name not in SKIP_FIELDS:
+            if f.name not in SKIP_FIELDS and not (
+                    f.name in UNSET_FIELDS and getattr(obj, f.name) is None):
                 h.update(f.name.encode())
                 feed(h, getattr(obj, f.name))
     elif hasattr(obj, "__len__") and hasattr(obj, "__getitem__"):
@@ -161,7 +171,7 @@ def hash_run(dk, key):
     gap rule, and then (cycle, place in its batch, batch size), the last
     two None when no recorded batch holds the cycle."""
     from bench_grid import recording_batches   # next to this script
-    fixture, schedule, level, gap, per_sweep, seed, r, d, cap = key
+    fixture, schedule, level, gap, per_sweep, seed, r, d, cap, keep = key
     spec, plan = make_problem(dk, fixture, schedule, seed, r, d)
     params = dk.SolveParams(max_iterations=cap,
                             stop_gap=STOP_GAP if gap else None,
@@ -169,7 +179,7 @@ def hash_run(dk, key):
     batches = []   # the cycle numbers of each checked or priced batch
     try:
         with recording_batches(dk, batches, priced=True):
-            result = dk.run(spec, plan, params, keep_cycle_starts=True)
+            result = dk.run(spec, plan, params, keep_cycle_starts=keep)
     except Exception as exc:   # a failing run is hashed by its error
         h = hashlib.sha256()
         feed(h, f"{type(exc).__name__}: {exc}")
@@ -177,8 +187,10 @@ def hash_run(dk, key):
     where = None
     if result.stop_reason == "gap":
         n = result.cycles_run
-        # its place in the first batch that held it
-        batch = next((b for b in batches if n in b), None)
+        # its place in the first batch that held it; the batches of a run
+        # in rounds count the cycles of each round from 1
+        batch = (None if getattr(result, "rounds", None) else
+                 next((b for b in batches if n in b), None))
         where = ((n, None, None) if batch is None
                  else (n, batch.index(n) + 1, len(batch)))
     return (digest(result), getattr(result, "skipped_sweeps", None),
@@ -193,19 +205,27 @@ def _place(where):
 
 
 def run_keys(instances, gap_stops, custom_gap_stops, folds=()):
+    """The run set's keys: (fixture, schedule, level, gap, per_sweep, seed,
+    r, d, cap, whether the run keeps its cycle starts)."""
     return [(fixture, schedule, level, gap, per_sweep) + inst
-            + (MAX_ITERATIONS,)
+            + (MAX_ITERATIONS, True)
             for inst in instances for fixture in FIXTURES
             for schedule in SCHEDULES
             if schedule in SCHEDULES[:3] or inst[1:] == (8, 6)
             for level in LEVELS for gap in (False, True)
             for per_sweep in (False, True)] + [
-        (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP)
+        (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP,
+         True)
         for fixture, seed in gap_stops for level in LEVELS] + [
-        (fixture, "pairs", level, True, False, seed, 8, 6, GAP_STOP_CAP)
+        (fixture, "pairs", level, True, False, seed, 8, 6, GAP_STOP_CAP,
+         True)
         for fixture, seed in custom_gap_stops for level in LEVELS[1:]] + [
-        (fixture, "product", "full", False, True, 1, r, 6, MAX_ITERATIONS)
-        for fixture, r in folds]
+        (fixture, "product", "full", False, True, 1, r, 6, MAX_ITERATIONS,
+         True)
+        for fixture, r in folds] + [
+        (fixture, "product", level, True, False, seed, 8, 6, GAP_STOP_CAP,
+         False)
+        for fixture, seed in gap_stops for level in LEVELS]
 
 
 def main(argv=None):
@@ -241,9 +261,10 @@ def main(argv=None):
                     stops[t][where[2]] = stops[t].get(where[2], 0) + 1
                 if not t:
                     sweeps[key[1]] += n_sweeps
-                    if where is not None and key[-1] == GAP_STOP_CAP:
+                    if where is not None and key[8] == GAP_STOP_CAP:
                         print("gap stop: " + " ".join(
-                            map(str, key[:3] + key[5:6])) + ": "
+                            map(str, key[:3] + key[5:6]))
+                            + ("" if key[9] else " working set") + ": "
                             + _place(where))
                 if n_skipped is None:
                     skipped[t] = None
