@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import engine, oracle, schedule
-from .state import gap_report
+from .state import WeakDualityError, gap_report
 
 TRACE_COLUMNS = ("n", "w", "F", "v_diff", "gamma_n", "growth_monitor",
                  "cert_max_residual", "approx_flag")
@@ -396,7 +396,7 @@ def main(argv=None):
         return args.func(args)
     except (cfg_mod.ConfigError, schedule.ScheduleStructureError,
             schedule.UnresolvableDeferralError,
-            engine.InvalidScheduleError) as exc:
+            engine.InvalidScheduleError, WeakDualityError) as exc:
         _err(str(exc))
         return 1
     except engine.EngineInvariantError as exc:

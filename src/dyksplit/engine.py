@@ -87,7 +87,6 @@ that of one-cycle batches.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import warnings
@@ -2810,25 +2809,21 @@ class _Round(NamedTuple):
     W: tuple   # its working set, as 1-based term indices
     result: RunResult   # the run on W's terms
     n0: int   # the cycles of the rounds before it
-    alpha: float   # (m + 1)/|W|, which scales its objectives
-    keys: list   # the 1-based index in the whole problem of each of its duals
 
 
-def _round_fields(rounds, name):
+def _round_fields(rounds, name, alpha):
     """The fields(k) (TraceRows) of a working-set run's cycle or sweep rows,
     name, over those of its rounds: each row's cycle n counts on from the
-    rounds before, its F is scaled by its round's alpha and its
-    inner_diffs keys are the whole problem's."""
+    rounds before and its F is scaled by alpha."""
     def fields(k):
         for rnd in rounds:
             rows = getattr(rnd.result, name)
             if k >= len(rows):
                 k -= len(rows)
                 continue
-            keys, alpha, n0 = rnd.keys, rnd.alpha, rnd.n0
-            for n, w, F, v_diff, inner, *rest in rows.fields(k):
-                yield (n + n0, w, None if F is None else F * alpha, v_diff,
-                       [(keys[j - 1], move) for j, move in inner], *rest)
+            for n, w, F, *rest in rows.fields(k):
+                yield (n + rnd.n0, w, None if F is None else F * alpha,
+                       *rest)
             k = 0
     return fields
 
@@ -2846,9 +2841,9 @@ def _working_set_run(spec, params, analysis):
 
     The intersection C_W of W's sets contains C, so when the projection of
     x0 onto C_W lies in every set outside W, it is the projection x* onto
-    C.  Each round runs the product-space plan of W (classic for one set)
-    on the problem of W's terms with m_W = |W| - 1 copies, from zero duals,
-    to the gap stop_gap·(m_W + 1)/(m + 1): its x then lies within rho =
+    C.  Each round runs the classic plan of W on the problem of W's terms
+    alone, with no copies (m_W = 0: copies cost cycles), from zero duals,
+    to the gap stop_gap/(m + 1): its x then lies within rho =
     sqrt(2·stop_gap/(m + 1)) of W's projection, the bound the whole plan
     promises.  The sets outside W whose slack at x is not surely at least
     rho, by the screen's lower bounds (_slack_bounds), join W and a new
@@ -2858,18 +2853,19 @@ def _working_set_run(spec, params, analysis):
     and max_iterations caps their cycles together.
 
     The result is the whole problem's: its trace rows and columns run over
-    every round, each round's objectives scaled by alpha = (m + 1)/|W|,
-    which makes them lower bounds on the optimum of the whole problem; x is
-    the last round's; the state holds W's term rows times alpha, zeros for
-    the other terms, and in each copy row -s/(m + 1) for the sum s of its
-    term rows, so that P(x) - F is alpha times the last round's gap; the
-    certificates are the last round's, each at its index in the whole
-    problem (_Round.keys); rounds lists each round's W.
+    every round, each round's objectives scaled by alpha = m + 1, which
+    makes them lower bounds on the optimum of the whole problem; x is the
+    last round's; the state holds W's term rows times alpha, zeros for the
+    other terms, and in each copy row -s/(m + 1) for the sum s of its term
+    rows, so that P(x) - F is alpha times the last round's gap; the
+    certificates are the last round's, each at its term's index in the
+    whole problem; rounds lists each round's W.
     """
     r, m = spec.r, spec.m
+    alpha = m + 1
     groups = stack_terms(spec.terms, range(r))
     kappa = _slack_kappa(spec.d)
-    rho = math.sqrt(2.0 * params.stop_gap / (m + 1))
+    rho = math.sqrt(2.0 * params.stop_gap / alpha)
 
     def slacks(x):
         """Lower bounds on the slacks of the r sets at x, one stacked call
@@ -2886,17 +2882,14 @@ def _working_set_run(spec, params, analysis):
     left = params.max_iterations
     stop_reason = "max_iterations"
     while True:
-        k = len(W)
-        plan = (sched.product_space_schedule(k) if k > 1
-                else sched.classic_dykstra_schedule(1))
-        sub = ProblemSpec(spec.x0, [spec.terms[i] for i in W], m=k - 1)
-        p = copy.copy(params)
-        p.max_iterations = left
-        p.stop_gap = params.stop_gap * k / (m + 1)
-        res = _run(sub, plan, p, sched.validate(plan, k, k - 1), None, False)
-        keys = [i + 1 for i in W] + [r + i + 1 for i in W[:-1]]
-        rounds.append(_Round(tuple(keys[:k]), res,
-                             params.max_iterations - left, (m + 1) / k, keys))
+        plan = sched.classic_dykstra_schedule(len(W))
+        sub = ProblemSpec(spec.x0, [spec.terms[i] for i in W])
+        # replace validates anew; workers, ignored, is 1 to warn no more
+        p = replace(params, max_iterations=left, workers=1,
+                    stop_gap=params.stop_gap / alpha)
+        res = _run(sub, plan, p, sched.validate(plan, len(W), 0), None, False)
+        rounds.append(_Round(tuple(i + 1 for i in W), res,
+                             params.max_iterations - left))
         left -= res.cycles_run
         if res.stop_reason != "gap":
             break
@@ -2912,8 +2905,8 @@ def _working_set_run(spec, params, analysis):
 
     last = rounds[-1]
     z = np.zeros((spec.n_duals, spec.d))
-    z[W] = last.alpha * last.result.state.z[:len(W)]
-    np.divide(z[:r].sum(axis=0), -(m + 1), out=z[r:])   # each copy row
+    z[W] = alpha * last.result.state.z
+    np.divide(z[:r].sum(axis=0), -alpha, out=z[r:])   # each copy row
     sq, total = [], 0.0   # the running sums go on from round to round
     for rnd in rounds:
         sq.append(rnd.result.sq_diff_cumsum + total)
@@ -2923,23 +2916,23 @@ def _working_set_run(spec, params, analysis):
     return RunResult(
         state=DualState(z, n=len(gamma), w=last.result.state.w),
         x=last.result.x,
-        F=last.result.F * last.alpha,
-        F_initial=rounds[0].result.F_initial * rounds[0].alpha,
+        F=last.result.F * alpha,
+        F_initial=rounds[0].result.F_initial * alpha,
         stop_reason=stop_reason,
         cycles_run=len(gamma),
-        cycle_rows=TraceRows(_round_fields(rounds, "cycle_rows"), gamma),
+        cycle_rows=TraceRows(_round_fields(rounds, "cycle_rows", alpha),
+                             gamma),
         sweep_rows=(TraceRows(
-            _round_fields(rounds, "sweep_rows"),
+            _round_fields(rounds, "sweep_rows", alpha),
             range(sum(len(res.sweep_rows) for res in results)))
             if params.per_sweep_trace else None),
         gamma=gamma,
         growth=_joined([res.growth for res in results]),
-        F_per_cycle=_joined([rnd.result.F_per_cycle * rnd.alpha
-                             for rnd in rounds]),
+        F_per_cycle=_joined([res.F_per_cycle * alpha for res in results]),
         sq_diff_cumsum=_joined(sq),
         cycle_start_duals=None,
         certificates=(None if last.result.certificates is None else [
-            replace(c, index=last.keys[c.index - 1])
+            replace(c, index=last.W[c.index - 1])
             for c in last.result.certificates]),
         any_approx=any(res.any_approx for res in results),
         analysis=analysis,

@@ -14,8 +14,29 @@ from dyksplit import cli, engine, fixtures
 from dyksplit.cli import TRACE_COLUMNS, main
 from dyksplit.config import (ConfigError, RunConfig, build, term_from_dict,
                              term_to_dict)
+from dyksplit.terms import HalfspaceStack
 
 from .support import TERM_KINDS, sample_term
+
+def test_main_reports_a_weak_duality_failure(tmp_path, capsys,
+                                             monkeypatch):
+    # a support understated by 1e-6 overstates the dual value, which
+    # gap_report catches after the run
+    support = HalfspaceStack.support
+
+    def understated(self, Z):
+        out = support(self, Z)
+        out[..., 0] -= 1e-6
+        return out
+
+    monkeypatch.setattr(HalfspaceStack, "support", understated)
+    path = _dump(tmp_path, "run.json", {"problem": _corner_problem()})
+    assert main(["solve", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: gap ")
+    assert "below certified bound" in cap.err and "Traceback" not in cap.err
+
 
 ANGLES = [0.0, 100.0, 215.0]
 
@@ -770,7 +791,7 @@ def test_solve_reports_the_working_set_rounds(tmp_path, capsys):
     assert "working set: 2 round(s), |W| 1 -> 8\n" in out
     meta = json.loads(trace.read_text())["meta"]
     assert meta["rounds"] == [[11], [1, 3, 4, 9, 11, 17, 18, 19]]
-    assert meta["cycles"] == 328
+    assert meta["cycles"] == 16
 
 
 def test_solve_on_the_whole_plan_reports_no_rounds(tmp_path, capsys):

@@ -148,8 +148,30 @@ def test_gap_report_allows_an_x_inside_feas_tol_of_its_sets(seed):
     assert rep.gap < 0.0
 
 
-def test_gap_report_still_catches_an_understated_support(monkeypatch):
-    spec, res = _product_gap_stop(1)
+def _mapped_pair_stop():
+    """The product plan of terms 17 and 20 of random_halfspaces(21, 20, 10)
+    alone, from zero duals to the gap 1e-8·2/20, mapped onto the whole
+    problem (m = 19) as a working-set round on its own product form would
+    be: its term rows times alpha = 10, zeros for the other terms, and
+    -s/20 in each copy row for the sum s of the term rows.  The dual
+    value's quadratic pieces are about 45 each and cancel to 0.85."""
+    spec = fixtures.random_halfspaces(21, 20, 10, m=19)
+    r, W = spec.r, [16, 19]
+    sub = dk.ProblemSpec(spec.x0, [spec.terms[i] for i in W], m=1)
+    res = dk.run(sub, dk.product_space_schedule(2),
+                 dk.SolveParams(stop_gap=1e-8 * 2 / 20, max_iterations=50000,
+                                check_level="off"),
+                 z_init=np.zeros((sub.n_duals, sub.d)))
+    assert res.stop_reason == "gap"
+    z = np.zeros((spec.n_duals, spec.d))
+    z[W] = 10.0 * res.state.z[:2]
+    z[r:] = z[:r].sum(axis=0) / -20
+    return spec, dk.DualState(z), res.x
+
+
+def _understate_the_first_support(monkeypatch):
+    """Make HalfspaceStack.support understate the first halfspace's support
+    by 1e-6, which overstates the dual value by 1e-6."""
     support = HalfspaceStack.support
 
     def understated(self, Z):
@@ -158,6 +180,24 @@ def test_gap_report_still_catches_an_understated_support(monkeypatch):
         return out
 
     monkeypatch.setattr(HalfspaceStack, "support", understated)
+
+
+def test_gap_report_allows_the_rounding_of_cancelling_quadratic_pieces(
+        monkeypatch):
+    # primal minus dual falls 1.2e-14 below the proven bound: rounding of
+    # the pieces of about 45, not of the values of about 0.85
+    spec, state, x = _mapped_pair_stop()
+    rep = dk.gap_report(spec, state, x)
+    assert abs(rep.dual_value - 0.85) < 0.01
+    assert rep.gap < rep.gap_lower_bound
+    _understate_the_first_support(monkeypatch)
+    with pytest.raises(dk.WeakDualityError, match="below certified bound"):
+        dk.gap_report(spec, state, x)
+
+
+def test_gap_report_still_catches_an_understated_support(monkeypatch):
+    spec, res = _product_gap_stop(1)
+    _understate_the_first_support(monkeypatch)
     with pytest.raises(dk.WeakDualityError, match="below certified bound"):
         dk.gap_report(spec, res.state, res.x)
 

@@ -62,9 +62,41 @@ def test_mixed_runs_land_within_the_bound_of_reference_solve(level, seed):
     assert len(res.rounds) > 1
 
 
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("case", [("halfspaces", 1, 200, 50),
+                                  ("halfspaces", 2, 200, 50),
+                                  ("mixed", 1, 50, 20), ("mixed", 2, 50, 20),
+                                  ("mixed", 3, 50, 20), ("mixed", 4, 50, 20)])
+def test_larger_runs_land_within_the_bound_of_reference_solve(level, case):
+    kind, seed, r, d = case
+    make = (fixtures.random_halfspaces if kind == "halfspaces"
+            else fixtures.random_mixed)
+    spec = make(seed, r, d, m=r - 1)
+    x_ref = oracle.reference_solve(spec, tol=1e-10)
+    _assert_stops_at(spec, _product(spec, level), x_ref, slack=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # the result is the whole problem's
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_every_round_runs_the_classic_plan_of_its_sets(level):
+    # a round of W runs |W| sweeps a cycle, one a set, with no blocks: each
+    # row's w is the size of its round's W, which only grows
+    spec = fixtures.random_mixed(3, 50, 20, m=49)
+    res = _product(spec, level, per_sweep_trace=True)
+    assert len(res.rounds) == 3
+    rows = list(res.cycle_rows)
+    sizes = [row.w for row in rows]
+    assert sizes == sorted(sizes)
+    assert sorted(set(sizes)) == [len(W) for W in res.rounds]
+    assert res.state.w == len(res.rounds[-1])
+    assert not any(row.inner_diffs for row in rows)
+    sweeps = list(res.sweep_rows)
+    assert len(sweeps) == sum(sizes)
+    assert not any(row.inner_diffs for row in sweeps)
+
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_the_result_maps_every_round_onto_the_whole_problem(level):
@@ -80,20 +112,21 @@ def test_the_result_maps_every_round_onto_the_whole_problem(level):
         assert set(a) < set(b) and list(b) == sorted(b)
     # the state: W's rows times alpha, zeros elsewhere, equal copy rows
     W = [i - 1 for i in rounds[-1]]
-    alpha = (m + 1) / len(W)
+    alpha = m + 1
     z = res.state.z
     assert z.shape == (r + m, spec.d)
     assert not z[[i for i in range(r) if i not in W]].any()
     assert np.array_equal(z[r:], np.broadcast_to(
         z[:r].sum(axis=0) / -(m + 1), (m, spec.d)))
-    # the last round, rerun on W's own problem, has alpha times its gap
-    sub = dk.ProblemSpec(spec.x0, [spec.terms[i] for i in W], m=len(W) - 1)
-    plan = dk.product_space_schedule(len(W))
+    # the last round, rerun with the classic plan on W's own problem, with
+    # no copies (m = 0), has alpha times its gap
+    sub = dk.ProblemSpec(spec.x0, [spec.terms[i] for i in W])
+    plan = dk.classic_dykstra_schedule(len(W))
     last = dk.run(sub, plan, dk.SolveParams(
-        stop_gap=STOP_GAP * len(W) / (m + 1), max_iterations=20000,
+        stop_gap=STOP_GAP / (m + 1), max_iterations=20000,
         check_level=level), z_init=np.zeros((sub.n_duals, sub.d)))
     assert last.x.tobytes() == res.x.tobytes()
-    assert np.array_equal(z[W], alpha * last.state.z[:len(W)])
+    assert np.array_equal(z[W], alpha * last.state.z)
     assert res.F == alpha * last.F
     assert spec.primal_value(res.x) - res.F == pytest.approx(
         alpha * (sub.primal_value(last.x) - last.F), rel=1e-6, abs=1e-15)
@@ -105,22 +138,17 @@ def test_the_result_maps_every_round_onto_the_whole_problem(level):
     assert [row.n for row in rows] == list(range(1, res.cycles_run + 1))
     assert [row.F for row in rows] == res.F_per_cycle.tolist()
     assert max(res.F_per_cycle) <= optimum + 1e-12
-    assert [row.w for row in rows][0] == 1 and rows[-1].w == 2
+    assert rows[0].w == 1 and rows[-1].w == len(W)
     assert len(res.gamma) == len(res.growth) == res.cycles_run
     assert np.all(np.diff(res.sq_diff_cumsum) >= 0.0)
     for name in ("gamma", "growth", "F_per_cycle", "sq_diff_cumsum"):
         assert not getattr(res, name).flags.writeable
-    # per-sweep rows: the blocks' keys are the whole problem's copies
-    sweeps = list(res.sweep_rows)
-    assert len(sweeps) == sum(row.w for row in rows)
-    keys = {j for row in sweeps for j in row.inner_diffs}
-    assert keys and keys <= set(range(r + 1, r + m + 1))
-    assert {j - r for j in keys} <= set(rounds[-1])
+    # per-sweep rows: one a set
+    assert len(res.sweep_rows) == sum(row.w for row in rows)
     if level == "off":
         assert res.certificates is None
     else:
-        assert sorted(c.index for c in res.certificates) == sorted(
-            list(rounds[-1]) + [r + i for i in rounds[-1][:-1]])
+        assert sorted(c.index for c in res.certificates) == list(rounds[-1])
 
 
 def test_max_iterations_caps_the_rounds_together():

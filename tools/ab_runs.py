@@ -16,9 +16,11 @@ m=2) on its pattern repaired by rewrite_deferred (hash_runs.custom_plan)
 at "full" with the per-sweep trace, s = 1..16; each solved to stop_gap
 1e-8 within 50000 cycles.  The product population's runs are cold and
 stopped by the gap rule on halfspaces, so engine.run solves them in rounds
-on a working set (engine._working_set_run); against a tree from before
-that path, their x and cycle counts differ, and the bitwise gate below
-reports them.  --population, which can be repeated, times
+on a working set (engine._working_set_run), each round on the classic
+plan of its sets; against a tree from before that path, or one whose
+rounds run another plan (such as the product form of their sets), their
+x and cycle counts differ, and the bitwise gate below reports them.
+--population, which can be repeated, times
 only the named populations (default: all three).  After one untimed
 warm-up round, every round
 solves each instance under one tree and right after under the other, and
